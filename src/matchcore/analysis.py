@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, EnumerationCaps, check_instance_size
 from .formulations import (
@@ -285,11 +285,6 @@ class CoreVerdict:
     witness_dual: DualSolution | None = None
 
 
-def _proper_coalitions(agents: tuple[str, ...]):
-    for size in range(1, len(agents)):
-        yield from combinations(agents, size)
-
-
 def _coalition_surplus(instance: GameInstance,
                        members: tuple[str, ...]) -> tuple[Fraction, DualSolution | None]:
     """Deterministic surplus of a sub-coalition of a bounds-capacity game.
@@ -302,6 +297,24 @@ def _coalition_surplus(instance: GameInstance,
         return ZERO, None
     d = optimal_dual(sub)
     return surplus_account(sub, d, verified=True).surplus, d
+
+
+def _coalition_demands(instance: GameInstance, caps: EnumerationCaps
+                       ) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+    """Every proper, non-empty coalition with its demand, lazily.
+
+    Coalitions come in size-then-lexicographic order (agents in instance
+    order). The demand is the coalition's worth, or for the bounds-capacity
+    kind its deterministic surplus.
+    """
+    agents = instance.agents
+    hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
+    for size in range(1, len(agents)):
+        for members in combinations(agents, size):
+            if hk:
+                yield members, _coalition_surplus(instance, members)[0]
+            else:
+                yield members, worth(instance, members, caps)
 
 
 def _grand_total_ok(instance: GameInstance, imp: Imputation,
@@ -347,13 +360,10 @@ def is_core_imputation(instance: GameInstance, imp: Imputation,
                   (max_weight(instance, caps)[0] if instance.kind is GameKind.GENERAL
                    else primal_optimum(instance)))
         return CoreVerdict(False, frozenset(agents), demand, imp.total, None)
-    for members in _proper_coalitions(agents):
+    for members, demand in _coalition_demands(instance, caps):
         allocation = imp.restricted_total(members)
-        if hk:
-            demand, chosen = _coalition_surplus(instance, members)
-        else:
-            demand, chosen = worth(instance, members, caps), None
         if demand > allocation:
+            chosen = _coalition_surplus(instance, members)[1] if hk else None
             return CoreVerdict(False, frozenset(members), demand,
                                allocation, chosen)
     return CoreVerdict(True)
@@ -374,78 +384,129 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     return solve(pinned.with_objective(zero, Sense.MINIMIZE)).status is Status.OPTIMAL
 
 
+class _CoalitionCuts:
+    """Exact row generation over the coalition rows of the core.
+
+    The LP starts from the total row alone; after each solve the most
+    violated coalition row (the first in size-then-lexicographic order on
+    ties) is added, until the LP is infeasible or no row is violated
+    (Dantzig, Fulkerson and Johnson 1954; Kelley 1960). A relaxed optimum
+    that violates no row is optimal for the full system, and a vertex of
+    the core because it is a vertex of a larger polyhedron. Rows found
+    stay for later objectives.
+    """
+
+    def __init__(self, instance: GameInstance, caps: EnumerationCaps):
+        agents = instance.agents
+        check_instance_size(len(agents), len(instance.edges), caps)
+        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+            grand = surplus_account(instance, optimal_dual(instance), verified=True).surplus
+        else:
+            grand = worth(instance, agents, caps)
+        self.names = [f"alloc[{q}]" for q in agents]
+        bit = {q: 1 << j for j, q in enumerate(agents)}
+        # Rows of demand <= 0 can never be violated by payoffs >= 0.
+        self.table = [(sum(bit[q] for q in members), members, demand)
+                      for members, demand in _coalition_demands(instance, caps)
+                      if demand > 0]
+        self.rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ,
+                                grand, "total")]
+
+    def row(self, entry) -> Constraint:
+        mask, members, demand = entry
+        coeffs = tuple(ONE if mask >> j & 1 else ZERO for j in range(len(self.names)))
+        return Constraint(coeffs, Relation.GE, demand,
+                          "coalition[" + "|".join(members) + "]")
+
+    def _most_violated(self, values: tuple[Fraction, ...]):
+        # Allocation of every coalition by one subset-sum sweep over masks.
+        allocation = [ZERO] * (1 << len(values))
+        for mask in range(1, len(allocation)):
+            low = mask & -mask
+            allocation[mask] = allocation[mask ^ low] + values[low.bit_length() - 1]
+        worst, gap = None, ZERO
+        for entry in self.table:
+            mask, _, demand = entry
+            excess = demand - allocation[mask]
+            if excess > gap:
+                worst, gap = entry, excess
+        return worst
+
+    def solve(self, objective, sense: Sense) -> LpSolution:
+        """Optimize over the full core by adding violated rows as needed."""
+        while True:
+            sol = solve(LinearProgram(sense, self.names, objective, self.rows))
+            if sol.status is not Status.OPTIMAL:
+                return sol
+            worst = self._most_violated(sol.values)
+            if worst is None:
+                return sol
+            self.rows.append(self.row(worst))
+
+
+def _imputation_from(instance: GameInstance, sol: LpSolution) -> Imputation:
+    return make_imputation(instance, dict(zip(instance.agents, sol.values)))
+
+
 def core_nonempty(instance: GameInstance,
                   caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[bool, Imputation | None]:
-    """Balancedness via LP: materialize every coalition constraint.
+    """Balancedness, decided exactly by row generation.
 
-    Feasibility of {payoffs >= 0, total = grand amount, every coalition
-    allocated at least its demand}; a feasible point is returned as a
-    witness imputation.
+    The core is {payoffs >= 0, total = grand amount, every proper
+    coalition allocated at least its demand}, where the grand amount and
+    the demands are worths (or, for the bounds-capacity kind, surpluses
+    under the deterministic optimal dual). Coalition rows are added only
+    when the current payoffs violate them, so the LP stays small; the
+    verdict is the one the LP with every row gives. Returns (False, None)
+    when the core is empty, else (True, a witness core imputation); when
+    the core has more than one point, which one is returned is not
+    specified.
     """
-    agents = instance.agents
-    check_instance_size(len(agents), len(instance.edges), caps)
-    hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    if hk:
-        grand = surplus_account(instance, optimal_dual(instance), verified=True).surplus
-    else:
-        grand = worth(instance, agents, caps)
-    names = [f"alloc[{q}]" for q in agents]
-    rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ, grand, "total")]
-    for members in _proper_coalitions(agents):
-        chosen = set(members)
-        if hk:
-            demand, _ = _coalition_surplus(instance, members)
-        else:
-            demand = worth(instance, members, caps)
-        if demand == 0:
-            continue
-        coeffs = tuple(ONE if q in chosen else ZERO for q in agents)
-        rows.append(Constraint(coeffs, Relation.GE, demand,
-                               "coalition[" + "|".join(members) + "]"))
-    lp = LinearProgram(Sense.MINIMIZE, names, [ZERO] * len(agents), rows)
-    sol = solve(lp)
+    cuts = _CoalitionCuts(instance, caps)
+    sol = cuts.solve([ZERO] * len(cuts.names), Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:
         return False, None
-    payoffs = {q: sol[f"alloc[{q}]"] for q in agents}
-    return True, make_imputation(instance, payoffs)
+    return True, _imputation_from(instance, sol)
 
 
 def core_polytope(instance: GameInstance,
                   caps: EnumerationCaps = DEFAULT_CAPS) -> LinearProgram:
-    """The core constraint system in payoff space (non-bounds kinds)."""
+    """The core constraint system in payoff space (non-bounds kinds).
+
+    Written out in full: one row per coalition of positive worth.
+    """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
-    agents = instance.agents
-    check_instance_size(len(agents), len(instance.edges), caps)
-    grand = worth(instance, agents, caps)
-    names = [f"alloc[{q}]" for q in agents]
-    rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ, grand, "total")]
-    for members in _proper_coalitions(agents):
-        chosen = set(members)
-        demand = worth(instance, members, caps)
-        if demand == 0:
-            continue
-        rows.append(Constraint(tuple(ONE if q in chosen else ZERO for q in agents),
-                               Relation.GE, demand,
-                               "coalition[" + "|".join(members) + "]"))
-    return LinearProgram(Sense.MINIMIZE, names, [ZERO] * len(agents), rows)
+    cuts = _CoalitionCuts(instance, caps)
+    rows = cuts.rows + [cuts.row(entry) for entry in cuts.table]
+    return LinearProgram(Sense.MINIMIZE, cuts.names, [ZERO] * len(cuts.names), rows)
 
 
 def sample_core_vertices(instance: GameInstance, count: int, seed: int,
                          caps: EnumerationCaps = DEFAULT_CAPS) -> list[Imputation]:
-    """Vertices of the core polytope found by random rational objectives."""
-    lp = core_polytope(instance, caps)
+    """Distinct core vertices that maximize random rational objectives.
+
+    For worth-based kinds only. Each of ``count`` objectives (integer
+    coefficients in -9..9 drawn from ``seed``) is maximized over the core
+    by the same row generation as ``core_nonempty``, keeping the coalition
+    rows found for earlier objectives. When an objective has several
+    optimal vertices, which one is returned is not specified. An empty
+    core yields no vertices.
+    """
+    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+        raise ValueError("payoff-space core polytope is for worth-based kinds")
+    cuts = _CoalitionCuts(instance, caps)
     rng = random.Random(seed)
     seen = set()
     out = []
     for _ in range(count):
-        objective = [F(rng.randint(-9, 9)) for _ in lp.variables]
-        sol = solve(lp.with_objective(objective, Sense.MAXIMIZE))
-        if sol.status is not Status.OPTIMAL or sol.values in seen:
-            continue
-        seen.add(sol.values)
-        payoffs = {q: sol[f"alloc[{q}]"] for q in instance.agents}
-        out.append(make_imputation(instance, payoffs))
+        objective = [F(rng.randint(-9, 9)) for _ in cuts.names]
+        sol = cuts.solve(objective, Sense.MAXIMIZE)
+        if sol.status is not Status.OPTIMAL:
+            return out      # the core is empty, whatever the objective
+        if sol.values not in seen:
+            seen.add(sol.values)
+            out.append(_imputation_from(instance, sol))
     return out
 
 

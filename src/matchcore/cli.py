@@ -198,19 +198,17 @@ def cmd_extremes(args) -> tuple[Report, int]:
         raise InstanceError("extremes applies to assignment and uniform_b instances")
     face = analysis.DualFace(instance)
     high_left, high_right = analysis.extreme_imputations(instance, face)
+    ranges = {q: analysis.payoff_range(instance, q, face) for q in instance.agents}
     report = Report()
     _describe(instance, report)
-    report.add("payoff ranges", [
-        (q, f"{_fmt(lo)} .. {_fmt(hi)}")
-        for q in instance.agents
-        for lo, hi in [analysis.payoff_range(instance, q, face)]])
+    report.add("payoff ranges", [(q, f"{_fmt(lo)} .. {_fmt(hi)}")
+                                 for q, (lo, hi) in ranges.items()])
     report.add("extreme favoring side_u", [(q, high_left[q]) for q in instance.agents])
     report.add("extreme favoring side_v", [(q, high_right[q]) for q in instance.agents])
     checked = 0
     for imp in analysis.sample_core_vertices(instance, args.samples, args.seed,
                                              _caps(args)):
-        for q in instance.agents:
-            lo, hi = analysis.payoff_range(instance, q, face)
+        for q, (lo, hi) in ranges.items():
             if not (lo <= imp[q] <= hi):
                 report.add("sample check", [("violation", f"{q} pays {imp[q]}")])
                 return report, EXIT_ANALYSIS
@@ -335,6 +333,10 @@ def main(argv=None) -> int:
     except (InstanceError, CapExceededError, InfeasibleInstanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        # The library's signal that a theorem it relies on was contradicted.
+        print(f"analysis failure: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     sys.stdout.write(report.render(args.format))
     return code
 

@@ -195,6 +195,9 @@ def validate(instance: GameInstance) -> list[str]:
     if len(set(agents)) != len(agents):
         out.append("duplicate agent names")
         return out
+    for q in agents:
+        if any(c in q for c in ",[]"):
+            out.append(f"agent name {q!r} contains ',', '[' or ']'")
     agent_set = set(agents)
     left, right = set(instance.side_u), set(instance.side_v)
 

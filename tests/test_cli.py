@@ -161,3 +161,15 @@ def test_records_mode_reverifies_against_the_oracle(tmp_path, capsys):
     rng = random.Random(2)
     picks = rng.sample(checkable, 3)
     assert all(reverify(*r) for r in picks)
+
+
+def test_contradicted_theorem_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def contradicted(*args, **kwargs):
+        raise ArithmeticError("assembled extreme is not an optimal dual")
+
+    monkeypatch.setattr(analysis, "extreme_imputations", contradicted)
+    path = write(tmp_path, "edge.game", render_instance(helpers.single_edge()))
+    code, out, err = run(capsys, "extremes", path)
+    assert code == 1
+    assert out == ""
+    assert "not an optimal dual" in err and "Traceback" not in err

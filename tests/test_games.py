@@ -116,3 +116,11 @@ def test_make_imputation_fills_zero_and_rejects_bad_input():
         make_imputation(g, {"u": -1})
     with pytest.raises(TypeError):
         make_imputation(g, {"u": 0.5})
+
+
+def test_validate_rejects_names_that_clash_with_program_variables():
+    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["u,1"], ["v[2]"],
+                      [("u,1", "v[2]", 1)], capacities={"u,1": 1, "v[2]": 1})
+    problems = validate(g)
+    assert any("'u,1'" in v for v in problems)
+    assert any("'v[2]'" in v for v in problems)
