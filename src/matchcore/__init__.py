@@ -69,6 +69,7 @@ from .lp import (
     Constraint,
     LinearProgram,
     LpSolution,
+    OptimalFace,
     Relation,
     Sense,
     Status,

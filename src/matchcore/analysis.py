@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping
 
@@ -36,6 +36,7 @@ from .lp import (
     Constraint,
     LinearProgram,
     LpSolution,
+    OptimalFace,
     Relation,
     Sense,
     Status,
@@ -193,19 +194,33 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution,
 # ---------------------------------------------------------------------------
 
 class DualFace:
-    """Exact scans over the set of optimal dual solutions of one instance."""
+    """Exact scans over the set of optimal dual solutions of one instance.
+
+    Linear functionals are extremized by an ``OptimalFace`` engine, built
+    on the first query: one solve of the dual program, then phase 2 alone
+    per query. ``face`` is the same face written as an LP with the row
+    "objective = optimum", for the feasibility checks that add rows of
+    their own (D(I) membership, the bounds-capacity grand total).
+    """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
         self.lp = _dual_program(instance)
         self.base = _dual_solved(instance)
-        self.face = optimal_face(self.lp, self.base)
+
+    @cached_property
+    def face(self) -> LinearProgram:
+        return optimal_face(self.lp, self.base)
+
+    @cached_property
+    def _engine(self) -> OptimalFace:
+        return OptimalFace(self.lp)
 
     def _objective(self, coeffs: Mapping[str, Fraction]):
         return [ensure_rational(coeffs.get(name, 0)) for name in self.lp.variables]
 
     def extremize(self, coeffs: Mapping[str, Fraction], sense: Sense) -> LpSolution:
-        return solve(self.face.with_objective(self._objective(coeffs), sense))
+        return self._engine.optimize(self._objective(coeffs), sense)
 
     def max_value(self, coeffs: Mapping[str, Fraction]) -> Fraction | None:
         """Max of a linear functional over the face; None when unbounded."""

@@ -2,16 +2,19 @@
 
 A two-phase primal simplex with Bland's pivot rule. All arithmetic is done
 with ``fractions.Fraction``: no rounding, no tolerances, and identical
-inputs always produce the identical basic optimal solution. Re-optimizing
-a secondary objective over the optimal face is done by appending the
-equality "objective = optimal value" and solving again.
+inputs always produce the identical basic optimal solution. Secondary
+objectives over the optimal face are answered by ``OptimalFace``, which
+solves once and then runs phase 2 alone from the optimal basis, over the
+columns whose reduced cost there is zero.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import ONE, ZERO, ensure_rational
@@ -138,13 +141,7 @@ class LinearProgram:
 
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,
-                             tuple(self.constraints) + tuple(
-                                 c if isinstance(c, Constraint) else Constraint(
-                                     tuple(ensure_rational(a) for a in c[0]),
-                                     c[1] if isinstance(c[1], Relation) else Relation(c[1]),
-                                     ensure_rational(c[2]),
-                                     c[3] if len(c) > 3 else "")
-                                 for c in extra),
+                             self.constraints + tuple(extra),
                              self.lower, self.upper)
 
 
@@ -156,10 +153,17 @@ class LpSolution:
     values: tuple[Fraction, ...] | None = None
     basis: frozenset = frozenset()
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: j for j, name in enumerate(self.variables)}
+
     def __getitem__(self, name: str) -> Fraction:
         if self.values is None:
             raise ValueError(f"no assignment available (status {self.status.value})")
-        return self.values[self.variables.index(name)]
+        try:
+            return self.values[self._positions[name]]
+        except KeyError:
+            raise ValueError(f"unknown variable {name!r}") from None
 
     def as_dict(self) -> dict[str, Fraction]:
         if self.values is None:
@@ -304,8 +308,12 @@ class _Tableau:
         self.basis[leave] = enter
         return delta
 
-    def _run(self, obj: list[Fraction], allowed) -> tuple[str, Fraction]:
-        """Maximize obj over the tableau with Bland's rule."""
+    def _run(self, obj: list[Fraction], allowed):
+        """Maximize obj over the tableau with Bland's rule.
+
+        Returns the status, the objective value and the final row of
+        reduced costs.
+        """
         zrow, zval = self._init_zrow(obj)
         rows, rhs, basis = self.rows, self.rhs, self.basis
         m = len(rows)
@@ -316,7 +324,7 @@ class _Tableau:
                     enter = j
                     break
             if enter < 0:
-                return "optimal", zval
+                return "optimal", zval, zrow
             leave = -1
             best = None
             for i in range(m):
@@ -327,14 +335,16 @@ class _Tableau:
                         best = r
                         leave = i
             if leave < 0:
-                return "unbounded", zval
+                return "unbounded", zval, zrow
             zval -= self._pivot(zrow, leave, enter)
 
-    def solve(self) -> LpSolution:
-        lp = self.lp
-        rows, rhs = self.rows, self.rhs
+    def _phase1(self) -> bool:
+        """Find a feasible basis and drop the artificial columns.
+
+        Returns False when the program is infeasible.
+        """
+        rows = self.rows
         m = len(rows)
-        ncols = len(self.col_kind)
 
         # Phase 1 basis: row slacks where usable, artificials elsewhere.
         self.basis = [-1] * m
@@ -354,52 +364,58 @@ class _Tableau:
                 rows[r].append(ONE if r == i else ZERO)
             artificials.append(col)
             self.basis[i] = col
+        if not artificials:
+            return True
+
         ncols = len(self.col_kind)
+        phase1 = [ZERO] * ncols
+        for col in artificials:
+            phase1[col] = -ONE
+        _, zval, _ = self._run(phase1, range(ncols))
+        if zval < 0:
+            return False
+        # Drive leftover artificials out of the basis; drop rows that
+        # turn out to be redundant.
+        art_set = set(artificials)
+        keep = []
+        for i in range(m):
+            if self.basis[i] not in art_set:
+                keep.append(i)
+                continue
+            enter = next((j for j in range(ncols)
+                          if self.col_kind[j] != _ARTIFICIAL and rows[i][j]), -1)
+            if enter >= 0:
+                zrow_dummy = [ZERO] * ncols
+                self._pivot(zrow_dummy, i, enter)
+                keep.append(i)
+        if len(keep) != m:
+            rows = [rows[i] for i in keep]
+            self.rhs = [self.rhs[i] for i in keep]
+            self.basis = [self.basis[i] for i in keep]
+        # Remove artificial columns entirely.
+        live = [j for j in range(ncols) if self.col_kind[j] != _ARTIFICIAL]
+        remap = {j: k for k, j in enumerate(live)}
+        self.rows = [[row[j] for j in live] for row in rows]
+        self.col_kind = [self.col_kind[j] for j in live]
+        self.col_var = [self.col_var[j] for j in live]
+        self.col_sign = [self.col_sign[j] for j in live]
+        self.basis = [remap[b] for b in self.basis]
+        return True
 
-        if artificials:
-            phase1 = [ZERO] * ncols
-            for col in artificials:
-                phase1[col] = -ONE
-            status, zval = self._run(phase1, range(ncols))
-            if zval < 0:
-                return LpSolution(Status.INFEASIBLE, lp.variables)
-            # Drive leftover artificials out of the basis; drop rows that
-            # turn out to be redundant.
-            art_set = set(artificials)
-            keep = []
-            for i in range(m):
-                if self.basis[i] not in art_set:
-                    keep.append(i)
-                    continue
-                enter = next((j for j in range(ncols)
-                              if self.col_kind[j] != _ARTIFICIAL and rows[i][j]), -1)
-                if enter >= 0:
-                    zrow_dummy = [ZERO] * ncols
-                    self._pivot(zrow_dummy, i, enter)
-                    keep.append(i)
-            if len(keep) != m:
-                self.rows = rows = [rows[i] for i in keep]
-                self.rhs = rhs = [rhs[i] for i in keep]
-                self.basis = [self.basis[i] for i in keep]
-                m = len(rows)
-            # Remove artificial columns entirely.
-            live = [j for j in range(ncols) if self.col_kind[j] != _ARTIFICIAL]
-            remap = {j: k for k, j in enumerate(live)}
-            self.rows = rows = [[row[j] for j in live] for row in rows]
-            self.col_kind = [self.col_kind[j] for j in live]
-            self.col_var = [self.col_var[j] for j in live]
-            self.col_sign = [self.col_sign[j] for j in live]
-            self.basis = [remap[b] for b in self.basis]
-            ncols = len(self.col_kind)
-
-        maximize = lp.sense is Sense.MAXIMIZE
+    def optimize(self, objective: Sequence[Fraction], sense: Sense,
+                 allowed) -> LpSolution:
+        """Phase 2 from the current feasible basis, entering only ``allowed``
+        columns. The final reduced costs are kept in ``self.reduced``."""
+        lp = self.lp
+        ncols = len(self.col_kind)
+        maximize = sense is Sense.MAXIMIZE
         obj = [ZERO] * ncols
         for j in range(ncols):
             v = self.col_var[j]
             if v >= 0:
-                c = lp.objective[v]
+                c = objective[v]
                 obj[j] = (c if maximize else -c) * self.col_sign[j]
-        status, _ = self._run(obj, range(ncols))
+        status, _, self.reduced = self._run(obj, allowed)
         if status == "unbounded":
             return LpSolution(Status.UNBOUNDED, lp.variables)
 
@@ -416,8 +432,22 @@ class _Tableau:
                 values.append(xi[cp] - xi[cm])
         values = tuple(values)
         basis_vars = frozenset(self.col_var[b] for b in self.basis if self.col_var[b] >= 0)
-        return LpSolution(Status.OPTIMAL, lp.variables,
-                          lp.evaluate(values), values, basis_vars)
+        value = sum((c * x for c, x in zip(objective, values)), ZERO)
+        return LpSolution(Status.OPTIMAL, lp.variables, value, values, basis_vars)
+
+    def fork(self) -> "_Tableau":
+        """A copy whose pivots leave this tableau as it is."""
+        twin = copy.copy(self)
+        twin.rows = [row[:] for row in self.rows]
+        twin.rhs = self.rhs[:]
+        twin.basis = self.basis[:]
+        return twin
+
+    def solve(self) -> LpSolution:
+        if not self._phase1():
+            return LpSolution(Status.INFEASIBLE, self.lp.variables)
+        return self.optimize(self.lp.objective, self.lp.sense,
+                             range(len(self.col_kind)))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -429,8 +459,40 @@ def solve(lp: LinearProgram) -> LpSolution:
     return _Tableau(lp).solve()
 
 
+class OptimalFace:
+    """The optimal face of ``lp``, held as the final tableau of one solve.
+
+    ``base`` is exactly ``solve(lp)``. At that optimal basis every reduced
+    cost is of one sign, so a feasible point is optimal exactly when each
+    column of nonzero reduced cost is zero. ``optimize`` therefore starts
+    phase 2 from a copy of the optimal basis and lets only the columns of
+    zero reduced cost enter (Bland's rule, same column order): no phase 1
+    and no extra row. Its results are basic solutions, so vertices of the
+    face, and ``"unbounded"`` means the face has a ray along which the
+    secondary objective improves.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self._tableau = _Tableau(lp)
+        self.base = self._tableau.solve()
+        if self.base.status is Status.OPTIMAL:
+            self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
+
+    def optimize(self, objective, sense) -> LpSolution:
+        """Optimize a secondary objective over the optimal face."""
+        if self.base.status is not Status.OPTIMAL:
+            raise ValueError(f"base program is {self.base.status.value}, not optimal")
+        objective = tuple(ensure_rational(c) for c in objective)
+        if len(objective) != len(self.lp.variables):
+            raise ValueError("objective length does not match variable count")
+        sense = sense if isinstance(sense, Sense) else Sense(sense)
+        return self._tableau.fork().optimize(objective, sense, self._columns)
+
+
 def optimal_face(lp: LinearProgram, base: LpSolution | None = None) -> LinearProgram:
-    """The LP whose feasible set is the optimal face of ``lp``."""
+    """The optimal face of ``lp`` as an LP: ``lp`` plus the row
+    "objective = optimal value". Used where further rows are added."""
     if base is None:
         base = solve(lp)
     if base.status is not Status.OPTIMAL:
@@ -439,19 +501,18 @@ def optimal_face(lp: LinearProgram, base: LpSolution | None = None) -> LinearPro
     return lp.with_extra_constraints([pin])
 
 
-def optimize_over_optimal_face(lp: LinearProgram, objective, sense,
-                               base: LpSolution | None = None) -> LpSolution:
+def optimize_over_optimal_face(lp: LinearProgram, objective, sense) -> LpSolution:
     """Optimize a secondary objective over the optimal face of ``lp``.
 
-    The result may be unbounded when the optimal face contains rays in the
-    secondary direction; callers must check the status.
+    One call of ``OptimalFace``; build that engine directly to ask several
+    questions of one face. The result may be unbounded when the optimal
+    face contains rays in the secondary direction; callers must check the
+    status.
     """
-    face = optimal_face(lp, base).with_objective(objective, sense)
-    return solve(face)
+    return OptimalFace(lp).optimize(objective, sense)
 
 
-def coordinate_range(lp: LinearProgram, name: str,
-                     base: LpSolution | None = None):
+def coordinate_range(lp: LinearProgram, name: str):
     """(min, max) of one variable over the optimal face.
 
     An unbounded side is reported as None. The ranges of all variables are
@@ -460,10 +521,9 @@ def coordinate_range(lp: LinearProgram, name: str,
     j = lp.index(name)
     unit = [ZERO] * len(lp.variables)
     unit[j] = ONE
-    if base is None:
-        base = solve(lp)
-    hi = optimize_over_optimal_face(lp, unit, Sense.MAXIMIZE, base)
-    lo = optimize_over_optimal_face(lp, unit, Sense.MINIMIZE, base)
+    face = OptimalFace(lp)
+    hi = face.optimize(unit, Sense.MAXIMIZE)
+    lo = face.optimize(unit, Sense.MINIMIZE)
     return (lo.value if lo.status is Status.OPTIMAL else None,
             hi.value if hi.status is Status.OPTIMAL else None)
 

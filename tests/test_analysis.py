@@ -13,6 +13,7 @@ from matchcore.analysis import (
     dual_to_imputation,
     extreme_imputations,
     in_dual_image,
+    is_concurrent,
     is_core_imputation,
     is_optimal_dual,
     make_dual,
@@ -27,7 +28,7 @@ from matchcore.analysis import (
     surplus_account,
     verify_complementarity,
 )
-from matchcore.games import GameKind, make_imputation
+from matchcore.games import GameKind, make_imputation, make_instance
 from matchcore.oracle import ClassLabel, classify_player, worth
 
 F = Fraction
@@ -332,3 +333,52 @@ def test_hk_duals_satisfy_restricted_dual_inequality():
                     if e.upper is not None:
                         adjusted -= F(e.upper) * d.upper(e.key)
                 assert imp.restricted_total(members) >= adjusted
+
+
+def test_top_of_payoff_range_is_marginal_worth_in_assignment_games():
+    # Demange (1982), Leonard (1983): in an assignment game the largest
+    # core payoff of q is v(N) - v(N without q), a fact of the oracle's
+    # worths alone, independent of the dual face that gives the range.
+    rng = random.Random(1982)
+    for _ in range(40):
+        g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side=4,
+                                     max_edges=8, max_weight=5)
+        face = DualFace(g)
+        total = worth(g, g.agents)
+        for q in g.agents:
+            rest = [p for p in g.agents if p != q]
+            assert payoff_range(g, q, face)[1] == total - worth(g, rest)
+
+
+def _relabeled(g, rng):
+    side_u, side_v, edges = list(g.side_u), list(g.side_v), list(g.edges)
+    for items in (side_u, side_v, edges):
+        rng.shuffle(items)
+    return make_instance(g.kind, side_u, side_v, edges, g.capacities,
+                         g.uniform_capacity)
+
+
+def _face_values(g):
+    face = DualFace(g)
+    agents = {q: (payoff_range(g, q, face), paid_sometimes(g, q, face=face))
+              for q in g.agents}
+    teams = {e.key: (always_paid_fairly(g, e.key, face=face),
+                     face.max_overpayment(e.key)) for e in g.edges}
+    return agents, teams
+
+
+def test_face_values_do_not_depend_on_agent_or_edge_order():
+    # Optimal values over the dual face are facts of the game, so the
+    # order of agents and edges (which fixes the column order, and with
+    # it the pivots) must not move them.
+    rng = random.Random(4)
+    games = [helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
+             for kind in helpers.ALL_BIPARTITE for _ in range(8)]
+    general = [helpers.random_general(rng, max_vertices=5, max_edges=7)
+               for _ in range(40)]
+    concurrent = [g for g in general if is_concurrent(g)]
+    assert len(concurrent) >= 10
+    for g in games + concurrent:
+        expected = _face_values(g)
+        for _ in range(2):
+            assert _face_values(_relabeled(g, rng)) == expected

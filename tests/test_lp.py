@@ -13,11 +13,13 @@ import pytest
 
 from matchcore.lp import (
     LinearProgram,
+    OptimalFace,
     Relation,
     Sense,
     Status,
     coordinate_range,
     is_vertex,
+    optimal_face,
     optimize_over_optimal_face,
     rank_of_rows,
     solve,
@@ -174,18 +176,24 @@ def test_unbounded_secondary_reported_as_marker():
     assert lo == 0 and hi is None
 
 
-def random_program(rng):
+def random_program(rng, free=False):
+    """Small random LP. With ``free``, some variables have no lower bound
+    and the objective coefficients are small, so ties are common."""
     n = rng.randint(1, 4)
     m = rng.randint(1, 5)
     names = [f"x{j}" for j in range(n)]
-    objective = [rng.randint(-5, 5) for _ in range(n)]
+    span = 1 if free else 5
+    objective = [rng.randint(-span, span) for _ in range(n)]
     cons = []
     for i in range(m):
         coeffs = [rng.randint(-3, 3) for _ in range(n)]
         rel = rng.choice([Relation.LE, Relation.GE, Relation.EQ])
         cons.append((coeffs, rel, rng.randint(-6, 6)))
     upper = [rng.choice([None, rng.randint(1, 6)]) for _ in range(n)]
-    return LinearProgram(Sense.MAXIMIZE, names, objective, cons, upper=upper)
+    lower = [rng.choice([None, 0, -2]) if free else 0 for _ in range(n)]
+    upper = [hi if lo is None or hi is None or lo <= hi else None
+             for lo, hi in zip(lower, upper)]
+    return LinearProgram(Sense.MAXIMIZE, names, objective, cons, lower, upper)
 
 
 def test_random_programs_solution_invariants():
@@ -207,6 +215,70 @@ def test_random_programs_solution_invariants():
                                     lp.constraints, lp.lower, lp.upper))
         assert again.values == sol.values and again.value == sol.value
     assert optimal_seen > 80
+
+
+def split_free_variables(lp, values):
+    """``lp`` with each free variable x written as x+ - x- (both >= 0),
+    and ``values`` lifted to it with x+ = max(x, 0), x- = max(-x, 0).
+
+    The simplex splits free variables the same way, so its basic
+    solutions are vertices of this program even where the image in the
+    original variables is not a vertex (both halves nonbasic at zero).
+    """
+    free = [j for j, lo in enumerate(lp.lower) if lo is None and lp.upper[j] is None]
+    names = list(lp.variables) + [f"{lp.variables[j]}-" for j in free]
+
+    def lift(coeffs):
+        return list(coeffs) + [-coeffs[j] for j in free]
+
+    lower = [F(0) if j in free else lo for j, lo in enumerate(lp.lower)]
+    split = LinearProgram(lp.sense, names, lift(lp.objective),
+                          [(lift(c.coeffs), c.relation, c.rhs) for c in lp.constraints],
+                          lower + [F(0)] * len(free), list(lp.upper) + [None] * len(free))
+    point = [max(x, F(0)) if j in free else x for j, x in enumerate(values)]
+    return split, point + [max(-values[j], F(0)) for j in free]
+
+
+def test_warm_face_queries_match_the_pinned_row_lp():
+    # The engine's phase-2-only queries against the cold oracle: the
+    # optimal face written as an LP with the row "objective = optimum".
+    seen = dict(programs=0, free=0, bounded=0, equality=0,
+                degenerate=0, ties=0, rays=0)
+    for seed in range(600):
+        rng = random.Random(seed)
+        lp = random_program(rng, free=seed % 2 == 0)
+        face = OptimalFace(lp)
+        base = solve(lp)
+        assert face.base == base  # status, value, values and basis
+        if base.status is not Status.OPTIMAL:
+            with pytest.raises(ValueError):
+                face.optimize(lp.objective, Sense.MINIMIZE)
+            continue
+        seen["programs"] += 1
+        seen["free"] += (None, None) in zip(lp.lower, lp.upper)
+        seen["bounded"] += any(hi is not None for hi in lp.upper)
+        seen["equality"] += any(c.relation is Relation.EQ for c in lp.constraints)
+        seen["degenerate"] += len(tight_rows_at(lp, base.values)) > len(lp.variables)
+        pinned = optimal_face(lp)
+        n = len(lp.variables)
+        queries = [(tuple(int(j == k) for k in range(n)), sense)
+                   for j in range(n) for sense in (Sense.MAXIMIZE, Sense.MINIMIZE)]
+        queries += [([rng.randint(-4, 4) for _ in range(n)], Sense.MAXIMIZE)
+                    for _ in range(3)]
+        values = []
+        for objective, sense in queries:
+            warm = face.optimize(objective, sense)
+            cold = solve(pinned.with_objective(objective, sense))
+            assert warm.status is cold.status
+            values.append(warm.value)
+            if warm.status is Status.UNBOUNDED:
+                continue
+            assert warm.value == cold.value
+            assert pinned.is_feasible(warm.values)
+            assert is_vertex(*split_free_variables(pinned, warm.values))
+        seen["ties"] += values[:2 * n:2] != values[1:2 * n:2]
+        seen["rays"] += None in values
+    assert seen["programs"] >= 150 and min(seen.values()) >= 20, seen
 
 
 def test_unbounded_and_infeasible_cross_checked():
