@@ -1,0 +1,83 @@
+"""Byte-for-byte CLI outputs on the demo instances.
+
+Every subcommand that accepts a demo file's kind is run in-process
+through ``cli.main`` on each ``demos/instances/*.game``, in both output
+formats, together with ``reproduce-paper``. Its stdout and exit code must
+match the file under ``tests/golden/``, so a refactor that changes any
+printed fact, its order or its formatting fails here.
+
+To rewrite the golden files after a change that is meant to alter the
+output, run ``PYTHONPATH=src python tests/test_golden_outputs.py``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from matchcore.cli import main
+from matchcore.instance_io import parse_instance
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "demos" / "instances"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMATS = ("records", "text")
+
+# Subcommands that take an instance file, with the kinds they accept
+# (None: every kind) and any extra arguments. The demo files carry no
+# imputation line, so core-check pins the input-error exit code.
+_FILE_COMMANDS = (
+    ("solve", None, ()),
+    ("classify", None, ()),
+    ("core-check", None, ()),
+    ("tum-check", None, ()),
+    ("extremes", ("assignment", "uniform_b"), ("--samples", "20", "--seed", "1")),
+    ("concurrency", ("general",), ()),
+    ("surplus", ("hoffman_kruskal",), ()),
+)
+
+
+def cases():
+    """(golden file name, argv) for every covered call, in a fixed order."""
+    out = []
+    for fmt in FORMATS:
+        out.append((f"reproduce-paper.{fmt}.out",
+                    ["reproduce-paper", "--format", fmt]))
+    for path in sorted(INSTANCES.glob("*.game")):
+        kind = parse_instance(path.read_text(encoding="utf-8")).kind.value
+        for command, kinds, extra in _FILE_COMMANDS:
+            if kinds is not None and kind not in kinds:
+                continue
+            for fmt in FORMATS:
+                out.append((f"{path.stem}.{command}.{fmt}.out",
+                            [command, str(path), "--format", fmt, *extra]))
+    return out
+
+
+def render(argv) -> str:
+    """The exit code line, then stdout exactly as printed."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return f"exit {code}\n" + stdout.getvalue()
+
+
+@pytest.mark.parametrize("name, argv", cases(), ids=[name for name, _ in cases()])
+def test_cli_output_matches_golden(name, argv):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert render(argv) == expected
+
+
+def test_every_golden_file_is_checked():
+    assert sorted(p.name for p in GOLDEN.glob("*.out")) == sorted(n for n, _ in cases())
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.out"):
+        stale.unlink()
+    for name, argv in cases():
+        (GOLDEN / name).write_text(render(argv), encoding="utf-8")
+    sys.exit(0)
