@@ -59,63 +59,64 @@ F = Fraction
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Dual values: one per agent, plus per-edge bound duals where present."""
-    vertex_values: tuple[tuple[str, Fraction], ...]
-    lower_duals: tuple[tuple[EdgeKey, Fraction], ...] = ()
-    upper_duals: tuple[tuple[EdgeKey, Fraction], ...] = ()
+    """One point of the dual program of ``instance``.
+
+    ``values`` holds one value per column of ``build_dual(instance)``, in
+    its column order: a vertex dual per agent, then, for the
+    bounds-capacity kind, each edge's lower-bound dual followed by its
+    upper-bound dual when the edge has an upper bound. Lookups go by
+    column index; a bound dual with no column reads as zero.
+    """
+    instance: GameInstance
+    values: tuple[Fraction, ...]
+
+    @cached_property
+    def _program(self) -> LinearProgram:
+        return _dual_program(self.instance)
 
     def vertex(self, q: str) -> Fraction:
-        for name, value in self.vertex_values:
-            if name == q:
-                return value
-        raise ValueError(f"no dual value for agent {q!r}")
+        return self.values[self._program.index(vertex_dual_var(q))]
+
+    def _bound(self, name: str) -> Fraction:
+        try:
+            return self.values[self._program.index(name)]
+        except ValueError:
+            return ZERO
 
     def lower(self, key: EdgeKey) -> Fraction:
-        return next((v for k, v in self.lower_duals if k == key), ZERO)
+        return self._bound(lower_dual_var(key))
 
     def upper(self, key: EdgeKey) -> Fraction:
-        return next((v for k, v in self.upper_duals if k == key), ZERO)
+        return self._bound(upper_dual_var(key))
 
 
-def make_dual(instance: GameInstance, vertex_values: Mapping[str, Fraction],
+def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
               lower: Mapping[EdgeKey, Fraction] | None = None,
               upper: Mapping[EdgeKey, Fraction] | None = None) -> DualSolution:
-    """Normalize mappings into a DualSolution over the instance's agents."""
-    vv = tuple((q, ensure_rational(vertex_values.get(q, 0)))
-               for q in instance.agents)
-    lo = tuple((e.key, ensure_rational((lower or {}).get(e.key, 0)))
-               for e in instance.edges)
-    hi = tuple((e.key, ensure_rational((upper or {}).get(e.key, 0)))
-               for e in instance.edges if e.upper is not None)
-    return DualSolution(vv, lo, hi)
+    """Build a DualSolution from mappings; absent entries are zero.
 
+    Raises ValueError for an entry with no column in the dual program: an
+    unknown agent, an edge key the instance does not have (reversed keys
+    included), or a lower or upper entry on an edge without that bound dual.
+    """
+    lp = _dual_program(instance)
+    values = [ZERO] * len(lp.variables)
 
-def _dual_vector(instance: GameInstance, lp: LinearProgram,
-                 d: DualSolution) -> tuple[Fraction, ...]:
-    values = []
-    for name in lp.variables:
-        if name.startswith("pay["):
-            values.append(d.vertex(name[4:-1]))
-        elif name.startswith("floor["):
-            u, v = name[6:-1].split(",")
-            values.append(d.lower((u, v)))
-        else:
-            u, v = name[5:-1].split(",")
-            values.append(d.upper((u, v)))
-    return tuple(values)
+    def put(name: str, value, what: str) -> None:
+        try:
+            j = lp.index(name)
+        except ValueError:
+            raise ValueError(f"{what} has no column in the dual program") from None
+        values[j] = ensure_rational(value)
 
-
-def dual_from_solution(instance: GameInstance, sol: LpSolution) -> DualSolution:
-    assigned = sol.as_dict()
-    vv = {q: assigned[vertex_dual_var(q)] for q in instance.agents}
-    lo = {}
-    hi = {}
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        for e in instance.edges:
-            lo[e.key] = assigned[lower_dual_var(e.key)]
-            if e.upper is not None:
-                hi[e.key] = assigned[upper_dual_var(e.key)]
-    return make_dual(instance, vv, lo, hi)
+    for q, value in vertex_duals.items():
+        put(vertex_dual_var(q), value, f"agent {q!r}")
+    for column, entries, what in ((lower_dual_var, lower, "lower"),
+                                  (upper_dual_var, upper, "upper")):
+        for key, value in (entries or {}).items():
+            instance.edge(key)
+            put(column(key), value, f"the {what} bound of edge {key!r}")
+    return DualSolution(instance, tuple(values))
 
 
 @lru_cache(maxsize=50_000)
@@ -124,29 +125,31 @@ def _dual_program(instance: GameInstance) -> LinearProgram:
 
 
 @lru_cache(maxsize=50_000)
-def _dual_solved(instance: GameInstance) -> LpSolution:
-    sol = solve(_dual_program(instance))
-    if sol.status is not Status.OPTIMAL:
+def _optimal_face(instance: GameInstance) -> OptimalFace:
+    """The one solve of the instance's dual program, shared by every query."""
+    face = OptimalFace(_dual_program(instance))
+    if face.base.status is not Status.OPTIMAL:
         raise InfeasibleInstanceError(
             "the matching program has no finite optimum (infeasible bounds)")
-    return sol
+    return face
 
 
 def primal_optimum(instance: GameInstance) -> Fraction:
     """Optimal value of the fractional matching program (= dual optimum)."""
-    return _dual_solved(instance).value
+    return _optimal_face(instance).base.value
 
 
 def optimal_dual(instance: GameInstance) -> DualSolution:
     """The deterministic optimal dual: the solver's Bland-rule vertex."""
-    return dual_from_solution(instance, _dual_solved(instance))
+    return DualSolution(instance, _optimal_face(instance).base.values)
 
 
 def is_optimal_dual(instance: GameInstance, d: DualSolution) -> bool:
     """Feasible for the dual program and exactly optimal in value."""
-    lp = _dual_program(instance)
-    vec = _dual_vector(instance, lp, d)
-    return lp.is_feasible(vec) and lp.evaluate(vec) == _dual_solved(instance).value
+    if d.instance != instance:
+        raise ValueError("dual solution belongs to another instance")
+    face = _optimal_face(instance)
+    return face.lp.is_feasible(d.values) and face.lp.evaluate(d.values) == face.base.value
 
 
 def surplus_account(instance: GameInstance, d: DualSolution,
@@ -160,7 +163,7 @@ def surplus_account(instance: GameInstance, d: DualSolution,
         raise ValueError("surplus accounting applies to hoffman_kruskal instances")
     if not verified and not is_optimal_dual(instance, d):
         raise ValueError("dual solution is not optimal")
-    w = _dual_solved(instance).value
+    w = primal_optimum(instance)
     adjustment = ZERO
     for e in instance.edges:
         adjustment += F(e.lower) * d.lower(e.key)
@@ -179,9 +182,8 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution,
     """
     if not is_optimal_dual(instance, d):
         raise ValueError("dual solution is not optimal")
-    if instance.kind is GameKind.GENERAL:
-        if primal_optimum(instance) != max_weight(instance, caps)[0]:
-            raise ValueError("not concurrent: optimal covers are not imputations")
+    if instance.kind is GameKind.GENERAL and not is_concurrent(instance, caps):
+        raise ValueError("not concurrent: optimal covers are not imputations")
     payoffs = {q: F(instance.capacity(q)) * d.vertex(q) for q in instance.agents}
     account = None
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
@@ -196,25 +198,24 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution,
 class DualFace:
     """Exact scans over the set of optimal dual solutions of one instance.
 
-    Linear functionals are extremized by an ``OptimalFace`` engine, built
-    on the first query: one solve of the dual program, then phase 2 alone
-    per query. ``face`` is the same face written as an LP with the row
+    A thin view over the instance's one ``OptimalFace``: the dual program
+    is solved once per instance, and that solve serves ``optimal_dual``,
+    ``primal_optimum``, ``is_optimal_dual`` and every ``DualFace`` built
+    for the instance. Each query runs phase 2 alone from the optimal
+    basis. ``face`` is the same face written as an LP with the row
     "objective = optimum", for the feasibility checks that add rows of
     their own (D(I) membership, the bounds-capacity grand total).
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
-        self.lp = _dual_program(instance)
-        self.base = _dual_solved(instance)
+        self._engine = _optimal_face(instance)
+        self.lp = self._engine.lp
+        self.base = self._engine.base
 
     @cached_property
     def face(self) -> LinearProgram:
         return optimal_face(self.lp, self.base)
-
-    @cached_property
-    def _engine(self) -> OptimalFace:
-        return OptimalFace(self.lp)
 
     def _objective(self, coeffs: Mapping[str, Fraction]):
         return [ensure_rational(coeffs.get(name, 0)) for name in self.lp.variables]
@@ -249,15 +250,16 @@ class DualFace:
         top = self.max_value(self.slack_coeffs(key))
         return None if top is None else top - self.instance.edge(key).weight
 
-    def with_pinned_vertex_values(self, values: Mapping[str, Fraction]) -> LinearProgram:
-        extra = []
-        n = len(self.lp.variables)
-        for q, val in values.items():
-            coeffs = [ZERO] * n
-            coeffs[self.lp.index(vertex_dual_var(q))] = ONE
-            extra.append(Constraint(tuple(coeffs), Relation.EQ,
-                                    ensure_rational(val), f"pin[{q}]"))
-        return self.face.with_extra_constraints(extra)
+    def _admits(self, equations) -> bool:
+        """Does some optimal dual satisfy every ``(coeffs, value)`` equation?
+
+        Decided by one solve of ``face`` with the equations added as rows.
+        """
+        pinned = self.face.with_extra_constraints(
+            Constraint(tuple(self._objective(coeffs)), Relation.EQ, value)
+            for coeffs, value in equations)
+        zero = [ZERO] * len(self.lp.variables)
+        return solve(pinned.with_objective(zero, Sense.MINIMIZE)).status is Status.OPTIMAL
 
 
 def is_concurrent(instance: GameInstance,
@@ -332,6 +334,12 @@ def _coalition_demands(instance: GameInstance, caps: EnumerationCaps
                 yield members, worth(instance, members, caps)
 
 
+def _grand_amount(instance: GameInstance, caps: EnumerationCaps) -> Fraction:
+    """The grand coalition's worth: what the core of a kind other than
+    hoffman_kruskal distributes."""
+    return max_weight(instance, caps)[0]
+
+
 def _grand_total_ok(instance: GameInstance, imp: Imputation,
                     caps: EnumerationCaps = DEFAULT_CAPS) -> bool:
     """Does the imputation total match the game's distributable amount?
@@ -342,20 +350,12 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation,
     """
     total = imp.total
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        if instance.kind is GameKind.GENERAL:
-            return total == max_weight(instance, caps)[0]
-        return total == primal_optimum(instance)
+        return total == _grand_amount(instance, caps)
     if imp.source_dual is not None and imp.surplus is not None:
         if imp.surplus.surplus == total and is_optimal_dual(instance, imp.source_dual):
             return True
-    face = DualFace(instance)
-    n = len(face.lp.variables)
-    coeffs = [ZERO] * n
-    for q in instance.agents:
-        coeffs[face.lp.index(vertex_dual_var(q))] = F(instance.capacity(q))
-    pinned = face.face.with_extra_constraints(
-        [Constraint(tuple(coeffs), Relation.EQ, total, "total")])
-    return solve(pinned.with_objective([ZERO] * n, Sense.MINIMIZE)).status is Status.OPTIMAL
+    weights = {vertex_dual_var(q): F(instance.capacity(q)) for q in instance.agents}
+    return DualFace(instance)._admits([(weights, total)])
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation,
@@ -371,9 +371,7 @@ def is_core_imputation(instance: GameInstance, imp: Imputation,
     check_instance_size(len(agents), len(instance.edges), caps)
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
     if not _grand_total_ok(instance, imp, caps):
-        demand = (None if hk else
-                  (max_weight(instance, caps)[0] if instance.kind is GameKind.GENERAL
-                   else primal_optimum(instance)))
+        demand = None if hk else _grand_amount(instance, caps)
         return CoreVerdict(False, frozenset(agents), demand, imp.total, None)
     for members, demand in _coalition_demands(instance, caps):
         allocation = imp.restricted_total(members)
@@ -392,11 +390,9 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
-    face = DualFace(instance)
-    pins = {q: imp[q] / F(instance.capacity(q)) for q in instance.agents}
-    pinned = face.with_pinned_vertex_values(pins)
-    zero = [ZERO] * len(face.lp.variables)
-    return solve(pinned.with_objective(zero, Sense.MINIMIZE)).status is Status.OPTIMAL
+    return DualFace(instance)._admits(
+        [({vertex_dual_var(q): ONE}, imp[q] / F(instance.capacity(q)))
+         for q in instance.agents])
 
 
 class _CoalitionCuts:
@@ -417,7 +413,7 @@ class _CoalitionCuts:
         if instance.kind is GameKind.HOFFMAN_KRUSKAL:
             grand = surplus_account(instance, optimal_dual(instance), verified=True).surplus
         else:
-            grand = worth(instance, agents, caps)
+            grand = _grand_amount(instance, caps)
         self.names = [f"alloc[{q}]" for q in agents]
         bit = {q: 1 << j for j, q in enumerate(agents)}
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
@@ -538,7 +534,7 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
         if sol.status is not Status.OPTIMAL or sol.values in seen:
             continue
         seen.add(sol.values)
-        out.append(dual_from_solution(instance, sol))
+        out.append(DualSolution(instance, sol.values))
     return out
 
 
@@ -790,10 +786,8 @@ def simultaneous_imputation(instance: GameInstance,
     if not witnesses:
         witnesses.append(face.base)
     k = F(len(witnesses))
-    averaged = {}
-    for name in face.lp.variables:
-        averaged[name] = sum((w[name] for w in witnesses), ZERO) / k
-    d = make_dual(instance, {q: averaged[vertex_dual_var(q)] for q in instance.agents})
+    d = DualSolution(instance, tuple(sum(column, ZERO) / k
+                                     for column in zip(*(w.values for w in witnesses))))
     imp = dual_to_imputation(instance, d)
     for q in instance.agents:
         if (imp[q] > 0) != (q in essentials):

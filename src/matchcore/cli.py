@@ -27,7 +27,14 @@ from fractions import Fraction
 
 from . import analysis, fixtures
 from .caps import CapExceededError, EnumerationCaps
-from .formulations import build_primal, constraint_matrix, is_totally_unimodular
+from .formulations import (
+    build_primal,
+    constraint_matrix,
+    is_totally_unimodular,
+    lower_dual_var,
+    upper_dual_var,
+    vertex_dual_var,
+)
 from .games import GameInstance, GameKind, make_imputation
 from .instance_io import InstanceError, parse_instance_with_imputation
 from .lp import solve
@@ -102,10 +109,12 @@ def _describe(instance: GameInstance, report: Report) -> None:
 
 
 def _dual_rows(instance, dual):
-    rows = [(f"pay[{q}]", dual.vertex(q)) for q in instance.agents]
+    """Every pay, then every floor, then every ceil row (not build_dual's order)."""
+    rows = [(vertex_dual_var(q), dual.vertex(q)) for q in instance.agents]
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        rows += [(f"floor[{u},{v}]", value) for (u, v), value in dual.lower_duals]
-        rows += [(f"ceil[{u},{v}]", value) for (u, v), value in dual.upper_duals]
+        rows += [(lower_dual_var(e.key), dual.lower(e.key)) for e in instance.edges]
+        rows += [(upper_dual_var(e.key), dual.upper(e.key))
+                 for e in instance.edges if e.upper is not None]
     return rows
 
 

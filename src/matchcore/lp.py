@@ -453,8 +453,9 @@ class _Tableau:
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve exactly; status is optimal, infeasible, or unbounded.
 
-    Optimal assignments are basic solutions, i.e. vertices of the feasible
-    polyhedron whenever it has any.
+    Optimal assignments are basic solutions: vertices of the feasible
+    polyhedron when no variable is free. A free x is split as x+ - x-, and
+    the point found may then not be a vertex even if the polyhedron has one.
     """
     return _Tableau(lp).solve()
 
@@ -467,9 +468,9 @@ class OptimalFace:
     column of nonzero reduced cost is zero. ``optimize`` therefore starts
     phase 2 from a copy of the optimal basis and lets only the columns of
     zero reduced cost enter (Bland's rule, same column order): no phase 1
-    and no extra row. Its results are basic solutions, so vertices of the
-    face, and ``"unbounded"`` means the face has a ray along which the
-    secondary objective improves.
+    and no extra row. Its results are basic solutions, as in ``solve``, and
+    ``"unbounded"`` means the face has a ray along which the secondary
+    objective improves.
     """
 
     def __init__(self, lp: LinearProgram):

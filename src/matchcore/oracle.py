@@ -139,11 +139,6 @@ def worth(instance: GameInstance, members: Iterable[str],
     return max_weight(restrict(instance, members), caps)[0]
 
 
-def saturation_target(instance: GameInstance, q: str) -> int:
-    """Matched-degree an agent needs to count as fully used."""
-    return instance.capacity(q)
-
-
 def classify_player(instance: GameInstance, q: str,
                     caps: EnumerationCaps = DEFAULT_CAPS) -> ClassLabel:
     """Essential, viable, or subpar by saturation across all optima.
@@ -151,7 +146,7 @@ def classify_player(instance: GameInstance, q: str,
     Saturation means "matched" for the unit-capacity kinds and "matched
     exactly capacity-many times" for the multi-matching kinds.
     """
-    target = saturation_target(instance, q)
+    target = instance.capacity(q)
     flags = [m.degree(q) == target for m in enumerate_optima(instance, caps)]
     if all(flags):
         return ClassLabel.ESSENTIAL

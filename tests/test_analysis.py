@@ -28,6 +28,8 @@ from matchcore.analysis import (
     surplus_account,
     verify_complementarity,
 )
+from matchcore import lp as lp_module
+from matchcore.formulations import build_dual
 from matchcore.games import GameKind, make_imputation, make_instance
 from matchcore.oracle import ClassLabel, classify_player, worth
 
@@ -250,6 +252,74 @@ def test_surplus_accounts_on_fixtures():
     # The printed variant with vertex value 4 is not optimal: value 14.
     assert not is_optimal_dual(mixed, make_dual(mixed, {"u": 4},
                                                 lower={("u", "v1"): 2}))
+
+
+def test_dual_values_follow_the_dual_program_columns():
+    mixed = helpers.hk_mixed_bounds()
+    d = make_dual(mixed, {"u": 3}, lower={("u", "v1"): 2})
+    program = build_dual(mixed)
+    assert len(d.values) == len(program.variables)
+    assert d.values[program.index("pay[u]")] == 3
+    assert d.values[program.index("floor[u,v1]")] == 2
+    assert d.vertex("u") == 3 and d.lower(("u", "v1")) == 2
+    assert d.upper(("u", "v1")) == 0
+    # A bound dual with no column reads as zero.
+    plain = helpers.single_edge()
+    assert optimal_dual(plain).lower(plain.edges[0].key) == 0
+    assert optimal_dual(plain).upper(plain.edges[0].key) == 0
+
+
+def test_make_dual_rejects_entries_without_a_column():
+    lower = helpers.hk_edge_lower()          # edges (u,v1), (u,v2); no upper bounds
+    with pytest.raises(ValueError, match="nobody"):
+        make_dual(lower, {"u": 3, "nobody": 7})
+    with pytest.raises(ValueError, match="no edge"):
+        make_dual(lower, {"u": 3}, lower={("v1", "u"): 2})
+    with pytest.raises(ValueError, match="no edge"):
+        make_dual(lower, {}, lower={("u", "w"): 2})
+    with pytest.raises(ValueError, match="upper bound"):
+        make_dual(lower, {}, upper={("u", "v1"): 5})
+    plain = helpers.single_edge()
+    with pytest.raises(ValueError, match="lower bound"):
+        make_dual(plain, {}, lower={plain.edges[0].key: 1})
+
+
+def test_duals_of_another_instance_are_rejected():
+    lower, mixed = helpers.hk_edge_lower(), helpers.hk_mixed_bounds()
+    foreign = make_dual(mixed, {"u": 3}, lower={("u", "v1"): 2})
+    assert is_optimal_dual(mixed, foreign)
+    for call in (is_optimal_dual, surplus_account, dual_to_imputation):
+        with pytest.raises(ValueError, match="another instance"):
+            call(lower, foreign)
+
+
+def test_dual_program_is_solved_once_per_instance(monkeypatch):
+    # Weights no other test uses, so no cached solve of this game exists.
+    g = make_instance(GameKind.ASSIGNMENT, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
+                      [("a1", "b1", F(61, 7)), ("a1", "b2", F(40, 7)),
+                       ("a2", "b1", F(47, 7)), ("a2", "b3", F(54, 7)),
+                       ("a3", "b2", F(33, 7)), ("a3", "b3", F(54, 7))])
+    program = build_dual(g)
+    solved = []
+    original = lp_module._Tableau.solve
+
+    def counting(tableau):
+        solved.append(tableau.lp)
+        return original(tableau)
+
+    monkeypatch.setattr(lp_module._Tableau, "solve", counting)
+    optimal_dual(g)
+    verify_complementarity(g)
+    extremes = extreme_imputations(g)
+    payoff_range(g, "a1")
+    assert all(in_dual_image(g, imp) for imp in extremes)
+    simultaneous_imputation(g)
+    # The pinned-row programs of in_dual_image carry extra rows.
+    unpinned = [lp for lp in solved
+                if (lp.variables, lp.objective, lp.constraints)
+                == (program.variables, program.objective, program.constraints)]
+    assert len(unpinned) == 1
+    assert len(solved) > 1
 
 
 def test_hk_payments_and_dual_image():
