@@ -14,12 +14,12 @@ from fractions import Fraction
 from matchcore import (
     LinearProgram,
     Relation,
+    OptimalFace,
     Sense,
     Status,
     coordinate_range,
     incidence_matrix,
     is_totally_unimodular,
-    optimize_over_optimal_face,
     parse_instance,
     solve,
 )
@@ -37,13 +37,13 @@ print(f"max (x+y)/3 over a little polygon: value {sol.value} at "
 # The whole optimal face, not just one point.
 lo, hi = coordinate_range(lp, "x")
 print(f"Across all optima, x ranges over [{lo}, {hi}].")
-tilted = optimize_over_optimal_face(lp, [1, 0], Sense.MAXIMIZE)
+tilted = OptimalFace(lp).optimize([1, 0], Sense.MAXIMIZE)
 assert tilted.value == hi
 
 # Unbounded secondary objectives are reported, not faked.
 ray = LinearProgram(Sense.MAXIMIZE, ["a", "b"], [1, -1],
                     [([1, -1], Relation.LE, 0)])
-escape = optimize_over_optimal_face(ray, [1, 0], Sense.MAXIMIZE)
+escape = OptimalFace(ray).optimize([1, 0], Sense.MAXIMIZE)
 print(f"A face with a ray reports its secondary optimum as "
       f"'{escape.status.value}'.")
 assert escape.status is Status.UNBOUNDED

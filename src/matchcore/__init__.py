@@ -74,7 +74,6 @@ from .lp import (
     Sense,
     Status,
     coordinate_range,
-    optimize_over_optimal_face,
     solve,
 )
 from .oracle import (

@@ -40,7 +40,6 @@ from .lp import (
     Relation,
     Sense,
     Status,
-    optimal_face,
     solve,
 )
 from .oracle import (
@@ -72,7 +71,7 @@ class DualSolution:
 
     @cached_property
     def _program(self) -> LinearProgram:
-        return _dual_program(self.instance)
+        return _optimal_face(self.instance).lp
 
     def vertex(self, q: str) -> Fraction:
         return self.values[self._program.index(vertex_dual_var(q))]
@@ -98,8 +97,9 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     Raises ValueError for an entry with no column in the dual program: an
     unknown agent, an edge key the instance does not have (reversed keys
     included), or a lower or upper entry on an edge without that bound dual.
+    Raises InfeasibleInstanceError when the dual program has no optimum.
     """
-    lp = _dual_program(instance)
+    lp = _optimal_face(instance).lp
     values = [ZERO] * len(lp.variables)
 
     def put(name: str, value, what: str) -> None:
@@ -120,14 +120,9 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
 
 
 @lru_cache(maxsize=50_000)
-def _dual_program(instance: GameInstance) -> LinearProgram:
-    return build_dual(instance)
-
-
-@lru_cache(maxsize=50_000)
 def _optimal_face(instance: GameInstance) -> OptimalFace:
     """The one solve of the instance's dual program, shared by every query."""
-    face = OptimalFace(_dual_program(instance))
+    face = OptimalFace(build_dual(instance))
     if face.base.status is not Status.OPTIMAL:
         raise InfeasibleInstanceError(
             "the matching program has no finite optimum (infeasible bounds)")
@@ -202,9 +197,9 @@ class DualFace:
     is solved once per instance, and that solve serves ``optimal_dual``,
     ``primal_optimum``, ``is_optimal_dual`` and every ``DualFace`` built
     for the instance. Each query runs phase 2 alone from the optimal
-    basis. ``face`` is the same face written as an LP with the row
-    "objective = optimum", for the feasibility checks that add rows of
-    their own (D(I) membership, the bounds-capacity grand total).
+    basis; the bounds-capacity grand total is two such queries. D(I)
+    membership fixes columns instead, so ``in_dual_image`` solves the
+    program once with changed bounds and compares optima.
     """
 
     def __init__(self, instance: GameInstance):
@@ -212,10 +207,6 @@ class DualFace:
         self._engine = _optimal_face(instance)
         self.lp = self._engine.lp
         self.base = self._engine.base
-
-    @cached_property
-    def face(self) -> LinearProgram:
-        return optimal_face(self.lp, self.base)
 
     def _objective(self, coeffs: Mapping[str, Fraction]):
         return [ensure_rational(coeffs.get(name, 0)) for name in self.lp.variables]
@@ -249,17 +240,6 @@ class DualFace:
         """Max slack of the edge's dual row over the face; None = unbounded."""
         top = self.max_value(self.slack_coeffs(key))
         return None if top is None else top - self.instance.edge(key).weight
-
-    def _admits(self, equations) -> bool:
-        """Does some optimal dual satisfy every ``(coeffs, value)`` equation?
-
-        Decided by one solve of ``face`` with the equations added as rows.
-        """
-        pinned = self.face.with_extra_constraints(
-            Constraint(tuple(self._objective(coeffs)), Relation.EQ, value)
-            for coeffs, value in equations)
-        zero = [ZERO] * len(self.lp.variables)
-        return solve(pinned.with_objective(zero, Sense.MINIMIZE)).status is Status.OPTIMAL
 
 
 def is_concurrent(instance: GameInstance,
@@ -345,8 +325,9 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation,
     """Does the imputation total match the game's distributable amount?
 
     Non-bounds kinds: the worth. Bounds-capacity kind: the surplus under
-    some optimal dual, decided by LP feasibility over the optimal dual
-    face of "capacity-weighted vertex duals sum to the total".
+    some optimal dual, i.e. the capacity-weighted sum of its vertex duals.
+    Over the convex optimal dual face that sum takes exactly the values
+    between its minimum and its maximum, two phase-2 queries.
     """
     total = imp.total
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
@@ -355,7 +336,9 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation,
         if imp.surplus.surplus == total and is_optimal_dual(instance, imp.source_dual):
             return True
     weights = {vertex_dual_var(q): F(instance.capacity(q)) for q in instance.agents}
-    return DualFace(instance)._admits([(weights, total)])
+    face = DualFace(instance)
+    lo, hi = face.min_value(weights), face.max_value(weights)
+    return (lo is None or lo <= total) and (hi is None or total <= hi)
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation,
@@ -385,14 +368,25 @@ def is_core_imputation(instance: GameInstance, imp: Imputation,
 def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     """Membership in D(I): does some optimal dual map to these payoffs?
 
-    Decided exactly: pin every vertex dual to payoff divided by capacity
-    and test feasibility over the optimal dual face.
+    Decided exactly by one solve of the dual program with every vertex
+    dual fixed, through its bounds, to payoff divided by capacity: that
+    program's optimum equals the dual optimum exactly when some optimal
+    dual has these vertex duals.
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
-    return DualFace(instance)._admits(
-        [({vertex_dual_var(q): ONE}, imp[q] / F(instance.capacity(q)))
-         for q in instance.agents])
+    face = _optimal_face(instance)
+    lp = face.lp
+    lower, upper = list(lp.lower), list(lp.upper)
+    for q in instance.agents:
+        j = lp.index(vertex_dual_var(q))
+        value = imp[q] / F(instance.capacity(q))
+        if value < lower[j]:        # vertex duals are >= 0, with no upper bound
+            return False
+        lower[j] = upper[j] = value
+    fixed = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
+                                lp.constraints, lower, upper))
+    return fixed.status is Status.OPTIMAL and fixed.value == face.base.value
 
 
 class _CoalitionCuts:

@@ -339,11 +339,12 @@ def main(argv=None) -> int:
     handler, _, _ = _COMMANDS[args.command]
     try:
         report, code = handler(args)
-    except (InstanceError, CapExceededError, InfeasibleInstanceError, ValueError) as exc:
+    except (InstanceError, CapExceededError, InfeasibleInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ArithmeticError as exc:
-        # The library's signal that a theorem it relies on was contradicted.
+    except (ArithmeticError, ValueError) as exc:
+        # A contradicted theorem, or a library call rejecting a value the
+        # analysis itself produced; bad input raises the errors above.
         print(f"analysis failure: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     sys.stdout.write(report.render(args.format))

@@ -1,8 +1,9 @@
 """Built-in regression fixtures: the worked examples, end to end.
 
-Every fixture carries its instance in the text format (so the parser is
-exercised on each run) and a battery of exact checks. The `reproduce-paper`
-CLI subcommand runs them all and fails loudly on any mismatch.
+Every fixture reads its instance from ``instances/<name>.game`` in this
+package (the files the demos use too), so the parser is exercised on each
+run, and carries a battery of exact checks. The `reproduce-paper` CLI
+subcommand runs them all and fails loudly on any mismatch.
 
 Two fixtures note derived corrections: where a printed companion value is
 internally inconsistent, the value forced by exact arithmetic is asserted
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.resources import files
 from typing import Callable
 
 from . import analysis
@@ -38,8 +40,12 @@ class Check:
 class Fixture:
     name: str
     summary: str
-    text: str
     run: Callable[[GameInstance, EnumerationCaps], list[Check]]
+
+    @property
+    def text(self) -> str:
+        path = files(__package__) / "instances" / f"{self.name}.game"
+        return path.read_text(encoding="utf-8")
 
     def instance(self) -> GameInstance:
         return parse_instance(self.text)
@@ -59,18 +65,6 @@ def _true(label: str, got: bool, detail: str = "") -> Check:
 
 # ---------------------------------------------------------------------------
 
-THREE_AGENT_TEXT = """\
-# One hub agent with two partners; capacities 2, 2, 1.
-game b_matching
-side_u u
-side_v v1 v2
-b u 2
-b v1 2
-b v2 1
-edge u v1 weight 1
-edge u v2 weight 3
-"""
-
 
 def _run_three_agent(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out = [_eq("worth is 4", max_weight(g, caps)[0], F(4))]
@@ -87,19 +81,6 @@ def _run_three_agent(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out.append(_true("payoffs (2,0,2) lie in D(I)",
                      analysis.in_dual_image(g, image)))
     return out
-
-
-HUB_SURPLUS_TEXT = """\
-# Same graph with capacities 4, 2, 3 and edge windows [1,2] and [0,3].
-game hoffman_kruskal
-side_u u
-side_v v1 v2
-b u 4
-b v1 2
-b v2 3
-edge u v1 weight 1 lower 1 upper 2
-edge u v2 weight 3 upper 3
-"""
 
 
 def _run_hub_surplus(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
@@ -131,19 +112,6 @@ def _run_hub_surplus(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     return out
 
 
-CAPPED_EDGES_TEXT = """\
-# Capacities all 2; every edge can be used at most once.
-game hoffman_kruskal
-side_u u
-side_v v1 v2
-b u 2
-b v1 2
-b v2 2
-edge u v1 weight 1 upper 1
-edge u v2 weight 3 upper 1
-"""
-
-
 def _run_capped_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out = [_eq("worth is 4", max_weight(g, caps)[0], F(4))]
     d1 = analysis.make_dual(g, {}, upper={("u", "v1"): 1, ("u", "v2"): 3})
@@ -160,19 +128,6 @@ def _run_capped_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out.append(_true("payments (1,0,1) are outside D(I)",
                      not analysis.in_dual_image(g, split)))
     return out
-
-
-FLOORED_EDGES_TEXT = """\
-# Capacities all 2; every edge must be used at least once; no edge caps.
-game hoffman_kruskal
-side_u u
-side_v v1 v2
-b u 2
-b v1 2
-b v2 2
-edge u v1 weight 1 lower 1
-edge u v2 weight 3 lower 1
-"""
 
 
 def _run_floored_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
@@ -200,23 +155,6 @@ def _run_floored_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out.append(_true("printed vector (3,3,0) is outside D(I)",
                      not analysis.in_dual_image(g, printed)))
     return out
-
-
-SEVEN_RING_TEXT = """\
-# Seven vertices; the hub edge (v2,v7) has weight 2, the rest weight 1.
-game general
-vertices v1 v2 v3 v4 v5 v6 v7
-edge v1 v2 weight 1
-edge v2 v7 weight 2
-edge v3 v7 weight 1
-edge v3 v4 weight 1
-edge v4 v5 weight 1
-edge v5 v6 weight 1
-edge v1 v6 weight 1
-edge v1 v7 weight 1
-edge v2 v3 weight 1
-edge v4 v7 weight 1
-"""
 
 
 def _run_seven_ring(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
@@ -251,17 +189,6 @@ def _run_seven_ring(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     return out
 
 
-PENDANT_TEXT = """\
-# Odd triangle of weights 3/2, 1, 3/2 plus a pendant edge of weight 1.
-game general
-vertices v1 v2 v3 v4
-edge v1 v2 weight 3/2
-edge v2 v3 weight 1
-edge v3 v1 weight 3/2
-edge v1 v4 weight 1
-"""
-
-
 def _run_pendant(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     conc = analysis.check_concurrency(g, caps)
     out = [_true("fractional and integral optima agree at 2",
@@ -276,16 +203,6 @@ def _run_pendant(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out.append(_true("v4 is essential yet never paid (reverse direction fails)",
                      "player v4: essential yet never paid" in report.gaps))
     return out
-
-
-TRIANGLE_TEXT = """\
-# A triangle of unit weights; its core is empty.
-game general
-vertices i j k
-edge i j weight 1
-edge j k weight 1
-edge i k weight 1
-"""
 
 
 def _run_triangle(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
@@ -308,25 +225,25 @@ def _run_triangle(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
 FIXTURES: tuple[Fixture, ...] = (
     Fixture("three_agent_b_matching",
             "capacities (2,2,1): a core imputation outside D(I)",
-            THREE_AGENT_TEXT, _run_three_agent),
+            _run_three_agent),
     Fixture("hub_capacity_surplus",
             "capacities (4,2,3) with edge windows: two duals, two surpluses",
-            HUB_SURPLUS_TEXT, _run_hub_surplus),
+            _run_hub_surplus),
     Fixture("capped_edges_pair",
             "uniform capacities with unit edge caps: surpluses 0 and 2",
-            CAPPED_EDGES_TEXT, _run_capped_edges),
+            _run_capped_edges),
     Fixture("floored_edges_pair",
             "uniform capacities with edge floors: surplus 6",
-            FLOORED_EDGES_TEXT, _run_floored_edges),
+            _run_floored_edges),
     Fixture("weighted_seven_ring",
             "degenerate seven-vertex game with a unique core imputation",
-            SEVEN_RING_TEXT, _run_seven_ring),
+            _run_seven_ring),
     Fixture("triangle_with_pendant",
             "essential-but-never-paid counterexample on a general graph",
-            PENDANT_TEXT, _run_pendant),
+            _run_pendant),
     Fixture("unit_triangle",
             "empty core; fractional and integral optima disagree",
-            TRIANGLE_TEXT, _run_triangle),
+            _run_triangle),
 )
 
 

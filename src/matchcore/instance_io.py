@@ -12,7 +12,7 @@ recovers it field for field.
     b_const <positive-int>      uniform_b only
     b <vertex> <positive-int>   b_matching / hoffman_kruskal, one per vertex
     edge <name> <name> weight <rational> [lower <int>] [upper <int>]
-    imputation <name>=<rational> ...
+    imputation <name>=<rational> ...  payoffs >= 0
 """
 
 from __future__ import annotations
@@ -95,10 +95,14 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
                 if "=" not in token:
                     raise InstanceError(f"expected name=value, got {token!r}", lineno)
                 name, _, value = token.partition("=")
+                name = _name(name, lineno)
                 try:
-                    payoffs[_name(name, lineno)] = parse_rational(value)
+                    payoff = parse_rational(value)
                 except ValueError as exc:
                     raise InstanceError(str(exc), lineno) from None
+                if payoff < 0:
+                    raise InstanceError(f"negative payoff for {name!r}", lineno)
+                payoffs[name] = payoff
         else:
             raise InstanceError(f"unknown directive {directive!r}", lineno)
 

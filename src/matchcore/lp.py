@@ -2,10 +2,11 @@
 
 A two-phase primal simplex with Bland's pivot rule. All arithmetic is done
 with ``fractions.Fraction``: no rounding, no tolerances, and identical
-inputs always produce the identical basic optimal solution. Secondary
-objectives over the optimal face are answered by ``OptimalFace``, which
-solves once and then runs phase 2 alone from the optimal basis, over the
-columns whose reduced cost there is zero.
+inputs always produce the identical basic optimal solution. The optimal
+face has one representation, ``OptimalFace``: it solves once and answers
+each secondary objective by phase 2 alone from the optimal basis, over
+the columns whose reduced cost there is zero. No program here gains a
+row pinning its objective to the optimum.
 """
 
 from __future__ import annotations
@@ -470,7 +471,10 @@ class OptimalFace:
     zero reduced cost enter (Bland's rule, same column order): no phase 1
     and no extra row. Its results are basic solutions, as in ``solve``, and
     ``"unbounded"`` means the face has a ray along which the secondary
-    objective improves.
+    objective improves. A question that fixes variables, rather than
+    optimizing over the face, is one solve of ``lp`` with those variables'
+    bounds fixed: the face meets the fixed set exactly when that optimum
+    is ``base.value``.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -489,28 +493,6 @@ class OptimalFace:
             raise ValueError("objective length does not match variable count")
         sense = sense if isinstance(sense, Sense) else Sense(sense)
         return self._tableau.fork().optimize(objective, sense, self._columns)
-
-
-def optimal_face(lp: LinearProgram, base: LpSolution | None = None) -> LinearProgram:
-    """The optimal face of ``lp`` as an LP: ``lp`` plus the row
-    "objective = optimal value". Used where further rows are added."""
-    if base is None:
-        base = solve(lp)
-    if base.status is not Status.OPTIMAL:
-        raise ValueError(f"base program is {base.status.value}, not optimal")
-    pin = Constraint(lp.objective, Relation.EQ, base.value, "objective-at-optimum")
-    return lp.with_extra_constraints([pin])
-
-
-def optimize_over_optimal_face(lp: LinearProgram, objective, sense) -> LpSolution:
-    """Optimize a secondary objective over the optimal face of ``lp``.
-
-    One call of ``OptimalFace``; build that engine directly to ask several
-    questions of one face. The result may be unbounded when the optimal
-    face contains rays in the secondary direction; callers must check the
-    status.
-    """
-    return OptimalFace(lp).optimize(objective, sense)
 
 
 def coordinate_range(lp: LinearProgram, name: str):

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import helpers
 from matchcore.analysis import (
     DualFace,
+    _grand_total_ok,
     check_concurrency,
     core_nonempty,
     dual_to_imputation,
@@ -29,9 +31,16 @@ from matchcore.analysis import (
     verify_complementarity,
 )
 from matchcore import lp as lp_module
-from matchcore.formulations import build_dual
-from matchcore.games import GameKind, make_imputation, make_instance
-from matchcore.oracle import ClassLabel, classify_player, worth
+from matchcore.formulations import build_dual, vertex_dual_var
+from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance
+from matchcore.lp import Constraint, Relation, Sense, Status
+from matchcore.oracle import (
+    ClassLabel,
+    InfeasibleInstanceError,
+    classify_player,
+    classify_team,
+    worth,
+)
 
 F = Fraction
 
@@ -284,6 +293,15 @@ def test_make_dual_rejects_entries_without_a_column():
         make_dual(plain, {}, lower={plain.edges[0].key: 1})
 
 
+def test_make_dual_on_infeasible_lower_bounds_raises():
+    # u has capacity 1 but two edges that must each be used once.
+    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
+                      [("u", "v1", 1, 1, None), ("u", "v2", 1, 1, None)],
+                      capacities={"u": 1, "v1": 1, "v2": 1})
+    with pytest.raises(InfeasibleInstanceError):
+        make_dual(g, {"u": 1})
+
+
 def test_duals_of_another_instance_are_rejected():
     lower, mixed = helpers.hk_edge_lower(), helpers.hk_mixed_bounds()
     foreign = make_dual(mixed, {"u": 3}, lower={("u", "v1"): 2})
@@ -314,10 +332,11 @@ def test_dual_program_is_solved_once_per_instance(monkeypatch):
     payoff_range(g, "a1")
     assert all(in_dual_image(g, imp) for imp in extremes)
     simultaneous_imputation(g)
-    # The pinned-row programs of in_dual_image carry extra rows.
+    # The programs of in_dual_image fix the vertex duals through their bounds.
     unpinned = [lp for lp in solved
-                if (lp.variables, lp.objective, lp.constraints)
-                == (program.variables, program.objective, program.constraints)]
+                if (lp.variables, lp.objective, lp.constraints, lp.lower, lp.upper)
+                == (program.variables, program.objective, program.constraints,
+                    program.lower, program.upper)]
     assert len(unpinned) == 1
     assert len(solved) > 1
 
@@ -357,6 +376,76 @@ def test_hk_edge_lower_core_membership():
     assert verdict.witness == frozenset({"u", "v2"})
     assert verdict.witness_demand == 6
     assert not in_dual_image(g, printed)
+
+
+def _pinned_row_face(g):
+    """Reference: the optimal dual face written as the dual program plus
+    the row "objective = optimum"."""
+    program = build_dual(g)
+    base = lp_module.solve(program)
+    return program.with_extra_constraints(
+        [Constraint(program.objective, Relation.EQ, base.value)])
+
+
+def _pinned_row_admits(face, equations):
+    """Does some point of ``face`` satisfy every ``(coeffs, value)`` equation?"""
+    rows = [Constraint(tuple(F(coeffs.get(name, 0)) for name in face.variables),
+                       Relation.EQ, value) for coeffs, value in equations]
+    zero = [0] * len(face.variables)
+    program = face.with_extra_constraints(rows).with_objective(zero, Sense.MINIMIZE)
+    return lp_module.solve(program).status is Status.OPTIMAL
+
+
+def _nearby(rng, payoffs):
+    """One payoff vector with a larger total and, when someone is paid,
+    one with the same total moved between two agents."""
+    agents = sorted(payoffs)
+    delta = F(rng.randint(1, 3), rng.randint(1, 2))
+    raised = dict(payoffs)
+    raised[rng.choice(agents)] += delta
+    out = [raised]
+    paid = [q for q in agents if payoffs[q] > 0]
+    if paid and len(agents) > 1:
+        giver = rng.choice(paid)
+        taker = rng.choice([q for q in agents if q != giver])
+        moved = dict(payoffs)
+        step = min(delta, moved[giver])
+        moved[giver] -= step
+        moved[taker] += step
+        out.append(moved)
+    return out
+
+
+def test_dual_image_and_hk_total_match_the_pinned_row_lp():
+    # in_dual_image fixes the vertex duals through their bounds, and the
+    # hoffman_kruskal grand total reads the min and max of one functional
+    # over the face; both against a feasibility solve of the pinned LP.
+    rng = random.Random(5)
+    image = {True: 0, False: 0}
+    total = {True: 0, False: 0}
+    for kind in helpers.ALL_BIPARTITE:
+        for _ in range(15):
+            g = helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
+            face = _pinned_row_face(g)
+            duals = [optimal_dual(g)] + sample_dual_vertices(g, 3, seed=rng.randint(0, 10**6))
+            derived = [dual_to_imputation(g, d).as_dict for d in duals]
+            derived.append({q: (derived[0][q] + derived[-1][q]) / 2 for q in g.agents})
+            candidates = derived + [p for pay in derived for p in _nearby(rng, pay)]
+            weights = {vertex_dual_var(q): F(g.capacity(q)) for q in g.agents}
+            for payoffs in candidates:
+                imp = make_imputation(g, payoffs)
+                want = _pinned_row_admits(
+                    face, [({vertex_dual_var(q): 1}, imp[q] / g.capacity(q))
+                           for q in g.agents])
+                assert in_dual_image(g, imp) is want
+                image[want] += 1
+                if kind is GameKind.HOFFMAN_KRUSKAL:
+                    want = _pinned_row_admits(face, [(weights, imp.total)])
+                    assert _grand_total_ok(g, imp) is want
+                    total[want] += 1
+    # Counts at these seeds: D(I) 270 in, 375 out; grand total 120 in, 33 out.
+    assert image[True] >= 200 and image[False] >= 200, image
+    assert total[True] >= 80 and total[False] >= 20, total
 
 
 def test_payoff_ranges_and_samples_consistent():
@@ -428,13 +517,33 @@ def _relabeled(g, rng):
                          g.uniform_capacity)
 
 
-def _face_values(g):
+def _probe_payoffs(g):
+    """The deterministic dual's payoffs and the same with 1/2 (or less)
+    moved from the best-paid agent to another, fixed on the original game
+    so that every relabeling is asked about the same vectors."""
+    pay = dual_to_imputation(g, optimal_dual(g)).as_dict
+    giver = min(g.agents, key=lambda q: (-pay[q], q))
+    taker = min(q for q in g.agents if q != giver)
+    step = min(F(1, 2), pay[giver])
+    moved = dict(pay, **{giver: pay[giver] - step, taker: pay[taker] + step})
+    return pay, moved
+
+
+def _face_values(g, probes):
     face = DualFace(g)
-    agents = {q: (payoff_range(g, q, face), paid_sometimes(g, q, face=face))
-              for q in g.agents}
+    agents = {q: (payoff_range(g, q, face), paid_sometimes(g, q, face=face),
+                  classify_player(g, q)) for q in g.agents}
     teams = {e.key: (always_paid_fairly(g, e.key, face=face),
-                     face.max_overpayment(e.key)) for e in g.edges}
-    return agents, teams
+                     face.max_overpayment(e.key), classify_team(g, e.key))
+             for e in g.edges}
+    pairs = {frozenset(pair): worth(g, pair) for pair in combinations(g.agents, 2)}
+    verdicts = []
+    for payoffs in probes:
+        imp = make_imputation(g, payoffs)
+        verdicts.append((
+            in_dual_image(g, imp) if g.kind in BIPARTITE_KINDS else None,
+            None if g.kind is GameKind.HOFFMAN_KRUSKAL else is_core_imputation(g, imp).in_core))
+    return agents, teams, pairs, verdicts
 
 
 def test_face_values_do_not_depend_on_agent_or_edge_order():
@@ -448,7 +557,14 @@ def test_face_values_do_not_depend_on_agent_or_edge_order():
                for _ in range(40)]
     concurrent = [g for g in general if is_concurrent(g)]
     assert len(concurrent) >= 10
+    seen = set()
     for g in games + concurrent:
-        expected = _face_values(g)
+        probes = _probe_payoffs(g)
+        expected = _face_values(g, probes)
+        seen.update(expected[3])
         for _ in range(2):
-            assert _face_values(_relabeled(g, rng)) == expected
+            assert _face_values(_relabeled(g, rng), probes) == expected
+    # Every (D(I), core) verdict pair that can occur does: None marks a
+    # verdict not asked, and D(I) lies inside the core.
+    flags = (True, False, None)
+    assert seen == {(a, b) for a in flags for b in flags} - {(True, False), (None, None)}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import helpers
 from matchcore import analysis, fixtures
 from matchcore.cli import main
-from matchcore.instance_io import render_instance
+from matchcore.instance_io import parse_instance, render_instance
 from matchcore.oracle import max_weight
 from matchcore.rationals import parse_rational
 
@@ -112,10 +112,11 @@ def test_reproduce_paper_passes(capsys):
 
 
 def test_reproduce_paper_fails_loudly_on_mismatch(capsys, monkeypatch):
-    fake = fixtures.Fixture("broken", "forced failure", fixtures.TRIANGLE_TEXT,
+    fake = fixtures.Fixture("broken", "forced failure",
                             lambda g, caps: [fixtures.Check("forced", False, "boom")])
+    g = parse_instance(fixtures.fixture_by_name("unit_triangle").text)
     monkeypatch.setattr(fixtures, "run_all",
-                        lambda caps: [(fake, fake.checks(caps))])
+                        lambda caps: [(fake, fake.run(g, caps))])
     code, out, _ = run(capsys, "reproduce-paper")
     assert code == 1
     assert "FAIL" in out
@@ -128,6 +129,27 @@ def test_input_errors_exit_two(tmp_path, capsys):
                                       "edge a b weight zero\n")
     code, _, err = run(capsys, "solve", bad)
     assert code == 2 and "line 4" in err
+
+
+def test_negative_imputation_value_exits_two_with_its_line(tmp_path, capsys):
+    path = write(tmp_path, "g.game",
+                 fixtures.fixture_by_name("three_agent_b_matching").text
+                 + "imputation u=5 v1=-1\n")
+    code, out, err = run(capsys, "core-check", path)
+    assert code == 2 and out == ""
+    assert "line 10" in err and "negative payoff" in err
+
+
+def test_library_value_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def rejected(*args, **kwargs):
+        raise ValueError("dual solution is not optimal")
+
+    monkeypatch.setattr(analysis, "optimal_dual", rejected)
+    path = write(tmp_path, "edge.game", render_instance(helpers.single_edge()))
+    code, out, err = run(capsys, "solve", path)
+    assert code == 1
+    assert out == ""
+    assert err == "analysis failure: dual solution is not optimal\n"
 
 
 def test_cap_refusal_exits_two(tmp_path, capsys):

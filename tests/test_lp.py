@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from matchcore.lp import (
+    Constraint,
     LinearProgram,
     OptimalFace,
     Relation,
@@ -19,8 +20,6 @@ from matchcore.lp import (
     Status,
     coordinate_range,
     is_vertex,
-    optimal_face,
-    optimize_over_optimal_face,
     rank_of_rows,
     solve,
     tight_rows_at,
@@ -140,8 +139,9 @@ def test_malformed_rejected_at_construction():
 def test_optimal_face_segment():
     lp = LinearProgram(Sense.MAXIMIZE, ["x", "y"], [1, 1],
                        [([1, 1], Relation.LE, 1)])
-    hi = optimize_over_optimal_face(lp, [1, 0], Sense.MAXIMIZE)
-    lo = optimize_over_optimal_face(lp, [1, 0], Sense.MINIMIZE)
+    face = OptimalFace(lp)
+    hi = face.optimize([1, 0], Sense.MAXIMIZE)
+    lo = face.optimize([1, 0], Sense.MINIMIZE)
     assert hi.value == 1 and lo.value == 0
     assert coordinate_range(lp, "x") == (0, 1)
     assert coordinate_range(lp, "y") == (0, 1)
@@ -150,7 +150,7 @@ def test_optimal_face_segment():
 def test_optimal_face_requires_optimal_base():
     lp = LinearProgram(Sense.MAXIMIZE, ["x"], [1])
     with pytest.raises(ValueError):
-        optimize_over_optimal_face(lp, [1], Sense.MINIMIZE)
+        OptimalFace(lp).optimize([1], Sense.MINIMIZE)
 
 
 def test_coordinate_range_degenerate_when_unique():
@@ -170,7 +170,7 @@ def test_unbounded_secondary_reported_as_marker():
     # Face is the ray x = y >= 0 once the (trivial) objective is pinned.
     lp = LinearProgram(Sense.MAXIMIZE, ["x", "y"], [1, -1],
                        [([1, -1], Relation.LE, 0), ([-1, 1], Relation.LE, 0)])
-    res = optimize_over_optimal_face(lp, [1, 0], Sense.MAXIMIZE)
+    res = OptimalFace(lp).optimize([1, 0], Sense.MAXIMIZE)
     assert res.status is Status.UNBOUNDED
     lo, hi = coordinate_range(lp, "x")
     assert lo == 0 and hi is None
@@ -259,7 +259,8 @@ def test_warm_face_queries_match_the_pinned_row_lp():
         seen["bounded"] += any(hi is not None for hi in lp.upper)
         seen["equality"] += any(c.relation is Relation.EQ for c in lp.constraints)
         seen["degenerate"] += len(tight_rows_at(lp, base.values)) > len(lp.variables)
-        pinned = optimal_face(lp)
+        pinned = lp.with_extra_constraints(
+            [Constraint(lp.objective, Relation.EQ, base.value)])
         n = len(lp.variables)
         queries = [(tuple(int(j == k) for k in range(n)), sense)
                    for j in range(n) for sense in (Sense.MAXIMIZE, Sense.MINIMIZE)]
