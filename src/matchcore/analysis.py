@@ -517,7 +517,11 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int,
 
 def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
                          face: DualFace | None = None) -> list[DualSolution]:
-    """Optimal dual vertices found by random objectives over the face."""
+    """Optimal dual vertices found by random objectives over the face.
+
+    A face with rays (hoffman_kruskal) can leave every sampled objective
+    unbounded; the base vertex, ``optimal_dual``, is then the sample.
+    """
     face = face or DualFace(instance)
     rng = random.Random(seed)
     seen = set()
@@ -529,6 +533,8 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
             continue
         seen.add(sol.values)
         out.append(DualSolution(instance, sol.values))
+    if count and not out:
+        out.append(DualSolution(instance, face.base.values))
     return out
 
 

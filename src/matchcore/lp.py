@@ -1,12 +1,14 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex with Bland's pivot rule. All arithmetic is done
-with ``fractions.Fraction``: no rounding, no tolerances, and identical
-inputs always produce the identical basic optimal solution. The optimal
-face has one representation, ``OptimalFace``: it solves once and answers
-each secondary objective by phase 2 alone from the optimal basis, over
-the columns whose reduced cost there is zero. No program here gains a
-row pinning its objective to the optimum.
+A two-phase primal simplex with Bland's pivot rule. Programs and results
+are ``fractions.Fraction``; the tableau computes in integers, each row
+over one denominator (see ``_Tableau``). The arithmetic is exact: no
+rounding, no tolerances, and identical inputs always produce the
+identical basic optimal solution. The optimal face has one
+representation, ``OptimalFace``: it solves once and answers each
+secondary objective by phase 2 alone from the optimal basis, over the
+columns whose reduced cost there is zero. No program here gains a row
+pinning its objective to the optimum.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import ONE, ZERO, ensure_rational
@@ -178,8 +181,34 @@ _SLACK = 1
 _ARTIFICIAL = 2
 
 
+def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
+    """``row / den`` with the common factor of the row and ``den`` removed."""
+    g = gcd(*row, den)
+    if g == 1:
+        return row, den
+    return [a // g for a in row], den // g
+
+
+def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as (ints, den) over the smallest positive common ``den``."""
+    den = lcm(*(a.denominator for a in values))
+    return [a.numerator * (den // a.denominator) for a in values], den
+
+
 class _Tableau:
-    """Dense simplex tableau in standard form (equalities, xi >= 0)."""
+    """Dense simplex tableau in standard form (equalities, xi >= 0).
+
+    The arithmetic is in integers, fraction-free as in Edmonds (1967) and
+    Bareiss (1968). Row i is a list of ints, its right-hand side last, over
+    a positive denominator ``dens[i]``: the true row is
+    ``rows[i] / dens[i]``, kept in lowest terms by dividing out the gcd of
+    the row and its denominator. While a run lasts, the reduced-cost row,
+    the objective value last, is one more such row. Since denominators are
+    positive, sign and zero tests read the numerators, and Bland's ratio
+    test compares ``b_i / a_i`` by cross-multiplying; so the pivot
+    sequence, basis and vertex are exactly those of rational arithmetic.
+    Only the values of an ``LpSolution`` are built as ``Fraction``.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -246,134 +275,151 @@ class _Tableau:
             rhs.append(cap)
             self.row_rel.append(Relation.LE)
 
-        # Slack columns, then sign-normalize right-hand sides.
-        m = len(rows)
-        self.slack_of_row = [-1] * m
-        for i in range(m):
-            rel = self.row_rel[i]
-            if rel is Relation.EQ:
-                continue
-            col = new_col(_SLACK)
-            for r in range(m):
-                rows[r].append(ZERO)
-            rows[i][col] = ONE if rel is Relation.LE else -ONE
-            self.slack_of_row[i] = col
-        for i in range(m):
+        # Slack columns, then sign-normalize right-hand sides and scale
+        # each row to integers.
+        self.slack_of_row = [-1 if rel is Relation.EQ else new_col(_SLACK)
+                             for rel in self.row_rel]
+        n_slack = len(self.col_kind) - self.n_structural
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        for i, rel in enumerate(self.row_rel):
+            row = rows[i] + [0] * n_slack + [rhs[i]]
+            s = self.slack_of_row[i]
+            if s >= 0:
+                row[s] = 1 if rel is Relation.LE else -1
             if rhs[i] < 0:
-                rows[i] = [-a for a in rows[i]]
-                rhs[i] = -rhs[i]
-        self.rows = rows
-        self.rhs = rhs
+                row = [-a for a in row]
+            row, den = _integral(row)
+            self.rows.append(row)
+            self.dens.append(den)
 
     # -- simplex core ------------------------------------------------------
 
-    def _init_zrow(self, obj: list[Fraction]):
-        ncols = len(self.col_kind)
-        zrow = [-obj[j] for j in range(ncols)]
-        zval = ZERO
-        for i, bj in enumerate(self.basis):
-            c = obj[bj]
-            if c:
-                row = self.rows[i]
-                for j in range(ncols):
-                    if row[j]:
-                        zrow[j] += c * row[j]
-                zval += c * self.rhs[i]
-        return zrow, zval
+    def _init_zrow(self, obj: Sequence[Fraction]) -> tuple[list[int], int]:
+        """Reduced costs of maximizing ``obj`` at the current basis, with
+        the objective value last, as (ints, den)."""
+        cost, scale = _integral(obj)
+        terms = [(cost[bj], self.rows[i], self.dens[i])
+                 for i, bj in enumerate(self.basis) if cost[bj]]
+        den = lcm(*(d for _, _, d in terms))
+        zrow = [-c * den for c in cost]
+        zrow.append(0)
+        for c, row, d in terms:
+            f = c * (den // d)
+            zrow = [z + f * a for z, a in zip(zrow, row)]
+        return _lowest(zrow, den * scale)
 
-    def _pivot(self, zrow, leave: int, enter: int):
-        rows, rhs = self.rows, self.rhs
+    def _pivot(self, leave: int, enter: int) -> None:
+        rows, dens = self.rows, self.dens
         prow = rows[leave]
-        piv = prow[enter]
-        if piv != ONE:
-            inv = ONE / piv
-            rows[leave] = prow = [a * inv for a in prow]
-            rhs[leave] = rhs[leave] * inv
-        nz = [j for j, a in enumerate(prow) if a]
-        pb = rhs[leave]
+        p = prow[enter]
+        if p != dens[leave]:
+            # The pivot row divided by its pivot: p becomes its denominator.
+            if p < 0:
+                prow = [-a for a in prow]
+                p = -p
+            g = gcd(*prow)
+            if g != 1:
+                prow = [a // g for a in prow]
+                p //= g
+            rows[leave] = prow
+            dens[leave] = p
+        nz = [(j, a) for j, a in enumerate(prow) if a]
         for i, row in enumerate(rows):
-            if i == leave:
-                continue
             f = row[enter]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                if pb:
-                    rhs[i] -= f * pb
-        f = zrow[enter]
-        delta = ZERO
-        if f:
-            for j in nz:
-                zrow[j] -= f * prow[j]
-            delta = f * pb
+            if not f or i == leave:
+                continue
+            # row / den - (f / den) * (prow / p), over den * p / gcd(f, p).
+            scale = 1
+            if p != 1:
+                g = gcd(f, p)
+                scale = p // g
+                f //= g
+            if scale == 1:
+                for j, a in nz:
+                    row[j] -= f * a
+            else:
+                row = rows[i] = [scale * a - f * b for a, b in zip(row, prow)]
+                dens[i] *= scale
+            den = dens[i]
+            if den != 1:
+                rows[i], dens[i] = _lowest(row, den)
         self.basis[leave] = enter
-        return delta
 
-    def _run(self, obj: list[Fraction], allowed):
+    def _run(self, obj: Sequence[Fraction], allowed) -> tuple[str, list[int]]:
         """Maximize obj over the tableau with Bland's rule.
 
-        Returns the status, the objective value and the final row of
-        reduced costs.
+        Returns the status and the numerators of the final reduced-cost
+        row, the objective value last, over a positive denominator.
         """
-        zrow, zval = self._init_zrow(obj)
-        rows, rhs, basis = self.rows, self.rhs, self.basis
+        rows, basis = self.rows, self.basis
         m = len(rows)
+        zrow, zden = self._init_zrow(obj)
+        rows.append(zrow)
+        self.dens.append(zden)
         while True:
+            zrow = rows[m]
             enter = -1
             for j in allowed:
                 if zrow[j] < 0:
                     enter = j
                     break
             if enter < 0:
-                return "optimal", zval, zrow
+                status = "optimal"
+                break
             leave = -1
-            best = None
             for i in range(m):
-                a = rows[i][enter]
+                row = rows[i]
+                a = row[enter]
                 if a > 0:
-                    r = rhs[i] / a
-                    if best is None or r < best or (r == best and basis[i] < basis[leave]):
-                        best = r
-                        leave = i
+                    if leave < 0:
+                        leave, best_b, best_a = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_b, best_a = i, row[-1], a
             if leave < 0:
-                return "unbounded", zval, zrow
-            zval -= self._pivot(zrow, leave, enter)
+                status = "unbounded"
+                break
+            self._pivot(leave, enter)
+        rows.pop()
+        self.dens.pop()
+        return status, zrow
 
     def _phase1(self) -> bool:
         """Find a feasible basis and drop the artificial columns.
 
         Returns False when the program is infeasible.
         """
-        rows = self.rows
+        rows, dens = self.rows, self.dens
         m = len(rows)
 
         # Phase 1 basis: row slacks where usable, artificials elsewhere.
         self.basis = [-1] * m
-        artificials = []
         for i in range(m):
             s = self.slack_of_row[i]
-            if s >= 0 and rows[i][s] == ONE:
+            if s >= 0 and rows[i][s] == dens[i]:
                 self.basis[i] = s
-        for i in range(m):
-            if self.basis[i] >= 0:
-                continue
+        needy = [i for i in range(m) if self.basis[i] < 0]
+        if not needy:
+            return True
+        artificials = []
+        for i in needy:
             col = len(self.col_kind)
             self.col_kind.append(_ARTIFICIAL)
             self.col_var.append(-1)
             self.col_sign.append(1)
-            for r in range(m):
-                rows[r].append(ONE if r == i else ZERO)
             artificials.append(col)
             self.basis[i] = col
-        if not artificials:
-            return True
+        for r, row in enumerate(rows):
+            row[-1:-1] = [dens[r] if r == i else 0 for i in needy]
 
         ncols = len(self.col_kind)
         phase1 = [ZERO] * ncols
         for col in artificials:
             phase1[col] = -ONE
-        _, zval, _ = self._run(phase1, range(ncols))
-        if zval < 0:
+        _, zrow = self._run(phase1, range(ncols))
+        if zrow[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
         # turn out to be redundant.
@@ -386,27 +432,28 @@ class _Tableau:
             enter = next((j for j in range(ncols)
                           if self.col_kind[j] != _ARTIFICIAL and rows[i][j]), -1)
             if enter >= 0:
-                zrow_dummy = [ZERO] * ncols
-                self._pivot(zrow_dummy, i, enter)
+                self._pivot(i, enter)
                 keep.append(i)
-        if len(keep) != m:
-            rows = [rows[i] for i in keep]
-            self.rhs = [self.rhs[i] for i in keep]
-            self.basis = [self.basis[i] for i in keep]
         # Remove artificial columns entirely.
         live = [j for j in range(ncols) if self.col_kind[j] != _ARTIFICIAL]
+        live.append(ncols)      # the right-hand side
         remap = {j: k for k, j in enumerate(live)}
-        self.rows = [[row[j] for j in live] for row in rows]
-        self.col_kind = [self.col_kind[j] for j in live]
-        self.col_var = [self.col_var[j] for j in live]
-        self.col_sign = [self.col_sign[j] for j in live]
-        self.basis = [remap[b] for b in self.basis]
+        self.rows, self.dens = [], []
+        for i in keep:
+            row, den = _lowest([rows[i][j] for j in live], dens[i])
+            self.rows.append(row)
+            self.dens.append(den)
+        self.col_kind = [self.col_kind[j] for j in live[:-1]]
+        self.col_var = [self.col_var[j] for j in live[:-1]]
+        self.col_sign = [self.col_sign[j] for j in live[:-1]]
+        self.basis = [remap[self.basis[i]] for i in keep]
         return True
 
     def optimize(self, objective: Sequence[Fraction], sense: Sense,
                  allowed) -> LpSolution:
         """Phase 2 from the current feasible basis, entering only ``allowed``
-        columns. The final reduced costs are kept in ``self.reduced``."""
+        columns. The final reduced-cost numerators are kept in
+        ``self.reduced``."""
         lp = self.lp
         ncols = len(self.col_kind)
         maximize = sense is Sense.MAXIMIZE
@@ -416,13 +463,14 @@ class _Tableau:
             if v >= 0:
                 c = objective[v]
                 obj[j] = (c if maximize else -c) * self.col_sign[j]
-        status, _, self.reduced = self._run(obj, allowed)
+        status, zrow = self._run(obj, allowed)
+        self.reduced = zrow[:-1]
         if status == "unbounded":
             return LpSolution(Status.UNBOUNDED, lp.variables)
 
         xi = [ZERO] * ncols
-        for i, bj in enumerate(self.basis):
-            xi[bj] = self.rhs[i]
+        for row, den, bj in zip(self.rows, self.dens, self.basis):
+            xi[bj] = Fraction(row[-1], den)
         values = []
         for mode in self.var_mode:
             if mode[0] == "shift":
@@ -440,7 +488,7 @@ class _Tableau:
         """A copy whose pivots leave this tableau as it is."""
         twin = copy.copy(self)
         twin.rows = [row[:] for row in self.rows]
-        twin.rhs = self.rhs[:]
+        twin.dens = self.dens[:]
         twin.basis = self.basis[:]
         return twin
 

@@ -1,7 +1,9 @@
 """Brute-force matching ground truth, independent of the LP engine.
 
 Enumerates integral matchings by depth-first search over edges with an
-optimistic weight bound, capped at desk scale. Everything downstream that
+optimistic weight bound, capped at desk scale. The search adds and
+compares integers, the weights scaled by the lcm of their denominators;
+worths come back as ``Fraction``. Everything downstream that
 the LP side claims (worths, optima, player/team classes, degeneracy) can
 be cross-checked against this module.
 """
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .caps import DEFAULT_CAPS, EnumerationCaps, check_instance_size
@@ -68,17 +71,21 @@ def _enumerate_optimal(instance: GameInstance,
         if e.upper is not None:
             hi = min(hi, e.upper)
         static_hi.append(hi)
-    # Optimistic bound on the remaining suffix, used for pruning.
-    suffix = [ZERO] * (len(edges) + 1)
+    # The search adds and compares ints: weights scaled by the lcm of
+    # their denominators. Optimistic bound on the remaining suffix, used
+    # for pruning.
+    scale = lcm(*(e.weight.denominator for e in edges))
+    weights = [e.weight.numerator * (scale // e.weight.denominator) for e in edges]
+    suffix = [0] * (len(edges) + 1)
     for i in range(len(edges) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + edges[i].weight * static_hi[i]
+        suffix[i] = suffix[i + 1] + weights[i] * static_hi[i]
 
     remaining = {q: instance.capacity(q) for q in instance.agents}
     best: list = [None]
     found: list[tuple[tuple[EdgeKey, int], ...]] = []
     chosen: list[tuple[EdgeKey, int]] = []
 
-    def walk(i: int, weight: Fraction) -> None:
+    def walk(i: int, weight: int) -> None:
         if best[0] is not None and weight + suffix[i] < best[0]:
             return
         if i == len(edges):
@@ -98,18 +105,18 @@ def _enumerate_optimal(instance: GameInstance,
                 remaining[e.u] -= mult
                 remaining[e.v] -= mult
                 chosen.append((e.key, mult))
-            walk(i + 1, weight + e.weight * mult)
+            walk(i + 1, weight + weights[i] * mult)
             if mult:
                 remaining[e.u] += mult
                 remaining[e.v] += mult
                 chosen.pop()
 
-    walk(0, ZERO)
+    walk(0, 0)
     if best[0] is None:
         raise InfeasibleInstanceError("edge lower bounds admit no matching")
     matchings = tuple(sorted((Matching(entries) for entries in set(found)),
                              key=lambda m: m.entries))
-    return best[0], matchings
+    return Fraction(best[0], scale), matchings
 
 
 @lru_cache(maxsize=100_000)

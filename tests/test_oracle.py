@@ -2,6 +2,7 @@
 exhaustive enumeration (cartesian product over edge multiplicities)."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,18 +130,29 @@ def test_cap_exceeded_is_a_clean_refusal():
 
 
 def test_agreement_with_naive_enumeration():
+    # Each game runs twice: as drawn, and with every weight divided by a
+    # seeded integer from 1 to 6, so the search's integer scaling meets
+    # mixed denominators. The naive oracle computes in Fraction.
     rng = random.Random(2024)
+    divisors = random.Random(4202)
+    fractional = set()
     for trial in range(150):
         kind = rng.choice(helpers.ALL_BIPARTITE + (GameKind.GENERAL,))
         g = (helpers.random_general(rng, max_vertices=5, max_edges=7)
              if kind is GameKind.GENERAL
              else helpers.random_bipartite(rng, kind, max_side=3, max_edges=6))
-        naive_best, naive_set = helpers.naive_optima(g)
-        value, _ = max_weight(g)
-        optima = enumerate_optima(g)
-        assert value == naive_best
-        assert {frozenset(m.entries) for m in optima} == naive_set
-        assert all(m.weight(g) == value for m in optima)
+        divided = replace(g, edges=tuple(
+            replace(e, weight=e.weight / divisors.randint(1, 6)) for e in g.edges))
+        if any(e.weight.denominator > 1 for e in divided.edges):
+            fractional.add(kind)
+        for game in (g, divided):
+            naive_best, naive_set = helpers.naive_optima(game)
+            value, _ = max_weight(game)
+            optima = enumerate_optima(game)
+            assert value == naive_best
+            assert {frozenset(m.entries) for m in optima} == naive_set
+            assert all(m.weight(game) == value for m in optima)
+    assert fractional == set(helpers.ALL_BIPARTITE + (GameKind.GENERAL,))
 
 
 def test_enumeration_is_deterministic():
