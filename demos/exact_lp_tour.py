@@ -17,8 +17,9 @@ from matchcore import (
     OptimalFace,
     Sense,
     Status,
+    build_primal,
+    constraint_matrix,
     coordinate_range,
-    incidence_matrix,
     is_totally_unimodular,
     parse_instance,
     solve,
@@ -56,6 +57,6 @@ triangle = parse_instance(
     "game general\nvertices a b c\n"
     "edge a b weight 1\nedge b c weight 1\nedge a c weight 1\n")
 print(f"Even cycle incidence matrix totally unimodular? "
-      f"{is_totally_unimodular(incidence_matrix(square))}.")
-print(f"Odd cycle? {is_totally_unimodular(incidence_matrix(triangle))} "
+      f"{is_totally_unimodular(constraint_matrix(build_primal(square)))}.")
+print(f"Odd cycle? {is_totally_unimodular(constraint_matrix(build_primal(triangle)))} "
       f"(a 3x3 submatrix has determinant 2).")

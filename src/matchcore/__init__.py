@@ -34,7 +34,7 @@ from .analysis import (
     surplus_account,
     verify_complementarity,
 )
-from .caps import DEFAULT_CAPS, CapExceededError, EnumerationCaps
+from .caps import CapExceededError
 from .formulations import (
     ConstraintMatrix,
     HalfIntegralStructure,
@@ -43,7 +43,6 @@ from .formulations import (
     build_primal,
     check_half_integrality,
     constraint_matrix,
-    incidence_matrix,
     is_totally_unimodular,
 )
 from .games import (

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping
+from math import lcm
+from typing import Iterator, Mapping, Sequence
 
-from .caps import DEFAULT_CAPS, EnumerationCaps, check_instance_size
+from .caps import check_instance_size
 from .formulations import (
     build_dual,
     lower_dual_var,
@@ -167,8 +168,7 @@ def surplus_account(instance: GameInstance, d: DualSolution,
     return SurplusAccount(w, adjustment, w + adjustment)
 
 
-def dual_to_imputation(instance: GameInstance, d: DualSolution,
-                       caps: EnumerationCaps = DEFAULT_CAPS) -> Imputation:
+def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
     """Payoffs from an optimal dual: capacity times the vertex dual.
 
     For the general kind this is only an imputation when the game is
@@ -177,7 +177,7 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution,
     """
     if not is_optimal_dual(instance, d):
         raise ValueError("dual solution is not optimal")
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance, caps):
+    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     payoffs = {q: F(instance.capacity(q)) * d.vertex(q) for q in instance.agents}
     account = None
@@ -242,10 +242,9 @@ class DualFace:
         return None if top is None else top - self.instance.edge(key).weight
 
 
-def is_concurrent(instance: GameInstance,
-                  caps: EnumerationCaps = DEFAULT_CAPS) -> bool:
+def is_concurrent(instance: GameInstance) -> bool:
     """Fractional and integral matching optima agree (general kind)."""
-    return primal_optimum(instance) == max_weight(instance, caps)[0]
+    return primal_optimum(instance) == max_weight(instance)[0]
 
 
 @dataclass(frozen=True)
@@ -258,15 +257,14 @@ class ConcurrencyReport:
         return self.fractional_optimum == self.integral_optimum
 
 
-def check_concurrency(instance: GameInstance,
-                      caps: EnumerationCaps = DEFAULT_CAPS) -> ConcurrencyReport:
+def check_concurrency(instance: GameInstance) -> ConcurrencyReport:
     """(fractional optimum, integral optimum, equal?) for a general game.
 
     Equality holds exactly when the core is non-empty.
     """
     if instance.kind is not GameKind.GENERAL:
         raise ValueError("concurrency applies to general instances")
-    return ConcurrencyReport(primal_optimum(instance), max_weight(instance, caps)[0])
+    return ConcurrencyReport(primal_optimum(instance), max_weight(instance)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,46 +280,57 @@ class CoreVerdict:
     witness_dual: DualSolution | None = None
 
 
-def _coalition_surplus(instance: GameInstance,
-                       members: tuple[str, ...]) -> tuple[Fraction, DualSolution | None]:
-    """Deterministic surplus of a sub-coalition of a bounds-capacity game.
-
-    Uses the fixed-pivot-rule optimal dual of the restricted dual program,
-    so repeated runs agree; the chosen dual is returned alongside.
-    """
-    sub = restrict(instance, members)
-    if not sub.edges:
-        return ZERO, None
-    d = optimal_dual(sub)
-    return surplus_account(sub, d, verified=True).surplus, d
-
-
-def _coalition_demands(instance: GameInstance, caps: EnumerationCaps
-                       ) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+def _coalition_demands(instance: GameInstance) -> Iterator[
+        tuple[int, tuple[str, ...], Fraction, DualSolution | None]]:
     """Every proper, non-empty coalition with its demand, lazily.
 
-    Coalitions come in size-then-lexicographic order (agents in instance
-    order). The demand is the coalition's worth, or for the bounds-capacity
-    kind its deterministic surplus.
+    Yields (mask, members, demand, dual): bit j of the mask is agent j of
+    the instance. Coalitions come in size-then-lexicographic order (agents
+    in instance order). The demand is the coalition's worth, or for the
+    bounds-capacity kind its surplus under the fixed-pivot-rule optimal
+    dual of the restricted dual program, so repeated runs agree; that
+    dual is yielded too (None for the other kinds and for a coalition
+    spanning no edges).
     """
     agents = instance.agents
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
     for size in range(1, len(agents)):
-        for members in combinations(agents, size):
-            if hk:
-                yield members, _coalition_surplus(instance, members)[0]
-            else:
-                yield members, worth(instance, members, caps)
+        for picked in combinations(range(len(agents)), size):
+            mask = sum(1 << j for j in picked)
+            members = tuple(agents[j] for j in picked)
+            if not hk:
+                yield mask, members, worth(instance, members), None
+                continue
+            sub = restrict(instance, members)
+            if not sub.edges:
+                yield mask, members, ZERO, None
+                continue
+            d = optimal_dual(sub)
+            yield mask, members, surplus_account(sub, d, verified=True).surplus, d
 
 
-def _grand_amount(instance: GameInstance, caps: EnumerationCaps) -> Fraction:
+def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Every coalition's allocation by one subset-sum sweep over masks.
+
+    Adds ints: the payoffs over their common denominator ``scale``, so the
+    coalition with mask ``mask`` is allocated ``allocation[mask] / scale``.
+    """
+    scale = lcm(*(p.denominator for p in payoffs))
+    ints = [p.numerator * (scale // p.denominator) for p in payoffs]
+    allocation = [0] * (1 << len(ints))
+    for mask in range(1, len(allocation)):
+        low = mask & -mask
+        allocation[mask] = allocation[mask ^ low] + ints[low.bit_length() - 1]
+    return allocation, scale
+
+
+def _grand_amount(instance: GameInstance) -> Fraction:
     """The grand coalition's worth: what the core of a kind other than
     hoffman_kruskal distributes."""
-    return max_weight(instance, caps)[0]
+    return max_weight(instance)[0]
 
 
-def _grand_total_ok(instance: GameInstance, imp: Imputation,
-                    caps: EnumerationCaps = DEFAULT_CAPS) -> bool:
+def _grand_total_ok(instance: GameInstance, imp: Imputation) -> bool:
     """Does the imputation total match the game's distributable amount?
 
     Non-bounds kinds: the worth. Bounds-capacity kind: the surplus under
@@ -331,7 +340,7 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation,
     """
     total = imp.total
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        return total == _grand_amount(instance, caps)
+        return total == _grand_amount(instance)
     if imp.source_dual is not None and imp.surplus is not None:
         if imp.surplus.surplus == total and is_optimal_dual(instance, imp.source_dual):
             return True
@@ -341,8 +350,7 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation,
     return (lo is None or lo <= total) and (hi is None or total <= hi)
 
 
-def is_core_imputation(instance: GameInstance, imp: Imputation,
-                       caps: EnumerationCaps = DEFAULT_CAPS) -> CoreVerdict:
+def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """Brute-force core membership over every non-empty sub-coalition.
 
     A coalition blocks when it can generate strictly more on its own
@@ -351,17 +359,16 @@ def is_core_imputation(instance: GameInstance, imp: Imputation,
     size-then-lexicographic order is returned as the witness.
     """
     agents = instance.agents
-    check_instance_size(len(agents), len(instance.edges), caps)
+    check_instance_size(len(agents), len(instance.edges))
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    if not _grand_total_ok(instance, imp, caps):
-        demand = None if hk else _grand_amount(instance, caps)
+    if not _grand_total_ok(instance, imp):
+        demand = None if hk else _grand_amount(instance)
         return CoreVerdict(False, frozenset(agents), demand, imp.total, None)
-    for members, demand in _coalition_demands(instance, caps):
-        allocation = imp.restricted_total(members)
-        if demand > allocation:
-            chosen = _coalition_surplus(instance, members)[1] if hk else None
+    allocation, scale = _allocations([imp[q] for q in agents])
+    for mask, members, demand, d in _coalition_demands(instance):
+        if demand.numerator * scale > allocation[mask] * demand.denominator:
             return CoreVerdict(False, frozenset(members), demand,
-                               allocation, chosen)
+                               F(allocation[mask], scale), d)
     return CoreVerdict(True)
 
 
@@ -401,18 +408,17 @@ class _CoalitionCuts:
     stay for later objectives.
     """
 
-    def __init__(self, instance: GameInstance, caps: EnumerationCaps):
+    def __init__(self, instance: GameInstance):
         agents = instance.agents
-        check_instance_size(len(agents), len(instance.edges), caps)
+        check_instance_size(len(agents), len(instance.edges))
         if instance.kind is GameKind.HOFFMAN_KRUSKAL:
             grand = surplus_account(instance, optimal_dual(instance), verified=True).surplus
         else:
-            grand = _grand_amount(instance, caps)
+            grand = _grand_amount(instance)
         self.names = [f"alloc[{q}]" for q in agents]
-        bit = {q: 1 << j for j, q in enumerate(agents)}
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
-        self.table = [(sum(bit[q] for q in members), members, demand)
-                      for members, demand in _coalition_demands(instance, caps)
+        self.table = [(mask, members, demand)
+                      for mask, members, demand, _ in _coalition_demands(instance)
                       if demand > 0]
         self.rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ,
                                 grand, "total")]
@@ -424,17 +430,16 @@ class _CoalitionCuts:
                           "coalition[" + "|".join(members) + "]")
 
     def _most_violated(self, values: tuple[Fraction, ...]):
-        # Allocation of every coalition by one subset-sum sweep over masks.
-        allocation = [ZERO] * (1 << len(values))
-        for mask in range(1, len(allocation)):
-            low = mask & -mask
-            allocation[mask] = allocation[mask ^ low] + values[low.bit_length() - 1]
-        worst, gap = None, ZERO
+        allocation, scale = _allocations(values)
+        # A row's excess is short / (den * scale), and scale is common to
+        # every row, so rows compare by short / den, cross-multiplied.
+        worst, gap, gap_den = None, 0, 1
         for entry in self.table:
             mask, _, demand = entry
-            excess = demand - allocation[mask]
-            if excess > gap:
-                worst, gap = entry, excess
+            den = demand.denominator
+            short = demand.numerator * scale - allocation[mask] * den
+            if short * gap_den > gap * den:
+                worst, gap, gap_den = entry, short, den
         return worst
 
     def solve(self, objective, sense: Sense) -> LpSolution:
@@ -453,8 +458,7 @@ def _imputation_from(instance: GameInstance, sol: LpSolution) -> Imputation:
     return make_imputation(instance, dict(zip(instance.agents, sol.values)))
 
 
-def core_nonempty(instance: GameInstance,
-                  caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[bool, Imputation | None]:
+def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     """Balancedness, decided exactly by row generation.
 
     The core is {payoffs >= 0, total = grand amount, every proper
@@ -467,28 +471,26 @@ def core_nonempty(instance: GameInstance,
     the core has more than one point, which one is returned is not
     specified.
     """
-    cuts = _CoalitionCuts(instance, caps)
+    cuts = _CoalitionCuts(instance)
     sol = cuts.solve([ZERO] * len(cuts.names), Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:
         return False, None
     return True, _imputation_from(instance, sol)
 
 
-def core_polytope(instance: GameInstance,
-                  caps: EnumerationCaps = DEFAULT_CAPS) -> LinearProgram:
+def core_polytope(instance: GameInstance) -> LinearProgram:
     """The core constraint system in payoff space (non-bounds kinds).
 
     Written out in full: one row per coalition of positive worth.
     """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
-    cuts = _CoalitionCuts(instance, caps)
+    cuts = _CoalitionCuts(instance)
     rows = cuts.rows + [cuts.row(entry) for entry in cuts.table]
     return LinearProgram(Sense.MINIMIZE, cuts.names, [ZERO] * len(cuts.names), rows)
 
 
-def sample_core_vertices(instance: GameInstance, count: int, seed: int,
-                         caps: EnumerationCaps = DEFAULT_CAPS) -> list[Imputation]:
+def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[Imputation]:
     """Distinct core vertices that maximize random rational objectives.
 
     For worth-based kinds only. Each of ``count`` objectives (integer
@@ -500,7 +502,7 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int,
     """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
-    cuts = _CoalitionCuts(instance, caps)
+    cuts = _CoalitionCuts(instance)
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -543,7 +545,6 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def paid_sometimes(instance: GameInstance, q: str,
-                   caps: EnumerationCaps = DEFAULT_CAPS,
                    face: DualFace | None = None) -> bool | None:
     """Is the agent paid under some dual-derived core imputation?
 
@@ -551,7 +552,7 @@ def paid_sometimes(instance: GameInstance, q: str,
     optimal dual face. On a non-concurrent general instance the core is
     empty and the distinguished outcome None is returned.
     """
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance, caps):
+    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         return None
     face = face or DualFace(instance)
     top = face.max_value({vertex_dual_var(q): ONE})
@@ -559,7 +560,6 @@ def paid_sometimes(instance: GameInstance, q: str,
 
 
 def always_paid_fairly(instance: GameInstance, key: EdgeKey,
-                       caps: EnumerationCaps = DEFAULT_CAPS,
                        face: DualFace | None = None) -> bool | None:
     """Is the team's dual row tight under every optimal dual?
 
@@ -567,7 +567,7 @@ def always_paid_fairly(instance: GameInstance, key: EdgeKey,
     minus lower-bound dual, where present) beyond the edge weight. None is
     the distinguished empty-core outcome for non-concurrent general games.
     """
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance, caps):
+    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         return None
     face = face or DualFace(instance)
     over = face.max_overpayment(key)
@@ -618,8 +618,7 @@ class ComplementarityReport:
         return not self.violations
 
 
-def verify_complementarity(instance: GameInstance,
-                           caps: EnumerationCaps = DEFAULT_CAPS) -> ComplementarityReport:
+def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     """Cross-check payment predicates against brute-force classes.
 
     Bipartite kinds assert full equivalences plus the subpar-endpoint and
@@ -628,28 +627,28 @@ def verify_complementarity(instance: GameInstance,
     """
     kind = instance.kind
     general = kind is GameKind.GENERAL
-    concurrent = is_concurrent(instance, caps) if general else None
+    concurrent = is_concurrent(instance) if general else None
     if general and not concurrent:
         # Classes are oracle facts and still meaningful; the payment
         # verdicts get the distinguished empty-core outcome.
-        players = tuple(PlayerFinding(q, classify_player(instance, q, caps), None)
+        players = tuple(PlayerFinding(q, classify_player(instance, q), None)
                         for q in instance.agents)
-        teams = tuple(TeamFinding(e.key, classify_team(instance, e.key, caps), None)
+        teams = tuple(TeamFinding(e.key, classify_team(instance, e.key), None)
                       for e in instance.edges)
-        return ComplementarityReport(kind, is_degenerate(instance, caps), False,
+        return ComplementarityReport(kind, is_degenerate(instance), False,
                                      players, teams, (), ("core is empty",))
 
     face = DualFace(instance)
-    degenerate = is_degenerate(instance, caps)
+    degenerate = is_degenerate(instance)
     violations: list[str] = []
     gaps: list[str] = []
 
     players = []
     labels = {}
     for q in instance.agents:
-        label = classify_player(instance, q, caps)
+        label = classify_player(instance, q)
         labels[q] = label
-        paid = paid_sometimes(instance, q, caps, face)
+        paid = paid_sometimes(instance, q, face)
         players.append(PlayerFinding(q, label, paid))
         essential = label is ClassLabel.ESSENTIAL
         if not general and paid != essential:
@@ -663,8 +662,8 @@ def verify_complementarity(instance: GameInstance,
 
     teams = []
     for e in instance.edges:
-        label = classify_team(instance, e.key, caps)
-        fair = always_paid_fairly(instance, e.key, caps, face)
+        label = classify_team(instance, e.key)
+        fair = always_paid_fairly(instance, e.key, face)
         teams.append(TeamFinding(e.key, label, fair))
         matched_somewhere = label is not ClassLabel.SUBPAR
         if not general and fair != matched_somewhere:
@@ -728,8 +727,8 @@ def extreme_imputations(instance: GameInstance,
             dual_to_imputation(instance, favor_right))
 
 
-def meet_join(instance: GameInstance, first: Imputation, second: Imputation,
-              caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[Imputation, Imputation]:
+def meet_join(instance: GameInstance, first: Imputation,
+              second: Imputation) -> tuple[Imputation, Imputation]:
     """Coordinate-wise (min left, max right) and (max left, min right).
 
     Both inputs must be core imputations of the same uniform-capacity (or
@@ -738,7 +737,7 @@ def meet_join(instance: GameInstance, first: Imputation, second: Imputation,
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("meet/join applies to assignment and uniform-capacity kinds")
     for imp in (first, second):
-        if not is_core_imputation(instance, imp, caps).in_core:
+        if not is_core_imputation(instance, imp).in_core:
             raise ValueError("input imputation is not in the core")
     left = set(instance.side_u)
 
@@ -753,14 +752,13 @@ def meet_join(instance: GameInstance, first: Imputation, second: Imputation,
     meet = build(low_left=True)
     join = build(low_left=False)
     for imp in (meet, join):
-        if not is_core_imputation(instance, imp, caps).in_core:
+        if not is_core_imputation(instance, imp).in_core:
             raise ArithmeticError("combined imputation left the core; this "
                                   "contradicts the lattice lemma")
     return meet, join
 
 
-def simultaneous_imputation(instance: GameInstance,
-                            caps: EnumerationCaps = DEFAULT_CAPS) -> Imputation:
+def simultaneous_imputation(instance: GameInstance) -> Imputation:
     """One core imputation paying exactly the essential players and
     overpaying exactly the subpar teams.
 
@@ -776,11 +774,11 @@ def simultaneous_imputation(instance: GameInstance,
     essentials = set()
     subpars = set()
     for q in instance.agents:
-        if classify_player(instance, q, caps) is ClassLabel.ESSENTIAL:
+        if classify_player(instance, q) is ClassLabel.ESSENTIAL:
             essentials.add(q)
             witnesses.append(face.extremize({vertex_dual_var(q): ONE}, Sense.MAXIMIZE))
     for e in instance.edges:
-        if classify_team(instance, e.key, caps) is ClassLabel.SUBPAR:
+        if classify_team(instance, e.key) is ClassLabel.SUBPAR:
             subpars.add(e.key)
             witnesses.append(face.extremize(face.slack_coeffs(e.key), Sense.MAXIMIZE))
     if not witnesses:

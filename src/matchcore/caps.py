@@ -1,33 +1,26 @@
-"""Desk-scale enumeration caps shared across modules.
+"""The fixed desk-scale enumeration caps shared across modules.
 
 Exhaustive machinery (matching enumeration, coalition sweeps, odd-set
 rows, determinant sweeps) refuses cleanly above these sizes instead of
-silently approximating.
+silently approximating: at most 12 vertices and 16 edges per instance,
+and total-unimodularity sweeps up to submatrix order 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+MAX_VERTICES = 12
+MAX_EDGES = 16
+MAX_TUM_ORDER = 8
 
 
 class CapExceededError(Exception):
-    """The requested computation is above the configured enumeration cap."""
+    """The requested computation is above an enumeration cap."""
 
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    max_vertices: int = 12
-    max_edges: int = 16
-    max_tum_order: int = 8
-
-
-DEFAULT_CAPS = EnumerationCaps()
-
-
-def check_instance_size(n_vertices: int, n_edges: int, caps: EnumerationCaps) -> None:
-    if n_vertices > caps.max_vertices:
+def check_instance_size(n_vertices: int, n_edges: int) -> None:
+    if n_vertices > MAX_VERTICES:
         raise CapExceededError(
-            f"{n_vertices} vertices exceed the enumeration cap of {caps.max_vertices}")
-    if n_edges > caps.max_edges:
+            f"{n_vertices} vertices exceed the enumeration cap of {MAX_VERTICES}")
+    if n_edges > MAX_EDGES:
         raise CapExceededError(
-            f"{n_edges} edges exceed the enumeration cap of {caps.max_edges}")
+            f"{n_edges} edges exceed the enumeration cap of {MAX_EDGES}")

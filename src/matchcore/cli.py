@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import analysis, fixtures
-from .caps import CapExceededError, EnumerationCaps
+from .caps import CapExceededError
 from .formulations import (
     build_primal,
     constraint_matrix,
@@ -37,7 +37,6 @@ from .formulations import (
 )
 from .games import GameInstance, GameKind, make_imputation
 from .instance_io import InstanceError, parse_instance_with_imputation
-from .lp import solve
 from .oracle import InfeasibleInstanceError, enumerate_optima, max_weight
 from .rationals import format_rational
 
@@ -95,11 +94,6 @@ def _load(path: str):
     return parse_instance_with_imputation(text)
 
 
-def _caps(args) -> EnumerationCaps:
-    return EnumerationCaps(max_vertices=args.cap_vertices,
-                           max_edges=args.cap_edges)
-
-
 def _describe(instance: GameInstance, report: Report) -> None:
     report.add("instance", [
         ("kind", instance.kind.value),
@@ -120,24 +114,22 @@ def _dual_rows(instance, dual):
 
 def cmd_solve(args) -> tuple[Report, int]:
     instance, _ = _load(args.instance)
-    caps = _caps(args)
     report = Report()
     _describe(instance, report)
-    value, witness = max_weight(instance, caps)
-    primal = solve(build_primal(instance))
+    value, witness = max_weight(instance)
     report.add("matching", [
         ("worth", value),
-        ("program optimum", primal.value),
-        ("optimal matchings", len(enumerate_optima(instance, caps))),
+        ("program optimum", analysis.primal_optimum(instance)),
+        ("optimal matchings", len(enumerate_optima(instance))),
         ("one optimum", " ".join(f"{u}-{v}x{m}" for (u, v), m in witness.entries)
             or "(empty)"),
     ])
     dual = analysis.optimal_dual(instance)
     report.add("deterministic optimal dual", _dual_rows(instance, dual))
-    if instance.kind is GameKind.GENERAL and primal.value != value:
+    if instance.kind is GameKind.GENERAL and not analysis.is_concurrent(instance):
         report.add("imputation", [("core", "empty (not concurrent)")])
     else:
-        imp = analysis.dual_to_imputation(instance, dual, caps)
+        imp = analysis.dual_to_imputation(instance, dual)
         rows = [(q, imp[q]) for q in instance.agents]
         if imp.surplus is not None:
             rows.append(("surplus", imp.surplus.surplus))
@@ -147,7 +139,7 @@ def cmd_solve(args) -> tuple[Report, int]:
 
 def cmd_classify(args) -> tuple[Report, int]:
     instance, _ = _load(args.instance)
-    result = analysis.verify_complementarity(instance, _caps(args))
+    result = analysis.verify_complementarity(instance)
     report = Report()
     _describe(instance, report)
     report.add("game", [
@@ -180,9 +172,8 @@ def cmd_core_check(args) -> tuple[Report, int]:
     instance, payoffs = _load(args.instance)
     if payoffs is None:
         raise InstanceError("core-check needs an 'imputation' line in the file")
-    caps = _caps(args)
     imp = make_imputation(instance, payoffs)
-    verdict = analysis.is_core_imputation(instance, imp, caps)
+    verdict = analysis.is_core_imputation(instance, imp)
     report = Report()
     _describe(instance, report)
     report.add("imputation", [(q, imp[q]) for q in instance.agents])
@@ -215,8 +206,7 @@ def cmd_extremes(args) -> tuple[Report, int]:
     report.add("extreme favoring side_u", [(q, high_left[q]) for q in instance.agents])
     report.add("extreme favoring side_v", [(q, high_right[q]) for q in instance.agents])
     checked = 0
-    for imp in analysis.sample_core_vertices(instance, args.samples, args.seed,
-                                             _caps(args)):
+    for imp in analysis.sample_core_vertices(instance, args.samples, args.seed):
         for q, (lo, hi) in ranges.items():
             if not (lo <= imp[q] <= hi):
                 report.add("sample check", [("violation", f"{q} pays {imp[q]}")])
@@ -230,7 +220,7 @@ def cmd_concurrency(args) -> tuple[Report, int]:
     instance, _ = _load(args.instance)
     if instance.kind is not GameKind.GENERAL:
         raise InstanceError("concurrency applies to general instances")
-    result = analysis.check_concurrency(instance, _caps(args))
+    result = analysis.check_concurrency(instance)
     report = Report()
     _describe(instance, report)
     report.add("concurrency", [
@@ -261,7 +251,7 @@ def cmd_surplus(args) -> tuple[Report, int]:
         raise InstanceError("surplus applies to hoffman_kruskal instances")
     dual = analysis.optimal_dual(instance)
     account = analysis.surplus_account(instance, dual)
-    imp = analysis.dual_to_imputation(instance, dual, _caps(args))
+    imp = analysis.dual_to_imputation(instance, dual)
     report = Report()
     _describe(instance, report)
     report.add("deterministic optimal dual", _dual_rows(instance, dual))
@@ -275,10 +265,9 @@ def cmd_surplus(args) -> tuple[Report, int]:
 
 
 def cmd_reproduce(args) -> tuple[Report, int]:
-    caps = _caps(args)
     report = Report()
     failures = 0
-    for fixture, checks in fixtures.run_all(caps):
+    for fixture, checks in fixtures.run_all():
         rows = []
         for check in checks:
             mark = "PASS" if check.passed else "FAIL"
@@ -316,14 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="matchcore",
         description="Exact analysis of matching-based cooperative games.")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cap-vertices", type=int, default=12, metavar="N",
-                        help="enumeration cap on vertices (default 12)")
-    shared.add_argument("--cap-edges", type=int, default=16, metavar="N",
-                        help="enumeration cap on edges (default 16)")
-    shared.add_argument("--samples", type=int, default=50, metavar="N",
-                        help="random-objective samples where applicable")
-    shared.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for random-objective sampling")
     shared.add_argument("--format", choices=("text", "records"), default="text",
                         help="human-readable text or one record per fact")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,6 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[shared], help=blurb, description=blurb)
         if needs_file:
             p.add_argument("instance", help="instance file path")
+    extremes = sub.choices["extremes"]
+    extremes.add_argument("--samples", type=int, default=50, metavar="N",
+                          help="random-objective core vertices checked against the ranges")
+    extremes.add_argument("--seed", type=int, default=0, metavar="N",
+                          help="seed for random-objective sampling")
     return parser
 
 

@@ -19,7 +19,6 @@ from importlib.resources import files
 from typing import Callable
 
 from . import analysis
-from .caps import DEFAULT_CAPS, EnumerationCaps
 from .formulations import build_odd_set_primal
 from .games import GameInstance, make_imputation
 from .instance_io import parse_instance
@@ -40,7 +39,7 @@ class Check:
 class Fixture:
     name: str
     summary: str
-    run: Callable[[GameInstance, EnumerationCaps], list[Check]]
+    run: Callable[[GameInstance], list[Check]]
 
     @property
     def text(self) -> str:
@@ -50,8 +49,8 @@ class Fixture:
     def instance(self) -> GameInstance:
         return parse_instance(self.text)
 
-    def checks(self, caps: EnumerationCaps = DEFAULT_CAPS) -> list[Check]:
-        return self.run(self.instance(), caps)
+    def checks(self) -> list[Check]:
+        return self.run(self.instance())
 
 
 def _eq(label: str, got, want, detail: str = "") -> Check:
@@ -66,15 +65,15 @@ def _true(label: str, got: bool, detail: str = "") -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _run_three_agent(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    out = [_eq("worth is 4", max_weight(g, caps)[0], F(4))]
+def _run_three_agent(g: GameInstance) -> list[Check]:
+    out = [_eq("worth is 4", max_weight(g)[0], F(4))]
     face = analysis.DualFace(g)
     unique = all(face.vertex_range(q) == (v, v) for q, v in
                  (("u", F(1)), ("v1", F(0)), ("v2", F(2))))
     out.append(_true("unique optimal dual (1, 0, 2)", unique))
     skew = make_imputation(g, {"u": 4})
     out.append(_true("payoffs (4,0,0) lie in the core",
-                     analysis.is_core_imputation(g, skew, caps).in_core))
+                     analysis.is_core_imputation(g, skew).in_core))
     out.append(_true("payoffs (4,0,0) are outside D(I)",
                      not analysis.in_dual_image(g, skew)))
     image = make_imputation(g, {"u": 2, "v2": 2})
@@ -83,8 +82,8 @@ def _run_three_agent(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     return out
 
 
-def _run_hub_surplus(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    out = [_eq("worth is 10", max_weight(g, caps)[0], F(10))]
+def _run_hub_surplus(g: GameInstance) -> list[Check]:
+    out = [_eq("worth is 10", max_weight(g)[0], F(10))]
     first = analysis.make_dual(g, {"u": 3}, lower={("u", "v1"): 2})
     second = analysis.make_dual(g, {"u": 1, "v2": 2})
     out.append(_true("dual with vertex values (3,0,0) and floor dual 2 is optimal",
@@ -100,20 +99,20 @@ def _run_hub_surplus(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
                    analysis.surplus_account(g, first).surplus, F(12)))
     out.append(_eq("surplus under the second dual is 10",
                    analysis.surplus_account(g, second).surplus, F(10)))
-    pay1 = analysis.dual_to_imputation(g, first, caps)
-    pay2 = analysis.dual_to_imputation(g, second, caps)
+    pay1 = analysis.dual_to_imputation(g, first)
+    pay2 = analysis.dual_to_imputation(g, second)
     out.append(_eq("payments under the first dual", tuple(pay1.as_dict.values()),
                    (F(12), F(0), F(0))))
     out.append(_eq("payments under the second dual", tuple(pay2.as_dict.values()),
                    (F(4), F(0), F(6))))
     out.append(_true("both payment vectors lie in the core",
-                     analysis.is_core_imputation(g, pay1, caps).in_core and
-                     analysis.is_core_imputation(g, pay2, caps).in_core))
+                     analysis.is_core_imputation(g, pay1).in_core and
+                     analysis.is_core_imputation(g, pay2).in_core))
     return out
 
 
-def _run_capped_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    out = [_eq("worth is 4", max_weight(g, caps)[0], F(4))]
+def _run_capped_edges(g: GameInstance) -> list[Check]:
+    out = [_eq("worth is 4", max_weight(g)[0], F(4))]
     d1 = analysis.make_dual(g, {}, upper={("u", "v1"): 1, ("u", "v2"): 3})
     d2 = analysis.make_dual(g, {"u": 1}, upper={("u", "v2"): 2})
     out.append(_true("both listed duals are optimal",
@@ -124,32 +123,32 @@ def _run_capped_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
                    analysis.surplus_account(g, d2).surplus, F(2)))
     split = make_imputation(g, {"u": 1, "v2": 1})
     out.append(_true("payments (1,0,1) lie in the core",
-                     analysis.is_core_imputation(g, split, caps).in_core))
+                     analysis.is_core_imputation(g, split).in_core))
     out.append(_true("payments (1,0,1) are outside D(I)",
                      not analysis.in_dual_image(g, split)))
     return out
 
 
-def _run_floored_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    out = [_eq("worth is 4", max_weight(g, caps)[0], F(4))]
+def _run_floored_edges(g: GameInstance) -> list[Check]:
+    out = [_eq("worth is 4", max_weight(g)[0], F(4))]
     d = analysis.make_dual(g, {"u": 3}, lower={("u", "v1"): 2})
     out.append(_true("the listed dual is optimal", analysis.is_optimal_dual(g, d)))
     out.append(_eq("surplus under it is 6", analysis.surplus_account(g, d).surplus, F(6)))
-    pay = analysis.dual_to_imputation(g, d, caps)
+    pay = analysis.dual_to_imputation(g, d)
     out.append(_eq("its payments are (6,0,0)", tuple(pay.as_dict.values()),
                    (F(6), F(0), F(0))))
     out.append(_true("payments (6,0,0) lie in the core",
-                     analysis.is_core_imputation(g, pay, caps).in_core))
+                     analysis.is_core_imputation(g, pay).in_core))
     companion = make_imputation(g, {"u": 3, "v2": 3})
     out.append(_true("companion payments (3,0,3) lie in the core",
-                     analysis.is_core_imputation(g, companion, caps).in_core,
+                     analysis.is_core_imputation(g, companion).in_core,
                      "derived: capacity times the printed vertex values "
                      "(3/2, 0, 3/2) gives (3,0,3); the printed vector (3,3,0) "
                      "is blocked by the coalition {u, v2}"))
     out.append(_true("companion payments (3,0,3) are outside D(I)",
                      not analysis.in_dual_image(g, companion)))
     printed = make_imputation(g, {"u": 3, "v1": 3})
-    verdict = analysis.is_core_imputation(g, printed, caps)
+    verdict = analysis.is_core_imputation(g, printed)
     out.append(_true("printed vector (3,3,0) is blocked by {u, v2}",
                      (not verdict.in_core) and verdict.witness == frozenset({"u", "v2"})))
     out.append(_true("printed vector (3,3,0) is outside D(I)",
@@ -157,18 +156,18 @@ def _run_floored_edges(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     return out
 
 
-def _run_seven_ring(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    optima = enumerate_optima(g, caps)
+def _run_seven_ring(g: GameInstance) -> list[Check]:
+    optima = enumerate_optima(g)
     out = [
         _eq("exactly three optimal matchings", len(optima), 3),
-        _eq("optimal weight is 4", max_weight(g, caps)[0], F(4)),
+        _eq("optimal weight is 4", max_weight(g)[0], F(4)),
         _true("every optimum uses the hub edge (v2,v7)",
               all(m.contains(("v2", "v7")) for m in optima)),
     ]
-    conc = analysis.check_concurrency(g, caps)
+    conc = analysis.check_concurrency(g)
     out.append(_true("fractional and integral optima agree at 4",
                      conc.fractional_optimum == conc.integral_optimum == F(4)))
-    ok, witness = analysis.core_nonempty(g, caps)
+    ok, witness = analysis.core_nonempty(g)
     expected = {"v2": F(1), "v4": F(1), "v6": F(1), "v7": F(1),
                 "v1": F(0), "v3": F(0), "v5": F(0)}
     out.append(_true("core is non-empty", ok))
@@ -178,19 +177,19 @@ def _run_seven_ring(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     unique = all(face.vertex_range(q) == (expected[q], expected[q]) for q in g.agents)
     out.append(_true("that imputation is the only one", unique))
     out.append(_true("team (v4,v7) is subpar and sometimes overpaid",
-                     classify_team(g, ("v4", "v7"), caps) is ClassLabel.SUBPAR
-                     and analysis.always_paid_fairly(g, ("v4", "v7"), caps, face) is False))
+                     classify_team(g, ("v4", "v7")) is ClassLabel.SUBPAR
+                     and analysis.always_paid_fairly(g, ("v4", "v7"), face) is False))
     for key in (("v1", "v2"), ("v2", "v3"), ("v1", "v7")):
         out.append(_true(f"team {key} is subpar yet always paid fairly",
-                         classify_team(g, key, caps) is ClassLabel.SUBPAR
-                         and analysis.always_paid_fairly(g, key, caps, face) is True))
-    report = analysis.verify_complementarity(g, caps)
+                         classify_team(g, key) is ClassLabel.SUBPAR
+                         and analysis.always_paid_fairly(g, key, face) is True))
+    report = analysis.verify_complementarity(g)
     out.append(_true("forward complementarity implications hold", report.ok))
     return out
 
 
-def _run_pendant(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    conc = analysis.check_concurrency(g, caps)
+def _run_pendant(g: GameInstance) -> list[Check]:
+    conc = analysis.check_concurrency(g)
     out = [_true("fractional and integral optima agree at 2",
                  conc.fractional_optimum == conc.integral_optimum == F(2))]
     expected = {"v1": F(1), "v2": F(1, 2), "v3": F(1, 2), "v4": F(0)}
@@ -198,25 +197,25 @@ def _run_pendant(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
     out.append(_true("the unique core imputation is (1, 1/2, 1/2, 0)",
                      all(face.vertex_range(q) == (expected[q], expected[q])
                          for q in g.agents)))
-    report = analysis.verify_complementarity(g, caps)
+    report = analysis.verify_complementarity(g)
     out.append(_true("forward implications hold", report.ok))
     out.append(_true("v4 is essential yet never paid (reverse direction fails)",
                      "player v4: essential yet never paid" in report.gaps))
     return out
 
 
-def _run_triangle(g: GameInstance, caps: EnumerationCaps) -> list[Check]:
-    conc = analysis.check_concurrency(g, caps)
+def _run_triangle(g: GameInstance) -> list[Check]:
+    conc = analysis.check_concurrency(g)
     out = [
         _eq("fractional optimum is 3/2", conc.fractional_optimum, F(3, 2)),
         _eq("integral optimum is 1", conc.integral_optimum, F(1)),
         _true("the game is not concurrent", not conc.concurrent),
-        _true("the core is empty", not analysis.core_nonempty(g, caps)[0]),
+        _true("the core is empty", not analysis.core_nonempty(g)[0]),
         _eq("odd-set program optimum is 1",
-            solve(build_odd_set_primal(g, caps)).value, F(1)),
+            solve(build_odd_set_primal(g)).value, F(1)),
     ]
     equal_split = make_imputation(g, {q: F(1, 3) for q in g.agents})
-    verdict = analysis.is_core_imputation(g, equal_split, caps)
+    verdict = analysis.is_core_imputation(g, equal_split)
     out.append(_true("the equal split is blocked by a pair",
                      not verdict.in_core and len(verdict.witness) == 2))
     return out
@@ -254,5 +253,5 @@ def fixture_by_name(name: str) -> Fixture:
     raise KeyError(name)
 
 
-def run_all(caps: EnumerationCaps = DEFAULT_CAPS) -> list[tuple[Fixture, list[Check]]]:
-    return [(f, f.checks(caps)) for f in FIXTURES]
+def run_all() -> list[tuple[Fixture, list[Check]]]:
+    return [(f, f.checks()) for f in FIXTURES]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .caps import DEFAULT_CAPS, CapExceededError, EnumerationCaps
+from .caps import MAX_TUM_ORDER, MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
 from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
 from .rationals import ONE, ZERO
@@ -98,8 +98,7 @@ def odd_set_label(subset: Sequence[str]) -> str:
     return "odd[" + "|".join(subset) + "]"
 
 
-def build_odd_set_primal(instance: GameInstance,
-                         caps: EnumerationCaps = DEFAULT_CAPS) -> LinearProgram:
+def build_odd_set_primal(instance: GameInstance) -> LinearProgram:
     """General-graph matching program strengthened by odd-set rows.
 
     For every odd vertex subset S with |S| >= 3, the edges inside S may
@@ -109,9 +108,9 @@ def build_odd_set_primal(instance: GameInstance,
     if instance.kind is not GameKind.GENERAL:
         raise ValueError("odd-set rows apply to general instances only")
     vertices = instance.agents
-    if len(vertices) > caps.max_vertices:
+    if len(vertices) > MAX_VERTICES:
         raise CapExceededError(
-            f"{len(vertices)} vertices exceed the odd-set cap of {caps.max_vertices}")
+            f"{len(vertices)} vertices exceed the odd-set cap of {MAX_VERTICES}")
     base = build_primal(instance)
     extra = []
     for size in range(3, len(vertices) + 1, 2):
@@ -145,11 +144,6 @@ def constraint_matrix(lp: LinearProgram) -> ConstraintMatrix:
     )
 
 
-def incidence_matrix(instance: GameInstance) -> ConstraintMatrix:
-    """Vertex-by-edge incidence rows of the matching program."""
-    return constraint_matrix(build_primal(instance))
-
-
 def _int_det(rows: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     n = len(rows)
@@ -171,20 +165,18 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def is_totally_unimodular(matrix: ConstraintMatrix,
-                          max_order: int | None = None) -> bool:
+def is_totally_unimodular(matrix: ConstraintMatrix) -> bool:
     """True iff every square submatrix has determinant -1, 0, or 1.
 
     Exhaustive exact sweep in increasing submatrix order, abandoning the
     search at the first violating determinant. Refuses matrices whose
     smaller dimension exceeds the cap.
     """
-    cap = DEFAULT_CAPS.max_tum_order if max_order is None else max_order
     m, n = matrix.shape
     order = min(m, n)
-    if order > cap:
+    if order > MAX_TUM_ORDER:
         raise CapExceededError(
-            f"submatrix order {order} exceeds the sweep cap of {cap}")
+            f"submatrix order {order} exceeds the sweep cap of {MAX_TUM_ORDER}")
     rows = []
     for row in matrix.entries:
         ints = []

@@ -154,10 +154,6 @@ class Imputation:
     def total(self) -> Fraction:
         return sum(self.as_dict.values(), Fraction(0))
 
-    def restricted_total(self, members: Iterable[str]) -> Fraction:
-        m = self.as_dict
-        return sum((m[q] for q in members), Fraction(0))
-
 
 def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction],
                     source_dual=None, surplus=None) -> Imputation:

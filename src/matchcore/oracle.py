@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
-from .caps import DEFAULT_CAPS, EnumerationCaps, check_instance_size
+from .caps import check_instance_size
 from .games import MULTI_KINDS, EdgeKey, GameInstance, restrict
 from .rationals import ZERO
 
@@ -58,9 +58,8 @@ class Matching:
         return tuple(k for k, _ in self.entries)
 
 
-def _enumerate_optimal(instance: GameInstance,
-                       caps: EnumerationCaps) -> tuple[Fraction, tuple[Matching, ...]]:
-    check_instance_size(len(instance.agents), len(instance.edges), caps)
+def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching, ...]]:
+    check_instance_size(len(instance.agents), len(instance.edges))
     edges = instance.edges
     multi = instance.kind in MULTI_KINDS
     static_hi = []
@@ -120,41 +119,37 @@ def _enumerate_optimal(instance: GameInstance,
 
 
 @lru_cache(maxsize=100_000)
-def _cached(instance: GameInstance, caps: EnumerationCaps):
-    return _enumerate_optimal(instance, caps)
+def _cached(instance: GameInstance):
+    return _enumerate_optimal(instance)
 
 
-def max_weight(instance: GameInstance,
-               caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[Fraction, Matching]:
+def max_weight(instance: GameInstance) -> tuple[Fraction, Matching]:
     """Exact optimum over all integral matchings, with one witness."""
-    value, matchings = _cached(instance, caps)
+    value, matchings = _cached(instance)
     return value, matchings[0]
 
 
-def enumerate_optima(instance: GameInstance,
-                     caps: EnumerationCaps = DEFAULT_CAPS) -> tuple[Matching, ...]:
+def enumerate_optima(instance: GameInstance) -> tuple[Matching, ...]:
     """The complete, canonically ordered set of maximum-weight matchings."""
-    return _cached(instance, caps)[1]
+    return _cached(instance)[1]
 
 
-def worth(instance: GameInstance, members: Iterable[str],
-          caps: EnumerationCaps = DEFAULT_CAPS) -> Fraction:
+def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
     """Characteristic function: optimum of the induced sub-game.
 
     The empty coalition (or one spanning no edges) is worth zero.
     """
-    return max_weight(restrict(instance, members), caps)[0]
+    return max_weight(restrict(instance, members))[0]
 
 
-def classify_player(instance: GameInstance, q: str,
-                    caps: EnumerationCaps = DEFAULT_CAPS) -> ClassLabel:
+def classify_player(instance: GameInstance, q: str) -> ClassLabel:
     """Essential, viable, or subpar by saturation across all optima.
 
     Saturation means "matched" for the unit-capacity kinds and "matched
     exactly capacity-many times" for the multi-matching kinds.
     """
     target = instance.capacity(q)
-    flags = [m.degree(q) == target for m in enumerate_optima(instance, caps)]
+    flags = [m.degree(q) == target for m in enumerate_optima(instance)]
     if all(flags):
         return ClassLabel.ESSENTIAL
     if not any(flags):
@@ -162,11 +157,10 @@ def classify_player(instance: GameInstance, q: str,
     return ClassLabel.VIABLE
 
 
-def classify_team(instance: GameInstance, key: EdgeKey,
-                  caps: EnumerationCaps = DEFAULT_CAPS) -> ClassLabel:
+def classify_team(instance: GameInstance, key: EdgeKey) -> ClassLabel:
     """Essential, viable, or subpar by membership across all optima."""
     instance.edge(key)
-    flags = [m.contains(key) for m in enumerate_optima(instance, caps)]
+    flags = [m.contains(key) for m in enumerate_optima(instance)]
     if all(flags):
         return ClassLabel.ESSENTIAL
     if not any(flags):
@@ -174,7 +168,6 @@ def classify_team(instance: GameInstance, key: EdgeKey,
     return ClassLabel.VIABLE
 
 
-def is_degenerate(instance: GameInstance,
-                  caps: EnumerationCaps = DEFAULT_CAPS) -> bool:
+def is_degenerate(instance: GameInstance) -> bool:
     """True when the maximum-weight matching is not unique."""
-    return len(enumerate_optima(instance, caps)) > 1
+    return len(enumerate_optima(instance)) > 1

@@ -1,7 +1,7 @@
 """Shared instance builders and independent oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from matchcore.games import MULTI_KINDS, GameKind, make_instance
 
@@ -94,6 +94,21 @@ def unit_triangle():
 # ---------------------------------------------------------------------------
 # Independent matching oracle: full cartesian product over multiplicities.
 # ---------------------------------------------------------------------------
+
+def general_path(n):
+    """A general-kind path on n vertices with unit weights."""
+    names = [f"p{i}" for i in range(n)]
+    return make_instance(GameKind.GENERAL, names, (),
+                         [(names[i], names[i + 1], 1) for i in range(n - 1)])
+
+
+def general_dense(n_edges):
+    """A general-kind graph on 8 vertices whose unit edges are its first
+    n_edges vertex pairs (at most 28)."""
+    names = [f"d{i}" for i in range(8)]
+    pairs = list(combinations(names, 2))[:n_edges]
+    return make_instance(GameKind.GENERAL, names, (), [(u, v, 1) for u, v in pairs])
+
 
 def naive_optima(instance):
     """(best weight, set of multiplicity dicts) by exhaustive product."""

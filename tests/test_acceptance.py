@@ -22,7 +22,6 @@ from matchcore.formulations import (
     build_primal,
     check_half_integrality,
     constraint_matrix,
-    incidence_matrix,
     is_totally_unimodular,
 )
 from matchcore.games import GameKind, restrict
@@ -194,8 +193,8 @@ def test_criterion_2g_tum():
     for _ in range(N_PER_KIND):
         g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side=3,
                                      max_edges=7)
-        assert is_totally_unimodular(incidence_matrix(g))
-    assert not is_totally_unimodular(incidence_matrix(helpers.unit_triangle()))
+        assert is_totally_unimodular(constraint_matrix(build_primal(g)))
+    assert not is_totally_unimodular(constraint_matrix(build_primal(helpers.unit_triangle())))
     _report(f"criterion 2g: incidence TUM on {N_PER_KIND} bipartite instances, "
             "refuted on the unit triangle")
 

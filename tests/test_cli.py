@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import helpers
 from matchcore import analysis, fixtures
 from matchcore.cli import main
@@ -113,10 +115,10 @@ def test_reproduce_paper_passes(capsys):
 
 def test_reproduce_paper_fails_loudly_on_mismatch(capsys, monkeypatch):
     fake = fixtures.Fixture("broken", "forced failure",
-                            lambda g, caps: [fixtures.Check("forced", False, "boom")])
+                            lambda g: [fixtures.Check("forced", False, "boom")])
     g = parse_instance(fixtures.fixture_by_name("unit_triangle").text)
     monkeypatch.setattr(fixtures, "run_all",
-                        lambda caps: [(fake, fake.run(g, caps))])
+                        lambda: [(fake, fake.run(g))])
     code, out, _ = run(capsys, "reproduce-paper")
     assert code == 1
     assert "FAIL" in out
@@ -153,10 +155,18 @@ def test_library_value_error_exits_one_without_traceback(tmp_path, capsys, monke
 
 
 def test_cap_refusal_exits_two(tmp_path, capsys):
-    path = write(tmp_path, "ring.game",
-                 fixtures.fixture_by_name("weighted_seven_ring").text)
-    code, _, err = run(capsys, "solve", path, "--cap-vertices", "3")
-    assert code == 2 and "cap" in err
+    path = write(tmp_path, "path.game", render_instance(helpers.general_path(13)))
+    code, out, err = run(capsys, "solve", path)
+    assert code == 2 and out == ""
+    assert err == "error: 13 vertices exceed the enumeration cap of 12\n"
+
+
+def test_flags_are_accepted_only_where_read(tmp_path, capsys):
+    path = write(tmp_path, "edge.game", render_instance(helpers.single_edge()))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", path, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_records_mode_reverifies_against_the_oracle(tmp_path, capsys):

@@ -41,7 +41,7 @@ def _dense_lp(g):
     else:
         grand = worth(g, agents)
     rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ, grand)]
-    for members, demand in analysis._coalition_demands(g, analysis.DEFAULT_CAPS):
+    for _, members, demand, _ in analysis._coalition_demands(g):
         rows.append(Constraint(tuple(ONE if q in members else ZERO for q in agents),
                                Relation.GE, demand))
     return LinearProgram(Sense.MINIMIZE, agents, [ZERO] * len(agents), rows)

@@ -15,7 +15,6 @@ from matchcore.formulations import (
     build_primal,
     check_half_integrality,
     constraint_matrix,
-    incidence_matrix,
     is_totally_unimodular,
     primal_var,
     vertex_dual_var,
@@ -119,10 +118,8 @@ def test_odd_set_program_no_effect_on_bipartite_shape():
 def test_odd_set_cap_and_kind_guard():
     with pytest.raises(ValueError):
         build_odd_set_primal(helpers.two_team_b_matching())
-    big = helpers.seven_ring()
-    from matchcore.caps import EnumerationCaps
-    with pytest.raises(CapExceededError):
-        build_odd_set_primal(big, EnumerationCaps(max_vertices=5))
+    with pytest.raises(CapExceededError, match="13 vertices exceed the odd-set cap of 12"):
+        build_odd_set_primal(helpers.general_path(13))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +161,8 @@ def test_bipartite_incidence_is_tum_and_triangle_is_not():
     for _ in range(20):
         g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side=3,
                                      max_edges=6)
-        assert is_totally_unimodular(incidence_matrix(g))
-    assert not is_totally_unimodular(incidence_matrix(helpers.unit_triangle()))
+        assert is_totally_unimodular(constraint_matrix(build_primal(g)))
+    assert not is_totally_unimodular(constraint_matrix(build_primal(helpers.unit_triangle())))
 
 
 def test_tum_agrees_with_naive_sweep():

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from matchcore.caps import CapExceededError, EnumerationCaps
-from matchcore.games import GameKind, make_instance
+from matchcore.analysis import core_nonempty, is_core_imputation, verify_complementarity
+from matchcore.caps import CapExceededError
+from matchcore.formulations import ConstraintMatrix, build_odd_set_primal, is_totally_unimodular
+from matchcore.games import GameKind, make_imputation, make_instance
 from matchcore.oracle import (
     ClassLabel,
     InfeasibleInstanceError,
@@ -122,11 +124,44 @@ def test_infeasible_lower_bounds_raise():
 
 
 def test_cap_exceeded_is_a_clean_refusal():
-    g = helpers.seven_ring()
-    with pytest.raises(CapExceededError):
-        max_weight(g, EnumerationCaps(max_vertices=3))
-    with pytest.raises(CapExceededError):
-        max_weight(g, EnumerationCaps(max_edges=4))
+    with pytest.raises(CapExceededError, match="13 vertices exceed the enumeration cap of 12"):
+        max_weight(helpers.general_path(13))
+    with pytest.raises(CapExceededError, match="17 edges exceed the enumeration cap of 16"):
+        max_weight(helpers.general_dense(17))
+
+
+# Every enumerating entry point, as a call on one game. The odd-set rows
+# are capped on vertices only.
+_ENTRY_POINTS = (
+    ("max_weight", max_weight, True),
+    ("worth", lambda g: worth(g, g.agents), True),
+    ("classify_player", lambda g: classify_player(g, g.agents[0]), True),
+    ("core_nonempty", core_nonempty, True),
+    ("is_core_imputation", lambda g: is_core_imputation(g, make_imputation(g, {})), True),
+    ("verify_complementarity", verify_complementarity, True),
+    ("build_odd_set_primal", build_odd_set_primal, False),
+)
+
+
+def _refusals():
+    nine = ConstraintMatrix(tuple(tuple(F(int(i == j)) for j in range(9)) for i in range(9)),
+                            tuple(f"r{i}" for i in range(9)), tuple(f"c{j}" for j in range(9)))
+    out = [pytest.param(is_totally_unimodular, nine, "order 9 exceeds the sweep cap of 8",
+                        id="is_totally_unimodular-order-9")]
+    for name, call, edges_capped in _ENTRY_POINTS:
+        out.append(pytest.param(call, helpers.general_path(13),
+                                "13 vertices exceed the .* cap of 12", id=f"{name}-13-vertices"))
+        if edges_capped:
+            out.append(pytest.param(call, helpers.general_dense(17),
+                                    "17 edges exceed the enumeration cap of 16",
+                                    id=f"{name}-17-edges"))
+    return out
+
+
+@pytest.mark.parametrize("call, arg, message", _refusals())
+def test_every_enumerating_entry_point_refuses_above_the_caps(call, arg, message):
+    with pytest.raises(CapExceededError, match=message):
+        call(arg)
 
 
 def test_agreement_with_naive_enumeration():
