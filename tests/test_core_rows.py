@@ -7,12 +7,14 @@ for every kind the verdict must equal the feasibility of the dense LP
 holding every coalition row of the same demand table.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import helpers
 from matchcore import analysis
-from matchcore.games import GameKind
+from matchcore.games import GameKind, make_imputation, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
 from matchcore.oracle import max_weight, worth
 
@@ -113,3 +115,61 @@ def test_sampled_core_points_are_vertices_of_the_full_core():
 
 def test_empty_core_samples_nothing():
     assert analysis.sample_core_vertices(helpers.unit_triangle(), 5, seed=1) == []
+
+
+def _first_blocking(g, imp):
+    """The first coalition, in size-then-lexicographic order, whose demand
+    exceeds its payoffs added in Fraction: (members, demand, allocation, dual)."""
+    hk = g.kind is GameKind.HOFFMAN_KRUSKAL
+    for size in range(1, len(g.agents)):
+        for members in combinations(g.agents, size):
+            d, demand, sub = None, ZERO, restrict(g, members)
+            if not hk:
+                demand = worth(g, members)
+            elif sub.edges:
+                d = analysis.optimal_dual(sub)
+                demand = analysis.surplus_account(sub, d, verified=True).surplus
+            allocation = sum((imp[q] for q in members), ZERO)
+            if demand > allocation:
+                return frozenset(members), demand, allocation, d
+    return None
+
+
+def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
+    # Each pair of agents splits a few units of the grand amount in halves,
+    # thirds or fifths, and the last agent takes the rest, so the integer
+    # allocation sweep often needs a common denominator that no single
+    # payoff has.
+    rng = random.Random(8311)
+    kinds = helpers.ALL_BIPARTITE + (GameKind.GENERAL,)
+    blocked, with_dual, mixed = 0, 0, 0
+    for trial in range(200):
+        kind = kinds[trial % len(kinds)]
+        g = (helpers.random_general(rng, max_vertices=6, max_edges=8)
+             if kind is GameKind.GENERAL
+             else helpers.random_bipartite(rng, kind, max_side=3, max_edges=6))
+        if kind is GameKind.HOFFMAN_KRUSKAL:
+            grand = analysis.surplus_account(g, analysis.optimal_dual(g),
+                                             verified=True).surplus
+        else:
+            grand = max_weight(g)[0]
+        payoffs, left = dict.fromkeys(g.agents, ZERO), grand
+        for a, b in zip(g.agents[::2], g.agents[1::2]):
+            pair, den = min(left, rng.randint(1, 3)), rng.choice((2, 3, 5))
+            payoffs[a] = F(rng.randint(0, math.floor(pair * den)), den)
+            payoffs[b] = pair - payoffs[a]
+            left -= pair
+        payoffs[g.agents[-1]] += left
+        imp = make_imputation(g, payoffs)
+        denominators = [imp[q].denominator for q in g.agents]
+        mixed += math.lcm(*denominators) > max(denominators)
+        verdict = analysis.is_core_imputation(g, imp)
+        expected = _first_blocking(g, imp)
+        if expected is None:
+            assert verdict == analysis.CoreVerdict(True)
+            continue
+        blocked += 1
+        with_dual += expected[3] is not None
+        assert (verdict.in_core, verdict.witness, verdict.witness_demand,
+                verdict.witness_allocation, verdict.witness_dual) == (False, *expected)
+    assert blocked >= 120 and with_dual >= 20 and mixed >= 20
