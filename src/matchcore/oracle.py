@@ -58,6 +58,7 @@ class Matching:
         return tuple(k for k, _ in self.entries)
 
 
+@lru_cache(maxsize=100_000)
 def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching, ...]]:
     check_instance_size(len(instance.agents), len(instance.edges))
     edges = instance.edges
@@ -118,20 +119,15 @@ def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching
     return Fraction(best[0], scale), matchings
 
 
-@lru_cache(maxsize=100_000)
-def _cached(instance: GameInstance):
-    return _enumerate_optimal(instance)
-
-
 def max_weight(instance: GameInstance) -> tuple[Fraction, Matching]:
     """Exact optimum over all integral matchings, with one witness."""
-    value, matchings = _cached(instance)
+    value, matchings = _enumerate_optimal(instance)
     return value, matchings[0]
 
 
 def enumerate_optima(instance: GameInstance) -> tuple[Matching, ...]:
     """The complete, canonically ordered set of maximum-weight matchings."""
-    return _cached(instance)[1]
+    return _enumerate_optimal(instance)[1]
 
 
 def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
