@@ -48,9 +48,9 @@ from .oracle import (
     InfeasibleInstanceError,
     classify_player,
     classify_team,
+    coalition_worths,
     is_degenerate,
     max_weight,
-    worth,
 )
 from .rationals import ONE, ZERO, ensure_rational
 
@@ -286,27 +286,26 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
 
     Yields (mask, members, demand, dual): bit j of the mask is agent j of
     the instance. Coalitions come in size-then-lexicographic order (agents
-    in instance order). The demand is the coalition's worth, or for the
-    bounds-capacity kind its surplus under the fixed-pivot-rule optimal
-    dual of the restricted dual program, so repeated runs agree; that
-    dual is yielded too (None for the other kinds and for a coalition
-    spanning no edges).
+    in instance order). The demand is the coalition's worth, read from the
+    instance's one ``coalition_worths`` table, or for the bounds-capacity
+    kind its surplus under the fixed-pivot-rule optimal dual of the
+    restricted dual program, so repeated runs agree; that dual is yielded
+    too (None for the other kinds and for a coalition spanning no edges).
     """
     agents = instance.agents
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
+    worths = None if hk else coalition_worths(instance)
     for size in range(1, len(agents)):
         for picked in combinations(range(len(agents)), size):
             mask = sum(1 << j for j in picked)
             members = tuple(agents[j] for j in picked)
             if not hk:
-                yield mask, members, worth(instance, members), None
+                yield mask, members, worths[mask], None
                 continue
             sub = restrict(instance, members)
-            if not sub.edges:
-                yield mask, members, ZERO, None
-                continue
-            d = optimal_dual(sub)
-            yield mask, members, surplus_account(sub, d, verified=True).surplus, d
+            d = optimal_dual(sub) if sub.edges else None
+            demand = surplus_account(sub, d, verified=True).surplus if d else ZERO
+            yield mask, members, demand, d
 
 
 def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -324,12 +323,6 @@ def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return allocation, scale
 
 
-def _grand_amount(instance: GameInstance) -> Fraction:
-    """The grand coalition's worth: what the core of a kind other than
-    hoffman_kruskal distributes."""
-    return max_weight(instance)[0]
-
-
 def _grand_total_ok(instance: GameInstance, imp: Imputation) -> bool:
     """Does the imputation total match the game's distributable amount?
 
@@ -340,7 +333,7 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation) -> bool:
     """
     total = imp.total
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        return total == _grand_amount(instance)
+        return total == max_weight(instance)[0]
     if imp.source_dual is not None and imp.surplus is not None:
         if imp.surplus.surplus == total and is_optimal_dual(instance, imp.source_dual):
             return True
@@ -362,7 +355,7 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     check_instance_size(len(agents), len(instance.edges))
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
     if not _grand_total_ok(instance, imp):
-        demand = None if hk else _grand_amount(instance)
+        demand = None if hk else max_weight(instance)[0]
         return CoreVerdict(False, frozenset(agents), demand, imp.total, None)
     allocation, scale = _allocations([imp[q] for q in agents])
     for mask, members, demand, d in _coalition_demands(instance):
@@ -414,7 +407,7 @@ class _CoalitionCuts:
         if instance.kind is GameKind.HOFFMAN_KRUSKAL:
             grand = surplus_account(instance, optimal_dual(instance), verified=True).surplus
         else:
-            grand = _grand_amount(instance)
+            grand = max_weight(instance)[0]
         self.names = [f"alloc[{q}]" for q in agents]
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
         self.table = [(mask, members, demand)

@@ -202,6 +202,8 @@ def validate(instance: GameInstance) -> list[str]:
     if instance.kind is GameKind.UNIFORM_B:
         if instance.uniform_capacity is None or instance.uniform_capacity < 1:
             out.append("uniform capacity must be a positive integer")
+    out += [f"capacity for unknown agent {q!r}"
+            for q, _ in instance.capacities if q not in agent_set]
     if instance.kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL):
         caps = instance._capacity_map
         for q in agents:

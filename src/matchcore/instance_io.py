@@ -12,7 +12,7 @@ recovers it field for field.
     b_const <positive-int>      uniform_b only
     b <vertex> <positive-int>   b_matching / hoffman_kruskal, one per vertex
     edge <name> <name> weight <rational> [lower <int>] [upper <int>]
-    imputation <name>=<rational> ...  payoffs >= 0
+    imputation <name>=<rational> ...  payoffs >= 0, one per agent
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
     vertices: list[str] = []
     b_const: int | None = None
     caps: dict[str, int] = {}
+    cap_lines: dict[str, int] = {}
     edges: list[tuple] = []
     payoffs: dict[str, Fraction] | None = None
 
@@ -86,7 +87,10 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
         elif directive == "b":
             if len(args) != 2:
                 raise InstanceError("b takes a vertex name and an integer", lineno)
-            caps[_name(args[0], lineno)] = _positive_int(args[1], lineno)
+            name = _name(args[0], lineno)
+            if name in caps:
+                raise InstanceError(f"second b line for {name!r}", lineno)
+            caps[name], cap_lines[name] = _positive_int(args[1], lineno), lineno
         elif directive == "edge":
             edges.append(_parse_edge(args, lineno))
         elif directive == "imputation":
@@ -102,6 +106,8 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
                     raise InstanceError(str(exc), lineno) from None
                 if payoff < 0:
                     raise InstanceError(f"negative payoff for {name!r}", lineno)
+                if name in payoffs:
+                    raise InstanceError(f"second payoff for {name!r}", lineno)
                 payoffs[name] = payoff
         else:
             raise InstanceError(f"unknown directive {directive!r}", lineno)
@@ -127,6 +133,9 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
     if kind not in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL) and caps:
         raise InstanceError("per-vertex b lines only apply to b_matching and "
                             "hoffman_kruskal instances")
+    for name, lineno in cap_lines.items():
+        if name not in instance.agents:
+            raise InstanceError(f"b line for unknown agent {name!r}", lineno)
     problems = validate(instance)
     if problems:
         raise InstanceError("; ".join(problems))

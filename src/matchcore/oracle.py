@@ -3,9 +3,9 @@
 Enumerates integral matchings by depth-first search over edges with an
 optimistic weight bound, capped at desk scale. The search adds and
 compares integers, the weights scaled by the lcm of their denominators;
-worths come back as ``Fraction``. Everything downstream that
-the LP side claims (worths, optima, player/team classes, degeneracy) can
-be cross-checked against this module.
+worths come back as ``Fraction``, per coalition (``worth``) or as one
+table per instance (``coalition_worths``). What the LP side claims
+(worths, optima, classes, degeneracy) is cross-checked against this.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import lcm
 from typing import Iterable
 
 from .caps import check_instance_size
-from .games import MULTI_KINDS, EdgeKey, GameInstance, restrict
+from .games import MULTI_KINDS, EdgeKey, GameInstance, GameKind, restrict
 from .rationals import ZERO
 
 
@@ -133,9 +133,49 @@ def enumerate_optima(instance: GameInstance) -> tuple[Matching, ...]:
 def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
     """Characteristic function: optimum of the induced sub-game.
 
-    The empty coalition (or one spanning no edges) is worth zero.
+    Zero for the empty coalition or one spanning no edges. The reference
+    for ``coalition_worths``, which sweeps over coalitions read instead.
     """
     return max_weight(restrict(instance, members))[0]
+
+
+class _LazyWorths(dict):
+    """Coalition worths by mask, each computed by ``worth`` on first read."""
+
+    def __init__(self, instance: GameInstance):
+        self.instance = instance
+
+    def __missing__(self, mask: int) -> Fraction:
+        members = [q for j, q in enumerate(self.instance.agents) if mask >> j & 1]
+        value = self[mask] = worth(self.instance, members)
+        return value
+
+
+@lru_cache(maxsize=256)
+def coalition_worths(instance: GameInstance) -> tuple[Fraction, ...] | _LazyWorths:
+    """Every coalition's worth as ``table[mask]``, bit j = agent j.
+
+    With every capacity one (and no edge bounds) the table is filled at
+    once by v[S] = max(v[S - i], w_ij + v[S - i - j] for edges ij in S), i
+    the lowest agent of S. Otherwise ``worth`` fills entries on first read.
+    """
+    agents = instance.agents
+    check_instance_size(len(agents), len(instance.edges))
+    if instance.kind is GameKind.HOFFMAN_KRUSKAL or any(
+            instance.capacity(q) != 1 for q in agents):
+        return _LazyWorths(instance)
+    scale = lcm(*(e.weight.denominator for e in instance.edges))
+    bit = {q: 1 << j for j, q in enumerate(agents)}
+    pairs = [(bit[e.u] | bit[e.v], e.weight.numerator * (scale // e.weight.denominator))
+             for e in instance.edges]
+    touching = {b: [(pair, w) for pair, w in pairs if pair & b] for b in bit.values()}
+    v = [0] * (1 << len(agents))
+    for mask in range(1, len(v)):
+        low = mask & -mask                              # agent i
+        v[mask] = max([v[mask ^ low]] + [w + v[mask ^ pair] for pair, w in touching[low]
+                                         if pair & mask == pair])
+    shared = {x: Fraction(x, scale) for x in set(v)}     # one Fraction per worth
+    return tuple(map(shared.__getitem__, v))
 
 
 def classify_player(instance: GameInstance, q: str) -> ClassLabel:

@@ -39,6 +39,7 @@ from matchcore.oracle import (
     InfeasibleInstanceError,
     classify_player,
     classify_team,
+    coalition_worths,
     worth,
 )
 
@@ -550,19 +551,24 @@ def _face_values(g, probes):
                      face.max_overpayment(e.key), classify_team(g, e.key))
              for e in g.edges}
     pairs = {frozenset(pair): worth(g, pair) for pair in combinations(g.agents, 2)}
+    table = coalition_worths(g)
+    worths = {frozenset(q for j, q in enumerate(g.agents) if mask >> j & 1): table[mask]
+              for mask in range(1 << len(g.agents))}
     verdicts = []
     for payoffs in probes:
         imp = make_imputation(g, payoffs)
         verdicts.append((
             in_dual_image(g, imp) if g.kind in BIPARTITE_KINDS else None,
             None if g.kind is GameKind.HOFFMAN_KRUSKAL else is_core_imputation(g, imp).in_core))
-    return agents, teams, pairs, verdicts
+    return agents, teams, pairs, worths, verdicts
 
 
 def test_face_values_do_not_depend_on_agent_or_edge_order():
     # Optimal values over the dual face are facts of the game, so the
     # order of agents and edges (which fixes the column order, and with
-    # it the pivots) must not move them.
+    # it the pivots) must not move them. So must the coalition worths,
+    # whose table is filled by one of two paths (every capacity one, or
+    # not), each keyed by bitmasks over the agent order.
     rng = random.Random(4)
     games = [helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
              for kind in helpers.ALL_BIPARTITE for _ in range(8)]
@@ -571,12 +577,16 @@ def test_face_values_do_not_depend_on_agent_or_edge_order():
     concurrent = [g for g in general if is_concurrent(g)]
     assert len(concurrent) >= 10
     seen = set()
+    capacity_one = 0
     for g in games + concurrent:
         probes = _probe_payoffs(g)
         expected = _face_values(g, probes)
-        seen.update(expected[3])
+        seen.update(expected[4])
+        capacity_one += g.kind is not GameKind.HOFFMAN_KRUSKAL and all(
+            g.capacity(q) == 1 for q in g.agents)
         for _ in range(2):
             assert _face_values(_relabeled(g, rng), probes) == expected
+    assert capacity_one >= 40 and len(games + concurrent) - capacity_one >= 15
     # Every (D(I), core) verdict pair that can occur does: None marks a
     # verdict not asked, and D(I) lies inside the core.
     flags = (True, False, None)

@@ -79,6 +79,15 @@ def test_validate_flags_bipartite_violation_and_duplicates():
     assert any("parallel" in v for v in validate(g2))
 
 
+def test_validate_flags_capacities_for_unknown_agents():
+    g = make_instance(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1)],
+                      capacities=[("a", 1), ("b", 1), ("ghost", 5)])
+    assert validate(g) == ["capacity for unknown agent 'ghost'"]
+    g = make_instance(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 1)],
+                      capacities={"ghost": 5})
+    assert validate(g) == ["capacity for unknown agent 'ghost'"]
+
+
 def test_validate_flags_infeasible_lower_bounds_by_lp():
     g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"],
                       [("a", "b", 1, 3, None)],

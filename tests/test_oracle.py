@@ -17,6 +17,7 @@ from matchcore.oracle import (
     InfeasibleInstanceError,
     classify_player,
     classify_team,
+    coalition_worths,
     enumerate_optima,
     is_degenerate,
     max_weight,
@@ -135,6 +136,7 @@ def test_cap_exceeded_is_a_clean_refusal():
 _ENTRY_POINTS = (
     ("max_weight", max_weight, True),
     ("worth", lambda g: worth(g, g.agents), True),
+    ("coalition_worths", coalition_worths, True),
     ("classify_player", lambda g: classify_player(g, g.agents[0]), True),
     ("core_nonempty", core_nonempty, True),
     ("is_core_imputation", lambda g: is_core_imputation(g, make_imputation(g, {})), True),
@@ -195,3 +197,62 @@ def test_enumeration_is_deterministic():
     a = enumerate_optima(g)
     b = enumerate_optima(helpers.seven_ring())
     assert a == b
+
+
+def _members(g, mask):
+    return [q for j, q in enumerate(g.agents) if mask >> j & 1]
+
+
+def _capacity_one(g):
+    return g.kind is not GameKind.HOFFMAN_KRUSKAL and all(
+        g.capacity(q) == 1 for q in g.agents)
+
+
+def test_coalition_worth_table_matches_worth_on_every_coalition():
+    # Both table paths: the subset recursion (every capacity one) and the
+    # lazy fill (some capacity above one). Every weight is divided by a
+    # seeded integer from 1 to 6, so the recursion's integer scaling
+    # meets mixed denominators.
+    rng = random.Random(909)
+    divisors = random.Random(9090)
+    names = [f"v{i}" for i in range(12)]
+    pairs = sorted(rng.sample([(u, v) for u in names for v in names if u < v], 16))
+    games = [make_instance(GameKind.GENERAL, names, (), [(u, v, rng.randint(1, 9))
+                                                         for u, v in pairs])]
+    for _ in range(300):
+        kind = rng.choice((GameKind.ASSIGNMENT, GameKind.UNIFORM_B,
+                           GameKind.B_MATCHING, GameKind.GENERAL))
+        games.append(helpers.random_general(rng, max_vertices=6, max_edges=9)
+                     if kind is GameKind.GENERAL
+                     else helpers.random_bipartite(rng, kind, max_side=3, max_edges=6,
+                                                   max_b=rng.choice((1, 3))))
+    paths, fractional = {}, {}
+    for g in games:
+        g = replace(g, edges=tuple(replace(e, weight=e.weight / divisors.randint(1, 6))
+                                   for e in g.edges))
+        table = coalition_worths(g)
+        for mask in range(1 << len(g.agents)):
+            assert table[mask] == worth(g, _members(g, mask)), (g, mask)
+        key = (g.kind, _capacity_one(g))
+        paths[key] = paths.get(key, 0) + 1
+        if any(e.weight.denominator > 1 for e in g.edges):
+            fractional[key[1]] = fractional.get(key[1], 0) + 1
+    assert len(games[0].agents) == 12 and len(games[0].edges) == 16
+    # Every non-HK kind takes the recursion; the multi-matching kinds
+    # also take the lazy fill.
+    for kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING,
+                 GameKind.GENERAL):
+        assert paths.get((kind, True), 0) >= 15, kind
+    for kind in (GameKind.UNIFORM_B, GameKind.B_MATCHING):
+        assert paths.get((kind, False), 0) >= 15, kind
+    assert fractional[True] >= 100 and fractional[False] >= 40
+
+
+def test_lazy_worth_table_fills_only_what_the_core_scan_read():
+    # u has capacity 2, so the table is lazy. Paying everything to v1
+    # leaves the pair {u, v2} (worth 3) blocked before any triple is read.
+    g = helpers.two_team_b_matching()
+    coalition_worths.cache_clear()
+    verdict = is_core_imputation(g, make_imputation(g, {"v1": F(4)}))
+    assert verdict.witness == frozenset({"u", "v2"}) and verdict.witness_demand == 3
+    assert max(bin(mask).count("1") for mask in coalition_worths(g)) == 2
