@@ -81,7 +81,6 @@ from .oracle import (
     Matching,
     classify_player,
     classify_team,
-    coalition_worths,
     enumerate_optima,
     is_degenerate,
     max_weight,

@@ -303,9 +303,11 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
                 yield mask, members, worths[mask], None
                 continue
             sub = restrict(instance, members)
-            d = optimal_dual(sub) if sub.edges else None
-            demand = surplus_account(sub, d, verified=True).surplus if d else ZERO
-            yield mask, members, demand, d
+            if not sub.edges:
+                yield mask, members, ZERO, None
+                continue
+            d = optimal_dual(sub)
+            yield mask, members, surplus_account(sub, d, verified=True).surplus, d
 
 
 def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:

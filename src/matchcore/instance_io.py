@@ -57,7 +57,6 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
     vertices: list[str] = []
     b_const: int | None = None
     caps: dict[str, int] = {}
-    cap_lines: dict[str, int] = {}
     edges: list[tuple] = []
     payoffs: dict[str, Fraction] | None = None
 
@@ -90,7 +89,7 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
             name = _name(args[0], lineno)
             if name in caps:
                 raise InstanceError(f"second b line for {name!r}", lineno)
-            caps[name], cap_lines[name] = _positive_int(args[1], lineno), lineno
+            caps[name] = _positive_int(args[1], lineno)
         elif directive == "edge":
             edges.append(_parse_edge(args, lineno))
         elif directive == "imputation":
@@ -133,9 +132,6 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
     if kind not in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL) and caps:
         raise InstanceError("per-vertex b lines only apply to b_matching and "
                             "hoffman_kruskal instances")
-    for name, lineno in cap_lines.items():
-        if name not in instance.agents:
-            raise InstanceError(f"b line for unknown agent {name!r}", lineno)
     problems = validate(instance)
     if problems:
         raise InstanceError("; ".join(problems))

@@ -142,18 +142,16 @@ def test_negative_imputation_value_exits_two_with_its_line(tmp_path, capsys):
     assert "line 10" in err and "negative payoff" in err
 
 
-@pytest.mark.parametrize("extra, line, message", [
-    ("b ghost 5\n", 10, "b line for unknown agent 'ghost'"),
-    ("b v1 3\n", 10, "second b line for 'v1'"),
-    ("imputation u=4\nimputation u=3\n", 11, "second payoff for 'u'"),
+@pytest.mark.parametrize("extra, message", [
+    ("b ghost 5\n", "error: capacity for unknown agent 'ghost'\n"),
+    ("b v1 3\n", "error: line 10: second b line for 'v1'\n"),
+    ("imputation u=4\nimputation u=3\n", "error: line 11: second payoff for 'u'\n"),
 ])
-def test_repeated_or_unknown_names_exit_two_with_their_line(tmp_path, capsys, extra,
-                                                             line, message):
+def test_repeated_or_unknown_names_exit_two(tmp_path, capsys, extra, message):
     path = write(tmp_path, "g.game",
                  fixtures.fixture_by_name("three_agent_b_matching").text + extra)
     code, out, err = run(capsys, "core-check", path)
-    assert code == 2 and out == ""
-    assert f"line {line}: {message}" in err
+    assert (code, out, err) == (2, "", message)
 
 
 def test_library_value_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
