@@ -15,7 +15,6 @@ from .analysis import (
     always_paid_fairly,
     check_concurrency,
     core_nonempty,
-    core_polytope,
     dual_to_imputation,
     extreme_imputations,
     in_dual_image,

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .caps import check_instance_size
@@ -148,24 +149,30 @@ def is_optimal_dual(instance: GameInstance, d: DualSolution) -> bool:
     return face.lp.is_feasible(d.values) and face.lp.evaluate(d.values) == face.base.value
 
 
-def surplus_account(instance: GameInstance, d: DualSolution,
-                    verified: bool = False) -> SurplusAccount:
+def _surplus_weights(instance: GameInstance) -> tuple[Fraction, ...]:
+    """The surplus, the total paid out, as a functional on the dual columns:
+    the vertex part of ``build_dual``'s objective, zero on bound duals."""
+    objective = _optimal_face(instance).lp.objective
+    n = len(instance.agents)
+    return objective[:n] + (ZERO,) * (len(objective) - n)
+
+
+def _surplus(d: DualSolution) -> Fraction:
+    return sum(map(mul, _surplus_weights(d.instance), d.values), ZERO)
+
+
+def surplus_account(instance: GameInstance, d: DualSolution) -> SurplusAccount:
     """Distributable total under one optimal dual of a bounds-capacity game.
 
-    surplus = worth + sum(lower * lower_dual - upper * upper_dual); by
-    duality this always equals the capacity-weighted sum of vertex duals.
+    The surplus is the vertex part of the dual objective; by duality the
+    adjustment, surplus - worth, is sum(lower * lower_dual - upper * upper_dual).
     """
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("surplus accounting applies to hoffman_kruskal instances")
-    if not verified and not is_optimal_dual(instance, d):
+    if not is_optimal_dual(instance, d):
         raise ValueError("dual solution is not optimal")
-    w = primal_optimum(instance)
-    adjustment = ZERO
-    for e in instance.edges:
-        adjustment += F(e.lower) * d.lower(e.key)
-        if e.upper is not None:
-            adjustment -= F(e.upper) * d.upper(e.key)
-    return SurplusAccount(w, adjustment, w + adjustment)
+    w, surplus = primal_optimum(instance), _surplus(d)
+    return SurplusAccount(w, surplus - w, surplus)
 
 
 def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
@@ -180,10 +187,7 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
     if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     payoffs = {q: F(instance.capacity(q)) * d.vertex(q) for q in instance.agents}
-    account = None
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        account = surplus_account(instance, d, verified=True)
-    return make_imputation(instance, payoffs, source_dual=d, surplus=account)
+    return make_imputation(instance, payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,8 @@ class DualFace:
     is solved once per instance, and that solve serves ``optimal_dual``,
     ``primal_optimum``, ``is_optimal_dual`` and every ``DualFace`` built
     for the instance. Each query runs phase 2 alone from the optimal
-    basis; the bounds-capacity grand total is two such queries. D(I)
+    basis; the bounds-capacity grand total is two such queries. A query
+    takes one coefficient per column of ``build_dual(instance)``. D(I)
     membership fixes columns instead, so ``in_dual_image`` solves the
     program once with changed bounds and compares optima.
     """
@@ -208,43 +213,34 @@ class DualFace:
         self.lp = self._engine.lp
         self.base = self._engine.base
 
-    def _objective(self, coeffs: Mapping[str, Fraction]):
-        return [ensure_rational(coeffs.get(name, 0)) for name in self.lp.variables]
+    def extremize(self, coeffs: Sequence[Fraction], sense: Sense) -> LpSolution:
+        return self._engine.optimize(coeffs, sense)
 
-    def extremize(self, coeffs: Mapping[str, Fraction], sense: Sense) -> LpSolution:
-        return self._engine.optimize(self._objective(coeffs), sense)
-
-    def max_value(self, coeffs: Mapping[str, Fraction]) -> Fraction | None:
-        """Max of a linear functional over the face; None when unbounded."""
-        sol = self.extremize(coeffs, Sense.MAXIMIZE)
+    def extremum(self, coeffs: Sequence[Fraction], sense: Sense) -> Fraction | None:
+        """Min or max of a linear functional over the face; None when unbounded."""
+        sol = self.extremize(coeffs, sense)
         return sol.value if sol.status is Status.OPTIMAL else None
 
-    def min_value(self, coeffs: Mapping[str, Fraction]) -> Fraction | None:
-        sol = self.extremize(coeffs, Sense.MINIMIZE)
-        return sol.value if sol.status is Status.OPTIMAL else None
+    def vertex_coeffs(self, q: str) -> list[Fraction]:
+        """The functional reading agent q's vertex dual."""
+        coeffs = [ZERO] * len(self.lp.variables)
+        coeffs[self.lp.index(vertex_dual_var(q))] = ONE
+        return coeffs
 
     def vertex_range(self, q: str) -> tuple[Fraction | None, Fraction | None]:
-        name = vertex_dual_var(q)
-        return (self.min_value({name: ONE}), self.max_value({name: ONE}))
-
-    def slack_coeffs(self, key: EdgeKey) -> dict[str, Fraction]:
-        e = self.instance.edge(key)
-        coeffs = {vertex_dual_var(e.u): ONE, vertex_dual_var(e.v): ONE}
-        if self.instance.kind is GameKind.HOFFMAN_KRUSKAL:
-            coeffs[lower_dual_var(e.key)] = -ONE
-            if e.upper is not None:
-                coeffs[upper_dual_var(e.key)] = ONE
-        return coeffs
+        coeffs = self.vertex_coeffs(q)
+        return (self.extremum(coeffs, Sense.MINIMIZE), self.extremum(coeffs, Sense.MAXIMIZE))
 
     def max_overpayment(self, key: EdgeKey) -> Fraction | None:
         """Max slack of the edge's dual row over the face; None = unbounded."""
-        top = self.max_value(self.slack_coeffs(key))
-        return None if top is None else top - self.instance.edge(key).weight
+        row = self.lp.constraints[self.instance.edges.index(self.instance.edge(key))]
+        top = self.extremum(row.coeffs, Sense.MAXIMIZE)
+        return None if top is None else top - row.rhs
 
 
 def is_concurrent(instance: GameInstance) -> bool:
     """Fractional and integral matching optima agree (general kind)."""
-    return primal_optimum(instance) == max_weight(instance)[0]
+    return check_concurrency(instance).concurrent
 
 
 @dataclass(frozen=True)
@@ -307,7 +303,7 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
                 yield mask, members, ZERO, None
                 continue
             d = optimal_dual(sub)
-            yield mask, members, surplus_account(sub, d, verified=True).surplus, d
+            yield mask, members, _surplus(d), d
 
 
 def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -336,12 +332,9 @@ def _grand_total_ok(instance: GameInstance, imp: Imputation) -> bool:
     total = imp.total
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
         return total == max_weight(instance)[0]
-    if imp.source_dual is not None and imp.surplus is not None:
-        if imp.surplus.surplus == total and is_optimal_dual(instance, imp.source_dual):
-            return True
-    weights = {vertex_dual_var(q): F(instance.capacity(q)) for q in instance.agents}
+    weights = _surplus_weights(instance)
     face = DualFace(instance)
-    lo, hi = face.min_value(weights), face.max_value(weights)
+    lo, hi = face.extremum(weights, Sense.MINIMIZE), face.extremum(weights, Sense.MAXIMIZE)
     return (lo is None or lo <= total) and (hi is None or total <= hi)
 
 
@@ -407,7 +400,7 @@ class _CoalitionCuts:
         agents = instance.agents
         check_instance_size(len(agents), len(instance.edges))
         if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-            grand = surplus_account(instance, optimal_dual(instance), verified=True).surplus
+            grand = _surplus(optimal_dual(instance))
         else:
             grand = max_weight(instance)[0]
         self.names = [f"alloc[{q}]" for q in agents]
@@ -473,18 +466,6 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     return True, _imputation_from(instance, sol)
 
 
-def core_polytope(instance: GameInstance) -> LinearProgram:
-    """The core constraint system in payoff space (non-bounds kinds).
-
-    Written out in full: one row per coalition of positive worth.
-    """
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        raise ValueError("payoff-space core polytope is for worth-based kinds")
-    cuts = _CoalitionCuts(instance)
-    rows = cuts.rows + [cuts.row(entry) for entry in cuts.table]
-    return LinearProgram(Sense.MINIMIZE, cuts.names, [ZERO] * len(cuts.names), rows)
-
-
 def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[Imputation]:
     """Distinct core vertices that maximize random rational objectives.
 
@@ -524,7 +505,7 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
     seen = set()
     out = []
     for _ in range(count):
-        objective = {name: F(rng.randint(-9, 9)) for name in face.lp.variables}
+        objective = [F(rng.randint(-9, 9)) for _ in face.lp.variables]
         sol = face.extremize(objective, Sense.MAXIMIZE)
         if sol.status is not Status.OPTIMAL or sol.values in seen:
             continue
@@ -550,7 +531,7 @@ def paid_sometimes(instance: GameInstance, q: str,
     if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         return None
     face = face or DualFace(instance)
-    top = face.max_value({vertex_dual_var(q): ONE})
+    top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
     return top is None or top > 0
 
 
@@ -705,21 +686,18 @@ def extreme_imputations(instance: GameInstance,
         raise ValueError("extreme imputations apply to assignment and "
                          "uniform-capacity kinds")
     face = face or DualFace(instance)
-    lo_vals, hi_vals = {}, {}
-    for q in instance.agents:
-        lo, hi = face.vertex_range(q)
-        lo_vals[q], hi_vals[q] = lo, hi
+    ranges = {q: face.vertex_range(q) for q in instance.agents}
     left = set(instance.side_u)
     favor_left = make_dual(instance, {
-        q: (hi_vals[q] if q in left else lo_vals[q]) for q in instance.agents})
+        q: (hi if q in left else lo) for q, (lo, hi) in ranges.items()})
     favor_right = make_dual(instance, {
-        q: (lo_vals[q] if q in left else hi_vals[q]) for q in instance.agents})
-    for d in (favor_left, favor_right):
-        if not is_optimal_dual(instance, d):
-            raise ArithmeticError("assembled extreme is not an optimal dual; "
-                                  "this contradicts the antipodal-imputation theorem")
-    return (dual_to_imputation(instance, favor_left),
-            dual_to_imputation(instance, favor_right))
+        q: (lo if q in left else hi) for q, (lo, hi) in ranges.items()})
+    try:
+        return (dual_to_imputation(instance, favor_left),
+                dual_to_imputation(instance, favor_right))
+    except ValueError:
+        raise ArithmeticError("assembled extreme is not an optimal dual; this "
+                              "contradicts the antipodal-imputation theorem") from None
 
 
 def meet_join(instance: GameInstance, first: Imputation,
@@ -771,11 +749,13 @@ def simultaneous_imputation(instance: GameInstance) -> Imputation:
     for q in instance.agents:
         if classify_player(instance, q) is ClassLabel.ESSENTIAL:
             essentials.add(q)
-            witnesses.append(face.extremize({vertex_dual_var(q): ONE}, Sense.MAXIMIZE))
-    for e in instance.edges:
+            witnesses.append(face.extremize(face.vertex_coeffs(q), Sense.MAXIMIZE))
+    # Row i of the dual program is edge i's; its slack is the overpayment.
+    rows = list(zip(instance.edges, face.lp.constraints))
+    for e, row in rows:
         if classify_team(instance, e.key) is ClassLabel.SUBPAR:
             subpars.add(e.key)
-            witnesses.append(face.extremize(face.slack_coeffs(e.key), Sense.MAXIMIZE))
+            witnesses.append(face.extremize(row.coeffs, Sense.MAXIMIZE))
     if not witnesses:
         witnesses.append(face.base)
     k = F(len(witnesses))
@@ -785,8 +765,7 @@ def simultaneous_imputation(instance: GameInstance) -> Imputation:
     for q in instance.agents:
         if (imp[q] > 0) != (q in essentials):
             raise ArithmeticError(f"simultaneous imputation mispays player {q}")
-    for e in instance.edges:
-        slack = d.vertex(e.u) + d.vertex(e.v) - e.weight
-        if (slack > 0) != (e.key in subpars):
+    for e, row in rows:
+        if (row.activity(d.values) > row.rhs) != (e.key in subpars):
             raise ArithmeticError(f"simultaneous imputation mistreats team {e.key}")
     return imp

@@ -131,8 +131,8 @@ def cmd_solve(args) -> tuple[Report, int]:
     else:
         imp = analysis.dual_to_imputation(instance, dual)
         rows = [(q, imp[q]) for q in instance.agents]
-        if imp.surplus is not None:
-            rows.append(("surplus", imp.surplus.surplus))
+        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+            rows.append(("surplus", imp.total))
         report.add("imputation from the dual", rows)
     return report, EXIT_OK
 

@@ -132,16 +132,9 @@ class SurplusAccount:
 
 @dataclass(frozen=True, eq=True)
 class Imputation:
-    """A division of the game's total among agents.
-
-    ``source_dual`` records the optimal dual the payoffs came from, when
-    any ("External" provenance is a plain None). Capacity-bound games
-    carry the surplus account of that dual, since their distributable
-    total is dual-dependent.
-    """
+    """A division of the game's total among agents: its payoffs, nothing
+    else, so two imputations with the same payoffs are equal."""
     payoffs: tuple[tuple[str, Fraction], ...]
-    source_dual: object | None = None
-    surplus: SurplusAccount | None = None
 
     @cached_property
     def as_dict(self) -> dict[str, Fraction]:
@@ -155,8 +148,7 @@ class Imputation:
         return sum(self.as_dict.values(), Fraction(0))
 
 
-def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction],
-                    source_dual=None, surplus=None) -> Imputation:
+def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction]) -> Imputation:
     """Build an imputation over all agents, filling absent ones with zero."""
     extra = set(payoffs) - set(instance.agents)
     if extra:
@@ -167,7 +159,7 @@ def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction],
         if value < 0:
             raise ValueError(f"negative payoff for {q!r}")
         rows.append((q, value))
-    return Imputation(tuple(rows), source_dual, surplus)
+    return Imputation(tuple(rows))
 
 
 def restrict(instance: GameInstance, members: Iterable[str]) -> GameInstance:
@@ -202,8 +194,10 @@ def validate(instance: GameInstance) -> list[str]:
     if instance.kind is GameKind.UNIFORM_B:
         if instance.uniform_capacity is None or instance.uniform_capacity < 1:
             out.append("uniform capacity must be a positive integer")
-    out += [f"capacity for unknown agent {q!r}"
-            for q, _ in instance.capacities if q not in agent_set]
+    named = [q for q, _ in instance.capacities]
+    out += [f"capacity for unknown agent {q!r}" for q in named if q not in agent_set]
+    out += [f"capacity for {q!r} listed {named.count(q)} times"
+            for q in dict.fromkeys(named) if named.count(q) > 1]
     if instance.kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL):
         caps = instance._capacity_map
         for q in agents:

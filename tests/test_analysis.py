@@ -31,7 +31,7 @@ from matchcore.analysis import (
     verify_complementarity,
 )
 from matchcore import lp as lp_module
-from matchcore.formulations import build_dual, vertex_dual_var
+from matchcore.formulations import build_dual, lower_dual_var, upper_dual_var, vertex_dual_var
 from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance
 from matchcore.lp import Constraint, Relation, Sense, Status
 from matchcore.oracle import (
@@ -350,10 +350,29 @@ def test_hk_payments_and_dual_image():
     pay2 = dual_to_imputation(mixed, second)
     assert pay1.as_dict == {"u": 12, "v1": 0, "v2": 0}
     assert pay2.as_dict == {"u": 4, "v1": 0, "v2": 6}
-    assert pay1.surplus.surplus == 12 and pay2.surplus.surplus == 10
+    assert pay1.total == 12 and pay2.total == 10
     assert is_core_imputation(mixed, pay1).in_core
     assert is_core_imputation(mixed, pay2).in_core
     assert in_dual_image(mixed, pay1) and in_dual_image(mixed, pay2)
+
+
+def test_imputations_compare_by_payoffs():
+    # An imputation is its payoffs: one derived from a dual equals one
+    # built from the same numbers, and hashes alike.
+    mixed = helpers.hk_mixed_bounds()
+    d = make_dual(mixed, {"u": 3}, lower={("u", "v1"): 2})
+    assert dual_to_imputation(mixed, d) == make_imputation(mixed, {"u": 12})
+    edge = helpers.single_edge()
+    derived = dual_to_imputation(edge, optimal_dual(edge))
+    built = make_imputation(edge, derived.as_dict)
+    assert derived == built and hash(derived) == hash(built)
+
+
+def test_extremes_assembled_from_wrong_ranges_contradict_the_theorem(monkeypatch):
+    g = helpers.single_edge()
+    monkeypatch.setattr(DualFace, "vertex_range", lambda self, q: (F(0), F(0)))
+    with pytest.raises(ArithmeticError, match="antipodal-imputation theorem"):
+        extreme_imputations(g)
 
 
 def test_hk_edge_upper_core_membership():
@@ -447,6 +466,51 @@ def test_dual_image_and_hk_total_match_the_pinned_row_lp():
     # Counts at these seeds: D(I) 270 in, 375 out; grand total 120 in, 33 out.
     assert image[True] >= 200 and image[False] >= 200, image
     assert total[True] >= 80 and total[False] >= 20, total
+
+
+def _hand_written_slack(e):
+    """An edge's overpayment functional by column name, written out from
+    its bounds: both vertex duals, less the floor dual, plus the ceiling
+    dual when the edge has an upper bound."""
+    coeffs = {vertex_dual_var(e.u): 1, vertex_dual_var(e.v): 1, lower_dual_var(e.key): -1}
+    if e.upper is not None:
+        coeffs[upper_dual_var(e.key)] = 1
+    return coeffs
+
+
+def test_surplus_and_overpayment_match_hand_written_references():
+    # The surplus is the vertex part of build_dual's objective and an
+    # overpayment the slack of the edge's row. The references write both
+    # out from the edge bounds: the adjustment as sum(lower * floor dual -
+    # upper * ceiling dual), and the largest overpayment by a cold solve of
+    # the pinned-row LP, not by a query from the optimal basis.
+    rng = random.Random(1010)
+    counts = dict.fromkeys(("duals", "bound duals", "capped", "uncapped", "unbounded"), 0)
+    for _ in range(60):
+        g = helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=3, max_edges=6)
+        for d in [optimal_dual(g)] + sample_dual_vertices(g, 3, seed=rng.randint(0, 10**6)):
+            adjustment = F(0)
+            for e in g.edges:
+                adjustment += e.lower * d.lower(e.key)
+                if e.upper is not None:
+                    adjustment -= e.upper * d.upper(e.key)
+            assert surplus_account(g, d).adjustment == adjustment
+            counts["duals"] += 1
+            counts["bound duals"] += any(d.lower(e.key) or d.upper(e.key) for e in g.edges)
+        pinned, face = _pinned_row_face(g), DualFace(g)
+        for e in g.edges:
+            slack = _hand_written_slack(e)
+            objective = [F(slack.get(name, 0)) for name in pinned.variables]
+            top = lp_module.solve(pinned.with_objective(objective, Sense.MAXIMIZE))
+            want = top.value - e.weight if top.status is Status.OPTIMAL else None
+            assert face.max_overpayment(e.key) == want
+            counts["uncapped" if e.upper is None else "capped"] += 1
+            counts["unbounded"] += want is None
+    # Counts at this seed: 151 duals over 60 games, 86 with a nonzero bound
+    # dual; 120 capped and 39 uncapped edges, 22 overpayments unbounded.
+    assert counts["duals"] >= 120 and counts["bound duals"] >= 60, counts
+    assert counts["capped"] >= 80 and counts["uncapped"] >= 25, counts
+    assert counts["unbounded"] >= 10, counts
 
 
 def test_payoff_ranges_and_samples_consistent():

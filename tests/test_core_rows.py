@@ -39,7 +39,7 @@ def _dense_lp(g):
     agents = g.agents
     if g.kind is GameKind.HOFFMAN_KRUSKAL:
         d = analysis.optimal_dual(g)
-        grand = analysis.surplus_account(g, d, verified=True).surplus
+        grand = analysis.surplus_account(g, d).surplus
     else:
         grand = worth(g, agents)
     rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ, grand)]
@@ -104,7 +104,7 @@ def test_sampled_core_points_are_vertices_of_the_full_core():
     for _ in range(12):
         g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side=3,
                                      max_edges=6, max_weight=4)
-        polytope = analysis.core_polytope(g)
+        polytope = _dense_lp(g)
         samples = analysis.sample_core_vertices(g, 6, seed=rng.randint(0, 10 ** 6))
         assert samples
         for imp in samples:
@@ -128,7 +128,7 @@ def _first_blocking(g, imp):
                 demand = worth(g, members)
             elif sub.edges:
                 d = analysis.optimal_dual(sub)
-                demand = analysis.surplus_account(sub, d, verified=True).surplus
+                demand = analysis.surplus_account(sub, d).surplus
             allocation = sum((imp[q] for q in members), ZERO)
             if demand > allocation:
                 return frozenset(members), demand, allocation, d
@@ -149,8 +149,7 @@ def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
              if kind is GameKind.GENERAL
              else helpers.random_bipartite(rng, kind, max_side=3, max_edges=6))
         if kind is GameKind.HOFFMAN_KRUSKAL:
-            grand = analysis.surplus_account(g, analysis.optimal_dual(g),
-                                             verified=True).surplus
+            grand = analysis.surplus_account(g, analysis.optimal_dual(g)).surplus
         else:
             grand = max_weight(g)[0]
         payoffs, left = dict.fromkeys(g.agents, ZERO), grand

@@ -13,6 +13,7 @@ from matchcore.games import (
     restrict,
     validate,
 )
+from matchcore.instance_io import InstanceError, parse_instance, render_instance
 
 F = Fraction
 
@@ -86,6 +87,21 @@ def test_validate_flags_capacities_for_unknown_agents():
     g = make_instance(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 1)],
                       capacities={"ghost": 5})
     assert validate(g) == ["capacity for unknown agent 'ghost'"]
+
+
+def test_validate_flags_a_capacity_listed_twice_as_the_parser_does():
+    # The file format allows one b line per agent; an instance built
+    # through the API with two must be refused before it can be rendered
+    # into a file that the parser would refuse.
+    twice = make_instance(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1)],
+                          capacities=[("a", 1), ("b", 1), ("a", 3)])
+    assert validate(twice) == ["capacity for 'a' listed 2 times"]
+    with pytest.raises(InstanceError, match="second b line for 'a'"):
+        parse_instance(render_instance(twice))
+    once = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"], [("a", "b", 1, 1, 2)],
+                         capacities=[("b", 1), ("a", 3)])
+    assert validate(once) == []
+    assert parse_instance(render_instance(once)) == once
 
 
 def test_validate_flags_infeasible_lower_bounds_by_lp():
