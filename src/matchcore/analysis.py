@@ -321,37 +321,41 @@ def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return allocation, scale
 
 
-def _grand_total_ok(instance: GameInstance, imp: Imputation) -> bool:
-    """Does the imputation total match the game's distributable amount?
+def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
+    """The totals the grand coalition may be paid, as (lo, hi).
 
-    Non-bounds kinds: the worth. Bounds-capacity kind: the surplus under
-    some optimal dual, i.e. the capacity-weighted sum of its vertex duals.
-    Over the convex optimal dual face that sum takes exactly the values
-    between its minimum and its maximum, two phase-2 queries.
+    Non-bounds kinds: the worth at both ends. Bounds-capacity kind: the
+    surplus under some optimal dual, i.e. the capacity-weighted sum of its
+    vertex duals. Over the convex optimal dual face that sum takes exactly
+    the values between its minimum and its maximum, two phase-2 queries.
+    Vertex duals are >= 0, so the minimum is finite; an unbounded maximum
+    is None.
     """
-    total = imp.total
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        return total == max_weight(instance)[0]
+        w = max_weight(instance)[0]
+        return w, w
     weights = _surplus_weights(instance)
     face = DualFace(instance)
-    lo, hi = face.extremum(weights, Sense.MINIMIZE), face.extremum(weights, Sense.MAXIMIZE)
-    return (lo is None or lo <= total) and (hi is None or total <= hi)
+    return face.extremum(weights, Sense.MINIMIZE), face.extremum(weights, Sense.MAXIMIZE)
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """Brute-force core membership over every non-empty sub-coalition.
 
-    A coalition blocks when it can generate strictly more on its own
-    (its worth, or for the bounds-capacity kind its deterministic
-    surplus) than it is allocated. The first blocking coalition in
-    size-then-lexicographic order is returned as the witness.
+    The total must lie in the grand range (``_grand_range``): the worth,
+    or for the bounds-capacity kind the surplus under some optimal dual;
+    outside it the grand coalition is the witness, with the violated end
+    as its demand. A coalition blocks when it can generate strictly more
+    on its own (its worth, or for the bounds-capacity kind its
+    deterministic surplus) than it is allocated. The first blocking
+    coalition in size-then-lexicographic order is returned as the witness.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
-    hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    if not _grand_total_ok(instance, imp):
-        demand = None if hk else max_weight(instance)[0]
-        return CoreVerdict(False, frozenset(agents), demand, imp.total, None)
+    lo, hi = _grand_range(instance)
+    total = imp.total
+    if total < lo or (hi is not None and total > hi):
+        return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
     allocation, scale = _allocations([imp[q] for q in agents])
     for mask, members, demand, d in _coalition_demands(instance):
         if demand.numerator * scale > allocation[mask] * demand.denominator:
@@ -387,29 +391,28 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
 class _CoalitionCuts:
     """Exact row generation over the coalition rows of the core.
 
-    The LP starts from the total row alone; after each solve the most
-    violated coalition row (the first in size-then-lexicographic order on
-    ties) is added, until the LP is infeasible or no row is violated
-    (Dantzig, Fulkerson and Johnson 1954; Kelley 1960). A relaxed optimum
-    that violates no row is optimal for the full system, and a vertex of
-    the core because it is a vertex of a larger polyhedron. Rows found
-    stay for later objectives.
+    The LP starts from the total rows alone: one equation when the grand
+    range (``_grand_range``) is one value, else a row for each bounded
+    end. After each solve the most violated coalition row (the first in
+    size-then-lexicographic order on ties) is added, until the LP is
+    infeasible or no row is violated (Dantzig, Fulkerson and Johnson 1954;
+    Kelley 1960). A relaxed optimum that violates no row is optimal for
+    the full system, and a vertex of the core because it is a vertex of a
+    larger polyhedron. Rows found stay for later objectives.
     """
 
     def __init__(self, instance: GameInstance):
         agents = instance.agents
         check_instance_size(len(agents), len(instance.edges))
-        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-            grand = _surplus(optimal_dual(instance))
-        else:
-            grand = max_weight(instance)[0]
+        lo, hi = _grand_range(instance)
+        ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
         self.names = [f"alloc[{q}]" for q in agents]
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
         self.table = [(mask, members, demand)
                       for mask, members, demand, _ in _coalition_demands(instance)
                       if demand > 0]
-        self.rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ,
-                                grand, "total")]
+        self.rows = [Constraint(tuple(ONE for _ in agents), relation, end, "total")
+                     for relation, end in ends if end is not None]
 
     def row(self, entry) -> Constraint:
         mask, members, demand = entry
@@ -449,11 +452,13 @@ def _imputation_from(instance: GameInstance, sol: LpSolution) -> Imputation:
 def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     """Balancedness, decided exactly by row generation.
 
-    The core is {payoffs >= 0, total = grand amount, every proper
-    coalition allocated at least its demand}, where the grand amount and
-    the demands are worths (or, for the bounds-capacity kind, surpluses
-    under the deterministic optimal dual). Coalition rows are added only
-    when the current payoffs violate them, so the LP stays small; the
+    The core is {payoffs >= 0, total in the grand range, every proper
+    coalition allocated at least its demand}: the same polyhedron whose
+    membership ``is_core_imputation`` decides. The grand range is the
+    worth, or for the bounds-capacity kind the surplus under some optimal
+    dual; the demands are worths, or for that kind surpluses under the
+    deterministic optimal duals of the sub-games. Coalition rows are added
+    only when the current payoffs violate them, so the LP stays small; the
     verdict is the one the LP with every row gives. Returns (False, None)
     when the core is empty, else (True, a witness core imputation); when
     the core has more than one point, which one is returned is not

@@ -112,10 +112,7 @@ def _dual_rows(instance, dual):
     return rows
 
 
-def cmd_solve(args) -> tuple[Report, int]:
-    instance, _ = _load(args.instance)
-    report = Report()
-    _describe(instance, report)
+def cmd_solve(args, report: Report, instance: GameInstance, payoffs) -> int:
     value, witness = max_weight(instance)
     report.add("matching", [
         ("worth", value),
@@ -134,14 +131,11 @@ def cmd_solve(args) -> tuple[Report, int]:
         if instance.kind is GameKind.HOFFMAN_KRUSKAL:
             rows.append(("surplus", imp.total))
         report.add("imputation from the dual", rows)
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_classify(args) -> tuple[Report, int]:
-    instance, _ = _load(args.instance)
+def cmd_classify(args, report: Report, instance: GameInstance, payoffs) -> int:
     result = analysis.verify_complementarity(instance)
-    report = Report()
-    _describe(instance, report)
     report.add("game", [
         ("degenerate", result.degenerate),
         ("concurrent", "n/a" if result.concurrent is None else _fmt(result.concurrent)),
@@ -165,17 +159,14 @@ def cmd_classify(args) -> tuple[Report, int]:
     report.add("theorem check",
                [("violations", len(result.violations))]
                + [("counterexample", v) for v in result.violations])
-    return report, EXIT_OK if result.ok else EXIT_ANALYSIS
+    return EXIT_OK if result.ok else EXIT_ANALYSIS
 
 
-def cmd_core_check(args) -> tuple[Report, int]:
-    instance, payoffs = _load(args.instance)
+def cmd_core_check(args, report: Report, instance: GameInstance, payoffs) -> int:
     if payoffs is None:
         raise InstanceError("core-check needs an 'imputation' line in the file")
     imp = make_imputation(instance, payoffs)
     verdict = analysis.is_core_imputation(instance, imp)
-    report = Report()
-    _describe(instance, report)
     report.add("imputation", [(q, imp[q]) for q in instance.agents])
     rows = [("verdict", "IN CORE" if verdict.in_core else "NOT IN CORE")]
     if not verdict.in_core:
@@ -189,18 +180,13 @@ def cmd_core_check(args) -> tuple[Report, int]:
         in_image = analysis.in_dual_image(instance, imp)
         report.add("dual image", [
             ("verdict", "IN D(I)" if in_image else "NOT IN D(I)")])
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_extremes(args) -> tuple[Report, int]:
-    instance, _ = _load(args.instance)
-    if instance.kind not in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B):
-        raise InstanceError("extremes applies to assignment and uniform_b instances")
+def cmd_extremes(args, report: Report, instance: GameInstance, payoffs) -> int:
     face = analysis.DualFace(instance)
     high_left, high_right = analysis.extreme_imputations(instance, face)
     ranges = {q: analysis.payoff_range(instance, q, face) for q in instance.agents}
-    report = Report()
-    _describe(instance, report)
     report.add("payoff ranges", [(q, f"{_fmt(lo)} .. {_fmt(hi)}")
                                  for q, (lo, hi) in ranges.items()])
     report.add("extreme favoring side_u", [(q, high_left[q]) for q in instance.agents])
@@ -210,50 +196,36 @@ def cmd_extremes(args) -> tuple[Report, int]:
         for q, (lo, hi) in ranges.items():
             if not (lo <= imp[q] <= hi):
                 report.add("sample check", [("violation", f"{q} pays {imp[q]}")])
-                return report, EXIT_ANALYSIS
+                return EXIT_ANALYSIS
         checked += 1
     report.add("sample check", [("sampled core vertices within ranges", checked)])
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_concurrency(args) -> tuple[Report, int]:
-    instance, _ = _load(args.instance)
-    if instance.kind is not GameKind.GENERAL:
-        raise InstanceError("concurrency applies to general instances")
+def cmd_concurrency(args, report: Report, instance: GameInstance, payoffs) -> int:
     result = analysis.check_concurrency(instance)
-    report = Report()
-    _describe(instance, report)
     report.add("concurrency", [
         ("fractional optimum", result.fractional_optimum),
         ("integral optimum", result.integral_optimum),
         ("core", "CORE NON-EMPTY" if result.concurrent else "CORE EMPTY"),
     ])
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_tum_check(args) -> tuple[Report, int]:
-    instance, _ = _load(args.instance)
+def cmd_tum_check(args, report: Report, instance: GameInstance, payoffs) -> int:
     matrix = constraint_matrix(build_primal(instance))
-    verdict = is_totally_unimodular(matrix)
-    report = Report()
-    _describe(instance, report)
     report.add("constraint matrix", [
         ("rows", matrix.shape[0]),
         ("columns", matrix.shape[1]),
-        ("totally unimodular", verdict),
+        ("totally unimodular", is_totally_unimodular(matrix)),
     ])
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_surplus(args) -> tuple[Report, int]:
-    instance, _ = _load(args.instance)
-    if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        raise InstanceError("surplus applies to hoffman_kruskal instances")
+def cmd_surplus(args, report: Report, instance: GameInstance, payoffs) -> int:
     dual = analysis.optimal_dual(instance)
     account = analysis.surplus_account(instance, dual)
     imp = analysis.dual_to_imputation(instance, dual)
-    report = Report()
-    _describe(instance, report)
     report.add("deterministic optimal dual", _dual_rows(instance, dual))
     report.add("surplus account", [
         ("worth", account.worth),
@@ -261,11 +233,10 @@ def cmd_surplus(args) -> tuple[Report, int]:
         ("surplus", account.surplus),
     ])
     report.add("payments", [(q, imp[q]) for q in instance.agents])
-    return report, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_reproduce(args) -> tuple[Report, int]:
-    report = Report()
+def cmd_reproduce(args, report: Report, instance, payoffs) -> int:
     failures = 0
     for fixture, checks in fixtures.run_all():
         rows = []
@@ -277,25 +248,29 @@ def cmd_reproduce(args) -> tuple[Report, int]:
         report.add(f"{fixture.name}: {fixture.summary}", rows)
     report.add("summary", [("result", "all fixtures pass" if not failures
                             else f"{failures} checks failed")])
-    return report, EXIT_OK if failures == 0 else EXIT_ANALYSIS
+    return EXIT_OK if failures == 0 else EXIT_ANALYSIS
 
 
+_EVERY_KIND = tuple(GameKind)
+
+# name: (handler, the instance kinds it accepts or None when it reads no
+# instance file, help text).
 _COMMANDS = {
-    "solve": (cmd_solve, True,
+    "solve": (cmd_solve, _EVERY_KIND,
               "worth, program optimum, deterministic dual, induced payoffs"),
-    "classify": (cmd_classify, True,
+    "classify": (cmd_classify, _EVERY_KIND,
                  "player/team classes with payment and fairness verdicts"),
-    "core-check": (cmd_core_check, True,
+    "core-check": (cmd_core_check, _EVERY_KIND,
                    "core and D(I) membership of the file's imputation line"),
-    "extremes": (cmd_extremes, True,
+    "extremes": (cmd_extremes, (GameKind.ASSIGNMENT, GameKind.UNIFORM_B),
                  "payoff ranges and the two antipodal core imputations"),
-    "concurrency": (cmd_concurrency, True,
+    "concurrency": (cmd_concurrency, (GameKind.GENERAL,),
                     "fractional vs integral optimum of a general game"),
-    "tum-check": (cmd_tum_check, True,
+    "tum-check": (cmd_tum_check, _EVERY_KIND,
                   "total-unimodularity sweep of the constraint matrix"),
-    "surplus": (cmd_surplus, True,
+    "surplus": (cmd_surplus, (GameKind.HOFFMAN_KRUSKAL,),
                 "surplus accounting under the deterministic optimal dual"),
-    "reproduce-paper": (cmd_reproduce, False,
+    "reproduce-paper": (cmd_reproduce, None,
                         "run the built-in regression fixtures"),
 }
 
@@ -308,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("text", "records"), default="text",
                         help="human-readable text or one record per fact")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_file, blurb) in _COMMANDS.items():
+    for name, (_, kinds, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[shared], help=blurb, description=blurb)
-        if needs_file:
+        if kinds is not None:
             p.add_argument("instance", help="instance file path")
     extremes = sub.choices["extremes"]
     extremes.add_argument("--samples", type=int, default=50, metavar="N",
@@ -322,9 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _, _ = _COMMANDS[args.command]
+    handler, kinds, _ = _COMMANDS[args.command]
+    report = Report()
     try:
-        report, code = handler(args)
+        instance = payoffs = None
+        if kinds is not None:
+            instance, payoffs = _load(args.instance)
+            if instance.kind not in kinds:
+                raise InstanceError(f"{args.command} applies to "
+                                    f"{' and '.join(k.value for k in kinds)} instances")
+            _describe(instance, report)
+        code = handler(args, report, instance, payoffs)
     except (InstanceError, CapExceededError, InfeasibleInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

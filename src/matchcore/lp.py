@@ -139,10 +139,6 @@ class LinearProgram:
                 return False
         return all(c.satisfied_by(values) for c in self.constraints)
 
-    def with_objective(self, objective, sense) -> "LinearProgram":
-        return LinearProgram(sense, self.variables, objective,
-                             self.constraints, self.lower, self.upper)
-
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,
                              self.constraints + tuple(extra),

@@ -53,10 +53,6 @@ class Matching:
         return sum((instance.edge(k).weight * mult for k, mult in self.entries),
                    ZERO)
 
-    @property
-    def keys(self) -> tuple[EdgeKey, ...]:
-        return tuple(k for k, _ in self.entries)
-
 
 @lru_cache(maxsize=100_000)
 def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching, ...]]:

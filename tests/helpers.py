@@ -3,7 +3,9 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+from matchcore.formulations import build_dual
 from matchcore.games import MULTI_KINDS, GameKind, make_instance
+from matchcore.lp import Constraint, Relation, solve
 
 F = Fraction
 
@@ -138,6 +140,15 @@ def naive_optima(instance):
         elif w == best:
             optima.add(key)
     return best, optima
+
+
+def pinned_row_face(g):
+    """Reference: the optimal dual face written as the dual program plus
+    the row "objective = optimum", for cold solves."""
+    program = build_dual(g)
+    base = solve(program)
+    return program.with_extra_constraints(
+        [Constraint(program.objective, Relation.EQ, base.value)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import helpers
 from matchcore.analysis import (
     DualFace,
-    _grand_total_ok,
+    _grand_range,
     check_concurrency,
     core_nonempty,
     dual_to_imputation,
@@ -33,7 +33,7 @@ from matchcore.analysis import (
 from matchcore import lp as lp_module
 from matchcore.formulations import build_dual, lower_dual_var, upper_dual_var, vertex_dual_var
 from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance
-from matchcore.lp import Constraint, Relation, Sense, Status
+from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status
 from matchcore.oracle import (
     ClassLabel,
     InfeasibleInstanceError,
@@ -100,6 +100,14 @@ def test_wrong_total_is_rejected_with_grand_witness():
     verdict = is_core_imputation(g, short)
     assert not verdict.in_core
     assert verdict.witness == frozenset(g.agents)
+    # The hub_capacity_surplus game: its surplus ranges over [4, 12] on the
+    # optimal dual face (the deterministic dual gives 10), and a total
+    # outside is blocked by the grand coalition demanding the end it passes.
+    hub = helpers.hk_mixed_bounds()
+    for total, demand in ((3, 4), (13, 12)):
+        verdict = is_core_imputation(hub, make_imputation(hub, {"u": total}))
+        assert (verdict.in_core, verdict.witness, verdict.witness_demand,
+                verdict.witness_allocation) == (False, frozenset(hub.agents), demand, total)
 
 
 def test_paid_sometimes_examples():
@@ -398,21 +406,13 @@ def test_hk_edge_lower_core_membership():
     assert not in_dual_image(g, printed)
 
 
-def _pinned_row_face(g):
-    """Reference: the optimal dual face written as the dual program plus
-    the row "objective = optimum"."""
-    program = build_dual(g)
-    base = lp_module.solve(program)
-    return program.with_extra_constraints(
-        [Constraint(program.objective, Relation.EQ, base.value)])
-
-
 def _pinned_row_admits(face, equations):
     """Does some point of ``face`` satisfy every ``(coeffs, value)`` equation?"""
     rows = [Constraint(tuple(F(coeffs.get(name, 0)) for name in face.variables),
                        Relation.EQ, value) for coeffs, value in equations]
     zero = [0] * len(face.variables)
-    program = face.with_extra_constraints(rows).with_objective(zero, Sense.MINIMIZE)
+    program = LinearProgram(Sense.MINIMIZE, face.variables, zero,
+                            face.constraints + tuple(rows), face.lower, face.upper)
     return lp_module.solve(program).status is Status.OPTIMAL
 
 
@@ -446,7 +446,7 @@ def test_dual_image_and_hk_total_match_the_pinned_row_lp():
     for kind in helpers.ALL_BIPARTITE:
         for _ in range(15):
             g = helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
-            face = _pinned_row_face(g)
+            face = helpers.pinned_row_face(g)
             duals = [optimal_dual(g)] + sample_dual_vertices(g, 3, seed=rng.randint(0, 10**6))
             derived = [dual_to_imputation(g, d).as_dict for d in duals]
             derived.append({q: (derived[0][q] + derived[-1][q]) / 2 for q in g.agents})
@@ -461,7 +461,8 @@ def test_dual_image_and_hk_total_match_the_pinned_row_lp():
                 image[want] += 1
                 if kind is GameKind.HOFFMAN_KRUSKAL:
                     want = _pinned_row_admits(face, [(weights, imp.total)])
-                    assert _grand_total_ok(g, imp) is want
+                    lo, hi = _grand_range(g)
+                    assert (lo <= imp.total and (hi is None or imp.total <= hi)) is want
                     total[want] += 1
     # Counts at these seeds: D(I) 270 in, 375 out; grand total 120 in, 33 out.
     assert image[True] >= 200 and image[False] >= 200, image
@@ -497,11 +498,12 @@ def test_surplus_and_overpayment_match_hand_written_references():
             assert surplus_account(g, d).adjustment == adjustment
             counts["duals"] += 1
             counts["bound duals"] += any(d.lower(e.key) or d.upper(e.key) for e in g.edges)
-        pinned, face = _pinned_row_face(g), DualFace(g)
+        pinned, face = helpers.pinned_row_face(g), DualFace(g)
         for e in g.edges:
             slack = _hand_written_slack(e)
             objective = [F(slack.get(name, 0)) for name in pinned.variables]
-            top = lp_module.solve(pinned.with_objective(objective, Sense.MAXIMIZE))
+            top = lp_module.solve(LinearProgram(Sense.MAXIMIZE, pinned.variables, objective,
+                                                pinned.constraints, pinned.lower, pinned.upper))
             want = top.value - e.weight if top.status is Status.OPTIMAL else None
             assert face.max_overpayment(e.key) == want
             counts["uncapped" if e.upper is None else "capped"] += 1

@@ -1,7 +1,11 @@
 """Command-line behaviour: outputs, exit codes, record mode."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from matchcore.oracle import max_weight
 from matchcore.rationals import parse_rational
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -44,6 +49,23 @@ def test_core_check_blocked_vector_reports_witness(tmp_path, capsys):
     assert code == 0
     assert "NOT IN CORE" in out
     assert "blocking coalition" in out
+
+
+def test_core_check_reports_the_grand_range_end_a_wrong_total_passes(tmp_path, capsys):
+    # The surplus of this hoffman_kruskal game ranges over [4, 12] across
+    # its optimal duals, so a total of 1 falls short of 4.
+    path = write(tmp_path, "hub.game",
+                 fixtures.fixture_by_name("hub_capacity_surplus").text
+                 + "imputation u=1\n")
+    code, out, _ = run(capsys, "core-check", path, "--format", "records")
+    assert code == 0
+    records = [line.split("\t") for line in out.splitlines()]
+    assert [r for r in records if r[0] == "core"] == [
+        ["core", "verdict", "NOT IN CORE"],
+        ["core", "blocking coalition", "u v1 v2"],
+        ["core", "coalition demand", "4"],
+        ["core", "coalition allocation", "1"],
+    ]
 
 
 def test_core_check_requires_imputation(tmp_path, capsys):
@@ -154,6 +176,17 @@ def test_repeated_or_unknown_names_exit_two(tmp_path, capsys, extra, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("command, fixture, message", [
+    ("extremes", "unit_triangle", "extremes applies to assignment and uniform_b instances"),
+    ("concurrency", "hub_capacity_surplus", "concurrency applies to general instances"),
+    ("surplus", "three_agent_b_matching", "surplus applies to hoffman_kruskal instances"),
+])
+def test_command_on_a_kind_it_does_not_accept_exits_two(tmp_path, capsys, command,
+                                                        fixture, message):
+    path = write(tmp_path, "g.game", fixtures.fixture_by_name(fixture).text)
+    assert run(capsys, command, path) == (2, "", f"error: {message}\n")
+
+
 def test_library_value_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
     def rejected(*args, **kwargs):
         raise ValueError("dual solution is not optimal")
@@ -217,3 +250,28 @@ def test_contradicted_theorem_exits_one_without_traceback(tmp_path, capsys, monk
     assert code == 1
     assert out == ""
     assert "not an optimal dual" in err and "Traceback" not in err
+
+
+_EVERY_DEMO_CALL = """
+from pathlib import Path
+from matchcore.cli import main
+print("exit", main(["reproduce-paper", "--format", "records"]))
+for path in sorted(Path("demos", "instances").glob("*.game")):
+    for command in ("solve", "classify"):
+        print("exit", main([command, str(path), "--format", "records"]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # Set and dict iteration orders change with PYTHONHASHSEED; no printed
+    # fact may.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _EVERY_DEMO_CALL], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert next(iter(outputs)).count("exit 0") == 17

@@ -4,7 +4,9 @@ Two second opinions on ``core_nonempty``: for the general and assignment
 kinds the core is {x >= 0, x(V) = v(V), x_u + x_v >= w_uv for every
 edge} (Deng, Ibaraki and Nagamochi 1999), an LP with one row per edge;
 for every kind the verdict must equal the feasibility of the dense LP
-holding every coalition row of the same demand table.
+holding every coalition row of the same demand table. The dense LP's
+hoffman_kruskal total rows come from cold solves of the pinned-row dual
+program, not from the library's optimal-face queries.
 """
 
 import math
@@ -14,7 +16,8 @@ from itertools import combinations
 
 import helpers
 from matchcore import analysis
-from matchcore.games import GameKind, make_imputation, restrict
+from matchcore.formulations import vertex_dual_var
+from matchcore.games import GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
 from matchcore.oracle import max_weight, worth
 
@@ -34,15 +37,30 @@ def _edge_lp(g):
     return LinearProgram(Sense.MINIMIZE, agents, [ZERO] * len(agents), rows)
 
 
-def _dense_lp(g):
-    """Every coalition row of the demand table, written out at once."""
+def _total_rows(g):
+    """The total row x(V) = v(V); for hoffman_kruskal, x(V) >= lo and
+    x(V) <= hi, the min and max surplus over the optimal dual face by cold
+    solves of the pinned-row dual program (an unbounded max gives no row)."""
+    ones = tuple(ONE for _ in g.agents)
+    if g.kind is not GameKind.HOFFMAN_KRUSKAL:
+        return [Constraint(ones, Relation.EQ, worth(g, g.agents))]
+    face = helpers.pinned_row_face(g)
+    weights = {vertex_dual_var(q): F(g.capacity(q)) for q in g.agents}
+    surplus = [weights.get(name, ZERO) for name in face.variables]
+    rows = []
+    for sense, relation in ((Sense.MINIMIZE, Relation.GE), (Sense.MAXIMIZE, Relation.LE)):
+        end = solve(LinearProgram(sense, face.variables, surplus, face.constraints,
+                                  face.lower, face.upper))
+        if end.status is Status.OPTIMAL:
+            rows.append(Constraint(ones, relation, end.value))
+    return rows
+
+
+def _dense_lp(g, total_rows=None):
+    """Every coalition row of the demand table, written out at once, under
+    ``total_rows`` (by default ``_total_rows(g)``)."""
     agents = g.agents
-    if g.kind is GameKind.HOFFMAN_KRUSKAL:
-        d = analysis.optimal_dual(g)
-        grand = analysis.surplus_account(g, d).surplus
-    else:
-        grand = worth(g, agents)
-    rows = [Constraint(tuple(ONE for _ in agents), Relation.EQ, grand)]
+    rows = list(total_rows or _total_rows(g))
     for _, members, demand, _ in analysis._coalition_demands(g):
         rows.append(Constraint(tuple(ONE if q in members else ZERO for q in agents),
                                Relation.GE, demand))
@@ -83,9 +101,10 @@ def test_row_generation_matches_the_dense_coalition_lp_for_every_kind():
     seeds = {GameKind.ASSIGNMENT: 6101, GameKind.UNIFORM_B: 6102,
              GameKind.B_MATCHING: 6103, GameKind.HOFFMAN_KRUSKAL: 6104,
              GameKind.GENERAL: 6105}
+    disagree = 0
     for kind, seed in seeds.items():
         rng = random.Random(seed)
-        for trial in range(16):
+        for trial in range(60 if kind is GameKind.HOFFMAN_KRUSKAL else 16):
             if kind is GameKind.GENERAL:
                 g = helpers.random_general(rng, max_vertices=6, max_edges=8,
                                            max_weight=3 if trial % 2 else 9)
@@ -97,6 +116,32 @@ def test_row_generation_matches_the_dense_coalition_lp_for_every_kind():
             if nonempty:
                 assert dense.is_feasible(tuple(witness[q] for q in g.agents))
             _witness_checks(g, nonempty, witness)
+            if kind is GameKind.HOFFMAN_KRUSKAL:
+                # The verdict a total pinned to the deterministic dual's
+                # surplus would give.
+                bland = analysis.surplus_account(g, analysis.optimal_dual(g)).surplus
+                pinned = _dense_lp(g, [Constraint(tuple(ONE for _ in g.agents),
+                                                  Relation.EQ, bland)])
+                disagree += (solve(pinned).status is Status.OPTIMAL) != nonempty
+    # Count at these seeds: 4 of the 60 hoffman_kruskal games have an
+    # empty core under the deterministic dual's total but not under the range.
+    assert disagree >= 3, disagree
+
+
+def test_core_nonempty_witness_passes_the_membership_test():
+    # One of 400 games of helpers.random_bipartite(random.Random(77),
+    # hoffman_kruskal, max_side=3, max_edges=6). The surplus ranges over
+    # [16, 18] on the optimal dual face and the deterministic dual gives
+    # 16, where no payoffs meet every coalition row; at 18 some do.
+    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a0", "a1", "a2"], ["b0"],
+                      [("a0", "b0", 9, 1, 2), ("a1", "b0", 8, 0, 3),
+                       ("a2", "b0", 5, 0, 3)],
+                      capacities={"a0": 3, "a1": 3, "a2": 2, "b0": 2})
+    nonempty, witness = analysis.core_nonempty(g)
+    assert nonempty
+    assert analysis.is_core_imputation(g, witness).in_core
+    assert analysis.is_core_imputation(
+        g, make_imputation(g, {"a0": 2, "b0": 16})).in_core
 
 
 def test_sampled_core_points_are_vertices_of_the_full_core():

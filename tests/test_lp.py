@@ -278,7 +278,8 @@ def test_warm_face_queries_match_the_pinned_row_lp():
         values = []
         for objective, sense in queries:
             warm = face.optimize(objective, sense)
-            cold = solve(pinned.with_objective(objective, sense))
+            cold = solve(LinearProgram(sense, pinned.variables, objective,
+                                       pinned.constraints, pinned.lower, pinned.upper))
             assert warm.status is cold.status
             values.append(warm.value)
             if warm.status is Status.UNBOUNDED:
