@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import mul, or_
 from typing import Iterator, Mapping, Sequence
 
 from .caps import check_instance_size
@@ -284,13 +284,19 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
     the instance. Coalitions come in size-then-lexicographic order (agents
     in instance order). The demand is the coalition's worth, read from the
     instance's one ``coalition_worths`` table, or for the bounds-capacity
-    kind its surplus under the fixed-pivot-rule optimal dual of the
-    restricted dual program, so repeated runs agree; that dual is yielded
-    too (None for the other kinds and for a coalition spanning no edges).
+    kind the surplus under the Bland-rule optimal dual of the sub-game of
+    its members on an inner edge, so repeated runs agree; that dual is
+    yielded too (None for the other kinds and for a coalition spanning no
+    edges). A member on no inner edge adds a column with no row entry and
+    cost >= 0, which Bland's rule never enters (Bland 1977); dropping it
+    keeps the other columns' order, so the surplus is unchanged, and
+    coalitions with the same inner edges share one solve.
     """
     agents = instance.agents
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
     worths = None if hk else coalition_worths(instance)
+    ends = [1 << agents.index(e.u) | 1 << agents.index(e.v) for e in instance.edges]
+    solved = {0: (ZERO, None)}      # inner-edge end mask -> (demand, dual)
     for size in range(1, len(agents)):
         for picked in combinations(range(len(agents)), size):
             mask = sum(1 << j for j in picked)
@@ -298,12 +304,12 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
             if not hk:
                 yield mask, members, worths[mask], None
                 continue
-            sub = restrict(instance, members)
-            if not sub.edges:
-                yield mask, members, ZERO, None
-                continue
-            d = optimal_dual(sub)
-            yield mask, members, _surplus(d), d
+            covered = reduce(or_, (end for end in ends if end & mask == end), 0)
+            if covered not in solved:
+                sub = restrict(instance, (q for j, q in enumerate(agents) if covered >> j & 1))
+                d = optimal_dual(sub)
+                solved[covered] = _surplus(d), d
+            yield (mask, members) + solved[covered]
 
 
 def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -349,6 +355,10 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     on its own (its worth, or for the bounds-capacity kind its
     deterministic surplus) than it is allocated. The first blocking
     coalition in size-then-lexicographic order is returned as the witness.
+    A bounds-capacity witness has every member on an inner edge: else the
+    members on one would form a smaller coalition, with the same demand
+    and, payoffs being >= 0, no more allocation, that blocks first. So
+    ``witness_dual`` is the dual of the witness's own sub-game.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))

@@ -30,6 +30,7 @@ from matchcore.analysis import (
     surplus_account,
     verify_complementarity,
 )
+from matchcore import analysis as analysis_module
 from matchcore import lp as lp_module
 from matchcore.formulations import build_dual, lower_dual_var, upper_dual_var, vertex_dual_var
 from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance
@@ -348,6 +349,29 @@ def test_dual_program_is_solved_once_per_instance(monkeypatch):
                     program.lower, program.upper)]
     assert len(unpinned) == 1
     assert len(solved) > 1
+
+
+def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch):
+    # Weights no other test uses, so no cached solve of this game or of any
+    # of its sub-games exists.
+    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
+                      [("a1", "b1", F(67, 13), 0, 2), ("a1", "b2", F(41, 13), 0, None),
+                       ("a2", "b2", F(58, 13), 1, 2), ("a2", "b3", F(29, 13), 0, 1),
+                       ("a3", "b3", F(50, 13), 0, None)],
+                      capacities={"a1": 2, "a2": 3, "a3": 1, "b1": 1, "b2": 2, "b3": 2})
+    faces = []
+    original = analysis_module.OptimalFace
+    monkeypatch.setattr(analysis_module, "OptimalFace",
+                        lambda lp: faces.append(lp) or original(lp))
+    nonempty, witness = core_nonempty(g)
+    assert nonempty and is_core_imputation(g, witness).in_core
+    induced = [frozenset(e.key for e in g.edges if e.u in s and e.v in s)
+               for size in range(1, len(g.agents)) for s in combinations(g.agents, size)]
+    distinct = set(induced) - {frozenset()}
+    # One solve of the whole game, then one per distinct inner edge set:
+    # 19 here, against 42 edge-spanning coalitions.
+    assert (len(distinct), sum(map(bool, induced))) == (19, 42)
+    assert len(faces) == 1 + len(distinct)
 
 
 def test_hk_payments_and_dual_image():

@@ -217,3 +217,41 @@ def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
         assert (verdict.in_core, verdict.witness, verdict.witness_demand,
                 verdict.witness_allocation, verdict.witness_dual) == (False, *expected)
     assert blocked >= 120 and with_dual >= 20 and mixed >= 20
+
+
+def _on_an_edge(sub):
+    return {q for e in sub.edges for q in (e.u, e.v)}
+
+
+def test_hk_demand_table_matches_each_coalitions_own_sub_game():
+    # The demand table solves only the sub-game of the members on an inner
+    # edge. A reference solve of each coalition's whole sub-game must
+    # give the same demand and the same vertex duals, 0 off every inner edge.
+    rng, split = random.Random(77), random.Random(78)
+    spanning, loose, witnesses = 0, 0, 0
+    for _ in range(120):
+        g = helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
+        for _, members, demand, d in analysis._coalition_demands(g):
+            sub = restrict(g, members)
+            if not sub.edges:
+                assert (demand, d) == (ZERO, None)
+                continue
+            spanning += 1
+            own, on_edge = analysis.optimal_dual(sub), _on_an_edge(sub)
+            loose += len(on_edge) < len(members)
+            assert demand == analysis._surplus(own)
+            for q in members:
+                assert own.vertex(q) == (d.vertex(q) if q in on_edge else ZERO)
+        # The first blocking coalition has every member on an inner edge,
+        # so its witness dual is its own sub-game's.
+        grand = analysis.surplus_account(g, analysis.optimal_dual(g)).surplus
+        shares = [split.randint(0, 3) for _ in g.agents]
+        shares[0] += not any(shares)
+        imp = make_imputation(g, {q: grand * s / sum(shares) for q, s in zip(g.agents, shares)})
+        verdict = analysis.is_core_imputation(g, imp)
+        if verdict.witness_dual is not None:
+            witnesses += 1
+            sub = restrict(g, verdict.witness)
+            assert _on_an_edge(sub) == verdict.witness
+            assert verdict.witness_dual == analysis.optimal_dual(sub)
+    assert spanning >= 3000 and loose >= 2000 and witnesses >= 80, (spanning, loose, witnesses)
