@@ -275,6 +275,13 @@ _COMMANDS = {
 }
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcore",
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kinds is not None:
             p.add_argument("instance", help="instance file path")
     extremes = sub.choices["extremes"]
-    extremes.add_argument("--samples", type=int, default=50, metavar="N",
+    extremes.add_argument("--samples", type=_count, default=50, metavar="N",
                           help="random-objective core vertices checked against the ranges")
     extremes.add_argument("--seed", type=int, default=0, metavar="N",
                           help="seed for random-objective sampling")

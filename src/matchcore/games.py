@@ -194,11 +194,17 @@ def validate(instance: GameInstance) -> list[str]:
     if instance.kind is GameKind.UNIFORM_B:
         if instance.uniform_capacity is None or instance.uniform_capacity < 1:
             out.append("uniform capacity must be a positive integer")
+    elif instance.uniform_capacity is not None:
+        out.append("a uniform capacity only applies to uniform_b instances")
+    per_vertex = instance.kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
     named = [q for q, _ in instance.capacities]
     out += [f"capacity for unknown agent {q!r}" for q in named if q not in agent_set]
+    if not per_vertex and agent_set.intersection(named):
+        out.append("per-vertex capacities only apply to b_matching and "
+                   "hoffman_kruskal instances")
     out += [f"capacity for {q!r} listed {named.count(q)} times"
             for q in dict.fromkeys(named) if named.count(q) > 1]
-    if instance.kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL):
+    if per_vertex:
         caps = instance._capacity_map
         for q in agents:
             b = caps.get(q)

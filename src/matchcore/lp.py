@@ -67,11 +67,7 @@ def _normalize_bounds(bounds, variables, default):
     if bounds is None:
         return tuple(default for _ in variables)
     if isinstance(bounds, Mapping):
-        out = []
-        for name in variables:
-            val = bounds.get(name, default)
-            out.append(None if val is None else ensure_rational(val))
-        return tuple(out)
+        raise TypeError("bounds are None or one value per variable, not a mapping")
     seq = list(bounds)
     if len(seq) != len(variables):
         raise ValueError("bounds length does not match variable count")
@@ -81,10 +77,11 @@ def _normalize_bounds(bounds, variables, default):
 class LinearProgram:
     """An immutable LP over named variables.
 
-    Variables default to a lower bound of zero. Pass ``lower={name: None}``
-    (or a sequence containing None) for a free variable, and ``upper`` for
-    finite upper bounds. Malformed input is rejected here, not at solve
-    time.
+    Every variable has a finite lower bound: zero unless ``lower`` gives
+    one value per variable. ``upper`` gives one value or None (no upper
+    bound) per variable. A variable with no lower bound is refused, so the
+    feasible set never contains a line and has a vertex whenever it is
+    nonempty. Malformed input is rejected here, not at solve time.
     """
 
     def __init__(self, sense, variables, objective, constraints=(),
@@ -116,7 +113,9 @@ class LinearProgram:
         self.lower = _normalize_bounds(lower, self.variables, ZERO)
         self.upper = _normalize_bounds(upper, self.variables, None)
         for name, lo, hi in zip(self.variables, self.lower, self.upper):
-            if lo is not None and hi is not None and lo > hi:
+            if lo is None:
+                raise ValueError(f"variable {name!r} has no finite lower bound")
+            if hi is not None and lo > hi:
                 raise ValueError(f"variable {name!r} has lower bound above upper bound")
         self._index = {name: j for j, name in enumerate(self.variables)}
 
@@ -133,9 +132,7 @@ class LinearProgram:
         if len(values) != len(self.variables):
             return False
         for x, lo, hi in zip(values, self.lower, self.upper):
-            if lo is not None and x < lo:
-                return False
-            if hi is not None and x > hi:
+            if x < lo or (hi is not None and x > hi):
                 return False
         return all(c.satisfied_by(values) for c in self.constraints)
 
@@ -171,12 +168,6 @@ class LpSolution:
         return dict(zip(self.variables, self.values))
 
 
-# Internal column tags.
-_STRUCTURAL = 0
-_SLACK = 1
-_ARTIFICIAL = 2
-
-
 def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
     """``row / den`` with the common factor of the row and ``den`` removed."""
     g = gcd(*row, den)
@@ -194,6 +185,13 @@ def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
 class _Tableau:
     """Dense simplex tableau in standard form (equalities, xi >= 0).
 
+    Column j < n is variable j shifted to its lower bound, ``xi_j = x_j -
+    lower_j``; a finite upper bound adds the row ``xi_j <= upper_j -
+    lower_j``. The slack columns of the inequality rows follow, in row
+    order, and phase 1 appends its artificial columns after them and
+    drops them again by position. So a basic solution is ``lower_j +
+    xi_j`` and its basis is the columns below n.
+
     The arithmetic is in integers, fraction-free as in Edmonds (1967) and
     Bareiss (1968). Row i is a list of ints, its right-hand side last, over
     a positive denominator ``dens[i]``: the true row is
@@ -209,81 +207,33 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = len(lp.variables)
-        # Column encodings: x_j is recovered from structural columns via
-        # x_j = shift + sign * xi (shifted/mirrored) or xi_plus - xi_minus.
-        self.col_kind: list[int] = []
-        self.col_var: list[int] = []          # original variable index, -1 for slack/artificial
-        self.col_sign: list[int] = []
-        self.var_mode: list[tuple] = []       # per original variable
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        bound_rows: list[tuple[int, Fraction]] = []   # (column, cap) meaning xi_col <= cap
-
-        def new_col(kind, var=-1, sign=1) -> int:
-            self.col_kind.append(kind)
-            self.col_var.append(var)
-            self.col_sign.append(sign)
-            return len(self.col_kind) - 1
-
-        for j in range(n):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if lo is not None:
-                col = new_col(_STRUCTURAL, j, 1)
-                self.var_mode.append(("shift", col, lo))
-                if hi is not None:
-                    bound_rows.append((col, hi - lo))
-            elif hi is not None:
-                col = new_col(_STRUCTURAL, j, -1)
-                self.var_mode.append(("shift", col, hi))
-            else:
-                cp = new_col(_STRUCTURAL, j, 1)
-                cm = new_col(_STRUCTURAL, j, -1)
-                self.var_mode.append(("split", cp, cm))
-        self.n_structural = len(self.col_kind)
-
-        def expand(coeffs: Sequence[Fraction], rel: Relation, b: Fraction):
-            row = [ZERO] * self.n_structural
-            shift_total = ZERO
-            for j, a in enumerate(coeffs):
-                if not a:
-                    continue
-                mode = self.var_mode[j]
-                if mode[0] == "shift":
-                    _, col, base = mode
-                    sign = self.col_sign[col]
-                    row[col] += a if sign == 1 else -a
-                    shift_total += a * base
-                else:
-                    _, cp, cm = mode
-                    row[cp] += a
-                    row[cm] -= a
-            rows.append(row)
-            rhs.append(b - shift_total)
-            return rel
-
-        self.row_rel: list[Relation] = []
+        system = []
         for con in lp.constraints:
-            self.row_rel.append(expand(con.coeffs, con.relation, con.rhs))
-        for col, cap in bound_rows:
-            row = [ZERO] * self.n_structural
-            row[col] = ONE
-            rows.append(row)
-            rhs.append(cap)
-            self.row_rel.append(Relation.LE)
+            shift = sum((a * lo for a, lo in zip(con.coeffs, lp.lower) if a and lo), ZERO)
+            system.append((con.coeffs, con.relation, con.rhs - shift))
+        for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
+            if hi is not None:
+                unit = [0] * n
+                unit[j] = 1
+                system.append((unit, Relation.LE, hi - lo))
 
         # Slack columns, then sign-normalize right-hand sides and scale
         # each row to integers.
-        self.slack_of_row = [-1 if rel is Relation.EQ else new_col(_SLACK)
-                             for rel in self.row_rel]
-        n_slack = len(self.col_kind) - self.n_structural
+        self.slack_of_row = []
+        self.ncols = n
+        for _, rel, _ in system:
+            if rel is Relation.EQ:
+                self.slack_of_row.append(-1)
+            else:
+                self.slack_of_row.append(self.ncols)
+                self.ncols += 1
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        for i, rel in enumerate(self.row_rel):
-            row = rows[i] + [0] * n_slack + [rhs[i]]
-            s = self.slack_of_row[i]
+        for (coeffs, rel, b), s in zip(system, self.slack_of_row):
+            row = [*coeffs, *[0] * (self.ncols - n), b]
             if s >= 0:
                 row[s] = 1 if rel is Relation.LE else -1
-            if rhs[i] < 0:
+            if b < 0:
                 row = [-a for a in row]
             row, den = _integral(row)
             self.rows.append(row)
@@ -387,7 +337,7 @@ class _Tableau:
 
         Returns False when the program is infeasible.
         """
-        rows, dens = self.rows, self.dens
+        rows, dens, ncols = self.rows, self.dens, self.ncols
         m = len(rows)
 
         # Phase 1 basis: row slacks where usable, artificials elsewhere.
@@ -399,50 +349,33 @@ class _Tableau:
         needy = [i for i in range(m) if self.basis[i] < 0]
         if not needy:
             return True
-        artificials = []
-        for i in needy:
-            col = len(self.col_kind)
-            self.col_kind.append(_ARTIFICIAL)
-            self.col_var.append(-1)
-            self.col_sign.append(1)
-            artificials.append(col)
-            self.basis[i] = col
+        for k, i in enumerate(needy):
+            self.basis[i] = ncols + k
         for r, row in enumerate(rows):
             row[-1:-1] = [dens[r] if r == i else 0 for i in needy]
 
-        ncols = len(self.col_kind)
-        phase1 = [ZERO] * ncols
-        for col in artificials:
-            phase1[col] = -ONE
-        _, zrow = self._run(phase1, range(ncols))
+        phase1 = [ZERO] * ncols + [-ONE] * len(needy)
+        _, zrow = self._run(phase1, range(len(phase1)))
         if zrow[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
         # turn out to be redundant.
-        art_set = set(artificials)
         keep = []
         for i in range(m):
-            if self.basis[i] not in art_set:
+            if self.basis[i] < ncols:
                 keep.append(i)
                 continue
-            enter = next((j for j in range(ncols)
-                          if self.col_kind[j] != _ARTIFICIAL and rows[i][j]), -1)
+            enter = next((j for j in range(ncols) if rows[i][j]), -1)
             if enter >= 0:
                 self._pivot(i, enter)
                 keep.append(i)
-        # Remove artificial columns entirely.
-        live = [j for j in range(ncols) if self.col_kind[j] != _ARTIFICIAL]
-        live.append(ncols)      # the right-hand side
-        remap = {j: k for k, j in enumerate(live)}
+        # Remove the artificial columns, the last before the right-hand side.
         self.rows, self.dens = [], []
         for i in keep:
-            row, den = _lowest([rows[i][j] for j in live], dens[i])
+            row, den = _lowest(rows[i][:ncols] + rows[i][-1:], dens[i])
             self.rows.append(row)
             self.dens.append(den)
-        self.col_kind = [self.col_kind[j] for j in live[:-1]]
-        self.col_var = [self.col_var[j] for j in live[:-1]]
-        self.col_sign = [self.col_sign[j] for j in live[:-1]]
-        self.basis = [remap[self.basis[i]] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
         return True
 
     def optimize(self, objective: Sequence[Fraction], sense: Sense,
@@ -451,32 +384,19 @@ class _Tableau:
         columns. The final reduced-cost numerators are kept in
         ``self.reduced``."""
         lp = self.lp
-        ncols = len(self.col_kind)
-        maximize = sense is Sense.MAXIMIZE
-        obj = [ZERO] * ncols
-        for j in range(ncols):
-            v = self.col_var[j]
-            if v >= 0:
-                c = objective[v]
-                obj[j] = (c if maximize else -c) * self.col_sign[j]
-        status, zrow = self._run(obj, allowed)
+        n = len(lp.variables)
+        obj = [c if sense is Sense.MAXIMIZE else -c for c in objective]
+        status, zrow = self._run(obj + [ZERO] * (self.ncols - n), allowed)
         self.reduced = zrow[:-1]
         if status == "unbounded":
             return LpSolution(Status.UNBOUNDED, lp.variables)
 
-        xi = [ZERO] * ncols
+        values = list(lp.lower)
         for row, den, bj in zip(self.rows, self.dens, self.basis):
-            xi[bj] = Fraction(row[-1], den)
-        values = []
-        for mode in self.var_mode:
-            if mode[0] == "shift":
-                _, col, base = mode
-                values.append(base + xi[col] if self.col_sign[col] == 1 else base - xi[col])
-            else:
-                _, cp, cm = mode
-                values.append(xi[cp] - xi[cm])
+            if bj < n:
+                values[bj] += Fraction(row[-1], den)
         values = tuple(values)
-        basis_vars = frozenset(self.col_var[b] for b in self.basis if self.col_var[b] >= 0)
+        basis_vars = frozenset(b for b in self.basis if b < n)
         value = sum((c * x for c, x in zip(objective, values)), ZERO)
         return LpSolution(Status.OPTIMAL, lp.variables, value, values, basis_vars)
 
@@ -491,16 +411,15 @@ class _Tableau:
     def solve(self) -> LpSolution:
         if not self._phase1():
             return LpSolution(Status.INFEASIBLE, self.lp.variables)
-        return self.optimize(self.lp.objective, self.lp.sense,
-                             range(len(self.col_kind)))
+        return self.optimize(self.lp.objective, self.lp.sense, range(self.ncols))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve exactly; status is optimal, infeasible, or unbounded.
 
-    Optimal assignments are basic solutions: vertices of the feasible
-    polyhedron when no variable is free. A free x is split as x+ - x-, and
-    the point found may then not be a vertex even if the polyhedron has one.
+    An optimal assignment is a basic solution, and so a vertex of the
+    feasible polyhedron: every variable is bounded below, so the
+    polyhedron has no line and its basic solutions are its vertices.
     """
     return _Tableau(lp).solve()
 
@@ -513,12 +432,12 @@ class OptimalFace:
     column of nonzero reduced cost is zero. ``optimize`` therefore starts
     phase 2 from a copy of the optimal basis and lets only the columns of
     zero reduced cost enter (Bland's rule, same column order): no phase 1
-    and no extra row. Its results are basic solutions, as in ``solve``, and
-    ``"unbounded"`` means the face has a ray along which the secondary
-    objective improves. A question that fixes variables, rather than
-    optimizing over the face, is one solve of ``lp`` with those variables'
-    bounds fixed: the face meets the fixed set exactly when that optimum
-    is ``base.value``.
+    and no extra row. Its results are basic solutions, vertices of the
+    face as ``solve``'s are of the polyhedron, and ``"unbounded"`` means
+    the face has a ray along which the secondary objective improves. A
+    question that fixes variables, rather than optimizing over the face,
+    is one solve of ``lp`` with those variables' bounds fixed: the face
+    meets the fixed set exactly when that optimum is ``base.value``.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -587,7 +506,7 @@ def tight_rows_at(lp: LinearProgram, values: Sequence[Fraction]) -> list[tuple[F
             rows.append(con.coeffs)
     for j in range(n):
         unit = tuple(ONE if k == j else ZERO for k in range(n))
-        if lp.lower[j] is not None and values[j] == lp.lower[j]:
+        if values[j] == lp.lower[j]:
             rows.append(unit)
         elif lp.upper[j] is not None and values[j] == lp.upper[j]:
             rows.append(unit)

@@ -127,6 +127,16 @@ def test_extremes_with_samples(tmp_path, capsys):
     assert "sampled core vertices within ranges" in out
 
 
+def test_negative_sample_count_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "edge.game", render_instance(helpers.single_edge()))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["extremes", path, "--samples", "-3"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --samples: expected a count of at least 0, got -3" in captured.err
+
+
 def test_reproduce_paper_passes(capsys):
     code, out, _ = run(capsys, "reproduce-paper")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from matchcore.formulations import build_dual
 from matchcore.games import (
     GameKind,
     make_imputation,
@@ -104,6 +105,35 @@ def test_validate_flags_a_capacity_listed_twice_as_the_parser_does():
     assert parse_instance(render_instance(once)) == once
 
 
+@pytest.mark.parametrize("kind", list(GameKind), ids=lambda kind: kind.value)
+def test_validate_flags_capacity_data_the_kind_does_not_use(kind):
+    # The parser refuses b lines outside b_matching and hoffman_kruskal,
+    # and the renderer writes b_const for uniform_b alone; an API-built
+    # instance carrying the other kinds' data must be refused likewise.
+    sides = (["a", "b"], []) if kind is GameKind.GENERAL else (["a"], ["b"])
+    used = {GameKind.UNIFORM_B: {"uniform_capacity": 2},
+            GameKind.B_MATCHING: {"capacities": {"a": 2, "b": 1}},
+            GameKind.HOFFMAN_KRUSKAL: {"capacities": {"a": 2, "b": 1}}}.get(kind, {})
+    clean = make_instance(kind, *sides, [("a", "b", 1)], **used)
+    assert validate(clean) == []
+    assert parse_instance(render_instance(clean)) == clean
+    if "capacities" in used:
+        stray = {"uniform_capacity": 3}
+        message = "a uniform capacity only applies to uniform_b instances"
+    else:
+        stray = {"capacities": {"a": 3, "b": 1}}
+        message = ("per-vertex capacities only apply to b_matching and "
+                   "hoffman_kruskal instances")
+    g = make_instance(kind, *sides, [("a", "b", 1)], **{**used, **stray})
+    assert validate(g) == [message]
+    try:
+        back = parse_instance(render_instance(g))
+    except InstanceError as exc:
+        assert "only apply to" in str(exc)
+    else:
+        assert back == clean != g
+
+
 def test_validate_flags_infeasible_lower_bounds_by_lp():
     g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"],
                       [("a", "b", 1, 3, None)],
@@ -148,3 +178,11 @@ def test_validate_rejects_names_that_clash_with_program_variables():
     problems = validate(g)
     assert any("'u,1'" in v for v in problems)
     assert any("'v[2]'" in v for v in problems)
+    # The stopgap keeps LP column names unique: with commas in names,
+    # two edges can name the same lower-bound dual.
+    clash = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a,b", "a"], ["c", "b,c"],
+                          [("a,b", "c", 1), ("a", "b,c", 1)],
+                          capacities={"a,b": 1, "a": 1, "c": 1, "b,c": 1})
+    assert validate(clash) != []
+    with pytest.raises(ValueError, match="variable names must be unique"):
+        build_dual(clash)
