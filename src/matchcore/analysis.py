@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from math import lcm
 from operator import mul, or_
 from typing import Iterator, Mapping, Sequence
 
@@ -53,7 +52,7 @@ from .oracle import (
     is_degenerate,
     max_weight,
 )
-from .rationals import ONE, ZERO, ensure_rational
+from .rationals import ONE, ZERO, ensure_rational, scaled
 
 F = Fraction
 
@@ -318,8 +317,7 @@ def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
     Adds ints: the payoffs over their common denominator ``scale``, so the
     coalition with mask ``mask`` is allocated ``allocation[mask] / scale``.
     """
-    scale = lcm(*(p.denominator for p in payoffs))
-    ints = [p.numerator * (scale // p.denominator) for p in payoffs]
+    ints, scale = scaled(payoffs)
     allocation = [0] * (1 << len(ints))
     for mask in range(1, len(allocation)):
         low = mask & -mask

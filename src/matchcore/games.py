@@ -33,11 +33,6 @@ BIPARTITE_KINDS = frozenset({
     GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL,
 })
 
-# Kinds whose edges may be matched with multiplicity above one.
-MULTI_KINDS = frozenset({
-    GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL,
-})
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -103,19 +98,12 @@ class GameInstance:
 
 def make_instance(kind, side_u, side_v=(), edges=(), capacities=None,
                   uniform_capacity=None) -> GameInstance:
+    """Assemble an instance from the data as given; ``validate`` judges it."""
     kind = kind if isinstance(kind, GameKind) else GameKind(kind)
-    caps: tuple[tuple[str, int], ...] = ()
-    if capacities:
-        items = capacities.items() if isinstance(capacities, Mapping) else capacities
-        caps = tuple((str(q), int(b)) for q, b in items)
-    built = []
-    for e in edges:
-        if isinstance(e, Edge):
-            built.append(e)
-        else:
-            built.append(make_edge(*e))
-    return GameInstance(kind, tuple(side_u), tuple(side_v), tuple(built),
-                        caps, uniform_capacity)
+    items = capacities.items() if isinstance(capacities, Mapping) else capacities or ()
+    built = tuple(e if isinstance(e, Edge) else make_edge(*e) for e in edges)
+    return GameInstance(kind, tuple(side_u), tuple(side_v), built,
+                        tuple((q, b) for q, b in items), uniform_capacity)
 
 
 @dataclass(frozen=True)
@@ -177,9 +165,12 @@ def restrict(instance: GameInstance, members: Iterable[str]) -> GameInstance:
 
 
 def validate(instance: GameInstance) -> list[str]:
-    """All invariant violations, as data; empty list means well formed."""
+    """The one judge of instance data: all violations, [] when well formed."""
     out: list[str] = []
     agents = instance.agents
+    unnamed = [q for q in agents if not isinstance(q, str)]
+    if unnamed:
+        return [f"agent name {q!r} is not a string" for q in unnamed]
     if len(set(agents)) != len(agents):
         out.append("duplicate agent names")
         return out
@@ -192,7 +183,7 @@ def validate(instance: GameInstance) -> list[str]:
     if instance.kind is GameKind.GENERAL and instance.side_v:
         out.append("general instances use a single vertex set")
     if instance.kind is GameKind.UNIFORM_B:
-        if instance.uniform_capacity is None or instance.uniform_capacity < 1:
+        if not _is_int(instance.uniform_capacity) or instance.uniform_capacity < 1:
             out.append("uniform capacity must be a positive integer")
     elif instance.uniform_capacity is not None:
         out.append("a uniform capacity only applies to uniform_b instances")
@@ -210,6 +201,8 @@ def validate(instance: GameInstance) -> list[str]:
             b = caps.get(q)
             if b is None:
                 out.append(f"missing capacity for {q}")
+            elif not _is_int(b):
+                out.append(f"capacity for {q} must be an integer")
             elif b < 1:
                 out.append(f"non-positive capacity for {q}")
 
@@ -224,25 +217,33 @@ def validate(instance: GameInstance) -> list[str]:
         if pair in seen_pairs:
             out.append(f"parallel edge ({e.u},{e.v})")
         seen_pairs.add(pair)
-        if e.weight <= 0:
+        if not isinstance(e.weight, Fraction):
+            out.append(f"weight on ({e.u},{e.v}) must be a Fraction")
+        elif e.weight <= 0:
             out.append(f"non-positive weight on ({e.u},{e.v})")
         if instance.kind in BIPARTITE_KINDS:
             if not ((e.u in left and e.v in right) or (e.u in right and e.v in left)):
                 out.append(f"edge ({e.u},{e.v}) does not cross the bipartition")
-        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+        if not _is_int(e.lower) or not (e.upper is None or _is_int(e.upper)):
+            out.append(f"multiplicity bounds on ({e.u},{e.v}) must be integers")
+        elif instance.kind is GameKind.HOFFMAN_KRUSKAL:
             if e.lower < 0:
                 out.append(f"negative lower bound on ({e.u},{e.v})")
             if e.upper is not None and e.upper < e.lower:
                 out.append(f"upper bound below lower bound on ({e.u},{e.v})")
-        else:
-            if e.lower != 0 or e.upper is not None:
-                out.append(f"edge multiplicity bounds only apply to "
-                           f"{GameKind.HOFFMAN_KRUSKAL.value} instances: ({e.u},{e.v})")
+        elif e.lower != 0 or e.upper is not None:
+            out.append(f"edge multiplicity bounds only apply to "
+                       f"{GameKind.HOFFMAN_KRUSKAL.value} instances: ({e.u},{e.v})")
 
     if instance.kind is GameKind.HOFFMAN_KRUSKAL and not out:
         if any(e.lower > 0 for e in instance.edges) and not _hk_feasible(instance):
             out.append("lower bounds infeasible")
     return out
+
+
+def _is_int(value) -> bool:
+    """Capacities and multiplicity bounds are ints; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _hk_feasible(instance: GameInstance) -> bool:

@@ -122,16 +122,7 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
             raise InstanceError("bipartite instances list side_u/side_v, not 'vertices'")
         agents_u, agents_v = side_u, side_v
 
-    instance = make_instance(
-        kind, agents_u, agents_v, edges,
-        capacities=caps if kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL) else None,
-        uniform_capacity=b_const if kind is GameKind.UNIFORM_B else None,
-    )
-    if kind is not GameKind.UNIFORM_B and b_const is not None:
-        raise InstanceError("b_const only applies to uniform_b instances")
-    if kind not in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL) and caps:
-        raise InstanceError("per-vertex b lines only apply to b_matching and "
-                            "hoffman_kruskal instances")
+    instance = make_instance(kind, agents_u, agents_v, edges, caps, b_const)
     problems = validate(instance)
     if problems:
         raise InstanceError("; ".join(problems))

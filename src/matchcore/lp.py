@@ -21,7 +21,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import ONE, ZERO, ensure_rational
+from .rationals import ONE, ZERO, ensure_rational, scaled
 
 
 class Sense(Enum):
@@ -162,11 +162,6 @@ class LpSolution:
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def as_dict(self) -> dict[str, Fraction]:
-        if self.values is None:
-            raise ValueError(f"no assignment available (status {self.status.value})")
-        return dict(zip(self.variables, self.values))
-
 
 def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
     """``row / den`` with the common factor of the row and ``den`` removed."""
@@ -174,12 +169,6 @@ def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
     if g == 1:
         return row, den
     return [a // g for a in row], den // g
-
-
-def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` as (ints, den) over the smallest positive common ``den``."""
-    den = lcm(*(a.denominator for a in values))
-    return [a.numerator * (den // a.denominator) for a in values], den
 
 
 class _Tableau:
@@ -235,7 +224,7 @@ class _Tableau:
                 row[s] = 1 if rel is Relation.LE else -1
             if b < 0:
                 row = [-a for a in row]
-            row, den = _integral(row)
+            row, den = scaled(row)
             self.rows.append(row)
             self.dens.append(den)
 
@@ -244,7 +233,7 @@ class _Tableau:
     def _init_zrow(self, obj: Sequence[Fraction]) -> tuple[list[int], int]:
         """Reduced costs of maximizing ``obj`` at the current basis, with
         the objective value last, as (ints, den)."""
-        cost, scale = _integral(obj)
+        cost, scale = scaled(obj)
         terms = [(cost[bj], self.rows[i], self.dens[i])
                  for i, bj in enumerate(self.basis) if cost[bj]]
         den = lcm(*(d for _, _, d in terms))

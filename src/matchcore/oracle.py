@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable
 
 from .caps import check_instance_size
-from .games import MULTI_KINDS, EdgeKey, GameInstance, GameKind, restrict
-from .rationals import ZERO
+from .games import EdgeKey, GameInstance, GameKind, restrict
+from .rationals import ZERO, scaled
 
 
 class InfeasibleInstanceError(Exception):
@@ -58,20 +57,16 @@ class Matching:
 def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching, ...]]:
     check_instance_size(len(instance.agents), len(instance.edges))
     edges = instance.edges
-    multi = instance.kind in MULTI_KINDS
     static_hi = []
     for e in edges:
         hi = min(instance.capacity(e.u), instance.capacity(e.v))
-        if not multi:
-            hi = min(hi, 1)
         if e.upper is not None:
             hi = min(hi, e.upper)
         static_hi.append(hi)
     # The search adds and compares ints: weights scaled by the lcm of
     # their denominators. Optimistic bound on the remaining suffix, used
     # for pruning.
-    scale = lcm(*(e.weight.denominator for e in edges))
-    weights = [e.weight.numerator * (scale // e.weight.denominator) for e in edges]
+    weights, scale = scaled([e.weight for e in edges])
     suffix = [0] * (len(edges) + 1)
     for i in range(len(edges) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i] * static_hi[i]
@@ -110,8 +105,7 @@ def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching
     walk(0, 0)
     if best[0] is None:
         raise InfeasibleInstanceError("edge lower bounds admit no matching")
-    matchings = tuple(sorted((Matching(entries) for entries in set(found)),
-                             key=lambda m: m.entries))
+    matchings = tuple(sorted(map(Matching, found), key=lambda m: m.entries))
     return Fraction(best[0], scale), matchings
 
 
@@ -160,10 +154,9 @@ def coalition_worths(instance: GameInstance) -> tuple[Fraction, ...] | _LazyWort
     if instance.kind is GameKind.HOFFMAN_KRUSKAL or any(
             instance.capacity(q) != 1 for q in agents):
         return _LazyWorths(instance)
-    scale = lcm(*(e.weight.denominator for e in instance.edges))
+    weights, scale = scaled([e.weight for e in instance.edges])
     bit = {q: 1 << j for j, q in enumerate(agents)}
-    pairs = [(bit[e.u] | bit[e.v], e.weight.numerator * (scale // e.weight.denominator))
-             for e in instance.edges]
+    pairs = [(bit[e.u] | bit[e.v], w) for e, w in zip(instance.edges, weights)]
     touching = {b: [(pair, w) for pair, w in pairs if pair & b] for b in bit.values()}
     v = [0] * (1 << len(agents))
     for mask in range(1, len(v)):

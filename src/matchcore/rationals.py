@@ -1,4 +1,4 @@
-"""Exact rational numbers: parsing, formatting, and float rejection.
+"""Exact rational numbers: parsing, formatting, integer scaling, and float rejection.
 
 Every number in this package is a ``fractions.Fraction``, which is stored
 in lowest terms with a positive denominator. Binary floats are rejected at
@@ -9,6 +9,8 @@ inputs exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,6 +45,13 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {token!r}") from exc
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as (ints, scale) over their smallest positive common
+    denominator: value i is ``ints[i] / scale``."""
+    scale = lcm(*(a.denominator for a in values))
+    return [a.numerator * (scale // a.denominator) for a in values], scale
 
 
 def format_rational(value: Fraction) -> str:

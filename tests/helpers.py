@@ -4,10 +4,17 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from matchcore.formulations import build_dual
-from matchcore.games import MULTI_KINDS, GameKind, make_instance
+from matchcore.games import GameKind, make_instance
 from matchcore.lp import Constraint, Relation, solve
 
 F = Fraction
+
+# Kinds whose edges may be matched with multiplicity above one; the
+# reference oracle keeps its own copy so that it does not lean on how the
+# library caps an edge.
+MULTI_KINDS = frozenset({
+    GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL,
+})
 
 
 def single_edge(kind=GameKind.ASSIGNMENT, weight=5, uniform_capacity=None):

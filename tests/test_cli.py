@@ -186,6 +186,16 @@ def test_repeated_or_unknown_names_exit_two(tmp_path, capsys, extra, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("b_const 2\n", "a uniform capacity only applies to uniform_b instances"),
+    ("b i 2\n", "per-vertex capacities only apply to b_matching and "
+                "hoffman_kruskal instances"),
+], ids=["b_const", "b"])
+def test_capacity_data_the_kind_does_not_use_exits_two(tmp_path, capsys, extra, message):
+    path = write(tmp_path, "g.game", fixtures.fixture_by_name("unit_triangle").text + extra)
+    assert run(capsys, "solve", path) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, fixture, message", [
     ("extremes", "unit_triangle", "extremes applies to assignment and uniform_b instances"),
     ("concurrency", "hub_capacity_surplus", "concurrency applies to general instances"),

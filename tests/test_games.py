@@ -8,6 +8,7 @@ import pytest
 import helpers
 from matchcore.formulations import build_dual
 from matchcore.games import (
+    Edge,
     GameKind,
     make_imputation,
     make_instance,
@@ -132,6 +133,26 @@ def test_validate_flags_capacity_data_the_kind_does_not_use(kind):
         assert "only apply to" in str(exc)
     else:
         assert back == clean != g
+
+
+@pytest.mark.parametrize("kind, sides, edges, data", [
+    ("b_matching", (["a"], ["b"]), [("a", "b", 1)], {"capacities": {"a": 2.7, "b": 1}}),
+    ("b_matching", (["a"], ["b"]), [("a", "b", 1)], {"capacities": {"a": True, "b": 1}}),
+    ("uniform_b", (["a"], ["b"]), [("a", "b", 1)], {"uniform_capacity": 2.5}),
+    ("hoffman_kruskal", (["a"], ["b"]), [("a", "b", 1, 0, 2.5)],
+     {"capacities": {"a": 3, "b": 3}}),
+    ("assignment", (["a"], ["b"]), [("a", "b", 1, 0.0, None)], {}),
+    ("assignment", ([1], [2]), [(1, 2, 1)], {}),
+    ("assignment", (["a"], ["b"]), [Edge("a", "b", 0.5)], {}),
+], ids=["float-capacity", "bool-capacity", "float-uniform-capacity",
+        "float-upper-bound", "float-lower-bound", "int-agent-names",
+        "float-weight-in-an-edge-object"])
+def test_validate_reports_data_of_the_wrong_type(kind, sides, edges, data):
+    # make_instance stores the data as given; validate alone judges it,
+    # and reports each of these rather than letting it through or raising.
+    g = make_instance(kind, *sides, edges, **data)
+    assert dict(g.capacities) == data.get("capacities", {})
+    assert validate(g) != []
 
 
 def test_validate_flags_infeasible_lower_bounds_by_lp():

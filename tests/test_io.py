@@ -108,6 +108,8 @@ def test_wrong_section_for_kind():
         parse_instance("game assignment\nvertices a b\n")
     with pytest.raises(InstanceError):
         parse_instance("game assignment\nside_u a\nside_v b\nb_const 2\n")
+    with pytest.raises(InstanceError):
+        parse_instance("game assignment\nside_u a\nside_v b\nb a 2\n")
 
 
 def test_round_trip_fixtures_and_random_instances():
