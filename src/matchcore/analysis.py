@@ -275,23 +275,39 @@ class CoreVerdict:
     witness_dual: DualSolution | None = None
 
 
+def _edge_rows(instance: GameInstance) -> list[tuple[int, int, Fraction]] | None:
+    """(i, j, w) per edge, agent indices i < j, sorted; None unless every
+    capacity is one and worths are demanded."""
+    at = {q: j for j, q in enumerate(instance.agents)}
+    if instance.kind is GameKind.HOFFMAN_KRUSKAL or any(instance.capacity(q) != 1 for q in at):
+        return None
+    return sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
+
+
 def _coalition_demands(instance: GameInstance) -> Iterator[
         tuple[int, tuple[str, ...], Fraction, DualSolution | None]]:
-    """Every proper, non-empty coalition with its demand, lazily.
+    """The coalition rows of the core with their demands, lazily.
 
-    Yields (mask, members, demand, dual): bit j of the mask is agent j of
-    the instance. Coalitions come in size-then-lexicographic order (agents
-    in instance order). The demand is the coalition's worth, read from the
-    instance's one ``coalition_worths`` table, or for the bounds-capacity
-    kind the surplus under the Bland-rule optimal dual of the sub-game of
-    its members on an inner edge, so repeated runs agree; that dual is
-    yielded too (None for the other kinds and for a coalition spanning no
-    edges). A member on no inner edge adds a column with no row entry and
-    cost >= 0, which Bland's rule never enters (Bland 1977); dropping it
-    keeps the other columns' order, so the surplus is unchanged, and
+    Yields (mask, members, demand, dual), bit j of the mask = agent j, in
+    size-then-lexicographic order (agents in instance order). With every
+    capacity one the rows are the proper edge pairs (``_edge_rows``): v(S)
+    is the weight of a matching in S, so payoffs >= 0 paying every edge
+    pay every coalition (Shapley and Shubik 1971; Deng, Ibaraki and
+    Nagamochi 1999). Else each proper, non-empty coalition demands its
+    worth (``coalition_worths``) or, for the bounds-capacity kind, the
+    surplus under the Bland-rule optimal dual of the sub-game of its
+    members on an inner edge, so repeated runs agree; that dual is yielded
+    too (else None). A member on no inner edge adds a column with no row
+    entry and cost >= 0, which Bland's rule never enters (Bland 1977);
+    dropping it keeps the other columns' order and the surplus, so
     coalitions with the same inner edges share one solve.
     """
     agents = instance.agents
+    edges = _edge_rows(instance)
+    if edges is not None:
+        for i, j, w in edges if len(agents) > 2 else ():    # a proper pair
+            yield 1 << i | 1 << j, (agents[i], agents[j]), w, None
+        return
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
     worths = None if hk else coalition_worths(instance)
     ends = [1 << agents.index(e.u) | 1 << agents.index(e.v) for e in instance.edges]
@@ -311,13 +327,14 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
             yield (mask, members) + solved[covered]
 
 
-def _allocations(payoffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Every coalition's allocation by one subset-sum sweep over masks.
-
-    Adds ints: the payoffs over their common denominator ``scale``, so the
-    coalition with mask ``mask`` is allocated ``allocation[mask] / scale``.
-    """
+def _allocations(instance: GameInstance, payoffs: Sequence[Fraction]) -> tuple[dict | list, int]:
+    """Each row of ``_coalition_demands`` is allocated ``allocation[mask] /
+    scale``, in ints: an edge pair adds its two payoffs; the table of every
+    coalition is one subset-sum sweep over masks."""
     ints, scale = scaled(payoffs)
+    edges = _edge_rows(instance)
+    if edges is not None:
+        return {1 << i | 1 << j: ints[i] + ints[j] for i, j, _ in edges}, scale
     allocation = [0] * (1 << len(ints))
     for mask in range(1, len(allocation)):
         low = mask & -mask
@@ -344,7 +361,7 @@ def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
-    """Brute-force core membership over every non-empty sub-coalition.
+    """Exact core membership over the coalition rows of ``_coalition_demands``.
 
     The total must lie in the grand range (``_grand_range``): the worth,
     or for the bounds-capacity kind the surplus under some optimal dual;
@@ -353,6 +370,8 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     on its own (its worth, or for the bounds-capacity kind its
     deterministic surplus) than it is allocated. The first blocking
     coalition in size-then-lexicographic order is returned as the witness.
+    With every capacity one that is an edge pair: singletons never block,
+    and a blocking coalition holds a blocking edge of its best matching.
     A bounds-capacity witness has every member on an inner edge: else the
     members on one would form a smaller coalition, with the same demand
     and, payoffs being >= 0, no more allocation, that blocks first. So
@@ -364,7 +383,7 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     total = imp.total
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
-    allocation, scale = _allocations([imp[q] for q in agents])
+    allocation, scale = _allocations(instance, [imp[q] for q in agents])
     for mask, members, demand, d in _coalition_demands(instance):
         if demand.numerator * scale > allocation[mask] * demand.denominator:
             return CoreVerdict(False, frozenset(members), demand,
@@ -397,7 +416,8 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
 
 
 class _CoalitionCuts:
-    """Exact row generation over the coalition rows of the core.
+    """Exact row generation over the coalition rows of the core, those of
+    ``_coalition_demands`` (edge pairs when every capacity is one).
 
     The LP starts from the total rows alone: one equation when the grand
     range (``_grand_range``) is one value, else a row for each bounded
@@ -414,6 +434,7 @@ class _CoalitionCuts:
         check_instance_size(len(agents), len(instance.edges))
         lo, hi = _grand_range(instance)
         ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
+        self.instance = instance
         self.names = [f"alloc[{q}]" for q in agents]
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
         self.table = [(mask, members, demand)
@@ -429,7 +450,7 @@ class _CoalitionCuts:
                           "coalition[" + "|".join(members) + "]")
 
     def _most_violated(self, values: tuple[Fraction, ...]):
-        allocation, scale = _allocations(values)
+        allocation, scale = _allocations(self.instance, values)
         # A row's excess is short / (den * scale), and scale is common to
         # every row, so rows compare by short / den, cross-multiplied.
         worst, gap, gap_den = None, 0, 1
@@ -465,11 +486,12 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     membership ``is_core_imputation`` decides. The grand range is the
     worth, or for the bounds-capacity kind the surplus under some optimal
     dual; the demands are worths, or for that kind surpluses under the
-    deterministic optimal duals of the sub-games. Coalition rows are added
-    only when the current payoffs violate them, so the LP stays small; the
-    verdict is the one the LP with every row gives. Returns (False, None)
-    when the core is empty, else (True, a witness core imputation); when
-    the core has more than one point, which one is returned is not
+    deterministic optimal duals of the sub-games; with every capacity one
+    the edge rows cut out the same core (``_coalition_demands``). Rows are
+    added only when the current payoffs violate them, so the LP stays
+    small; the verdict is the one the LP with every row gives. Returns
+    (False, None) when the core is empty, else (True, a witness core
+    imputation); which one, when the core has more than one point, is not
     specified.
     """
     cuts = _CoalitionCuts(instance)

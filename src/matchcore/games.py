@@ -168,7 +168,9 @@ def validate(instance: GameInstance) -> list[str]:
     """The one judge of instance data: all violations, [] when well formed."""
     out: list[str] = []
     agents = instance.agents
-    unnamed = [q for q in agents if not isinstance(q, str)]
+    named = [q for q, _ in instance.capacities]
+    # Capacity keys name agents too; one that is not a string may not hash.
+    unnamed = [q for q in agents + tuple(named) if not isinstance(q, str)]
     if unnamed:
         return [f"agent name {q!r} is not a string" for q in unnamed]
     if len(set(agents)) != len(agents):
@@ -188,7 +190,6 @@ def validate(instance: GameInstance) -> list[str]:
     elif instance.uniform_capacity is not None:
         out.append("a uniform capacity only applies to uniform_b instances")
     per_vertex = instance.kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
-    named = [q for q, _ in instance.capacities]
     out += [f"capacity for unknown agent {q!r}" for q in named if q not in agent_set]
     if not per_vertex and agent_set.intersection(named):
         out.append("per-vertex capacities only apply to b_matching and "

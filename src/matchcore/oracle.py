@@ -4,7 +4,7 @@ Enumerates integral matchings by depth-first search over edges with an
 optimistic weight bound, capped at desk scale. The search adds and
 compares integers, the weights scaled by the lcm of their denominators;
 worths come back as ``Fraction``, per coalition (``worth``) or as one
-table per instance (``coalition_worths``). What the LP side claims
+lazy table per instance (``coalition_worths``). What the LP side claims
 (worths, optima, classes, degeneracy) is cross-checked against this.
 """
 
@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .caps import check_instance_size
-from .games import EdgeKey, GameInstance, GameKind, restrict
+from .games import EdgeKey, GameInstance, restrict
 from .rationals import ZERO, scaled
 
 
@@ -123,16 +123,18 @@ def enumerate_optima(instance: GameInstance) -> tuple[Matching, ...]:
 def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
     """Characteristic function: optimum of the induced sub-game.
 
-    Zero for the empty coalition or one spanning no edges. The reference
-    for ``coalition_worths``, which sweeps over coalitions read instead.
+    Zero for the empty coalition or one spanning no edges.
     """
     return max_weight(restrict(instance, members))[0]
 
 
 class _LazyWorths(dict):
-    """Coalition worths by mask, each computed by ``worth`` on first read."""
+    """Every coalition's worth as ``table[mask]``, bit j = agent j, each
+    filled by ``worth`` on first read: the core rows of a game with a
+    capacity above one (a capacity-one core needs only edge weights)."""
 
     def __init__(self, instance: GameInstance):
+        check_instance_size(len(instance.agents), len(instance.edges))
         self.instance = instance
 
     def __missing__(self, mask: int) -> Fraction:
@@ -141,30 +143,14 @@ class _LazyWorths(dict):
         return value
 
 
-@lru_cache(maxsize=256)
-def coalition_worths(instance: GameInstance) -> tuple[Fraction, ...] | _LazyWorths:
-    """Every coalition's worth as ``table[mask]``, bit j = agent j.
+coalition_worths = lru_cache(maxsize=256)(_LazyWorths)     # one table per instance
 
-    With every capacity one (and no edge bounds) the table is filled at
-    once by v[S] = max(v[S - i], w_ij + v[S - i - j] for edges ij in S), i
-    the lowest agent of S. Otherwise ``worth`` fills entries on first read.
-    """
-    agents = instance.agents
-    check_instance_size(len(agents), len(instance.edges))
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL or any(
-            instance.capacity(q) != 1 for q in agents):
-        return _LazyWorths(instance)
-    weights, scale = scaled([e.weight for e in instance.edges])
-    bit = {q: 1 << j for j, q in enumerate(agents)}
-    pairs = [(bit[e.u] | bit[e.v], w) for e, w in zip(instance.edges, weights)]
-    touching = {b: [(pair, w) for pair, w in pairs if pair & b] for b in bit.values()}
-    v = [0] * (1 << len(agents))
-    for mask in range(1, len(v)):
-        low = mask & -mask                              # agent i
-        v[mask] = max([v[mask ^ low]] + [w + v[mask ^ pair] for pair, w in touching[low]
-                                         if pair & mask == pair])
-    shared = {x: Fraction(x, scale) for x in set(v)}     # one Fraction per worth
-    return tuple(map(shared.__getitem__, v))
+
+def _label(flags: list[bool]) -> ClassLabel:
+    """Essential when true in every optimum, subpar in none, else viable."""
+    if all(flags):
+        return ClassLabel.ESSENTIAL
+    return ClassLabel.VIABLE if any(flags) else ClassLabel.SUBPAR
 
 
 def classify_player(instance: GameInstance, q: str) -> ClassLabel:
@@ -174,23 +160,13 @@ def classify_player(instance: GameInstance, q: str) -> ClassLabel:
     exactly capacity-many times" for the multi-matching kinds.
     """
     target = instance.capacity(q)
-    flags = [m.degree(q) == target for m in enumerate_optima(instance)]
-    if all(flags):
-        return ClassLabel.ESSENTIAL
-    if not any(flags):
-        return ClassLabel.SUBPAR
-    return ClassLabel.VIABLE
+    return _label([m.degree(q) == target for m in enumerate_optima(instance)])
 
 
 def classify_team(instance: GameInstance, key: EdgeKey) -> ClassLabel:
     """Essential, viable, or subpar by membership across all optima."""
     instance.edge(key)
-    flags = [m.contains(key) for m in enumerate_optima(instance)]
-    if all(flags):
-        return ClassLabel.ESSENTIAL
-    if not any(flags):
-        return ClassLabel.SUBPAR
-    return ClassLabel.VIABLE
+    return _label([m.contains(key) for m in enumerate_optima(instance)])
 
 
 def is_degenerate(instance: GameInstance) -> bool:

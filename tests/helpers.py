@@ -149,6 +149,28 @@ def naive_optima(instance):
     return best, optima
 
 
+def capacity_one(g):
+    """Every capacity one, with worths (not surpluses) as demands."""
+    return g.kind is not GameKind.HOFFMAN_KRUSKAL and all(g.capacity(q) == 1 for q in g.agents)
+
+
+def subset_worths(g):
+    """Reference characteristic function of a capacity-one game, in
+    Fraction: ``table[mask]`` for every coalition, bit j = agent j. The
+    lowest agent i of S is unmatched or matched along an edge ij inside S,
+    so v[S] = max(v[S - i], w_ij + v[S - i - j] for edges ij in S)."""
+    assert capacity_one(g)
+    bit = {q: 1 << j for j, q in enumerate(g.agents)}
+    pairs = [(bit[e.u] | bit[e.v], e.weight) for e in g.edges]
+    touching = {b: [(pair, w) for pair, w in pairs if pair & b] for b in bit.values()}
+    v = [F(0)] * (1 << len(g.agents))
+    for mask in range(1, len(v)):
+        low = mask & -mask
+        v[mask] = max([v[mask ^ low]] + [w + v[mask ^ pair] for pair, w in touching[low]
+                                         if pair & mask == pair])
+    return v
+
+
 def pinned_row_face(g):
     """Reference: the optimal dual face written as the dual program plus
     the row "objective = optimum", for cold solves."""

@@ -644,21 +644,25 @@ def _face_values(g, probes):
     table = coalition_worths(g)
     worths = {frozenset(q for j, q in enumerate(g.agents) if mask >> j & 1): table[mask]
               for mask in range(1 << len(g.agents))}
+    # The core's rows (hoffman_kruskal demands follow the pivot rule).
+    rows = None if g.kind is GameKind.HOFFMAN_KRUSKAL else {
+        frozenset(members): demand
+        for _, members, demand, _ in analysis_module._coalition_demands(g)}
     verdicts = []
     for payoffs in probes:
         imp = make_imputation(g, payoffs)
         verdicts.append((
             in_dual_image(g, imp) if g.kind in BIPARTITE_KINDS else None,
             None if g.kind is GameKind.HOFFMAN_KRUSKAL else is_core_imputation(g, imp).in_core))
-    return agents, teams, pairs, worths, verdicts
+    return agents, teams, pairs, worths, rows, verdicts
 
 
 def test_face_values_do_not_depend_on_agent_or_edge_order():
     # Optimal values over the dual face are facts of the game, so the
     # order of agents and edges (which fixes the column order, and with
-    # it the pivots) must not move them. So must the coalition worths,
-    # whose table is filled by one of two paths (every capacity one, or
-    # not), each keyed by bitmasks over the agent order.
+    # it the pivots) must not move them. Nor must the coalition worths or
+    # the core's rows, both keyed by bitmasks over the agent order: the
+    # edge pairs when every capacity is one, every coalition otherwise.
     rng = random.Random(4)
     games = [helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
              for kind in helpers.ALL_BIPARTITE for _ in range(8)]
@@ -671,9 +675,8 @@ def test_face_values_do_not_depend_on_agent_or_edge_order():
     for g in games + concurrent:
         probes = _probe_payoffs(g)
         expected = _face_values(g, probes)
-        seen.update(expected[4])
-        capacity_one += g.kind is not GameKind.HOFFMAN_KRUSKAL and all(
-            g.capacity(q) == 1 for q in g.agents)
+        seen.update(expected[5])
+        capacity_one += helpers.capacity_one(g)
         for _ in range(2):
             assert _face_values(_relabeled(g, rng), probes) == expected
     assert capacity_one >= 40 and len(games + concurrent) - capacity_one >= 15

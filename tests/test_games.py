@@ -91,6 +91,16 @@ def test_validate_flags_capacities_for_unknown_agents():
     assert validate(g) == ["capacity for unknown agent 'ghost'"]
 
 
+@pytest.mark.parametrize("kind", [GameKind.B_MATCHING, GameKind.ASSIGNMENT],
+                         ids=lambda kind: kind.value)
+def test_validate_reports_a_capacity_keyed_by_an_unhashable_name(kind):
+    # A capacity names its agent; a name that is not a string is reported
+    # as such, as for the agents themselves, even when it cannot be hashed.
+    g = make_instance(kind, ["a"], ["b"], [("a", "b", 1)],
+                      capacities=[(["a"], 1), ("a", 1), ("b", 1)])
+    assert validate(g) == ["agent name ['a'] is not a string"]
+
+
 def test_validate_flags_a_capacity_listed_twice_as_the_parser_does():
     # The file format allows one b line per agent; an instance built
     # through the API with two must be refused before it can be rendered

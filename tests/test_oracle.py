@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from matchcore.analysis import core_nonempty, is_core_imputation, verify_complementarity
+from matchcore.analysis import (
+    core_nonempty,
+    is_core_imputation,
+    sample_core_vertices,
+    verify_complementarity,
+)
 from matchcore.caps import CapExceededError
 from matchcore.formulations import ConstraintMatrix, build_odd_set_primal, is_totally_unimodular
 from matchcore.games import GameKind, make_imputation, make_instance
@@ -203,16 +208,12 @@ def _members(g, mask):
     return [q for j, q in enumerate(g.agents) if mask >> j & 1]
 
 
-def _capacity_one(g):
-    return g.kind is not GameKind.HOFFMAN_KRUSKAL and all(
-        g.capacity(q) == 1 for q in g.agents)
-
-
 def test_coalition_worth_table_matches_worth_on_every_coalition():
-    # Both table paths: the subset recursion (every capacity one) and the
-    # lazy fill (some capacity above one). Every weight is divided by a
-    # seeded integer from 1 to 6, so the recursion's integer scaling
-    # meets mixed denominators.
+    # Two tables against worth: the reference subset recursion of helpers
+    # (every capacity one), and the library's lazy table (some capacity
+    # above one), which row generation and membership scans read. Every
+    # weight is divided by a seeded integer from 1 to 6, so both meet
+    # mixed denominators.
     rng = random.Random(909)
     divisors = random.Random(9090)
     names = [f"v{i}" for i in range(12)]
@@ -230,16 +231,16 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
     for g in games:
         g = replace(g, edges=tuple(replace(e, weight=e.weight / divisors.randint(1, 6))
                                    for e in g.edges))
-        table = coalition_worths(g)
+        key = (g.kind, helpers.capacity_one(g))
+        table = helpers.subset_worths(g) if key[1] else coalition_worths(g)
         for mask in range(1 << len(g.agents)):
             assert table[mask] == worth(g, _members(g, mask)), (g, mask)
-        key = (g.kind, _capacity_one(g))
         paths[key] = paths.get(key, 0) + 1
         if any(e.weight.denominator > 1 for e in g.edges):
             fractional[key[1]] = fractional.get(key[1], 0) + 1
     assert len(games[0].agents) == 12 and len(games[0].edges) == 16
-    # Every non-HK kind takes the recursion; the multi-matching kinds
-    # also take the lazy fill.
+    # Every non-HK kind meets the recursion; the multi-matching kinds
+    # also meet the lazy table.
     for kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING,
                  GameKind.GENERAL):
         assert paths.get((kind, True), 0) >= 15, kind
@@ -256,3 +257,48 @@ def test_lazy_worth_table_fills_only_what_the_core_scan_read():
     verdict = is_core_imputation(g, make_imputation(g, {"v1": F(4)}))
     assert verdict.witness == frozenset({"u", "v2"}) and verdict.witness_demand == 3
     assert max(bin(mask).count("1") for mask in coalition_worths(g)) == 2
+
+
+def test_capacity_one_core_questions_build_no_coalition_table():
+    # At the caps: a 12-vertex, 16-edge general game and a 6 x 6
+    # assignment game with 16 edges. Their core rows are the edge rows,
+    # so no question about their core reads the coalition worth table.
+    rng = random.Random(6161)
+    names = [f"v{i}" for i in range(12)]
+    pairs = sorted(rng.sample([(u, v) for u in names for v in names if u < v], 16))
+    general = make_instance(GameKind.GENERAL, names, (), [(u, v, rng.randint(1, 9))
+                                                          for u, v in pairs])
+    left, right = [f"a{i}" for i in range(6)], [f"b{j}" for j in range(6)]
+    pairs = sorted(rng.sample([(u, v) for u in left for v in right], 16))
+    assignment = make_instance(GameKind.ASSIGNMENT, left, right,
+                               [(u, v, rng.randint(1, 9)) for u, v in pairs])
+    for g in (general, assignment):
+        coalition_worths.cache_clear()
+        nonempty, witness = core_nonempty(g)
+        assert nonempty
+        assert is_core_imputation(g, witness).in_core
+        to_one = make_imputation(g, {g.agents[0]: max_weight(g)[0]})
+        assert not is_core_imputation(g, to_one).in_core
+        assert len(sample_core_vertices(g, 4, seed=2)) >= 2
+        assert coalition_worths.cache_info().misses == 0, g.kind
+
+
+def test_uniform_b_worth_is_b_times_the_assignment_worth():
+    # With every capacity b, the b-matching polytope of a bipartite graph
+    # is b times its matching polytope, and both are integral (total
+    # unimodularity), so v(S) = b * v_assignment(S) on every coalition: a
+    # closed form the oracle's search never uses.
+    rng = random.Random(4321)
+    games, coalitions = 0, 0
+    while games < 100:
+        g = helpers.random_bipartite(rng, GameKind.UNIFORM_B, max_side=4, max_edges=8)
+        if g.uniform_capacity == 1:
+            continue
+        unit = make_instance(GameKind.ASSIGNMENT, g.side_u, g.side_v, g.edges)
+        for mask in range(1 << len(g.agents)):
+            members = _members(g, mask)
+            assert worth(g, members) == g.uniform_capacity * worth(unit, members), (g, mask)
+            coalitions += 1
+        games += 1
+    # 6,304 coalitions at this seed, with b = 2 in 59 games and b = 3 in 41.
+    assert coalitions >= 6000, coalitions
