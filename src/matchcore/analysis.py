@@ -48,7 +48,6 @@ from .oracle import (
     InfeasibleInstanceError,
     classify_player,
     classify_team,
-    coalition_worths,
     is_degenerate,
     max_weight,
 )
@@ -293,14 +292,14 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
     capacity one the rows are the proper edge pairs (``_edge_rows``): v(S)
     is the weight of a matching in S, so payoffs >= 0 paying every edge
     pay every coalition (Shapley and Shubik 1971; Deng, Ibaraki and
-    Nagamochi 1999). Else each proper, non-empty coalition demands its
-    worth (``coalition_worths``) or, for the bounds-capacity kind, the
-    surplus under the Bland-rule optimal dual of the sub-game of its
-    members on an inner edge, so repeated runs agree; that dual is yielded
-    too (else None). A member on no inner edge adds a column with no row
+    Nagamochi 1999). Else each proper, non-empty coalition demands what
+    its cover, its members on an inner edge, demands, computed once per
+    scan: the cover's worth or, for the bounds-capacity kind, the surplus
+    under the Bland-rule optimal dual of its sub-game, so repeated runs
+    agree; that dual is yielded too (else None). A member on no inner
+    edge adds nothing to a matching, and to the dual a column with no row
     entry and cost >= 0, which Bland's rule never enters (Bland 1977);
-    dropping it keeps the other columns' order and the surplus, so
-    coalitions with the same inner edges share one solve.
+    dropping it keeps the other columns' order and the surplus.
     """
     agents = instance.agents
     edges = _edge_rows(instance)
@@ -309,21 +308,20 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
             yield 1 << i | 1 << j, (agents[i], agents[j]), w, None
         return
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    worths = None if hk else coalition_worths(instance)
     ends = [1 << agents.index(e.u) | 1 << agents.index(e.v) for e in instance.edges]
-    solved = {0: (ZERO, None)}      # inner-edge end mask -> (demand, dual)
+    solved = {0: (ZERO, None)}      # cover mask -> (demand, dual)
     for size in range(1, len(agents)):
         for picked in combinations(range(len(agents)), size):
             mask = sum(1 << j for j in picked)
             members = tuple(agents[j] for j in picked)
-            if not hk:
-                yield mask, members, worths[mask], None
-                continue
             covered = reduce(or_, (end for end in ends if end & mask == end), 0)
             if covered not in solved:
                 sub = restrict(instance, (q for j, q in enumerate(agents) if covered >> j & 1))
-                d = optimal_dual(sub)
-                solved[covered] = _surplus(d), d
+                if hk:
+                    d = optimal_dual(sub)
+                    solved[covered] = _surplus(d), d
+                else:
+                    solved[covered] = max_weight(sub)[0], None
             yield (mask, members) + solved[covered]
 
 
@@ -360,16 +358,26 @@ def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
     return face.extremum(weights, Sense.MINIMIZE), face.extremum(weights, Sense.MAXIMIZE)
 
 
+def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
+    """The imputation's payoffs in agent order; ValueError unless it pays
+    exactly the instance's agents."""
+    if imp.as_dict.keys() != set(instance.agents):
+        raise ValueError("imputation pays other agents than the instance's")
+    return [imp[q] for q in instance.agents]
+
+
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """Exact core membership over the coalition rows of ``_coalition_demands``.
 
-    The total must lie in the grand range (``_grand_range``): the worth,
-    or for the bounds-capacity kind the surplus under some optimal dual;
-    outside it the grand coalition is the witness, with the violated end
-    as its demand. A coalition blocks when it can generate strictly more
-    on its own (its worth, or for the bounds-capacity kind its
-    deterministic surplus) than it is allocated. The first blocking
-    coalition in size-then-lexicographic order is returned as the witness.
+    The imputation must pay exactly the instance's agents (else
+    ValueError), and its total must lie in the grand range
+    (``_grand_range``): the worth, or for the bounds-capacity kind the
+    surplus under some optimal dual; outside it the grand coalition is the
+    witness, with the violated end as its demand. A coalition blocks when
+    it can generate strictly more on its own (its cover's worth, or for
+    the bounds-capacity kind deterministic surplus) than it is allocated.
+    The first blocking coalition in size-then-lexicographic order is
+    returned as the witness.
     With every capacity one that is an edge pair: singletons never block,
     and a blocking coalition holds a blocking edge of its best matching.
     A bounds-capacity witness has every member on an inner edge: else the
@@ -379,11 +387,12 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
+    payoffs = _payoffs(instance, imp)
     lo, hi = _grand_range(instance)
     total = imp.total
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
-    allocation, scale = _allocations(instance, [imp[q] for q in agents])
+    allocation, scale = _allocations(instance, payoffs)
     for mask, members, demand, d in _coalition_demands(instance):
         if demand.numerator * scale > allocation[mask] * demand.denominator:
             return CoreVerdict(False, frozenset(members), demand,
@@ -397,16 +406,18 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     Decided exactly by one solve of the dual program with every vertex
     dual fixed, through its bounds, to payoff divided by capacity: that
     program's optimum equals the dual optimum exactly when some optimal
-    dual has these vertex duals.
+    dual has these vertex duals. ValueError unless ``imp`` pays exactly
+    the instance's agents.
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
+    payoffs = _payoffs(instance, imp)
     face = _optimal_face(instance)
     lp = face.lp
     lower, upper = list(lp.lower), list(lp.upper)
-    for q in instance.agents:
+    for q, payoff in zip(instance.agents, payoffs):
         j = lp.index(vertex_dual_var(q))
-        value = imp[q] / F(instance.capacity(q))
+        value = payoff / F(instance.capacity(q))
         if value < lower[j]:        # vertex duals are >= 0, with no upper bound
             return False
         lower[j] = upper[j] = value
@@ -513,6 +524,8 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
     """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, not {count}")
     cuts = _CoalitionCuts(instance)
     rng = random.Random(seed)
     seen = set()
@@ -535,6 +548,8 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
     A face with rays (hoffman_kruskal) can leave every sampled objective
     unbounded; the base vertex, ``optimal_dual``, is then the sample.
     """
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, not {count}")
     face = face or DualFace(instance)
     rng = random.Random(seed)
     seen = set()

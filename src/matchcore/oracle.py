@@ -3,9 +3,9 @@
 Enumerates integral matchings by depth-first search over edges with an
 optimistic weight bound, capped at desk scale. The search adds and
 compares integers, the weights scaled by the lcm of their denominators;
-worths come back as ``Fraction``, per coalition (``worth``) or as one
-lazy table per instance (``coalition_worths``). What the LP side claims
-(worths, optima, classes, degeneracy) is cross-checked against this.
+worths come back as ``Fraction``, per coalition (``worth``). What the
+LP side claims (worths, optima, classes, degeneracy) is cross-checked
+against this.
 """
 
 from __future__ import annotations
@@ -128,24 +128,6 @@ def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
     return max_weight(restrict(instance, members))[0]
 
 
-class _LazyWorths(dict):
-    """Every coalition's worth as ``table[mask]``, bit j = agent j, each
-    filled by ``worth`` on first read: the core rows of a game with a
-    capacity above one (a capacity-one core needs only edge weights)."""
-
-    def __init__(self, instance: GameInstance):
-        check_instance_size(len(instance.agents), len(instance.edges))
-        self.instance = instance
-
-    def __missing__(self, mask: int) -> Fraction:
-        members = [q for j, q in enumerate(self.instance.agents) if mask >> j & 1]
-        value = self[mask] = worth(self.instance, members)
-        return value
-
-
-coalition_worths = lru_cache(maxsize=256)(_LazyWorths)     # one table per instance
-
-
 def _label(flags: list[bool]) -> ClassLabel:
     """Essential when true in every optimum, subpar in none, else viable."""
     if all(flags):
@@ -159,6 +141,8 @@ def classify_player(instance: GameInstance, q: str) -> ClassLabel:
     Saturation means "matched" for the unit-capacity kinds and "matched
     exactly capacity-many times" for the multi-matching kinds.
     """
+    if q not in instance.agents:
+        raise ValueError(f"no agent {q!r} in this instance")
     target = instance.capacity(q)
     return _label([m.degree(q) == target for m in enumerate_optima(instance)])
 

@@ -33,14 +33,13 @@ from matchcore.analysis import (
 from matchcore import analysis as analysis_module
 from matchcore import lp as lp_module
 from matchcore.formulations import build_dual, lower_dual_var, upper_dual_var, vertex_dual_var
-from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance
+from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status
 from matchcore.oracle import (
     ClassLabel,
     InfeasibleInstanceError,
     classify_player,
     classify_team,
-    coalition_worths,
     worth,
 )
 
@@ -73,6 +72,32 @@ def test_skewed_capacity_core_and_dual_image():
     inside = make_imputation(g, {"u": 2, "v2": 2})
     assert is_core_imputation(g, inside).in_core
     assert in_dual_image(g, inside)
+
+
+def test_an_imputation_of_other_agents_is_refused():
+    # Another game, a sub-game and a game with one more agent: none pays
+    # exactly the agents of g, so neither question has an answer.
+    g = helpers.two_team_b_matching()
+    wider = make_instance(GameKind.B_MATCHING, ["u"], ["v1", "v2", "v3"],
+                          [("u", "v1", 1), ("u", "v2", 3), ("u", "v3", 2)],
+                          capacities={"u": 2, "v1": 2, "v2": 1, "v3": 1})
+    foreign = [make_imputation(helpers.unit_triangle(), {}),
+               make_imputation(restrict(g, ["u", "v2"]), {"u": 3}),
+               make_imputation(wider, {"u": 2, "v2": 2})]
+    for imp in foreign:
+        with pytest.raises(ValueError, match="other agents"):
+            is_core_imputation(g, imp)
+        with pytest.raises(ValueError, match="other agents"):
+            in_dual_image(g, imp)
+
+
+def test_a_negative_sample_count_is_refused():
+    g = helpers.two_team_b_matching()
+    with pytest.raises(ValueError, match="count"):
+        sample_dual_vertices(g, -1, seed=0)
+    with pytest.raises(ValueError, match="count"):
+        sample_core_vertices(g, -1, seed=0)
+    assert sample_dual_vertices(g, 0, seed=0) == sample_core_vertices(g, 0, seed=0) == []
 
 
 def test_unit_triangle_equal_split_is_blocked():
@@ -641,9 +666,8 @@ def _face_values(g, probes):
                      face.max_overpayment(e.key), classify_team(g, e.key))
              for e in g.edges}
     pairs = {frozenset(pair): worth(g, pair) for pair in combinations(g.agents, 2)}
-    table = coalition_worths(g)
-    worths = {frozenset(q for j, q in enumerate(g.agents) if mask >> j & 1): table[mask]
-              for mask in range(1 << len(g.agents))}
+    worths = {frozenset(members): worth(g, members)
+              for size in range(len(g.agents) + 1) for members in combinations(g.agents, size)}
     # The core's rows (hoffman_kruskal demands follow the pivot rule).
     rows = None if g.kind is GameKind.HOFFMAN_KRUSKAL else {
         frozenset(members): demand

@@ -64,3 +64,29 @@ def test_traced_rounds_reach_every_required_layer(import_benchmark, name, tmp_pa
     missing = [layer for layer in workload.REQUIRED_LAYERS
                if not metrics[f"{layer}.calls"][0]]
     assert missing == []
+
+
+def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):
+    # The benchmark clears every lru_cache of the matchcore modules before
+    # each operation and counts what follows as a cold start. Per-instance
+    # state kept anywhere else would survive and make the second run
+    # cheaper, so two cold runs on the same game object must search the
+    # same number of games.
+    from matchcore import analysis, oracle
+    from matchcore.games import GameKind, make_instance
+
+    run = import_benchmark("run")
+    g = make_instance(GameKind.B_MATCHING, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
+                      [("a1", "b1", 5), ("a1", "b2", 3), ("a2", "b2", 4),
+                       ("a3", "b3", 2), ("a2", "b1", 3), ("a3", "b2", 1)],
+                      capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
+    caches = run.find_caches()
+    assert oracle._enumerate_optimal in caches
+    misses = []
+    for _ in range(2):
+        for cache in caches:
+            cache.cache_clear()
+        nonempty, witness = analysis.core_nonempty(g)
+        assert nonempty and analysis.is_core_imputation(g, witness).in_core
+        misses.append(oracle._enumerate_optimal.cache_info().misses)
+    assert misses[0] == misses[1] > 1

@@ -4,11 +4,14 @@ exhaustive enumeration (cartesian product over edge multiplicities)."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import helpers
+from matchcore import oracle as oracle_module
 from matchcore.analysis import (
+    _coalition_demands,
     core_nonempty,
     is_core_imputation,
     sample_core_vertices,
@@ -22,7 +25,6 @@ from matchcore.oracle import (
     InfeasibleInstanceError,
     classify_player,
     classify_team,
-    coalition_worths,
     enumerate_optima,
     is_degenerate,
     max_weight,
@@ -97,6 +99,16 @@ def test_classify_players():
     assert classify_player(g, "c") is ClassLabel.SUBPAR
 
 
+@pytest.mark.parametrize("g", [helpers.seven_ring(), helpers.two_team_b_matching(),
+                               make_instance(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 5)])],
+                         ids=lambda g: g.kind.value)
+def test_classifying_an_unknown_agent_or_edge_is_refused(g):
+    with pytest.raises(ValueError, match="no agent 'nobody'"):
+        classify_player(g, "nobody")
+    with pytest.raises(ValueError, match="no edge"):
+        classify_team(g, ("nobody", g.agents[0]))
+
+
 def test_classify_teams():
     ring = helpers.seven_ring()
     assert classify_team(ring, ("v2", "v7")) is ClassLabel.ESSENTIAL
@@ -141,7 +153,6 @@ def test_cap_exceeded_is_a_clean_refusal():
 _ENTRY_POINTS = (
     ("max_weight", max_weight, True),
     ("worth", lambda g: worth(g, g.agents), True),
-    ("coalition_worths", coalition_worths, True),
     ("classify_player", lambda g: classify_player(g, g.agents[0]), True),
     ("core_nonempty", core_nonempty, True),
     ("is_core_imputation", lambda g: is_core_imputation(g, make_imputation(g, {})), True),
@@ -210,10 +221,10 @@ def _members(g, mask):
 
 def test_coalition_worth_table_matches_worth_on_every_coalition():
     # Two tables against worth: the reference subset recursion of helpers
-    # (every capacity one), and the library's lazy table (some capacity
-    # above one), which row generation and membership scans read. Every
-    # weight is divided by a seeded integer from 1 to 6, so both meet
-    # mixed denominators.
+    # (every capacity one), and the core's demand table (some capacity
+    # above one), which row generation and membership scans read and which
+    # takes each coalition's worth from its cover. Every weight is divided
+    # by a seeded integer from 1 to 6, so both meet mixed denominators.
     rng = random.Random(909)
     divisors = random.Random(9090)
     names = [f"v{i}" for i in range(12)]
@@ -232,15 +243,22 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
         g = replace(g, edges=tuple(replace(e, weight=e.weight / divisors.randint(1, 6))
                                    for e in g.edges))
         key = (g.kind, helpers.capacity_one(g))
-        table = helpers.subset_worths(g) if key[1] else coalition_worths(g)
-        for mask in range(1 << len(g.agents)):
-            assert table[mask] == worth(g, _members(g, mask)), (g, mask)
+        if key[1]:
+            table = helpers.subset_worths(g)
+            for mask in range(1 << len(g.agents)):
+                assert table[mask] == worth(g, _members(g, mask)), (g, mask)
+        else:
+            masks = []
+            for mask, members, demand, dual in _coalition_demands(g):
+                assert demand == worth(g, members) and dual is None, (g, mask)
+                masks.append(mask)
+            assert sorted(masks) == list(range(1, (1 << len(g.agents)) - 1)), g
         paths[key] = paths.get(key, 0) + 1
         if any(e.weight.denominator > 1 for e in g.edges):
             fractional[key[1]] = fractional.get(key[1], 0) + 1
     assert len(games[0].agents) == 12 and len(games[0].edges) == 16
     # Every non-HK kind meets the recursion; the multi-matching kinds
-    # also meet the lazy table.
+    # also meet the demand table.
     for kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING,
                  GameKind.GENERAL):
         assert paths.get((kind, True), 0) >= 15, kind
@@ -249,20 +267,52 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
     assert fractional[True] >= 100 and fractional[False] >= 40
 
 
-def test_lazy_worth_table_fills_only_what_the_core_scan_read():
-    # u has capacity 2, so the table is lazy. Paying everything to v1
-    # leaves the pair {u, v2} (worth 3) blocked before any triple is read.
+def test_core_scan_searches_only_the_sub_games_it_read(monkeypatch):
+    # u has capacity 2, so the scan reads coalition worths. Paying
+    # everything to v1 leaves the pair {u, v2} (worth 3) blocked before
+    # any triple is read, so no sub-game of more than 2 agents is searched.
     g = helpers.two_team_b_matching()
-    coalition_worths.cache_clear()
+    searched = []
+    search = oracle_module._enumerate_optimal
+
+    def recording(instance):
+        searched.append(instance)
+        return search(instance)
+
+    monkeypatch.setattr(oracle_module, "_enumerate_optimal", recording)
     verdict = is_core_imputation(g, make_imputation(g, {"v1": F(4)}))
     assert verdict.witness == frozenset({"u", "v2"}) and verdict.witness_demand == 3
-    assert max(bin(mask).count("1") for mask in coalition_worths(g)) == 2
+    sizes = {len(sub.agents) for sub in searched if sub != g}
+    assert sizes == {2}
+
+
+def test_core_questions_search_each_distinct_cover_once():
+    # A fresh 3 + 3 b_matching game: every proper coalition demands the
+    # worth of its cover (its members on an inner edge), so deciding the
+    # core and then checking the witness searches the grand game and each
+    # distinct non-empty cover once, not every coalition.
+    g = make_instance(GameKind.B_MATCHING, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
+                      [("a1", "b1", 5), ("a1", "b2", 3), ("a2", "b2", 4),
+                       ("a3", "b3", 2), ("a2", "b1", F(7, 2))],
+                      capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
+    covers = set()
+    for size in range(1, len(g.agents)):
+        for members in combinations(g.agents, size):
+            covers.add(frozenset(q for e in g.edges if e.u in members and e.v in members
+                                 for q in e.key))
+    covers.discard(frozenset())
+    oracle_module._enumerate_optimal.cache_clear()
+    nonempty, witness = core_nonempty(g)
+    assert nonempty and is_core_imputation(g, witness).in_core
+    assert oracle_module._enumerate_optimal.cache_info().misses == 1 + len(covers)
+    assert len(covers) < (1 << len(g.agents)) - 2
 
 
 def test_capacity_one_core_questions_build_no_coalition_table():
     # At the caps: a 12-vertex, 16-edge general game and a 6 x 6
     # assignment game with 16 edges. Their core rows are the edge rows,
-    # so no question about their core reads the coalition worth table.
+    # so no question about their core searches a sub-game: the oracle's
+    # cache ends up holding the grand game alone.
     rng = random.Random(6161)
     names = [f"v{i}" for i in range(12)]
     pairs = sorted(rng.sample([(u, v) for u in names for v in names if u < v], 16))
@@ -273,14 +323,17 @@ def test_capacity_one_core_questions_build_no_coalition_table():
     assignment = make_instance(GameKind.ASSIGNMENT, left, right,
                                [(u, v, rng.randint(1, 9)) for u, v in pairs])
     for g in (general, assignment):
-        coalition_worths.cache_clear()
+        oracle_module._enumerate_optimal.cache_clear()
         nonempty, witness = core_nonempty(g)
         assert nonempty
         assert is_core_imputation(g, witness).in_core
         to_one = make_imputation(g, {g.agents[0]: max_weight(g)[0]})
         assert not is_core_imputation(g, to_one).in_core
         assert len(sample_core_vertices(g, 4, seed=2)) >= 2
-        assert coalition_worths.cache_info().misses == 0, g.kind
+        info = oracle_module._enumerate_optimal.cache_info()
+        assert info.currsize == 1, g.kind
+        max_weight(g)
+        assert oracle_module._enumerate_optimal.cache_info().misses == info.misses, g.kind
 
 
 def test_uniform_b_worth_is_b_times_the_assignment_worth():
