@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul, or_
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .caps import check_instance_size
@@ -274,70 +274,49 @@ class CoreVerdict:
     witness_dual: DualSolution | None = None
 
 
-def _edge_rows(instance: GameInstance) -> list[tuple[int, int, Fraction]] | None:
-    """(i, j, w) per edge, agent indices i < j, sorted; None unless every
-    capacity is one and worths are demanded."""
-    at = {q: j for j, q in enumerate(instance.agents)}
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL or any(instance.capacity(q) != 1 for q in at):
-        return None
-    return sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
-
-
 def _coalition_demands(instance: GameInstance) -> Iterator[
-        tuple[int, tuple[str, ...], Fraction, DualSolution | None]]:
+        tuple[tuple[str, ...], Fraction, DualSolution | None]]:
     """The coalition rows of the core with their demands, lazily.
 
-    Yields (mask, members, demand, dual), bit j of the mask = agent j, in
-    size-then-lexicographic order (agents in instance order). With every
-    capacity one the rows are the proper edge pairs (``_edge_rows``): v(S)
-    is the weight of a matching in S, so payoffs >= 0 paying every edge
-    pay every coalition (Shapley and Shubik 1971; Deng, Ibaraki and
-    Nagamochi 1999). Else each proper, non-empty coalition demands what
-    its cover, its members on an inner edge, demands, computed once per
-    scan: the cover's worth or, for the bounds-capacity kind, the surplus
-    under the Bland-rule optimal dual of its sub-game, so repeated runs
-    agree; that dual is yielded too (else None). A member on no inner
-    edge adds nothing to a matching, and to the dual a column with no row
-    entry and cost >= 0, which Bland's rule never enters (Bland 1977);
-    dropping it keeps the other columns' order and the surplus.
+    Yields (members, demand, dual) in size-then-lexicographic order
+    (agents in instance order). With every capacity one the rows are the
+    proper edge pairs: v(S) is the weight of a matching in S, so payoffs
+    >= 0 paying every edge pay every coalition (Shapley and Shubik 1971;
+    Deng, Ibaraki and Nagamochi 1999). Else the rows are the closed proper
+    coalitions, each member with a neighbour inside, and each demands what
+    its own sub-game yields: its worth or, for the bounds-capacity kind,
+    the surplus under the Bland-rule optimal dual of its sub-game, so
+    repeated runs agree; that dual is yielded too (else None). Any other
+    coalition demands what its closed part, its members on an inner edge,
+    demands: a member on no inner edge adds nothing to a matching, and to
+    the dual a column with no row entry and cost >= 0, which Bland's rule
+    never enters (Bland 1977). Paid no less than that part under payoffs
+    >= 0, it needs no row of its own.
     """
     agents = instance.agents
-    edges = _edge_rows(instance)
-    if edges is not None:
-        for i, j, w in edges if len(agents) > 2 else ():    # a proper pair
-            yield 1 << i | 1 << j, (agents[i], agents[j]), w, None
-        return
+    at = {q: j for j, q in enumerate(agents)}
     hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    ends = [1 << agents.index(e.u) | 1 << agents.index(e.v) for e in instance.edges]
-    solved = {0: (ZERO, None)}      # cover mask -> (demand, dual)
-    for size in range(1, len(agents)):
+    if not hk and all(instance.capacity(q) == 1 for q in agents):
+        pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
+        for i, j, w in pairs if len(agents) > 2 else ():    # a proper pair
+            yield (agents[i], agents[j]), w, None
+        return
+    near = [0] * len(agents)        # bit k of near[j]: agents j and k share an edge
+    for e in instance.edges:
+        near[at[e.u]] |= 1 << at[e.v]
+        near[at[e.v]] |= 1 << at[e.u]
+    for size in range(2, len(agents)):
         for picked in combinations(range(len(agents)), size):
             mask = sum(1 << j for j in picked)
+            if not all(near[j] & mask for j in picked):
+                continue
             members = tuple(agents[j] for j in picked)
-            covered = reduce(or_, (end for end in ends if end & mask == end), 0)
-            if covered not in solved:
-                sub = restrict(instance, (q for j, q in enumerate(agents) if covered >> j & 1))
-                if hk:
-                    d = optimal_dual(sub)
-                    solved[covered] = _surplus(d), d
-                else:
-                    solved[covered] = max_weight(sub)[0], None
-            yield (mask, members) + solved[covered]
-
-
-def _allocations(instance: GameInstance, payoffs: Sequence[Fraction]) -> tuple[dict | list, int]:
-    """Each row of ``_coalition_demands`` is allocated ``allocation[mask] /
-    scale``, in ints: an edge pair adds its two payoffs; the table of every
-    coalition is one subset-sum sweep over masks."""
-    ints, scale = scaled(payoffs)
-    edges = _edge_rows(instance)
-    if edges is not None:
-        return {1 << i | 1 << j: ints[i] + ints[j] for i, j, _ in edges}, scale
-    allocation = [0] * (1 << len(ints))
-    for mask in range(1, len(allocation)):
-        low = mask & -mask
-        allocation[mask] = allocation[mask ^ low] + ints[low.bit_length() - 1]
-    return allocation, scale
+            sub = restrict(instance, members)
+            if hk:
+                d = optimal_dual(sub)
+                yield members, _surplus(d), d
+            else:
+                yield members, max_weight(sub)[0], None
 
 
 def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
@@ -360,30 +339,31 @@ def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
 
 def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
     """The imputation's payoffs in agent order; ValueError unless it pays
-    exactly the instance's agents."""
+    exactly the instance's agents, each at least zero."""
     if imp.as_dict.keys() != set(instance.agents):
         raise ValueError("imputation pays other agents than the instance's")
+    for q in instance.agents:
+        if imp[q] < 0:
+            raise ValueError(f"negative payoff for {q!r}")
     return [imp[q] for q in instance.agents]
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """Exact core membership over the coalition rows of ``_coalition_demands``.
 
-    The imputation must pay exactly the instance's agents (else
-    ValueError), and its total must lie in the grand range
+    The imputation must pay exactly the instance's agents, each at least
+    zero (else ValueError), and its total must lie in the grand range
     (``_grand_range``): the worth, or for the bounds-capacity kind the
     surplus under some optimal dual; outside it the grand coalition is the
     witness, with the violated end as its demand. A coalition blocks when
-    it can generate strictly more on its own (its cover's worth, or for
-    the bounds-capacity kind deterministic surplus) than it is allocated.
+    it can generate strictly more on its own (its worth, or for the
+    bounds-capacity kind deterministic surplus) than it is allocated.
     The first blocking coalition in size-then-lexicographic order is
-    returned as the witness.
-    With every capacity one that is an edge pair: singletons never block,
-    and a blocking coalition holds a blocking edge of its best matching.
-    A bounds-capacity witness has every member on an inner edge: else the
-    members on one would form a smaller coalition, with the same demand
-    and, payoffs being >= 0, no more allocation, that blocks first. So
-    ``witness_dual`` is the dual of the witness's own sub-game.
+    returned as the witness. It is a row of ``_coalition_demands``: the
+    closed part of a blocking coalition comes no later, demands as much
+    and is paid no more, so it blocks too. With every capacity one that
+    is an edge pair, and for the bounds-capacity kind ``witness_dual`` is
+    the dual of the witness's own sub-game.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -392,11 +372,12 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     total = imp.total
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
-    allocation, scale = _allocations(instance, payoffs)
-    for mask, members, demand, d in _coalition_demands(instance):
-        if demand.numerator * scale > allocation[mask] * demand.denominator:
-            return CoreVerdict(False, frozenset(members), demand,
-                               F(allocation[mask], scale), d)
+    ints, scale = scaled(payoffs)
+    pay = dict(zip(agents, ints))
+    for members, demand, d in _coalition_demands(instance):
+        paid = sum(pay[q] for q in members)
+        if demand.numerator * scale > paid * demand.denominator:
+            return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
     return CoreVerdict(True)
 
 
@@ -428,7 +409,8 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
 
 class _CoalitionCuts:
     """Exact row generation over the coalition rows of the core, those of
-    ``_coalition_demands`` (edge pairs when every capacity is one).
+    ``_coalition_demands`` (edge pairs when every capacity is one, else
+    the closed coalitions).
 
     The LP starts from the total rows alone: one equation when the grand
     range (``_grand_range``) is one value, else a row for each bounded
@@ -437,7 +419,9 @@ class _CoalitionCuts:
     infeasible or no row is violated (Dantzig, Fulkerson and Johnson 1954;
     Kelley 1960). A relaxed optimum that violates no row is optimal for
     the full system, and a vertex of the core because it is a vertex of a
-    larger polyhedron. Rows found stay for later objectives.
+    larger polyhedron. Rows found stay for later objectives. The LP keeps
+    payoffs >= 0, so no coalition is more violated than its closed part,
+    which comes no later: the rows of ``_coalition_demands`` are enough.
     """
 
     def __init__(self, instance: GameInstance):
@@ -448,27 +432,28 @@ class _CoalitionCuts:
         self.instance = instance
         self.names = [f"alloc[{q}]" for q in agents]
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
-        self.table = [(mask, members, demand)
-                      for mask, members, demand, _ in _coalition_demands(instance)
+        self.table = [(members, demand)
+                      for members, demand, _ in _coalition_demands(instance)
                       if demand > 0]
         self.rows = [Constraint(tuple(ONE for _ in agents), relation, end, "total")
                      for relation, end in ends if end is not None]
 
     def row(self, entry) -> Constraint:
-        mask, members, demand = entry
-        coeffs = tuple(ONE if mask >> j & 1 else ZERO for j in range(len(self.names)))
+        members, demand = entry
+        coeffs = tuple(ONE if q in members else ZERO for q in self.instance.agents)
         return Constraint(coeffs, Relation.GE, demand,
                           "coalition[" + "|".join(members) + "]")
 
     def _most_violated(self, values: tuple[Fraction, ...]):
-        allocation, scale = _allocations(self.instance, values)
+        ints, scale = scaled(values)
+        pay = dict(zip(self.instance.agents, ints))
         # A row's excess is short / (den * scale), and scale is common to
         # every row, so rows compare by short / den, cross-multiplied.
         worst, gap, gap_den = None, 0, 1
         for entry in self.table:
-            mask, _, demand = entry
+            members, demand = entry
             den = demand.denominator
-            short = demand.numerator * scale - allocation[mask] * den
+            short = demand.numerator * scale - sum(pay[q] for q in members) * den
             if short * gap_den > gap * den:
                 worst, gap, gap_den = entry, short, den
         return worst
@@ -497,8 +482,9 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     membership ``is_core_imputation`` decides. The grand range is the
     worth, or for the bounds-capacity kind the surplus under some optimal
     dual; the demands are worths, or for that kind surpluses under the
-    deterministic optimal duals of the sub-games; with every capacity one
-    the edge rows cut out the same core (``_coalition_demands``). Rows are
+    deterministic optimal duals of the sub-games; the edge rows (every
+    capacity one) or the closed coalitions cut out the same core
+    (``_coalition_demands``). Rows are
     added only when the current payoffs violate them, so the LP stays
     small; the verdict is the one the LP with every row gives. Returns
     (False, None) when the core is empty, else (True, a witness core

@@ -184,9 +184,9 @@ def cmd_core_check(args, report: Report, instance: GameInstance, payoffs) -> int
 
 
 def cmd_extremes(args, report: Report, instance: GameInstance, payoffs) -> int:
-    face = analysis.DualFace(instance)
-    high_left, high_right = analysis.extreme_imputations(instance, face)
-    ranges = {q: analysis.payoff_range(instance, q, face) for q in instance.agents}
+    high_left, high_right = analysis.extreme_imputations(instance)
+    # Each extreme pays every agent one end of its payoff range.
+    ranges = {q: sorted((high_left[q], high_right[q])) for q in instance.agents}
     report.add("payoff ranges", [(q, f"{_fmt(lo)} .. {_fmt(hi)}")
                                  for q, (lo, hi) in ranges.items()])
     report.add("extreme favoring side_u", [(q, high_left[q]) for q in instance.agents])

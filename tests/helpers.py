@@ -1,8 +1,12 @@
-"""Shared instance builders and independent oracles for the test suite."""
+"""Shared instance builders and independent oracles for the test suite.
+
+The worked examples are read from the packaged ``.game`` files, so each
+text has one copy."""
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import build_dual
 from matchcore.games import GameKind, make_instance
 from matchcore.lp import Constraint, Relation, solve
@@ -29,11 +33,7 @@ def single_edge(kind=GameKind.ASSIGNMENT, weight=5, uniform_capacity=None):
 
 def two_team_b_matching():
     """Skewed-capacity two-edge instance: caps (2,2,1), weights (1,3)."""
-    return make_instance(
-        GameKind.B_MATCHING, ["u"], ["v1", "v2"],
-        [("u", "v1", 1), ("u", "v2", 3)],
-        capacities={"u": 2, "v1": 2, "v2": 1},
-    )
+    return fixture_by_name("three_agent_b_matching").instance()
 
 
 def two_team_uniform(b_const=2):
@@ -46,29 +46,17 @@ def two_team_uniform(b_const=2):
 
 def hk_mixed_bounds():
     """Caps (4,2,3); edge windows [1,2] and [0,3]; weights (1,3)."""
-    return make_instance(
-        GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
-        [("u", "v1", 1, 1, 2), ("u", "v2", 3, 0, 3)],
-        capacities={"u": 4, "v1": 2, "v2": 3},
-    )
+    return fixture_by_name("hub_capacity_surplus").instance()
 
 
 def hk_edge_upper():
     """All caps 2, every edge capped at multiplicity 1."""
-    return make_instance(
-        GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
-        [("u", "v1", 1, 0, 1), ("u", "v2", 3, 0, 1)],
-        capacities={"u": 2, "v1": 2, "v2": 2},
-    )
+    return fixture_by_name("capped_edges_pair").instance()
 
 
 def hk_edge_lower():
     """All caps 2, every edge must be matched at least once, no edge caps."""
-    return make_instance(
-        GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
-        [("u", "v1", 1, 1, None), ("u", "v2", 3, 1, None)],
-        capacities={"u": 2, "v1": 2, "v2": 2},
-    )
+    return fixture_by_name("floored_edges_pair").instance()
 
 
 def seven_ring():
@@ -77,27 +65,16 @@ def seven_ring():
     Has exactly three maximum-weight matchings (weight 4), all using
     (v2,v7), and also weight-4 half-integral vertices.
     """
-    edges = [
-        ("v1", "v2", 1), ("v2", "v7", 2), ("v3", "v7", 1), ("v3", "v4", 1),
-        ("v4", "v5", 1), ("v5", "v6", 1), ("v1", "v6", 1), ("v1", "v7", 1),
-        ("v2", "v3", 1), ("v4", "v7", 1),
-    ]
-    return make_instance(GameKind.GENERAL,
-                         [f"v{i}" for i in range(1, 8)], [], edges)
+    return fixture_by_name("weighted_seven_ring").instance()
 
 
 def triangle_pendant():
     """Odd triangle with one pendant edge; weights 3/2, 1, 3/2, 1."""
-    edges = [
-        ("v1", "v2", F(3, 2)), ("v2", "v3", 1),
-        ("v3", "v1", F(3, 2)), ("v1", "v4", 1),
-    ]
-    return make_instance(GameKind.GENERAL, ["v1", "v2", "v3", "v4"], [], edges)
+    return fixture_by_name("triangle_with_pendant").instance()
 
 
 def unit_triangle():
-    return make_instance(GameKind.GENERAL, ["i", "j", "k"], [],
-                         [("i", "j", 1), ("j", "k", 1), ("i", "k", 1)])
+    return fixture_by_name("unit_triangle").instance()
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +146,14 @@ def subset_worths(g):
         v[mask] = max([v[mask ^ low]] + [w + v[mask ^ pair] for pair, w in touching[low]
                                          if pair & mask == pair])
     return v
+
+
+def closed_part(g, members):
+    """The members of a coalition with a neighbour inside it, in agent
+    order: its members on an inner edge."""
+    inside = set(members)
+    on_edge = {q for e in g.edges if e.u in inside and e.v in inside for q in (e.u, e.v)}
+    return tuple(q for q in g.agents if q in on_edge)
 
 
 def pinned_row_face(g):

@@ -33,13 +33,21 @@ from matchcore.analysis import (
 from matchcore import analysis as analysis_module
 from matchcore import lp as lp_module
 from matchcore.formulations import build_dual, lower_dual_var, upper_dual_var, vertex_dual_var
-from matchcore.games import BIPARTITE_KINDS, GameKind, make_imputation, make_instance, restrict
+from matchcore.games import (
+    BIPARTITE_KINDS,
+    GameKind,
+    Imputation,
+    make_imputation,
+    make_instance,
+    restrict,
+)
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status
 from matchcore.oracle import (
     ClassLabel,
     InfeasibleInstanceError,
     classify_player,
     classify_team,
+    max_weight,
     worth,
 )
 
@@ -88,6 +96,21 @@ def test_an_imputation_of_other_agents_is_refused():
         with pytest.raises(ValueError, match="other agents"):
             is_core_imputation(g, imp)
         with pytest.raises(ValueError, match="other agents"):
+            in_dual_image(g, imp)
+
+
+def test_a_negative_payoff_is_refused_on_every_path():
+    # make_imputation refuses a negative payoff; an Imputation built
+    # directly must meet the same refusal, not a verdict. The core's rows
+    # assume payoffs >= 0: a negative payoff lets a coalition with no row
+    # of its own, here the singleton {a}, block.
+    imp = Imputation((("a", F(-1)), ("b", F(6))))
+    for g in (helpers.single_edge(GameKind.ASSIGNMENT),
+              helpers.single_edge(GameKind.B_MATCHING)):
+        assert imp.total == max_weight(g)[0]
+        with pytest.raises(ValueError, match="negative payoff for 'a'"):
+            is_core_imputation(g, imp)
+        with pytest.raises(ValueError, match="negative payoff for 'a'"):
             in_dual_image(g, imp)
 
 
@@ -671,7 +694,7 @@ def _face_values(g, probes):
     # The core's rows (hoffman_kruskal demands follow the pivot rule).
     rows = None if g.kind is GameKind.HOFFMAN_KRUSKAL else {
         frozenset(members): demand
-        for _, members, demand, _ in analysis_module._coalition_demands(g)}
+        for members, demand, _ in analysis_module._coalition_demands(g)}
     verdicts = []
     for payoffs in probes:
         imp = make_imputation(g, payoffs)
@@ -685,8 +708,8 @@ def test_face_values_do_not_depend_on_agent_or_edge_order():
     # Optimal values over the dual face are facts of the game, so the
     # order of agents and edges (which fixes the column order, and with
     # it the pivots) must not move them. Nor must the coalition worths or
-    # the core's rows, both keyed by bitmasks over the agent order: the
-    # edge pairs when every capacity is one, every coalition otherwise.
+    # the core's rows, both found by scans in agent order: the edge pairs
+    # when every capacity is one, the closed coalitions otherwise.
     rng = random.Random(4)
     games = [helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
              for kind in helpers.ALL_BIPARTITE for _ in range(8)]

@@ -66,6 +66,29 @@ def test_traced_rounds_reach_every_required_layer(import_benchmark, name, tmp_pa
     assert missing == []
 
 
+def _three_by_three():
+    """A 3 + 3 b_matching game with capacities above one, the shape of a
+    coalition-workload game that scans coalition rows."""
+    from matchcore.games import GameKind, make_instance
+
+    return make_instance(GameKind.B_MATCHING, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
+                         [("a1", "b1", 5), ("a1", "b2", 3), ("a2", "b2", 4),
+                          ("a3", "b3", 2), ("a2", "b1", 3), ("a3", "b2", 1)],
+                         capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
+
+
+def test_core_scans_read_the_closed_coalitions_alone():
+    # Of the game's 62 proper coalitions, 26 are closed: every member has
+    # a neighbour inside. They are the core's rows that each membership
+    # scan reads, and all 26 demand more than 0, so they are the candidate
+    # rows of row generation too. A member on no inner edge adds no row.
+    from matchcore import analysis
+
+    g = _three_by_three()
+    assert sum(1 for _ in analysis._coalition_demands(g)) == 26
+    assert len(analysis._CoalitionCuts(g).table) == 26
+
+
 def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):
     # The benchmark clears every lru_cache of the matchcore modules before
     # each operation and counts what follows as a cold start. Per-instance
@@ -73,13 +96,9 @@ def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):
     # cheaper, so two cold runs on the same game object must search the
     # same number of games.
     from matchcore import analysis, oracle
-    from matchcore.games import GameKind, make_instance
 
     run = import_benchmark("run")
-    g = make_instance(GameKind.B_MATCHING, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
-                      [("a1", "b1", 5), ("a1", "b2", 3), ("a2", "b2", 4),
-                       ("a3", "b3", 2), ("a2", "b1", 3), ("a3", "b2", 1)],
-                      capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
+    g = _three_by_three()
     caches = run.find_caches()
     assert oracle._enumerate_optimal in caches
     misses = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from matchcore.fixtures import fixture_by_name
 from matchcore.games import GameKind
 from matchcore.instance_io import (
     InstanceError,
@@ -16,16 +17,7 @@ from matchcore.instance_io import (
 
 F = Fraction
 
-THREE_AGENT = """\
-game b_matching
-side_u u
-side_v v1 v2
-b u 2
-b v1 2
-b v2 1
-edge u v1 weight 1
-edge u v2 weight 3
-"""
+THREE_AGENT = fixture_by_name("three_agent_b_matching").text
 
 
 def test_parse_three_agent_file():
@@ -79,11 +71,11 @@ def test_repeated_or_unknown_names_are_refused():
         parse_instance(THREE_AGENT + "b ghost 5\n")
     with pytest.raises(InstanceError, match="second b line for 'v1'") as err:
         parse_instance(THREE_AGENT.replace("b v2 1\n", "b v2 1\nb v1 3\n"))
-    assert err.value.line == 7
+    assert err.value.line == THREE_AGENT.splitlines().index("b v2 1") + 2
     with pytest.raises(InstanceError, match="second payoff for 'u'") as err:
         parse_instance_with_imputation(THREE_AGENT + "imputation u=4 v1=0\n"
                                        "imputation v2=0 u=1\n")
-    assert err.value.line == 10
+    assert err.value.line == len(THREE_AGENT.splitlines()) + 2
 
 
 def test_missing_game_directive():

@@ -222,9 +222,12 @@ def _members(g, mask):
 def test_coalition_worth_table_matches_worth_on_every_coalition():
     # Two tables against worth: the reference subset recursion of helpers
     # (every capacity one), and the core's demand table (some capacity
-    # above one), which row generation and membership scans read and which
-    # takes each coalition's worth from its cover. Every weight is divided
-    # by a seeded integer from 1 to 6, so both meet mixed denominators.
+    # above one), which row generation and membership scans read. Its rows
+    # are exactly the closed proper coalitions (every member with a
+    # neighbour inside), in size-then-lexicographic order, and every other
+    # coalition is worth what its closed part is (0 when that is empty).
+    # Every weight is divided by a seeded integer from 1 to 6, so both
+    # meet mixed denominators.
     rng = random.Random(909)
     divisors = random.Random(9090)
     names = [f"v{i}" for i in range(12)]
@@ -248,11 +251,16 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
             for mask in range(1 << len(g.agents)):
                 assert table[mask] == worth(g, _members(g, mask)), (g, mask)
         else:
-            masks = []
-            for mask, members, demand, dual in _coalition_demands(g):
-                assert demand == worth(g, members) and dual is None, (g, mask)
-                masks.append(mask)
-            assert sorted(masks) == list(range(1, (1 << len(g.agents)) - 1)), g
+            rows = {}
+            for members, demand, dual in _coalition_demands(g):
+                assert demand == worth(g, members) and dual is None, (g, members)
+                rows[members] = demand
+            proper = [members for size in range(1, len(g.agents))
+                      for members in combinations(g.agents, size)]
+            assert list(rows) == [m for m in proper if helpers.closed_part(g, m) == m], g
+            for members in proper:
+                closed = helpers.closed_part(g, members)
+                assert worth(g, members) == rows.get(closed, 0), (g, members)
         paths[key] = paths.get(key, 0) + 1
         if any(e.weight.denominator > 1 for e in g.edges):
             fractional[key[1]] = fractional.get(key[1], 0) + 1
@@ -287,25 +295,23 @@ def test_core_scan_searches_only_the_sub_games_it_read(monkeypatch):
 
 
 def test_core_questions_search_each_distinct_cover_once():
-    # A fresh 3 + 3 b_matching game: every proper coalition demands the
-    # worth of its cover (its members on an inner edge), so deciding the
-    # core and then checking the witness searches the grand game and each
-    # distinct non-empty cover once, not every coalition.
+    # A fresh 3 + 3 b_matching game: the core's rows are its closed
+    # coalitions (each member with a neighbour inside), which are the
+    # distinct covers of all proper coalitions (a cover being the members
+    # on an inner edge), so deciding the core and then checking the
+    # witness searches the grand game and each of them once, not every
+    # coalition.
     g = make_instance(GameKind.B_MATCHING, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
                       [("a1", "b1", 5), ("a1", "b2", 3), ("a2", "b2", 4),
                        ("a3", "b3", 2), ("a2", "b1", F(7, 2))],
                       capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
-    covers = set()
-    for size in range(1, len(g.agents)):
-        for members in combinations(g.agents, size):
-            covers.add(frozenset(q for e in g.edges if e.u in members and e.v in members
-                                 for q in e.key))
-    covers.discard(frozenset())
+    closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
+              for members in combinations(g.agents, size)} - {()}
     oracle_module._enumerate_optimal.cache_clear()
     nonempty, witness = core_nonempty(g)
     assert nonempty and is_core_imputation(g, witness).in_core
-    assert oracle_module._enumerate_optimal.cache_info().misses == 1 + len(covers)
-    assert len(covers) < (1 << len(g.agents)) - 2
+    assert oracle_module._enumerate_optimal.cache_info().misses == 1 + len(closed)
+    assert len(closed) < (1 << len(g.agents)) - 2
 
 
 def test_capacity_one_core_questions_build_no_coalition_table():
