@@ -83,6 +83,7 @@ from .oracle import (
     enumerate_optima,
     is_degenerate,
     max_weight,
+    optimal_weight,
     worth,
 )
 from .rationals import ensure_rational, format_rational, parse_rational

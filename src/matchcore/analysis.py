@@ -49,7 +49,8 @@ from .oracle import (
     classify_player,
     classify_team,
     is_degenerate,
-    max_weight,
+    optimal_weight,
+    worth,
 )
 from .rationals import ONE, ZERO, ensure_rational, scaled
 
@@ -258,7 +259,7 @@ def check_concurrency(instance: GameInstance) -> ConcurrencyReport:
     """
     if instance.kind is not GameKind.GENERAL:
         raise ValueError("concurrency applies to general instances")
-    return ConcurrencyReport(primal_optimum(instance), max_weight(instance)[0])
+    return ConcurrencyReport(primal_optimum(instance), optimal_weight(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +312,11 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
             if not all(near[j] & mask for j in picked):
                 continue
             members = tuple(agents[j] for j in picked)
-            sub = restrict(instance, members)
             if hk:
-                d = optimal_dual(sub)
+                d = optimal_dual(restrict(instance, members))
                 yield members, _surplus(d), d
             else:
-                yield members, max_weight(sub)[0], None
+                yield members, worth(instance, members), None
 
 
 def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
@@ -330,7 +330,7 @@ def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
     is None.
     """
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        w = max_weight(instance)[0]
+        w = optimal_weight(instance)
         return w, w
     weights = _surplus_weights(instance)
     face = DualFace(instance)

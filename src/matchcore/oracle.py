@@ -1,11 +1,14 @@
 """Brute-force matching ground truth, independent of the LP engine.
 
-Enumerates integral matchings by depth-first search over edges with an
-optimistic weight bound, capped at desk scale. The search adds and
-compares integers, the weights scaled by the lcm of their denominators;
-worths come back as ``Fraction``, per coalition (``worth``). What the
-LP side claims (worths, optima, classes, degeneracy) is cross-checked
-against this.
+One depth-first branch-and-bound search over edge multiplicities,
+capped at desk scale, answers two questions: the optimum alone
+(``optimal_weight``, and ``worth`` per coalition), and every optimum in
+canonical order (``max_weight``, ``enumerate_optima`` and the classes
+read from them). A branch is cut only when a bound proves it cannot
+matter, so both answers are exact. The search adds and compares
+integers, the weights scaled by the lcm of their denominators; values
+come back as ``Fraction``. What the LP side claims (worths, optima,
+classes, degeneracy) is cross-checked against this.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .caps import check_instance_size
-from .games import EdgeKey, GameInstance, restrict
+from .games import BIPARTITE_KINDS, EdgeKey, GameInstance, restrict
 from .rationals import ZERO, scaled
 
 
@@ -54,70 +57,111 @@ class Matching:
 
 
 @lru_cache(maxsize=100_000)
-def _enumerate_optimal(instance: GameInstance) -> tuple[Fraction, tuple[Matching, ...]]:
+def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matching, ...]]:
+    """(optimum, optima), the optima canonically ordered when ``every``
+    and () otherwise.
+
+    Depth-first over edge multiplicities, heaviest edge first and largest
+    multiplicity first. A branch is cut when its weight plus a bound on
+    what the open edges can add falls short of what is needed: one more
+    than the best weight found so far for the optimum alone, and the
+    optimum itself (searched first) for every optimum. The bound is the
+    smaller of two: the open edges at full multiplicity, and what the
+    remaining capacity can earn, each unit of an agent's capacity earning
+    at most its heaviest open edge. Every edge has one end on side U of a
+    bipartite game, so those agents are counted; in a general game every
+    agent is counted and every edge twice.
+    """
     check_instance_size(len(instance.agents), len(instance.edges))
-    edges = instance.edges
-    static_hi = []
-    for e in edges:
-        hi = min(instance.capacity(e.u), instance.capacity(e.v))
-        if e.upper is not None:
-            hi = min(hi, e.upper)
-        static_hi.append(hi)
+    agents = instance.agents
+    at = {q: k for k, q in enumerate(agents)}
+    caps = [instance.capacity(q) for q in agents]
+    if instance.kind in BIPARTITE_KINDS:      # side U's agents come first
+        counted, per_edge = [k < len(instance.side_u) for k in range(len(agents))], 1
+    else:
+        counted, per_edge = [True] * len(agents), 2
     # The search adds and compares ints: weights scaled by the lcm of
-    # their denominators. Optimistic bound on the remaining suffix, used
-    # for pruning.
-    weights, scale = scaled([e.weight for e in edges])
-    suffix = [0] * (len(edges) + 1)
-    for i in range(len(edges) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i] * static_hi[i]
+    # their denominators.
+    weights, scale = scaled([e.weight for e in instance.edges])
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+    # One step per edge, heaviest first; suffix[i] bounds the edges from
+    # step i on at full multiplicity. For the capacity bound, an agent's
+    # heaviest open edge at step i is its first edge from i on (``top``,
+    # swept backwards). Past an edge of its own it falls to its next one
+    # (0 after its last), so a step holds the falls of its counted ends
+    # and the sum of their next edges' weights.
+    steps = []
+    suffix = [0] * (len(order) + 1)
+    top = [0] * len(agents)
+    for i in range(len(order) - 1, -1, -1):
+        e = instance.edges[order[i]]
+        a, b = at[e.u], at[e.v]
+        w = weights[order[i]]
+        hi = min(caps[a], caps[b]) if e.upper is None else min(caps[a], caps[b], e.upper)
+        suffix[i] = suffix[i + 1] + w * hi
+        steps.append((a, b, w, hi, e.lower,
+                      counted[a] * (w - top[a]), counted[b] * (w - top[b]),
+                      counted[a] * top[a] + counted[b] * top[b]))
+        top[a] = top[b] = w
+    steps.reverse()
 
-    remaining = {q: instance.capacity(q) for q in instance.agents}
-    best: list = [None]
-    found: list[tuple[tuple[EdgeKey, int], ...]] = []
-    chosen: list[tuple[EdgeKey, int]] = []
+    remaining = list(caps)
+    mults = [0] * len(steps)
+    found: list[tuple[int, ...]] = []
+    # The least weight a matching must reach to count.
+    need = int(_search(instance, False)[0] * scale) if every else 0
 
-    def walk(i: int, weight: int) -> None:
-        if best[0] is not None and weight + suffix[i] < best[0]:
+    def walk(i: int, weight: int, earn: int) -> None:
+        nonlocal need
+        short = need - weight
+        if suffix[i] < short or earn < short * per_edge:
             return
-        if i == len(edges):
-            if best[0] is None or weight > best[0]:
-                best[0] = weight
-                found.clear()
-            if weight == best[0]:
-                found.append(tuple(chosen))
+        if i == len(steps):
+            if every:
+                found.append(tuple(mults))
+            else:
+                need = weight + 1
             return
-        e = edges[i]
-        hi = min(static_hi[i], remaining[e.u], remaining[e.v])
-        lo = e.lower
-        if lo > hi:
-            return
-        for mult in range(hi, lo - 1, -1):
-            if mult:
-                remaining[e.u] -= mult
-                remaining[e.v] -= mult
-                chosen.append((e.key, mult))
-            walk(i + 1, weight + weights[i] * mult)
-            if mult:
-                remaining[e.u] += mult
-                remaining[e.v] += mult
-                chosen.pop()
+        a, b, w, hi, lo, fall_a, fall_b, nexts = steps[i]
+        rest = earn - remaining[a] * fall_a - remaining[b] * fall_b
+        for mult in range(min(hi, remaining[a], remaining[b]), lo - 1, -1):
+            remaining[a] -= mult
+            remaining[b] -= mult
+            mults[i] = mult
+            walk(i + 1, weight + w * mult, rest - mult * nexts)
+            remaining[a] += mult
+            remaining[b] += mult
+        mults[i] = 0
 
-    walk(0, 0)
-    if best[0] is None:
+    walk(0, 0, sum(c * r * t for c, r, t in zip(counted, caps, top)))
+    # walk holds itself in its closure; unbinding it leaves no cycle for
+    # the cycle collector, whose timing would move peak memory.
+    del walk
+    if every:
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        matchings = (Matching(tuple((instance.edges[j].key, found_mults[i])
+                                    for j, i in enumerate(rank) if found_mults[i]))
+                     for found_mults in found)
+        return Fraction(need, scale), tuple(sorted(matchings, key=lambda m: m.entries))
+    if need == 0:           # any matching, even of weight 0, raises it to 1
         raise InfeasibleInstanceError("edge lower bounds admit no matching")
-    matchings = tuple(sorted(map(Matching, found), key=lambda m: m.entries))
-    return Fraction(best[0], scale), matchings
+    return Fraction(need - 1, scale), ()
+
+
+def optimal_weight(instance: GameInstance) -> Fraction:
+    """Exact optimum over all integral matchings, none of them listed."""
+    return _search(instance, False)[0]
 
 
 def max_weight(instance: GameInstance) -> tuple[Fraction, Matching]:
     """Exact optimum over all integral matchings, with one witness."""
-    value, matchings = _enumerate_optimal(instance)
+    value, matchings = _search(instance, True)
     return value, matchings[0]
 
 
 def enumerate_optima(instance: GameInstance) -> tuple[Matching, ...]:
     """The complete, canonically ordered set of maximum-weight matchings."""
-    return _enumerate_optimal(instance)[1]
+    return _search(instance, True)[1]
 
 
 def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
@@ -125,7 +169,7 @@ def worth(instance: GameInstance, members: Iterable[str]) -> Fraction:
 
     Zero for the empty coalition or one spanning no edges.
     """
-    return max_weight(restrict(instance, members))[0]
+    return optimal_weight(restrict(instance, members))
 
 
 def _label(flags: list[bool]) -> ClassLabel:

@@ -3,13 +3,17 @@
 The worked examples are read from the packaged ``.game`` files, so each
 text has one copy."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import build_dual
 from matchcore.games import GameKind, make_instance
 from matchcore.lp import Constraint, Relation, solve
+from matchcore.rationals import scaled
 
 F = Fraction
 
@@ -124,6 +128,78 @@ def naive_optima(instance):
         elif w == best:
             optima.add(key)
     return best, optima
+
+
+def reference_optima(instance):
+    """(optimum, entries of every optimum in canonical order), by the
+    oracle's earlier search: edges in instance order, largest multiplicity
+    first, a branch cut only when the open edges at full multiplicity
+    cannot reach the best weight found so far. Entries list (edge key,
+    multiplicity) in instance edge order, positive multiplicities only."""
+    edges = instance.edges
+    static_hi = []
+    for e in edges:
+        hi = min(instance.capacity(e.u), instance.capacity(e.v))
+        if e.upper is not None:
+            hi = min(hi, e.upper)
+        static_hi.append(hi)
+    weights, scale = scaled([e.weight for e in edges])
+    suffix = [0] * (len(edges) + 1)
+    for i in range(len(edges) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i] * static_hi[i]
+    remaining = {q: instance.capacity(q) for q in instance.agents}
+    best = [None]
+    found = []
+    chosen = []
+
+    def walk(i, weight):
+        if best[0] is not None and weight + suffix[i] < best[0]:
+            return
+        if i == len(edges):
+            if best[0] is None or weight > best[0]:
+                best[0] = weight
+                found.clear()
+            if weight == best[0]:
+                found.append(tuple(chosen))
+            return
+        e = edges[i]
+        hi = min(static_hi[i], remaining[e.u], remaining[e.v])
+        for mult in range(hi, e.lower - 1, -1):
+            if mult:
+                remaining[e.u] -= mult
+                remaining[e.v] -= mult
+                chosen.append((e.key, mult))
+            walk(i + 1, weight + weights[i] * mult)
+            if mult:
+                remaining[e.u] += mult
+                remaining[e.v] += mult
+                chosen.pop()
+
+    walk(0, 0)
+    assert best[0] is not None, "edge lower bounds admit no matching"
+    return F(best[0], scale), sorted(found)
+
+
+def cap_set(kinds=("assignment", "uniform_b", "b_matching", "hoffman_kruskal", "general")):
+    """The cap set: per kind, the seeded games s = 0, 1, 2 at the
+    documented caps (6 + 6 agents or 12 vertices, 16 edges, weights 1 to
+    3), drawn by ``benchmark/seeded.py`` as (kind, s, game). That file is
+    only read: it is loaded without writing bytecode."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "seeded.py"
+    spec = importlib.util.spec_from_file_location("cap_set_seeded", path)
+    seeded = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(seeded)
+    finally:
+        sys.dont_write_bytecode = saved
+    out = []
+    for kind in kinds:
+        for s in range(3):
+            shape, num = seeded.rng_for("shape", kind, s), seeded.rng_for("num", kind, s)
+            out.append((kind, s, seeded.general(shape, num, 12, 16, 3) if kind == "general"
+                        else seeded.bipartite(shape, num, kind, 6, 6, 16, 3)))
+    return out
 
 
 def capacity_one(g):

@@ -100,12 +100,12 @@ def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):
     run = import_benchmark("run")
     g = _three_by_three()
     caches = run.find_caches()
-    assert oracle._enumerate_optimal in caches
+    assert oracle._search in caches
     misses = []
     for _ in range(2):
         for cache in caches:
             cache.cache_clear()
         nonempty, witness = analysis.core_nonempty(g)
         assert nonempty and analysis.is_core_imputation(g, witness).in_core
-        misses.append(oracle._enumerate_optimal.cache_info().misses)
+        misses.append(oracle._search.cache_info().misses)
     assert misses[0] == misses[1] > 1

@@ -2,6 +2,7 @@
 exhaustive enumeration (cartesian product over edge multiplicities)."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,7 @@ from matchcore.oracle import (
     enumerate_optima,
     is_degenerate,
     max_weight,
+    optimal_weight,
     worth,
 )
 
@@ -152,6 +154,7 @@ def test_cap_exceeded_is_a_clean_refusal():
 # are capped on vertices only.
 _ENTRY_POINTS = (
     ("max_weight", max_weight, True),
+    ("optimal_weight", optimal_weight, True),
     ("worth", lambda g: worth(g, g.agents), True),
     ("classify_player", lambda g: classify_player(g, g.agents[0]), True),
     ("core_nonempty", core_nonempty, True),
@@ -281,13 +284,13 @@ def test_core_scan_searches_only_the_sub_games_it_read(monkeypatch):
     # any triple is read, so no sub-game of more than 2 agents is searched.
     g = helpers.two_team_b_matching()
     searched = []
-    search = oracle_module._enumerate_optimal
+    search = oracle_module._search
 
-    def recording(instance):
+    def recording(instance, every):
         searched.append(instance)
-        return search(instance)
+        return search(instance, every)
 
-    monkeypatch.setattr(oracle_module, "_enumerate_optimal", recording)
+    monkeypatch.setattr(oracle_module, "_search", recording)
     verdict = is_core_imputation(g, make_imputation(g, {"v1": F(4)}))
     assert verdict.witness == frozenset({"u", "v2"}) and verdict.witness_demand == 3
     sizes = {len(sub.agents) for sub in searched if sub != g}
@@ -307,10 +310,10 @@ def test_core_questions_search_each_distinct_cover_once():
                       capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
     closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
               for members in combinations(g.agents, size)} - {()}
-    oracle_module._enumerate_optimal.cache_clear()
+    oracle_module._search.cache_clear()
     nonempty, witness = core_nonempty(g)
     assert nonempty and is_core_imputation(g, witness).in_core
-    assert oracle_module._enumerate_optimal.cache_info().misses == 1 + len(closed)
+    assert oracle_module._search.cache_info().misses == 1 + len(closed)
     assert len(closed) < (1 << len(g.agents)) - 2
 
 
@@ -318,7 +321,7 @@ def test_capacity_one_core_questions_build_no_coalition_table():
     # At the caps: a 12-vertex, 16-edge general game and a 6 x 6
     # assignment game with 16 edges. Their core rows are the edge rows,
     # so no question about their core searches a sub-game: the oracle's
-    # cache ends up holding the grand game alone.
+    # cache ends up holding the grand game's optimum alone.
     rng = random.Random(6161)
     names = [f"v{i}" for i in range(12)]
     pairs = sorted(rng.sample([(u, v) for u in names for v in names if u < v], 16))
@@ -329,17 +332,17 @@ def test_capacity_one_core_questions_build_no_coalition_table():
     assignment = make_instance(GameKind.ASSIGNMENT, left, right,
                                [(u, v, rng.randint(1, 9)) for u, v in pairs])
     for g in (general, assignment):
-        oracle_module._enumerate_optimal.cache_clear()
+        oracle_module._search.cache_clear()
         nonempty, witness = core_nonempty(g)
         assert nonempty
         assert is_core_imputation(g, witness).in_core
-        to_one = make_imputation(g, {g.agents[0]: max_weight(g)[0]})
+        to_one = make_imputation(g, {g.agents[0]: optimal_weight(g)})
         assert not is_core_imputation(g, to_one).in_core
         assert len(sample_core_vertices(g, 4, seed=2)) >= 2
-        info = oracle_module._enumerate_optimal.cache_info()
+        info = oracle_module._search.cache_info()
         assert info.currsize == 1, g.kind
-        max_weight(g)
-        assert oracle_module._enumerate_optimal.cache_info().misses == info.misses, g.kind
+        optimal_weight(g)
+        assert oracle_module._search.cache_info().misses == info.misses, g.kind
 
 
 def test_uniform_b_worth_is_b_times_the_assignment_worth():
@@ -361,3 +364,64 @@ def test_uniform_b_worth_is_b_times_the_assignment_worth():
         games += 1
     # 6,304 coalitions at this seed, with b = 2 in 59 games and b = 3 in 41.
     assert coalitions >= 6000, coalitions
+
+
+def test_search_agrees_with_the_reference_search():
+    # The branch-and-bound search against the earlier search of helpers
+    # (edges in instance order, cut by the open edges at full multiplicity
+    # alone): the optimum read alone, and max_weight's value and witness
+    # and every optimum in order, read cold and after the optimum. The
+    # games: 500 seeded ones of all five kinds, every third with each
+    # weight divided by a seeded integer from 1 to 6, and the 15 cap-set
+    # grand games.
+    rng = random.Random(1919)
+    divisors = random.Random(9191)
+    kinds = helpers.ALL_BIPARTITE + (GameKind.GENERAL,)
+    games = [g for _, _, g in helpers.cap_set()]
+    for trial in range(500):
+        kind = kinds[trial % len(kinds)]
+        top = rng.choice((1, 2, 3, 9))
+        g = (helpers.random_general(rng, max_vertices=7, max_edges=10, max_weight=top)
+             if kind is GameKind.GENERAL
+             else helpers.random_bipartite(rng, kind, max_side=4, max_edges=9, max_weight=top))
+        if trial % 3 == 0:
+            g = replace(g, edges=tuple(replace(e, weight=e.weight / divisors.randint(1, 6))
+                                       for e in g.edges))
+        games.append(g)
+    seen = Counter()
+    for n, g in enumerate(games):
+        value, optima = helpers.reference_optima(g)
+        oracle_module._search.cache_clear()
+        if n % 2:
+            assert [m.entries for m in enumerate_optima(g)] == optima, g
+            assert optimal_weight(g) == value, g
+        else:
+            assert optimal_weight(g) == value, g
+            assert [m.entries for m in enumerate_optima(g)] == optima, g
+        assert max_weight(g) == (value, enumerate_optima(g)[0])
+        assert worth(g, g.agents) == value
+        seen[g.kind] += 1
+        seen["tied"] += len(optima) > 1
+        seen["capacity above one"] += any(g.capacity(q) > 1 for q in g.agents)
+        seen["edge floor"] += any(e.lower > 0 for e in g.edges)
+        seen["edge ceiling"] += any(e.upper is not None for e in g.edges)
+        seen["fractional"] += any(e.weight.denominator > 1 for e in g.edges)
+    assert len(games) == 515
+    assert all(seen[kind] >= 100 for kind in kinds), seen
+    assert seen["tied"] >= 100 and seen["capacity above one"] >= 100, seen
+    assert seen["edge floor"] >= 20 and seen["edge ceiling"] >= 40, seen
+    assert seen["fractional"] >= 100, seen
+
+
+@pytest.mark.parametrize("kind, s", [(kind, s) for kind in ("uniform_b", "b_matching")
+                                     for s in range(3)], ids=lambda x: str(x))
+def test_multi_capacity_cap_set_games_answer_their_core_questions(kind, s):
+    # The cap set's multi-capacity bipartite games, at 12 agents and 16
+    # edges: their core scans read one worth per closed coalition (790 to
+    # 1,558 of them), so these are the largest searches the core asks for.
+    ((_, _, g),) = [game for game in helpers.cap_set((kind,)) if game[1] == s]
+    assert len(g.agents) == 12 and len(g.edges) == 16
+    nonempty, witness = core_nonempty(g)
+    assert nonempty and is_core_imputation(g, witness).in_core
+    assert verify_complementarity(g).ok
+    assert worth(g, g.agents) == helpers.reference_optima(g)[0]
