@@ -2,9 +2,9 @@
 """A short tour of the exact LP engine behind everything else.
 
 Fractions in, fractions out: solutions are vertices, re-optimizing over
-the optimal face restarts phase 2 from the optimal basis, and
-determinants certify the total-unimodularity that makes matching
-polytopes integral.
+the optimal face restarts phase 2 from the optimal basis, and a
+two-colouring of the rows (Heller & Tompkins) certifies the total
+unimodularity that makes bipartite matching polytopes integral.
 
 Run: python3 demos/exact_lp_tour.py
 """

@@ -3,7 +3,10 @@
 Exhaustive machinery (matching enumeration, coalition sweeps, odd-set
 rows, determinant sweeps) refuses cleanly above these sizes instead of
 silently approximating: at most 12 vertices and 16 edges per instance,
-and total-unimodularity sweeps up to submatrix order 8.
+and total-unimodularity sweeps up to submatrix order 8. The sweep cap
+bounds only matrices with a column of three or more nonzeros: those
+with at most two per column are decided at any size by Heller &
+Tompkins's two-colouring (1956).
 """
 
 from __future__ import annotations

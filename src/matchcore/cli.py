@@ -9,7 +9,8 @@ Subcommands:
     extremes         per-agent payoff ranges and the two antipodal
                      imputations (assignment / uniform_b)
     concurrency      fractional vs integral optimum for a general game
-    tum-check        total-unimodularity sweep of the constraint matrix
+    tum-check        total-unimodularity test of the constraint matrix
+                     (Heller & Tompkins's row two-colouring, at any size)
     surplus          worth, adjustment, and surplus under the deterministic
                      dual of a hoffman_kruskal game
     reproduce-paper  run the built-in regression fixtures
@@ -267,7 +268,7 @@ _COMMANDS = {
     "concurrency": (cmd_concurrency, (GameKind.GENERAL,),
                     "fractional vs integral optimum of a general game"),
     "tum-check": (cmd_tum_check, _EVERY_KIND,
-                  "total-unimodularity sweep of the constraint matrix"),
+                  "total-unimodularity test of the constraint matrix"),
     "surplus": (cmd_surplus, (GameKind.HOFFMAN_KRUSKAL,),
                 "surplus accounting under the deterministic optimal dual"),
     "reproduce-paper": (cmd_reproduce, None,

@@ -3,8 +3,11 @@
 Construction is a verbatim transcription of each game's primal/dual pair
 with a canonical variable and constraint ordering (agents in input order,
 edges in input order), so solver output is reproducible. Also houses the
-exhaustive total-unimodularity sweep and the half-integral vertex
-structure check for general-graph matching programs.
+total-unimodularity test and the half-integral vertex structure check
+for general-graph matching programs. A matrix with at most two nonzeros
+per column, as every `build_primal` matrix is, is decided at any size by
+Heller & Tompkins's two-colouring of its rows; any other matrix takes
+the exhaustive determinant sweep, which alone is capped.
 """
 
 from __future__ import annotations
@@ -168,23 +171,60 @@ def _int_det(rows: list[list[int]]) -> int:
 def is_totally_unimodular(matrix: ConstraintMatrix) -> bool:
     """True iff every square submatrix has determinant -1, 0, or 1.
 
-    Exhaustive exact sweep in increasing submatrix order, abandoning the
-    search at the first violating determinant. Refuses matrices whose
-    smaller dimension exceeds the cap.
+    An entry outside {0, +-1} is a 1x1 counterexample, at any size. When
+    every column then has at most two nonzeros, Heller & Tompkins (1956)
+    decide at any size: the matrix is TUM iff its rows split into two
+    classes with a column's two entries in different classes when they
+    have the same sign and in the same class otherwise, which a
+    two-colouring of the signed row graph tests. Every other matrix goes
+    to the exhaustive sweep, which alone is capped.
     """
+    rows = []
+    for row in matrix.entries:
+        if any(v.denominator != 1 or abs(v.numerator) > 1 for v in row):
+            return False
+        rows.append([int(v) for v in row])
     m, n = matrix.shape
+    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(n)]
+    if any(len(col) > 2 for col in columns):
+        return _sweep(rows)
+    # Edge (i, k, apart): rows i and k lie in different classes iff apart.
+    neighbours: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
+    for col in columns:
+        if len(col) == 2:
+            (i, a), (k, b) = col
+            neighbours[i].append((k, a == b))
+            neighbours[k].append((i, a == b))
+    side: list[bool | None] = [None] * m
+    for start in range(m):
+        if side[start] is not None:
+            continue
+        side[start] = False
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for k, apart in neighbours[i]:
+                want = side[i] != apart
+                if side[k] is None:
+                    side[k] = want
+                    stack.append(k)
+                elif side[k] != want:
+                    return False
+    return True
+
+
+def _sweep(rows: list[list[int]]) -> bool:
+    """Exhaustive exact TUM test of a {0, +-1} matrix given as int rows.
+
+    Every square submatrix of order 2 and up, in increasing order,
+    abandoning the search at the first violating determinant. Refuses
+    matrices whose smaller dimension exceeds the cap.
+    """
+    m, n = len(rows), len(rows[0])
     order = min(m, n)
     if order > MAX_TUM_ORDER:
         raise CapExceededError(
             f"submatrix order {order} exceeds the sweep cap of {MAX_TUM_ORDER}")
-    rows = []
-    for row in matrix.entries:
-        ints = []
-        for v in row:
-            if v.denominator != 1 or v not in (-1, 0, 1):
-                return False
-            ints.append(int(v))
-        rows.append(ints)
     for k in range(2, order + 1):
         for rsel in combinations(range(m), k):
             sub = [rows[i] for i in rsel]

@@ -109,6 +109,39 @@ def test_tum_check(tmp_path, capsys):
     assert code == 0 and "yes" in out
 
 
+def _bipartite(g):
+    """Breadth-first two-colouring of the game's graph."""
+    side = {}
+    for start in g.agents:
+        if start in side:
+            continue
+        side[start] = 0
+        queue = [start]
+        for q in queue:
+            for e in g.edges:
+                if e.touches(q):
+                    other = e.v if e.u == q else e.u
+                    if other not in side:
+                        side[other] = 1 - side[q]
+                        queue.append(other)
+                    elif side[other] == side[q]:
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["assignment", "uniform_b", "b_matching",
+                                  "hoffman_kruskal", "general"])
+def test_tum_check_decides_cap_size_games(kind, tmp_path, capsys):
+    # 12 agents and 16 edges: above the sweep's cap, inside Heller &
+    # Tompkins's test, whose verdict is the graph's bipartiteness.
+    for _, s, g in helpers.cap_set((kind,)):
+        path = write(tmp_path, f"{kind}_{s}.game", render_instance(g))
+        code, out, err = run(capsys, "tum-check", path)
+        assert (code, err) == (0, "")
+        assert "rows                12" in out and "columns             16" in out
+        assert f"totally unimodular  {'yes' if _bipartite(g) else 'no'}" in out
+
+
 def test_classify_seven_ring(tmp_path, capsys):
     path = write(tmp_path, "ring.game",
                  fixtures.fixture_by_name("weighted_seven_ring").text)

@@ -1,4 +1,4 @@
-"""LP construction, duality, odd-set rows, TUM sweep, vertex structure."""
+"""LP construction, duality, odd-set rows, TUM test, vertex structure."""
 
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from matchcore.formulations import (
     build_primal,
     check_half_integrality,
     constraint_matrix,
+    _sweep,
     is_totally_unimodular,
     primal_var,
     vertex_dual_var,
@@ -176,6 +177,55 @@ def test_tum_agrees_with_naive_sweep():
                                tuple(f"r{i}" for i in range(m)),
                                tuple(f"c{j}" for j in range(n)))
         assert is_totally_unimodular(mat) == naive_tum(mat)
+
+
+def _signed_rows(rng):
+    """An m x n matrix of 0 and +-1 (m <= 6, n <= 7) as int rows, with at
+    most two nonzeros per column: Heller & Tompkins's hypothesis."""
+    m, n = rng.randint(1, 6), rng.randint(1, 7)
+    rows = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), min(m, rng.choice((0, 1, 2, 2, 2, 2)))):
+            rows[i][j] = rng.choice((1, 1, -1))
+    return rows
+
+
+def _matrix(rows):
+    return ConstraintMatrix(tuple(tuple(F(v) for v in r) for r in rows),
+                            tuple(f"r{i}" for i in range(len(rows))),
+                            tuple(f"c{j}" for j in range(len(rows[0]))))
+
+
+def test_two_colouring_agrees_with_the_sweep_on_signed_matrices():
+    rng = random.Random(41)
+    non_tum = negative = sparse_column = 0
+    for trial in range(320):
+        rows = _signed_rows(rng)
+        verdict = is_totally_unimodular(_matrix(rows))
+        assert verdict == _sweep(rows), rows
+        if trial < 40:
+            assert verdict == naive_tum(_matrix(rows)), rows
+        non_tum += not verdict
+        negative += any(-1 in r for r in rows)
+        sparse_column += any(sum(1 for r in rows if r[j]) < 2 for j in range(len(rows[0])))
+    # The draw must reach both verdicts, both sign rules and the columns
+    # that add no edge to the row graph.
+    assert non_tum >= 60 and negative >= 100 and sparse_column >= 30
+
+
+def test_two_nonzero_columns_are_decided_above_the_sweep_cap():
+    eye = ConstraintMatrix(
+        tuple(tuple(F(int(i == j)) for j in range(9)) for i in range(9)),
+        tuple(f"r{i}" for i in range(9)), tuple(f"c{j}" for j in range(9)))
+    assert is_totally_unimodular(eye)
+    ((_, _, g), *_) = helpers.cap_set(("b_matching",))
+    incidence = constraint_matrix(build_primal(g))
+    assert incidence.shape == (12, 16) and is_totally_unimodular(incidence)
+    # An entry outside {0, +-1} is a 1x1 counterexample at any size.
+    two = ConstraintMatrix(
+        tuple(tuple(F(2 if i == j == 8 else 1) for j in range(9)) for i in range(9)),
+        eye.row_labels, eye.col_labels)
+    assert not is_totally_unimodular(two)
 
 
 def test_tum_cap():
