@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .caps import check_instance_size
 from .formulations import (
@@ -199,26 +199,18 @@ class DualFace:
     A thin view over the instance's one ``OptimalFace``: the dual program
     is solved once per instance, and that solve serves ``optimal_dual``,
     ``primal_optimum``, ``is_optimal_dual`` and every ``DualFace`` built
-    for the instance. Each query runs phase 2 alone from the optimal
-    basis; the bounds-capacity grand total is two such queries. A query
-    takes one coefficient per column of ``build_dual(instance)``. D(I)
-    membership fixes columns instead, so ``in_dual_image`` solves the
-    program once with changed bounds and compares optima.
+    for the instance. Its queries, ``extremize`` and ``extremum``, are the
+    engine's own methods and take one coefficient per column of
+    ``build_dual(instance)``. D(I) membership fixes columns instead, so
+    ``in_dual_image`` solves the program once with changed bounds and
+    compares optima.
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
         self._engine = _optimal_face(instance)
-        self.lp = self._engine.lp
-        self.base = self._engine.base
-
-    def extremize(self, coeffs: Sequence[Fraction], sense: Sense) -> LpSolution:
-        return self._engine.optimize(coeffs, sense)
-
-    def extremum(self, coeffs: Sequence[Fraction], sense: Sense) -> Fraction | None:
-        """Min or max of a linear functional over the face; None when unbounded."""
-        sol = self.extremize(coeffs, sense)
-        return sol.value if sol.status is Status.OPTIMAL else None
+        self.lp, self.base = self._engine.lp, self._engine.base
+        self.extremize, self.extremum = self._engine.optimize, self._engine.extremum
 
     def vertex_coeffs(self, q: str) -> list[Fraction]:
         """The functional reading agent q's vertex dual."""
@@ -227,8 +219,7 @@ class DualFace:
         return coeffs
 
     def vertex_range(self, q: str) -> tuple[Fraction | None, Fraction | None]:
-        coeffs = self.vertex_coeffs(q)
-        return (self.extremum(coeffs, Sense.MINIMIZE), self.extremum(coeffs, Sense.MAXIMIZE))
+        return self._engine.range(self.vertex_coeffs(q))
 
     def max_overpayment(self, key: EdgeKey) -> Fraction | None:
         """Max slack of the edge's dual row over the face; None = unbounded."""
@@ -332,9 +323,7 @@ def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
         w = optimal_weight(instance)
         return w, w
-    weights = _surplus_weights(instance)
-    face = DualFace(instance)
-    return face.extremum(weights, Sense.MINIMIZE), face.extremum(weights, Sense.MAXIMIZE)
+    return _optimal_face(instance).range(_surplus_weights(instance))
 
 
 def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
@@ -388,7 +377,8 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     dual fixed, through its bounds, to payoff divided by capacity: that
     program's optimum equals the dual optimum exactly when some optimal
     dual has these vertex duals. ValueError unless ``imp`` pays exactly
-    the instance's agents.
+    the instance's agents, each at least zero, so every fixed value lies
+    within its column's bounds (lower 0, no upper).
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
@@ -398,10 +388,7 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     lower, upper = list(lp.lower), list(lp.upper)
     for q, payoff in zip(instance.agents, payoffs):
         j = lp.index(vertex_dual_var(q))
-        value = payoff / F(instance.capacity(q))
-        if value < lower[j]:        # vertex duals are >= 0, with no upper bound
-            return False
-        lower[j] = upper[j] = value
+        lower[j] = upper[j] = payoff / F(instance.capacity(q))
     fixed = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
                                 lp.constraints, lower, upper))
     return fixed.status is Status.OPTIMAL and fixed.value == face.base.value
@@ -640,48 +627,41 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     kind = instance.kind
     general = kind is GameKind.GENERAL
     concurrent = is_concurrent(instance) if general else None
-    if general and not concurrent:
-        # Classes are oracle facts and still meaningful; the payment
-        # verdicts get the distinguished empty-core outcome.
-        players = tuple(PlayerFinding(q, classify_player(instance, q), None)
-                        for q in instance.agents)
-        teams = tuple(TeamFinding(e.key, classify_team(instance, e.key), None)
-                      for e in instance.edges)
-        return ComplementarityReport(kind, is_degenerate(instance), False,
-                                     players, teams, (), ("core is empty",))
-
-    face = DualFace(instance)
+    # On an empty core the classes are oracle facts and still meaningful;
+    # the payment verdicts get the distinguished outcome None unasked, and
+    # the general checks below run only when ``concurrent`` is True.
+    empty = general and not concurrent
+    face = None if empty else DualFace(instance)
     degenerate = is_degenerate(instance)
     violations: list[str] = []
-    gaps: list[str] = []
+    gaps: list[str] = ["core is empty"] if empty else []
 
     players = []
-    labels = {}
     for q in instance.agents:
         label = classify_player(instance, q)
-        labels[q] = label
-        paid = paid_sometimes(instance, q, face)
+        paid = None if empty else paid_sometimes(instance, q, face)
         players.append(PlayerFinding(q, label, paid))
         essential = label is ClassLabel.ESSENTIAL
         if not general and paid != essential:
             violations.append(f"player {q}: {label.value} but "
                               f"{'paid sometimes' if paid else 'never paid'}")
-        if general:
+        if concurrent:
             if paid and not essential:
                 violations.append(f"player {q}: paid sometimes but {label.value}")
             if essential and not paid:
                 gaps.append(f"player {q}: essential yet never paid")
 
+    labels = {finding.agent: finding.label for finding in players}
     teams = []
     for e in instance.edges:
         label = classify_team(instance, e.key)
-        fair = always_paid_fairly(instance, e.key, face)
+        fair = None if empty else always_paid_fairly(instance, e.key, face)
         teams.append(TeamFinding(e.key, label, fair))
         matched_somewhere = label is not ClassLabel.SUBPAR
         if not general and fair != matched_somewhere:
             violations.append(f"team ({e.u},{e.v}): {label.value} but "
                               f"{'always paid fairly' if fair else 'sometimes overpaid'}")
-        if general:
+        if concurrent:
             if matched_somewhere and not fair:
                 violations.append(f"team ({e.u},{e.v}): {label.value} but sometimes overpaid")
             if label is ClassLabel.SUBPAR and fair:
@@ -694,7 +674,7 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
             if ClassLabel.ESSENTIAL not in (labels[e.u], labels[e.v]):
                 violations.append(f"team ({e.u},{e.v}): subpar with no essential endpoint")
 
-    if degenerate:
+    if degenerate and not empty:
         for finding in players:
             if finding.label is ClassLabel.VIABLE and finding.paid_sometimes:
                 violations.append(f"player {finding.agent}: viable yet paid under degeneracy")

@@ -7,7 +7,7 @@ total-unimodularity test and the half-integral vertex structure check
 for general-graph matching programs. A matrix with at most two nonzeros
 per column, as every `build_primal` matrix is, is decided at any size by
 Heller & Tompkins's two-colouring of its rows; any other matrix takes
-the exhaustive determinant sweep, which alone is capped.
+the capped sweep of determinants from ``lp.eliminate``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .caps import MAX_TUM_ORDER, MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
-from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
+from .lp import Constraint, LinearProgram, Relation, Sense, eliminate, is_vertex
 from .rationals import ONE, ZERO
 
 F = Fraction
@@ -147,27 +147,6 @@ def constraint_matrix(lp: LinearProgram) -> ConstraintMatrix:
     )
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), -1)
-            if swap < 0:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
-
-
 def is_totally_unimodular(matrix: ConstraintMatrix) -> bool:
     """True iff every square submatrix has determinant -1, 0, or 1.
 
@@ -216,9 +195,10 @@ def is_totally_unimodular(matrix: ConstraintMatrix) -> bool:
 def _sweep(rows: list[list[int]]) -> bool:
     """Exhaustive exact TUM test of a {0, +-1} matrix given as int rows.
 
-    Every square submatrix of order 2 and up, in increasing order,
-    abandoning the search at the first violating determinant. Refuses
-    matrices whose smaller dimension exceeds the cap.
+    Every square submatrix of order 2 and up, in increasing order, by its
+    determinant from ``lp.eliminate``, abandoning the search at the first
+    violating determinant. Refuses matrices whose smaller dimension
+    exceeds the cap.
     """
     m, n = len(rows), len(rows[0])
     order = min(m, n)
@@ -229,7 +209,7 @@ def _sweep(rows: list[list[int]]) -> bool:
         for rsel in combinations(range(m), k):
             sub = [rows[i] for i in rsel]
             for csel in combinations(range(n), k):
-                det = _int_det([[r[j] for j in csel] for r in sub])
+                _, det = eliminate([[r[j] for j in csel] for r in sub])
                 if det not in (-1, 0, 1):
                     return False
     return True

@@ -1,14 +1,15 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex with Bland's pivot rule. Programs and results
-are ``fractions.Fraction``; the tableau computes in integers, each row
-over one denominator (see ``_Tableau``). The arithmetic is exact: no
-rounding, no tolerances, and identical inputs always produce the
-identical basic optimal solution. The optimal face has one
+A two-phase primal simplex with Bland's pivot rule, and one
+fraction-free elimination, ``eliminate`` (rank and determinant), for all
+other exact linear algebra. Programs and results are ``fractions.Fraction``;
+the tableau computes in integers, each row over one denominator (see
+``_Tableau``). No rounding, no tolerances: identical inputs always produce
+the identical basic optimal solution. The optimal face has one
 representation, ``OptimalFace``: it solves once and answers each
 secondary objective by phase 2 alone from the optimal basis, over the
-columns whose reduced cost there is zero. No program here gains a row
-pinning its objective to the optimum.
+columns whose reduced cost there is zero, with no row pinning its
+objective to the optimum.
 """
 
 from __future__ import annotations
@@ -446,6 +447,17 @@ class OptimalFace:
         sense = sense if isinstance(sense, Sense) else Sense(sense)
         return self._tableau.fork().optimize(objective, sense, self._columns)
 
+    def extremum(self, objective, sense) -> Fraction | None:
+        """The optimum over the face; None when the face has a ray along
+        which the objective improves."""
+        sol = self.optimize(objective, sense)
+        return sol.value if sol.status is Status.OPTIMAL else None
+
+    def range(self, objective) -> tuple[Fraction | None, Fraction | None]:
+        """(min, max) over the face; an unbounded side is None."""
+        return (self.extremum(objective, Sense.MINIMIZE),
+                self.extremum(objective, Sense.MAXIMIZE))
+
 
 def coordinate_range(lp: LinearProgram, name: str):
     """(min, max) of one variable over the optimal face.
@@ -453,37 +465,40 @@ def coordinate_range(lp: LinearProgram, name: str):
     An unbounded side is reported as None. The ranges of all variables are
     degenerate (min = max) exactly when the optimum is unique.
     """
-    j = lp.index(name)
     unit = [ZERO] * len(lp.variables)
-    unit[j] = ONE
-    face = OptimalFace(lp)
-    hi = face.optimize(unit, Sense.MAXIMIZE)
-    lo = face.optimize(unit, Sense.MINIMIZE)
-    return (lo.value if lo.status is Status.OPTIMAL else None,
-            hi.value if hi.status is Status.OPTIMAL else None)
+    unit[lp.index(name)] = ONE
+    return OptimalFace(lp).range(unit)
+
+
+def eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int | None]:
+    """(rank, determinant) of integer rows; the determinant is None unless
+    the matrix is square. Fraction-free elimination (Bareiss 1968): after
+    k pivots each entry below them is a minor of order k + 1, so dividing
+    by the previous pivot is exact, and the last pivot of a nonsingular
+    square matrix is its determinant, negated once per row swap."""
+    mat = [list(r) for r in rows]
+    m, n = len(mat), len(mat[0]) if mat else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if mat[i][col]), -1)
+        if piv < 0:
+            continue
+        if piv != rank:
+            mat[rank], mat[piv], sign = mat[piv], mat[rank], -sign
+        prow = mat[rank]
+        p = prow[col]
+        for i in range(rank + 1, m):
+            f = mat[i][col]
+            mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], prow)]
+        prev, rank = p, rank + 1
+    if m != n:
+        return rank, None
+    return rank, sign * prev if rank == n else 0
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination over the rationals."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), -1)
-        if piv < 0:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = ONE / prow[col]
-        mat[rank] = prow = [a * inv for a in prow]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Exact rank: ``eliminate`` on each row over its common denominator."""
+    return eliminate([scaled(row)[0] for row in rows])[0]
 
 
 def tight_rows_at(lp: LinearProgram, values: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
@@ -495,9 +510,7 @@ def tight_rows_at(lp: LinearProgram, values: Sequence[Fraction]) -> list[tuple[F
             rows.append(con.coeffs)
     for j in range(n):
         unit = tuple(ONE if k == j else ZERO for k in range(n))
-        if values[j] == lp.lower[j]:
-            rows.append(unit)
-        elif lp.upper[j] is not None and values[j] == lp.upper[j]:
+        if values[j] == lp.lower[j] or values[j] == lp.upper[j]:     # no value equals None
             rows.append(unit)
     return rows
 

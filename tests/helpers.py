@@ -241,6 +241,37 @@ def pinned_row_face(g):
         [Constraint(program.objective, Relation.EQ, base.value)])
 
 
+def reference_rank_and_det(rows):
+    """Reference for ``lp.eliminate``: (rank, determinant) of a matrix by
+    Gauss-Jordan elimination in Fraction, sharing no code with the
+    fraction-free kernel. The determinant is the product of the pivots,
+    negated once per row swap, and None unless the matrix is square."""
+    mat = [[F(a) for a in r] for r in rows]
+    rank, det = 0, F(1)
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), -1)
+        if piv < 0:
+            continue
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            det = -det
+        prow = mat[rank]
+        det *= prow[col]
+        inv = 1 / prow[col]
+        mat[rank] = prow = [a * inv for a in prow]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        rank += 1
+        if rank == len(mat):
+            break
+    if len(mat) != cols:
+        return rank, None
+    return rank, det if rank == cols else F(0)
+
+
 # ---------------------------------------------------------------------------
 # Seeded random instance generators.
 # ---------------------------------------------------------------------------

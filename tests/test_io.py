@@ -1,5 +1,6 @@
 """Instance file grammar: parsing, rendering, round trips, errors."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -116,6 +117,33 @@ def test_round_trip_fixtures_and_random_instances():
                           else helpers.random_bipartite(rng, kind))
     for g in candidates:
         assert parse_instance(render_instance(g)) == g
+
+
+# SHA-256 of each cap-set game as rendered; the cap-set figures recorded
+# for earlier changes are comparable only while these files stay the same.
+CAP_SET_SHA256 = {
+    ("assignment", 0): "cf3e7cae270c9e2a1ee75b2a99d8a83486e950e30a09807a62730bb1bb6b73fe",
+    ("assignment", 1): "a5682366e5d0007f5e3afad32e7cf648b00ccfe63d792c1351ea41d87ee5deff",
+    ("assignment", 2): "3457e42b798d1bc0f74e6dfcade05760c8477cf96c100469f498f5e0c5121097",
+    ("uniform_b", 0): "d8ba860faf4a223a48d8029c478ad7d5d8ec7a8b9689020f1dc5d714b09b7f2e",
+    ("uniform_b", 1): "455a7d37019fa0d0ef8494d1f15539379333856eb660691a884bd7439223e482",
+    ("uniform_b", 2): "c6e7279a4675dc16fde4b2cb878e74a0ebf4da8df846ba85666983fbafb08dea",
+    ("b_matching", 0): "7703d3f31e094ab786d92c50b9a78374625b6b6a79d61e52ef8705414794a3d8",
+    ("b_matching", 1): "51c86443a8f0f974c524259d00ebdc0eb75896a0ec3fbe7fced5c8f564e2e06f",
+    ("b_matching", 2): "1a59934c032cc18aa48a08c6c7a8b3d5dbe06c3987e54558d8a5b498ed47c330",
+    ("hoffman_kruskal", 0): "bbdf540fa79e1e43e6687d3421fcf7b942f20eee1b80c9a9fe7042510c2e9bec",
+    ("hoffman_kruskal", 1): "4eeb7bc76ceb347dfb69b08a3ebb5eae37f3eecf92451b75e701d68d9514e2dd",
+    ("hoffman_kruskal", 2): "e2f679a2eee75a7c5cbbc837c420f290fdfdfb3e078796b08221be8525a8c8af",
+    ("general", 0): "9fdc6700439571cb9805910385a623093613816af0a135e35542e0a4e2d4bb5d",
+    ("general", 1): "25d8205b5c9a378d5812e38c18f39e4fc0912bc4d42df1c4b87103610c92bf7e",
+    ("general", 2): "b8ca1398e164beaa1bff97430732b625a6931f27cbcb1115401609ff0b7f2158",
+}
+
+
+def test_the_cap_set_renders_to_its_pinned_files():
+    rendered = {(kind, s): hashlib.sha256(render_instance(g).encode()).hexdigest()
+                for kind, s, g in helpers.cap_set()}
+    assert rendered == CAP_SET_SHA256
 
 
 def test_round_trip_preserves_imputation():

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+import helpers
 from fraction_simplex import FractionFace
 from matchcore.lp import (
     Constraint,
@@ -20,6 +21,7 @@ from matchcore.lp import (
     Sense,
     Status,
     coordinate_range,
+    eliminate,
     is_vertex,
     rank_of_rows,
     solve,
@@ -402,6 +404,51 @@ def test_against_full_vertex_enumeration():
     assert optimal > 150 and infeasible > 150
 
 
+def test_elimination_matches_the_rational_reference():
+    # The fraction-free kernel against Gauss-Jordan in Fraction, on integer
+    # matrices up to 7 x 7 with entries in -3..3. Zeros at the pivot force
+    # row swaps, so a lost sign flip shows as a determinant of the wrong
+    # sign; copied or negated lines and zero lines make rank deficits.
+    rng = random.Random(2101)
+    deficient = non_square = big_det = zero_line = 0
+    for i in range(480):
+        m = rng.randint(1, 7)
+        n = m if i % 3 else rng.randint(1, 7)
+        sparse = rng.choice((0.0, 0.3, 0.6))
+        rows = [[0 if rng.random() < sparse else rng.randint(-3, 3) for _ in range(n)]
+                for _ in range(m)]
+        twist = i % 6
+        if twist == 1 and m > 1:        # a row copied, or negated, onto another
+            a, b = rng.sample(range(m), 2)
+            rows[b] = [rng.choice((1, -1)) * x for x in rows[a]]
+        elif twist == 3 and n > 1:      # the same for a column
+            a, b = rng.sample(range(n), 2)
+            sign = rng.choice((1, -1))
+            for row in rows:
+                row[b] = sign * row[a]
+        elif twist == 5:                # a zero row or column
+            if rng.random() < 0.5:
+                rows[rng.randrange(m)] = [0] * n
+            else:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+        rank, det = helpers.reference_rank_and_det(rows)
+        assert eliminate(rows) == (rank, det), rows
+        # Rational rows: the same rank after dividing each row by its own
+        # positive denominator.
+        rational = [[F(x, d) for x in row] for row, d in
+                    zip(rows, (rng.randint(1, 6) for _ in rows))]
+        assert rank_of_rows(rational) == rank, rows
+        deficient += rank < min(m, n)
+        non_square += m != n
+        big_det += det is not None and abs(det) >= 2
+        zero_line += (any(not any(row) for row in rows)
+                      or any(not any(row[j] for row in rows) for j in range(n)))
+    assert deficient >= 60 and non_square >= 60 and big_det >= 60 and zero_line >= 20, \
+        (deficient, non_square, big_det, zero_line)
+
+
 def test_exactness_denominator_divides_basis_determinant():
     # With integer data, every optimal coordinate is a ratio of
     # determinants, so value * det(tight system) must be an integer.
@@ -415,7 +462,7 @@ def test_exactness_denominator_divides_basis_determinant():
         rows = tight_rows_at(lp, sol.values)
         n = len(lp.variables)
         square = _independent_square(rows, n)
-        det = _det(square)
+        det = helpers.reference_rank_and_det(square)[1]
         assert det != 0
         for v in sol.values:
             assert (v * det).denominator == 1
@@ -432,23 +479,3 @@ def _independent_square(rows, n):
             break
     assert len(chosen) == n
     return chosen
-
-
-def _det(rows):
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    det = F(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col]), -1)
-        if piv < 0:
-            return F(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = F(1) / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col]:
-                f = mat[i][col] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
