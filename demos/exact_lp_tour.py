@@ -4,7 +4,10 @@
 Fractions in, fractions out: solutions are vertices, re-optimizing over
 the optimal face restarts phase 2 from the optimal basis, and a
 two-colouring of the rows (Heller & Tompkins) certifies the total
-unimodularity that makes bipartite matching polytopes integral.
+unimodularity that makes bipartite matching polytopes integral. The
+test reads a matrix as its coefficient rows alone: plain sequences of
+ints or fractions, here a program's ``[c.coeffs for c in
+lp.constraints]``.
 
 Run: python3 demos/exact_lp_tour.py
 """
@@ -18,7 +21,6 @@ from matchcore import (
     Sense,
     Status,
     build_primal,
-    constraint_matrix,
     coordinate_range,
     is_totally_unimodular,
     parse_instance,
@@ -56,7 +58,9 @@ square = parse_instance(
 triangle = parse_instance(
     "game general\nvertices a b c\n"
     "edge a b weight 1\nedge b c weight 1\nedge a c weight 1\n")
+# The test reads the matching program's coefficient rows, one per vertex.
+incidence = [[c.coeffs for c in build_primal(g).constraints] for g in (square, triangle)]
 print(f"Even cycle incidence matrix totally unimodular? "
-      f"{is_totally_unimodular(constraint_matrix(build_primal(square)))}.")
-print(f"Odd cycle? {is_totally_unimodular(constraint_matrix(build_primal(triangle)))} "
+      f"{is_totally_unimodular(incidence[0])}.")
+print(f"Odd cycle? {is_totally_unimodular(incidence[1])} "
       f"(a 3x3 submatrix has determinant 2).")

@@ -35,13 +35,11 @@ from .analysis import (
 )
 from .caps import CapExceededError
 from .formulations import (
-    ConstraintMatrix,
     HalfIntegralStructure,
     build_dual,
     build_odd_set_primal,
     build_primal,
     check_half_integrality,
-    constraint_matrix,
     is_totally_unimodular,
 )
 from .games import (

@@ -199,7 +199,7 @@ class DualFace:
     A thin view over the instance's one ``OptimalFace``: the dual program
     is solved once per instance, and that solve serves ``optimal_dual``,
     ``primal_optimum``, ``is_optimal_dual`` and every ``DualFace`` built
-    for the instance. Its queries, ``extremize`` and ``extremum``, are the
+    for the instance. Its queries, ``optimize`` and ``extremum``, are the
     engine's own methods and take one coefficient per column of
     ``build_dual(instance)``. D(I) membership fixes columns instead, so
     ``in_dual_image`` solves the program once with changed bounds and
@@ -210,7 +210,7 @@ class DualFace:
         self.instance = instance
         self._engine = _optimal_face(instance)
         self.lp, self.base = self._engine.lp, self._engine.base
-        self.extremize, self.extremum = self._engine.optimize, self._engine.extremum
+        self.optimize, self.extremum = self._engine.optimize, self._engine.extremum
 
     def vertex_coeffs(self, q: str) -> list[Fraction]:
         """The functional reading agent q's vertex dual."""
@@ -226,6 +226,15 @@ class DualFace:
         row = self.lp.constraints[self.instance.edges.index(self.instance.edge(key))]
         top = self.extremum(row.coeffs, Sense.MAXIMIZE)
         return None if top is None else top - row.rhs
+
+
+def _face_of(instance: GameInstance, face: DualFace | None) -> DualFace:
+    """``face``, refused unless it is the instance's; a new one when None."""
+    if face is None:
+        return DualFace(instance)
+    if face.instance != instance:
+        raise ValueError("face belongs to another instance")
+    return face
 
 
 def is_concurrent(instance: GameInstance) -> bool:
@@ -417,19 +426,17 @@ class _CoalitionCuts:
         lo, hi = _grand_range(instance)
         ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
         self.instance = instance
-        self.names = [f"alloc[{q}]" for q in agents]
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
         self.table = [(members, demand)
                       for members, demand, _ in _coalition_demands(instance)
                       if demand > 0]
-        self.rows = [Constraint(tuple(ONE for _ in agents), relation, end, "total")
+        self.rows = [Constraint(tuple(ONE for _ in agents), relation, end)
                      for relation, end in ends if end is not None]
 
     def row(self, entry) -> Constraint:
         members, demand = entry
         coeffs = tuple(ONE if q in members else ZERO for q in self.instance.agents)
-        return Constraint(coeffs, Relation.GE, demand,
-                          "coalition[" + "|".join(members) + "]")
+        return Constraint(coeffs, Relation.GE, demand)
 
     def _most_violated(self, values: tuple[Fraction, ...]):
         ints, scale = scaled(values)
@@ -448,7 +455,7 @@ class _CoalitionCuts:
     def solve(self, objective, sense: Sense) -> LpSolution:
         """Optimize over the full core by adding violated rows as needed."""
         while True:
-            sol = solve(LinearProgram(sense, self.names, objective, self.rows))
+            sol = solve(LinearProgram(sense, self.instance.agents, objective, self.rows))
             if sol.status is not Status.OPTIMAL:
                 return sol
             worst = self._most_violated(sol.values)
@@ -479,7 +486,7 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     specified.
     """
     cuts = _CoalitionCuts(instance)
-    sol = cuts.solve([ZERO] * len(cuts.names), Sense.MINIMIZE)
+    sol = cuts.solve([ZERO] * len(instance.agents), Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:
         return False, None
     return True, _imputation_from(instance, sol)
@@ -504,7 +511,7 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
     seen = set()
     out = []
     for _ in range(count):
-        objective = [F(rng.randint(-9, 9)) for _ in cuts.names]
+        objective = [F(rng.randint(-9, 9)) for _ in instance.agents]
         sol = cuts.solve(objective, Sense.MAXIMIZE)
         if sol.status is not Status.OPTIMAL:
             return out      # the core is empty, whatever the objective
@@ -523,13 +530,13 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
     """
     if count < 0:
         raise ValueError(f"sample count must be >= 0, not {count}")
-    face = face or DualFace(instance)
+    face = _face_of(instance, face)
     rng = random.Random(seed)
     seen = set()
     out = []
     for _ in range(count):
         objective = [F(rng.randint(-9, 9)) for _ in face.lp.variables]
-        sol = face.extremize(objective, Sense.MAXIMIZE)
+        sol = face.optimize(objective, Sense.MAXIMIZE)
         if sol.status is not Status.OPTIMAL or sol.values in seen:
             continue
         seen.add(sol.values)
@@ -553,7 +560,7 @@ def paid_sometimes(instance: GameInstance, q: str,
     """
     if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         return None
-    face = face or DualFace(instance)
+    face = _face_of(instance, face)
     top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
     return top is None or top > 0
 
@@ -568,15 +575,18 @@ def always_paid_fairly(instance: GameInstance, key: EdgeKey,
     """
     if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
         return None
-    face = face or DualFace(instance)
+    face = _face_of(instance, face)
     over = face.max_overpayment(key)
     return over == 0
 
 
 def payoff_range(instance: GameInstance, q: str,
                  face: DualFace | None = None) -> tuple[Fraction | None, Fraction | None]:
-    """Lowest and highest payoff of one agent across dual-derived imputations."""
-    face = face or DualFace(instance)
+    """Lowest and highest payoff of one agent across dual-derived imputations
+    (ValueError on a non-concurrent general game, which has none)."""
+    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
+        raise ValueError("not concurrent: optimal covers are not imputations")
+    face = _face_of(instance, face)
     lo, hi = face.vertex_range(q)
     b = F(instance.capacity(q))
     return (None if lo is None else b * lo, None if hi is None else b * hi)
@@ -701,7 +711,7 @@ def extreme_imputations(instance: GameInstance,
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("extreme imputations apply to assignment and "
                          "uniform-capacity kinds")
-    face = face or DualFace(instance)
+    face = _face_of(instance, face)
     ranges = {q: face.vertex_range(q) for q in instance.agents}
     left = set(instance.side_u)
     favor_left = make_dual(instance, {
@@ -765,13 +775,13 @@ def simultaneous_imputation(instance: GameInstance) -> Imputation:
     for q in instance.agents:
         if classify_player(instance, q) is ClassLabel.ESSENTIAL:
             essentials.add(q)
-            witnesses.append(face.extremize(face.vertex_coeffs(q), Sense.MAXIMIZE))
+            witnesses.append(face.optimize(face.vertex_coeffs(q), Sense.MAXIMIZE))
     # Row i of the dual program is edge i's; its slack is the overpayment.
     rows = list(zip(instance.edges, face.lp.constraints))
     for e, row in rows:
         if classify_team(instance, e.key) is ClassLabel.SUBPAR:
             subpars.add(e.key)
-            witnesses.append(face.extremize(row.coeffs, Sense.MAXIMIZE))
+            witnesses.append(face.optimize(row.coeffs, Sense.MAXIMIZE))
     if not witnesses:
         witnesses.append(face.base)
     k = F(len(witnesses))

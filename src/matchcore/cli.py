@@ -1,19 +1,7 @@
 """Command-line front end.
 
-Subcommands:
-    solve            worth, matching program optimum, deterministic dual,
-                     and the payoffs it induces
-    classify         player/team classes with payment and fairness verdicts
-    core-check       core membership (and D(I) membership) of the payoff
-                     vector carried by the instance file
-    extremes         per-agent payoff ranges and the two antipodal
-                     imputations (assignment / uniform_b)
-    concurrency      fractional vs integral optimum for a general game
-    tum-check        total-unimodularity test of the constraint matrix
-                     (Heller & Tompkins's row two-colouring, at any size)
-    surplus          worth, adjustment, and surplus under the deterministic
-                     dual of a hoffman_kruskal game
-    reproduce-paper  run the built-in regression fixtures
+The subcommands and what each reports are listed once, in ``_COMMANDS``;
+``matchcore --help`` prints them.
 
 Exit codes: 0 success, 1 analysis failure, 2 input error. Every number is
 printed exactly as p/q (or a plain integer).
@@ -30,7 +18,6 @@ from . import analysis, fixtures
 from .caps import CapExceededError
 from .formulations import (
     build_primal,
-    constraint_matrix,
     is_totally_unimodular,
     lower_dual_var,
     upper_dual_var,
@@ -214,11 +201,12 @@ def cmd_concurrency(args, report: Report, instance: GameInstance, payoffs) -> in
 
 
 def cmd_tum_check(args, report: Report, instance: GameInstance, payoffs) -> int:
-    matrix = constraint_matrix(build_primal(instance))
+    lp = build_primal(instance)
+    rows = [c.coeffs for c in lp.constraints]
     report.add("constraint matrix", [
-        ("rows", matrix.shape[0]),
-        ("columns", matrix.shape[1]),
-        ("totally unimodular", is_totally_unimodular(matrix)),
+        ("rows", len(rows)),
+        ("columns", len(lp.variables)),
+        ("totally unimodular", is_totally_unimodular(rows)),
     ])
     return EXIT_OK
 
@@ -264,13 +252,13 @@ _COMMANDS = {
     "core-check": (cmd_core_check, _EVERY_KIND,
                    "core and D(I) membership of the file's imputation line"),
     "extremes": (cmd_extremes, (GameKind.ASSIGNMENT, GameKind.UNIFORM_B),
-                 "payoff ranges and the two antipodal core imputations"),
+                 "payoff ranges, antipodal core imputations (assignment, uniform_b)"),
     "concurrency": (cmd_concurrency, (GameKind.GENERAL,),
                     "fractional vs integral optimum of a general game"),
     "tum-check": (cmd_tum_check, _EVERY_KIND,
                   "total-unimodularity test of the constraint matrix"),
     "surplus": (cmd_surplus, (GameKind.HOFFMAN_KRUSKAL,),
-                "surplus accounting under the deterministic optimal dual"),
+                "surplus accounting under the deterministic dual (hoffman_kruskal)"),
     "reproduce-paper": (cmd_reproduce, None,
                         "run the built-in regression fixtures"),
 }

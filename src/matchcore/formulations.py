@@ -2,12 +2,13 @@
 
 Construction is a verbatim transcription of each game's primal/dual pair
 with a canonical variable and constraint ordering (agents in input order,
-edges in input order), so solver output is reproducible. Also houses the
-total-unimodularity test and the half-integral vertex structure check
-for general-graph matching programs. A matrix with at most two nonzeros
-per column, as every `build_primal` matrix is, is decided at any size by
-Heller & Tompkins's two-colouring of its rows; any other matrix takes
-the capped sweep of determinants from ``lp.eliminate``.
+edges in input order), so solver output is reproducible; rows carry no
+label. Also houses the total-unimodularity test of coefficient rows and
+the half-integral vertex structure check for general-graph matching
+programs. A matrix with at most two nonzeros per column, as every
+`build_primal` matrix is, is decided at any size by Heller & Tompkins's
+two-colouring of its rows; any other matrix takes the capped sweep of
+determinants from ``lp.eliminate``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ def build_primal(instance: GameInstance) -> LinearProgram:
     rows = []
     for q in instance.agents:
         coeffs = [ONE if e.touches(q) else ZERO for e in instance.edges]
-        rows.append(Constraint(tuple(coeffs), Relation.LE,
-                               F(instance.capacity(q)), f"cap[{q}]"))
+        rows.append(Constraint(tuple(coeffs), Relation.LE, F(instance.capacity(q))))
     lower = None
     upper = None
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
@@ -92,13 +92,8 @@ def build_dual(instance: GameInstance) -> LinearProgram:
             coeffs[index[lower_dual_var(e.key)]] = -ONE
             if e.upper is not None:
                 coeffs[index[upper_dual_var(e.key)]] = ONE
-        rows.append(Constraint(tuple(coeffs), Relation.GE, e.weight,
-                               f"edge[{e.u},{e.v}]"))
+        rows.append(Constraint(tuple(coeffs), Relation.GE, e.weight))
     return LinearProgram(Sense.MINIMIZE, names, objective, rows)
-
-
-def odd_set_label(subset: Sequence[str]) -> str:
-    return "odd[" + "|".join(subset) + "]"
 
 
 def build_odd_set_primal(instance: GameInstance) -> LinearProgram:
@@ -123,34 +118,16 @@ def build_odd_set_primal(instance: GameInstance) -> LinearProgram:
                            for e in instance.edges)
             if not any(coeffs):
                 continue
-            extra.append(Constraint(coeffs, Relation.LE,
-                                    F(size - 1, 2), odd_set_label(subset)))
+            extra.append(Constraint(coeffs, Relation.LE, F(size - 1, 2)))
     return base.with_extra_constraints(extra)
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.col_labels))
-
-
-def constraint_matrix(lp: LinearProgram) -> ConstraintMatrix:
-    return ConstraintMatrix(
-        tuple(c.coeffs for c in lp.constraints),
-        tuple(c.name for c in lp.constraints),
-        lp.variables,
-    )
-
-
-def is_totally_unimodular(matrix: ConstraintMatrix) -> bool:
+def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
     """True iff every square submatrix has determinant -1, 0, or 1.
 
-    An entry outside {0, +-1} is a 1x1 counterexample, at any size. When
+    ``rows`` are equal-length rows of ints or rationals (ValueError if
+    ragged), as ``[c.coeffs for c in lp.constraints]``; an empty matrix
+    is TUM. An entry outside {0, +-1} is a 1x1 counterexample, at any size. When
     every column then has at most two nonzeros, Heller & Tompkins (1956)
     decide at any size: the matrix is TUM iff its rows split into two
     classes with a column's two entries in different classes when they
@@ -158,15 +135,17 @@ def is_totally_unimodular(matrix: ConstraintMatrix) -> bool:
     two-colouring of the signed row graph tests. Every other matrix goes
     to the exhaustive sweep, which alone is capped.
     """
-    rows = []
-    for row in matrix.entries:
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("coefficient rows differ in length")
+    ints = []
+    for row in rows:
         if any(v.denominator != 1 or abs(v.numerator) > 1 for v in row):
             return False
-        rows.append([int(v) for v in row])
-    m, n = matrix.shape
-    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(n)]
+        ints.append([int(v) for v in row])
+    columns = [[(i, row[j]) for i, row in enumerate(ints) if row[j]] for j in range(n)]
     if any(len(col) > 2 for col in columns):
-        return _sweep(rows)
+        return _sweep(ints)
     # Edge (i, k, apart): rows i and k lie in different classes iff apart.
     neighbours: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
     for col in columns:
@@ -234,14 +213,15 @@ class HalfIntegralStructure:
 def check_half_integrality(solution, instance: GameInstance) -> HalfIntegralStructure:
     """Classify a vertex of the general matching program.
 
-    Raises if the assignment is not a vertex of the polytope (structure
-    is only guaranteed at vertices).
+    ``solution`` solves ``build_primal(instance)``: its values are read in
+    that program's column order, the edge order. Raises if they are not a
+    vertex of the polytope, a vector of the wrong length included
+    (structure is only guaranteed at vertices).
     """
     if instance.kind is not GameKind.GENERAL:
         raise ValueError("half-integral structure applies to general instances")
-    lp = build_primal(instance)
-    values = tuple(solution[primal_var(e.key)] for e in instance.edges)
-    if not is_vertex(lp, values):
+    values = solution.values or ()
+    if not is_vertex(build_primal(instance), values):
         raise ValueError("assignment is not a vertex of the matching polytope")
 
     violations = []

@@ -47,7 +47,6 @@ class Constraint:
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
-    name: str = ""
 
     def activity(self, values: Sequence[Fraction]) -> Fraction:
         return sum((a * x for a, x in zip(self.coeffs, values)), ZERO)
@@ -76,7 +75,8 @@ def _normalize_bounds(bounds, variables, default):
 
 
 class LinearProgram:
-    """An immutable LP over named variables.
+    """An immutable LP over named variables; a row is a ``Constraint`` or a
+    ``(coeffs, relation, rhs)`` tuple, and is not named.
 
     Every variable has a finite lower bound: zero unless ``lower`` gives
     one value per variable. ``upper`` gives one value or None (no upper
@@ -97,17 +97,16 @@ class LinearProgram:
             raise ValueError("objective length does not match variable count")
 
         rows = []
-        for item in constraints:
+        for i, item in enumerate(constraints):
             if isinstance(item, Constraint):
                 con = item
             else:
-                coeffs, relation, rhs = item[0], item[1], item[2]
-                name = item[3] if len(item) > 3 else ""
+                coeffs, relation, rhs = item
                 relation = relation if isinstance(relation, Relation) else Relation(relation)
                 con = Constraint(tuple(ensure_rational(a) for a in coeffs),
-                                 relation, ensure_rational(rhs), name)
+                                 relation, ensure_rational(rhs))
             if len(con.coeffs) != n:
-                raise ValueError(f"constraint {con.name!r} has wrong arity")
+                raise ValueError(f"constraint {i} has wrong arity")
             rows.append(con)
         self.constraints: tuple[Constraint, ...] = tuple(rows)
 

@@ -21,7 +21,6 @@ from matchcore.formulations import (
     build_odd_set_primal,
     build_primal,
     check_half_integrality,
-    constraint_matrix,
     is_totally_unimodular,
 )
 from matchcore.games import GameKind, restrict
@@ -193,8 +192,9 @@ def test_criterion_2g_tum():
     for _ in range(N_PER_KIND):
         g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side=3,
                                      max_edges=7)
-        assert is_totally_unimodular(constraint_matrix(build_primal(g)))
-    assert not is_totally_unimodular(constraint_matrix(build_primal(helpers.unit_triangle())))
+        assert is_totally_unimodular([c.coeffs for c in build_primal(g).constraints])
+    triangle = build_primal(helpers.unit_triangle())
+    assert not is_totally_unimodular([c.coeffs for c in triangle.constraints])
     _report(f"criterion 2g: incidence TUM on {N_PER_KIND} bipartite instances, "
             "refuted on the unit triangle")
 
@@ -237,8 +237,8 @@ def test_criterion_3_exactness_sweep():
         _assert_exact(sol.value)
         for v in sol.values:
             _assert_exact(v)
-    for row in constraint_matrix(build_primal(g)).entries:
-        for v in row:
+    for row in build_primal(g).constraints:
+        for v in row.coeffs:
             _assert_exact(v)
 
     d = analysis.optimal_dual(g)

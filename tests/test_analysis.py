@@ -587,6 +587,44 @@ def test_surplus_and_overpayment_match_hand_written_references():
     assert counts["unbounded"] >= 10, counts
 
 
+def test_a_face_of_another_instance_is_refused():
+    # Same agents and edge keys, other weights: a face of g2 answers for g2.
+    g1 = make_instance("assignment", ["a1", "a2"], ["b1", "b2"],
+                       [("a1", "b1", F(1)), ("a2", "b2", F(1))])
+    g2 = make_instance("assignment", ["a1", "a2"], ["b1", "b2"],
+                       [("a1", "b1", F(5)), ("a2", "b2", F(1))])
+    assert payoff_range(g1, "a1") == (0, 1) and payoff_range(g2, "a1") == (0, 5)
+    queries = [
+        lambda g, face: payoff_range(g, "a1", face),
+        lambda g, face: extreme_imputations(g, face),
+        lambda g, face: sample_dual_vertices(g, 3, 0, face),
+        lambda g, face: paid_sometimes(g, "a2", face),
+        lambda g, face: always_paid_fairly(g, ("a2", "b2"), face),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError, match="face belongs to another instance"):
+            query(g1, DualFace(g2))
+        assert query(g1, DualFace(g1)) == query(g1, None)
+        # A face built for an equal instance is the instance's own.
+        again = make_instance("assignment", g1.side_u, g1.side_v, g1.edges)
+        assert query(g1, DualFace(again)) == query(g1, None)
+
+
+def test_payoff_range_refuses_a_game_without_dual_imputations():
+    g = helpers.unit_triangle()
+    assert not is_concurrent(g)
+    for q in g.agents:
+        with pytest.raises(ValueError, match="not concurrent: optimal covers are not imputations"):
+            payoff_range(g, q)
+        assert paid_sometimes(g, q) is None
+    with pytest.raises(ValueError, match="not concurrent"):
+        dual_to_imputation(g, optimal_dual(g))
+    # A concurrent general game still has its ranges.
+    pendant = helpers.triangle_pendant()
+    assert is_concurrent(pendant)
+    assert payoff_range(pendant, "v1") == (1, 1)
+
+
 def test_payoff_ranges_and_samples_consistent():
     rng = random.Random(83)
     for _ in range(15):

@@ -11,7 +11,7 @@ import pytest
 
 import helpers
 from matchcore import analysis, fixtures
-from matchcore.cli import main
+from matchcore.cli import _COMMANDS, main
 from matchcore.instance_io import parse_instance, render_instance
 from matchcore.oracle import max_weight
 from matchcore.rationals import parse_rational
@@ -97,6 +97,16 @@ def test_surplus_command(tmp_path, capsys):
     code, out, _ = run(capsys, "surplus", path)
     assert code == 0
     assert "surplus" in out and "6" in out
+
+
+def test_help_lists_every_subcommand_with_its_blurb(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")     # one line per subcommand
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, _, blurb) in _COMMANDS.items():
+        assert any(line.split() == [name, *blurb.split()] for line in lines), name
 
 
 def test_tum_check(tmp_path, capsys):

@@ -9,12 +9,10 @@ import pytest
 import helpers
 from matchcore.caps import CapExceededError
 from matchcore.formulations import (
-    ConstraintMatrix,
     build_dual,
     build_odd_set_primal,
     build_primal,
     check_half_integrality,
-    constraint_matrix,
     _sweep,
     is_totally_unimodular,
     primal_var,
@@ -138,9 +136,9 @@ def naive_det(rows):
     return total
 
 
-def naive_tum(matrix):
-    m, n = matrix.shape
-    entries = [list(r) for r in matrix.entries]
+def naive_tum(rows):
+    m, n = len(rows), len(rows[0])
+    entries = [list(r) for r in rows]
     for k in range(1, min(m, n) + 1):
         for rsel in combinations(range(m), k):
             for csel in combinations(range(n), k):
@@ -150,11 +148,28 @@ def naive_tum(matrix):
     return True
 
 
+def rows_of(lp):
+    return [c.coeffs for c in lp.constraints]
+
+
 def test_identity_matrix_is_tum():
-    eye = ConstraintMatrix(
-        tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4)),
-        ("r0", "r1", "r2", "r3"), ("c0", "c1", "c2", "c3"))
+    eye = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
     assert is_totally_unimodular(eye)
+
+
+def test_tum_takes_int_rows_and_the_empty_matrix():
+    assert is_totally_unimodular([[1, 0, -1], [0, 1, 1]])
+    assert not is_totally_unimodular([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert not is_totally_unimodular([[2]])
+    assert is_totally_unimodular([])
+    assert is_totally_unimodular([[], []])
+
+
+def test_tum_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="differ in length"):
+        is_totally_unimodular([[1, 0], [1]])
+    with pytest.raises(ValueError, match="differ in length"):
+        is_totally_unimodular([(F(2),), (F(1), F(0))])
 
 
 def test_bipartite_incidence_is_tum_and_triangle_is_not():
@@ -162,8 +177,8 @@ def test_bipartite_incidence_is_tum_and_triangle_is_not():
     for _ in range(20):
         g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side=3,
                                      max_edges=6)
-        assert is_totally_unimodular(constraint_matrix(build_primal(g)))
-    assert not is_totally_unimodular(constraint_matrix(build_primal(helpers.unit_triangle())))
+        assert is_totally_unimodular(rows_of(build_primal(g)))
+    assert not is_totally_unimodular(rows_of(build_primal(helpers.unit_triangle())))
 
 
 def test_tum_agrees_with_naive_sweep():
@@ -173,10 +188,7 @@ def test_tum_agrees_with_naive_sweep():
         n = rng.randint(1, 5)
         entries = tuple(tuple(F(rng.choice((0, 1)))
                               for _ in range(n)) for _ in range(m))
-        mat = ConstraintMatrix(entries,
-                               tuple(f"r{i}" for i in range(m)),
-                               tuple(f"c{j}" for j in range(n)))
-        assert is_totally_unimodular(mat) == naive_tum(mat)
+        assert is_totally_unimodular(entries) == naive_tum(entries)
 
 
 def _signed_rows(rng):
@@ -191,9 +203,7 @@ def _signed_rows(rng):
 
 
 def _matrix(rows):
-    return ConstraintMatrix(tuple(tuple(F(v) for v in r) for r in rows),
-                            tuple(f"r{i}" for i in range(len(rows))),
-                            tuple(f"c{j}" for j in range(len(rows[0]))))
+    return tuple(tuple(F(v) for v in r) for r in rows)
 
 
 def test_two_colouring_agrees_with_the_sweep_on_signed_matrices():
@@ -214,24 +224,19 @@ def test_two_colouring_agrees_with_the_sweep_on_signed_matrices():
 
 
 def test_two_nonzero_columns_are_decided_above_the_sweep_cap():
-    eye = ConstraintMatrix(
-        tuple(tuple(F(int(i == j)) for j in range(9)) for i in range(9)),
-        tuple(f"r{i}" for i in range(9)), tuple(f"c{j}" for j in range(9)))
+    eye = tuple(tuple(F(int(i == j)) for j in range(9)) for i in range(9))
     assert is_totally_unimodular(eye)
     ((_, _, g), *_) = helpers.cap_set(("b_matching",))
-    incidence = constraint_matrix(build_primal(g))
-    assert incidence.shape == (12, 16) and is_totally_unimodular(incidence)
+    incidence = rows_of(build_primal(g))
+    assert (len(incidence), len(incidence[0])) == (12, 16)
+    assert is_totally_unimodular(incidence)
     # An entry outside {0, +-1} is a 1x1 counterexample at any size.
-    two = ConstraintMatrix(
-        tuple(tuple(F(2 if i == j == 8 else 1) for j in range(9)) for i in range(9)),
-        eye.row_labels, eye.col_labels)
+    two = tuple(tuple(F(2 if i == j == 8 else 1) for j in range(9)) for i in range(9))
     assert not is_totally_unimodular(two)
 
 
 def test_tum_cap():
-    big = ConstraintMatrix(
-        tuple(tuple(F(1) for _ in range(9)) for _ in range(9)),
-        tuple(f"r{i}" for i in range(9)), tuple(f"c{j}" for j in range(9)))
+    big = tuple(tuple(F(1) for _ in range(9)) for _ in range(9))
     with pytest.raises(CapExceededError):
         is_totally_unimodular(big)
 
@@ -285,11 +290,13 @@ def test_half_integrality_rejects_non_vertex():
     sol = LpSolution(Status.OPTIMAL, lp.variables, lp.evaluate(mid), mid)
     with pytest.raises(ValueError):
         check_half_integrality(sol, g)
+    # Values are read in build_primal's column order; a vector of another
+    # length is no vertex of it.
+    short = LpSolution(Status.OPTIMAL, lp.variables[:2], F(0), (F(0), F(0)))
+    with pytest.raises(ValueError, match="not a vertex"):
+        check_half_integrality(short, g)
 
 
 def test_constraint_matrix_labels():
     g = helpers.two_team_b_matching()
-    mat = constraint_matrix(build_primal(g))
-    assert mat.row_labels == ("cap[u]", "cap[v1]", "cap[v2]")
-    assert mat.col_labels == ("x[u,v1]", "x[u,v2]")
-    assert all(v in (0, 1) for row in mat.entries for v in row)
+    assert all(v in (0, 1) for row in rows_of(build_primal(g)) for v in row)

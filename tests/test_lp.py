@@ -133,8 +133,9 @@ def test_malformed_rejected_at_construction():
         LinearProgram(Sense.MAXIMIZE, ["x", "x"], [1, 1])
     with pytest.raises(ValueError):
         LinearProgram(Sense.MAXIMIZE, ["x"], [1, 2])
-    with pytest.raises(ValueError):
-        LinearProgram(Sense.MAXIMIZE, ["x"], [1], [([1, 2], Relation.LE, 1)])
+    with pytest.raises(ValueError, match="constraint 1 has wrong arity"):
+        LinearProgram(Sense.MAXIMIZE, ["x"], [1],
+                      [([1], Relation.GE, 0), ([1, 2], Relation.LE, 1)])
     with pytest.raises(ValueError):
         LinearProgram(Sense.MAXIMIZE, ["x"], [1], lower=[2], upper=[1])
     with pytest.raises(TypeError):
