@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
@@ -52,7 +51,7 @@ from .oracle import (
     optimal_weight,
     worth,
 )
-from .rationals import ONE, ZERO, ensure_rational, scaled
+from .rationals import ONE, ZERO, dot, ensure_rational, scaled
 
 F = Fraction
 
@@ -157,7 +156,7 @@ def _surplus_weights(instance: GameInstance) -> tuple[Fraction, ...]:
 
 
 def _surplus(d: DualSolution) -> Fraction:
-    return sum(map(mul, _surplus_weights(d.instance), d.values), ZERO)
+    return dot(_surplus_weights(d.instance), d.values)
 
 
 def surplus_account(instance: GameInstance, d: DualSolution) -> SurplusAccount:
@@ -183,7 +182,7 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
     """
     if not is_optimal_dual(instance, d):
         raise ValueError("dual solution is not optimal")
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
+    if _empty_general_core(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     payoffs = {q: F(instance.capacity(q)) * d.vertex(q) for q in instance.agents}
     return make_imputation(instance, payoffs)
@@ -240,6 +239,12 @@ def _face_of(instance: GameInstance, face: DualFace | None) -> DualFace:
 def is_concurrent(instance: GameInstance) -> bool:
     """Fractional and integral matching optima agree (general kind)."""
     return check_concurrency(instance).concurrent
+
+
+def _empty_general_core(instance: GameInstance) -> bool:
+    """A general game that is not concurrent: its core is empty, so no
+    optimal cover is an imputation."""
+    return instance.kind is GameKind.GENERAL and not is_concurrent(instance)
 
 
 @dataclass(frozen=True)
@@ -558,7 +563,7 @@ def paid_sometimes(instance: GameInstance, q: str,
     optimal dual face. On a non-concurrent general instance the core is
     empty and the distinguished outcome None is returned.
     """
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
+    if _empty_general_core(instance):
         return None
     face = _face_of(instance, face)
     top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
@@ -573,7 +578,7 @@ def always_paid_fairly(instance: GameInstance, key: EdgeKey,
     minus lower-bound dual, where present) beyond the edge weight. None is
     the distinguished empty-core outcome for non-concurrent general games.
     """
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
+    if _empty_general_core(instance):
         return None
     face = _face_of(instance, face)
     over = face.max_overpayment(key)
@@ -584,7 +589,7 @@ def payoff_range(instance: GameInstance, q: str,
                  face: DualFace | None = None) -> tuple[Fraction | None, Fraction | None]:
     """Lowest and highest payoff of one agent across dual-derived imputations
     (ValueError on a non-concurrent general game, which has none)."""
-    if instance.kind is GameKind.GENERAL and not is_concurrent(instance):
+    if _empty_general_core(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     face = _face_of(instance, face)
     lo, hi = face.vertex_range(q)
@@ -636,11 +641,11 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     """
     kind = instance.kind
     general = kind is GameKind.GENERAL
-    concurrent = is_concurrent(instance) if general else None
     # On an empty core the classes are oracle facts and still meaningful;
     # the payment verdicts get the distinguished outcome None unasked, and
     # the general checks below run only when ``concurrent`` is True.
-    empty = general and not concurrent
+    empty = _empty_general_core(instance)
+    concurrent = not empty if general else None
     face = None if empty else DualFace(instance)
     degenerate = is_degenerate(instance)
     violations: list[str] = []

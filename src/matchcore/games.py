@@ -49,6 +49,14 @@ class Edge:
     def touches(self, q: str) -> bool:
         return q == self.u or q == self.v
 
+    def __hash__(self) -> int:
+        # The weight enters as (numerator, denominator): equal numbers give
+        # equal pairs (2, Fraction(2) and 2.0 alike), so this agrees with
+        # the generated __eq__, and two ints hash far faster than a
+        # Fraction, whose hash takes a modular inverse.
+        return hash((self.u, self.v, self.weight.as_integer_ratio(),
+                     self.lower, self.upper))
+
 
 def make_edge(u: str, v: str, weight, lower: int = 0, upper: int | None = None) -> Edge:
     return Edge(u, v, ensure_rational(weight), lower, upper)

@@ -2,14 +2,17 @@
 
 A two-phase primal simplex with Bland's pivot rule, and one
 fraction-free elimination, ``eliminate`` (rank and determinant), for all
-other exact linear algebra. Programs and results are ``fractions.Fraction``;
-the tableau computes in integers, each row over one denominator (see
-``_Tableau``). No rounding, no tolerances: identical inputs always produce
-the identical basic optimal solution. The optimal face has one
-representation, ``OptimalFace``: it solves once and answers each
-secondary objective by phase 2 alone from the optimal basis, over the
-columns whose reduced cost there is zero, with no row pinning its
-objective to the optimum.
+other exact linear algebra. Programs and results are ``fractions.Fraction``,
+but the arithmetic is in integers: the tableau keeps each row over one
+denominator (see ``_Tableau``), and activities and objective values are
+``rationals.dot``, one integer sum of products. Fractions are built only
+at the layer's edge: the inputs, the ``values`` and ``value`` of an
+``LpSolution``, and each ``dot``'s one result. No rounding, no
+tolerances: identical inputs always produce the identical basic optimal
+solution. The optimal face has one representation, ``OptimalFace``: it
+solves once and answers each secondary objective by phase 2 alone from
+the optimal basis, over the columns whose reduced cost there is zero,
+with no row pinning its objective to the optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import ONE, ZERO, ensure_rational, scaled
+from .rationals import ONE, ZERO, dot, ensure_rational, scaled
 
 
 class Sense(Enum):
@@ -49,7 +52,7 @@ class Constraint:
     rhs: Fraction
 
     def activity(self, values: Sequence[Fraction]) -> Fraction:
-        return sum((a * x for a, x in zip(self.coeffs, values)), ZERO)
+        return dot(self.coeffs, values)
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         lhs = self.activity(values)
@@ -126,7 +129,7 @@ class LinearProgram:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.objective, values)), ZERO)
+        return dot(self.objective, values)
 
     def is_feasible(self, values: Sequence[Fraction]) -> bool:
         if len(values) != len(self.variables):
@@ -190,16 +193,19 @@ class _Tableau:
     positive, sign and zero tests read the numerators, and Bland's ratio
     test compares ``b_i / a_i`` by cross-multiplying; so the pivot
     sequence, basis and vertex are exactly those of rational arithmetic.
-    Only the values of an ``LpSolution`` are built as ``Fraction``.
+    The objective value is read off the final reduced-cost row, plus
+    ``objective . lower`` (one ``dot``) when a lower bound is nonzero; so
+    only the ``values`` and ``value`` of an ``LpSolution`` are built as
+    ``Fraction``, besides the ``dot`` results that shift by the bounds.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = len(lp.variables)
-        system = []
-        for con in lp.constraints:
-            shift = sum((a * lo for a, lo in zip(con.coeffs, lp.lower) if a and lo), ZERO)
-            system.append((con.coeffs, con.relation, con.rhs - shift))
+        shifted = any(lp.lower)
+        system = [(con.coeffs, con.relation,
+                   con.rhs - dot(con.coeffs, lp.lower) if shifted else con.rhs)
+                  for con in lp.constraints]
         for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
             if hi is not None:
                 unit = [0] * n
@@ -281,11 +287,11 @@ class _Tableau:
                 rows[i], dens[i] = _lowest(row, den)
         self.basis[leave] = enter
 
-    def _run(self, obj: Sequence[Fraction], allowed) -> tuple[str, list[int]]:
+    def _run(self, obj: Sequence[Fraction], allowed) -> tuple[str, list[int], int]:
         """Maximize obj over the tableau with Bland's rule.
 
-        Returns the status and the numerators of the final reduced-cost
-        row, the objective value last, over a positive denominator.
+        Returns the status, the numerators of the final reduced-cost row,
+        the objective value last, and their positive denominator.
         """
         rows, basis = self.rows, self.basis
         m = len(rows)
@@ -318,8 +324,7 @@ class _Tableau:
                 break
             self._pivot(leave, enter)
         rows.pop()
-        self.dens.pop()
-        return status, zrow
+        return status, zrow, self.dens.pop()
 
     def _phase1(self) -> bool:
         """Find a feasible basis and drop the artificial columns.
@@ -344,7 +349,7 @@ class _Tableau:
             row[-1:-1] = [dens[r] if r == i else 0 for i in needy]
 
         phase1 = [ZERO] * ncols + [-ONE] * len(needy)
-        _, zrow = self._run(phase1, range(len(phase1)))
+        _, zrow, _ = self._run(phase1, range(len(phase1)))
         if zrow[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
@@ -371,11 +376,13 @@ class _Tableau:
                  allowed) -> LpSolution:
         """Phase 2 from the current feasible basis, entering only ``allowed``
         columns. The final reduced-cost numerators are kept in
-        ``self.reduced``."""
+        ``self.reduced``; the last of them over the row's denominator is
+        the value of ``obj`` at the shifted vertex."""
         lp = self.lp
         n = len(lp.variables)
-        obj = [c if sense is Sense.MAXIMIZE else -c for c in objective]
-        status, zrow = self._run(obj + [ZERO] * (self.ncols - n), allowed)
+        maximize = sense is Sense.MAXIMIZE
+        obj = [c if maximize else -c for c in objective]
+        status, zrow, zden = self._run(obj + [ZERO] * (self.ncols - n), allowed)
         self.reduced = zrow[:-1]
         if status == "unbounded":
             return LpSolution(Status.UNBOUNDED, lp.variables)
@@ -386,7 +393,9 @@ class _Tableau:
                 values[bj] += Fraction(row[-1], den)
         values = tuple(values)
         basis_vars = frozenset(b for b in self.basis if b < n)
-        value = sum((c * x for c, x in zip(objective, values)), ZERO)
+        value = Fraction(zrow[-1] if maximize else -zrow[-1], zden)
+        if any(lp.lower):
+            value += dot(objective, lp.lower)
         return LpSolution(Status.OPTIMAL, lp.variables, value, values, basis_vars)
 
     def fork(self) -> "_Tableau":

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .caps import check_instance_size
 from .games import BIPARTITE_KINDS, EdgeKey, GameInstance, restrict
-from .rationals import ZERO, scaled
+from .rationals import dot, scaled
 
 
 class InfeasibleInstanceError(Exception):
@@ -52,8 +52,8 @@ class Matching:
         return sum(mult for (u, v), mult in self.entries if q == u or q == v)
 
     def weight(self, instance: GameInstance) -> Fraction:
-        return sum((instance.edge(k).weight * mult for k, mult in self.entries),
-                   ZERO)
+        return dot([instance.edge(k).weight for k, _ in self.entries],
+                   [mult for _, mult in self.entries])
 
 
 @lru_cache(maxsize=100_000)

@@ -1,15 +1,20 @@
-"""Exact rational numbers: parsing, formatting, integer scaling, and float rejection.
+"""Exact rational numbers: parsing, formatting, integer scaling, exact
+dot products, and float rejection.
 
 Every number in this package is a ``fractions.Fraction``, which is stored
 in lowest terms with a positive denominator. Binary floats are rejected at
 every entry point because they cannot represent most decimal or rational
-inputs exactly.
+inputs exactly. Arithmetic over a whole vector runs in integers:
+``scaled`` puts a vector over its smallest common denominator, and
+``dot`` multiplies two vectors with one integer sum of products, building
+only its one result as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -52,6 +57,16 @@ def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     denominator: value i is ``ints[i] / scale``."""
     scale = lcm(*(a.denominator for a in values))
     return [a.numerator * (scale // a.denominator) for a in values], scale
+
+
+def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """``sum(x * y for x, y in zip(a, b))``, exactly: each side is scaled to
+    integers once, the products are summed as ints, and the one result is
+    the only ``Fraction`` built. Ints may stand for rationals on either
+    side; the empty product is zero."""
+    ints_a, scale_a = scaled(a)
+    ints_b, scale_b = scaled(b)
+    return Fraction(sum(map(mul, ints_a, ints_b)), scale_a * scale_b)
 
 
 def format_rational(value: Fraction) -> str:

@@ -369,6 +369,36 @@ def test_duals_of_another_instance_are_rejected():
             call(lower, foreign)
 
 
+def test_dual_image_values_are_the_objective_at_the_fixed_vertex(monkeypatch):
+    # in_dual_image fixes the vertex duals through their bounds and
+    # minimizes, so its programs have nonzero lower bounds; each optimal
+    # value must be the objective at the vertex, summed in Fraction.
+    fixed = []
+    original = analysis_module.solve
+
+    def checking(lp):
+        sol = original(lp)
+        if sol.status is Status.OPTIMAL:
+            assert lp.sense is Sense.MINIMIZE
+            assert sol.value == sum((c * x for c, x in zip(lp.objective, sol.values)), F(0))
+            fixed.append(any(lp.lower))
+        return sol
+
+    monkeypatch.setattr(analysis_module, "solve", checking)
+    rng = random.Random(2302)
+    inside = 0
+    for _ in range(60):
+        g = helpers.random_bipartite(rng, rng.choice(helpers.ALL_BIPARTITE))
+        imp = dual_to_imputation(g, optimal_dual(g))
+        payoffs = imp.as_dict
+        q = rng.choice(g.agents)
+        shifted = make_imputation(g, {**payoffs, q: payoffs[q] + F(1, 3)})
+        inside += in_dual_image(g, imp)
+        in_dual_image(g, shifted)
+    assert inside == 60
+    assert len(fixed) >= 100 and sum(fixed) >= 100, (len(fixed), sum(fixed))
+
+
 def test_dual_program_is_solved_once_per_instance(monkeypatch):
     # Weights no other test uses, so no cached solve of this game exists.
     g = make_instance(GameKind.ASSIGNMENT, ["a1", "a2", "a3"], ["b1", "b2", "b3"],

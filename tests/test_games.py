@@ -25,6 +25,32 @@ def test_restrict_to_all_agents_is_identity():
     assert restrict(g, g.agents) == g
 
 
+def test_equal_edges_and_instances_hash_equal():
+    # Edge hashes its weight as (numerator, denominator): an int weight and
+    # the equal Fraction give equal edges with equal hashes, and so do the
+    # instances built from them and their restrict copies.
+    assert Edge("a", "b", 2) == Edge("a", "b", Fraction(2))
+    assert hash(Edge("a", "b", 2)) == hash(Edge("a", "b", Fraction(2)))
+    assert Edge("a", "b", F(1, 2)) != Edge("a", "b", F(1, 3))
+    assert Edge("a", "b", 1, 0, 2) != Edge("a", "b", 1, 0, None)
+    rng = random.Random(2303)
+    for _ in range(80):
+        kind = rng.choice(helpers.ALL_BIPARTITE)
+        g = helpers.random_bipartite(rng, kind)
+        as_ints = make_instance(kind, g.side_u, g.side_v,
+                                [Edge(e.u, e.v, int(e.weight), e.lower, e.upper)
+                                 for e in g.edges],
+                                g.capacities, g.uniform_capacity)
+        assert all(type(e.weight) is int for e in as_ints.edges)
+        assert as_ints == g and hash(as_ints) == hash(g)
+        members = rng.sample(g.agents, rng.randint(0, len(g.agents)))
+        sub, again = restrict(g, members), restrict(as_ints, members)
+        assert sub == again and hash(sub) == hash(again)
+        assert restrict(g, g.agents) == g and hash(restrict(g, g.agents)) == hash(g)
+        assert all(hash(e) == hash(Edge(e.u, e.v, e.weight, e.lower, e.upper))
+                   for e in sub.edges)
+
+
 def test_restrict_induced_subgraph():
     g = helpers.two_team_b_matching()
     sub = restrict(g, {"u", "v2"})

@@ -2,7 +2,10 @@
 
 The two-variable cases are checked against an independent brute-force
 oracle that enumerates all vertices of the polygon by intersecting
-constraint lines, so expected optima are computed, not guessed.
+constraint lines, so expected optima are computed, not guessed. The
+engine's integer paths (``dot``, activities, objective values) are
+checked against plain ``Fraction`` sums: every solve and face query in
+this file goes through the checking ``solve`` and ``OptimalFace`` below.
 """
 
 import random
@@ -13,10 +16,10 @@ import pytest
 
 import helpers
 from fraction_simplex import FractionFace
+from matchcore import lp as lp_module
 from matchcore.lp import (
     Constraint,
     LinearProgram,
-    OptimalFace,
     Relation,
     Sense,
     Status,
@@ -24,11 +27,44 @@ from matchcore.lp import (
     eliminate,
     is_vertex,
     rank_of_rows,
-    solve,
     tight_rows_at,
 )
+from matchcore.rationals import dot
 
 F = Fraction
+
+
+def fraction_sum(a, b):
+    """The dot product summed term by term in Fraction: the reference."""
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+def check_value(sol, objective):
+    """An optimal solution's value is its objective at its vertex."""
+    if sol.status is Status.OPTIMAL:
+        assert sol.value == dot(objective, sol.values) == fraction_sum(objective, sol.values)
+    return sol
+
+
+def solve(lp):
+    """The engine's ``solve``, its value checked against ``lp.evaluate``
+    and the Fraction sum."""
+    sol = check_value(lp_module.solve(lp), lp.objective)
+    if sol.status is Status.OPTIMAL:
+        assert sol.value == lp.evaluate(sol.values)
+    return sol
+
+
+class OptimalFace(lp_module.OptimalFace):
+    """The engine's optimal face, the value of its base and of every
+    query checked as ``solve``'s are."""
+
+    def __init__(self, lp):
+        super().__init__(lp)
+        check_value(self.base, lp.objective)
+
+    def optimize(self, objective, sense):
+        return check_value(super().optimize(objective, sense), objective)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +244,127 @@ def random_program(rng, lowered=False, fractional=False):
     upper = [hi if hi is None or lo <= hi else None
              for lo, hi in zip(lower, upper)]
     return LinearProgram(Sense.MAXIMIZE, names, objective, cons, lower, upper)
+
+
+# ---------------------------------------------------------------------------
+# Integer paths against Fraction references.
+# ---------------------------------------------------------------------------
+
+def test_dot_matches_the_fraction_sum():
+    assert dot([], []) == 0 and isinstance(dot([], []), Fraction)
+    assert dot([F(1, 2), 3], [4, F(-2, 9)]) == F(4, 3)
+    rng = random.Random(2301)
+    seen = dict(empty=0, integer=0, mixed=0)
+    for i in range(600):
+        n = rng.randint(0, 8)
+        integer = i % 3 == 0
+
+        def entry():
+            a = rng.randint(-9, 9)
+            return a if integer or rng.random() < 0.3 else F(a, rng.randint(1, 12))
+
+        a, b = [entry() for _ in range(n)], [entry() for _ in range(n)]
+        got = dot(a, b)
+        assert isinstance(got, Fraction) and got == fraction_sum(a, b) == dot(b, a)
+        seen["empty"] += n == 0
+        seen["integer"] += n > 0 and integer
+        seen["mixed"] += len({x.denominator for x in a + b}) > 2
+    # Counts at this seed: empty 58, integer 183, mixed 293.
+    assert min(seen.values()) >= 50, seen
+
+
+def _point_inside_the_bounds(rng, lp):
+    """A point strictly inside every variable's bounds."""
+    point = []
+    for lo, hi in zip(lp.lower, lp.upper):
+        if hi is None:
+            point.append(lo + F(rng.randint(1, 30), rng.randint(1, 7)))
+        else:
+            point.append(lo + (hi - lo) * F(rng.randint(1, 6), 7))
+    return point
+
+
+def test_activity_and_evaluate_match_the_fraction_sum():
+    for seed in range(400):
+        rng = random.Random(seed)
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=seed % 3 == 0)
+        point = _point_inside_the_bounds(rng, lp)
+        assert lp.evaluate(point) == fraction_sum(lp.objective, point)
+        for con in lp.constraints:
+            assert con.activity(point) == fraction_sum(con.coeffs, point)
+            assert con.tight_at(point) is (fraction_sum(con.coeffs, point) == con.rhs)
+
+
+def test_is_feasible_is_exact_on_a_row_and_at_a_bound():
+    # A point exactly on a row is feasible for it. Moved along a variable
+    # of the row by a step far below a float's resolution, it leaves the
+    # row: feasible only on the row's open side. The same step past a
+    # variable bound is infeasible.
+    step = F(1, 10**20)
+    seen = {relation: 0 for relation in Relation}
+    for seed in range(300):
+        rng = random.Random(seed)
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=seed % 3 == 0)
+        point = _point_inside_the_bounds(rng, lp)
+        for con in lp.constraints:
+            on_row = LinearProgram(lp.sense, lp.variables, lp.objective,
+                                   [(con.coeffs, con.relation, fraction_sum(con.coeffs, point))],
+                                   lp.lower, lp.upper)
+            assert on_row.is_feasible(point)
+            j = next((j for j, a in enumerate(con.coeffs) if a), None)
+            if j is None:
+                continue
+            seen[con.relation] += 1
+            for sign in (1, -1):
+                moved = list(point)
+                moved[j] += sign * step
+                rises = (sign > 0) == (con.coeffs[j] > 0)
+                want = {Relation.LE: not rises, Relation.GE: rises,
+                        Relation.EQ: False}[con.relation]
+                assert on_row.is_feasible(moved) is want
+        free = LinearProgram(lp.sense, lp.variables, lp.objective, (), lp.lower, lp.upper)
+        for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
+            for bound, outward in ((lo, -step), (hi, step)):
+                if bound is None:
+                    continue
+                at = list(point)
+                at[j] = bound
+                assert free.is_feasible(at)
+                at[j] = bound + outward
+                assert not free.is_feasible(at)
+    # Counts at these seeds: <= 308, >= 287, = 288.
+    assert min(seen.values()) >= 100, seen
+
+
+def test_value_is_the_objective_at_the_vertex_in_both_senses():
+    # solve and OptimalFace check each value (see the top of the file);
+    # this drives them through both senses and nonzero lower bounds, where
+    # the value is read off the final reduced-cost row, negated for
+    # MINIMIZE and shifted by objective . lower.
+    seen = dict(maximize=0, minimize=0, lowered=0, raised=0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=seed % 3 == 0)
+        lower = list(lp.lower)
+        if seed % 2:            # positive lower bounds, kept below the uppers
+            lower = [F(rng.randint(0, 2), rng.randint(1, 3)) for _ in lower]
+        upper = [hi if hi is None or hi >= lo else None
+                 for lo, hi in zip(lower, lp.upper)]
+        for sense in Sense:
+            program = LinearProgram(sense, lp.variables, lp.objective,
+                                    lp.constraints, lower, upper)
+            face = OptimalFace(program)
+            if face.base.status is not Status.OPTIMAL:
+                continue
+            assert face.base == solve(program)
+            seen[sense.value] += 1
+            seen["lowered"] += any(lo < 0 for lo in lower)
+            seen["raised"] += any(lo > 0 for lo in lower)
+            for objective in (lp.objective, [rng.randint(-3, 3) for _ in lower]):
+                for query in Sense:
+                    face.optimize(objective, query)
+    # Counts at these seeds: maximize 96, minimize 92, lowered 125, raised 47.
+    assert min(seen.values()) >= 40, seen
 
 
 def test_random_programs_solution_invariants():
