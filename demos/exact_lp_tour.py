@@ -21,7 +21,6 @@ from matchcore import (
     Sense,
     Status,
     build_primal,
-    coordinate_range,
     is_totally_unimodular,
     parse_instance,
     solve,
@@ -34,13 +33,16 @@ lp = LinearProgram(
     [([1, 1], Relation.LE, F(7, 2)), ([2, 1], Relation.LE, 5)],
 )
 sol = solve(lp)
+x, y = sol.values      # one value per column, in the program's column order
 print(f"max (x+y)/3 over a little polygon: value {sol.value} at "
-      f"(x, y) = ({sol['x']}, {sol['y']}) -- exact thirds, no floats.")
+      f"(x, y) = ({x}, {y}) -- exact thirds, no floats.")
 
-# The whole optimal face, not just one point.
-lo, hi = coordinate_range(lp, "x")
+# The whole optimal face, not just one point: the range of the
+# functional reading column x.
+face = OptimalFace(lp)
+lo, hi = face.range([1, 0])
 print(f"Across all optima, x ranges over [{lo}, {hi}].")
-tilted = OptimalFace(lp).optimize([1, 0], Sense.MAXIMIZE)
+tilted = face.optimize([1, 0], Sense.MAXIMIZE)
 assert tilted.value == hi
 
 # Unbounded secondary objectives are reported, not faked.

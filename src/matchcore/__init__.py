@@ -69,7 +69,6 @@ from .lp import (
     Relation,
     Sense,
     Status,
-    coordinate_range,
     solve,
 )
 from .oracle import (

@@ -11,17 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
-from .formulations import (
-    build_dual,
-    lower_dual_var,
-    upper_dual_var,
-    vertex_dual_var,
-)
+from .formulations import build_dual
 from .games import (
     BIPARTITE_KINDS,
     EdgeKey,
@@ -60,33 +55,51 @@ F = Fraction
 class DualSolution:
     """One point of the dual program of ``instance``.
 
-    ``values`` holds one value per column of ``build_dual(instance)``, in
-    its column order: a vertex dual per agent, then, for the
-    bounds-capacity kind, each edge's lower-bound dual followed by its
-    upper-bound dual when the edge has an upper bound. Lookups go by
-    column index; a bound dual with no column reads as zero.
+    ``values`` holds one exact value per column of ``build_dual(instance)``
+    (ValueError on another length, InfeasibleInstanceError when that
+    program has no optimum): agent j's vertex dual is column j, and an
+    edge's bound duals are the columns past the agents where its own dual
+    row has -1 (lower) and +1 (upper); a missing one reads as zero.
     """
     instance: GameInstance
     values: tuple[Fraction, ...]
 
-    @cached_property
-    def _program(self) -> LinearProgram:
-        return _optimal_face(self.instance).lp
+    def __post_init__(self):
+        values = tuple(map(ensure_rational, self.values))
+        columns = len(_optimal_face(self.instance).lp.variables)
+        if len(values) != columns:
+            raise ValueError(f"{len(values)} values for a dual program of {columns} columns")
+        object.__setattr__(self, "values", values)
 
     def vertex(self, q: str) -> Fraction:
-        return self.values[self._program.index(vertex_dual_var(q))]
-
-    def _bound(self, name: str) -> Fraction:
-        try:
-            return self.values[self._program.index(name)]
-        except ValueError:
-            return ZERO
+        return self.values[_agent_column(self.instance, q)]
 
     def lower(self, key: EdgeKey) -> Fraction:
-        return self._bound(lower_dual_var(key))
+        j = _bound_column(self.instance, key, -ONE)
+        return ZERO if j is None else self.values[j]
 
     def upper(self, key: EdgeKey) -> Fraction:
-        return self._bound(upper_dual_var(key))
+        j = _bound_column(self.instance, key, ONE)
+        return ZERO if j is None else self.values[j]
+
+
+def _agent_column(instance: GameInstance, q: str) -> int:
+    """Agent q's vertex-dual column: its position among the agents."""
+    try:
+        return instance.agents.index(q)
+    except ValueError:
+        raise ValueError(f"agent {q!r} has no column in the dual program") from None
+
+
+def _edge_row(instance: GameInstance, key: EdgeKey) -> Constraint:
+    """The edge's row of the dual program: row i is edge i's."""
+    return _optimal_face(instance).lp.constraints[instance.edges.index(instance.edge(key))]
+
+
+def _bound_column(instance: GameInstance, key: EdgeKey, sign: Fraction) -> int | None:
+    """The column of the edge's lower (sign -1) or upper (+1) bound dual, or None."""
+    coeffs = _edge_row(instance, key).coeffs
+    return next((j for j in range(len(instance.agents), len(coeffs)) if coeffs[j] == sign), None)
 
 
 def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
@@ -99,23 +112,15 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     included), or a lower or upper entry on an edge without that bound dual.
     Raises InfeasibleInstanceError when the dual program has no optimum.
     """
-    lp = _optimal_face(instance).lp
-    values = [ZERO] * len(lp.variables)
-
-    def put(name: str, value, what: str) -> None:
-        try:
-            j = lp.index(name)
-        except ValueError:
-            raise ValueError(f"{what} has no column in the dual program") from None
-        values[j] = ensure_rational(value)
-
+    values = [ZERO] * len(_optimal_face(instance).lp.variables)
     for q, value in vertex_duals.items():
-        put(vertex_dual_var(q), value, f"agent {q!r}")
-    for column, entries, what in ((lower_dual_var, lower, "lower"),
-                                  (upper_dual_var, upper, "upper")):
+        values[_agent_column(instance, q)] = value
+    for sign, entries, what in ((-ONE, lower, "lower"), (ONE, upper, "upper")):
         for key, value in (entries or {}).items():
-            instance.edge(key)
-            put(column(key), value, f"the {what} bound of edge {key!r}")
+            j = _bound_column(instance, key, sign)
+            if j is None:
+                raise ValueError(f"the {what} bound of edge {key!r} has no dual column")
+            values[j] = value
     return DualSolution(instance, tuple(values))
 
 
@@ -214,7 +219,7 @@ class DualFace:
     def vertex_coeffs(self, q: str) -> list[Fraction]:
         """The functional reading agent q's vertex dual."""
         coeffs = [ZERO] * len(self.lp.variables)
-        coeffs[self.lp.index(vertex_dual_var(q))] = ONE
+        coeffs[_agent_column(self.instance, q)] = ONE
         return coeffs
 
     def vertex_range(self, q: str) -> tuple[Fraction | None, Fraction | None]:
@@ -222,7 +227,7 @@ class DualFace:
 
     def max_overpayment(self, key: EdgeKey) -> Fraction | None:
         """Max slack of the edge's dual row over the face; None = unbounded."""
-        row = self.lp.constraints[self.instance.edges.index(self.instance.edge(key))]
+        row = _edge_row(self.instance, key)
         top = self.extremum(row.coeffs, Sense.MAXIMIZE)
         return None if top is None else top - row.rhs
 
@@ -400,8 +405,7 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     face = _optimal_face(instance)
     lp = face.lp
     lower, upper = list(lp.lower), list(lp.upper)
-    for q, payoff in zip(instance.agents, payoffs):
-        j = lp.index(vertex_dual_var(q))
+    for j, (q, payoff) in enumerate(zip(instance.agents, payoffs)):
         lower[j] = upper[j] = payoff / F(instance.capacity(q))
     fixed = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
                                 lp.constraints, lower, upper))

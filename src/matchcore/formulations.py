@@ -21,7 +21,7 @@ from typing import Sequence
 from .caps import MAX_TUM_ORDER, MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
 from .lp import Constraint, LinearProgram, Relation, Sense, eliminate, is_vertex
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, scaled
 
 F = Fraction
 
@@ -67,32 +67,29 @@ def build_primal(instance: GameInstance) -> LinearProgram:
 def build_dual(instance: GameInstance) -> LinearProgram:
     """The dual of :func:`build_primal`, written out explicitly.
 
-    Vertex variables are weighted by the vertex capacities in the
-    objective. The capacity-with-edge-bounds kind adds one lower-bound
-    dual per edge and one upper-bound dual per edge that has a finite
-    upper bound (an absent bound contributes no column at all).
+    Column j is agent j's vertex dual, weighted by its capacity. The
+    capacity-with-edge-bounds kind then adds, edge by edge, a lower-bound
+    dual and, when the edge has a finite upper bound, an upper-bound dual.
+    Row i is edge i's: its vertex duals, minus its lower-bound dual, plus
+    its upper-bound dual, at least its weight.
     """
+    at = {q: j for j, q in enumerate(instance.agents)}
     names = [vertex_dual_var(q) for q in instance.agents]
     objective = [F(instance.capacity(q)) for q in instance.agents]
-    hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    if hk:
-        for e in instance.edges:
+    # Row i's nonzero coefficients by column, each placed as its column is.
+    entries = [{at[e.u]: ONE, at[e.v]: ONE} for e in instance.edges]
+    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+        for e, entry in zip(instance.edges, entries):
+            entry[len(names)] = -ONE
             names.append(lower_dual_var(e.key))
             objective.append(-F(e.lower))
             if e.upper is not None:
+                entry[len(names)] = ONE
                 names.append(upper_dual_var(e.key))
                 objective.append(F(e.upper))
-    index = {n: j for j, n in enumerate(names)}
-    rows = []
-    for e in instance.edges:
-        coeffs = [ZERO] * len(names)
-        coeffs[index[vertex_dual_var(e.u)]] = ONE
-        coeffs[index[vertex_dual_var(e.v)]] = ONE
-        if hk:
-            coeffs[index[lower_dual_var(e.key)]] = -ONE
-            if e.upper is not None:
-                coeffs[index[upper_dual_var(e.key)]] = ONE
-        rows.append(Constraint(tuple(coeffs), Relation.GE, e.weight))
+    rows = [Constraint(tuple(entry.get(j, ZERO) for j in range(len(names))),
+                       Relation.GE, e.weight)
+            for e, entry in zip(instance.edges, entries)]
     return LinearProgram(Sense.MINIMIZE, names, objective, rows)
 
 
@@ -140,9 +137,10 @@ def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
         raise ValueError("coefficient rows differ in length")
     ints = []
     for row in rows:
-        if any(v.denominator != 1 or abs(v.numerator) > 1 for v in row):
+        entries, scale = scaled(row)
+        if scale != 1 or any(abs(v) > 1 for v in entries):
             return False
-        ints.append([int(v) for v in row])
+        ints.append(entries)
     columns = [[(i, row[j]) for i, row in enumerate(ints) if row[j]] for j in range(n)]
     if any(len(col) > 2 for col in columns):
         return _sweep(ints)

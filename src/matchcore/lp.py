@@ -21,7 +21,6 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -78,7 +77,8 @@ def _normalize_bounds(bounds, variables, default):
 
 
 class LinearProgram:
-    """An immutable LP over named variables; a row is a ``Constraint`` or a
+    """An immutable LP over labelled columns, read by position (column j
+    is entry j of every vector); a row is a ``Constraint`` or a
     ``(coeffs, relation, rhs)`` tuple, and is not named.
 
     Every variable has a finite lower bound: zero unless ``lower`` gives
@@ -120,13 +120,6 @@ class LinearProgram:
                 raise ValueError(f"variable {name!r} has no finite lower bound")
             if hi is not None and lo > hi:
                 raise ValueError(f"variable {name!r} has lower bound above upper bound")
-        self._index = {name: j for j, name in enumerate(self.variables)}
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown variable {name!r}") from None
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         return dot(self.objective, values)
@@ -147,23 +140,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's outcome; ``values`` and ``basis`` give columns by position."""
     status: Status
-    variables: tuple[str, ...]
     value: Fraction | None = None
     values: tuple[Fraction, ...] | None = None
     basis: frozenset = frozenset()
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.variables)}
-
-    def __getitem__(self, name: str) -> Fraction:
-        if self.values is None:
-            raise ValueError(f"no assignment available (status {self.status.value})")
-        try:
-            return self.values[self._positions[name]]
-        except KeyError:
-            raise ValueError(f"unknown variable {name!r}") from None
 
 
 def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
@@ -385,7 +366,7 @@ class _Tableau:
         status, zrow, zden = self._run(obj + [ZERO] * (self.ncols - n), allowed)
         self.reduced = zrow[:-1]
         if status == "unbounded":
-            return LpSolution(Status.UNBOUNDED, lp.variables)
+            return LpSolution(Status.UNBOUNDED)
 
         values = list(lp.lower)
         for row, den, bj in zip(self.rows, self.dens, self.basis):
@@ -396,7 +377,7 @@ class _Tableau:
         value = Fraction(zrow[-1] if maximize else -zrow[-1], zden)
         if any(lp.lower):
             value += dot(objective, lp.lower)
-        return LpSolution(Status.OPTIMAL, lp.variables, value, values, basis_vars)
+        return LpSolution(Status.OPTIMAL, value, values, basis_vars)
 
     def fork(self) -> "_Tableau":
         """A copy whose pivots leave this tableau as it is."""
@@ -408,7 +389,7 @@ class _Tableau:
 
     def solve(self) -> LpSolution:
         if not self._phase1():
-            return LpSolution(Status.INFEASIBLE, self.lp.variables)
+            return LpSolution(Status.INFEASIBLE)
         return self.optimize(self.lp.objective, self.lp.sense, range(self.ncols))
 
 
@@ -465,17 +446,6 @@ class OptimalFace:
         """(min, max) over the face; an unbounded side is None."""
         return (self.extremum(objective, Sense.MINIMIZE),
                 self.extremum(objective, Sense.MAXIMIZE))
-
-
-def coordinate_range(lp: LinearProgram, name: str):
-    """(min, max) of one variable over the optimal face.
-
-    An unbounded side is reported as None. The ranges of all variables are
-    degenerate (min = max) exactly when the optimum is unique.
-    """
-    unit = [ZERO] * len(lp.variables)
-    unit[lp.index(name)] = ONE
-    return OptimalFace(lp).range(unit)
 
 
 def eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int | None]:

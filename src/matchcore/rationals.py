@@ -54,8 +54,12 @@ def parse_rational(token: str) -> Fraction:
 
 def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` as (ints, scale) over their smallest positive common
-    denominator: value i is ``ints[i] / scale``."""
-    scale = lcm(*(a.denominator for a in values))
+    denominator: value i is ``ints[i] / scale`` (TypeError on a float)."""
+    try:
+        scale = lcm(*(a.denominator for a in values))
+    except AttributeError:      # an entry that is not an int or a Fraction
+        bad = next(a for a in values if not isinstance(a, (int, Fraction)))
+        raise TypeError(f"expected an exact rational, got {type(bad).__name__}") from None
     return [a.numerator * (scale // a.denominator) for a in values], scale
 
 

@@ -267,7 +267,7 @@ class FractionTableau:
                 obj[j] = (c if maximize else -c) * self.col_sign[j]
         status, _, self.reduced = self._run(obj, allowed)
         if status == "unbounded":
-            return LpSolution(Status.UNBOUNDED, lp.variables)
+            return LpSolution(Status.UNBOUNDED)
 
         xi = [ZERO] * ncols
         for i, bj in enumerate(self.basis):
@@ -283,7 +283,7 @@ class FractionTableau:
         values = tuple(values)
         basis_vars = frozenset(self.col_var[b] for b in self.basis if self.col_var[b] >= 0)
         value = sum((c * x for c, x in zip(objective, values)), ZERO)
-        return LpSolution(Status.OPTIMAL, lp.variables, value, values, basis_vars)
+        return LpSolution(Status.OPTIMAL, value, values, basis_vars)
 
     def fork(self) -> "FractionTableau":
         """A copy whose pivots leave this tableau as it is."""
@@ -295,7 +295,7 @@ class FractionTableau:
 
     def solve(self) -> LpSolution:
         if not self._phase1():
-            return LpSolution(Status.INFEASIBLE, self.lp.variables)
+            return LpSolution(Status.INFEASIBLE)
         return self.optimize(self.lp.objective, self.lp.sense,
                              range(len(self.col_kind)))
 

@@ -9,6 +9,7 @@ import pytest
 import helpers
 from matchcore.analysis import (
     DualFace,
+    DualSolution,
     _grand_range,
     check_concurrency,
     core_nonempty,
@@ -326,8 +327,8 @@ def test_dual_values_follow_the_dual_program_columns():
     d = make_dual(mixed, {"u": 3}, lower={("u", "v1"): 2})
     program = build_dual(mixed)
     assert len(d.values) == len(program.variables)
-    assert d.values[program.index("pay[u]")] == 3
-    assert d.values[program.index("floor[u,v1]")] == 2
+    assert d.values[program.variables.index("pay[u]")] == 3
+    assert d.values[program.variables.index("floor[u,v1]")] == 2
     assert d.vertex("u") == 3 and d.lower(("u", "v1")) == 2
     assert d.upper(("u", "v1")) == 0
     # A bound dual with no column reads as zero.
@@ -351,6 +352,82 @@ def test_make_dual_rejects_entries_without_a_column():
         make_dual(plain, {}, lower={plain.edges[0].key: 1})
 
 
+def test_a_dual_vector_of_another_length_is_refused():
+    # One value per column of build_dual: 3 for the plain game, 7 for the
+    # bounds game (3 vertex duals, a floor and a ceiling dual per edge).
+    plain, mixed = helpers.two_team_b_matching(), helpers.hk_mixed_bounds()
+    for g, columns in ((plain, 3), (mixed, 7)):
+        assert len(build_dual(g).variables) == columns
+        for length in (0, 1, columns - 1, columns + 1):
+            with pytest.raises(ValueError, match=f"dual program of {columns} columns"):
+                DualSolution(g, (F(1),) * length)
+    # Entries are coerced exactly, as make_dual's are.
+    assert DualSolution(plain, ("1/2", 0, F(2))).values == (F(1, 2), 0, 2)
+    d, face = optimal_dual(plain), DualFace(plain)
+    for read in (d.vertex, face.vertex_coeffs, face.vertex_range):
+        with pytest.raises(ValueError, match="'nobody'"):
+            read("nobody")
+    with pytest.raises(ValueError, match="no edge"):
+        optimal_dual(mixed).upper(("v1", "u"))
+
+
+def test_a_float_dual_raises_the_package_type_error():
+    g = helpers.hk_mixed_bounds()
+    floats = tuple(float(x) for x in optimal_dual(g).values)
+    for call in (is_optimal_dual, dual_to_imputation, surplus_account):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            call(g, DualSolution(g, floats))
+
+
+def _partly_capped_hk_games(rng, count):
+    """Seeded bounds-capacity games with a ceiling on some edges, not all."""
+    games = []
+    while len(games) < count:
+        g = helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=3, max_edges=6)
+        if len({e.upper is None for e in g.edges}) == 2:
+            games.append(g)
+    return games
+
+
+def test_dual_reads_by_position_match_the_column_labels():
+    # Every read goes by position (column j is agent j; an edge's bound
+    # duals are where its dual row has -1 and +1); the labels of
+    # build_dual, looked up here and only here, must name the same columns.
+    rng = random.Random(2402)
+    games = _partly_capped_hk_games(rng, 40)
+    for kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING):
+        games += [helpers.random_bipartite(rng, kind) for _ in range(10)]
+    games += [helpers.random_general(rng) for _ in range(10)]
+    seen = dict.fromkeys(("duals", "floor duals", "ceiling duals", "no column"), 0)
+    for g in games:
+        labels = build_dual(g).variables
+        face = DualFace(g)
+
+        def at(d, label):
+            return d.values[labels.index(label)] if label in labels else 0
+
+        for q in g.agents:
+            assert face.vertex_coeffs(q) == [int(label == vertex_dual_var(q)) for label in labels]
+        hk = g.kind is GameKind.HOFFMAN_KRUSKAL
+        for d in [optimal_dual(g)] + sample_dual_vertices(g, 2, seed=rng.randint(0, 10**6)):
+            assert all(d.vertex(q) == at(d, vertex_dual_var(q)) for q in g.agents)
+            for e in g.edges:
+                assert d.lower(e.key) == at(d, lower_dual_var(e.key))
+                assert d.upper(e.key) == at(d, upper_dual_var(e.key))
+                seen["floor duals"] += d.lower(e.key) != 0
+                seen["ceiling duals"] += d.upper(e.key) != 0
+                seen["no column"] += upper_dual_var(e.key) not in labels
+            again = make_dual(g, {q: d.vertex(q) for q in g.agents},
+                              {e.key: d.lower(e.key) for e in g.edges} if hk else None,
+                              {e.key: d.upper(e.key) for e in g.edges
+                               if e.upper is not None} if hk else None)
+            assert again == d
+            seen["duals"] += 1
+    # Counts at this seed: 186 duals, 83 nonzero floor and 30 nonzero
+    # ceiling duals, 397 reads of an absent ceiling column.
+    assert seen["duals"] >= 150 and min(seen.values()) >= 20, seen
+
+
 def test_make_dual_on_infeasible_lower_bounds_raises():
     # u has capacity 1 but two edges that must each be used once.
     g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
@@ -358,6 +435,8 @@ def test_make_dual_on_infeasible_lower_bounds_raises():
                       capacities={"u": 1, "v1": 1, "v2": 1})
     with pytest.raises(InfeasibleInstanceError):
         make_dual(g, {"u": 1})
+    with pytest.raises(InfeasibleInstanceError):
+        DualSolution(g, (F(1),) * 5)
 
 
 def test_duals_of_another_instance_are_rejected():

@@ -12,6 +12,7 @@ import pytest
 import helpers
 from matchcore import analysis, fixtures
 from matchcore.cli import _COMMANDS, main
+from matchcore.formulations import vertex_dual_var
 from matchcore.instance_io import parse_instance, render_instance
 from matchcore.oracle import max_weight
 from matchcore.rationals import parse_rational
@@ -287,12 +288,13 @@ def test_records_mode_reverifies_against_the_oracle(tmp_path, capsys):
     g = fixture.instance()
     dual = analysis.optimal_dual(g)
     imp = analysis.dual_to_imputation(g, dual)
+    pay = {vertex_dual_var(q): q for q in g.agents}
 
     def reverify(section, key, value):
         if section == "matching" and key == "worth":
             return parse_rational(value) == max_weight(g)[0]
-        if section == "deterministic optimal dual" and key.startswith("pay["):
-            return parse_rational(value) == dual.vertex(key[4:-1])
+        if section == "deterministic optimal dual" and key in pay:
+            return parse_rational(value) == dual.vertex(pay[key])
         if section == "imputation from the dual" and key in g.agents:
             return parse_rational(value) == imp[key]
         return None

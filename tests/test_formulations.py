@@ -52,11 +52,11 @@ def test_unit_triangle_fractional_value():
 
 def test_skewed_capacity_dual_solution():
     g = helpers.two_team_b_matching()
-    sol = solve(build_dual(g))
+    lp = build_dual(g)
+    sol = solve(lp)
     assert sol.value == 4
-    assert sol[vertex_dual_var("u")] == 1
-    assert sol[vertex_dual_var("v1")] == 0
-    assert sol[vertex_dual_var("v2")] == 2
+    pay = {q: sol.values[lp.variables.index(vertex_dual_var(q))] for q in g.agents}
+    assert pay == {"u": 1, "v1": 0, "v2": 2}
 
 
 def test_mixed_bounds_dual_value():
@@ -68,7 +68,7 @@ def test_single_edge_dual_is_a_deterministic_vertex():
     lp = build_dual(helpers.single_edge())
     sol = solve(lp)
     assert sol.value == 5
-    pair = (sol[vertex_dual_var("a")], sol[vertex_dual_var("b")])
+    pair = tuple(sol.values[lp.variables.index(vertex_dual_var(q))] for q in "ab")
     assert pair in ((F(5), F(0)), (F(0), F(5)))
     assert solve(lp).values == sol.values
 
@@ -170,6 +170,12 @@ def test_tum_refuses_ragged_rows():
         is_totally_unimodular([[1, 0], [1]])
     with pytest.raises(ValueError, match="differ in length"):
         is_totally_unimodular([(F(2),), (F(1), F(0))])
+
+
+def test_tum_refuses_float_entries():
+    for rows in ([[1.0, 0.0]], [[1, 0], [0, 0.5]]):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            is_totally_unimodular(rows)
 
 
 def test_bipartite_incidence_is_tum_and_triangle_is_not():
@@ -275,7 +281,7 @@ def test_seven_ring_constructed_half_cycle_vertex():
     ordered = tuple(values[primal_var(e.key)] for e in g.edges)
     assert lp.is_feasible(ordered)
     assert lp.evaluate(ordered) == 4
-    sol = LpSolution(Status.OPTIMAL, lp.variables, F(4), ordered)
+    sol = LpSolution(Status.OPTIMAL, F(4), ordered)
     report = check_half_integrality(sol, g)
     assert report.ok
     assert report.matched_edges == ()
@@ -287,12 +293,12 @@ def test_half_integrality_rejects_non_vertex():
     lp = build_primal(g)
     mid = (F(1, 4), F(1, 4), F(1, 4))
     assert lp.is_feasible(mid)
-    sol = LpSolution(Status.OPTIMAL, lp.variables, lp.evaluate(mid), mid)
+    sol = LpSolution(Status.OPTIMAL, lp.evaluate(mid), mid)
     with pytest.raises(ValueError):
         check_half_integrality(sol, g)
     # Values are read in build_primal's column order; a vector of another
     # length is no vertex of it.
-    short = LpSolution(Status.OPTIMAL, lp.variables[:2], F(0), (F(0), F(0)))
+    short = LpSolution(Status.OPTIMAL, F(0), (F(0), F(0)))
     with pytest.raises(ValueError, match="not a vertex"):
         check_half_integrality(short, g)
 

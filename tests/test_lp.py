@@ -23,7 +23,6 @@ from matchcore.lp import (
     Relation,
     Sense,
     Status,
-    coordinate_range,
     eliminate,
     is_vertex,
     rank_of_rows,
@@ -104,7 +103,7 @@ def test_single_variable_max():
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
     assert sol.value == 1
-    assert sol["x"] == 1
+    assert sol.values[0] == 1
 
 
 def test_two_variable_against_polygon_oracle():
@@ -141,7 +140,7 @@ def test_minimization_and_equality_rows():
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
     assert sol.value == expected
-    assert sol["x"] + sol["y"] == 4
+    assert sol.values[0] + sol.values[1] == 4
 
 
 def test_free_variable():
@@ -185,8 +184,8 @@ def test_optimal_face_segment():
     hi = face.optimize([1, 0], Sense.MAXIMIZE)
     lo = face.optimize([1, 0], Sense.MINIMIZE)
     assert hi.value == 1 and lo.value == 0
-    assert coordinate_range(lp, "x") == (0, 1)
-    assert coordinate_range(lp, "y") == (0, 1)
+    assert face.range([1, 0]) == (0, 1)
+    assert face.range([0, 1]) == (0, 1)
 
 
 def test_optimal_face_requires_optimal_base():
@@ -198,14 +197,18 @@ def test_optimal_face_requires_optimal_base():
 def test_coordinate_range_degenerate_when_unique():
     lp = LinearProgram(Sense.MAXIMIZE, ["x", "y"], [2, 1],
                        [([1, 1], Relation.LE, 1)])
-    assert coordinate_range(lp, "x") == (1, 1)
-    assert coordinate_range(lp, "y") == (0, 0)
+    face = OptimalFace(lp)
+    assert face.range([1, 0]) == (1, 1)
+    assert face.range([0, 1]) == (0, 0)
 
 
 def test_coordinate_range_unknown_variable():
-    lp = LinearProgram(Sense.MAXIMIZE, ["x"], [1], upper=[1])
-    with pytest.raises(ValueError):
-        coordinate_range(lp, "zz")
+    # A column is a position: an objective of another length is refused.
+    face = OptimalFace(LinearProgram(Sense.MAXIMIZE, ["x"], [1], upper=[1]))
+    assert face.range([1]) == (1, 1)
+    for objective in ([], [1, 0]):
+        with pytest.raises(ValueError, match="objective length"):
+            face.range(objective)
 
 
 def test_unbounded_secondary_reported_as_marker():
@@ -214,7 +217,7 @@ def test_unbounded_secondary_reported_as_marker():
                        [([1, -1], Relation.LE, 0), ([-1, 1], Relation.LE, 0)])
     res = OptimalFace(lp).optimize([1, 0], Sense.MAXIMIZE)
     assert res.status is Status.UNBOUNDED
-    lo, hi = coordinate_range(lp, "x")
+    lo, hi = OptimalFace(lp).range([1, 0])
     assert lo == 0 and hi is None
 
 
@@ -271,6 +274,15 @@ def test_dot_matches_the_fraction_sum():
         seen["mixed"] += len({x.denominator for x in a + b}) > 2
     # Counts at this seed: empty 58, integer 183, mixed 293.
     assert min(seen.values()) >= 50, seen
+
+
+def test_a_float_raises_the_package_type_error():
+    # Every dot scales its sides with ``scaled``, which refuses a float as
+    # ensure_rational does, not with an AttributeError.
+    lp = LinearProgram(Sense.MAXIMIZE, ["x"], [1], [([1], Relation.LE, 1)])
+    for call in (lp.is_feasible, lp.evaluate, lambda point: dot(point, [1])):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            call([0.5])
 
 
 def _point_inside_the_bounds(rng, lp):
