@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, islice
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
@@ -66,7 +66,7 @@ class DualSolution:
 
     def __post_init__(self):
         values = tuple(map(ensure_rational, self.values))
-        columns = len(_optimal_face(self.instance).lp.variables)
+        columns = len(_session(self.instance).face.lp.variables)
         if len(values) != columns:
             raise ValueError(f"{len(values)} values for a dual program of {columns} columns")
         object.__setattr__(self, "values", values)
@@ -93,7 +93,7 @@ def _agent_column(instance: GameInstance, q: str) -> int:
 
 def _edge_row(instance: GameInstance, key: EdgeKey) -> Constraint:
     """The edge's row of the dual program: row i is edge i's."""
-    return _optimal_face(instance).lp.constraints[instance.edges.index(instance.edge(key))]
+    return _session(instance).face.lp.constraints[instance.edges.index(instance.edge(key))]
 
 
 def _bound_column(instance: GameInstance, key: EdgeKey, sign: Fraction) -> int | None:
@@ -112,7 +112,7 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     included), or a lower or upper entry on an edge without that bound dual.
     Raises InfeasibleInstanceError when the dual program has no optimum.
     """
-    values = [ZERO] * len(_optimal_face(instance).lp.variables)
+    values = [ZERO] * len(_session(instance).face.lp.variables)
     for q, value in vertex_duals.items():
         values[_agent_column(instance, q)] = value
     for sign, entries, what in ((-ONE, lower, "lower"), (ONE, upper, "upper")):
@@ -124,38 +124,94 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     return DualSolution(instance, tuple(values))
 
 
+class _Session:
+    """What the analysis has learnt about one instance, each part computed
+    when first asked for and then kept: the dual program's ``OptimalFace``
+    (one solve, and each face query answered once), the grand range, and
+    the coalition rows of ``_coalition_demands`` read so far."""
+
+    def __init__(self, instance: GameInstance):
+        self.instance = instance
+        self._rows = []
+        self._source = None
+
+    @cached_property
+    def face(self) -> OptimalFace:
+        """The one solve of the instance's dual program, shared by every query."""
+        face = OptimalFace(build_dual(self.instance))
+        if face.base.status is not Status.OPTIMAL:
+            raise InfeasibleInstanceError(
+                "the matching program has no finite optimum (infeasible bounds)")
+        return face
+
+    @cached_property
+    def grand_range(self) -> tuple[Fraction, Fraction | None]:
+        """The totals the grand coalition may be paid, as (lo, hi).
+
+        Non-bounds kinds: the worth at both ends. Bounds-capacity kind: the
+        surplus under some optimal dual, i.e. the capacity-weighted sum of
+        its vertex duals. Over the convex optimal dual face that sum takes
+        exactly the values between its minimum and its maximum, two
+        phase-2 queries. Vertex duals are >= 0, so the minimum is finite;
+        an unbounded maximum is None.
+        """
+        if self.instance.kind is not GameKind.HOFFMAN_KRUSKAL:
+            w = optimal_weight(self.instance)
+            return w, w
+        return self.face.range(_surplus_weights(self.instance))
+
+    def demands(self) -> Iterator[tuple[tuple[str, ...], Fraction, DualSolution | None]]:
+        """The rows of ``_coalition_demands`` in their order: those read
+        before are replayed, and each new one is kept as it is read, so a
+        scan that stops early leaves the rest unread."""
+        rows = self._rows
+        i = 0
+        while True:
+            if i == len(rows):
+                if self._source is None:
+                    # Made on the first read, and again past the rows kept
+                    # after one raised: a generator that raised is finished.
+                    self._source = islice(_coalition_demands(self.instance), i, None)
+                try:
+                    rows.append(next(self._source))
+                except StopIteration:
+                    return
+                except BaseException:
+                    self._source = None
+                    raise
+            yield rows[i]
+            i += 1
+
+
 @lru_cache(maxsize=50_000)
-def _optimal_face(instance: GameInstance) -> OptimalFace:
-    """The one solve of the instance's dual program, shared by every query."""
-    face = OptimalFace(build_dual(instance))
-    if face.base.status is not Status.OPTIMAL:
-        raise InfeasibleInstanceError(
-            "the matching program has no finite optimum (infeasible bounds)")
-    return face
+def _session(instance: GameInstance) -> _Session:
+    """The instance's session: the module's one cache, so clearing it
+    forgets everything the analysis has learnt."""
+    return _Session(instance)
 
 
 def primal_optimum(instance: GameInstance) -> Fraction:
     """Optimal value of the fractional matching program (= dual optimum)."""
-    return _optimal_face(instance).base.value
+    return _session(instance).face.base.value
 
 
 def optimal_dual(instance: GameInstance) -> DualSolution:
     """The deterministic optimal dual: the solver's Bland-rule vertex."""
-    return DualSolution(instance, _optimal_face(instance).base.values)
+    return DualSolution(instance, _session(instance).face.base.values)
 
 
 def is_optimal_dual(instance: GameInstance, d: DualSolution) -> bool:
     """Feasible for the dual program and exactly optimal in value."""
     if d.instance != instance:
         raise ValueError("dual solution belongs to another instance")
-    face = _optimal_face(instance)
+    face = _session(instance).face
     return face.lp.is_feasible(d.values) and face.lp.evaluate(d.values) == face.base.value
 
 
 def _surplus_weights(instance: GameInstance) -> tuple[Fraction, ...]:
     """The surplus, the total paid out, as a functional on the dual columns:
     the vertex part of ``build_dual``'s objective, zero on bound duals."""
-    objective = _optimal_face(instance).lp.objective
+    objective = _session(instance).face.lp.objective
     n = len(instance.agents)
     return objective[:n] + (ZERO,) * (len(objective) - n)
 
@@ -200,19 +256,21 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
 class DualFace:
     """Exact scans over the set of optimal dual solutions of one instance.
 
-    A thin view over the instance's one ``OptimalFace``: the dual program
-    is solved once per instance, and that solve serves ``optimal_dual``,
-    ``primal_optimum``, ``is_optimal_dual`` and every ``DualFace`` built
-    for the instance. Its queries, ``optimize`` and ``extremum``, are the
-    engine's own methods and take one coefficient per column of
-    ``build_dual(instance)``. D(I) membership fixes columns instead, so
+    A thin view over the ``OptimalFace`` of the instance's session: the
+    dual program is solved once per instance, and that solve serves
+    ``optimal_dual``, ``primal_optimum``, ``is_optimal_dual`` and every
+    ``DualFace`` built for the instance. Its queries, ``optimize`` and
+    ``extremum``, are the engine's own methods and take one coefficient
+    per column of ``build_dual(instance)``; the engine keeps each answer,
+    so a question asked again of the instance, through this view or
+    another, costs a lookup. D(I) membership fixes columns instead, so
     ``in_dual_image`` solves the program once with changed bounds and
     compares optima.
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
-        self._engine = _optimal_face(instance)
+        self._engine = _session(instance).face
         self.lp, self.base = self._engine.lp, self._engine.base
         self.optimize, self.extremum = self._engine.optimize, self._engine.extremum
 
@@ -302,7 +360,9 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
     demands: a member on no inner edge adds nothing to a matching, and to
     the dual a column with no row entry and cost >= 0, which Bland's rule
     never enters (Bland 1977). Paid no less than that part under payoffs
-    >= 0, it needs no row of its own.
+    >= 0, it needs no row of its own. The callers read the rows through
+    the instance's session (``_Session.demands``), which keeps each row as
+    it is produced, so each demand is computed once per instance.
     """
     agents = instance.agents
     at = {q: j for j, q in enumerate(agents)}
@@ -329,22 +389,6 @@ def _coalition_demands(instance: GameInstance) -> Iterator[
                 yield members, worth(instance, members), None
 
 
-def _grand_range(instance: GameInstance) -> tuple[Fraction, Fraction | None]:
-    """The totals the grand coalition may be paid, as (lo, hi).
-
-    Non-bounds kinds: the worth at both ends. Bounds-capacity kind: the
-    surplus under some optimal dual, i.e. the capacity-weighted sum of its
-    vertex duals. Over the convex optimal dual face that sum takes exactly
-    the values between its minimum and its maximum, two phase-2 queries.
-    Vertex duals are >= 0, so the minimum is finite; an unbounded maximum
-    is None.
-    """
-    if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        w = optimal_weight(instance)
-        return w, w
-    return _optimal_face(instance).range(_surplus_weights(instance))
-
-
 def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
     """The imputation's payoffs in agent order; ValueError unless it pays
     exactly the instance's agents, each at least zero."""
@@ -361,7 +405,7 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
 
     The imputation must pay exactly the instance's agents, each at least
     zero (else ValueError), and its total must lie in the grand range
-    (``_grand_range``): the worth, or for the bounds-capacity kind the
+    (``_Session.grand_range``): the worth, or for the bounds-capacity kind the
     surplus under some optimal dual; outside it the grand coalition is the
     witness, with the violated end as its demand. A coalition blocks when
     it can generate strictly more on its own (its worth, or for the
@@ -376,13 +420,14 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
     payoffs = _payoffs(instance, imp)
-    lo, hi = _grand_range(instance)
+    session = _session(instance)
+    lo, hi = session.grand_range
     total = imp.total
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
     ints, scale = scaled(payoffs)
     pay = dict(zip(agents, ints))
-    for members, demand, d in _coalition_demands(instance):
+    for members, demand, d in session.demands():
         paid = sum(pay[q] for q in members)
         if demand.numerator * scale > paid * demand.denominator:
             return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
@@ -402,7 +447,7 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
     payoffs = _payoffs(instance, imp)
-    face = _optimal_face(instance)
+    face = _session(instance).face
     lp = face.lp
     lower, upper = list(lp.lower), list(lp.upper)
     for j, (q, payoff) in enumerate(zip(instance.agents, payoffs)):
@@ -418,7 +463,7 @@ class _CoalitionCuts:
     the closed coalitions).
 
     The LP starts from the total rows alone: one equation when the grand
-    range (``_grand_range``) is one value, else a row for each bounded
+    range (``_Session.grand_range``) is one value, else a row for each bounded
     end. After each solve the most violated coalition row (the first in
     size-then-lexicographic order on ties) is added, until the LP is
     infeasible or no row is violated (Dantzig, Fulkerson and Johnson 1954;
@@ -432,12 +477,13 @@ class _CoalitionCuts:
     def __init__(self, instance: GameInstance):
         agents = instance.agents
         check_instance_size(len(agents), len(instance.edges))
-        lo, hi = _grand_range(instance)
+        session = _session(instance)
+        lo, hi = session.grand_range
         ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
         self.instance = instance
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
         self.table = [(members, demand)
-                      for members, demand, _ in _coalition_demands(instance)
+                      for members, demand, _ in session.demands()
                       if demand > 0]
         self.rows = [Constraint(tuple(ONE for _ in agents), relation, end)
                      for relation, end in ends if end is not None]

@@ -83,6 +83,21 @@ class GameInstance:
         return self.side_u + self.side_v
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.side_u, self.side_v, self.edges,
+                     self.capacities, self.uniform_capacity))
+
+    def __hash__(self) -> int:
+        # Hashed once: an instance keys the oracle's and the analysis's
+        # caches and is looked up there many times per question.
+        return self._hash
+
+    def __getstate__(self):
+        # A string hashes differently in another process, so a copy
+        # computes its hash afresh.
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
+    @cached_property
     def _capacity_map(self) -> dict[str, int]:
         return dict(self.capacities)
 

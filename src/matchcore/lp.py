@@ -12,7 +12,7 @@ tolerances: identical inputs always produce the identical basic optimal
 solution. The optimal face has one representation, ``OptimalFace``: it
 solves once and answers each secondary objective by phase 2 alone from
 the optimal basis, over the columns whose reduced cost there is zero,
-with no row pinning its objective to the optimum.
+with no row pinning its objective to the optimum, and keeps each answer.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import ONE, ZERO, dot, ensure_rational, scaled
@@ -54,12 +55,20 @@ class Constraint:
         return dot(self.coeffs, values)
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
-        lhs = self.activity(values)
+        return self._holds_at(*scaled(values))
+
+    def _holds_at(self, ints: Sequence[int], scale: int) -> bool:
+        """``satisfied_by`` at the point ``ints / scale``, in integers: the
+        sign of (activity - rhs) times the positive ``den * scale *
+        rhs.denominator``."""
+        coeffs, den = scaled(self.coeffs)
+        gap = (sum(map(mul, coeffs, ints)) * self.rhs.denominator
+               - self.rhs.numerator * den * scale)
         if self.relation is Relation.LE:
-            return lhs <= self.rhs
+            return gap <= 0
         if self.relation is Relation.GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return gap >= 0
+        return gap == 0
 
     def tight_at(self, values: Sequence[Fraction]) -> bool:
         return self.activity(values) == self.rhs
@@ -125,12 +134,15 @@ class LinearProgram:
         return dot(self.objective, values)
 
     def is_feasible(self, values: Sequence[Fraction]) -> bool:
+        """Within every bound and row; the point is scaled to integers once
+        (TypeError on a float, rows or none)."""
         if len(values) != len(self.variables):
             return False
+        ints, scale = scaled(values)
         for x, lo, hi in zip(values, self.lower, self.upper):
             if x < lo or (hi is not None and x > hi):
                 return False
-        return all(c.satisfied_by(values) for c in self.constraints)
+        return all(c._holds_at(ints, scale) for c in self.constraints)
 
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,
@@ -417,12 +429,16 @@ class OptimalFace:
     question that fixes variables, rather than optimizing over the face,
     is one solve of ``lp`` with those variables' bounds fixed: the face
     meets the fixed set exactly when that optimum is ``base.value``.
+    Each answer of ``optimize`` is kept and handed out again when the
+    same objective and sense are asked for; an ``LpSolution`` is frozen,
+    so sharing it is safe.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._tableau = _Tableau(lp)
         self.base = self._tableau.solve()
+        self._answers: dict[tuple, LpSolution] = {}
         if self.base.status is Status.OPTIMAL:
             self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
 
@@ -434,7 +450,14 @@ class OptimalFace:
         if len(objective) != len(self.lp.variables):
             raise ValueError("objective length does not match variable count")
         sense = sense if isinstance(sense, Sense) else Sense(sense)
-        return self._tableau.fork().optimize(objective, sense, self._columns)
+        # Keyed by (numerator, denominator) pairs: equal numbers give equal
+        # pairs, and ints hash far faster than a Fraction.
+        key = (tuple((c.numerator, c.denominator) for c in objective), sense)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = self._tableau.fork().optimize(
+                objective, sense, self._columns)
+        return answer
 
     def extremum(self, objective, sense) -> Fraction | None:
         """The optimum over the face; None when the face has a ray along

@@ -1,6 +1,8 @@
 """Core analysis: dual-image payoffs, core membership, complementarity."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +12,6 @@ import helpers
 from matchcore.analysis import (
     DualFace,
     DualSolution,
-    _grand_range,
     check_concurrency,
     core_nonempty,
     dual_to_imputation,
@@ -33,6 +34,7 @@ from matchcore.analysis import (
 )
 from matchcore import analysis as analysis_module
 from matchcore import lp as lp_module
+from matchcore import oracle as oracle_module
 from matchcore.formulations import build_dual, lower_dual_var, upper_dual_var, vertex_dual_var
 from matchcore.games import (
     BIPARTITE_KINDS,
@@ -642,7 +644,7 @@ def test_dual_image_and_hk_total_match_the_pinned_row_lp():
                 image[want] += 1
                 if kind is GameKind.HOFFMAN_KRUSKAL:
                     want = _pinned_row_admits(face, [(weights, imp.total)])
-                    lo, hi = _grand_range(g)
+                    lo, hi = analysis_module._session(g).grand_range
                     assert (lo <= imp.total and (hi is None or imp.total <= hi)) is want
                     total[want] += 1
     # Counts at these seeds: D(I) 270 in, 375 out; grand total 120 in, 33 out.
@@ -878,3 +880,131 @@ def test_face_values_do_not_depend_on_agent_or_edge_order():
     # verdict not asked, and D(I) lies inside the core.
     flags = (True, False, None)
     assert seen == {(a, b) for a in flags for b in flags} - {(True, False), (None, None)}
+
+
+def _session_questions(g):
+    """One session's questions about ``g``, answered in order and named:
+    the whole total paid to one agent (a membership scan blocked early),
+    the dual-face sequence, ``core_nonempty`` and its witness's membership
+    (every row read), then the first membership again."""
+    if g.kind is GameKind.HOFFMAN_KRUSKAL:
+        total = dual_to_imputation(g, optimal_dual(g)).total
+    else:
+        total = max_weight(g)[0]
+    to_one = make_imputation(g, {g.agents[0]: total})
+    out = {"to one": is_core_imputation(g, to_one),
+           "complementarity": verify_complementarity(g)}
+    if g.kind in BIPARTITE_KINDS:
+        face = DualFace(g)
+        if g.kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B):
+            out["extremes"] = extreme_imputations(g, face)
+            out["ranges"] = [payoff_range(g, q, face) for q in g.agents]
+        out["duals"] = sample_dual_vertices(g, 4, 1, face)
+        derived = [dual_to_imputation(g, d) for d in out["duals"]]
+        out["in image"] = [in_dual_image(g, imp) for imp in derived]
+        out["duals in core"] = [is_core_imputation(g, imp) for imp in derived]
+    out["nonempty"] = core_nonempty(g)
+    if out["nonempty"][0]:
+        out["witness"] = is_core_imputation(g, out["nonempty"][1])
+    out["to one again"] = is_core_imputation(g, to_one)
+    return out
+
+
+def test_warm_answers_equal_cold_answers():
+    # The session keeps the dual face, each face answer, the grand range
+    # and the coalition rows read so far. Asked twice of one instance
+    # object, and again after every cache of the package is cleared, the
+    # same questions get the same verdicts, witnesses, demands, duals and
+    # ranges. The games: the cap set and 200 seeded bipartite games.
+    caches = [obj for name, mod in sorted(sys.modules.items())
+              if name == "matchcore" or name.startswith("matchcore.")
+              for obj in vars(mod).values() if callable(getattr(obj, "cache_clear", None))]
+    assert analysis_module._session in caches
+    rng = random.Random(2525)
+    games = [g for _, _, g in helpers.cap_set()]
+    games += [helpers.random_bipartite(rng, helpers.ALL_BIPARTITE[i % 4], max_side=4,
+                                       max_edges=8)
+              for i in range(200)]
+    seen = Counter()
+    for g in games:
+        for cache in caches:
+            cache.cache_clear()
+        cold = _session_questions(g)
+        warm = _session_questions(g)
+        for cache in caches:
+            cache.cache_clear()
+        assert cold == warm == _session_questions(g), g
+        seen[g.kind] += 1
+        seen["blocked by a proper coalition"] += (not cold["to one"].in_core and
+                                                  cold["to one"].witness != frozenset(g.agents))
+        seen["empty core"] += not cold["nonempty"][0]
+        seen["capacity above one"] += any(g.capacity(q) > 1 for q in g.agents)
+    assert len(games) == 215
+    print(seen)
+
+
+def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch):
+    # A uniform_b game with b = 2, so the core's rows are its closed
+    # coalitions, each demanding its sub-game's worth. Its payoff ranges
+    # are the ranges extreme_imputations read, so asking them afterwards
+    # starts no phase-2 run; and four in-core memberships read each row's
+    # worth, restricting its coalition, once in all.
+    g = make_instance(GameKind.UNIFORM_B, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
+                      [("a1", "b1", F(23, 5)), ("a1", "b2", F(17, 5)), ("a2", "b1", F(19, 5)),
+                       ("a2", "b3", F(11, 5)), ("a3", "b2", F(13, 5)), ("a3", "b3", F(29, 5))],
+                      uniform_capacity=2)
+    analysis_module._session.cache_clear()
+    oracle_module._search.cache_clear()
+    face = DualFace(g)
+    extremes = extreme_imputations(g, face)
+    runs = []
+    original = lp_module._Tableau.optimize
+    monkeypatch.setattr(lp_module._Tableau, "optimize",
+                        lambda tableau, *args: runs.append(args) or original(tableau, *args))
+    ranges = {q: payoff_range(g, q) for q in g.agents}
+    assert runs == []
+    assert {q: (lo, hi) for q, (lo, hi) in ranges.items()} == {
+        q: tuple(sorted((extremes[0][q], extremes[1][q]))) for q in g.agents}
+
+    restricted = Counter()
+    restrict_of_oracle = oracle_module.restrict
+    monkeypatch.setattr(oracle_module, "restrict",
+                        lambda instance, members: restricted.update([tuple(members)])
+                        or restrict_of_oracle(instance, members))
+    duals = sample_dual_vertices(g, 4, 1, face)
+    verdicts = [is_core_imputation(g, dual_to_imputation(g, duals[i % len(duals)]))
+                for i in range(4)]
+    assert all(v.in_core for v in verdicts)
+    closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
+              for members in combinations(g.agents, size)} - {()}
+    assert set(restricted) == closed and set(restricted.values()) == {1}
+    assert len(closed) == 27
+
+
+def test_a_scan_cut_short_by_an_error_leaves_the_session_whole(monkeypatch):
+    # The rows come from a generator, and one that raised is finished. A
+    # scan stopped by an error (here the third worth it asks for) must not
+    # leave the session short of rows: the next scan reads them all, and
+    # the session's rows are those of a fresh _coalition_demands.
+    g = make_instance(GameKind.B_MATCHING, ["a1", "a2"], ["b1", "b2"],
+                      [("a1", "b1", 4), ("a1", "b2", 3), ("a2", "b1", 2), ("a2", "b2", 5)],
+                      capacities={"a1": 2, "a2": 1, "b1": 1, "b2": 2})
+    nonempty, witness = core_nonempty(g)
+    assert nonempty
+    analysis_module._session.cache_clear()
+    asked = []
+    original = analysis_module.worth
+
+    def failing(instance, members):
+        asked.append(members)
+        if len(asked) == 3:
+            raise RuntimeError("interrupted")
+        return original(instance, members)
+
+    monkeypatch.setattr(analysis_module, "worth", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        is_core_imputation(g, witness)
+    assert is_core_imputation(g, witness).in_core
+    assert not is_core_imputation(g, make_imputation(g, {"a1": witness.total})).in_core
+    rows = list(analysis_module._session(g).demands())
+    assert rows == list(analysis_module._coalition_demands(g)) and len(rows) > 3

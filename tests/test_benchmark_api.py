@@ -100,7 +100,7 @@ def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):
     run = import_benchmark("run")
     g = _three_by_three()
     caches = run.find_caches()
-    assert oracle._search in caches and analysis._optimal_face in caches
+    assert oracle._search in caches and analysis._session in caches
     misses, face_misses = [], []
     for _ in range(2):
         for cache in caches:
@@ -109,6 +109,6 @@ def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):
         assert nonempty and analysis.is_core_imputation(g, witness).in_core
         assert analysis.dual_to_imputation(g, analysis.optimal_dual(g)).total > 0
         misses.append(oracle._search.cache_info().misses)
-        face_misses.append(analysis._optimal_face.cache_info().misses)
+        face_misses.append(analysis._session.cache_info().misses)
     assert misses[0] == misses[1] > 1
     assert face_misses[0] == face_misses[1] > 0

@@ -1,5 +1,6 @@
 """Game model: restriction, validation, imputation plumbing."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -49,6 +50,21 @@ def test_equal_edges_and_instances_hash_equal():
         assert restrict(g, g.agents) == g and hash(restrict(g, g.agents)) == hash(g)
         assert all(hash(e) == hash(Edge(e.u, e.v, e.weight, e.lower, e.upper))
                    for e in sub.edges)
+
+
+def test_an_instance_is_hashed_once_and_a_copy_hashes_afresh(monkeypatch):
+    # The fields are hashed on the first hash() alone; later ones read the
+    # kept value. A pickled copy leaves it behind, since a string hashes
+    # differently in another process, and hashes its fields again.
+    g = helpers.random_bipartite(random.Random(2511), GameKind.B_MATCHING)
+    hashed = []
+    original = Edge.__hash__
+    monkeypatch.setattr(Edge, "__hash__", lambda e: hashed.append(e) or original(e))
+    first = hash(g)
+    assert hash(g) == first and len(hashed) == len(g.edges) > 0
+    copy = pickle.loads(pickle.dumps(g))
+    assert "_hash" not in vars(copy) and copy == g
+    assert hash(copy) == first and len(hashed) == 2 * len(g.edges)
 
 
 def test_restrict_induced_subgraph():

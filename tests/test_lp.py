@@ -188,6 +188,26 @@ def test_optimal_face_segment():
     assert face.range([0, 1]) == (0, 1)
 
 
+def test_optimal_face_answers_each_question_once(monkeypatch):
+    # A face query asked again, with the objective written as ints or as
+    # equal Fractions and the sense as its enum or its value, is the kept
+    # answer: no phase-2 run starts. Another sense or objective is a new
+    # question.
+    lp = LinearProgram(Sense.MAXIMIZE, ["x", "y"], [1, 1],
+                       [([1, 1], Relation.LE, 1)])
+    face = lp_module.OptimalFace(lp)
+    runs = []
+    original = lp_module._Tableau.optimize
+    monkeypatch.setattr(lp_module._Tableau, "optimize",
+                        lambda tableau, *args: runs.append(args) or original(tableau, *args))
+    first = face.optimize([1, 0], Sense.MAXIMIZE)
+    assert face.optimize([F(1), F(0, 3)], "maximize") is first
+    assert face.extremum((1, 0), Sense.MAXIMIZE) == first.value == 1
+    assert len(runs) == 1
+    assert face.range([1, 0]) == (0, 1) and len(runs) == 2
+    assert face.optimize([2, 0], Sense.MAXIMIZE).value == 2 and len(runs) == 3
+
+
 def test_optimal_face_requires_optimal_base():
     lp = LinearProgram(Sense.MAXIMIZE, ["x"], [1])
     with pytest.raises(ValueError):
@@ -278,11 +298,17 @@ def test_dot_matches_the_fraction_sum():
 
 def test_a_float_raises_the_package_type_error():
     # Every dot scales its sides with ``scaled``, which refuses a float as
-    # ensure_rational does, not with an AttributeError.
+    # ensure_rational does, not with an AttributeError; ``is_feasible``
+    # scales its point before any test, so a program with no rows refuses
+    # a float too, and so does ``is_vertex``, which asks it first.
     lp = LinearProgram(Sense.MAXIMIZE, ["x"], [1], [([1], Relation.LE, 1)])
-    for call in (lp.is_feasible, lp.evaluate, lambda point: dot(point, [1])):
+    rowless = LinearProgram(Sense.MAXIMIZE, ["x"], [1], upper=[1])
+    for call, point in ((lp.is_feasible, [0.5]), (lp.evaluate, [0.5]),
+                        (lambda point: dot(point, [1]), [0.5]),
+                        (rowless.is_feasible, [0.5]),
+                        (lambda point: is_vertex(rowless, point), [1.0])):
         with pytest.raises(TypeError, match="expected an exact rational, got float"):
-            call([0.5])
+            call(point)
 
 
 def _point_inside_the_bounds(rng, lp):

@@ -13,6 +13,7 @@ import helpers
 from matchcore import oracle as oracle_module
 from matchcore.analysis import (
     _coalition_demands,
+    _session,
     core_nonempty,
     is_core_imputation,
     sample_core_vertices,
@@ -283,7 +284,11 @@ def test_core_scan_searches_only_the_sub_games_it_read(monkeypatch):
     # u has capacity 2, so the scan reads coalition worths. Paying
     # everything to v1 leaves the pair {u, v2} (worth 3) blocked before
     # any triple is read, so no sub-game of more than 2 agents is searched.
+    # The caches start cold: a session that read the rows before would
+    # replay them without a search.
     g = helpers.two_team_b_matching()
+    _session.cache_clear()
+    oracle_module._search.cache_clear()
     searched = []
     search = oracle_module._search
 
