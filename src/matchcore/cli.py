@@ -1,10 +1,13 @@
 """Command-line front end.
 
 The subcommands and what each reports are listed once, in ``_COMMANDS``;
-``matchcore --help`` prints them.
+``matchcore --help`` prints them. ``build_parser`` describes the parser,
+and it runs once per process, when this module is imported.
 
-Exit codes: 0 success, 1 analysis failure, 2 input error. Every number is
-printed exactly as p/q (or a plain integer).
+``main(argv)`` may be called many times in one process; it returns the
+exit code: 0 success, 1 analysis failure, 2 input error. Argparse's own
+usage errors and ``--help`` leave by ``SystemExit``, with codes 2 and 0.
+Every number is printed exactly as p/q (or a plain integer).
 """
 
 from __future__ import annotations
@@ -291,8 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler, kinds, _ = _COMMANDS[args.command]
     report = Report()
     try:

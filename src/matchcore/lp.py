@@ -54,12 +54,9 @@ class Constraint:
     def activity(self, values: Sequence[Fraction]) -> Fraction:
         return dot(self.coeffs, values)
 
-    def satisfied_by(self, values: Sequence[Fraction]) -> bool:
-        return self._holds_at(*scaled(values))
-
     def _holds_at(self, ints: Sequence[int], scale: int) -> bool:
-        """``satisfied_by`` at the point ``ints / scale``, in integers: the
-        sign of (activity - rhs) times the positive ``den * scale *
+        """Whether the row holds at the point ``ints / scale``, in integers:
+        the sign of (activity - rhs) times the positive ``den * scale *
         rhs.denominator``."""
         coeffs, den = scaled(self.coeffs)
         gap = (sum(map(mul, coeffs, ints)) * self.rhs.denominator

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from matchcore import analysis, fixtures
+from matchcore import analysis, cli, fixtures
 from matchcore.cli import _COMMANDS, main
 from matchcore.formulations import vertex_dual_var
 from matchcore.instance_io import parse_instance, render_instance
@@ -108,6 +108,64 @@ def test_help_lists_every_subcommand_with_its_blurb(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     for name, (_, _, blurb) in _COMMANDS.items():
         assert any(line.split() == [name, *blurb.split()] for line in lines), name
+
+
+DEMO = str(ROOT / "demos" / "instances" / "tennis_pairs.game")   # an assignment game
+
+
+def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch):
+    expected = run(capsys, "solve", DEMO)
+
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert run(capsys, "solve", DEMO) == expected and expected[0] == 0
+    for argv, code in ((["extremes", DEMO, "--samples", "-3"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == code
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    defaults = run(capsys, "extremes", DEMO, "--samples", "50", "--seed", "0")
+    assert run(capsys, "extremes", DEMO, "--samples", "3", "--seed", "5") != defaults
+    assert run(capsys, "extremes", DEMO) == defaults
+
+    text = run(capsys, "solve", DEMO)
+    assert run(capsys, "solve", DEMO, "--format", "records") != text
+    assert run(capsys, "solve", DEMO) == text
+
+    with pytest.raises(SystemExit) as done:
+        main(["solve", DEMO, "--format", "csv"])
+    assert done.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run(capsys, "solve", DEMO) == text
+
+    monkeypatch.setenv("COLUMNS", "200")
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith("usage: matchcore")
+
+
+def test_module_entry_point_exits_with_argparse_and_input_codes(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-m", "matchcore.cli", *argv], cwd=ROOT,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = entry("--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "reproduce-paper" in done.stdout
+    done = entry("solve", str(tmp_path / "missing.game"))
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read")
 
 
 def test_tum_check(tmp_path, capsys):
