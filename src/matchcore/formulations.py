@@ -5,10 +5,9 @@ with a canonical variable and constraint ordering (agents in input order,
 edges in input order), so solver output is reproducible; rows carry no
 label. Also houses the total-unimodularity test of coefficient rows and
 the half-integral vertex structure check for general-graph matching
-programs. A matrix with at most two nonzeros per column, as every
-`build_primal` matrix is, is decided at any size by Heller & Tompkins's
-two-colouring of its rows; any other matrix takes the capped sweep of
-determinants from ``lp.eliminate``.
+programs. The test takes matrices with at most two nonzeros per column,
+as every `build_primal` matrix is, and decides them at any size by
+Heller & Tompkins's two-colouring of its rows.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .caps import MAX_TUM_ORDER, MAX_VERTICES, CapExceededError
+from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
-from .lp import Constraint, LinearProgram, Relation, Sense, eliminate, is_vertex
+from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
 from .rationals import ONE, ZERO, scaled
 
 F = Fraction
@@ -124,13 +123,13 @@ def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
 
     ``rows`` are equal-length rows of ints or rationals (ValueError if
     ragged), as ``[c.coeffs for c in lp.constraints]``; an empty matrix
-    is TUM. An entry outside {0, +-1} is a 1x1 counterexample, at any size. When
-    every column then has at most two nonzeros, Heller & Tompkins (1956)
-    decide at any size: the matrix is TUM iff its rows split into two
-    classes with a column's two entries in different classes when they
-    have the same sign and in the same class otherwise, which a
-    two-colouring of the signed row graph tests. Every other matrix goes
-    to the exhaustive sweep, which alone is capped.
+    is TUM. An entry outside {0, +-1} is a 1x1 counterexample, at any size.
+    Otherwise a column with three or more nonzeros raises ValueError,
+    naming the first such column (columns count from 0). Every other
+    matrix is decided by Heller & Tompkins (1956), at any size: it is TUM
+    iff its rows split into two classes with a column's two entries in
+    different classes when they have the same sign and in the same class
+    otherwise, which a two-colouring of the signed row graph tests.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
@@ -142,8 +141,10 @@ def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
             return False
         ints.append(entries)
     columns = [[(i, row[j]) for i, row in enumerate(ints) if row[j]] for j in range(n)]
-    if any(len(col) > 2 for col in columns):
-        return _sweep(ints)
+    for j, col in enumerate(columns):
+        if len(col) > 2:
+            raise ValueError(f"column {j} has {len(col)} nonzeros; the test "
+                             "takes at most two per column")
     # Edge (i, k, apart): rows i and k lie in different classes iff apart.
     neighbours: list[list[tuple[int, bool]]] = [[] for _ in range(m)]
     for col in columns:
@@ -165,29 +166,6 @@ def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
                     side[k] = want
                     stack.append(k)
                 elif side[k] != want:
-                    return False
-    return True
-
-
-def _sweep(rows: list[list[int]]) -> bool:
-    """Exhaustive exact TUM test of a {0, +-1} matrix given as int rows.
-
-    Every square submatrix of order 2 and up, in increasing order, by its
-    determinant from ``lp.eliminate``, abandoning the search at the first
-    violating determinant. Refuses matrices whose smaller dimension
-    exceeds the cap.
-    """
-    m, n = len(rows), len(rows[0])
-    order = min(m, n)
-    if order > MAX_TUM_ORDER:
-        raise CapExceededError(
-            f"submatrix order {order} exceeds the sweep cap of {MAX_TUM_ORDER}")
-    for k in range(2, order + 1):
-        for rsel in combinations(range(m), k):
-            sub = [rows[i] for i in rsel]
-            for csel in combinations(range(n), k):
-                _, det = eliminate([[r[j] for j in csel] for r in sub])
-                if det not in (-1, 0, 1):
                     return False
     return True
 

@@ -13,6 +13,9 @@ recovers it field for field.
     b <vertex> <positive-int>   b_matching / hoffman_kruskal, one per vertex
     edge <name> <name> weight <rational> [lower <int>] [upper <int>]
     imputation <name>=<rational> ...  payoffs >= 0, one per agent
+
+Nothing may be given twice: a repeated ``game``, ``b_const``, ``b`` line
+for a vertex, payoff for a name, or bound on one edge line is an error.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
         if directive == "game":
             if len(args) != 1:
                 raise InstanceError("game takes one token", lineno)
+            if kind is not None:
+                raise InstanceError("second game line", lineno)
             try:
                 kind = GameKind(args[0])
             except ValueError:
@@ -82,6 +87,8 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
         elif directive == "b_const":
             if len(args) != 1:
                 raise InstanceError("b_const takes one integer", lineno)
+            if b_const is not None:
+                raise InstanceError("second b_const line", lineno)
             b_const = _positive_int(args[0], lineno)
         elif directive == "b":
             if len(args) != 2:
@@ -144,18 +151,16 @@ def _parse_edge(args: list[str], lineno: int) -> tuple:
         weight = parse_rational(args[3])
     except ValueError as exc:
         raise InstanceError(str(exc), lineno) from None
-    lower, upper = 0, None
+    bounds: dict[str, int] = {}
     rest = args[4:]
     while rest:
         if len(rest) < 2 or rest[0] not in ("lower", "upper"):
             raise InstanceError(f"unexpected edge tokens {rest!r}", lineno)
-        value = _positive_int(rest[1], lineno, minimum=0)
-        if rest[0] == "lower":
-            lower = value
-        else:
-            upper = value
+        if rest[0] in bounds:
+            raise InstanceError(f"second {rest[0]} on one edge line", lineno)
+        bounds[rest[0]] = _positive_int(rest[1], lineno, minimum=0)
         rest = rest[2:]
-    return (u, v, weight, lower, upper)
+    return (u, v, weight, bounds.get("lower", 0), bounds.get("upper"))
 
 
 def parse_instance(text: str) -> GameInstance:

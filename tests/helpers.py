@@ -12,7 +12,7 @@ from pathlib import Path
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import build_dual
 from matchcore.games import GameKind, make_instance
-from matchcore.lp import Constraint, Relation, solve
+from matchcore.lp import Constraint, Relation, eliminate, solve
 from matchcore.rationals import scaled
 
 F = Fraction
@@ -270,6 +270,49 @@ def reference_rank_and_det(rows):
     if len(mat) != cols:
         return rank, None
     return rank, det if rank == cols else F(0)
+
+
+def naive_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = F(0)
+    for j in range(len(rows)):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * rows[0][j] * naive_det(minor)
+    return total
+
+
+def naive_tum(rows):
+    """Total unimodularity by definition: every square submatrix, of
+    order 1 and up, by :func:`naive_det`."""
+    m, n = len(rows), len(rows[0])
+    entries = [list(r) for r in rows]
+    for k in range(1, min(m, n) + 1):
+        for rsel in combinations(range(m), k):
+            for csel in combinations(range(n), k):
+                d = naive_det([[entries[i][j] for j in csel] for i in rsel])
+                if d not in (-1, 0, 1):
+                    return False
+    return True
+
+
+def sweep_tum(rows):
+    """Reference for ``is_totally_unimodular`` on a {0, +-1} matrix given
+    as int rows, with any number of nonzeros per column: every square
+    submatrix of order 2 and up, in increasing order, by its determinant
+    from ``lp.eliminate``, stopping at the first one outside {-1, 0, 1}.
+    Exponential in the smaller dimension, so keep the matrices small."""
+    m, n = len(rows), len(rows[0])
+    for k in range(2, min(m, n) + 1):
+        for rsel in combinations(range(m), k):
+            sub = [rows[i] for i in rsel]
+            for csel in combinations(range(n), k):
+                _, det = eliminate([[r[j] for j in csel] for r in sub])
+                if det not in (-1, 0, 1):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,8 @@ def _bipartite(g):
 @pytest.mark.parametrize("kind", ["assignment", "uniform_b", "b_matching",
                                   "hoffman_kruskal", "general"])
 def test_tum_check_decides_cap_size_games(kind, tmp_path, capsys):
-    # 12 agents and 16 edges: above the sweep's cap, inside Heller &
-    # Tompkins's test, whose verdict is the graph's bipartiteness.
+    # 12 agents and 16 edges, two nonzeros per column: Heller &
+    # Tompkins's test decides, and its verdict is the graph's bipartiteness.
     for _, s, g in helpers.cap_set((kind,)):
         path = write(tmp_path, f"{kind}_{s}.game", render_instance(g))
         code, out, err = run(capsys, "tum-check", path)
@@ -280,6 +280,10 @@ def test_negative_imputation_value_exits_two_with_its_line(tmp_path, capsys):
     ("b ghost 5\n", "error: capacity for unknown agent 'ghost'\n"),
     ("b v1 3\n", "error: line 10: second b line for 'v1'\n"),
     ("imputation u=4\nimputation u=3\n", "error: line 11: second payoff for 'u'\n"),
+    ("game hoffman_kruskal\n", "error: line 10: second game line\n"),
+    ("b_const 2\nb_const 5\n", "error: line 11: second b_const line\n"),
+    ("edge u v1 weight 1 upper 1 upper 3\n",
+     "error: line 10: second upper on one edge line\n"),
 ])
 def test_repeated_or_unknown_names_exit_two(tmp_path, capsys, extra, message):
     path = write(tmp_path, "g.game",

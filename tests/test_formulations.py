@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -13,7 +12,6 @@ from matchcore.formulations import (
     build_odd_set_primal,
     build_primal,
     check_half_integrality,
-    _sweep,
     is_totally_unimodular,
     primal_var,
     vertex_dual_var,
@@ -125,29 +123,6 @@ def test_odd_set_cap_and_kind_guard():
 # Total unimodularity.
 # ---------------------------------------------------------------------------
 
-def naive_det(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    total = F(0)
-    for j in range(len(rows)):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * rows[0][j] * naive_det(minor)
-    return total
-
-
-def naive_tum(rows):
-    m, n = len(rows), len(rows[0])
-    entries = [list(r) for r in rows]
-    for k in range(1, min(m, n) + 1):
-        for rsel in combinations(range(m), k):
-            for csel in combinations(range(n), k):
-                d = naive_det([[entries[i][j] for j in csel] for i in rsel])
-                if d not in (-1, 0, 1):
-                    return False
-    return True
-
-
 def rows_of(lp):
     return [c.coeffs for c in lp.constraints]
 
@@ -189,12 +164,27 @@ def test_bipartite_incidence_is_tum_and_triangle_is_not():
 
 def test_tum_agrees_with_naive_sweep():
     rng = random.Random(37)
+    dense = tum = non_tum = 0
     for _ in range(60):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         entries = tuple(tuple(F(rng.choice((0, 1)))
                               for _ in range(n)) for _ in range(m))
-        assert is_totally_unimodular(entries) == naive_tum(entries)
+        counts = [sum(1 for r in entries if r[j]) for j in range(n)]
+        first = next((j for j, c in enumerate(counts) if c > 2), None)
+        if first is None:
+            verdict = is_totally_unimodular(entries)
+            assert verdict == helpers.naive_tum(entries), entries
+            tum += verdict
+            non_tum += not verdict
+        else:
+            with pytest.raises(ValueError, match=f"^column {first} has {counts[first]} "):
+                is_totally_unimodular(entries)
+            # The reference still meets the definition past Heller &
+            # Tompkins's hypothesis.
+            assert helpers.sweep_tum(entries) == helpers.naive_tum(entries), entries
+            dense += 1
+    assert dense >= 20 and tum >= 30 and non_tum >= 1
 
 
 def _signed_rows(rng):
@@ -218,9 +208,10 @@ def test_two_colouring_agrees_with_the_sweep_on_signed_matrices():
     for trial in range(320):
         rows = _signed_rows(rng)
         verdict = is_totally_unimodular(_matrix(rows))
-        assert verdict == _sweep(rows), rows
+        reference = helpers.sweep_tum(rows)
+        assert verdict == reference, rows
         if trial < 40:
-            assert verdict == naive_tum(_matrix(rows)), rows
+            assert reference == helpers.naive_tum(_matrix(rows)), rows
         non_tum += not verdict
         negative += any(-1 in r for r in rows)
         sparse_column += any(sum(1 for r in rows if r[j]) < 2 for j in range(len(rows[0])))
@@ -229,7 +220,7 @@ def test_two_colouring_agrees_with_the_sweep_on_signed_matrices():
     assert non_tum >= 60 and negative >= 100 and sparse_column >= 30
 
 
-def test_two_nonzero_columns_are_decided_above_the_sweep_cap():
+def test_two_nonzero_columns_are_decided_at_any_size():
     eye = tuple(tuple(F(int(i == j)) for j in range(9)) for i in range(9))
     assert is_totally_unimodular(eye)
     ((_, _, g), *_) = helpers.cap_set(("b_matching",))
@@ -241,10 +232,20 @@ def test_two_nonzero_columns_are_decided_above_the_sweep_cap():
     assert not is_totally_unimodular(two)
 
 
-def test_tum_cap():
-    big = tuple(tuple(F(1) for _ in range(9)) for _ in range(9))
-    with pytest.raises(CapExceededError):
-        is_totally_unimodular(big)
+def test_tum_refuses_a_column_of_three_nonzeros():
+    for rows, first, count in (
+            ([[1], [1], [1]], 0, 3),
+            ([[1, 0, 1], [0, -1, 1], [0, 1, 0], [0, 1, -1]], 1, 3),
+            ([[1, 1, 1], [-1, 1, 1], [0, 0, 1], [0, 1, 1]], 1, 3),
+            # The identity with a full first column, and the 9x9 of ones.
+            ([[int(i == j or j == 0) for j in range(9)] for i in range(9)], 0, 9),
+            ([[1] * 9 for _ in range(9)], 0, 9)):
+        with pytest.raises(ValueError, match=f"^column {first} has {count} nonzeros"):
+            is_totally_unimodular(rows)
+    # An entry outside {0, +-1} is a 1x1 counterexample, found before any
+    # column is counted.
+    assert not is_totally_unimodular([[1], [1], [2]])
+    assert not is_totally_unimodular([[1, 1], [1, 1], [1, -2]])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ also run on each demo file with one imputation line appended that pays
 the worth to the first agent, so its verdicts and witnesses are pinned
 (``<file>.core-check-paid.<format>.out``). Each ``demos/*.py`` script is
 run in-process too, and its stdout must match
-``tests/golden/demo.<script>.out``.
+``tests/golden/demo.<script>.out``. The demo instances must be the
+packaged ones that ``reproduce-paper`` reads, file for file and byte for
+byte.
 
 To rewrite the golden files after a change that is meant to alter the
 output, run ``PYTHONPATH=src python tests/test_golden_outputs.py``.
@@ -20,6 +22,7 @@ import io
 import runpy
 import sys
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,19 @@ def test_core_check_with_an_imputation_matches_golden(name, path, fmt, tmp_path)
 def test_demo_output_matches_golden(name, path):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert run_demo(path) == expected
+
+
+def test_demo_instances_are_the_packaged_instances():
+    # The goldens and the benchmark read the demo copy; the fixtures, and
+    # so reproduce-paper, read the packaged one. The repository keeps
+    # demos/instances as a symlink to the packaged directory; a checkout
+    # that turns it into a copy, or into a file holding the link's
+    # target, fails here.
+    packaged = files("matchcore") / "instances"
+    demo = {p.name: p.read_bytes() for p in INSTANCES.glob("*.game")}
+    assert demo
+    assert demo == {p.name: p.read_bytes() for p in packaged.iterdir()
+                    if p.name.endswith(".game")}
 
 
 def test_every_golden_file_is_checked():

@@ -77,6 +77,19 @@ def test_repeated_or_unknown_names_are_refused():
         parse_instance_with_imputation(THREE_AGENT + "imputation u=4 v1=0\n"
                                        "imputation v2=0 u=1\n")
     assert err.value.line == len(THREE_AGENT.splitlines()) + 2
+    # A second game or b_const line, or a bound repeated on one edge line,
+    # would otherwise let the last value win silently.
+    hk = "game hoffman_kruskal\nside_u a\nside_v b\nb a 2\nb b 2\n"
+    for text, message, line in (
+            ("game assignment\ngame general\nvertices a b\n", "second game line", 2),
+            ("game uniform_b\nside_u a\nside_v b\nb_const 2\nb_const 5\n"
+             "edge a b weight 1\n", "second b_const line", 5),
+            (hk + "edge a b weight 1 upper 1 upper 3\n", "second upper on one edge line", 6),
+            (hk + "edge a b weight 1 lower 0 upper 2 lower 1\n",
+             "second lower on one edge line", 6)):
+        with pytest.raises(InstanceError, match=message) as err:
+            parse_instance(text)
+        assert err.value.line == line
 
 
 def test_missing_game_directive():

@@ -20,7 +20,7 @@ from matchcore.analysis import (
     verify_complementarity,
 )
 from matchcore.caps import CapExceededError
-from matchcore.formulations import build_odd_set_primal, is_totally_unimodular
+from matchcore.formulations import build_odd_set_primal
 from matchcore.games import GameKind, make_imputation, make_instance
 from matchcore.oracle import (
     ClassLabel,
@@ -166,11 +166,7 @@ _ENTRY_POINTS = (
 
 
 def _refusals():
-    # The identity with a full first column: a column of nine nonzeros
-    # keeps it outside Heller & Tompkins's test, so it takes the sweep.
-    nine = tuple(tuple(F(int(i == j or j == 0)) for j in range(9)) for i in range(9))
-    out = [pytest.param(is_totally_unimodular, nine, "order 9 exceeds the sweep cap of 8",
-                        id="is_totally_unimodular-order-9")]
+    out = []
     for name, call, edges_capped in _ENTRY_POINTS:
         out.append(pytest.param(call, helpers.general_path(13),
                                 "13 vertices exceed the .* cap of 12", id=f"{name}-13-vertices"))
