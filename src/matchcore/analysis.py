@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
@@ -128,12 +128,12 @@ class _Session:
     """What the analysis has learnt about one instance, each part computed
     when first asked for and then kept: the dual program's ``OptimalFace``
     (one solve, and each face query answered once), the grand range, and
-    the coalition rows of ``_coalition_demands`` read so far."""
+    the coalition rows scanned so far as (members, demand) pairs."""
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
         self._rows = []
-        self._source = None
+        self._unscanned = None
 
     @cached_property
     def face(self) -> OptimalFace:
@@ -160,26 +160,25 @@ class _Session:
             return w, w
         return self.face.range(_surplus_weights(self.instance))
 
-    def demands(self) -> Iterator[tuple[tuple[str, ...], Fraction, DualSolution | None]]:
-        """The rows of ``_coalition_demands`` in their order: those read
-        before are replayed, and each new one is kept as it is read, so a
-        scan that stops early leaves the rest unread."""
+    def demands(self) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+        """The (members, demand) rows of ``_coalitions`` in their order. A
+        row is kept when a scan first reaches it and its demand when first
+        read, so a scan that stops early, or is stopped by an error, leaves
+        the rest unread and each demand is computed once."""
+        if self._unscanned is None:
+            self._unscanned = _coalitions(self.instance)
         rows = self._rows
         i = 0
         while True:
             if i == len(rows):
-                if self._source is None:
-                    # Made on the first read, and again past the rows kept
-                    # after one raised: a generator that raised is finished.
-                    self._source = islice(_coalition_demands(self.instance), i, None)
-                try:
-                    rows.append(next(self._source))
-                except StopIteration:
+                row = next(self._unscanned, None)
+                if row is None:
                     return
-                except BaseException:
-                    self._source = None
-                    raise
-            yield rows[i]
+                rows.append(row)
+            row = rows[i]
+            if row[1] is None:
+                row = rows[i] = row[0], _demand(self.instance, row[0])
+            yield row
             i += 1
 
 
@@ -343,50 +342,51 @@ class CoreVerdict:
     witness_dual: DualSolution | None = None
 
 
-def _coalition_demands(instance: GameInstance) -> Iterator[
-        tuple[tuple[str, ...], Fraction, DualSolution | None]]:
-    """The coalition rows of the core with their demands, lazily.
+def _coalitions(instance: GameInstance) -> Iterator[
+        tuple[tuple[str, ...], Fraction | None]]:
+    """The coalition rows of the core as (members, demand), lazily, in
+    size-then-lexicographic order (agents in instance order); the set-up
+    runs on the call, so the iteration cannot raise.
 
-    Yields (members, demand, dual) in size-then-lexicographic order
-    (agents in instance order). With every capacity one the rows are the
-    proper edge pairs: v(S) is the weight of a matching in S, so payoffs
-    >= 0 paying every edge pay every coalition (Shapley and Shubik 1971;
-    Deng, Ibaraki and Nagamochi 1999). Else the rows are the closed proper
-    coalitions, each member with a neighbour inside, and each demands what
-    its own sub-game yields: its worth or, for the bounds-capacity kind,
-    the surplus under the Bland-rule optimal dual of its sub-game, so
-    repeated runs agree; that dual is yielded too (else None). Any other
-    coalition demands what its closed part, its members on an inner edge,
-    demands: a member on no inner edge adds nothing to a matching, and to
-    the dual a column with no row entry and cost >= 0, which Bland's rule
-    never enters (Bland 1977). Paid no less than that part under payoffs
-    >= 0, it needs no row of its own. The callers read the rows through
-    the instance's session (``_Session.demands``), which keeps each row as
-    it is produced, so each demand is computed once per instance.
+    With every capacity one the rows are the proper edge pairs, each
+    demanding its weight: v(S) is the weight of a matching in S, so
+    payoffs >= 0 paying every edge pay every coalition (Shapley and
+    Shubik 1971; Deng, Ibaraki and Nagamochi 1999). Else they are the
+    closed proper coalitions, each member with a neighbour inside, and
+    the demand is None until ``_demand`` reads it. Any other coalition
+    demands what its closed part, its members on an inner edge, demands:
+    a member on no inner edge adds nothing to a matching, and to the dual
+    a column with no row entry and cost >= 0, which Bland's rule never
+    enters (Bland 1977). Paid no less than that part under payoffs >= 0,
+    it needs no row of its own.
     """
     agents = instance.agents
     at = {q: j for j, q in enumerate(agents)}
-    hk = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    if not hk and all(instance.capacity(q) == 1 for q in agents):
+    if (instance.kind is not GameKind.HOFFMAN_KRUSKAL
+            and all(instance.capacity(q) == 1 for q in agents)):
         pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
-        for i, j, w in pairs if len(agents) > 2 else ():    # a proper pair
-            yield (agents[i], agents[j]), w, None
-        return
+        return (((agents[i], agents[j]), w) for i, j, w in pairs if len(agents) > 2)
     near = [0] * len(agents)        # bit k of near[j]: agents j and k share an edge
     for e in instance.edges:
         near[at[e.u]] |= 1 << at[e.v]
         near[at[e.v]] |= 1 << at[e.u]
-    for size in range(2, len(agents)):
-        for picked in combinations(range(len(agents)), size):
-            mask = sum(1 << j for j in picked)
-            if not all(near[j] & mask for j in picked):
-                continue
-            members = tuple(agents[j] for j in picked)
-            if hk:
-                d = optimal_dual(restrict(instance, members))
-                yield members, _surplus(d), d
-            else:
-                yield members, worth(instance, members), None
+
+    def closed():
+        for size in range(2, len(agents)):
+            for picked in combinations(range(len(agents)), size):
+                mask = sum(1 << j for j in picked)
+                if all(near[j] & mask for j in picked):
+                    yield tuple(agents[j] for j in picked), None
+    return closed()
+
+
+def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
+    """What a closed coalition demands, what its own sub-game yields: its
+    worth or, for the bounds-capacity kind, its surplus under the
+    sub-game's Bland-rule optimal dual, so repeated runs agree."""
+    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+        return _surplus(optimal_dual(restrict(instance, members)))
+    return worth(instance, members)
 
 
 def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
@@ -401,7 +401,7 @@ def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
-    """Exact core membership over the coalition rows of ``_coalition_demands``.
+    """Exact core membership over the coalition rows of ``_coalitions``.
 
     The imputation must pay exactly the instance's agents, each at least
     zero (else ValueError), and its total must lie in the grand range
@@ -411,11 +411,11 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     it can generate strictly more on its own (its worth, or for the
     bounds-capacity kind deterministic surplus) than it is allocated.
     The first blocking coalition in size-then-lexicographic order is
-    returned as the witness. It is a row of ``_coalition_demands``: the
-    closed part of a blocking coalition comes no later, demands as much
-    and is paid no more, so it blocks too. With every capacity one that
-    is an edge pair, and for the bounds-capacity kind ``witness_dual`` is
-    the dual of the witness's own sub-game.
+    returned as the witness. It is a row of ``_coalitions``: the closed
+    part of a blocking coalition comes no later, demands as much and is
+    paid no more, so it blocks too. With every capacity one that is an
+    edge pair, and for the bounds-capacity kind ``witness_dual`` is the
+    optimal dual of the witness's own sub-game, the one ``_demand`` read.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -427,9 +427,11 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
     ints, scale = scaled(payoffs)
     pay = dict(zip(agents, ints))
-    for members, demand, d in session.demands():
+    for members, demand in session.demands():
         paid = sum(pay[q] for q in members)
         if demand.numerator * scale > paid * demand.denominator:
+            d = (optimal_dual(restrict(instance, members))
+                 if instance.kind is GameKind.HOFFMAN_KRUSKAL else None)
             return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
     return CoreVerdict(True)
 
@@ -458,9 +460,9 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
 
 
 class _CoalitionCuts:
-    """Exact row generation over the coalition rows of the core, those of
-    ``_coalition_demands`` (edge pairs when every capacity is one, else
-    the closed coalitions).
+    """Exact row generation over the (members, demand) rows of the core,
+    those of ``_coalitions`` (edge pairs when every capacity is one, else
+    the closed coalitions), read through the instance's session.
 
     The LP starts from the total rows alone: one equation when the grand
     range (``_Session.grand_range``) is one value, else a row for each bounded
@@ -471,7 +473,7 @@ class _CoalitionCuts:
     the full system, and a vertex of the core because it is a vertex of a
     larger polyhedron. Rows found stay for later objectives. The LP keeps
     payoffs >= 0, so no coalition is more violated than its closed part,
-    which comes no later: the rows of ``_coalition_demands`` are enough.
+    which comes no later: the rows of ``_coalitions`` are enough.
     """
 
     def __init__(self, instance: GameInstance):
@@ -482,9 +484,7 @@ class _CoalitionCuts:
         ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
         self.instance = instance
         # Rows of demand <= 0 can never be violated by payoffs >= 0.
-        self.table = [(members, demand)
-                      for members, demand, _ in session.demands()
-                      if demand > 0]
+        self.table = [(members, demand) for members, demand in session.demands() if demand > 0]
         self.rows = [Constraint(tuple(ONE for _ in agents), relation, end)
                      for relation, end in ends if end is not None]
 
@@ -530,11 +530,9 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     coalition allocated at least its demand}: the same polyhedron whose
     membership ``is_core_imputation`` decides. The grand range is the
     worth, or for the bounds-capacity kind the surplus under some optimal
-    dual; the demands are worths, or for that kind surpluses under the
-    deterministic optimal duals of the sub-games; the edge rows (every
-    capacity one) or the closed coalitions cut out the same core
-    (``_coalition_demands``). Rows are
-    added only when the current payoffs violate them, so the LP stays
+    dual; the rows of ``_coalitions``, edge pairs (every capacity one) or
+    closed coalitions demanding ``_demand``, cut out the same core. Rows
+    are added only when the current payoffs violate them, so the LP stays
     small; the verdict is the one the LP with every row gives. Returns
     (False, None) when the core is empty, else (True, a witness core
     imputation); which one, when the core has more than one point, is not

@@ -114,7 +114,7 @@ def cmd_solve(args, report: Report, instance: GameInstance, payoffs) -> int:
     ])
     dual = analysis.optimal_dual(instance)
     report.add("deterministic optimal dual", _dual_rows(instance, dual))
-    if analysis._empty_general_core(instance):
+    if instance.kind is GameKind.GENERAL and not analysis.is_concurrent(instance):
         report.add("imputation", [("core", "empty (not concurrent)")])
     else:
         imp = analysis.dual_to_imputation(instance, dual)

@@ -1,9 +1,9 @@
 """Line-oriented plain-text instance files.
 
 One directive per line, ``#`` starts a comment, tokens are whitespace
-separated. Rationals are written ``p``, ``p/q``, or as finite decimals
-(converted exactly). Rendering is lossless: parsing a rendered instance
-recovers it field for field.
+separated. Numbers are ASCII digits with an optional sign: ``p``,
+``p/q``, or finite decimals (converted exactly). Rendering is lossless:
+parsing a rendered instance recovers it field for field.
 
     game <assignment|uniform_b|b_matching|hoffman_kruskal|general>
     side_u <name>...            bipartite kinds
@@ -27,6 +27,7 @@ from .games import GameInstance, GameKind, make_instance, validate
 from .rationals import format_rational, parse_rational
 
 _NAME = re.compile(r"^[A-Za-z0-9_.+-]+$")
+_INT = re.compile(r"[-+]?[0-9]+")
 
 
 class InstanceError(ValueError):
@@ -44,10 +45,9 @@ def _name(token: str, lineno: int) -> str:
 
 
 def _positive_int(token: str, lineno: int, minimum: int = 1) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise InstanceError(f"expected an integer, got {token!r}", lineno) from None
+    if not _INT.fullmatch(token):      # int() would take "1_0" and other scripts' digits
+        raise InstanceError(f"expected an integer, got {token!r}", lineno)
+    value = int(token)
     if value < minimum:
         raise InstanceError(f"expected an integer >= {minimum}, got {value}", lineno)
     return value

@@ -12,6 +12,7 @@ only its one result as a ``Fraction``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -19,6 +20,7 @@ from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 def ensure_rational(value) -> Fraction:
@@ -39,17 +41,16 @@ def ensure_rational(value) -> Fraction:
 def parse_rational(token: str) -> Fraction:
     """Parse ``p``, ``p/q``, or a finite decimal literal, exactly.
 
-    Decimal literals convert without rounding: ``1.5`` becomes ``3/2``.
+    Only an optional sign and ASCII digits: no exponent, ``_`` or other
+    script's digit. Decimals convert without rounding: ``1.5`` becomes ``3/2``.
     """
     text = token.strip()
-    if not text:
-        raise ValueError("empty rational literal")
-    if any(ch in text for ch in "eE"):
-        raise ValueError(f"exponent notation is not accepted: {token!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {token!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {token!r}") from exc
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational literal: {token!r}") from None
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:

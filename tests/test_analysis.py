@@ -842,8 +842,7 @@ def _face_values(g, probes):
               for size in range(len(g.agents) + 1) for members in combinations(g.agents, size)}
     # The core's rows (hoffman_kruskal demands follow the pivot rule).
     rows = None if g.kind is GameKind.HOFFMAN_KRUSKAL else {
-        frozenset(members): demand
-        for members, demand, _ in analysis_module._coalition_demands(g)}
+        frozenset(members): demand for members, demand in analysis_module._session(g).demands()}
     verdicts = []
     for payoffs in probes:
         imp = make_imputation(g, payoffs)
@@ -982,10 +981,10 @@ def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch
 
 
 def test_a_scan_cut_short_by_an_error_leaves_the_session_whole(monkeypatch):
-    # The rows come from a generator, and one that raised is finished. A
-    # scan stopped by an error (here the third worth it asks for) must not
-    # leave the session short of rows: the next scan reads them all, and
-    # the session's rows are those of a fresh _coalition_demands.
+    # A scan stopped by an error (here the third worth it asks for) leaves
+    # that one demand unread: the next scan reads it and the rest, without
+    # asking again for the two demands read before the error, and the
+    # session's rows are those of a fresh session.
     g = make_instance(GameKind.B_MATCHING, ["a1", "a2"], ["b1", "b2"],
                       [("a1", "b1", 4), ("a1", "b2", 3), ("a2", "b1", 2), ("a2", "b2", 5)],
                       capacities={"a1": 2, "a2": 1, "b1": 1, "b2": 2})
@@ -1007,4 +1006,41 @@ def test_a_scan_cut_short_by_an_error_leaves_the_session_whole(monkeypatch):
     assert is_core_imputation(g, witness).in_core
     assert not is_core_imputation(g, make_imputation(g, {"a1": witness.total})).in_core
     rows = list(analysis_module._session(g).demands())
-    assert rows == list(analysis_module._coalition_demands(g)) and len(rows) > 3
+    assert len(rows) > 3 and asked[3] == asked[2]
+    assert Counter(asked) == Counter([members for members, _ in rows] + [asked[2]])
+    assert rows == list(analysis_module._Session(g).demands())
+
+
+@pytest.mark.parametrize("kind", [GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL])
+def test_interleaved_scans_read_each_demand_once(monkeypatch, kind):
+    # One scan is suspended after three rows while a second runs to the
+    # end, then the first resumes: both yield the rows of a fresh session,
+    # and each closed coalition's demand is computed once for the
+    # instance, through later core questions too.
+    g = make_instance(kind, ["a1", "a2", "a3"], ["b1", "b2"],
+                      [("a1", "b1", 4), ("a1", "b2", 3), ("a2", "b1", 2), ("a2", "b2", 5),
+                       ("a3", "b2", 1)],
+                      capacities={"a1": 2, "a2": 1, "a3": 1, "b1": 1, "b2": 2})
+    analysis_module._session.cache_clear()
+    oracle_module._search.cache_clear()
+    read = []
+    original = analysis_module._demand
+    monkeypatch.setattr(analysis_module, "_demand",
+                        lambda instance, members: read.append(members)
+                        or original(instance, members))
+    session = analysis_module._session(g)
+    first = session.demands()
+    head = [next(first) for _ in range(3)]
+    full = list(session.demands())
+    assert head + list(first) == full
+    closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
+              for members in combinations(g.agents, size)} - {()}
+    assert read == [members for members, _ in full] and set(read) == closed
+    nonempty, witness = core_nonempty(g)
+    assert nonempty and is_core_imputation(g, witness).in_core
+    blocked = is_core_imputation(g, make_imputation(g, {"a1": witness.total}))
+    assert read == [members for members, _ in full] and len(closed) >= 10
+    assert not blocked.in_core and "a1" not in blocked.witness
+    assert blocked.witness_dual == (None if kind is GameKind.B_MATCHING else
+                                    optimal_dual(restrict(g, sorted(blocked.witness))))
+    assert full == list(analysis_module._Session(g).demands())

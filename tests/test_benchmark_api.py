@@ -85,7 +85,7 @@ def test_core_scans_read_the_closed_coalitions_alone():
     from matchcore import analysis
 
     g = _three_by_three()
-    assert sum(1 for _ in analysis._coalition_demands(g)) == 26
+    assert sum(1 for _ in analysis._coalitions(g)) == 26
     assert len(analysis._CoalitionCuts(g).table) == 26
 
 

@@ -292,6 +292,20 @@ def test_repeated_or_unknown_names_exit_two(tmp_path, capsys, extra, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("weight 1", "weight 1_000", "line 6: not a rational literal: '1_000'"),
+    ("b a 1", "b a 1_0", "line 4: expected an integer, got '1_0'"),
+    ("b b 1", "b b \u0662", "line 5: expected an integer, got '\u0662'"),
+    ("weight 1\n", "weight 1\nimputation a=1_0 b=0\n", "line 7: not a rational literal: '1_0'"),
+], ids=["weight", "b", "b-arabic-indic", "imputation"])
+def test_numbers_outside_the_grammar_exit_two(tmp_path, capsys, old, new, message):
+    # int() and Fraction() would read each of these tokens as a number.
+    path = tmp_path / "g.game"
+    path.write_text("game b_matching\nside_u a\nside_v b\nb a 1\nb b 1\n"
+                    "edge a b weight 1\n".replace(old, new), encoding="utf-8")
+    assert run(capsys, "core-check", str(path)) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("extra, message", [
     ("b_const 2\n", "a uniform capacity only applies to uniform_b instances"),
     ("b i 2\n", "per-vertex capacities only apply to b_matching and "

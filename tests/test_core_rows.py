@@ -238,15 +238,15 @@ def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
 
 
 def test_hk_demand_table_matches_each_coalitions_own_sub_game():
-    # The demand table holds the closed coalitions alone, each with the
-    # Bland dual of its own sub-game. A reference solve of every
-    # coalition's whole sub-game must give the demand and the vertex duals
-    # of its closed part's row, 0 off that part.
+    # The demand table holds the closed coalitions alone, each demanding
+    # its surplus under the Bland dual of its own sub-game. A reference
+    # solve of every coalition's whole sub-game must give the demand and
+    # the vertex duals of its closed part's sub-game, 0 off that part.
     rng, split = random.Random(77), random.Random(78)
     spanning, loose, witnesses = 0, 0, 0
     for _ in range(120):
         g = helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
-        rows = {members: (demand, d) for members, demand, d in analysis._coalition_demands(g)}
+        rows = dict(analysis._session(g).demands())
         closed_rows = []
         for size in range(1, len(g.agents)):
             for members in combinations(g.agents, size):
@@ -258,7 +258,8 @@ def test_hk_demand_table_matches_each_coalitions_own_sub_game():
                     continue
                 spanning += 1
                 loose += closed != members
-                own, (demand, d) = analysis.optimal_dual(sub), rows[closed]
+                own, demand = analysis.optimal_dual(sub), rows[closed]
+                d = analysis.optimal_dual(restrict(g, closed))
                 assert demand == analysis._surplus(own)
                 for q in members:
                     assert own.vertex(q) == (d.vertex(q) if q in closed else ZERO)

@@ -92,6 +92,24 @@ def test_repeated_or_unknown_names_are_refused():
         assert err.value.line == line
 
 
+def test_numbers_are_a_sign_and_ascii_digits():
+    # int() and Fraction() take "_" separators and other scripts' digits;
+    # the grammar takes neither, so each is refused with its line number.
+    head = "game b_matching\nside_u a\nside_v b\n"
+    for body, token, line in (
+            ("b a 1\nb b 1\nedge a b weight 1_000\n", "1_000", 6),
+            ("b a 1_0\nb b 1\nedge a b weight 1\n", "1_0", 4),
+            ("b a 1\nb b \u0662\nedge a b weight 1\n", "\u0662", 5),
+            ("b a 1\nb b 1\nedge a b weight 1\nimputation a=1_0 b=0\n", "1_0", 7)):
+        with pytest.raises(InstanceError, match=repr(token)) as err:
+            parse_instance_with_imputation(head + body)
+        assert err.value.line == line
+    g, payoffs = parse_instance_with_imputation(
+        head + "b a +2\nb b 1\nedge a b weight .5\nimputation a=1. b=-0/3\n")
+    assert g.capacity("a") == 2 and g.edges[0].weight == F(1, 2)
+    assert payoffs == {"a": 1, "b": 0}
+
+
 def test_missing_game_directive():
     with pytest.raises(InstanceError):
         parse_instance("side_u a\nside_v b\n")

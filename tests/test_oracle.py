@@ -12,7 +12,6 @@ import pytest
 import helpers
 from matchcore import oracle as oracle_module
 from matchcore.analysis import (
-    _coalition_demands,
     _session,
     core_nonempty,
     is_core_imputation,
@@ -252,10 +251,9 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
             for mask in range(1 << len(g.agents)):
                 assert table[mask] == worth(g, _members(g, mask)), (g, mask)
         else:
-            rows = {}
-            for members, demand, dual in _coalition_demands(g):
-                assert demand == worth(g, members) and dual is None, (g, members)
-                rows[members] = demand
+            rows = dict(_session(g).demands())
+            for members, demand in rows.items():
+                assert demand == worth(g, members), (g, members)
             proper = [members for size in range(1, len(g.agents))
                       for members in combinations(g.agents, size)]
             assert list(rows) == [m for m in proper if helpers.closed_part(g, m) == m], g
@@ -281,7 +279,7 @@ def test_core_scan_searches_only_the_sub_games_it_read(monkeypatch):
     # everything to v1 leaves the pair {u, v2} (worth 3) blocked before
     # any triple is read, so no sub-game of more than 2 agents is searched.
     # The caches start cold: a session that read the rows before would
-    # replay them without a search.
+    # return their kept demands without a search.
     g = helpers.two_team_b_matching()
     _session.cache_clear()
     oracle_module._search.cache_clear()

@@ -1,6 +1,7 @@
 """Source hygiene, read with the standard library's ``ast``: no module of
-the package imports a name that it never uses. ``__init__.py`` is left
-out, because its imports are the package's re-exports."""
+the package imports a name that it never uses, and none reads another
+module's private name. ``__init__.py`` is left out, because its imports
+are the package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads(text: str) -> list[str]:
+    """The private names that ``text`` takes from a sibling module, either
+    imported (``from .lp import _Tableau``) or read off a module imported
+    whole (``analysis._session`` after ``from . import analysis``), each
+    as ``<line>: <name>``."""
+    tree = ast.parse(text)
+    siblings: set[str] = set()
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in siblings):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_sees_a_private_read():
+    text = ("from . import analysis as a, fixtures\n"
+            "from .lp import _Tableau, solve\n"
+            "def f(g, lp):\n"
+            "    return a._session(g), fixtures.FIXTURES, lp._rows, solve(lp)\n")
+    assert private_reads(text) == ["2: _Tableau", "4: a._session"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_reads_another_modules_private_name(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
