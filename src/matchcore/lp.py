@@ -7,12 +7,14 @@ but the arithmetic is in integers: the tableau keeps each row over one
 denominator (see ``_Tableau``), and activities and objective values are
 ``rationals.dot``, one integer sum of products. Fractions are built only
 at the layer's edge: the inputs, the ``values`` and ``value`` of an
-``LpSolution``, and each ``dot``'s one result. No rounding, no
-tolerances: identical inputs always produce the identical basic optimal
-solution. The optimal face has one representation, ``OptimalFace``: it
-solves once and answers each secondary objective by phase 2 alone from
-the optimal basis, over the columns whose reduced cost there is zero,
-with no row pinning its objective to the optimum, and keeps each answer.
+``LpSolution``, and each ``dot``'s one result. The solver's own numbers,
+phase 1's objective and the zero costs of the slack columns, are ints,
+so scaling them builds nothing. No rounding, no tolerances: identical
+inputs always produce the identical basic optimal solution. The optimal
+face has one representation, ``OptimalFace``: it solves once and answers
+each secondary objective by phase 2 alone from the optimal basis, over
+the columns whose reduced cost there is zero, with no row pinning its
+objective to the optimum, and keeps each answer.
 """
 
 from __future__ import annotations
@@ -226,9 +228,10 @@ class _Tableau:
 
     # -- simplex core ------------------------------------------------------
 
-    def _init_zrow(self, obj: Sequence[Fraction]) -> tuple[list[int], int]:
+    def _init_zrow(self, obj: Sequence[Fraction | int]) -> tuple[list[int], int]:
         """Reduced costs of maximizing ``obj`` at the current basis, with
-        the objective value last, as (ints, den)."""
+        the objective value last, as (ints, den); ints may stand for
+        rationals in ``obj``."""
         cost, scale = scaled(obj)
         terms = [(cost[bj], self.rows[i], self.dens[i])
                  for i, bj in enumerate(self.basis) if cost[bj]]
@@ -277,7 +280,7 @@ class _Tableau:
                 rows[i], dens[i] = _lowest(row, den)
         self.basis[leave] = enter
 
-    def _run(self, obj: Sequence[Fraction], allowed) -> tuple[str, list[int], int]:
+    def _run(self, obj: Sequence[Fraction | int], allowed) -> tuple[str, list[int], int]:
         """Maximize obj over the tableau with Bland's rule.
 
         Returns the status, the numerators of the final reduced-cost row,
@@ -338,7 +341,7 @@ class _Tableau:
         for r, row in enumerate(rows):
             row[-1:-1] = [dens[r] if r == i else 0 for i in needy]
 
-        phase1 = [ZERO] * ncols + [-ONE] * len(needy)
+        phase1 = [0] * ncols + [-1] * len(needy)
         _, zrow, _ = self._run(phase1, range(len(phase1)))
         if zrow[-1] < 0:
             return False
@@ -372,7 +375,7 @@ class _Tableau:
         n = len(lp.variables)
         maximize = sense is Sense.MAXIMIZE
         obj = [c if maximize else -c for c in objective]
-        status, zrow, zden = self._run(obj + [ZERO] * (self.ncols - n), allowed)
+        status, zrow, zden = self._run(obj + [0] * (self.ncols - n), allowed)
         self.reduced = zrow[:-1]
         if status == "unbounded":
             return LpSolution(Status.UNBOUNDED)

@@ -55,13 +55,18 @@ def parse_rational(token: str) -> Fraction:
 
 def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` as (ints, scale) over their smallest positive common
-    denominator: value i is ``ints[i] / scale`` (TypeError on a float)."""
+    denominator: value i is ``ints[i] / scale`` (TypeError on a float).
+    Each denominator is read once, and over a common denominator of one
+    the numerators are the ints."""
     try:
-        scale = lcm(*(a.denominator for a in values))
+        dens = [a.denominator for a in values]
     except AttributeError:      # an entry that is not an int or a Fraction
         bad = next(a for a in values if not isinstance(a, (int, Fraction)))
         raise TypeError(f"expected an exact rational, got {type(bad).__name__}") from None
-    return [a.numerator * (scale // a.denominator) for a in values], scale
+    scale = lcm(*dens)
+    if scale == 1:
+        return [a.numerator for a in values], 1
+    return [a.numerator * (scale // d) for a, d in zip(values, dens)], scale
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -518,19 +518,36 @@ def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch
                        ("a2", "b2", F(58, 13), 1, 2), ("a2", "b3", F(29, 13), 0, 1),
                        ("a3", "b3", F(50, 13), 0, None)],
                       capacities={"a1": 2, "a2": 3, "a3": 1, "b1": 1, "b2": 2, "b3": 2})
-    faces = []
-    original = analysis_module.OptimalFace
+    faces, bare = [], []
+    original, original_solve = analysis_module.OptimalFace, analysis_module.solve
     monkeypatch.setattr(analysis_module, "OptimalFace",
                         lambda lp: faces.append(lp) or original(lp))
+    monkeypatch.setattr(analysis_module, "solve",
+                        lambda lp: bare.append(lp) or original_solve(lp))
     nonempty, witness = core_nonempty(g)
     assert nonempty and is_core_imputation(g, witness).in_core
     induced = [frozenset(e.key for e in g.edges if e.u in s and e.v in s)
                for size in range(1, len(g.agents)) for s in combinations(g.agents, size)]
     distinct = set(induced) - {frozenset()}
-    # One solve of the whole game, then one per distinct inner edge set:
-    # 19 here, against 42 edge-spanning coalitions.
+    # One face of the whole game, then one bare solve of a coalition's part
+    # of its dual program per distinct inner edge set: 19 here, against 42
+    # edge-spanning coalitions. Row generation's programs are over the
+    # agents' payoffs.
+    sub_programs = [lp for lp in bare if lp.variables != g.agents]
     assert (len(distinct), sum(map(bool, induced))) == (19, 42)
-    assert len(faces) == 1 + len(distinct)
+    assert len(faces) == 1
+    assert len(faces) + len(sub_programs) == 1 + len(distinct)
+
+
+def test_an_hk_core_question_keeps_the_games_session_alone():
+    # Each closed coalition's demand is a bare solve of its part of the
+    # game's dual program, so a cold core_nonempty leaves no sub-game's
+    # session behind, only the game's own.
+    for _, _, g in helpers.cap_set(("hoffman_kruskal",)):
+        analysis_module._session.cache_clear()
+        oracle_module._search.cache_clear()
+        core_nonempty(g)
+        assert analysis_module._session.cache_info().currsize == 1
 
 
 def test_hk_payments_and_dual_image():

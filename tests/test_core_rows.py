@@ -22,7 +22,7 @@ from itertools import combinations
 
 import helpers
 from matchcore import analysis
-from matchcore.formulations import vertex_dual_var
+from matchcore.formulations import build_dual, vertex_dual_var
 from matchcore.games import GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
 from matchcore.oracle import max_weight, worth
@@ -277,6 +277,35 @@ def test_hk_demand_table_matches_each_coalitions_own_sub_game():
             assert set(helpers.closed_part(g, verdict.witness)) == verdict.witness
             assert verdict.witness_dual == analysis.optimal_dual(sub)
     assert spanning >= 3000 and loose >= 2000 and witnesses >= 80, (spanning, loose, witnesses)
+
+
+def test_hk_coalition_program_is_the_sub_games_own_dual_program():
+    # A closed coalition's part of the game's dual program is its
+    # sub-game's dual program, column for column and row for row, and its
+    # demand is the surplus under the Bland dual of that sub-game's own
+    # session, the reference path.
+    rng = random.Random(2900)
+    games = [g for _, _, g in helpers.cap_set(("hoffman_kruskal",))]
+    games += [helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
+              for _ in range(120)]
+    seen = dict(coalitions=0, floor=0, ceiling=0, open=0)
+    for g in games:
+        for members, _ in analysis._coalitions(g):
+            sub = restrict(g, members)
+            program, own = analysis._coalition_program(g, members), build_dual(sub)
+            assert program.sense is own.sense
+            assert program.variables == own.variables
+            assert program.objective == own.objective
+            assert program.constraints == own.constraints
+            assert (program.lower, program.upper) == (own.lower, own.upper)
+            assert (analysis._demand(g, members)
+                    == analysis._surplus(analysis.optimal_dual(sub)))
+            seen["coalitions"] += 1
+            seen["floor"] += any(e.lower > 0 for e in sub.edges)
+            seen["ceiling"] += any(e.upper is not None for e in sub.edges)
+            seen["open"] += any(e.upper is None for e in sub.edges)
+        analysis._session.cache_clear()
+    assert seen["coalitions"] >= 5000 and min(seen.values()) >= 1000, seen
 
 
 def _probes(g, rng):

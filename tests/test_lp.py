@@ -8,6 +8,7 @@ checked against plain ``Fraction`` sums: every solve and face query in
 this file goes through the checking ``solve`` and ``OptimalFace`` below.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +29,7 @@ from matchcore.lp import (
     rank_of_rows,
     tight_rows_at,
 )
-from matchcore.rationals import dot
+from matchcore.rationals import dot, scaled
 
 F = Fraction
 
@@ -294,6 +295,34 @@ def test_dot_matches_the_fraction_sum():
         seen["mixed"] += len({x.denominator for x in a + b}) > 2
     # Counts at this seed: empty 58, integer 183, mixed 293.
     assert min(seen.values()) >= 50, seen
+
+
+def test_scaled_matches_the_fraction_reference():
+    # Ints, integer-valued and proper Fractions, negatives and the empty
+    # vector: the same (ints, scale) as scaling each Fraction by the
+    # least common denominator, and a float anywhere raises the
+    # package's TypeError.
+    def reference(values):
+        scale = math.lcm(*(F(a).denominator for a in values))
+        return [(F(a) * scale).numerator for a in values], scale
+
+    assert scaled([]) == ([], 1)
+    rng = random.Random(2903)
+    seen = dict(whole=0, proper=0, negative=0)
+    for _ in range(600):
+        values = [rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9)),
+                              F(rng.randint(-9, 9), rng.randint(1, 12))])
+                  for _ in range(rng.randint(0, 8))]
+        ints, scale = scaled(values)
+        assert (ints, scale) == reference(values)
+        assert all(type(a) is int for a in ints) and type(scale) is int
+        seen["whole"] += scale == 1
+        seen["proper"] += scale > 1
+        seen["negative"] += any(a < 0 for a in values)
+    assert min(seen.values()) >= 100, seen
+    for values in ([0.5], [1, 2, 0.5], [F(1, 2), 3, 1.0]):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            scaled(values)
 
 
 def test_a_float_raises_the_package_type_error():
