@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
-from .formulations import build_dual
+from .formulations import build_dual, sub_dual
 from .games import (
     BIPARTITE_KINDS,
     EdgeKey,
@@ -127,10 +127,10 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
 class _Session:
     """What the analysis has learnt about one instance, each part computed
     when first asked for and then kept: the dual program's ``OptimalFace``
-    (one solve, and each face query answered once), the grand range, each
-    edge's bound-dual columns, and the coalition rows scanned so far as
-    (members, demand) pairs. A coalition's demand is read off this
-    program (``_coalition_program``), so no sub-game gets a session for it.
+    (one solve, and each face query answered once), the grand range, and
+    the coalition rows scanned so far as (members, demand) pairs. A
+    coalition's demand is solved on its part of this dual program
+    (``sub_dual``), so no sub-game gets a session for it.
     """
 
     def __init__(self, instance: GameInstance):
@@ -162,14 +162,6 @@ class _Session:
             w = optimal_weight(self.instance)
             return w, w
         return self.face.range(_surplus_weights(self.instance))
-
-    @cached_property
-    def bound_columns(self) -> list[tuple[int, ...]]:
-        """Edge i's bound-dual columns: those past the agents where its
-        dual row is nonzero, in column order."""
-        n = len(self.instance.agents)
-        return [tuple(j for j in range(n, len(con.coeffs)) if con.coeffs[j])
-                for con in self.face.lp.constraints]
 
     def demands(self) -> Iterator[tuple[tuple[str, ...], Fraction]]:
         """The (members, demand) rows of ``_coalitions`` in their order. A
@@ -391,36 +383,17 @@ def _coalitions(instance: GameInstance) -> Iterator[
     return closed()
 
 
-def _coalition_program(instance: GameInstance, members: tuple[str, ...]) -> LinearProgram:
-    """A coalition's part of the game's dual program: the rows of its inner
-    edges, and the columns of its members and of those edges' bound duals,
-    in the game's order. ``restrict`` keeps the order of agents and edges,
-    so this is ``build_dual(restrict(instance, members))``, cut from the
-    session's program with no sub-game built."""
-    session = _session(instance)
-    lp = session.face.lp
-    chosen = frozenset(members)
-    inner = [i for i, e in enumerate(instance.edges) if e.u in chosen and e.v in chosen]
-    columns = [j for j, q in enumerate(instance.agents) if q in chosen]
-    for i in inner:
-        columns += session.bound_columns[i]
-    rows = [lp.constraints[i] for i in inner]
-    return LinearProgram(lp.sense, [lp.variables[j] for j in columns],
-                         [lp.objective[j] for j in columns],
-                         [Constraint(tuple(con.coeffs[j] for j in columns), con.relation, con.rhs)
-                          for con in rows])
-
-
 def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
     """What a closed coalition demands, what its own sub-game yields: its
     worth or, for the bounds-capacity kind, its surplus under the
     sub-game's Bland-rule optimal dual, so repeated runs agree. That dual
-    is one bare solve of ``_coalition_program``, whose first |S| columns
-    are the members' vertex duals. It has an optimum since the game's
-    program has one: the game's matching on the inner edges is feasible
-    for the sub-game, and the capacities bound it."""
+    is one bare solve of the sub-game's dual program, cut from the game's
+    (``sub_dual``); its first |S| columns are the members' vertex duals.
+    It has an optimum since the game's program has one: the game's
+    matching on the inner edges is feasible for the sub-game, and the
+    capacities bound it."""
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        lp = _coalition_program(instance, members)
+        lp = sub_dual(_session(instance).face.lp, instance, members)
         k = len(members)
         return dot(lp.objective[:k], solve(lp).values[:k])
     return worth(instance, members)

@@ -3,11 +3,13 @@
 Construction is a verbatim transcription of each game's primal/dual pair
 with a canonical variable and constraint ordering (agents in input order,
 edges in input order), so solver output is reproducible; rows carry no
-label. Also houses the total-unimodularity test of coefficient rows and
-the half-integral vertex structure check for general-graph matching
-programs. The test takes matrices with at most two nonzeros per column,
-as every `build_primal` matrix is, and decides them at any size by
-Heller & Tompkins's two-colouring of its rows.
+label. A coalition's sub-game dual is cut out of the game's
+(``sub_dual``), which that ordering makes exact. Also houses the
+total-unimodularity test of coefficient rows and the half-integral
+vertex structure check for general-graph matching programs. The test
+takes matrices with at most two nonzeros per column, as every
+`build_primal` matrix is, and decides them at any size by Heller &
+Tompkins's two-colouring of its rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
@@ -90,6 +92,31 @@ def build_dual(instance: GameInstance) -> LinearProgram:
                        Relation.GE, e.weight)
             for e, entry in zip(instance.edges, entries)]
     return LinearProgram(Sense.MINIMIZE, names, objective, rows)
+
+
+def sub_dual(lp: LinearProgram, instance: GameInstance,
+             members: Iterable[str]) -> LinearProgram:
+    """``build_dual(restrict(instance, members))`` cut out of ``lp``, which
+    is ``build_dual(instance)``: the rows of the coalition's inner edges,
+    and the columns of its members and of those edges' bound duals.
+    ``restrict`` keeps the order of agents and edges, so ``lp``'s order is
+    the sub-game's own, and no sub-game is built. ``build_dual`` gives
+    every column the default bounds, so the cut keeps those."""
+    chosen = frozenset(members)
+    columns = [j for j, q in enumerate(instance.agents) if q in chosen]
+    rows, nxt = [], len(instance.agents)
+    for e, row in zip(instance.edges, lp.constraints):
+        bounds = ()
+        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+            bounds = range(nxt, nxt + 1 + (e.upper is not None))
+            nxt = bounds.stop
+        if e.u in chosen and e.v in chosen:
+            rows.append(row)
+            columns += bounds
+    return LinearProgram(lp.sense, [lp.variables[j] for j in columns],
+                         [lp.objective[j] for j in columns],
+                         [Constraint(tuple(row.coeffs[j] for j in columns),
+                                     row.relation, row.rhs) for row in rows])
 
 
 def build_odd_set_primal(instance: GameInstance) -> LinearProgram:

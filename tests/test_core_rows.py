@@ -22,7 +22,7 @@ from itertools import combinations
 
 import helpers
 from matchcore import analysis
-from matchcore.formulations import build_dual, vertex_dual_var
+from matchcore.formulations import build_dual, sub_dual, vertex_dual_var
 from matchcore.games import GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
 from matchcore.oracle import max_weight, worth
@@ -292,7 +292,8 @@ def test_hk_coalition_program_is_the_sub_games_own_dual_program():
     for g in games:
         for members, _ in analysis._coalitions(g):
             sub = restrict(g, members)
-            program, own = analysis._coalition_program(g, members), build_dual(sub)
+            program = sub_dual(analysis._session(g).face.lp, g, members)
+            own = build_dual(sub)
             assert program.sense is own.sense
             assert program.variables == own.variables
             assert program.objective == own.objective
