@@ -3,24 +3,26 @@
 A two-phase primal simplex with Bland's pivot rule, and one
 fraction-free elimination, ``eliminate`` (rank and determinant), for all
 other exact linear algebra. Programs and results are ``fractions.Fraction``,
-but the arithmetic is in integers: the tableau keeps each row over one
-denominator (see ``_Tableau``), and activities and objective values are
-``rationals.dot``, one integer sum of products. Fractions are built only
-at the layer's edge: the inputs, the ``values`` and ``value`` of an
-``LpSolution``, and each ``dot``'s one result. The solver's own numbers,
-phase 1's objective and the zero costs of the slack columns, are ints,
-so scaling them builds nothing. No rounding, no tolerances: identical
-inputs always produce the identical basic optimal solution. The optimal
-face has one representation, ``OptimalFace``: it solves once and answers
-each secondary objective by phase 2 alone from the optimal basis, over
-the columns whose reduced cost there is zero, with no row pinning its
-objective to the optimum, and keeps each answer.
+but the arithmetic is in integers. A program is put into integers once:
+each ``Constraint`` keeps its row over its smallest common denominator
+and each ``LinearProgram`` its objective, both computed when they are
+built, and the tableau (see ``_Tableau``) only copies those integers, so
+a row or objective solved again is never scaled again. Activities and
+objective values are ``rationals.dot``, one integer sum of products.
+Fractions are built only at the layer's edge: the inputs, the ``values``
+and ``value`` of an ``LpSolution``, and each ``dot``'s one result. No
+rounding, no tolerances: identical inputs always produce the identical
+basic optimal solution. The optimal face has one representation,
+``OptimalFace``: it solves once and answers each secondary objective by
+phase 2 alone from the optimal basis, over the columns whose reduced
+cost there is zero, with no row pinning its objective to the optimum,
+and keeps each answer, keyed by the query's integers.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -47,22 +49,55 @@ class Status(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Constraint:
+    """The row ``coeffs . x  relation  rhs``. Building one coerces the
+    relation to ``Relation`` and each number to ``Fraction`` (the
+    package's TypeError on a float or a bool), and keeps the row in
+    integers: ``_scaled_row`` is ``scaled([*coeffs, rhs])``, computed once
+    here. The tableau copies it and ``is_feasible`` reads it; neither
+    scales the row again. ``cut`` keeps some columns of a built row
+    without checking or scaling it again."""
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
+    _scaled_row: tuple[list[int], int] = field(repr=False, compare=False)
+
+    def __init__(self, coeffs, relation, rhs):
+        coeffs = tuple(map(ensure_rational, coeffs))
+        rhs = ensure_rational(rhs)
+        self._set(coeffs, relation if isinstance(relation, Relation) else Relation(relation),
+                  rhs, scaled([*coeffs, rhs]))
+
+    def _set(self, coeffs, relation, rhs, scaled_row) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_scaled_row", scaled_row)
+
+    def cut(self, columns: Sequence[int]) -> "Constraint":
+        """The row on ``columns`` alone, in their order. Its integers are
+        the kept ones on those columns, with the common factor that the
+        dropped columns may leave divided out, so they are still
+        ``scaled([*coeffs, rhs])``."""
+        ints, den = self._scaled_row
+        coeffs = self.coeffs
+        kept = [ints[j] for j in columns]
+        kept.append(ints[-1])
+        row = object.__new__(Constraint)
+        row._set(tuple([coeffs[j] for j in columns]), self.relation, self.rhs,
+                 (kept, 1) if den == 1 else _lowest(kept, den))
+        return row
 
     def activity(self, values: Sequence[Fraction]) -> Fraction:
         return dot(self.coeffs, values)
 
-    def _holds_at(self, ints: Sequence[int], scale: int) -> bool:
-        """Whether the row holds at the point ``ints / scale``, in integers:
-        the sign of (activity - rhs) times the positive ``den * scale *
-        rhs.denominator``."""
-        coeffs, den = scaled(self.coeffs)
-        gap = (sum(map(mul, coeffs, ints)) * self.rhs.denominator
-               - self.rhs.numerator * den * scale)
+    def _holds_at(self, point: Sequence[int], scale: int) -> bool:
+        """Whether the row holds at the point ``point / scale``: the sign of
+        (activity - rhs) times the positive ``den * scale``, read off the
+        kept integer row."""
+        ints, _ = self._scaled_row
+        gap = sum(map(mul, ints, point)) - ints[-1] * scale
         if self.relation is Relation.LE:
             return gap <= 0
         if self.relation is Relation.GE:
@@ -93,7 +128,9 @@ class LinearProgram:
     one value per variable. ``upper`` gives one value or None (no upper
     bound) per variable. A variable with no lower bound is refused, so the
     feasible set never contains a line and has a vertex whenever it is
-    nonempty. Malformed input is rejected here, not at solve time.
+    nonempty. Malformed input is rejected here, or by ``Constraint``, not
+    at solve time. ``_scaled_objective`` is the objective as
+    ``scaled(objective)``, computed once here.
     """
 
     def __init__(self, sense, variables, objective, constraints=(),
@@ -103,9 +140,10 @@ class LinearProgram:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
         n = len(self.variables)
-        self.objective: tuple[Fraction, ...] = tuple(ensure_rational(c) for c in objective)
+        self.objective: tuple[Fraction, ...] = tuple(map(ensure_rational, objective))
         if len(self.objective) != n:
             raise ValueError("objective length does not match variable count")
+        self._scaled_objective: tuple[list[int], int] = scaled(self.objective)
 
         rows = []
         for i, item in enumerate(constraints):
@@ -113,9 +151,7 @@ class LinearProgram:
                 con = item
             else:
                 coeffs, relation, rhs = item
-                relation = relation if isinstance(relation, Relation) else Relation(relation)
-                con = Constraint(tuple(ensure_rational(a) for a in coeffs),
-                                 relation, ensure_rational(rhs))
+                con = Constraint(coeffs, relation, rhs)
             if len(con.coeffs) != n:
                 raise ValueError(f"constraint {i} has wrong arity")
             rows.append(con)
@@ -134,7 +170,8 @@ class LinearProgram:
 
     def is_feasible(self, values: Sequence[Fraction]) -> bool:
         """Within every bound and row; the point is scaled to integers once
-        (TypeError on a float, rows or none)."""
+        (TypeError on a float, rows or none) and each row's kept integers
+        are read."""
         if len(values) != len(self.variables):
             return False
         ints, scale = scaled(values)
@@ -180,59 +217,78 @@ class _Tableau:
     Bareiss (1968). Row i is a list of ints, its right-hand side last, over
     a positive denominator ``dens[i]``: the true row is
     ``rows[i] / dens[i]``, kept in lowest terms by dividing out the gcd of
-    the row and its denominator. While a run lasts, the reduced-cost row,
-    the objective value last, is one more such row. Since denominators are
-    positive, sign and zero tests read the numerators, and Bland's ratio
-    test compares ``b_i / a_i`` by cross-multiplying; so the pivot
-    sequence, basis and vertex are exactly those of rational arithmetic.
-    The objective value is read off the final reduced-cost row, plus
-    ``objective . lower`` (one ``dot``) when a lower bound is nonzero; so
-    only the ``values`` and ``value`` of an ``LpSolution`` are built as
-    ``Fraction``, besides the ``dot`` results that shift by the bounds.
+    the row and its denominator. A row starts as a copy of its
+    ``Constraint``'s kept integers, with its slack entry equal to its
+    denominator; when a lower bound is nonzero the right-hand side is
+    shifted in integers, over the lower bounds' common denominator, and
+    the row put in lowest terms again, so no row is scaled here. While a
+    run lasts, the reduced-cost row, the objective value last, is one
+    more such row, started from the program's kept objective integers.
+    Since denominators are positive, sign and zero tests read the
+    numerators, and Bland's ratio test compares ``b_i / a_i`` by
+    cross-multiplying; so the pivot sequence, basis and vertex are
+    exactly those of rational arithmetic. The objective value is read off
+    the final reduced-cost row, plus ``objective . lower`` (one ``dot``)
+    when a lower bound is nonzero; so only the ``values`` and ``value`` of
+    an ``LpSolution`` are built as ``Fraction``, besides the ``dot``
+    results that shift by the bounds.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = len(lp.variables)
-        shifted = any(lp.lower)
-        system = [(con.coeffs, con.relation,
-                   con.rhs - dot(con.coeffs, lp.lower) if shifted else con.rhs)
-                  for con in lp.constraints]
-        for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-            if hi is not None:
-                unit = [0] * n
-                unit[j] = 1
-                system.append((unit, Relation.LE, hi - lo))
-
-        # Slack columns, then sign-normalize right-hand sides and scale
-        # each row to integers.
+        caps = [(j, hi - lo) for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper))
+                if hi is not None]
+        # Slack columns: one per inequality row, then one per upper bound.
         self.slack_of_row = []
         self.ncols = n
-        for _, rel, _ in system:
-            if rel is Relation.EQ:
+        for con in lp.constraints:
+            if con.relation is Relation.EQ:
                 self.slack_of_row.append(-1)
             else:
                 self.slack_of_row.append(self.ncols)
                 self.ncols += 1
+        self.slack_of_row += range(self.ncols, self.ncols + len(caps))
+        self.ncols += len(caps)
+
+        # Each row copies its kept integers, right-hand sides made >= 0.
+        zeros = [0] * (self.ncols - n)
+        shifted = any(lp.lower)
+        if shifted:
+            lows, lscale = scaled(lp.lower)
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        for (coeffs, rel, b), s in zip(system, self.slack_of_row):
-            row = [*coeffs, *[0] * (self.ncols - n), b]
+        for con, s in zip(lp.constraints, self.slack_of_row):
+            ints, den = con._scaled_row
+            if shifted:
+                # rhs - coeffs . lower, over den * lscale.
+                row = [a * lscale for a in ints]
+                row[-1:-1] = zeros
+                row[-1] -= sum(map(mul, ints, lows))
+                den *= lscale
+            else:
+                row = [*ints]
+                row[-1:-1] = zeros
             if s >= 0:
-                row[s] = 1 if rel is Relation.LE else -1
-            if b < 0:
+                row[s] = den if con.relation is Relation.LE else -den
+            if shifted:
+                row, den = _lowest(row, den)
+            if row[-1] < 0:
                 row = [-a for a in row]
-            row, den = scaled(row)
             self.rows.append(row)
             self.dens.append(den)
+        for (j, cap), s in zip(caps, self.slack_of_row[len(lp.constraints):]):
+            row = [0] * (self.ncols + 1)
+            row[j] = row[s] = cap.denominator
+            row[-1] = cap.numerator
+            self.rows.append(row)
+            self.dens.append(cap.denominator)
 
     # -- simplex core ------------------------------------------------------
 
-    def _init_zrow(self, obj: Sequence[Fraction | int]) -> tuple[list[int], int]:
-        """Reduced costs of maximizing ``obj`` at the current basis, with
-        the objective value last, as (ints, den); ints may stand for
-        rationals in ``obj``."""
-        cost, scale = scaled(obj)
+    def _init_zrow(self, cost: Sequence[int], scale: int) -> tuple[list[int], int]:
+        """Reduced costs of maximizing ``cost / scale`` at the current
+        basis, with the objective value last, as (ints, den)."""
         terms = [(cost[bj], self.rows[i], self.dens[i])
                  for i, bj in enumerate(self.basis) if cost[bj]]
         den = lcm(*(d for _, _, d in terms))
@@ -280,15 +336,15 @@ class _Tableau:
                 rows[i], dens[i] = _lowest(row, den)
         self.basis[leave] = enter
 
-    def _run(self, obj: Sequence[Fraction | int], allowed) -> tuple[str, list[int], int]:
-        """Maximize obj over the tableau with Bland's rule.
+    def _run(self, cost: Sequence[int], scale: int, allowed) -> tuple[str, list[int], int]:
+        """Maximize ``cost / scale`` over the tableau with Bland's rule.
 
         Returns the status, the numerators of the final reduced-cost row,
         the objective value last, and their positive denominator.
         """
         rows, basis = self.rows, self.basis
         m = len(rows)
-        zrow, zden = self._init_zrow(obj)
+        zrow, zden = self._init_zrow(cost, scale)
         rows.append(zrow)
         self.dens.append(zden)
         while True:
@@ -342,7 +398,7 @@ class _Tableau:
             row[-1:-1] = [dens[r] if r == i else 0 for i in needy]
 
         phase1 = [0] * ncols + [-1] * len(needy)
-        _, zrow, _ = self._run(phase1, range(len(phase1)))
+        _, zrow, _ = self._run(phase1, 1, range(len(phase1)))
         if zrow[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
@@ -365,31 +421,34 @@ class _Tableau:
         self.basis = [self.basis[i] for i in keep]
         return True
 
-    def optimize(self, objective: Sequence[Fraction], sense: Sense,
+    def optimize(self, objective: tuple[Sequence[int], int], sense: Sense,
                  allowed) -> LpSolution:
-        """Phase 2 from the current feasible basis, entering only ``allowed``
-        columns. The final reduced-cost numerators are kept in
+        """Phase 2 from the current feasible basis for ``objective``, given
+        as (ints, scale) like ``scaled``'s result, entering only
+        ``allowed`` columns. The final reduced-cost numerators are kept in
         ``self.reduced``; the last of them over the row's denominator is
-        the value of ``obj`` at the shifted vertex."""
+        the value of the objective at the shifted vertex."""
         lp = self.lp
         n = len(lp.variables)
+        ints, scale = objective
         maximize = sense is Sense.MAXIMIZE
-        obj = [c if maximize else -c for c in objective]
-        status, zrow, zden = self._run(obj + [0] * (self.ncols - n), allowed)
+        cost = [*ints] if maximize else [-c for c in ints]
+        cost += [0] * (self.ncols - n)
+        status, zrow, zden = self._run(cost, scale, allowed)
         self.reduced = zrow[:-1]
         if status == "unbounded":
             return LpSolution(Status.UNBOUNDED)
 
-        values = list(lp.lower)
+        values = [ZERO] * n
         for row, den, bj in zip(self.rows, self.dens, self.basis):
             if bj < n:
-                values[bj] += Fraction(row[-1], den)
-        values = tuple(values)
+                values[bj] = Fraction(row[-1], den)
         basis_vars = frozenset(b for b in self.basis if b < n)
         value = Fraction(zrow[-1] if maximize else -zrow[-1], zden)
         if any(lp.lower):
-            value += dot(objective, lp.lower)
-        return LpSolution(Status.OPTIMAL, value, values, basis_vars)
+            values = [lo + x for lo, x in zip(lp.lower, values)]
+            value += dot(ints, lp.lower) / scale
+        return LpSolution(Status.OPTIMAL, value, tuple(values), basis_vars)
 
     def fork(self) -> "_Tableau":
         """A copy whose pivots leave this tableau as it is."""
@@ -402,7 +461,7 @@ class _Tableau:
     def solve(self) -> LpSolution:
         if not self._phase1():
             return LpSolution(Status.INFEASIBLE)
-        return self.optimize(self.lp.objective, self.lp.sense, range(self.ncols))
+        return self.optimize(self.lp._scaled_objective, self.lp.sense, range(self.ncols))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -446,17 +505,18 @@ class OptimalFace:
         """Optimize a secondary objective over the optimal face."""
         if self.base.status is not Status.OPTIMAL:
             raise ValueError(f"base program is {self.base.status.value}, not optimal")
-        objective = tuple(ensure_rational(c) for c in objective)
-        if len(objective) != len(self.lp.variables):
+        ints, scale = scaled(tuple(map(ensure_rational, objective)))
+        if len(ints) != len(self.lp.variables):
             raise ValueError("objective length does not match variable count")
         sense = sense if isinstance(sense, Sense) else Sense(sense)
-        # Keyed by (numerator, denominator) pairs: equal numbers give equal
-        # pairs, and ints hash far faster than a Fraction.
-        key = (tuple((c.numerator, c.denominator) for c in objective), sense)
+        # Scaled once and keyed by its integers: ``scaled`` gives the
+        # smallest common denominator, so equal objectives give equal keys,
+        # and ints hash far faster than a Fraction.
+        key = (tuple(ints), scale, sense)
         answer = self._answers.get(key)
         if answer is None:
             answer = self._answers[key] = self._tableau.fork().optimize(
-                objective, sense, self._columns)
+                (ints, scale), sense, self._columns)
         return answer
 
     def extremum(self, objective, sense) -> Fraction | None:

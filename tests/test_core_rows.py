@@ -26,6 +26,7 @@ from matchcore.formulations import build_dual, sub_dual, vertex_dual_var
 from matchcore.games import GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
 from matchcore.oracle import max_weight, worth
+from matchcore.rationals import scaled
 
 F = Fraction
 ONE, ZERO = F(1), F(0)
@@ -281,9 +282,10 @@ def test_hk_demand_table_matches_each_coalitions_own_sub_game():
 
 def test_hk_coalition_program_is_the_sub_games_own_dual_program():
     # A closed coalition's part of the game's dual program is its
-    # sub-game's dual program, column for column and row for row, and its
-    # demand is the surplus under the Bland dual of that sub-game's own
-    # session, the reference path.
+    # sub-game's dual program, column for column and row for row, each
+    # cut row keeping the integers its tableau copies, and its demand is
+    # the surplus under the Bland dual of that sub-game's own session, the
+    # reference path.
     rng = random.Random(2900)
     games = [g for _, _, g in helpers.cap_set(("hoffman_kruskal",))]
     games += [helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
@@ -298,6 +300,8 @@ def test_hk_coalition_program_is_the_sub_games_own_dual_program():
             assert program.variables == own.variables
             assert program.objective == own.objective
             assert program.constraints == own.constraints
+            assert all(row._scaled_row == scaled([*row.coeffs, row.rhs])
+                       for row in program.constraints)
             assert (program.lower, program.upper) == (own.lower, own.upper)
             assert (analysis._demand(g, members)
                     == analysis._surplus(analysis.optimal_dual(sub)))

@@ -10,6 +10,8 @@ this file goes through the checking ``solve`` and ``OptimalFace`` below.
 
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +20,8 @@ import pytest
 import helpers
 from fraction_simplex import FractionFace
 from matchcore import lp as lp_module
+from matchcore import rationals
+from matchcore.formulations import build_dual
 from matchcore.lp import (
     Constraint,
     LinearProgram,
@@ -178,6 +182,79 @@ def test_malformed_rejected_at_construction():
         LinearProgram(Sense.MAXIMIZE, ["x"], [0.5])
 
 
+def test_a_constraint_is_coerced_as_a_row_tuple_is():
+    # A Constraint built directly is checked where its integers are kept:
+    # its relation becomes a Relation and its numbers Fractions, so the
+    # solve and is_feasible read the same row; a float or a bool raises
+    # the package's TypeError before any solve.
+    row = Constraint((1,), "<=", 1)
+    assert (row.coeffs, row.relation, row.rhs) == ((F(1),), Relation.LE, F(1))
+    lp = LinearProgram(Sense.MINIMIZE, ["x"], [1], [row])
+    assert solve(lp).values == (0,)
+    assert lp.is_feasible([0]) and lp.is_feasible([1]) and not lp.is_feasible([2])
+    assert Constraint(["1/2", 3], ">=", "0.75") == Constraint((F(1, 2), F(3)), Relation.GE, F(3, 4))
+    assert Constraint([1], "=", 2) == LinearProgram(Sense.MAXIMIZE, ["x"], [1],
+                                                    [([1], "=", 2)]).constraints[0]
+    for coeffs, rhs in (((0.5,), 1), ((1,), 1.0), ((True,), 1), ((1,), False)):
+        with pytest.raises(TypeError):
+            LinearProgram(Sense.MAXIMIZE, ["x"], [1], [Constraint(coeffs, Relation.LE, rhs)])
+    with pytest.raises(ValueError):
+        Constraint((1,), "<", 1)
+
+
+def calls_from(run, callees):
+    """``run()``'s result, and the calls of the Python functions
+    ``callees`` made while it ran, counted by the qualified name of the
+    callee and of the code that called it directly."""
+    names = {f.__code__: f.__qualname__ for f in callees}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code], frame.f_back.f_code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def test_a_cut_row_keeps_its_integers_without_scaling_again():
+    # A row's kept integers are scaled([*coeffs, rhs]); the row cut to some
+    # of its columns equals the row built from those columns, its integers
+    # put in lowest terms again by a gcd, with no coercion and no scaling.
+    rng = random.Random(3001)
+    reduced = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        row = Constraint([F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)],
+                         rng.choice(list(Relation)), F(rng.randint(-6, 6), rng.choice((1, 2))))
+        assert row._scaled_row == scaled([*row.coeffs, row.rhs])
+        columns = sorted(rng.sample(range(n), rng.randint(0, n)))
+        cut, counts = calls_from(lambda: row.cut(columns),
+                                 (rationals.scaled, rationals.ensure_rational))
+        assert not counts, counts
+        assert cut == Constraint([row.coeffs[j] for j in columns], row.relation, row.rhs)
+        assert cut._scaled_row == scaled([*cut.coeffs, cut.rhs])
+        reduced += cut._scaled_row[1] < row._scaled_row[1]
+    assert reduced >= 50, reduced
+
+
+def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
+    # A program is put into integers when it is built: solving a cap-set
+    # game's dual program (minimizing, every lower bound zero) calls
+    # neither rationals.scaled nor Fraction.__neg__ from the tableau.
+    # The hook sees the calls that are made, from the builders.
+    for kind, s, g in helpers.cap_set():
+        _, counts = calls_from(lambda: solve(build_dual(g)), (rationals.scaled, Fraction.__neg__))
+        tableau = {key: k for key, k in counts.items() if key[1].startswith("_Tableau.")}
+        assert not tableau, (kind, s, tableau)
+        assert counts["scaled", "Constraint.__init__"] == len(g.edges)
+        assert counts["scaled", "LinearProgram.__init__"] == 1
+
+
 def test_optimal_face_segment():
     lp = LinearProgram(Sense.MAXIMIZE, ["x", "y"], [1, 1],
                        [([1, 1], Relation.LE, 1)])
@@ -190,23 +267,39 @@ def test_optimal_face_segment():
 
 
 def test_optimal_face_answers_each_question_once(monkeypatch):
-    # A face query asked again, with the objective written as ints or as
-    # equal Fractions and the sense as its enum or its value, is the kept
-    # answer: no phase-2 run starts. Another sense or objective is a new
-    # question.
+    # A face query is scaled to integers once and keyed by them: asked
+    # again, with the objective written as ints, equal Fractions or
+    # rational strings and the sense as its enum or its value, it is the
+    # kept answer and no phase-2 run starts. Another sense or objective is
+    # a new question; a float is refused as everywhere else.
     lp = LinearProgram(Sense.MAXIMIZE, ["x", "y"], [1, 1],
                        [([1, 1], Relation.LE, 1)])
     face = lp_module.OptimalFace(lp)
     runs = []
     original = lp_module._Tableau.optimize
-    monkeypatch.setattr(lp_module._Tableau, "optimize",
-                        lambda tableau, *args: runs.append(args) or original(tableau, *args))
+
+    def run(tableau, objective, sense, allowed):
+        runs.append((objective, sense))
+        return original(tableau, objective, sense, allowed)
+
+    monkeypatch.setattr(lp_module._Tableau, "optimize", run)
     first = face.optimize([1, 0], Sense.MAXIMIZE)
+    assert runs == [(([1, 0], 1), Sense.MAXIMIZE)]
     assert face.optimize([F(1), F(0, 3)], "maximize") is first
     assert face.extremum((1, 0), Sense.MAXIMIZE) == first.value == 1
     assert len(runs) == 1
     assert face.range([1, 0]) == (0, 1) and len(runs) == 2
     assert face.optimize([2, 0], Sense.MAXIMIZE).value == 2 and len(runs) == 3
+    half = face.optimize([F(2, 4), 0], Sense.MAXIMIZE)
+    assert half.value == F(1, 2) and runs[-1] == (([1, 0], 2), Sense.MAXIMIZE)
+    assert face.optimize([F(1, 2), 0], Sense.MAXIMIZE) is half
+    assert face.optimize(["2/4", "0"], "maximize") is half
+    assert face.optimize(["1/3", "0.5"], Sense.MAXIMIZE).value == F(1, 2)
+    assert runs[-1] == (([2, 3], 6), Sense.MAXIMIZE) and len(runs) == 5
+    for objective in ([0.5, 0], [F(1, 2), 1.0]):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            face.optimize(objective, Sense.MAXIMIZE)
+    assert len(runs) == 5
 
 
 def test_optimal_face_requires_optimal_base():
@@ -242,12 +335,14 @@ def test_unbounded_secondary_reported_as_marker():
     assert lo == 0 and hi is None
 
 
-def random_program(rng, lowered=False, fractional=False):
-    """Small random LP. With ``lowered``, some variables have a negative
-    lower bound and the objective coefficients are small, so ties are
-    common. With ``fractional``, the objective, the coefficients and the
-    right-hand sides are rationals with denominators up to 4; without it,
-    the draws are integers."""
+def random_program(rng, lowered=False, fractional=False, sense=Sense.MAXIMIZE):
+    """Small random LP of the given sense; the sense draws nothing, so
+    the same ``rng`` state gives the same program in either sense. With
+    ``lowered``, some variables have a negative lower bound and the
+    objective coefficients are small, so ties are common. With
+    ``fractional``, the objective, the coefficients and the right-hand
+    sides are rationals with denominators up to 4; without it, the draws
+    are integers."""
 
     def number(lo, hi):
         a = rng.randint(lo, hi)
@@ -267,7 +362,7 @@ def random_program(rng, lowered=False, fractional=False):
     lower = [rng.choice([-3, 0, -2]) if lowered else 0 for _ in range(n)]
     upper = [hi if hi is None or lo <= hi else None
              for lo, hi in zip(lower, upper)]
-    return LinearProgram(Sense.MAXIMIZE, names, objective, cons, lower, upper)
+    return LinearProgram(sense, names, objective, cons, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +596,17 @@ def test_warm_face_queries_match_the_pinned_row_lp():
 
 def test_fraction_free_kernel_matches_the_rational_tableau():
     # The engine against the tableau that pivots in Fraction
-    # (fraction_simplex.py): identical status, value, vertex and basis,
-    # on the solve and on the face queries of the test above.
+    # (fraction_simplex.py): identical status, value, vertex and basis, on
+    # the solve and on the face queries of the test above, in both senses
+    # (a minimizing objective is negated in integers), and on face queries
+    # with rational objectives too.
     seen = dict(fractional=0, lowered=0, bounded=0, equality=0, optimal=0,
-                infeasible=0, unbounded=0, ties=0)
+                infeasible=0, unbounded=0, ties=0, minimize=0, rational_queries=0)
     for seed in range(1200):
         rng = random.Random(seed)
         fractional = seed % 3 == 0
-        lp = random_program(rng, lowered=seed % 2 == 0, fractional=fractional)
+        sense = Sense.MINIMIZE if seed % 4 >= 2 else Sense.MAXIMIZE
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=fractional, sense=sense)
         reference = FractionFace(lp)
         base = solve(lp)
         assert base == reference.base
@@ -520,17 +618,22 @@ def test_fraction_free_kernel_matches_the_rational_tableau():
         seen["unbounded"] += base.status is Status.UNBOUNDED
         if base.status is Status.OPTIMAL:
             seen["optimal"] += 1
+            seen["minimize"] += sense is Sense.MINIMIZE
             face = OptimalFace(lp)
             n = len(lp.variables)
-            queries = [(tuple(int(j == k) for k in range(n)), sense)
-                       for j in range(n) for sense in (Sense.MAXIMIZE, Sense.MINIMIZE)]
+            queries = [(tuple(int(j == k) for k in range(n)), query)
+                       for j in range(n) for query in Sense]
             queries += [([rng.randint(-4, 4) for _ in range(n)], Sense.MAXIMIZE)
                         for _ in range(3)]
-            for objective, sense in queries:
-                assert face.optimize(objective, sense) == reference.optimize(objective, sense)
+            queries += [([F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)], query)
+                        for query in Sense]
+            for objective, query in queries:
+                assert face.optimize(objective, query) == reference.optimize(objective, query)
+                seen["rational_queries"] += any(F(c).denominator > 1 for c in objective)
         seen["ties"] += reference.ties > 0
     # Counts at these seeds: fractional 400, lowered 529, bounded 937,
-    # equality 768, optimal 454, infeasible 645, unbounded 101, ties 131.
+    # equality 768, optimal 449, infeasible 645, unbounded 106, ties 127,
+    # minimize 230, rational_queries 654.
     assert min(seen.values()) >= 90, seen
 
 
