@@ -137,6 +137,7 @@ class _Session:
         self.instance = instance
         self._rows = []
         self._unscanned = None
+        self._read = {}     # mask (bit j = agent j) -> demand of each closed row read
 
     @cached_property
     def face(self) -> OptimalFace:
@@ -146,6 +147,12 @@ class _Session:
             raise InfeasibleInstanceError(
                 "the matching program has no finite optimum (infeasible bounds)")
         return face
+
+    @cached_property
+    def _graph(self) -> tuple[dict[str, int], list[int]]:
+        """Each agent's bit, and ``_neighbours``."""
+        agents = self.instance.agents
+        return {q: 1 << j for j, q in enumerate(agents)}, _neighbours(self.instance)
 
     @cached_property
     def grand_range(self) -> tuple[Fraction, Fraction | None]:
@@ -167,7 +174,13 @@ class _Session:
         """The (members, demand) rows of ``_coalitions`` in their order. A
         row is kept when a scan first reaches it and its demand when first
         read, so a scan that stops early, or is stopped by an error, leaves
-        the rest unread and each demand is computed once."""
+        the rest unread and each demand is computed once. Only a connected
+        coalition calls ``_demand``; one whose inner edges fall apart sums
+        the demands of its parts, smaller closed rows read before it. A
+        matching splits over the parts, and a bounds-capacity dual program
+        is then block-diagonal: Bland's rule enters the lowest eligible
+        column and the ratio test reads that column's block alone, slack
+        and artificial order kept, so each block pivots as it would alone."""
         if self._unscanned is None:
             self._unscanned = _coalitions(self.instance)
         rows = self._rows
@@ -180,7 +193,14 @@ class _Session:
                 rows.append(row)
             row = rows[i]
             if row[1] is None:
-                row = rows[i] = row[0], _demand(self.instance, row[0])
+                members = row[0]
+                bit, near = self._graph
+                mask = sum(bit[q] for q in members)
+                parts = _parts(near, mask)
+                demand = (_demand(self.instance, members) if len(parts) == 1
+                          else sum(self._read[part] for part in parts))
+                self._read[mask] = demand
+                row = rows[i] = members, demand
             yield row
             i += 1
 
@@ -356,12 +376,12 @@ def _coalitions(instance: GameInstance) -> Iterator[
     payoffs >= 0 paying every edge pay every coalition (Shapley and
     Shubik 1971; Deng, Ibaraki and Nagamochi 1999). Else they are the
     closed proper coalitions, each member with a neighbour inside, and
-    the demand is None until ``_demand`` reads it. Any other coalition
-    demands what its closed part, its members on an inner edge, demands:
-    a member on no inner edge adds nothing to a matching, and to the dual
-    a column with no row entry and cost >= 0, which Bland's rule never
-    enters (Bland 1977). Paid no less than that part under payoffs >= 0,
-    it needs no row of its own.
+    the demand is None until the session reads it (``_Session.demands``).
+    Any other coalition demands what its closed part, its members on an
+    inner edge, demands: a member on no inner edge adds nothing to a
+    matching, and to the dual a column with no row entry and cost >= 0,
+    which Bland's rule never enters (Bland 1977). Paid no less than that
+    part under payoffs >= 0, it needs no row of its own.
     """
     agents = instance.agents
     at = {q: j for j, q in enumerate(agents)}
@@ -369,10 +389,7 @@ def _coalitions(instance: GameInstance) -> Iterator[
             and all(instance.capacity(q) == 1 for q in agents)):
         pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
         return (((agents[i], agents[j]), w) for i, j, w in pairs if len(agents) > 2)
-    near = [0] * len(agents)        # bit k of near[j]: agents j and k share an edge
-    for e in instance.edges:
-        near[at[e.u]] |= 1 << at[e.v]
-        near[at[e.v]] |= 1 << at[e.u]
+    near = _neighbours(instance)
 
     def closed():
         for size in range(2, len(agents)):
@@ -381,6 +398,33 @@ def _coalitions(instance: GameInstance) -> Iterator[
                 if all(near[j] & mask for j in picked):
                     yield tuple(agents[j] for j in picked), None
     return closed()
+
+
+def _neighbours(instance: GameInstance) -> list[int]:
+    """Bit k of entry j: agents j and k share an edge."""
+    at = {q: j for j, q in enumerate(instance.agents)}
+    near = [0] * len(at)
+    for e in instance.edges:
+        near[at[e.u]] |= 1 << at[e.v]
+        near[at[e.v]] |= 1 << at[e.u]
+    return near
+
+
+def _parts(near: list[int], mask: int) -> list[int]:
+    """The coalition ``mask`` (bit j = agent j) split into the parts its
+    inner edges join, as masks; ``near`` is ``_neighbours``."""
+    parts = []
+    while mask:
+        part = grown = mask & -mask
+        while grown:
+            j = grown.bit_length() - 1
+            grown ^= 1 << j
+            new = near[j] & mask & ~part
+            part |= new
+            grown |= new
+        parts.append(part)
+        mask ^= part
+    return parts
 
 
 def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
@@ -473,7 +517,10 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
 class _CoalitionCuts:
     """Exact row generation over the (members, demand) rows of the core,
     those of ``_coalitions`` (edge pairs when every capacity is one, else
-    the closed coalitions), read through the instance's session.
+    the closed coalitions), read through the instance's session. It
+    decides the bounds-capacity kind's core for ``core_nonempty``, whose
+    other kinds read their verdict off the dual, and finds the core
+    vertices of ``sample_core_vertices``.
 
     The LP starts from the total rows alone: one equation when the grand
     range (``_Session.grand_range``) is one value, else a row for each bounded
@@ -535,20 +582,28 @@ def _imputation_from(instance: GameInstance, sol: LpSolution) -> Imputation:
 
 
 def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
-    """Balancedness, decided exactly by row generation.
+    """Balancedness: (False, None) when the core, the polyhedron whose
+    membership ``is_core_imputation`` decides, is empty, else (True, a
+    witness core imputation).
 
-    The core is {payoffs >= 0, total in the grand range, every proper
-    coalition allocated at least its demand}: the same polyhedron whose
-    membership ``is_core_imputation`` decides. The grand range is the
-    worth, or for the bounds-capacity kind the surplus under some optimal
-    dual; the rows of ``_coalitions``, edge pairs (every capacity one) or
-    closed coalitions demanding ``_demand``, cut out the same core. Rows
-    are added only when the current payoffs violate them, so the LP stays
-    small; the verdict is the one the LP with every row gives. Returns
-    (False, None) when the core is empty, else (True, a witness core
-    imputation); which one, when the core has more than one point, is not
-    specified.
+    Every kind but the bounds-capacity one is decided by LP duality, with
+    no coalition row. The core is nonempty exactly when the fractional
+    and integral optima agree: always for the bipartite kinds (TUM), and
+    for a general game when it is concurrent (Shapley and Shubik 1971;
+    Deng, Ibaraki and Nagamochi 1999). Then an optimal dual pays the
+    grand coalition the worth and, being feasible for each coalition's
+    dual program, each coalition at least its fractional optimum by weak
+    duality, capacities or not. The witness is the deterministic-dual
+    imputation, a point of D(I), the set of imputations given by optimal
+    duals. The bounds-capacity kind, whose deterministic-dual imputation
+    can block, is decided by row generation (``_CoalitionCuts``), and its
+    witness is a vertex of the core, which one not being specified.
     """
+    if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
+        check_instance_size(len(instance.agents), len(instance.edges))
+        if _empty_general_core(instance):
+            return False, None
+        return True, dual_to_imputation(instance, optimal_dual(instance))
     cuts = _CoalitionCuts(instance)
     sol = cuts.solve([ZERO] * len(instance.agents), Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:
@@ -561,8 +616,8 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
 
     For worth-based kinds only. Each of ``count`` objectives (integer
     coefficients in -9..9 drawn from ``seed``) is maximized over the core
-    by the same row generation as ``core_nonempty``, keeping the coalition
-    rows found for earlier objectives. When an objective has several
+    by row generation (``_CoalitionCuts``), keeping the coalition rows
+    found for earlier objectives. When an objective has several
     optimal vertices, which one is returned is not specified. An empty
     core yields no vertices.
     """

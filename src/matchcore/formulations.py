@@ -100,10 +100,11 @@ def sub_dual(lp: LinearProgram, instance: GameInstance,
     is ``build_dual(instance)``: the rows of the coalition's inner edges,
     and the columns of its members and of those edges' bound duals.
     ``restrict`` keeps the order of agents and edges, so ``lp``'s order is
-    the sub-game's own, and no sub-game is built. Each row is cut with
-    its kept integers (``Constraint.cut``), so it is neither checked nor
-    scaled again. ``build_dual`` gives every column the default bounds, so
-    the cut keeps those."""
+    the sub-game's own, and no sub-game is built. The program and each
+    row are cut with their kept integers (``LinearProgram._cut``,
+    ``Constraint.cut``), so nothing is checked or scaled again.
+    ``build_dual`` gives every column the default bounds, so the cut
+    keeps those."""
     chosen = frozenset(members)
     columns = [j for j, q in enumerate(instance.agents) if q in chosen]
     rows, nxt = [], len(instance.agents)
@@ -115,9 +116,7 @@ def sub_dual(lp: LinearProgram, instance: GameInstance,
         if e.u in chosen and e.v in chosen:
             rows.append(row)
             columns += bounds
-    return LinearProgram(lp.sense, [lp.variables[j] for j in columns],
-                         [lp.objective[j] for j in columns],
-                         [row.cut(columns) for row in rows])
+    return lp._cut(columns, rows)
 
 
 def build_odd_set_primal(instance: GameInstance) -> LinearProgram:

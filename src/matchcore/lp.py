@@ -180,6 +180,27 @@ class LinearProgram:
                 return False
         return all(c._holds_at(ints, scale) for c in self.constraints)
 
+    def _cut(self, columns: Sequence[int], rows: Iterable[Constraint]) -> "LinearProgram":
+        """The program on the distinct ``columns`` alone, in their order,
+        with ``rows`` (some of this program's) cut to them. Nothing is
+        checked again, and that is sound: a subset of unique names is
+        unique, the objective and bounds are this program's already coerced
+        entries, each kept bound pair is one that passed, and a row cut to
+        the same columns has their arity. The objective's integers are the
+        kept ones on those columns in lowest terms, so they are still
+        ``scaled``'s, as ``Constraint.cut`` keeps a row's."""
+        ints, den = self._scaled_objective
+        kept = [ints[j] for j in columns]
+        lp = object.__new__(LinearProgram)
+        lp.sense = self.sense
+        lp.variables = tuple([self.variables[j] for j in columns])
+        lp.objective = tuple([self.objective[j] for j in columns])
+        lp._scaled_objective = (kept, 1) if den == 1 else _lowest(kept, den)
+        lp.constraints = tuple([row.cut(columns) for row in rows])
+        lp.lower = tuple([self.lower[j] for j in columns])
+        lp.upper = tuple([self.upper[j] for j in columns])
+        return lp
+
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,
                              self.constraints + tuple(extra),

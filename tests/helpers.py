@@ -232,6 +232,21 @@ def closed_part(g, members):
     return tuple(q for q in g.agents if q in on_edge)
 
 
+def connected(g, members):
+    """Whether the members' inner edges join them all, by a graph search."""
+    inside = set(members)
+    seen, stack = {members[0]}, [members[0]]
+    while stack:
+        q = stack.pop()
+        for e in g.edges:
+            if q in (e.u, e.v) and e.u in inside and e.v in inside:
+                other = e.v if q == e.u else e.u
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return seen == inside
+
+
 def pinned_row_face(g):
     """Reference: the optimal dual face written as the dual program plus
     the row "objective = optimum", for cold solves."""

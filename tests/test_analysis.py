@@ -526,17 +526,20 @@ def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch
                         lambda lp: bare.append(lp) or original_solve(lp))
     nonempty, witness = core_nonempty(g)
     assert nonempty and is_core_imputation(g, witness).in_core
-    induced = [frozenset(e.key for e in g.edges if e.u in s and e.v in s)
-               for size in range(1, len(g.agents)) for s in combinations(g.agents, size)]
+    covers = [helpers.closed_part(g, s)
+              for size in range(1, len(g.agents)) for s in combinations(g.agents, size)]
+    induced = [frozenset(e.key for e in g.edges if e.u in s and e.v in s) for s in covers]
     distinct = set(induced) - {frozenset()}
+    joined = {edges for edges, s in zip(induced, covers) if edges and helpers.connected(g, s)}
     # One face of the whole game, then one bare solve of a coalition's part
-    # of its dual program per distinct inner edge set: 19 here, against 42
-    # edge-spanning coalitions. Row generation's programs are over the
-    # agents' payoffs.
+    # of its dual program per distinct connected inner edge set: 14 here,
+    # against 19 distinct inner edge sets and 42 edge-spanning coalitions;
+    # a disconnected one sums its parts' surpluses. Row generation's
+    # programs are over the agents' payoffs.
     sub_programs = [lp for lp in bare if lp.variables != g.agents]
-    assert (len(distinct), sum(map(bool, induced))) == (19, 42)
+    assert (len(joined), len(distinct), sum(map(bool, induced))) == (14, 19, 42)
     assert len(faces) == 1
-    assert len(faces) + len(sub_programs) == 1 + len(distinct)
+    assert len(faces) + len(sub_programs) == 1 + len(joined)
 
 
 def test_an_hk_core_question_keeps_the_games_session_alone():
@@ -964,7 +967,8 @@ def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch
     # coalitions, each demanding its sub-game's worth. Its payoff ranges
     # are the ranges extreme_imputations read, so asking them afterwards
     # starts no phase-2 run; and four in-core memberships read each row's
-    # worth, restricting its coalition, once in all.
+    # worth once in all, restricting each connected coalition once and no
+    # other: a disconnected one sums its parts' worths.
     g = make_instance(GameKind.UNIFORM_B, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
                       [("a1", "b1", F(23, 5)), ("a1", "b2", F(17, 5)), ("a2", "b1", F(19, 5)),
                        ("a2", "b3", F(11, 5)), ("a3", "b2", F(13, 5)), ("a3", "b3", F(29, 5))],
@@ -993,8 +997,9 @@ def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch
     assert all(v.in_core for v in verdicts)
     closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
               for members in combinations(g.agents, size)} - {()}
-    assert set(restricted) == closed and set(restricted.values()) == {1}
-    assert len(closed) == 27
+    connected = {members for members in closed if helpers.connected(g, members)}
+    assert set(restricted) == connected and set(restricted.values()) == {1}
+    assert (len(connected), len(closed)) == (24, 27)
 
 
 def test_a_scan_cut_short_by_an_error_leaves_the_session_whole(monkeypatch):

@@ -16,12 +16,15 @@ dual program, not from the library's optimal-face queries.
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import helpers
 from matchcore import analysis
+from matchcore import lp as lp_module
+from matchcore import oracle as oracle_module
 from matchcore.formulations import build_dual, sub_dual, vertex_dual_var
 from matchcore.games import GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
@@ -384,3 +387,95 @@ def test_edge_rows_give_the_verdicts_and_witnesses_of_the_full_coalition_scan():
     assert all(count == 100 for count in seen.values())
     assert fractional >= 300 and empty >= 8, (fractional, empty)
     assert probed >= 1400 and blocked >= 500, (probed, blocked)
+
+
+def test_duality_decides_each_worth_kinds_core_as_row_generation_does():
+    # Every kind but hoffman_kruskal reads its core verdict off the dual:
+    # empty exactly for a general game that is not concurrent, else the
+    # deterministic-dual imputation is the witness. Row generation over
+    # every coalition row must give the same verdict, and the witness must
+    # pass the membership scan and, for the bipartite kinds, lie in D(I).
+    rng = random.Random(3107)
+    kinds = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.GENERAL)
+    games = [g for _, _, g in helpers.cap_set(tuple(kind.value for kind in kinds))]
+    for trial in range(400):
+        kind = kinds[trial % len(kinds)]
+        if trial % 16 == 3:
+            g = helpers.random_odd_cycle(rng, max_weight=4)
+        elif kind is GameKind.GENERAL:
+            g = helpers.random_general(rng, max_vertices=7, max_edges=10,
+                                       max_weight=3 if trial % 8 else 9)
+        else:
+            g = helpers.random_bipartite(rng, kind, max_side=4, max_edges=8)
+        games.append(g)
+    seen = Counter()
+    for g in games:
+        nonempty, witness = analysis.core_nonempty(g)
+        cuts = analysis._CoalitionCuts(g).solve([ZERO] * len(g.agents), Sense.MINIMIZE)
+        assert (cuts.status is Status.OPTIMAL) == nonempty, g
+        seen[g.kind] += 1
+        if not nonempty:
+            assert witness is None and g.kind is GameKind.GENERAL
+            seen["empty"] += 1
+            continue
+        assert witness == analysis.dual_to_imputation(g, analysis.optimal_dual(g))
+        assert analysis.is_core_imputation(g, witness).in_core
+        if g.kind is not GameKind.GENERAL:
+            assert analysis.in_dual_image(g, witness)
+        seen["capacity above one"] += not helpers.capacity_one(g)
+    # Counts at this seed: 103 games of each kind, 38 empty general cores
+    # and 180 games with a capacity above one.
+    assert min(seen[kind] for kind in kinds) == 103, seen
+    assert seen["empty"] >= 30 and seen["capacity above one"] >= 150, seen
+
+
+def test_a_worth_kinds_core_question_solves_no_program_and_searches_no_sub_game(monkeypatch):
+    # On the cap set, a cold core_nonempty of every kind but hoffman_kruskal
+    # is the session's one solve of the dual program: no lp.solve call, no
+    # coalition row read, and no search but a general game's own optimum,
+    # which the concurrency test reads.
+    def refused(lp):
+        raise AssertionError("core_nonempty solved a program of its own")
+
+    monkeypatch.setattr(analysis, "solve", refused)
+    monkeypatch.setattr(lp_module, "solve", refused)
+    tableaux = []
+    original = lp_module._Tableau.solve
+    monkeypatch.setattr(lp_module._Tableau, "solve",
+                        lambda tableau: tableaux.append(tableau) or original(tableau))
+    for kind, _, g in helpers.cap_set(("assignment", "uniform_b", "b_matching", "general")):
+        analysis._session.cache_clear()
+        oracle_module._search.cache_clear()
+        tableaux.clear()
+        nonempty, witness = analysis.core_nonempty(g)
+        assert nonempty == (witness is not None)
+        assert len(tableaux) == 1 and analysis._session(g)._rows == []
+        searched = oracle_module._search.cache_info().currsize
+        assert searched == (kind == "general"), kind
+
+
+def test_a_disconnected_coalition_demands_the_sum_of_its_parts():
+    # A closed coalition whose inner edges fall apart is never searched or
+    # solved: the session sums its parts' demands. Every demand the session
+    # reads must be the one a direct _demand call gives, on the
+    # multi-capacity games of the cap set and on 200 seeded hoffman_kruskal
+    # games and 100 each of b_matching and uniform_b.
+    rng = random.Random(3109)
+    games = [g for _, _, g in helpers.cap_set(("uniform_b", "b_matching", "hoffman_kruskal"))]
+    kinds = 2 * [GameKind.HOFFMAN_KRUSKAL] + [GameKind.B_MATCHING, GameKind.UNIFORM_B]
+    games += [helpers.random_bipartite(rng, kinds[trial % 4], max_side=4, max_edges=6,
+                                       min_side=2)
+              for trial in range(400)]
+    seen = Counter()
+    for g in games:
+        for members, demand in analysis._session(g).demands():
+            assert demand == analysis._demand(g, members), (g, members)
+            apart = not helpers.connected(g, members)
+            seen["rows"] += 1
+            seen["disconnected"] += apart
+            seen[g.kind, "disconnected"] += apart
+        analysis._session.cache_clear()
+    # Counts at this seed: 15,239 rows, 3,631 of them disconnected (1,346
+    # hoffman_kruskal, 1,404 uniform_b, 881 b_matching).
+    assert seen["rows"] >= 14000 and seen["disconnected"] >= 3000, seen
+    assert min(seen[kind, "disconnected"] for kind in kinds) >= 800, seen

@@ -242,6 +242,40 @@ def test_a_cut_row_keeps_its_integers_without_scaling_again():
     assert reduced >= 50, reduced
 
 
+def test_a_cut_program_keeps_its_integers_without_checking_again():
+    # A program cut to some of its columns and rows is the program built
+    # from those pieces, bounds included, with its objective's integers in
+    # lowest terms again; no name, number, row or bound is checked again.
+    rng = random.Random(3101)
+    reduced = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        lower = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+        upper = [None if rng.random() < 0.5 else lo + rng.randint(0, 4) for lo in lower]
+        rows = [Constraint([F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)],
+                           rng.choice(list(Relation)), rng.randint(-6, 6))
+                for _ in range(rng.randint(0, 4))]
+        lp = LinearProgram(rng.choice(list(Sense)), [f"x{j}" for j in range(n)],
+                           [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)],
+                           rows, lower, upper)
+        columns = sorted(rng.sample(range(n), rng.randint(0, n)))
+        kept = [row for row in rows if rng.random() < 0.7]
+        cut, counts = calls_from(lambda: lp._cut(columns, kept),
+                                 (rationals.scaled, rationals.ensure_rational,
+                                  LinearProgram.__init__, Constraint.__init__))
+        assert not counts, counts
+        own = LinearProgram(lp.sense, [lp.variables[j] for j in columns],
+                            [lp.objective[j] for j in columns],
+                            [Constraint([row.coeffs[j] for j in columns], row.relation, row.rhs)
+                             for row in kept],
+                            [lower[j] for j in columns], [upper[j] for j in columns])
+        for name in ("sense", "variables", "objective", "constraints", "lower", "upper",
+                     "_scaled_objective"):
+            assert getattr(cut, name) == getattr(own, name), name
+        reduced += cut._scaled_objective[1] < lp._scaled_objective[1]
+    assert reduced >= 50, reduced
+
+
 def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
     # A program is put into integers when it is built: solving a cap-set
     # game's dual program (minimizing, every lower bound zero) calls

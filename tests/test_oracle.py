@@ -301,19 +301,23 @@ def test_core_questions_search_each_distinct_cover_once():
     # A fresh 3 + 3 b_matching game: the core's rows are its closed
     # coalitions (each member with a neighbour inside), which are the
     # distinct covers of all proper coalitions (a cover being the members
-    # on an inner edge), so deciding the core and then checking the
-    # witness searches the grand game and each of them once, not every
-    # coalition.
+    # on an inner edge). Deciding the core reads the dual and searches
+    # nothing; checking the witness searches the grand game and each
+    # connected cover once, not every coalition: a cover whose inner edges
+    # fall apart demands the sum of its parts' worths.
     g = make_instance(GameKind.B_MATCHING, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
                       [("a1", "b1", 5), ("a1", "b2", 3), ("a2", "b2", 4),
                        ("a3", "b3", 2), ("a2", "b1", F(7, 2))],
                       capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
     closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
               for members in combinations(g.agents, size)} - {()}
+    connected = {members for members in closed if helpers.connected(g, members)}
     oracle_module._search.cache_clear()
     nonempty, witness = core_nonempty(g)
-    assert nonempty and is_core_imputation(g, witness).in_core
-    assert oracle_module._search.cache_info().misses == 1 + len(closed)
+    assert nonempty and oracle_module._search.cache_info().misses == 0
+    assert is_core_imputation(g, witness).in_core
+    assert oracle_module._search.cache_info().misses == 1 + len(connected)
+    assert (len(connected), len(closed)) == (10, 18)
     assert len(closed) < (1 << len(g.agents)) - 2
 
 
