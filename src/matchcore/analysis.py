@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
@@ -137,7 +136,6 @@ class _Session:
         self.instance = instance
         self._rows = []
         self._unscanned = None
-        self._read = {}     # mask (bit j = agent j) -> demand of each closed row read
 
     @cached_property
     def face(self) -> OptimalFace:
@@ -147,12 +145,6 @@ class _Session:
             raise InfeasibleInstanceError(
                 "the matching program has no finite optimum (infeasible bounds)")
         return face
-
-    @cached_property
-    def _graph(self) -> tuple[dict[str, int], list[int]]:
-        """Each agent's bit, and ``_neighbours``."""
-        agents = self.instance.agents
-        return {q: 1 << j for j, q in enumerate(agents)}, _neighbours(self.instance)
 
     @cached_property
     def grand_range(self) -> tuple[Fraction, Fraction | None]:
@@ -172,15 +164,10 @@ class _Session:
 
     def demands(self) -> Iterator[tuple[tuple[str, ...], Fraction]]:
         """The (members, demand) rows of ``_coalitions`` in their order. A
-        row is kept when a scan first reaches it and its demand when first
-        read, so a scan that stops early, or is stopped by an error, leaves
-        the rest unread and each demand is computed once. Only a connected
-        coalition calls ``_demand``; one whose inner edges fall apart sums
-        the demands of its parts, smaller closed rows read before it. A
-        matching splits over the parts, and a bounds-capacity dual program
-        is then block-diagonal: Bland's rule enters the lowest eligible
-        column and the ratio test reads that column's block alone, slack
-        and artificial order kept, so each block pivots as it would alone."""
+        row is kept when a scan first reaches it and its demand, one
+        ``_demand`` call, when first read, so a scan that stops early, or
+        is stopped by an error, leaves the rest unread and each demand is
+        computed once."""
         if self._unscanned is None:
             self._unscanned = _coalitions(self.instance)
         rows = self._rows
@@ -193,14 +180,7 @@ class _Session:
                 rows.append(row)
             row = rows[i]
             if row[1] is None:
-                members = row[0]
-                bit, near = self._graph
-                mask = sum(bit[q] for q in members)
-                parts = _parts(near, mask)
-                demand = (_demand(self.instance, members) if len(parts) == 1
-                          else sum(self._read[part] for part in parts))
-                self._read[mask] = demand
-                row = rows[i] = members, demand
+                row = rows[i] = row[0], _demand(self.instance, row[0])
             yield row
             i += 1
 
@@ -260,15 +240,20 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
     """Payoffs from an optimal dual: capacity times the vertex dual.
 
     For the general kind this is only an imputation when the game is
-    concurrent (fractional and integral optima agree), so that is
-    enforced.
+    concurrent (fractional and integral optima agree). Both are enforced
+    (ValueError), since the dual is the caller's.
     """
     if not is_optimal_dual(instance, d):
         raise ValueError("dual solution is not optimal")
     if _empty_general_core(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
-    payoffs = {q: F(instance.capacity(q)) * d.vertex(q) for q in instance.agents}
-    return make_imputation(instance, payoffs)
+    return _dual_payoffs(instance, d.values)
+
+
+def _dual_payoffs(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
+    """A dual point's payoffs, unchecked: capacity times agent j's column j."""
+    return make_imputation(instance, {q: F(instance.capacity(q)) * v
+                                      for q, v in zip(instance.agents, values)})
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +360,17 @@ def _coalitions(instance: GameInstance) -> Iterator[
     demanding its weight: v(S) is the weight of a matching in S, so
     payoffs >= 0 paying every edge pay every coalition (Shapley and
     Shubik 1971; Deng, Ibaraki and Nagamochi 1999). Else they are the
-    closed proper coalitions, each member with a neighbour inside, and
-    the demand is None until the session reads it (``_Session.demands``).
-    Any other coalition demands what its closed part, its members on an
-    inner edge, demands: a member on no inner edge adds nothing to a
-    matching, and to the dual a column with no row entry and cost >= 0,
-    which Bland's rule never enters (Bland 1977). Paid no less than that
-    part under payoffs >= 0, it needs no row of its own.
+    connected proper coalitions, whose inner edges join their two or more
+    members, each size grown from the one below by a neighbour, as masks
+    (bit j = agent j); the demand is None until the session reads it
+    (``_Session.demands``). Any other coalition demands the sum of what
+    its parts, the sets its inner edges join, demand: a matching splits
+    over them, and a bounds-capacity dual program is block-diagonal over
+    them, a lone member's block a column with no row entry and cost >= 0.
+    Bland's rule enters the lowest eligible column and the ratio test
+    reads that column's block alone, slack and artificial order kept, so
+    each block pivots as it would alone (Bland 1977). Paid the sum of its
+    parts' payoffs, such a coalition needs no row of its own.
     """
     agents = instance.agents
     at = {q: j for j, q in enumerate(agents)}
@@ -389,53 +378,37 @@ def _coalitions(instance: GameInstance) -> Iterator[
             and all(instance.capacity(q) == 1 for q in agents)):
         pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
         return (((agents[i], agents[j]), w) for i, j, w in pairs if len(agents) > 2)
-    near = _neighbours(instance)
-
-    def closed():
-        for size in range(2, len(agents)):
-            for picked in combinations(range(len(agents)), size):
-                mask = sum(1 << j for j in picked)
-                if all(near[j] & mask for j in picked):
-                    yield tuple(agents[j] for j in picked), None
-    return closed()
-
-
-def _neighbours(instance: GameInstance) -> list[int]:
-    """Bit k of entry j: agents j and k share an edge."""
-    at = {q: j for j, q in enumerate(instance.agents)}
-    near = [0] * len(at)
+    near = [0] * len(agents)
     for e in instance.edges:
         near[at[e.u]] |= 1 << at[e.v]
         near[at[e.v]] |= 1 << at[e.u]
-    return near
 
-
-def _parts(near: list[int], mask: int) -> list[int]:
-    """The coalition ``mask`` (bit j = agent j) split into the parts its
-    inner edges join, as masks; ``near`` is ``_neighbours``."""
-    parts = []
-    while mask:
-        part = grown = mask & -mask
-        while grown:
-            j = grown.bit_length() - 1
-            grown ^= 1 << j
-            new = near[j] & mask & ~part
-            part |= new
-            grown |= new
-        parts.append(part)
-        mask ^= part
-    return parts
+    def connected():
+        level = {1 << j: near[j] for j in range(len(agents))}   # mask -> its members' neighbours
+        for _ in range(2, len(agents)):
+            grown = {}
+            for mask, reach in level.items():
+                out = reach & ~mask
+                while out:
+                    bit = out & -out
+                    out ^= bit
+                    grown[mask | bit] = reach | near[bit.bit_length() - 1]
+            level = grown
+            for picked in sorted(tuple(j for j in range(len(agents)) if mask >> j & 1)
+                                 for mask in level):
+                yield tuple(agents[j] for j in picked), None
+    return connected()
 
 
 def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
-    """What a closed coalition demands, what its own sub-game yields: its
-    worth or, for the bounds-capacity kind, its surplus under the
-    sub-game's Bland-rule optimal dual, so repeated runs agree. That dual
-    is one bare solve of the sub-game's dual program, cut from the game's
-    (``sub_dual``); its first |S| columns are the members' vertex duals.
-    It has an optimum since the game's program has one: the game's
-    matching on the inner edges is feasible for the sub-game, and the
-    capacities bound it."""
+    """What a coalition, a row of ``_coalitions``, demands: what its own
+    sub-game yields, its worth or, for the bounds-capacity kind, its
+    surplus under the sub-game's Bland-rule optimal dual, so repeated
+    runs agree. That dual is one bare solve of the sub-game's dual
+    program, cut from the game's (``sub_dual``); its first |S| columns
+    are the members' vertex duals. It has an optimum since the game's
+    program has one: the game's matching on the inner edges is feasible
+    for the sub-game, and the capacities bound it."""
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         lp = sub_dual(_session(instance).face.lp, instance, members)
         k = len(members)
@@ -465,12 +438,14 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     it can generate strictly more on its own (its worth, or for the
     bounds-capacity kind deterministic surplus) than it is allocated.
     The first blocking coalition in size-then-lexicographic order is
-    returned as the witness. It is a row of ``_coalitions``: the closed
-    part of a blocking coalition comes no later, demands as much and is
-    paid no more, so it blocks too. With every capacity one that is an
-    edge pair, and for the bounds-capacity kind ``witness_dual`` is the
-    optimal dual of the witness's own sub-game: ``_demand`` solved the
-    same program, so it is the vertex whose surplus was the demand.
+    returned as the witness. It is a row of ``_coalitions``: a coalition
+    that is no row demands at most the sum of what smaller rows inside it
+    demand (the edge pairs of a best matching when every capacity is one,
+    else its parts) and is paid at least the sum of their payoffs, so one
+    of them blocks too, and comes earlier. For the bounds-capacity kind
+    ``witness_dual`` is the optimal dual of the witness's own sub-game:
+    ``_demand`` solved the same program, so it is the vertex whose
+    surplus was the demand.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -517,7 +492,7 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
 class _CoalitionCuts:
     """Exact row generation over the (members, demand) rows of the core,
     those of ``_coalitions`` (edge pairs when every capacity is one, else
-    the closed coalitions), read through the instance's session. It
+    the connected coalitions), read through the instance's session. It
     decides the bounds-capacity kind's core for ``core_nonempty``, whose
     other kinds read their verdict off the dual, and finds the core
     vertices of ``sample_core_vertices``.
@@ -530,8 +505,8 @@ class _CoalitionCuts:
     Kelley 1960). A relaxed optimum that violates no row is optimal for
     the full system, and a vertex of the core because it is a vertex of a
     larger polyhedron. Rows found stay for later objectives. The LP keeps
-    payoffs >= 0, so no coalition is more violated than its closed part,
-    which comes no later: the rows of ``_coalitions`` are enough.
+    payoffs >= 0, under which the rows of ``_coalitions`` imply every
+    other coalition's row (``is_core_imputation``): the same polyhedron.
     """
 
     def __init__(self, instance: GameInstance):
@@ -595,15 +570,18 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     dual program, each coalition at least its fractional optimum by weak
     duality, capacities or not. The witness is the deterministic-dual
     imputation, a point of D(I), the set of imputations given by optimal
-    duals. The bounds-capacity kind, whose deterministic-dual imputation
-    can block, is decided by row generation (``_CoalitionCuts``), and its
-    witness is a vertex of the core, which one not being specified.
+    duals: the payoffs of the session's base vertex, optimal by
+    construction and, the core being nonempty, an imputation, so neither
+    is checked again. The bounds-capacity kind, whose deterministic-dual
+    imputation can block, is decided by row generation over the
+    connected coalition rows (``_CoalitionCuts``), and its witness is a
+    vertex of the core, which one not being specified.
     """
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
         check_instance_size(len(instance.agents), len(instance.edges))
         if _empty_general_core(instance):
             return False, None
-        return True, dual_to_imputation(instance, optimal_dual(instance))
+        return True, _dual_payoffs(instance, _session(instance).face.base.values)
     cuts = _CoalitionCuts(instance)
     sol = cuts.solve([ZERO] * len(instance.agents), Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:

@@ -232,19 +232,30 @@ def closed_part(g, members):
     return tuple(q for q in g.agents if q in on_edge)
 
 
+def parts(g, members):
+    """The members split into the sets their inner edges join, by a graph
+    search: each part in agent order, the parts by their first member. A
+    member on no inner edge is a part of its own."""
+    inside, out = set(members), []
+    for q in g.agents:
+        if q not in inside or any(q in part for part in out):
+            continue
+        seen, stack = {q}, [q]
+        while stack:
+            r = stack.pop()
+            for e in g.edges:
+                if r in (e.u, e.v) and e.u in inside and e.v in inside:
+                    other = e.v if r == e.u else e.u
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        out.append(tuple(p for p in g.agents if p in seen))
+    return out
+
+
 def connected(g, members):
-    """Whether the members' inner edges join them all, by a graph search."""
-    inside = set(members)
-    seen, stack = {members[0]}, [members[0]]
-    while stack:
-        q = stack.pop()
-        for e in g.edges:
-            if q in (e.u, e.v) and e.u in inside and e.v in inside:
-                other = e.v if q == e.u else e.u
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    return seen == inside
+    """Whether the members' inner edges join them all."""
+    return len(parts(g, members)) == 1
 
 
 def pinned_row_face(g):

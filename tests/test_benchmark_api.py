@@ -78,15 +78,17 @@ def _three_by_three():
 
 
 def test_core_scans_read_the_closed_coalitions_alone():
-    # Of the game's 62 proper coalitions, 26 are closed: every member has
-    # a neighbour inside. They are the core's rows that each membership
-    # scan reads, and all 26 demand more than 0, so they are the candidate
-    # rows of row generation too. A member on no inner edge adds no row.
+    # Of the game's 62 proper coalitions, 26 are closed (every member has
+    # a neighbour inside) and 23 of those are connected (their inner edges
+    # join them all). The 23 are the core's rows that each membership scan
+    # reads, and all 23 demand more than 0, so they are the candidate rows
+    # of row generation too. A coalition whose inner edges fall apart, or
+    # that holds a member on no inner edge, adds no row.
     from matchcore import analysis
 
     g = _three_by_three()
-    assert sum(1 for _ in analysis._coalitions(g)) == 26
-    assert len(analysis._CoalitionCuts(g).table) == 26
+    assert sum(1 for _ in analysis._coalitions(g)) == 23
+    assert len(analysis._CoalitionCuts(g).table) == 23
 
 
 def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):

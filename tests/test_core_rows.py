@@ -206,11 +206,13 @@ def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
     # Each pair of agents splits a few units of the grand amount in halves,
     # thirds or fifths, and the last agent takes the rest, so the integer
     # allocation sweep often needs a common denominator that no single
-    # payoff has.
+    # payoff has. Where a closed coalition whose inner edges fall apart
+    # blocks too, the library, which has no row for it, must still give
+    # the reference's first blocking coalition.
     rng = random.Random(8311)
     kinds = helpers.ALL_BIPARTITE + (GameKind.GENERAL,)
-    blocked, with_dual, mixed = 0, 0, 0
-    for trial in range(200):
+    blocked, with_dual, mixed, apart = 0, 0, 0, Counter()
+    for trial in range(600):
         kind = kinds[trial % len(kinds)]
         g = (helpers.random_general(rng, max_vertices=6, max_edges=8)
              if kind is GameKind.GENERAL
@@ -236,39 +238,50 @@ def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
             continue
         blocked += 1
         with_dual += expected[3] is not None
+        apart[helpers.capacity_one(g)] += any(
+            demand > sum((imp[q] for q in members), ZERO)
+            for members, demand, _ in _reference_rows(g)
+            if helpers.closed_part(g, members) == members and not helpers.connected(g, members))
         assert (verdict.in_core, verdict.witness, verdict.witness_demand,
                 verdict.witness_allocation, verdict.witness_dual) == (False, *expected)
+    # Counts at this seed: 509 blocked probes, 107 with a dual, 85 with
+    # mixed denominators; a disconnected closed coalition blocks too in 52
+    # blocked probes, 29 of them on games whose rows are not edge pairs.
     assert blocked >= 120 and with_dual >= 20 and mixed >= 20
+    assert apart[False] >= 25 and apart[True] >= 15, apart
 
 
 def test_hk_demand_table_matches_each_coalitions_own_sub_game():
-    # The demand table holds the closed coalitions alone, each demanding
-    # its surplus under the Bland dual of its own sub-game. A reference
-    # solve of every coalition's whole sub-game must give the demand and
-    # the vertex duals of its closed part's sub-game, 0 off that part.
+    # The demand table holds the connected coalitions alone, each
+    # demanding its surplus under the Bland dual of its own sub-game. A
+    # reference solve of every coalition's whole sub-game must give the sum
+    # of the demands of its closed part's connected parts, and the vertex
+    # duals of its closed part's sub-game, 0 off that part.
     rng, split = random.Random(77), random.Random(78)
-    spanning, loose, witnesses = 0, 0, 0
+    spanning, loose, apart, witnesses = 0, 0, 0, 0
     for _ in range(120):
         g = helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
         rows = dict(analysis._session(g).demands())
-        closed_rows = []
+        connected_rows = []
         for size in range(1, len(g.agents)):
             for members in combinations(g.agents, size):
                 sub, closed = restrict(g, members), helpers.closed_part(g, members)
-                if closed == members:
-                    closed_rows.append(members)
+                if closed == members and helpers.connected(g, members):
+                    connected_rows.append(members)
                 if not sub.edges:
                     assert closed == ()
                     continue
                 spanning += 1
                 loose += closed != members
-                own, demand = analysis.optimal_dual(sub), rows[closed]
+                parts = helpers.parts(g, closed)
+                apart += len(parts) > 1
+                own = analysis.optimal_dual(sub)
                 d = analysis.optimal_dual(restrict(g, closed))
-                assert demand == analysis._surplus(own)
+                assert analysis._surplus(own) == sum(rows[part] for part in parts)
                 for q in members:
                     assert own.vertex(q) == (d.vertex(q) if q in closed else ZERO)
-        assert list(rows) == closed_rows
-        # The first blocking coalition is closed, so its witness dual is
+        assert list(rows) == connected_rows
+        # The first blocking coalition is connected, so its witness dual is
         # its own sub-game's.
         grand = analysis.surplus_account(g, analysis.optimal_dual(g)).surplus
         shares = [split.randint(0, 3) for _ in g.agents]
@@ -278,9 +291,13 @@ def test_hk_demand_table_matches_each_coalitions_own_sub_game():
         if verdict.witness_dual is not None:
             witnesses += 1
             sub = restrict(g, verdict.witness)
-            assert set(helpers.closed_part(g, verdict.witness)) == verdict.witness
+            assert helpers.connected(g, sub.agents)
             assert verdict.witness_dual == analysis.optimal_dual(sub)
+    # Counts at these seeds: 3,713 edge-spanning coalitions, 2,609 with a
+    # member on no inner edge, 274 whose closed part falls apart, and 114
+    # witnesses.
     assert spanning >= 3000 and loose >= 2000 and witnesses >= 80, (spanning, loose, witnesses)
+    assert apart >= 250, apart
 
 
 def test_hk_coalition_program_is_the_sub_games_own_dual_program():
@@ -288,14 +305,20 @@ def test_hk_coalition_program_is_the_sub_games_own_dual_program():
     # sub-game's dual program, column for column and row for row, each
     # cut row keeping the integers its tableau copies, and its demand is
     # the surplus under the Bland dual of that sub-game's own session, the
-    # reference path.
+    # reference path. The closed coalitions (every member with a
+    # neighbour inside) are listed here, a superset of the library's
+    # connected rows, so that cut programs with several blocks are
+    # checked too.
     rng = random.Random(2900)
     games = [g for _, _, g in helpers.cap_set(("hoffman_kruskal",))]
     games += [helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
               for _ in range(120)]
     seen = dict(coalitions=0, floor=0, ceiling=0, open=0)
     for g in games:
-        for members, _ in analysis._coalitions(g):
+        closed = [members for size in range(2, len(g.agents))
+                  for members in combinations(g.agents, size)
+                  if helpers.closed_part(g, members) == members]
+        for members in closed:
             sub = restrict(g, members)
             program = sub_dual(analysis._session(g).face.lp, g, members)
             own = build_dual(sub)
@@ -433,12 +456,21 @@ def test_a_worth_kinds_core_question_solves_no_program_and_searches_no_sub_game(
     # On the cap set, a cold core_nonempty of every kind but hoffman_kruskal
     # is the session's one solve of the dual program: no lp.solve call, no
     # coalition row read, and no search but a general game's own optimum,
-    # which the concurrency test reads.
+    # which the concurrency test reads. That test runs once, and the
+    # session's base vertex, optimal by construction, is not checked again.
     def refused(lp):
         raise AssertionError("core_nonempty solved a program of its own")
 
+    def checked_again(instance, d):
+        raise AssertionError("core_nonempty checked its own base vertex again")
+
     monkeypatch.setattr(analysis, "solve", refused)
     monkeypatch.setattr(lp_module, "solve", refused)
+    monkeypatch.setattr(analysis, "is_optimal_dual", checked_again)
+    concurrency = []
+    empty_core = analysis._empty_general_core
+    monkeypatch.setattr(analysis, "_empty_general_core",
+                        lambda instance: concurrency.append(instance) or empty_core(instance))
     tableaux = []
     original = lp_module._Tableau.solve
     monkeypatch.setattr(lp_module._Tableau, "solve",
@@ -447,19 +479,22 @@ def test_a_worth_kinds_core_question_solves_no_program_and_searches_no_sub_game(
         analysis._session.cache_clear()
         oracle_module._search.cache_clear()
         tableaux.clear()
+        concurrency.clear()
         nonempty, witness = analysis.core_nonempty(g)
-        assert nonempty == (witness is not None)
+        assert nonempty == (witness is not None) and concurrency == [g]
         assert len(tableaux) == 1 and analysis._session(g)._rows == []
         searched = oracle_module._search.cache_info().currsize
         assert searched == (kind == "general"), kind
 
 
 def test_a_disconnected_coalition_demands_the_sum_of_its_parts():
-    # A closed coalition whose inner edges fall apart is never searched or
-    # solved: the session sums its parts' demands. Every demand the session
-    # reads must be the one a direct _demand call gives, on the
-    # multi-capacity games of the cap set and on 200 seeded hoffman_kruskal
-    # games and 100 each of b_matching and uniform_b.
+    # Why the core's rows can be its connected coalitions alone: a closed
+    # coalition (every member with a neighbour inside) whose inner edges
+    # fall apart demands the sum of what its parts demand, so it blocks
+    # only when a part does, and each part is a row that comes earlier.
+    # A direct _demand call on it must give that sum, on the
+    # multi-capacity games of the cap set and on 200 seeded
+    # hoffman_kruskal games and 100 each of b_matching and uniform_b.
     rng = random.Random(3109)
     games = [g for _, _, g in helpers.cap_set(("uniform_b", "b_matching", "hoffman_kruskal"))]
     kinds = 2 * [GameKind.HOFFMAN_KRUSKAL] + [GameKind.B_MATCHING, GameKind.UNIFORM_B]
@@ -468,14 +503,50 @@ def test_a_disconnected_coalition_demands_the_sum_of_its_parts():
               for trial in range(400)]
     seen = Counter()
     for g in games:
-        for members, demand in analysis._session(g).demands():
-            assert demand == analysis._demand(g, members), (g, members)
-            apart = not helpers.connected(g, members)
-            seen["rows"] += 1
-            seen["disconnected"] += apart
-            seen[g.kind, "disconnected"] += apart
+        for size in range(2, len(g.agents)):
+            for members in combinations(g.agents, size):
+                if helpers.closed_part(g, members) != members:
+                    continue
+                seen["closed"] += 1
+                parts = helpers.parts(g, members)
+                if len(parts) == 1:
+                    continue
+                assert (analysis._demand(g, members)
+                        == sum(analysis._demand(g, part) for part in parts)), (g, members)
+                seen["disconnected"] += 1
+                seen[g.kind, "disconnected"] += 1
         analysis._session.cache_clear()
-    # Counts at this seed: 15,239 rows, 3,631 of them disconnected (1,346
-    # hoffman_kruskal, 1,404 uniform_b, 881 b_matching).
-    assert seen["rows"] >= 14000 and seen["disconnected"] >= 3000, seen
+    # Counts at this seed: 15,396 closed coalitions, 3,660 of them
+    # disconnected (1,346 hoffman_kruskal, 1,431 uniform_b, 883 b_matching).
+    assert seen["closed"] >= 14000 and seen["disconnected"] >= 3000, seen
     assert min(seen[kind, "disconnected"] for kind in kinds) >= 800, seen
+
+
+def test_the_rows_are_the_connected_coalitions_in_size_then_lexicographic_order():
+    # _coalitions grows each size from the one below by adding a
+    # neighbour, as masks. Filtering every proper coalition by a graph
+    # search must give the same rows in the same order, on the
+    # multi-capacity games of the cap set and on 400 seeded ones, among
+    # them graphs in several pieces and agents on no edge.
+    rng = random.Random(3211)
+    games = [g for _, _, g in helpers.cap_set(("uniform_b", "b_matching", "hoffman_kruskal"))]
+    kinds = (GameKind.HOFFMAN_KRUSKAL, GameKind.B_MATCHING, GameKind.UNIFORM_B)
+    while len(games) < 415:
+        g = helpers.random_bipartite(rng, kinds[len(games) % 3], max_side=4, max_edges=8)
+        if not helpers.capacity_one(g):
+            games.append(g)
+    seen = Counter()
+    for g in games:
+        assert not helpers.capacity_one(g)
+        reference = [(members, None) for size in range(2, len(g.agents))
+                     for members in combinations(g.agents, size)
+                     if helpers.connected(g, members)]
+        assert list(analysis._coalitions(g)) == reference, g
+        seen[g.kind] += 1
+        seen["rows"] += len(reference)
+        seen["pieces"] += len(helpers.parts(g, g.agents)) > 1
+        seen["lone agent"] += any(len(part) == 1 for part in helpers.parts(g, g.agents))
+    # Counts at this seed: 138 or 139 games of each kind, 12,289 rows, 227
+    # graphs in several pieces and 219 with an agent on no edge.
+    assert min(seen[kind] for kind in kinds) >= 130, seen
+    assert seen["rows"] >= 12000 and seen["pieces"] >= 200 and seen["lone agent"] >= 200, seen

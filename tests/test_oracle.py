@@ -223,9 +223,10 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
     # Two tables against worth: the reference subset recursion of helpers
     # (every capacity one), and the core's demand table (some capacity
     # above one), which row generation and membership scans read. Its rows
-    # are exactly the closed proper coalitions (every member with a
-    # neighbour inside), in size-then-lexicographic order, and every other
-    # coalition is worth what its closed part is (0 when that is empty).
+    # are exactly the connected proper coalitions of two or more members
+    # (their inner edges join them all), in size-then-lexicographic order,
+    # and every other coalition is worth the sum of what its parts are, the
+    # sets its inner edges join (a lone member being worth 0).
     # Every weight is divided by a seeded integer from 1 to 6, so both
     # meet mixed denominators.
     rng = random.Random(909)
@@ -256,10 +257,11 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
                 assert demand == worth(g, members), (g, members)
             proper = [members for size in range(1, len(g.agents))
                       for members in combinations(g.agents, size)]
-            assert list(rows) == [m for m in proper if helpers.closed_part(g, m) == m], g
+            assert list(rows) == [m for m in proper
+                                  if len(m) > 1 and helpers.connected(g, m)], g
             for members in proper:
-                closed = helpers.closed_part(g, members)
-                assert worth(g, members) == rows.get(closed, 0), (g, members)
+                demands = [rows[part] for part in helpers.parts(g, members) if len(part) > 1]
+                assert worth(g, members) == sum(demands), (g, members)
         paths[key] = paths.get(key, 0) + 1
         if any(e.weight.denominator > 1 for e in g.edges):
             fractional[key[1]] = fractional.get(key[1], 0) + 1

@@ -80,3 +80,60 @@ def test_the_check_sees_a_private_read():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_reads_another_modules_private_name(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def unread_privates(texts: dict[str, str]) -> list[str]:
+    """The private names that the modules ``texts`` (file name -> source)
+    define, at module level or as a method of a module-level class, and
+    that no module reads, each as ``<file>:<line>: <name>``. A read is a
+    name or an attribute loaded anywhere, so a method counts as read when
+    any object's attribute of its name is; a dunder name is not private."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    defined: list[tuple[str, int, str, str]] = []
+    read: set[str] = set()
+    for file, text in texts.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((file, node.lineno, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(file, item.lineno, item.name, f"{node.name}.{item.name}")
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(file, name.lineno, name.id, name.id)
+                            for target in targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{file}:{line}: {shown}" for file, line, name, shown in defined
+            if private(name) and name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    texts = {"a.py": ("_LIMIT = 3\n"
+                      "_SPARE, shown = 1, 2\n"
+                      "def _helper():\n"
+                      "    return _LIMIT\n"
+                      "def _orphan():\n"
+                      "    return _helper()\n"
+                      "class _Box:\n"
+                      "    def __init__(self):\n"
+                      "        self._rows = []\n"
+                      "    def _left(self):\n"
+                      "        return self._rows\n"
+                      "    def _used(self):\n"
+                      "        return 1\n"),
+             "b.py": "def f(box):\n    return box._used()\n"}
+    assert unread_privates(texts) == ["a.py:2: _SPARE", "a.py:5: _orphan",
+                                      "a.py:7: _Box", "a.py:10: _Box._left"]
+
+
+def test_every_private_name_is_read_by_some_module():
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCE.glob("*.py"))}
+    assert unread_privates(texts) == []
