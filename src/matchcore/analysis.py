@@ -427,25 +427,41 @@ def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
     return [imp[q] for q in instance.agents]
 
 
+def _shortfalls(session: _Session, payoffs: list[Fraction]) -> Iterator[
+        tuple[tuple[str, ...], Fraction, int, int]]:
+    """The core's rows that ``payoffs`` (in agent order) leave short, as
+    (members, demand, paid, scale), lazily in the order of
+    ``_Session.demands``: the one scan that compares rows with payoffs,
+    in integers. The payoffs are scaled once, over their common
+    denominator ``scale``; a row is paid paid / scale < demand."""
+    ints, scale = scaled(payoffs)
+    pay = dict(zip(session.instance.agents, ints))
+    for members, demand in session.demands():
+        paid = sum(map(pay.__getitem__, members))
+        if demand.numerator * scale > paid * demand.denominator:
+            yield members, demand, paid, scale
+
+
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """Exact core membership over the coalition rows of ``_coalitions``.
 
     The imputation must pay exactly the instance's agents, each at least
     zero (else ValueError), and its total must lie in the grand range
-    (``_Session.grand_range``): the worth, or for the bounds-capacity kind the
-    surplus under some optimal dual; outside it the grand coalition is the
-    witness, with the violated end as its demand. A coalition blocks when
-    it can generate strictly more on its own (its worth, or for the
-    bounds-capacity kind deterministic surplus) than it is allocated.
-    The first blocking coalition in size-then-lexicographic order is
-    returned as the witness. It is a row of ``_coalitions``: a coalition
-    that is no row demands at most the sum of what smaller rows inside it
-    demand (the edge pairs of a best matching when every capacity is one,
-    else its parts) and is paid at least the sum of their payoffs, so one
-    of them blocks too, and comes earlier. For the bounds-capacity kind
-    ``witness_dual`` is the optimal dual of the witness's own sub-game:
-    ``_demand`` solved the same program, so it is the vertex whose
-    surplus was the demand.
+    (``_Session.grand_range``): the worth, or for the bounds-capacity kind
+    the surplus under some optimal dual; outside it the grand coalition
+    is the witness, with the violated end as its demand and, for every
+    kind, no ``witness_dual``. A coalition blocks when it can generate
+    strictly more on its own (its worth, or for the bounds-capacity kind
+    deterministic surplus) than it is allocated. The witness is the first
+    blocking row in size-then-lexicographic order, the first that
+    ``_shortfalls`` yields: a coalition that is no row demands at most
+    the sum of what smaller rows inside it demand (the edge pairs of a
+    best matching when every capacity is one, else its parts) and is
+    paid at least the sum of their payoffs, so one of them blocks too,
+    and comes earlier. For the bounds-capacity kind a blocking row's
+    ``witness_dual`` is the optimal dual of its own sub-game: ``_demand``
+    solved the same program, so it is the vertex whose surplus was the
+    demand.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -455,14 +471,10 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     total = imp.total
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
-    ints, scale = scaled(payoffs)
-    pay = dict(zip(agents, ints))
-    for members, demand in session.demands():
-        paid = sum(pay[q] for q in members)
-        if demand.numerator * scale > paid * demand.denominator:
-            d = (optimal_dual(restrict(instance, members))
-                 if instance.kind is GameKind.HOFFMAN_KRUSKAL else None)
-            return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
+    for members, demand, paid, scale in _shortfalls(session, payoffs):
+        d = (optimal_dual(restrict(instance, members))
+             if instance.kind is GameKind.HOFFMAN_KRUSKAL else None)
+        return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
     return CoreVerdict(True)
 
 
@@ -489,67 +501,49 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     return fixed.status is Status.OPTIMAL and fixed.value == face.base.value
 
 
-class _CoalitionCuts:
-    """Exact row generation over the (members, demand) rows of the core,
-    those of ``_coalitions`` (edge pairs when every capacity is one, else
-    the connected coalitions), read through the instance's session. It
-    decides the bounds-capacity kind's core for ``core_nonempty``, whose
-    other kinds read their verdict off the dual, and finds the core
-    vertices of ``sample_core_vertices``.
+def _total_rows(session: _Session) -> list[Constraint]:
+    """The rows that row generation (``_core_optimum``) starts from, on
+    the payoffs' total alone: one equation when the grand range
+    (``_Session.grand_range``) is one value, else a row for each bounded
+    end."""
+    lo, hi = session.grand_range
+    ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
+    return [Constraint(tuple(ONE for _ in session.instance.agents), relation, end)
+            for relation, end in ends if end is not None]
 
-    The LP starts from the total rows alone: one equation when the grand
-    range (``_Session.grand_range``) is one value, else a row for each bounded
-    end. After each solve the most violated coalition row (the first in
-    size-then-lexicographic order on ties) is added, until the LP is
-    infeasible or no row is violated (Dantzig, Fulkerson and Johnson 1954;
-    Kelley 1960). A relaxed optimum that violates no row is optimal for
-    the full system, and a vertex of the core because it is a vertex of a
-    larger polyhedron. Rows found stay for later objectives. The LP keeps
-    payoffs >= 0, under which the rows of ``_coalitions`` imply every
-    other coalition's row (``is_core_imputation``): the same polyhedron.
+
+def _core_optimum(session: _Session, rows: list[Constraint], objective,
+                  sense: Sense) -> LpSolution:
+    """Optimize ``objective`` over the core (whose membership
+    ``is_core_imputation`` decides) by exact row generation on ``rows``,
+    the caller's list: it starts as ``_total_rows`` and keeps the rows
+    found for later objectives. After each solve the row that the
+    optimum leaves shortest (the first of ``_shortfalls`` on ties) is
+    appended, until the LP is infeasible or no row is short (Dantzig,
+    Fulkerson and Johnson 1954; Kelley 1960). Such an optimum is optimal
+    for the full system, and a vertex of the core because it is a vertex
+    of a larger polyhedron. The LP keeps payoffs >= 0, under which the
+    rows of ``_coalitions`` imply every other coalition's row: the same
+    polyhedron.
     """
-
-    def __init__(self, instance: GameInstance):
-        agents = instance.agents
-        check_instance_size(len(agents), len(instance.edges))
-        session = _session(instance)
-        lo, hi = session.grand_range
-        ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
-        self.instance = instance
-        # Rows of demand <= 0 can never be violated by payoffs >= 0.
-        self.table = [(members, demand) for members, demand in session.demands() if demand > 0]
-        self.rows = [Constraint(tuple(ONE for _ in agents), relation, end)
-                     for relation, end in ends if end is not None]
-
-    def row(self, entry) -> Constraint:
-        members, demand = entry
-        coeffs = tuple(ONE if q in members else ZERO for q in self.instance.agents)
-        return Constraint(coeffs, Relation.GE, demand)
-
-    def _most_violated(self, values: tuple[Fraction, ...]):
-        ints, scale = scaled(values)
-        pay = dict(zip(self.instance.agents, ints))
-        # A row's excess is short / (den * scale), and scale is common to
-        # every row, so rows compare by short / den, cross-multiplied.
+    agents = session.instance.agents
+    while True:
+        sol = solve(LinearProgram(sense, agents, objective, rows))
+        if sol.status is not Status.OPTIMAL:
+            return sol
+        # A row's shortfall is short / (den * scale), and scale is common
+        # to every row, so rows compare by short / den, cross-multiplied.
         worst, gap, gap_den = None, 0, 1
-        for entry in self.table:
-            members, demand = entry
+        for members, demand, paid, scale in _shortfalls(session, sol.values):
             den = demand.denominator
-            short = demand.numerator * scale - sum(pay[q] for q in members) * den
+            short = demand.numerator * scale - paid * den
             if short * gap_den > gap * den:
-                worst, gap, gap_den = entry, short, den
-        return worst
-
-    def solve(self, objective, sense: Sense) -> LpSolution:
-        """Optimize over the full core by adding violated rows as needed."""
-        while True:
-            sol = solve(LinearProgram(sense, self.instance.agents, objective, self.rows))
-            if sol.status is not Status.OPTIMAL:
-                return sol
-            worst = self._most_violated(sol.values)
-            if worst is None:
-                return sol
-            self.rows.append(self.row(worst))
+                worst, gap, gap_den = (members, demand), short, den
+        if worst is None:
+            return sol
+        members, demand = worst
+        rows.append(Constraint(tuple(ONE if q in members else ZERO for q in agents),
+                               Relation.GE, demand))
 
 
 def _imputation_from(instance: GameInstance, sol: LpSolution) -> Imputation:
@@ -574,16 +568,18 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     construction and, the core being nonempty, an imputation, so neither
     is checked again. The bounds-capacity kind, whose deterministic-dual
     imputation can block, is decided by row generation over the
-    connected coalition rows (``_CoalitionCuts``), and its witness is a
-    vertex of the core, which one not being specified.
+    connected coalition rows (``_core_optimum`` with a zero objective),
+    and its witness is a vertex of the core, which one not being
+    specified.
     """
+    check_instance_size(len(instance.agents), len(instance.edges))
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        check_instance_size(len(instance.agents), len(instance.edges))
         if _empty_general_core(instance):
             return False, None
         return True, _dual_payoffs(instance, _session(instance).face.base.values)
-    cuts = _CoalitionCuts(instance)
-    sol = cuts.solve([ZERO] * len(instance.agents), Sense.MINIMIZE)
+    session = _session(instance)
+    sol = _core_optimum(session, _total_rows(session), [ZERO] * len(instance.agents),
+                        Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:
         return False, None
     return True, _imputation_from(instance, sol)
@@ -594,22 +590,24 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
 
     For worth-based kinds only. Each of ``count`` objectives (integer
     coefficients in -9..9 drawn from ``seed``) is maximized over the core
-    by row generation (``_CoalitionCuts``), keeping the coalition rows
-    found for earlier objectives. When an objective has several
-    optimal vertices, which one is returned is not specified. An empty
-    core yields no vertices.
+    by row generation (``_core_optimum``) over one row list, so the rows
+    found for earlier objectives stay; with no objective no demand is
+    read. When an objective has several optimal vertices, which one is
+    returned is not specified. An empty core yields no vertices.
     """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
     if count < 0:
         raise ValueError(f"sample count must be >= 0, not {count}")
-    cuts = _CoalitionCuts(instance)
+    check_instance_size(len(instance.agents), len(instance.edges))
+    session = _session(instance)
+    rows = _total_rows(session)
     rng = random.Random(seed)
     seen = set()
     out = []
     for _ in range(count):
         objective = [F(rng.randint(-9, 9)) for _ in instance.agents]
-        sol = cuts.solve(objective, Sense.MAXIMIZE)
+        sol = _core_optimum(session, rows, objective, Sense.MAXIMIZE)
         if sol.status is not Status.OPTIMAL:
             return out      # the core is empty, whatever the objective
         if sol.values not in seen:

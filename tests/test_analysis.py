@@ -543,7 +543,7 @@ def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch
 
 
 def test_an_hk_core_question_keeps_the_games_session_alone():
-    # Each closed coalition's demand is a bare solve of its part of the
+    # Each connected coalition's demand is a bare solve of its part of the
     # game's dual program, so a cold core_nonempty leaves no sub-game's
     # session behind, only the game's own.
     for _, _, g in helpers.cap_set(("hoffman_kruskal",)):
@@ -877,7 +877,7 @@ def test_face_values_do_not_depend_on_agent_or_edge_order():
     # order of agents and edges (which fixes the column order, and with
     # it the pivots) must not move them. Nor must the coalition worths or
     # the core's rows, both found by scans in agent order: the edge pairs
-    # when every capacity is one, the closed coalitions otherwise.
+    # when every capacity is one, the connected coalitions otherwise.
     rng = random.Random(4)
     games = [helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
              for kind in helpers.ALL_BIPARTITE for _ in range(8)]
@@ -963,12 +963,13 @@ def test_warm_answers_equal_cold_answers():
 
 
 def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch):
-    # A uniform_b game with b = 2, so the core's rows are its closed
+    # A uniform_b game with b = 2, so the core's rows are its connected
     # coalitions, each demanding its sub-game's worth. Its payoff ranges
     # are the ranges extreme_imputations read, so asking them afterwards
     # starts no phase-2 run; and four in-core memberships read each row's
     # worth once in all, restricting each connected coalition once and no
-    # other: a disconnected one sums its parts' worths.
+    # other: 24 of the 27 closed coalitions (every member with a neighbour
+    # inside), since a disconnected one is no row.
     g = make_instance(GameKind.UNIFORM_B, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
                       [("a1", "b1", F(23, 5)), ("a1", "b2", F(17, 5)), ("a2", "b1", F(19, 5)),
                        ("a2", "b3", F(11, 5)), ("a3", "b2", F(13, 5)), ("a3", "b3", F(29, 5))],

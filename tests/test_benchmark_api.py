@@ -77,18 +77,19 @@ def _three_by_three():
                          capacities={"a1": 2, "a2": 1, "a3": 3, "b1": 1, "b2": 2, "b3": 1})
 
 
-def test_core_scans_read_the_closed_coalitions_alone():
-    # Of the game's 62 proper coalitions, 26 are closed (every member has
-    # a neighbour inside) and 23 of those are connected (their inner edges
-    # join them all). The 23 are the core's rows that each membership scan
-    # reads, and all 23 demand more than 0, so they are the candidate rows
-    # of row generation too. A coalition whose inner edges fall apart, or
-    # that holds a member on no inner edge, adds no row.
+def test_core_scans_read_the_connected_coalitions_alone():
+    # Of the game's 62 proper coalitions, 23 are connected (their inner
+    # edges join them all): the core's rows, which each membership scan
+    # reads and row generation cuts from. All 23 demand more than 0, so
+    # payoffs of 0 leave each of them short. A coalition whose inner edges
+    # fall apart, or that holds a member on no inner edge, adds no row.
     from matchcore import analysis
+    from matchcore.rationals import ZERO
 
     g = _three_by_three()
     assert sum(1 for _ in analysis._coalitions(g)) == 23
-    assert len(analysis._CoalitionCuts(g).table) == 23
+    session = analysis._session(g)
+    assert sum(1 for _ in analysis._shortfalls(session, [ZERO] * len(g.agents))) == 23
 
 
 def test_clearing_the_found_caches_makes_every_operation_cold(import_benchmark):

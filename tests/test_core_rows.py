@@ -192,6 +192,23 @@ def test_empty_core_samples_nothing():
     assert analysis.sample_core_vertices(helpers.unit_triangle(), 5, seed=1) == []
 
 
+def test_sampling_no_vertex_reads_no_coalition_row(monkeypatch):
+    # Row generation reads a row's demand only when a scan reaches it,
+    # after a solve, so sampling no vertex reads none, and sampling one
+    # reads each row that its scans reach, once.
+    read = []
+    demand = analysis._demand
+    monkeypatch.setattr(analysis, "_demand",
+                        lambda instance, members: read.append(members) or demand(instance, members))
+    for _, s, g in helpers.cap_set(("uniform_b", "b_matching")):
+        analysis._session.cache_clear()
+        assert analysis.sample_core_vertices(g, 0, s) == [] and read == []
+        assert analysis._session(g)._rows == []
+        assert len(analysis.sample_core_vertices(g, 1, s)) == 1
+        assert read == [members for members, _ in analysis._session(g).demands()]
+        read.clear()
+
+
 def _first_blocking(g, imp):
     """The first coalition, in size-then-lexicographic order, whose demand
     exceeds its payoffs added in Fraction: (members, demand, allocation, dual)."""
@@ -434,7 +451,9 @@ def test_duality_decides_each_worth_kinds_core_as_row_generation_does():
     seen = Counter()
     for g in games:
         nonempty, witness = analysis.core_nonempty(g)
-        cuts = analysis._CoalitionCuts(g).solve([ZERO] * len(g.agents), Sense.MINIMIZE)
+        session = analysis._session(g)
+        cuts = analysis._core_optimum(session, analysis._total_rows(session),
+                                      [ZERO] * len(g.agents), Sense.MINIMIZE)
         assert (cuts.status is Status.OPTIMAL) == nonempty, g
         seen[g.kind] += 1
         if not nonempty:
@@ -550,3 +569,66 @@ def test_the_rows_are_the_connected_coalitions_in_size_then_lexicographic_order(
     # graphs in several pieces and 219 with an agent on no edge.
     assert min(seen[kind] for kind in kinds) >= 130, seen
     assert seen["rows"] >= 12000 and seen["pieces"] >= 200 and seen["lone agent"] >= 200, seen
+
+
+def test_row_generation_cuts_the_row_left_shortest_first_in_order_on_ties():
+    # After each solve, row generation adds the row that the optimum
+    # leaves shortest, demand - paid, and of several equally short rows
+    # the first in size-then-lexicographic order. Cutting by another
+    # rule (the first short row, say) still ends at a core vertex, but
+    # at another vertex and after other solves. The rows are the test's
+    # own list, so each cut is replayed: the relaxation over the rows
+    # before it is solved again and its shortest row found in Fractions
+    # over the session's (members, demand) rows. Games: the
+    # multi-capacity and hoffman_kruskal games of the cap set and 240
+    # seeded ones; hoffman_kruskal with the zero objective of
+    # core_nonempty, the others with 3 sampled objectives, maximized over
+    # one row list as sample_core_vertices does.
+    rng = random.Random(3303)
+    kinds = (GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
+    games = [g for _, _, g in helpers.cap_set(tuple(kind.value for kind in kinds))]
+    while len(games) < 9 + 240:
+        g = helpers.random_bipartite(rng, kinds[len(games) % 3], max_side=4, max_edges=7,
+                                     min_side=2)
+        if not helpers.capacity_one(g):
+            games.append(g)
+    seen = Counter()
+    for g in games:
+        at = {q: j for j, q in enumerate(g.agents)}
+        if g.kind is GameKind.HOFFMAN_KRUSKAL:
+            objectives = [([ZERO] * len(g.agents), Sense.MINIMIZE)]
+        else:
+            draw = random.Random(seen["games"])
+            objectives = [([F(draw.randint(-9, 9)) for _ in g.agents], Sense.MAXIMIZE)
+                          for _ in range(3)]
+        seen["games"] += 1
+        session = analysis._session(g)
+        rows = analysis._total_rows(session)
+        for objective, sense in objectives:
+            start = len(rows)
+            sol = analysis._core_optimum(session, rows, objective, sense)
+            table = list(session.demands())
+            for k in range(start, len(rows) + 1):
+                relaxed = solve(LinearProgram(sense, g.agents, objective, rows[:k]))
+                if relaxed.status is not Status.OPTIMAL:
+                    assert k == len(rows) and sol.status is relaxed.status, g
+                    break
+                pay = dict(zip(g.agents, relaxed.values))
+                short = [(demand - sum(pay[q] for q in members), members, demand)
+                         for members, demand in table]
+                gap = max((s for s, _, _ in short), default=ZERO)
+                if k == len(rows):
+                    assert gap <= 0 and sol.values == relaxed.values, g
+                    break
+                assert gap > 0, g
+                tied = [(members, demand) for s, members, demand in short if s == gap]
+                members, demand = min(tied, key=lambda row: (len(row[0]),
+                                                             [at[q] for q in row[0]]))
+                coeffs = tuple(ONE if q in members else ZERO for q in g.agents)
+                assert rows[k] == Constraint(coeffs, Relation.GE, demand), (g, k)
+                seen["cuts"] += 1
+                seen["tied cuts"] += len(tied) > 1
+        analysis._session.cache_clear()
+    # Counts at this seed: 857 cuts, 471 of them with a tie for shortest.
+    assert seen["games"] == 249, seen
+    assert seen["cuts"] >= 800 and seen["tied cuts"] >= 400, seen

@@ -423,8 +423,8 @@ def test_search_agrees_with_the_reference_search():
                                      for s in range(3)], ids=lambda x: str(x))
 def test_multi_capacity_cap_set_games_answer_their_core_questions(kind, s):
     # The cap set's multi-capacity bipartite games, at 12 agents and 16
-    # edges: their core scans read one worth per closed coalition (790 to
-    # 1,558 of them), so these are the largest searches the core asks for.
+    # edges: their core scans read one worth per connected coalition (604
+    # to 1,188 of them), so these are the largest searches the core asks for.
     ((_, _, g),) = [game for game in helpers.cap_set((kind,)) if game[1] == s]
     assert len(g.agents) == 12 and len(g.edges) == 16
     nonempty, witness = core_nonempty(g)

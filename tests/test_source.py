@@ -1,9 +1,14 @@
 """Source hygiene, read with the standard library's ``ast``: no module of
 the package imports a name that it never uses, and none reads another
 module's private name. ``__init__.py`` is left out, because its imports
-are the package's re-exports."""
+are the package's re-exports. Every private name is read somewhere, and
+every name that a docstring or comment quotes is defined somewhere."""
 
 import ast
+import builtins
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -137,3 +142,67 @@ def test_the_check_sees_an_unread_private_name():
 def test_every_private_name_is_read_by_some_module():
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCE.glob("*.py"))}
     assert unread_privates(texts) == []
+
+
+NAMED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def stale_doc_names(texts: dict[str, str]) -> list[str]:
+    """The names and dotted names that the docstrings and comments of
+    ``texts`` (file name -> source) quote in double backticks and that
+    name nothing the modules define, each as ``<file>:<line>: <name>``.
+    Each part of a dotted name must be defined: a module (a file of
+    ``texts``), a function, class, method or parameter, a name or an
+    attribute assigned anywhere, a module or name that an import binds,
+    one of the modules' string constants (the words of a file format)
+    or a builtin."""
+    defined = set(dir(builtins))
+    notes: list[tuple[str, int, str]] = []
+    for file, text in texts.items():
+        defined.add(Path(file).stem)
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined.update((getattr(node, "module", None) or "").split("."))
+                for alias in node.names:
+                    defined.update(alias.name.split("."))
+                    defined.add(alias.asname)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                defined.add(node.value)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc is not None:
+                    first = node.body[0].lineno
+                    notes += [(file, first + i, line) for i, line in enumerate(doc.splitlines())]
+        notes += [(file, token.start[0], token.string)
+                  for token in tokenize.generate_tokens(io.StringIO(text).readline)
+                  if token.type == tokenize.COMMENT]
+    return [f"{file}:{line}: {name}" for file, line, note in sorted(notes)
+            for name in NAMED.findall(note)
+            if not all(part in defined for part in name.split("."))]
+
+
+def test_the_check_sees_a_stale_name_in_a_docstring_or_comment():
+    texts = {"a.py": ('"""Reads ``b.Box``, ``fractions.Fraction`` and ``Gone``."""\n'
+                      "from fractions import Fraction\n"
+                      "def f(rows):\n"
+                      '    """Scans ``rows`` for ``top``, a ``game`` by ``len``,\n'
+                      '    not by ``_Cuts``."""\n'
+                      "    # ``Box.table`` is kept; ``_Cuts.table`` is not.\n"
+                      "    top = len(rows)\n"
+                      '    return top, "game", Fraction(top)\n'),
+             "b.py": "class Box:\n    def __init__(self):\n        self.table = []\n"}
+    assert stale_doc_names(texts) == ["a.py:1: Gone", "a.py:5: _Cuts", "a.py:6: _Cuts.table"]
+
+
+def test_every_name_quoted_in_a_docstring_or_comment_is_defined():
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCE.glob("*.py"))}
+    assert stale_doc_names(texts) == []
