@@ -270,7 +270,9 @@ class DualFace:
     ``extremum``, are the engine's own methods and take one coefficient
     per column of ``build_dual(instance)``; the engine keeps each answer,
     so a question asked again of the instance, through this view or
-    another, costs a lookup. D(I) membership fixes columns instead, so
+    another, costs a lookup, and building a view costs a session lookup.
+    Three functions also take one as ``face`` and refuse another
+    instance's (``_face_of``). D(I) membership fixes columns instead, so
     ``in_dual_image`` solves the program once with changed bounds and
     compares optima.
     """
@@ -645,24 +647,22 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
 # Complementarity: who gets paid, which teams are overpaid.
 # ---------------------------------------------------------------------------
 
-def paid_sometimes(instance: GameInstance, q: str,
-                   face: DualFace | None = None) -> bool | None:
+def paid_sometimes(instance: GameInstance, q: str) -> bool | None:
     """Is the agent paid under some dual-derived core imputation?
 
     True iff the agent's dual coordinate has positive maximum over the
-    optimal dual face. On a non-concurrent general instance the core is
-    empty and the distinguished outcome None is returned.
+    instance's ``DualFace``. On a non-concurrent general instance the core
+    is empty and the distinguished outcome None is returned.
     """
     if _empty_general_core(instance):
         return None
-    face = _face_of(instance, face)
+    face = DualFace(instance)
     top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
     return top is None or top > 0
 
 
-def always_paid_fairly(instance: GameInstance, key: EdgeKey,
-                       face: DualFace | None = None) -> bool | None:
-    """Is the team's dual row tight under every optimal dual?
+def always_paid_fairly(instance: GameInstance, key: EdgeKey) -> bool | None:
+    """Is the team's dual row tight on the instance's whole ``DualFace``?
 
     The row slack is the overpayment: vertex duals (plus upper-bound dual,
     minus lower-bound dual, where present) beyond the edge weight. None is
@@ -670,9 +670,7 @@ def always_paid_fairly(instance: GameInstance, key: EdgeKey,
     """
     if _empty_general_core(instance):
         return None
-    face = _face_of(instance, face)
-    over = face.max_overpayment(key)
-    return over == 0
+    return DualFace(instance).max_overpayment(key) == 0
 
 
 def payoff_range(instance: GameInstance, q: str,
@@ -736,7 +734,6 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     # the general checks below run only when ``concurrent`` is True.
     empty = _empty_general_core(instance)
     concurrent = not empty if general else None
-    face = None if empty else DualFace(instance)
     degenerate = is_degenerate(instance)
     violations: list[str] = []
     gaps: list[str] = ["core is empty"] if empty else []
@@ -744,7 +741,7 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     players = []
     for q in instance.agents:
         label = classify_player(instance, q)
-        paid = None if empty else paid_sometimes(instance, q, face)
+        paid = None if empty else paid_sometimes(instance, q)
         players.append(PlayerFinding(q, label, paid))
         essential = label is ClassLabel.ESSENTIAL
         if not general and paid != essential:
@@ -760,7 +757,7 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     teams = []
     for e in instance.edges:
         label = classify_team(instance, e.key)
-        fair = None if empty else always_paid_fairly(instance, e.key, face)
+        fair = None if empty else always_paid_fairly(instance, e.key)
         teams.append(TeamFinding(e.key, label, fair))
         matched_somewhere = label is not ClassLabel.SUBPAR
         if not general and fair != matched_somewhere:
@@ -798,27 +795,28 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
 _EXTREME_KINDS = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B)
 
 
+def _side_optimal(instance: GameInstance, face: DualFace) -> tuple[tuple[Fraction, ...], ...]:
+    """The face's side_u-optimal and side_v-optimal vertices, each one
+    query maximizing its side's summed vertex duals (these kinds have no
+    bound dual). The face is a lattice whose two ends give one side each
+    agent's highest vertex dual and the other side the lowest (Shapley and
+    Shubik 1971); uniform_b's dual is the assignment one, objective times b."""
+    sides = (set(instance.side_u), set(instance.side_v))
+    return tuple(face.optimize([ONE if q in side else ZERO for q in instance.agents],
+                               Sense.MAXIMIZE).values for side in sides)
+
+
 def extreme_imputations(instance: GameInstance,
                         face: DualFace | None = None) -> tuple[Imputation, Imputation]:
     """The two antipodal core imputations: (left-high, right-low) and
-    (left-low, right-high), assembled from per-coordinate ranges over the
-    optimal dual face and re-verified to be optimal duals."""
+    (left-low, right-high), the payoffs of the face's two side-optimal
+    vertices (``_side_optimal``), so each agent is paid one end of its
+    ``payoff_range``."""
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("extreme imputations apply to assignment and "
                          "uniform-capacity kinds")
-    face = _face_of(instance, face)
-    ranges = {q: face.vertex_range(q) for q in instance.agents}
-    left = set(instance.side_u)
-    favor_left = make_dual(instance, {
-        q: (hi if q in left else lo) for q, (lo, hi) in ranges.items()})
-    favor_right = make_dual(instance, {
-        q: (lo if q in left else hi) for q, (lo, hi) in ranges.items()})
-    try:
-        return (dual_to_imputation(instance, favor_left),
-                dual_to_imputation(instance, favor_right))
-    except ValueError:
-        raise ArithmeticError("assembled extreme is not an optimal dual; this "
-                              "contradicts the antipodal-imputation theorem") from None
+    favor_left, favor_right = _side_optimal(instance, _face_of(instance, face))
+    return _dual_payoffs(instance, favor_left), _dual_payoffs(instance, favor_right)
 
 
 def meet_join(instance: GameInstance, first: Imputation,
@@ -856,37 +854,31 @@ def simultaneous_imputation(instance: GameInstance) -> Imputation:
     """One core imputation paying exactly the essential players and
     overpaying exactly the subpar teams.
 
-    Averages, with equal weight, one witnessing optimal dual per essential
-    player (coordinate maximized) and per subpar team (overpayment
-    maximized); the required properties are asserted before returning.
+    Averages, with equal weight, the two ``_side_optimal`` vertices (each
+    agent's highest payoff is on one) and one optimal dual per subpar team
+    (overpayment maximized); vertex duals and row slacks are >= 0 on the
+    face. Both properties are asserted against the oracle's classes.
     """
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("the simultaneous imputation applies to assignment "
                          "and uniform-capacity kinds")
     face = DualFace(instance)
-    witnesses = []
-    essentials = set()
-    subpars = set()
-    for q in instance.agents:
-        if classify_player(instance, q) is ClassLabel.ESSENTIAL:
-            essentials.add(q)
-            witnesses.append(face.optimize(face.vertex_coeffs(q), Sense.MAXIMIZE))
+    witnesses = list(_side_optimal(instance, face))
+    essentials = {q for q in instance.agents
+                  if classify_player(instance, q) is ClassLabel.ESSENTIAL}
+    subpars = {e.key for e in instance.edges
+               if classify_team(instance, e.key) is ClassLabel.SUBPAR}
     # Row i of the dual program is edge i's; its slack is the overpayment.
     rows = list(zip(instance.edges, face.lp.constraints))
-    for e, row in rows:
-        if classify_team(instance, e.key) is ClassLabel.SUBPAR:
-            subpars.add(e.key)
-            witnesses.append(face.optimize(row.coeffs, Sense.MAXIMIZE))
-    if not witnesses:
-        witnesses.append(face.base)
+    witnesses += [face.optimize(row.coeffs, Sense.MAXIMIZE).values
+                  for e, row in rows if e.key in subpars]
     k = F(len(witnesses))
-    d = DualSolution(instance, tuple(sum(column, ZERO) / k
-                                     for column in zip(*(w.values for w in witnesses))))
-    imp = dual_to_imputation(instance, d)
+    values = tuple(sum(column, ZERO) / k for column in zip(*witnesses))
+    imp = _dual_payoffs(instance, values)
     for q in instance.agents:
         if (imp[q] > 0) != (q in essentials):
             raise ArithmeticError(f"simultaneous imputation mispays player {q}")
     for e, row in rows:
-        if (row.activity(d.values) > row.rhs) != (e.key in subpars):
+        if (row.activity(values) > row.rhs) != (e.key in subpars):
             raise ArithmeticError(f"simultaneous imputation mistreats team {e.key}")
     return imp

@@ -178,11 +178,11 @@ def _run_seven_ring(g: GameInstance) -> list[Check]:
     out.append(_true("that imputation is the only one", unique))
     out.append(_true("team (v4,v7) is subpar and sometimes overpaid",
                      classify_team(g, ("v4", "v7")) is ClassLabel.SUBPAR
-                     and analysis.always_paid_fairly(g, ("v4", "v7"), face) is False))
+                     and analysis.always_paid_fairly(g, ("v4", "v7")) is False))
     for key in (("v1", "v2"), ("v2", "v3"), ("v1", "v7")):
         out.append(_true(f"team {key} is subpar yet always paid fairly",
                          classify_team(g, key) is ClassLabel.SUBPAR
-                         and analysis.always_paid_fairly(g, key, face) is True))
+                         and analysis.always_paid_fairly(g, key) is True))
     report = analysis.verify_complementarity(g)
     out.append(_true("forward complementarity implications hold", report.ok))
     return out

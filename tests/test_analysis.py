@@ -579,11 +579,37 @@ def test_imputations_compare_by_payoffs():
     assert derived == built and hash(derived) == hash(built)
 
 
-def test_extremes_assembled_from_wrong_ranges_contradict_the_theorem(monkeypatch):
-    g = helpers.single_edge()
-    monkeypatch.setattr(DualFace, "vertex_range", lambda self, q: (F(0), F(0)))
-    with pytest.raises(ArithmeticError, match="antipodal-imputation theorem"):
-        extreme_imputations(g)
+def test_side_optimal_duals_pay_each_agent_the_end_of_its_range():
+    # The reference is the agents' own ranges over the optimal dual face.
+    # The face's two side-optimal vertices are the ends of its lattice
+    # (Shapley and Shubik 1971): each pays every agent of its side
+    # capacity times the top of its vertex-dual range and every agent of
+    # the other side capacity times the bottom, and the extremes are
+    # their payoffs. The simultaneous imputation, built from the same two
+    # vertices, must pass its asserts against the oracle's classes.
+    games = [g for _, _, g in helpers.cap_set(("assignment", "uniform_b"))]
+    rng = random.Random(4545)
+    kinds = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B)
+    games += [helpers.random_bipartite(rng, kinds[i % 2], max_side=5, max_edges=12,
+                                       max_weight=4)
+              for i in range(600)]
+    seen = Counter()
+    for g in games:
+        face = DualFace(g)
+        ranges = {q: face.vertex_range(q) for q in g.agents}
+        duals = analysis_module._side_optimal(g, face)
+        payoffs = []
+        for d, side in zip(duals, (g.side_u, g.side_v)):
+            pay = analysis_module._dual_payoffs(g, d)
+            assert pay.as_dict == {q: g.capacity(q) * (hi if q in side else lo)
+                                   for q, (lo, hi) in ranges.items()}
+            payoffs.append(pay)
+        assert extreme_imputations(g) == tuple(payoffs)
+        simultaneous_imputation(g)
+        seen["non-point range"] += any(lo != hi for lo, hi in ranges.values())
+        seen["uniform_b, b > 1"] += g.kind is GameKind.UNIFORM_B and g.uniform_capacity > 1
+    assert len(games) == 606
+    assert seen["non-point range"] >= 400 and seen["uniform_b, b > 1"] >= 150, seen
 
 
 def test_hk_edge_upper_core_membership():
@@ -729,8 +755,6 @@ def test_a_face_of_another_instance_is_refused():
         lambda g, face: payoff_range(g, "a1", face),
         lambda g, face: extreme_imputations(g, face),
         lambda g, face: sample_dual_vertices(g, 3, 0, face),
-        lambda g, face: paid_sometimes(g, "a2", face),
-        lambda g, face: always_paid_fairly(g, ("a2", "b2"), face),
     ]
     for query in queries:
         with pytest.raises(ValueError, match="face belongs to another instance"):
@@ -852,9 +876,9 @@ def _probe_payoffs(g):
 
 def _face_values(g, probes):
     face = DualFace(g)
-    agents = {q: (payoff_range(g, q, face), paid_sometimes(g, q, face=face),
+    agents = {q: (payoff_range(g, q, face), paid_sometimes(g, q),
                   classify_player(g, q)) for q in g.agents}
-    teams = {e.key: (always_paid_fairly(g, e.key, face=face),
+    teams = {e.key: (always_paid_fairly(g, e.key),
                      face.max_overpayment(e.key), classify_team(g, e.key))
              for e in g.edges}
     pairs = {frozenset(pair): worth(g, pair) for pair in combinations(g.agents, 2)}
@@ -964,12 +988,13 @@ def test_warm_answers_equal_cold_answers():
 
 def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch):
     # A uniform_b game with b = 2, so the core's rows are its connected
-    # coalitions, each demanding its sub-game's worth. Its payoff ranges
-    # are the ranges extreme_imputations read, so asking them afterwards
-    # starts no phase-2 run; and four in-core memberships read each row's
-    # worth once in all, restricting each connected coalition once and no
-    # other: 24 of the 27 closed coalitions (every member with a neighbour
-    # inside), since a disconnected one is no row.
+    # coalitions, each demanding its sub-game's worth. On a fresh session
+    # extreme_imputations starts two phase-2 runs, one per side-optimal
+    # vertex, and asked again it starts none; the payoff ranges are the
+    # extremes' ends. Four in-core memberships read each row's worth once
+    # in all, restricting each connected coalition once and no other: 24
+    # of the 27 closed coalitions (every member with a neighbour inside),
+    # since a disconnected one is no row.
     g = make_instance(GameKind.UNIFORM_B, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
                       [("a1", "b1", F(23, 5)), ("a1", "b2", F(17, 5)), ("a2", "b1", F(19, 5)),
                        ("a2", "b3", F(11, 5)), ("a3", "b2", F(13, 5)), ("a3", "b3", F(29, 5))],
@@ -977,13 +1002,14 @@ def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch
     analysis_module._session.cache_clear()
     oracle_module._search.cache_clear()
     face = DualFace(g)
-    extremes = extreme_imputations(g, face)
     runs = []
     original = lp_module._Tableau.optimize
     monkeypatch.setattr(lp_module._Tableau, "optimize",
                         lambda tableau, *args: runs.append(args) or original(tableau, *args))
+    extremes = extreme_imputations(g, face)
+    assert len(runs) == 2
+    assert extreme_imputations(g, face) == extremes and len(runs) == 2
     ranges = {q: payoff_range(g, q) for q in g.agents}
-    assert runs == []
     assert {q: (lo, hi) for q, (lo, hi) in ranges.items()} == {
         q: tuple(sorted((extremes[0][q], extremes[1][q]))) for q in g.agents}
 

@@ -2,7 +2,8 @@
 the package imports a name that it never uses, and none reads another
 module's private name. ``__init__.py`` is left out, because its imports
 are the package's re-exports. Every private name is read somewhere, and
-every name that a docstring or comment quotes is defined somewhere."""
+every name that a docstring or comment quotes, or that README.md quotes
+as a dotted name, is defined somewhere."""
 
 import ast
 import builtins
@@ -147,21 +148,16 @@ def test_every_private_name_is_read_by_some_module():
 NAMED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
 
 
-def stale_doc_names(texts: dict[str, str]) -> list[str]:
-    """The names and dotted names that the docstrings and comments of
-    ``texts`` (file name -> source) quote in double backticks and that
-    name nothing the modules define, each as ``<file>:<line>: <name>``.
-    Each part of a dotted name must be defined: a module (a file of
-    ``texts``), a function, class, method or parameter, a name or an
-    attribute assigned anywhere, a module or name that an import binds,
-    one of the modules' string constants (the words of a file format)
-    or a builtin."""
+def defined_names(texts: dict[str, str]) -> set[str]:
+    """What the modules ``texts`` (file name -> source) define: a module
+    (a file of ``texts``), a function, class, method or parameter, a name
+    or an attribute assigned anywhere, a module or name that an import
+    binds, one of the modules' string constants (the words of a file
+    format) or a builtin."""
     defined = set(dir(builtins))
-    notes: list[tuple[str, int, str]] = []
     for file, text in texts.items():
         defined.add(Path(file).stem)
-        tree = ast.parse(text)
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
             elif isinstance(node, ast.arg):
@@ -177,6 +173,18 @@ def stale_doc_names(texts: dict[str, str]) -> list[str]:
                     defined.add(alias.asname)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 defined.add(node.value)
+    return defined
+
+
+def stale_doc_names(texts: dict[str, str]) -> list[str]:
+    """The names and dotted names that the docstrings and comments of
+    ``texts`` (file name -> source) quote in double backticks and that
+    name nothing the modules define, each as ``<file>:<line>: <name>``.
+    Each part of a dotted name must be in ``defined_names``."""
+    defined = defined_names(texts)
+    notes: list[tuple[str, int, str]] = []
+    for file, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
                 doc = ast.get_docstring(node, clean=False)
                 if doc is not None:
@@ -206,3 +214,39 @@ def test_the_check_sees_a_stale_name_in_a_docstring_or_comment():
 def test_every_name_quoted_in_a_docstring_or_comment_is_defined():
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCE.glob("*.py"))}
     assert stale_doc_names(texts) == []
+
+
+DOTTED = re.compile(r"(?<!`)`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`(?!`)")
+
+
+def stale_readme_names(readme: str, texts: dict[str, str]) -> list[str]:
+    """The dotted names that ``readme`` quotes in single backticks and
+    that name nothing the modules ``texts`` define (``defined_names``),
+    each as ``<line>: <name>``. A file name ending in ``.py`` is skipped,
+    and a leading ``matchcore.`` is dropped, so ``matchcore.lp`` names the
+    module ``lp``."""
+    defined = defined_names(texts)
+    out = []
+    for number, line in enumerate(readme.splitlines(), 1):
+        for name in DOTTED.findall(line):
+            parts = name.removeprefix("matchcore.").split(".")
+            if not name.endswith(".py") and not all(part in defined for part in parts):
+                out.append(f"{number}: {name}")
+    return out
+
+
+def test_the_check_sees_a_stale_dotted_name_in_the_readme():
+    texts = {"lp.py": "class OptimalFace:\n    def range(self):\n        return 1\n",
+             "analysis.py": "def _session():\n    return 2\n"}
+    readme = ("The engine (`matchcore.lp`) answers `OptimalFace.range`, cached in\n"
+              "`analysis._session`; see `demo.py`, ``kept.py`` and `x`.\n"
+              "Gone: `analysis._CoalitionCuts` and `matchcore.solver`.\n")
+    assert stale_readme_names(readme, texts) == ["3: analysis._CoalitionCuts",
+                                                 "3: matchcore.solver"]
+
+
+def test_every_dotted_name_quoted_in_the_readme_is_defined():
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCE.glob("*.py"))}
+    readme = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert DOTTED.findall(readme)
+    assert stale_readme_names(readme, texts) == []
