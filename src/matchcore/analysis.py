@@ -251,9 +251,13 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
 
 
 def _dual_payoffs(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
-    """A dual point's payoffs, unchecked: capacity times agent j's column j."""
-    return make_imputation(instance, {q: F(instance.capacity(q)) * v
-                                      for q, v in zip(instance.agents, values)})
+    """A dual point's payoffs, unchecked: capacity times agent j's column j,
+    the column itself at a capacity of one."""
+    payoffs = {}
+    for q, v in zip(instance.agents, values):
+        b = instance.capacity(q)
+        payoffs[q] = v if b == 1 else b * v
+    return make_imputation(instance, payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +660,11 @@ def paid_sometimes(instance: GameInstance, q: str) -> bool | None:
     """
     if _empty_general_core(instance):
         return None
-    face = DualFace(instance)
+    return _paid_sometimes(DualFace(instance), q)
+
+
+def _paid_sometimes(face: DualFace, q: str) -> bool:
+    """``paid_sometimes`` on a face whose core is known not to be empty."""
     top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
     return top is None or top > 0
 
@@ -735,13 +743,14 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     empty = _empty_general_core(instance)
     concurrent = not empty if general else None
     degenerate = is_degenerate(instance)
+    face = None if empty else DualFace(instance)
     violations: list[str] = []
     gaps: list[str] = ["core is empty"] if empty else []
 
     players = []
     for q in instance.agents:
         label = classify_player(instance, q)
-        paid = None if empty else paid_sometimes(instance, q)
+        paid = None if empty else _paid_sometimes(face, q)
         players.append(PlayerFinding(q, label, paid))
         essential = label is ClassLabel.ESSENTIAL
         if not general and paid != essential:
@@ -757,7 +766,7 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     teams = []
     for e in instance.edges:
         label = classify_team(instance, e.key)
-        fair = None if empty else always_paid_fairly(instance, e.key)
+        fair = None if empty else face.max_overpayment(e.key) == 0
         teams.append(TeamFinding(e.key, label, fair))
         matched_somewhere = label is not ClassLabel.SUBPAR
         if not general and fair != matched_somewhere:

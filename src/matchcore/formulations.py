@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
 from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
-from .rationals import ONE, ZERO, scaled
+from .rationals import ONE, ZERO, ensure_rational, scaled
 
 F = Fraction
 
@@ -49,20 +49,24 @@ def build_primal(instance: GameInstance) -> LinearProgram:
     One variable per edge, one capacity row per vertex. The
     capacity-with-edge-bounds kind carries its per-edge multiplicity
     window as variable bounds; a missing upper bound leaves the variable
-    uncapped above.
+    uncapped above. Each row is written straight into integers
+    (``Constraint._signed``) and the program is assembled unchecked
+    (``LinearProgram._trusted``), as a validated instance allows.
     """
-    names = [primal_var(e.key) for e in instance.edges]
-    objective = [e.weight for e in instance.edges]
-    rows = []
-    for q in instance.agents:
-        coeffs = [ONE if e.touches(q) else ZERO for e in instance.edges]
-        rows.append(Constraint(tuple(coeffs), Relation.LE, F(instance.capacity(q))))
-    lower = None
-    upper = None
+    edges = instance.edges
+    names = tuple(primal_var(e.key) for e in edges)
+    objective = tuple(ensure_rational(e.weight) for e in edges)
+    rows = tuple(Constraint._signed(len(edges), {j: 1 for j, e in enumerate(edges)
+                                                 if e.touches(q)},
+                                    Relation.LE, F(instance.capacity(q)))
+                 for q in instance.agents)
+    lower = (ZERO,) * len(edges)
+    upper = (None,) * len(edges)
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        lower = [F(e.lower) for e in instance.edges]
-        upper = [None if e.upper is None else F(e.upper) for e in instance.edges]
-    return LinearProgram(Sense.MAXIMIZE, names, objective, rows, lower, upper)
+        lower = tuple(F(e.lower) for e in edges)
+        upper = tuple(None if e.upper is None else F(e.upper) for e in edges)
+    return LinearProgram._trusted(Sense.MAXIMIZE, names, objective, scaled(objective),
+                                  rows, lower, upper)
 
 
 def build_dual(instance: GameInstance) -> LinearProgram:
@@ -72,26 +76,28 @@ def build_dual(instance: GameInstance) -> LinearProgram:
     capacity-with-edge-bounds kind then adds, edge by edge, a lower-bound
     dual and, when the edge has a finite upper bound, an upper-bound dual.
     Row i is edge i's: its vertex duals, minus its lower-bound dual, plus
-    its upper-bound dual, at least its weight.
+    its upper-bound dual, at least its weight. Rows and program are built
+    as :func:`build_primal`'s are, every objective entry an integer.
     """
     at = {q: j for j, q in enumerate(instance.agents)}
     names = [vertex_dual_var(q) for q in instance.agents]
-    objective = [F(instance.capacity(q)) for q in instance.agents]
+    costs = [instance.capacity(q) for q in instance.agents]
     # Row i's nonzero coefficients by column, each placed as its column is.
-    entries = [{at[e.u]: ONE, at[e.v]: ONE} for e in instance.edges]
+    signs = [{at[e.u]: 1, at[e.v]: 1} for e in instance.edges]
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        for e, entry in zip(instance.edges, entries):
-            entry[len(names)] = -ONE
+        for e, entry in zip(instance.edges, signs):
+            entry[len(names)] = -1
             names.append(lower_dual_var(e.key))
-            objective.append(-F(e.lower))
+            costs.append(-e.lower)
             if e.upper is not None:
-                entry[len(names)] = ONE
+                entry[len(names)] = 1
                 names.append(upper_dual_var(e.key))
-                objective.append(F(e.upper))
-    rows = [Constraint(tuple(entry.get(j, ZERO) for j in range(len(names))),
-                       Relation.GE, e.weight)
-            for e, entry in zip(instance.edges, entries)]
-    return LinearProgram(Sense.MINIMIZE, names, objective, rows)
+                costs.append(e.upper)
+    n = len(names)
+    rows = tuple(Constraint._signed(n, entry, Relation.GE, ensure_rational(e.weight))
+                 for e, entry in zip(instance.edges, signs))
+    return LinearProgram._trusted(Sense.MINIMIZE, tuple(names), tuple(map(F, costs)),
+                                  (costs, 1), rows, (ZERO,) * n, (None,) * n)
 
 
 def sub_dual(lp: LinearProgram, instance: GameInstance,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .rationals import ensure_rational
+from .rationals import ensure_rational, scaled
 
 EdgeKey = tuple[str, str]
 
@@ -156,7 +156,9 @@ class Imputation:
 
     @property
     def total(self) -> Fraction:
-        return sum(self.as_dict.values(), Fraction(0))
+        """The payoffs' sum, as one integer sum over their common denominator."""
+        ints, scale = scaled([v for _, v in self.payoffs])
+        return Fraction(sum(ints), scale)
 
 
 def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction]) -> Imputation:

@@ -6,17 +6,22 @@ other exact linear algebra. Programs and results are ``fractions.Fraction``,
 but the arithmetic is in integers. A program is put into integers once:
 each ``Constraint`` keeps its row over its smallest common denominator
 and each ``LinearProgram`` its objective, both computed when they are
-built, and the tableau (see ``_Tableau``) only copies those integers, so
-a row or objective solved again is never scaled again. Activities and
-objective values are ``rationals.dot``, one integer sum of products.
-Fractions are built only at the layer's edge: the inputs, the ``values``
-and ``value`` of an ``LpSolution``, and each ``dot``'s one result. No
-rounding, no tolerances: identical inputs always produce the identical
-basic optimal solution. The optimal face has one representation,
-``OptimalFace``: it solves once and answers each secondary objective by
-phase 2 alone from the optimal basis, over the columns whose reduced
-cost there is zero, with no row pinning its objective to the optimum,
-and keeps each answer, keyed by the query's integers.
+built, or written straight in by the formulations' trusted builders, and
+the tableau (see ``_Tableau``) only copies those integers, so a row or
+objective solved again is never scaled again. Phase 1 stores no
+artificial column: each row owns one unit column, its slack or, for an
+equality row, a column that no phase-2 run lets enter, and reads its
+artificial off it; the objective's reduced-cost row rides through phase
+1, so phase 2 starts where phase 1 stops. Activities and objective values
+are ``rationals.dot``, one integer sum of products. Fractions are built
+only at the layer's edge: the inputs, the ``values`` and ``value`` of an
+``LpSolution``, and each ``dot``'s one result. No rounding, no
+tolerances: identical inputs always produce the identical basic optimal
+solution. The optimal face has one representation, ``OptimalFace``: it
+solves once and answers each secondary objective by phase 2 alone from
+the optimal basis, over the columns whose reduced cost there is zero,
+with no row pinning its objective to the optimum, and keeps each answer,
+keyed by the query's integers.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ class Status(Enum):
     UNBOUNDED = "unbounded"
 
 
+_UNITS = {1: ONE, -1: -ONE}
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Constraint:
     """The row ``coeffs . x  relation  rhs``. Building one coerces the
@@ -57,7 +65,8 @@ class Constraint:
     integers: ``_scaled_row`` is ``scaled([*coeffs, rhs])``, computed once
     here. The tableau copies it and ``is_feasible`` reads it; neither
     scales the row again. ``cut`` keeps some columns of a built row
-    without checking or scaling it again."""
+    without checking or scaling it again, and ``_signed`` writes a row of
+    unit coefficients straight into integers."""
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
@@ -87,6 +96,24 @@ class Constraint:
         row = object.__new__(Constraint)
         row._set(tuple([coeffs[j] for j in columns]), self.relation, self.rhs,
                  (kept, 1) if den == 1 else _lowest(kept, den))
+        return row
+
+    @staticmethod
+    def _signed(width: int, signs: Mapping[int, int], relation: Relation,
+                rhs: Fraction) -> "Constraint":
+        """The row with coefficient s (1 or -1) at each column of ``signs``
+        ({column: s}), zero elsewhere, and the coerced ``rhs``. Its
+        integers, ``scaled([*coeffs, rhs])``, are each s times the
+        denominator of ``rhs`` and then its numerator: nothing is scaled."""
+        den = rhs.denominator
+        coeffs = [ZERO] * width
+        ints = [0] * width
+        for j, s in signs.items():
+            coeffs[j] = _UNITS[s]
+            ints[j] = s * den
+        ints.append(rhs.numerator)
+        row = object.__new__(Constraint)
+        row._set(tuple(coeffs), relation, rhs, (ints, den))
         return row
 
     def activity(self, values: Sequence[Fraction]) -> Fraction:
@@ -130,7 +157,8 @@ class LinearProgram:
     feasible set never contains a line and has a vertex whenever it is
     nonempty. Malformed input is rejected here, or by ``Constraint``, not
     at solve time. ``_scaled_objective`` is the objective as
-    ``scaled(objective)``, computed once here.
+    ``scaled(objective)``, and ``_shifted`` whether a lower bound is
+    nonzero, both computed once here.
     """
 
     def __init__(self, sense, variables, objective, constraints=(),
@@ -164,6 +192,24 @@ class LinearProgram:
                 raise ValueError(f"variable {name!r} has no finite lower bound")
             if hi is not None and lo > hi:
                 raise ValueError(f"variable {name!r} has lower bound above upper bound")
+        self._shifted = any(self.lower)
+
+    @staticmethod
+    def _trusted(sense, variables, objective, scaled_objective, constraints,
+                 lower, upper) -> "LinearProgram":
+        """The program of parts already as ``__init__`` leaves them, with
+        ``scaled_objective`` equal to ``scaled(objective)``. Only the names
+        are checked, since an instance that is not validated may name two
+        columns alike; the callers, ``_cut``, ``build_primal`` and
+        ``build_dual``, build every other part soundly."""
+        if len(set(variables)) != len(variables):
+            raise ValueError("variable names must be unique")
+        lp = object.__new__(LinearProgram)
+        lp.sense, lp.variables, lp.objective = sense, variables, objective
+        lp._scaled_objective = scaled_objective
+        lp.constraints, lp.lower, lp.upper = constraints, lower, upper
+        lp._shifted = any(lower)
+        return lp
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         return dot(self.objective, values)
@@ -182,24 +228,22 @@ class LinearProgram:
 
     def _cut(self, columns: Sequence[int], rows: Iterable[Constraint]) -> "LinearProgram":
         """The program on the distinct ``columns`` alone, in their order,
-        with ``rows`` (some of this program's) cut to them. Nothing is
-        checked again, and that is sound: a subset of unique names is
-        unique, the objective and bounds are this program's already coerced
-        entries, each kept bound pair is one that passed, and a row cut to
-        the same columns has their arity. The objective's integers are the
-        kept ones on those columns in lowest terms, so they are still
-        ``scaled``'s, as ``Constraint.cut`` keeps a row's."""
+        with ``rows`` (some of this program's) cut to them. Nothing but
+        the names (``_trusted``) is checked again, and that is sound: a
+        subset of unique names is unique, the objective and bounds are
+        this program's already coerced entries, each kept bound pair is
+        one that passed, and a row cut to the same columns has their
+        arity. The objective's integers are the kept ones on those columns
+        in lowest terms, so they are still ``scaled``'s, as
+        ``Constraint.cut`` keeps a row's."""
         ints, den = self._scaled_objective
         kept = [ints[j] for j in columns]
-        lp = object.__new__(LinearProgram)
-        lp.sense = self.sense
-        lp.variables = tuple([self.variables[j] for j in columns])
-        lp.objective = tuple([self.objective[j] for j in columns])
-        lp._scaled_objective = (kept, 1) if den == 1 else _lowest(kept, den)
-        lp.constraints = tuple([row.cut(columns) for row in rows])
-        lp.lower = tuple([self.lower[j] for j in columns])
-        lp.upper = tuple([self.upper[j] for j in columns])
-        return lp
+        return LinearProgram._trusted(
+            self.sense, tuple([self.variables[j] for j in columns]),
+            tuple([self.objective[j] for j in columns]),
+            (kept, 1) if den == 1 else _lowest(kept, den),
+            tuple([row.cut(columns) for row in rows]),
+            tuple([self.lower[j] for j in columns]), tuple([self.upper[j] for j in columns]))
 
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,
@@ -230,23 +274,39 @@ class _Tableau:
     Column j < n is variable j shifted to its lower bound, ``xi_j = x_j -
     lower_j``; a finite upper bound adds the row ``xi_j <= upper_j -
     lower_j``. The slack columns of the inequality rows follow, in row
-    order, and phase 1 appends its artificial columns after them and
-    drops them again by position. So a basic solution is ``lower_j +
-    xi_j`` and its basis is the columns below n.
+    order, then those of the bound rows: these ``ncols`` columns are the
+    program's. After them each equality row has one unit column, in row
+    order, that no phase-2 run lets enter. So a basic solution is
+    ``lower_j + xi_j``, its basis is the columns below n, and each row
+    owns one unit column, ``unit[i]``: its slack or its equality column.
+
+    Phase 1 stores no artificial column. The k-th row whose unit column
+    cannot start the basis (an equality row, or a slack entry of -1: a
+    >= row, or a <= row whose right-hand side was negated) reads its
+    artificial off that column. An equality column is the artificial; a
+    slack is minus it, and its phase-1 reduced cost is one minus the
+    slack's. The artificial keeps the index ``ncols + k`` in the basis and
+    in Bland's order, as if it were appended. When it enters, the pivot
+    is on the slack, the pivot row is negated, and the pivot row over
+    its pivot is added to the phase-1 reduced-cost row, since the two
+    columns' phase-1 costs differ by one; the other rows need nothing.
+    Phase 1's reduced-cost row starts as minus the sum of those rows.
+    The objective's reduced-cost row rides along as one more row that no
+    ratio test reads; at the starting basis it is minus the cost, and
+    phase 2 starts from it where phase 1 stops.
 
     The arithmetic is in integers, fraction-free as in Edmonds (1967) and
     Bareiss (1968). Row i is a list of ints, its right-hand side last, over
     a positive denominator ``dens[i]``: the true row is
     ``rows[i] / dens[i]``, kept in lowest terms by dividing out the gcd of
     the row and its denominator. A row starts as a copy of its
-    ``Constraint``'s kept integers, with its slack entry equal to its
+    ``Constraint``'s kept integers, with its unit entry equal to its
     denominator; when a lower bound is nonzero the right-hand side is
     shifted in integers, over the lower bounds' common denominator, and
     the row put in lowest terms again, so no row is scaled here. While a
-    run lasts, the reduced-cost row, the objective value last, is one
-    more such row, started from the program's kept objective integers.
-    Since denominators are positive, sign and zero tests read the
-    numerators, and Bland's ratio test compares ``b_i / a_i`` by
+    run lasts, its reduced-cost row, the objective value last, is the
+    last such row. Since denominators are positive, sign and zero tests
+    read the numerators, and Bland's ratio test compares ``b_i / a_i`` by
     cross-multiplying; so the pivot sequence, basis and vertex are
     exactly those of rational arithmetic. The objective value is read off
     the final reduced-cost row, plus ``objective . lower`` (one ``dot``)
@@ -260,26 +320,30 @@ class _Tableau:
         n = len(lp.variables)
         caps = [(j, hi - lo) for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper))
                 if hi is not None]
-        # Slack columns: one per inequality row, then one per upper bound.
-        self.slack_of_row = []
-        self.ncols = n
+        # Unit columns: a slack per inequality row, then per upper bound,
+        # then a column per equality row.
+        self.unit = []
+        slack = n
+        equal = self.ncols = n + len(caps) + sum(con.relation is not Relation.EQ
+                                                 for con in lp.constraints)
         for con in lp.constraints:
             if con.relation is Relation.EQ:
-                self.slack_of_row.append(-1)
+                self.unit.append(equal)
+                equal += 1
             else:
-                self.slack_of_row.append(self.ncols)
-                self.ncols += 1
-        self.slack_of_row += range(self.ncols, self.ncols + len(caps))
-        self.ncols += len(caps)
+                self.unit.append(slack)
+                slack += 1
+        self.unit += range(slack, self.ncols)
+        self.width = equal
 
         # Each row copies its kept integers, right-hand sides made >= 0.
-        zeros = [0] * (self.ncols - n)
-        shifted = any(lp.lower)
+        zeros = [0] * (equal - n)
+        shifted = lp._shifted
         if shifted:
             lows, lscale = scaled(lp.lower)
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        for con, s in zip(lp.constraints, self.slack_of_row):
+        for con, u in zip(lp.constraints, self.unit):
             ints, den = con._scaled_row
             if shifted:
                 # rhs - coeffs . lower, over den * lscale.
@@ -290,40 +354,32 @@ class _Tableau:
             else:
                 row = [*ints]
                 row[-1:-1] = zeros
-            if s >= 0:
-                row[s] = den if con.relation is Relation.LE else -den
+            if u < self.ncols:
+                row[u] = den if con.relation is Relation.LE else -den
             if shifted:
                 row, den = _lowest(row, den)
             if row[-1] < 0:
                 row = [-a for a in row]
+            if u >= self.ncols:
+                row[u] = den
             self.rows.append(row)
             self.dens.append(den)
-        for (j, cap), s in zip(caps, self.slack_of_row[len(lp.constraints):]):
-            row = [0] * (self.ncols + 1)
-            row[j] = row[s] = cap.denominator
+        for (j, cap), u in zip(caps, self.unit[len(lp.constraints):]):
+            row = [0] * (equal + 1)
+            row[j] = row[u] = cap.denominator
             row[-1] = cap.numerator
             self.rows.append(row)
             self.dens.append(cap.denominator)
 
     # -- simplex core ------------------------------------------------------
 
-    def _init_zrow(self, cost: Sequence[int], scale: int) -> tuple[list[int], int]:
-        """Reduced costs of maximizing ``cost / scale`` at the current
-        basis, with the objective value last, as (ints, den)."""
-        terms = [(cost[bj], self.rows[i], self.dens[i])
-                 for i, bj in enumerate(self.basis) if cost[bj]]
-        den = lcm(*(d for _, _, d in terms))
-        zrow = [-c * den for c in cost]
-        zrow.append(0)
-        for c, row, d in terms:
-            f = c * (den // d)
-            zrow = [z + f * a for z, a in zip(zrow, row)]
-        return _lowest(zrow, den * scale)
-
     def _pivot(self, leave: int, enter: int) -> None:
+        """Make column ``enter`` basic in row ``leave``; an index from
+        ``ncols`` on is phase 1's artificial, read off its unit column."""
         rows, dens = self.rows, self.dens
+        column = enter if enter < self.ncols else self.artificial[enter - self.ncols]
         prow = rows[leave]
-        p = prow[enter]
+        p = prow[column]
         if p != dens[leave]:
             # The pivot row divided by its pivot: p becomes its denominator.
             if p < 0:
@@ -337,7 +393,7 @@ class _Tableau:
             dens[leave] = p
         nz = [(j, a) for j, a in enumerate(prow) if a]
         for i, row in enumerate(rows):
-            f = row[enter]
+            f = row[column]
             if not f or i == leave:
                 continue
             # row / den - (f / den) * (prow / p), over den * p / gcd(f, p).
@@ -355,33 +411,46 @@ class _Tableau:
             den = dens[i]
             if den != 1:
                 rows[i], dens[i] = _lowest(row, den)
+        if column < self.ncols <= enter:
+            # The artificial is minus the slack, at a phase-1 cost one
+            # lower: its row is the slack's negated, and the phase-1 row,
+            # last, gains the slack's row.
+            z, zden = rows[-1], dens[-1]
+            den = lcm(zden, p)
+            fz, fp = den // zden, den // p
+            rows[-1], dens[-1] = _lowest([fz * a + fp * b for a, b in zip(z, prow)], den)
+            rows[leave] = [-a for a in prow]
         self.basis[leave] = enter
 
-    def _run(self, cost: Sequence[int], scale: int, allowed) -> tuple[str, list[int], int]:
-        """Maximize ``cost / scale`` over the tableau with Bland's rule.
-
-        Returns the status, the numerators of the final reduced-cost row,
-        the objective value last, and their positive denominator.
-        """
-        rows, basis = self.rows, self.basis
-        m = len(rows)
-        zrow, zden = self._init_zrow(cost, scale)
-        rows.append(zrow)
-        self.dens.append(zden)
+    def _run(self, allowed, artificial=()) -> bool:
+        """Bland's rule on the reduced-cost row, the last row, over the
+        rows of the basis: the first column of ``allowed`` with a negative
+        reduced cost enters, then the first artificial that has one, by
+        unit column, ``artificial`` (phase 1 only). Returns False when
+        the objective is unbounded."""
+        rows, dens, basis, ncols = self.rows, self.dens, self.basis, self.ncols
+        m = len(basis)
         while True:
-            zrow = rows[m]
-            enter = -1
+            zrow = rows[-1]
             for j in allowed:
                 if zrow[j] < 0:
-                    enter = j
+                    enter = column = j
                     break
-            if enter < 0:
-                status = "optimal"
-                break
+            else:
+                zden = dens[-1]
+                for k, column in enumerate(artificial):
+                    # An equality column is its artificial; a slack is
+                    # minus it, at reduced cost one minus the slack's.
+                    if zrow[column] < 0 if column >= ncols else zrow[column] > zden:
+                        enter = ncols + k
+                        break
+                else:
+                    return True
+            negated = column < ncols <= enter
             leave = -1
             for i in range(m):
                 row = rows[i]
-                a = row[enter]
+                a = -row[column] if negated else row[column]
                 if a > 0:
                     if leave < 0:
                         leave, best_b, best_a = i, row[-1], a
@@ -390,74 +459,73 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, best_b, best_a = i, row[-1], a
             if leave < 0:
-                status = "unbounded"
-                break
+                return False
             self._pivot(leave, enter)
-        rows.pop()
-        return status, zrow, self.dens.pop()
 
     def _phase1(self) -> bool:
-        """Find a feasible basis and drop the artificial columns.
-
-        Returns False when the program is infeasible.
-        """
+        """Find a feasible basis, carrying the objective's row, the last,
+        along. Returns False when the program is infeasible."""
         rows, dens, ncols = self.rows, self.dens, self.ncols
-        m = len(rows)
-
-        # Phase 1 basis: row slacks where usable, artificials elsewhere.
-        self.basis = [-1] * m
-        for i in range(m):
-            s = self.slack_of_row[i]
-            if s >= 0 and rows[i][s] == dens[i]:
-                self.basis[i] = s
-        needy = [i for i in range(m) if self.basis[i] < 0]
+        # Phase 1 basis: slacks of entry 1 where they are, artificials
+        # elsewhere.
+        self.basis, needy = [], []
+        for i, u in enumerate(self.unit):
+            if u < ncols and rows[i][u] == dens[i]:
+                self.basis.append(u)
+            else:
+                self.basis.append(ncols + len(needy))
+                needy.append(i)
         if not needy:
             return True
-        for k, i in enumerate(needy):
-            self.basis[i] = ncols + k
-        for r, row in enumerate(rows):
-            row[-1:-1] = [dens[r] if r == i else 0 for i in needy]
-
-        phase1 = [0] * ncols + [-1] * len(needy)
-        _, zrow, _ = self._run(phase1, 1, range(len(phase1)))
-        if zrow[-1] < 0:
+        self.artificial = [self.unit[i] for i in needy]
+        # Minus the sum of the needy rows; an equality column's reduced
+        # cost, its own cost of -1 added back, is zero.
+        den = lcm(*(dens[i] for i in needy))
+        zrow = [-sum(col) for col in zip(*(
+            rows[i] if dens[i] == den else [a * (den // dens[i]) for a in rows[i]]
+            for i in needy))]
+        for u in self.artificial:
+            if u >= ncols:
+                zrow[u] = 0
+        zrow, den = _lowest(zrow, den)
+        rows.append(zrow)
+        dens.append(den)
+        self._run(range(ncols), self.artificial)
+        dens.pop()
+        if rows.pop()[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
         # turn out to be redundant.
         keep = []
-        for i in range(m):
-            if self.basis[i] < ncols:
+        for i, bj in enumerate(self.basis):
+            if bj < ncols:
                 keep.append(i)
                 continue
             enter = next((j for j in range(ncols) if rows[i][j]), -1)
             if enter >= 0:
                 self._pivot(i, enter)
                 keep.append(i)
-        # Remove the artificial columns, the last before the right-hand side.
-        self.rows, self.dens = [], []
-        for i in keep:
-            row, den = _lowest(rows[i][:ncols] + rows[i][-1:], dens[i])
-            self.rows.append(row)
-            self.dens.append(den)
-        self.basis = [self.basis[i] for i in keep]
+        if len(keep) < len(self.basis):
+            self.rows = [rows[i] for i in keep] + [rows[-1]]
+            self.dens = [dens[i] for i in keep] + [dens[-1]]
+            self.basis = [self.basis[i] for i in keep]
+            self.unit = [self.unit[i] for i in keep]
         return True
 
-    def optimize(self, objective: tuple[Sequence[int], int], sense: Sense,
-                 allowed) -> LpSolution:
-        """Phase 2 from the current feasible basis for ``objective``, given
-        as (ints, scale) like ``scaled``'s result, entering only
-        ``allowed`` columns. The final reduced-cost numerators are kept in
-        ``self.reduced``; the last of them over the row's denominator is
-        the value of the objective at the shifted vertex."""
+    def _phase2(self, objective: tuple[Sequence[int], int], sense: Sense,
+                allowed) -> LpSolution:
+        """Phase 2 from the current feasible basis and the objective's
+        reduced-cost row, the last row, entering only ``allowed`` columns.
+        ``objective`` is (ints, scale) like ``scaled``'s result. The final
+        reduced-cost numerators of the program's columns are kept in
+        ``self.reduced``; the row's last entry over its denominator is the
+        value of the objective at the shifted vertex."""
         lp = self.lp
         n = len(lp.variables)
-        ints, scale = objective
-        maximize = sense is Sense.MAXIMIZE
-        cost = [*ints] if maximize else [-c for c in ints]
-        cost += [0] * (self.ncols - n)
-        status, zrow, zden = self._run(cost, scale, allowed)
-        self.reduced = zrow[:-1]
-        if status == "unbounded":
+        bounded = self._run(allowed)
+        zrow, zden = self.rows.pop(), self.dens.pop()
+        self.reduced = zrow[:self.ncols]
+        if not bounded:
             return LpSolution(Status.UNBOUNDED)
 
         values = [ZERO] * n
@@ -465,11 +533,33 @@ class _Tableau:
             if bj < n:
                 values[bj] = Fraction(row[-1], den)
         basis_vars = frozenset(b for b in self.basis if b < n)
-        value = Fraction(zrow[-1] if maximize else -zrow[-1], zden)
-        if any(lp.lower):
+        value = Fraction(zrow[-1] if sense is Sense.MAXIMIZE else -zrow[-1], zden)
+        if lp._shifted:
+            ints, scale = objective
             values = [lo + x for lo, x in zip(lp.lower, values)]
             value += dot(ints, lp.lower) / scale
         return LpSolution(Status.OPTIMAL, value, tuple(values), basis_vars)
+
+    def optimize(self, objective: tuple[Sequence[int], int], sense: Sense,
+                 allowed) -> LpSolution:
+        """Phase 2 from the current feasible basis for ``objective``, given
+        as (ints, scale) like ``scaled``'s result, entering only
+        ``allowed`` columns; see ``_phase2``. Its reduced-cost row is
+        built at this basis: minus the cost plus each basic row times its
+        column's cost."""
+        ints, scale = objective
+        cost = [*ints] if sense is Sense.MAXIMIZE else [-c for c in ints]
+        terms = [(cost[bj], self.rows[i], self.dens[i])
+                 for i, bj in enumerate(self.basis) if bj < len(cost) and cost[bj]]
+        den = lcm(*(d for _, _, d in terms))
+        zrow = [-c * den for c in cost] + [0] * (self.width - len(cost) + 1)
+        for c, row, d in terms:
+            f = c * (den // d)
+            zrow = [z + f * a for z, a in zip(zrow, row)]
+        zrow, zden = _lowest(zrow, den * scale)
+        self.rows.append(zrow)
+        self.dens.append(zden)
+        return self._phase2(objective, sense, allowed)
 
     def fork(self) -> "_Tableau":
         """A copy whose pivots leave this tableau as it is."""
@@ -480,9 +570,16 @@ class _Tableau:
         return twin
 
     def solve(self) -> LpSolution:
+        lp = self.lp
+        ints, scale = lp._scaled_objective
+        # At the starting basis, slacks and artificials, every cost is zero.
+        zrow = [-c for c in ints] if lp.sense is Sense.MAXIMIZE else [*ints]
+        zrow += [0] * (self.width - len(ints) + 1)
+        self.rows.append(zrow)
+        self.dens.append(scale)
         if not self._phase1():
             return LpSolution(Status.INFEASIBLE)
-        return self.optimize(self.lp._scaled_objective, self.lp.sense, range(self.ncols))
+        return self._phase2(lp._scaled_objective, lp.sense, range(self.ncols))
 
 
 def solve(lp: LinearProgram) -> LpSolution:

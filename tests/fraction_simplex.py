@@ -5,6 +5,10 @@ kept as an oracle. Every cell is a ``Fraction``; Bland's rule, the column
 order and the phase-1 set-up are the engine's, so on every program the
 engine must reach the identical status, value, vertex and basis. Only the
 public types of ``matchcore.lp`` are used, never the engine's internals.
+Each tableau keeps a pivot log, ``log``: one (phase, leaving row,
+entering column) per pivot, the drive-out of phase 1 included, with the
+k-th artificial column numbered ``first_artificial + k``, its place
+after the slacks.
 """
 
 import copy
@@ -26,11 +30,18 @@ _ARTIFICIAL = 2
 class FractionTableau:
     """Dense simplex tableau in standard form (equalities, xi >= 0), every
     cell a ``Fraction``. ``ties`` counts the rows whose ratio equalled the
-    least ratio found before them in a ratio test."""
+    least ratio found before them in a ratio test; ``log`` is the pivot
+    log, shared with every fork; ``contested`` counts the artificial
+    columns that entered while another artificial could have, and
+    ``dropped`` the rows phase 1 found redundant."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.ties = 0
+        self.log: list[tuple[int, int, int]] = []
+        self.phase = 2
+        self.contested = 0
+        self.dropped = 0
         n = len(lp.variables)
         # Column encodings: x_j is recovered from structural columns via
         # x_j = shift + sign * xi (shifted/mirrored) or xi_plus - xi_minus.
@@ -148,6 +159,7 @@ class FractionTableau:
                     row[j] -= f * prow[j]
                 if pb:
                     rhs[i] -= f * pb
+        self.log.append((self.phase, leave, enter))
         f = zrow[enter]
         delta = ZERO
         if f:
@@ -174,6 +186,9 @@ class FractionTableau:
                     break
             if enter < 0:
                 return "optimal", zval, zrow
+            if self.col_kind[enter] == _ARTIFICIAL:
+                self.contested += sum(zrow[j] < 0 for j in allowed
+                                      if self.col_kind[j] == _ARTIFICIAL) > 1
             leave = -1
             best = None
             for i in range(m):
@@ -198,6 +213,7 @@ class FractionTableau:
 
         # Phase 1 basis: row slacks where usable, artificials elsewhere.
         self.basis = [-1] * m
+        self.first_artificial = len(self.col_kind)
         artificials = []
         for i in range(m):
             s = self.slack_of_row[i]
@@ -238,6 +254,7 @@ class FractionTableau:
                 zrow_dummy = [ZERO] * ncols
                 self._pivot(zrow_dummy, i, enter)
                 keep.append(i)
+        self.dropped = m - len(keep)
         if len(keep) != m:
             rows = [rows[i] for i in keep]
             self.rhs = [self.rhs[i] for i in keep]
@@ -294,7 +311,10 @@ class FractionTableau:
         return twin
 
     def solve(self) -> LpSolution:
-        if not self._phase1():
+        self.phase = 1
+        feasible = self._phase1()
+        self.phase = 2
+        if not feasible:
             return LpSolution(Status.INFEASIBLE)
         return self.optimize(self.lp.objective, self.lp.sense,
                              range(len(self.col_kind)))
@@ -303,12 +323,14 @@ class FractionTableau:
 class FractionFace:
     """The optimal face of ``lp`` by the reference tableau: one solve, then
     phase 2 from a copy of the optimal basis over the columns of zero
-    reduced cost. ``ties`` adds up the ratio ties of every run."""
+    reduced cost. ``ties`` adds up the ratio ties of every run, and
+    ``log`` holds the pivots of the solve and then of every query."""
 
     def __init__(self, lp: LinearProgram):
         self._tableau = FractionTableau(lp)
         self.base = self._tableau.solve()
         self.ties = self._tableau.ties
+        self.log = self._tableau.log
         if self.base.status is Status.OPTIMAL:
             self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
 

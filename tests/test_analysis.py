@@ -211,6 +211,26 @@ def test_verify_complementarity_records_pendant_gap():
     assert "player v4: essential yet never paid" in report.gaps
 
 
+def test_verify_complementarity_decides_an_empty_core_once(monkeypatch):
+    # One optimal_weight call decides whether the general core is empty,
+    # for the whole report: the payment verdicts do not ask again (they
+    # asked once per agent and once per edge, 9 calls on this game). The
+    # verdicts are the public functions'.
+    calls = []
+    weight = analysis_module.optimal_weight
+    monkeypatch.setattr(analysis_module, "optimal_weight",
+                        lambda instance: calls.append(instance) or weight(instance))
+    for g in (helpers.triangle_pendant(), helpers.unit_triangle(), helpers.seven_ring()):
+        analysis_module._session.cache_clear()
+        calls.clear()
+        report = verify_complementarity(g)
+        assert len(calls) == 1
+        assert [p.paid_sometimes for p in report.players] == [
+            paid_sometimes(g, q) for q in g.agents]
+        assert [t.always_paid_fairly for t in report.teams] == [
+            always_paid_fairly(g, e.key) for e in g.edges]
+
+
 def test_verify_complementarity_single_edge_bipartite():
     report = verify_complementarity(helpers.single_edge())
     assert report.ok and not report.gaps

@@ -18,7 +18,7 @@ from matchcore.formulations import (
     vertex_dual_var,
 )
 from matchcore.games import GameKind, make_instance
-from matchcore.lp import LpSolution, Status, solve
+from matchcore.lp import LinearProgram, LpSolution, Status, solve
 from matchcore.oracle import max_weight
 from matchcore.rationals import scaled
 
@@ -29,6 +29,47 @@ def bipartite_shaped_general(rng, max_side=3, max_edges=6):
     g = helpers.random_bipartite(rng, GameKind.ASSIGNMENT, max_side, max_edges)
     return make_instance(GameKind.GENERAL, g.side_u + g.side_v, [],
                          [(e.u, e.v, e.weight) for e in g.edges])
+
+
+def _times_three_halves(g):
+    return make_instance(g.kind, g.side_u, g.side_v,
+                         [replace(e, weight=F(3, 2) * e.weight) for e in g.edges],
+                         g.capacities, g.uniform_capacity)
+
+
+def test_the_builders_write_what_the_validating_constructors_would():
+    # build_primal and build_dual write each row's integers and assemble
+    # the program unchecked; the result is the program the validating
+    # constructors build from the same parts: names, objective and its
+    # integers, rows, bounds. Each row keeps scaled([*coeffs, rhs]) as
+    # its integers, and every number is a Fraction. Weights times 3/2 put
+    # denominators into the rows.
+    rng = random.Random(3737)
+    games = [g for _, _, g in helpers.cap_set()]
+    for kind in helpers.ALL_BIPARTITE:
+        games += [helpers.random_bipartite(rng, kind, max_side=5, max_edges=10)
+                  for _ in range(200)]
+    games += [helpers.random_general(rng, max_vertices=7, max_edges=12) for _ in range(200)]
+    seen = dict(programs=0, halves=0, floors=0, ceilings=0)
+    for g in games + [_times_three_halves(g) for g in games]:
+        for lp in (build_primal(g), build_dual(g)):
+            own = LinearProgram(lp.sense, lp.variables, lp.objective,
+                                [(row.coeffs, row.relation, row.rhs) for row in lp.constraints],
+                                lp.lower, lp.upper)
+            for name in ("sense", "variables", "objective", "constraints", "lower", "upper",
+                         "_scaled_objective", "_shifted"):
+                assert getattr(lp, name) == getattr(own, name), name
+            for row, mine in zip(lp.constraints, own.constraints):
+                assert row._scaled_row == mine._scaled_row == scaled([*row.coeffs, row.rhs])
+                assert all(type(c) is Fraction for c in (*row.coeffs, row.rhs))
+            assert all(type(c) is Fraction for c in (*lp.objective, *lp.lower))
+            seen["programs"] += 1
+            seen["halves"] += any(row._scaled_row[1] > 1 for row in lp.constraints)
+            seen["floors"] += any(lo > 0 for lo in lp.lower)
+            seen["ceilings"] += any(hi is not None for hi in lp.upper)
+    # Counts at this seed: programs 4,060, halves 878 (dual rows over a
+    # denominator of 2), floors 256, ceilings 388.
+    assert seen["programs"] >= 4000 and min(seen.values()) >= 100, seen
 
 
 def test_single_edge_assignment_primal():

@@ -21,7 +21,8 @@ import helpers
 from fraction_simplex import FractionFace
 from matchcore import lp as lp_module
 from matchcore import rationals
-from matchcore.formulations import build_dual
+from matchcore import analysis
+from matchcore.formulations import build_dual, build_primal, sub_dual
 from matchcore.lp import (
     Constraint,
     LinearProgram,
@@ -277,16 +278,17 @@ def test_a_cut_program_keeps_its_integers_without_checking_again():
 
 
 def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
-    # A program is put into integers when it is built: solving a cap-set
+    # A program is put into integers when it is built, and build_dual
+    # writes its integers straight in: building and solving a cap-set
     # game's dual program (minimizing, every lower bound zero) calls
-    # neither rationals.scaled nor Fraction.__neg__ from the tableau.
-    # The hook sees the calls that are made, from the builders.
+    # neither rationals.scaled nor Fraction.__neg__, and builds no row or
+    # program through the validating constructors. The hook sees a call
+    # made from anywhere, the builder included; the engine's own solve
+    # runs, without this file's checks of the value.
+    callees = (rationals.scaled, Fraction.__neg__, Constraint.__init__, LinearProgram.__init__)
     for kind, s, g in helpers.cap_set():
-        _, counts = calls_from(lambda: solve(build_dual(g)), (rationals.scaled, Fraction.__neg__))
-        tableau = {key: k for key, k in counts.items() if key[1].startswith("_Tableau.")}
-        assert not tableau, (kind, s, tableau)
-        assert counts["scaled", "Constraint.__init__"] == len(g.edges)
-        assert counts["scaled", "LinearProgram.__init__"] == 1
+        _, counts = calls_from(lambda: lp_module.solve(build_dual(g)), callees)
+        assert not counts, (kind, s, counts)
 
 
 def test_optimal_face_segment():
@@ -669,6 +671,120 @@ def test_fraction_free_kernel_matches_the_rational_tableau():
     # equality 768, optimal 449, infeasible 645, unbounded 106, ties 127,
     # minimize 230, rational_queries 654.
     assert min(seen.values()) >= 90, seen
+
+
+def _logged_pivots(monkeypatch):
+    """The engine's pivots from now on, logged as the reference logs
+    them: (phase, leaving row, entering column), phase 1 while
+    ``_phase1`` runs, its artificials numbered from ``ncols`` on."""
+    log, phase = [], [2]
+    pivot, phase1 = lp_module._Tableau._pivot, lp_module._Tableau._phase1
+
+    def logged_pivot(tableau, leave, enter):
+        log.append((phase[0], leave, enter))
+        pivot(tableau, leave, enter)
+
+    def logged_phase1(tableau):
+        phase[0] = 1
+        try:
+            return phase1(tableau)
+        finally:
+            phase[0] = 2
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", logged_pivot)
+    monkeypatch.setattr(lp_module._Tableau, "_phase1", logged_phase1)
+    return log
+
+
+def _equality_heavy(rng):
+    """A random program of up to 6 variables and 8 rows, about half of
+    them equalities, one row written again times 2 as an equality: phase
+    1 has several artificials to choose among, and drops a copy as
+    redundant when the program is feasible."""
+    n = rng.randint(1, 6)
+    rows = [([rng.randint(-3, 3) for _ in range(n)],
+             rng.choice((Relation.LE, Relation.GE, Relation.EQ, Relation.EQ)),
+             rng.randint(-6, 6)) for _ in range(rng.randint(1, 7))]
+    coeffs, _, rhs = rng.choice(rows)
+    rows.append(([2 * a for a in coeffs], Relation.EQ, 2 * rhs))
+    lower = [rng.choice((0, 0, -2, F(-1, 2))) for _ in range(n)]
+    upper = [rng.choice((None, lo + rng.randint(0, 5))) for lo in lower]
+    return LinearProgram(rng.choice(list(Sense)), [f"x{j}" for j in range(n)],
+                         [rng.randint(-4, 4) for _ in range(n)], rows, lower, upper)
+
+
+def test_the_engine_pivots_as_the_reference_does(monkeypatch):
+    # Pivot by pivot, phase 1's drive-out included, the engine takes the
+    # reference tableau's path: on the programs and face queries of the
+    # test above, on 1,000 equality-heavy programs, each with an equality
+    # row written twice (phase 1 drops one as redundant when the program
+    # is feasible), on every cap-set game's build_dual and build_primal,
+    # and on one in eight of the HK cap-set games' 2,786 coalition
+    # programs (sub_dual), in the library's order: all of them would cost
+    # the reference about 10 s.
+    log = _logged_pivots(monkeypatch)
+    seen = dict(programs=0, queries=0, phase1=0, reentered=0, contested=0, dropped=0)
+
+    def follow(lp, queries=()):
+        log.clear()
+        reference = FractionFace(lp)
+        face = lp_module.OptimalFace(lp)
+        assert face.base == reference.base
+        assert log == reference.log
+        seen["programs"] += 1
+        seen["phase1"] += any(phase == 1 for phase, _, _ in log)
+        first = reference._tableau.first_artificial
+        seen["reentered"] += any(phase == 1 and enter >= first for phase, _, enter in log)
+        seen["contested"] += reference._tableau.contested > 0
+        seen["dropped"] += reference._tableau.dropped > 0
+        if face.base.status is not Status.OPTIMAL:
+            return
+        asked = set()
+        for objective, sense in queries:
+            ints, scale = scaled([F(c) for c in objective])
+            if (tuple(ints), scale, sense) in asked:
+                continue        # the engine hands its kept answer out
+            asked.add((tuple(ints), scale, sense))
+            log.clear()
+            reference.log.clear()
+            assert face.optimize(objective, sense) == reference.optimize(objective, sense)
+            assert log == reference.log
+            seen["queries"] += 1
+
+    for seed in range(1200):
+        rng = random.Random(seed)
+        sense = Sense.MINIMIZE if seed % 4 >= 2 else Sense.MAXIMIZE
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=seed % 3 == 0, sense=sense)
+        n = len(lp.variables)
+        queries = [(tuple(int(j == k) for k in range(n)), query)
+                   for j in range(n) for query in Sense]
+        queries += [([rng.randint(-4, 4) for _ in range(n)], Sense.MAXIMIZE)
+                    for _ in range(3)]
+        queries += [([F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)], query)
+                    for query in Sense]
+        follow(lp, queries)
+    reentered = seen["reentered"]
+    repeated = 0
+    for seed in range(1000):
+        rng = random.Random(7000 + seed)
+        before = seen["dropped"]
+        follow(_equality_heavy(rng))
+        repeated += seen["dropped"] > before
+    for kind, s, g in helpers.cap_set():
+        follow(build_dual(g))
+        follow(build_primal(g))
+    for kind, s, g in helpers.cap_set(("hoffman_kruskal",)):
+        program = build_dual(g)
+        for members, _ in list(analysis._coalitions(g))[::8]:
+            follow(sub_dual(program, g, members))
+    # Counts at these seeds: programs 2,580, queries 4,559, phase1 2,091,
+    # reentered 68 (an artificial entering again in phase 1; 16 of them
+    # in the first 1,200 programs), contested 5 (one entering while
+    # another could have, so Bland's order among artificials decides),
+    # dropped 147 (146 of them equality-heavy).
+    assert reentered >= 15 and seen["contested"] >= 4, (reentered, seen)
+    assert seen["dropped"] >= 20 and repeated >= 20, seen
+    assert seen["programs"] >= 1500 and seen["queries"] >= 4000, seen
 
 
 def test_unbounded_and_infeasible_cross_checked():
