@@ -128,8 +128,10 @@ class _Session:
     when first asked for and then kept: the dual program's ``OptimalFace``
     (one solve, and each face query answered once), the grand range, and
     the coalition rows scanned so far as (members, demand) pairs. A
-    coalition's demand is solved on its part of this dual program
-    (``sub_dual``), so no sub-game gets a session for it.
+    coalition's demand is solved on its part of this dual program, which
+    ``sub_dual`` writes from the program's layout, names and costs, each
+    row through ``Constraint._signed`` and no built row cut, so no
+    sub-game gets a session for it.
     """
 
     def __init__(self, instance: GameInstance):
@@ -411,10 +413,12 @@ def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
     sub-game yields, its worth or, for the bounds-capacity kind, its
     surplus under the sub-game's Bland-rule optimal dual, so repeated
     runs agree. That dual is one bare solve of the sub-game's dual
-    program, cut from the game's (``sub_dual``); its first |S| columns
-    are the members' vertex duals. It has an optimum since the game's
-    program has one: the game's matching on the inner edges is feasible
-    for the sub-game, and the capacities bound it."""
+    program, which ``sub_dual`` writes from the game's layout, names and
+    costs, each row through ``Constraint._signed`` and no built row cut;
+    its first |S| columns are the members' vertex duals. It has an
+    optimum since the game's program has one: the game's matching on the
+    inner edges is feasible for the sub-game, and the capacities bound
+    it."""
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         lp = sub_dual(_session(instance).face.lp, instance, members)
         k = len(members)

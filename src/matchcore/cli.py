@@ -82,6 +82,8 @@ def _load(path: str):
             text = handle.read()
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"cannot read {path}: not UTF-8 text") from exc
     return parse_instance_with_imputation(text)
 
 

@@ -3,13 +3,14 @@
 Construction is a verbatim transcription of each game's primal/dual pair
 with a canonical variable and constraint ordering (agents in input order,
 edges in input order), so solver output is reproducible; rows carry no
-label. A coalition's sub-game dual is cut out of the game's
-(``sub_dual``), which that ordering makes exact. Also houses the
-total-unimodularity test of coefficient rows and the half-integral
-vertex structure check for general-graph matching programs. The test
-takes matrices with at most two nonzeros per column, as every
-`build_primal` matrix is, and decides them at any size by Heller &
-Tompkins's two-colouring of its rows.
+label. A coalition's sub-game dual (``sub_dual``) is written from the
+game's layout, which that ordering makes exact, with the game's names
+and costs and each row through ``Constraint._signed``; nothing cuts a
+built row. Also houses the total-unimodularity test of coefficient rows
+and the half-integral vertex structure check for general-graph matching
+programs. The test takes matrices with at most two nonzeros per column,
+as every `build_primal` matrix is, and decides them at any size by
+Heller & Tompkins's two-colouring of its rows.
 """
 
 from __future__ import annotations
@@ -102,27 +103,39 @@ def build_dual(instance: GameInstance) -> LinearProgram:
 
 def sub_dual(lp: LinearProgram, instance: GameInstance,
              members: Iterable[str]) -> LinearProgram:
-    """``build_dual(restrict(instance, members))`` cut out of ``lp``, which
-    is ``build_dual(instance)``: the rows of the coalition's inner edges,
-    and the columns of its members and of those edges' bound duals.
-    ``restrict`` keeps the order of agents and edges, so ``lp``'s order is
-    the sub-game's own, and no sub-game is built. The program and each
-    row are cut with their kept integers (``LinearProgram._cut``,
-    ``Constraint.cut``), so nothing is checked or scaled again.
-    ``build_dual`` gives every column the default bounds, so the cut
-    keeps those."""
+    """``build_dual(restrict(instance, members))``, written from ``lp``,
+    which is ``build_dual(instance)``, as :func:`build_dual` writes it.
+    ``restrict`` keeps the order of agents and edges, so the sub-game's
+    columns are the members' and then its inner edges' bound duals, in
+    ``lp``'s order: their names and costs are ``lp``'s at those positions
+    (an integral objective, scale 1). Each inner edge's row is written
+    through ``Constraint._signed`` with the relation and right-hand side
+    of ``lp``'s row, already coerced, so no sub-game is built and nothing
+    is checked or scaled again."""
     chosen = frozenset(members)
-    columns = [j for j, q in enumerate(instance.agents) if q in chosen]
-    rows, nxt = [], len(instance.agents)
+    agents = instance.agents
+    columns = [j for j, q in enumerate(agents) if q in chosen]
+    at = {agents[j]: k for k, j in enumerate(columns)}
+    bounded = instance.kind is GameKind.HOFFMAN_KRUSKAL
+    inner, nxt = [], len(agents)
     for e, row in zip(instance.edges, lp.constraints):
         bounds = ()
-        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+        if bounded:
             bounds = range(nxt, nxt + 1 + (e.upper is not None))
             nxt = bounds.stop
         if e.u in chosen and e.v in chosen:
-            rows.append(row)
-            columns += bounds
-    return lp._cut(columns, rows)
+            entry = {at[e.u]: 1, at[e.v]: 1}
+            for j, s in zip(bounds, (-1, 1)):
+                entry[len(columns)] = s
+                columns.append(j)
+            inner.append((entry, row))
+    n = len(columns)
+    ints, _ = lp._scaled_objective
+    return LinearProgram._trusted(
+        lp.sense, tuple([lp.variables[j] for j in columns]),
+        tuple([lp.objective[j] for j in columns]), ([ints[j] for j in columns], 1),
+        tuple([Constraint._signed(n, entry, row.relation, row.rhs) for entry, row in inner]),
+        (ZERO,) * n, (None,) * n)
 
 
 def build_odd_set_primal(instance: GameInstance) -> LinearProgram:

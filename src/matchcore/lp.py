@@ -64,9 +64,11 @@ class Constraint:
     package's TypeError on a float or a bool), and keeps the row in
     integers: ``_scaled_row`` is ``scaled([*coeffs, rhs])``, computed once
     here. The tableau copies it and ``is_feasible`` reads it; neither
-    scales the row again. ``cut`` keeps some columns of a built row
-    without checking or scaling it again, and ``_signed`` writes a row of
-    unit coefficients straight into integers."""
+    scales the row again. ``_signed`` writes a row of unit coefficients
+    straight into integers. ``build_primal`` and ``build_dual`` write
+    every row with it, and so does ``formulations.sub_dual`` for a
+    coalition's dual program, from the game's layout, with names and
+    costs taken from the game's program; nothing cuts a built row."""
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
@@ -83,20 +85,6 @@ class Constraint:
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "_scaled_row", scaled_row)
-
-    def cut(self, columns: Sequence[int]) -> "Constraint":
-        """The row on ``columns`` alone, in their order. Its integers are
-        the kept ones on those columns, with the common factor that the
-        dropped columns may leave divided out, so they are still
-        ``scaled([*coeffs, rhs])``."""
-        ints, den = self._scaled_row
-        coeffs = self.coeffs
-        kept = [ints[j] for j in columns]
-        kept.append(ints[-1])
-        row = object.__new__(Constraint)
-        row._set(tuple([coeffs[j] for j in columns]), self.relation, self.rhs,
-                 (kept, 1) if den == 1 else _lowest(kept, den))
-        return row
 
     @staticmethod
     def _signed(width: int, signs: Mapping[int, int], relation: Relation,
@@ -200,8 +188,11 @@ class LinearProgram:
         """The program of parts already as ``__init__`` leaves them, with
         ``scaled_objective`` equal to ``scaled(objective)``. Only the names
         are checked, since an instance that is not validated may name two
-        columns alike; the callers, ``_cut``, ``build_primal`` and
-        ``build_dual``, build every other part soundly."""
+        columns alike; the callers, ``build_primal``, ``build_dual`` and
+        ``sub_dual``, build every other part soundly. ``sub_dual`` writes a
+        coalition's rows from the game's layout through
+        ``Constraint._signed`` and takes its names and costs from the
+        game's built program; nothing cuts a built row."""
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
         lp = object.__new__(LinearProgram)
@@ -225,25 +216,6 @@ class LinearProgram:
             if x < lo or (hi is not None and x > hi):
                 return False
         return all(c._holds_at(ints, scale) for c in self.constraints)
-
-    def _cut(self, columns: Sequence[int], rows: Iterable[Constraint]) -> "LinearProgram":
-        """The program on the distinct ``columns`` alone, in their order,
-        with ``rows`` (some of this program's) cut to them. Nothing but
-        the names (``_trusted``) is checked again, and that is sound: a
-        subset of unique names is unique, the objective and bounds are
-        this program's already coerced entries, each kept bound pair is
-        one that passed, and a row cut to the same columns has their
-        arity. The objective's integers are the kept ones on those columns
-        in lowest terms, so they are still ``scaled``'s, as
-        ``Constraint.cut`` keeps a row's."""
-        ints, den = self._scaled_objective
-        kept = [ints[j] for j in columns]
-        return LinearProgram._trusted(
-            self.sense, tuple([self.variables[j] for j in columns]),
-            tuple([self.objective[j] for j in columns]),
-            (kept, 1) if den == 1 else _lowest(kept, den),
-            tuple([row.cut(columns) for row in rows]),
-            tuple([self.lower[j] for j in columns]), tuple([self.upper[j] for j in columns]))
 
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,

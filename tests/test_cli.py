@@ -265,6 +265,11 @@ def test_input_errors_exit_two(tmp_path, capsys):
                                       "edge a b weight zero\n")
     code, _, err = run(capsys, "solve", bad)
     assert code == 2 and "line 4" in err
+    latin = tmp_path / "latin.game"
+    latin.write_bytes(b"game assignment\nside_u a\xff\nside_v b\nedge a\xff b weight 1\n")
+    code, out, err = run(capsys, "solve", str(latin))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {latin}: not UTF-8 text\n"
 
 
 def test_negative_imputation_value_exits_two_with_its_line(tmp_path, capsys):

@@ -320,12 +320,12 @@ def test_hk_demand_table_matches_each_coalitions_own_sub_game():
 def test_hk_coalition_program_is_the_sub_games_own_dual_program():
     # A closed coalition's part of the game's dual program is its
     # sub-game's dual program, column for column and row for row, each
-    # cut row keeping the integers its tableau copies, and its demand is
-    # the surplus under the Bland dual of that sub-game's own session, the
-    # reference path. The closed coalitions (every member with a
-    # neighbour inside) are listed here, a superset of the library's
-    # connected rows, so that cut programs with several blocks are
-    # checked too.
+    # written row keeping the integers its tableau copies and the program
+    # its objective's, and its demand is the surplus under the Bland dual
+    # of that sub-game's own session, the reference path. The closed
+    # coalitions (every member with a neighbour inside) are listed here, a
+    # superset of the library's connected rows, so that written programs
+    # with several blocks are checked too.
     rng = random.Random(2900)
     games = [g for _, _, g in helpers.cap_set(("hoffman_kruskal",))]
     games += [helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
@@ -346,6 +346,8 @@ def test_hk_coalition_program_is_the_sub_games_own_dual_program():
             assert all(row._scaled_row == scaled([*row.coeffs, row.rhs])
                        for row in program.constraints)
             assert (program.lower, program.upper) == (own.lower, own.upper)
+            assert program._scaled_objective == own._scaled_objective
+            assert program._shifted == own._shifted
             assert (analysis._demand(g, members)
                     == analysis._surplus(analysis.optimal_dual(sub)))
             seen["coalitions"] += 1

@@ -222,59 +222,28 @@ def calls_from(run, callees):
     return result, counts
 
 
-def test_a_cut_row_keeps_its_integers_without_scaling_again():
-    # A row's kept integers are scaled([*coeffs, rhs]); the row cut to some
-    # of its columns equals the row built from those columns, its integers
-    # put in lowest terms again by a gcd, with no coercion and no scaling.
+def test_a_signed_row_keeps_its_integers_without_scaling():
+    # Constraint._signed writes every row of build_primal, build_dual and
+    # sub_dual: a row of unit coefficients at the given columns, zero
+    # elsewhere. It equals the row the validating constructor builds from
+    # the same parts, and its kept integers are scaled([*coeffs, rhs]),
+    # with no number coerced or scaled on the way.
     rng = random.Random(3001)
-    reduced = 0
+    fractional = 0
     for _ in range(400):
-        n = rng.randint(1, 5)
-        row = Constraint([F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)],
-                         rng.choice(list(Relation)), F(rng.randint(-6, 6), rng.choice((1, 2))))
-        assert row._scaled_row == scaled([*row.coeffs, row.rhs])
-        columns = sorted(rng.sample(range(n), rng.randint(0, n)))
-        cut, counts = calls_from(lambda: row.cut(columns),
-                                 (rationals.scaled, rationals.ensure_rational))
-        assert not counts, counts
-        assert cut == Constraint([row.coeffs[j] for j in columns], row.relation, row.rhs)
-        assert cut._scaled_row == scaled([*cut.coeffs, cut.rhs])
-        reduced += cut._scaled_row[1] < row._scaled_row[1]
-    assert reduced >= 50, reduced
-
-
-def test_a_cut_program_keeps_its_integers_without_checking_again():
-    # A program cut to some of its columns and rows is the program built
-    # from those pieces, bounds included, with its objective's integers in
-    # lowest terms again; no name, number, row or bound is checked again.
-    rng = random.Random(3101)
-    reduced = 0
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        lower = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
-        upper = [None if rng.random() < 0.5 else lo + rng.randint(0, 4) for lo in lower]
-        rows = [Constraint([F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)],
-                           rng.choice(list(Relation)), rng.randint(-6, 6))
-                for _ in range(rng.randint(0, 4))]
-        lp = LinearProgram(rng.choice(list(Sense)), [f"x{j}" for j in range(n)],
-                           [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)],
-                           rows, lower, upper)
-        columns = sorted(rng.sample(range(n), rng.randint(0, n)))
-        kept = [row for row in rows if rng.random() < 0.7]
-        cut, counts = calls_from(lambda: lp._cut(columns, kept),
+        width = rng.randint(0, 6)
+        signs = {j: rng.choice((1, -1)) for j in rng.sample(range(width), rng.randint(0, width))}
+        relation = rng.choice(list(Relation))
+        rhs = F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+        row, counts = calls_from(lambda: Constraint._signed(width, signs, relation, rhs),
                                  (rationals.scaled, rationals.ensure_rational,
-                                  LinearProgram.__init__, Constraint.__init__))
+                                  Constraint.__init__))
         assert not counts, counts
-        own = LinearProgram(lp.sense, [lp.variables[j] for j in columns],
-                            [lp.objective[j] for j in columns],
-                            [Constraint([row.coeffs[j] for j in columns], row.relation, row.rhs)
-                             for row in kept],
-                            [lower[j] for j in columns], [upper[j] for j in columns])
-        for name in ("sense", "variables", "objective", "constraints", "lower", "upper",
-                     "_scaled_objective"):
-            assert getattr(cut, name) == getattr(own, name), name
-        reduced += cut._scaled_objective[1] < lp._scaled_objective[1]
-    assert reduced >= 50, reduced
+        own = Constraint([F(signs.get(j, 0)) for j in range(width)], relation, rhs)
+        assert row == own
+        assert row._scaled_row == own._scaled_row == scaled([*row.coeffs, row.rhs])
+        fractional += row._scaled_row[1] > 1
+    assert fractional >= 100, fractional
 
 
 def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
@@ -289,6 +258,20 @@ def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
     for kind, s, g in helpers.cap_set():
         _, counts = calls_from(lambda: lp_module.solve(build_dual(g)), callees)
         assert not counts, (kind, s, counts)
+    # A coalition's dual program is written from the game's built one
+    # (sub_dual): on every connected row of the hoffman_kruskal cap-set
+    # games, no number is coerced or scaled and no row or program goes
+    # through the validating constructors.
+    callees = (rationals.scaled, rationals.ensure_rational,
+               Constraint.__init__, LinearProgram.__init__)
+    written = 0
+    for _, s, g in helpers.cap_set(("hoffman_kruskal",)):
+        program = build_dual(g)
+        for members, _ in analysis._coalitions(g):
+            _, counts = calls_from(lambda: sub_dual(program, g, members), callees)
+            assert not counts, (s, members, counts)
+            written += 1
+    assert written == 2786, written
 
 
 def test_optimal_face_segment():

@@ -9,10 +9,16 @@ pivot (the ratio test reads right-hand sides that are all times c) is
 the same. So payoffs, ranges, demands and witness duals scale by c, and
 verdicts, witness coalitions and oracle classes stay.
 
-The disjoint-union relation is not here: the hoffman_kruskal core of a
-disjoint union is not the product of its parts' cores while a coalition
-demands its Bland-rule surplus, so it waits for that demand to become a
-fact of the game.
+Disjoint union: a game joined with another of its kind under renamed
+agents has worth the sum of theirs, and every coalition row of the union
+lies inside one part (a connected coalition, or an edge pair) and
+demands there what it demands in that part. So payoffs that pay each
+part exactly its worth are in the union's core iff each part's are in
+that part's core, the union's core is nonempty iff both parts' are, and
+a blocked union's witness is whichever part's own witness comes first
+in the union's size-then-position order. It is checked for the worth
+kinds and general; the hoffman_kruskal relation waits until a
+coalition's demand is a fact of the game.
 """
 
 import random
@@ -33,11 +39,14 @@ from matchcore.analysis import (
     simultaneous_imputation,
     verify_complementarity,
 )
+from matchcore.caps import MAX_EDGES, MAX_VERTICES
 from matchcore.games import GameKind, make_imputation, make_instance
+from matchcore.oracle import optimal_weight
 
 F = Fraction
 C = F(3, 2)
 KINDS = helpers.ALL_BIPARTITE + (GameKind.GENERAL,)
+WORTH_KINDS = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING)
 
 
 def _scaled_game(g):
@@ -125,3 +134,91 @@ def test_scaling_every_weight_scales_payoffs_and_keeps_verdicts():
     assert all(seen[kind, "blocked"] >= 60 for kind in KINDS), seen
     assert all(seen[kind, "capacity above one"] >= 30 for kind in helpers.MULTI_KINDS), seen
     assert seen[GameKind.GENERAL, "empty core"] >= 20, seen
+
+
+def _union(left, right):
+    """``left`` and ``right`` joined as one game of their kind, their
+    agents renamed l... and r...; each side lists the left part's agents
+    and then the right's, so a part keeps its agents' relative order."""
+    def named(g, tag):
+        side_u, side_v = ([tag + q for q in side] for side in (g.side_u, g.side_v))
+        edges = [(tag + e.u, tag + e.v, e.weight) for e in g.edges]
+        caps = {tag + q: b for q, b in g.capacities}
+        return side_u, side_v, edges, caps
+
+    lu, lv, ledges, lcaps = named(left, "l")
+    ru, rv, redges, rcaps = named(right, "r")
+    return make_instance(left.kind, lu + ru, lv + rv, ledges + redges,
+                         {**lcaps, **rcaps} or None, left.uniform_capacity)
+
+
+def _part_probes(g, witness):
+    """Payoff vectors that pay ``g`` exactly its worth: the scaling
+    relation's, or, for a part with neither a deterministic dual nor a
+    core witness, its worth split evenly and paid to its last agent."""
+    worth = optimal_weight(g)
+    out = _probes(g, witness) or [{q: worth / len(g.agents) for q in g.agents},
+                                  {g.agents[-1]: worth}]
+    assert all(sum(p.values()) == worth for p in out)
+    return out
+
+
+def test_a_disjoint_union_is_in_the_core_iff_each_part_is():
+    # 100 seeded pairs per kind, each union within the caps, and every
+    # pair of the parts' probes. Counts at these seeds: 820-921 blocked
+    # unions per kind, 152-195 with both parts blocked; 65 uniform_b and
+    # 100 b_matching unions with a capacity above one; 15 general unions
+    # with an empty part. The hoffman_kruskal relation waits until a
+    # coalition's demand is a fact of the game: while it is the surplus at
+    # the vertex Bland's rule reaches, a union's demand need not be its
+    # parts', so that kind is left out here rather than pinned to its
+    # present answers.
+    kinds = WORTH_KINDS + (GameKind.GENERAL,)
+    rng = random.Random(1515)
+    seen = Counter()
+    for kind in kinds:
+        for _ in range(100):
+            if kind is GameKind.GENERAL:
+                left, right = (helpers.random_general(rng, max_vertices=6, max_edges=8,
+                                                      max_weight=5) for _ in range(2))
+            else:
+                left, right = (helpers.random_bipartite(rng, kind, max_side=3, max_edges=6,
+                                                        max_weight=5) for _ in range(2))
+                right = make_instance(kind, right.side_u, right.side_v, right.edges,
+                                      right.capacities or None, left.uniform_capacity)
+            g = _union(left, right)
+            assert len(g.agents) <= MAX_VERTICES and len(g.edges) <= MAX_EDGES
+            position = {q: j for j, q in enumerate(g.agents)}
+
+            def first(witness):
+                return len(witness), sorted(map(position.get, witness))
+
+            parts = [(tag, part, core_nonempty(part)) for tag, part in
+                     (("l", left), ("r", right))]
+            assert core_nonempty(g)[0] == all(nonempty for _, _, (nonempty, _) in parts)
+            probes = [[(tag, part, payoffs) for payoffs in _part_probes(part, witness)]
+                      for tag, part, (_, witness) in parts]
+            for pair in ((a, b) for a in probes[0] for b in probes[1]):
+                blocked = []
+                for tag, part, payoffs in pair:
+                    v = is_core_imputation(part, make_imputation(part, payoffs))
+                    if not v.in_core:
+                        blocked.append((frozenset(tag + q for q in v.witness),
+                                        v.witness_demand, v.witness_allocation))
+                union = {tag + q: x for tag, _, payoffs in pair for q, x in payoffs.items()}
+                v = is_core_imputation(g, make_imputation(g, union))
+                assert v.in_core == (not blocked)
+                if blocked:
+                    assert (v.witness, v.witness_demand, v.witness_allocation) == min(
+                        blocked, key=lambda b: first(b[0]))
+                    seen[kind, "blocked"] += 1
+                    seen[kind, "both blocked"] += len(blocked) == 2
+                seen[kind, "probes"] += 1
+            seen[kind] += 1
+            seen[kind, "capacity above one"] += any(g.capacity(q) > 1 for q in g.agents)
+            seen[kind, "empty core"] += not all(nonempty for _, _, (nonempty, _) in parts)
+    assert sum(seen[kind] for kind in kinds) >= 400, seen
+    assert all(seen[kind] >= 60 and seen[kind, "blocked"] >= 150 for kind in kinds), seen
+    assert all(seen[kind, "both blocked"] >= 100 for kind in kinds), seen
+    assert all(seen[kind, "capacity above one"] >= 50 for kind in WORTH_KINDS[1:]), seen
+    assert seen[GameKind.GENERAL, "empty core"] >= 10, seen
