@@ -130,8 +130,8 @@ class _Session:
     the coalition rows scanned so far as (members, demand) pairs. A
     coalition's demand is solved on its part of this dual program, which
     ``sub_dual`` writes from the program's layout, names and costs, each
-    row through ``Constraint._signed`` and no built row cut, so no
-    sub-game gets a session for it.
+    row through ``Constraint._signed``, so no sub-game gets a session for
+    it.
     """
 
     def __init__(self, instance: GameInstance):
@@ -414,11 +414,10 @@ def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
     surplus under the sub-game's Bland-rule optimal dual, so repeated
     runs agree. That dual is one bare solve of the sub-game's dual
     program, which ``sub_dual`` writes from the game's layout, names and
-    costs, each row through ``Constraint._signed`` and no built row cut;
-    its first |S| columns are the members' vertex duals. It has an
-    optimum since the game's program has one: the game's matching on the
-    inner edges is feasible for the sub-game, and the capacities bound
-    it."""
+    costs, each row through ``Constraint._signed``; its first |S|
+    columns are the members' vertex duals. It has an optimum since the
+    game's program has one: the game's matching on the inner edges is
+    feasible for the sub-game, and the capacities bound it."""
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         lp = sub_dual(_session(instance).face.lp, instance, members)
         k = len(members)

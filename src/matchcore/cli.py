@@ -41,8 +41,6 @@ def _fmt(value) -> str:
         return format_rational(value)
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if value is None:
-        return "unbounded"
     return str(value)
 
 

@@ -5,12 +5,12 @@ with a canonical variable and constraint ordering (agents in input order,
 edges in input order), so solver output is reproducible; rows carry no
 label. A coalition's sub-game dual (``sub_dual``) is written from the
 game's layout, which that ordering makes exact, with the game's names
-and costs and each row through ``Constraint._signed``; nothing cuts a
-built row. Also houses the total-unimodularity test of coefficient rows
-and the half-integral vertex structure check for general-graph matching
-programs. The test takes matrices with at most two nonzeros per column,
-as every `build_primal` matrix is, and decides them at any size by
-Heller & Tompkins's two-colouring of its rows.
+and costs and each row through ``Constraint._signed``. Also houses the
+total-unimodularity test of coefficient rows and the half-integral
+vertex structure check for general-graph matching programs. The test
+takes matrices with at most two nonzeros per column, as every
+`build_primal` matrix is, and decides them at any size by Heller &
+Tompkins's two-colouring of its rows.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ tolerances: identical inputs always produce the identical basic optimal
 solution. The optimal face has one representation, ``OptimalFace``: it
 solves once and answers each secondary objective by phase 2 alone from
 the optimal basis, over the columns whose reduced cost there is zero,
-with no row pinning its objective to the optimum, and keeps each answer,
-keyed by the query's integers.
+and keeps each answer, keyed by the query's integers.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class Constraint:
     straight into integers. ``build_primal`` and ``build_dual`` write
     every row with it, and so does ``formulations.sub_dual`` for a
     coalition's dual program, from the game's layout, with names and
-    costs taken from the game's program; nothing cuts a built row."""
+    costs taken from the game's program."""
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
@@ -192,7 +191,7 @@ class LinearProgram:
         ``sub_dual``, build every other part soundly. ``sub_dual`` writes a
         coalition's rows from the game's layout through
         ``Constraint._signed`` and takes its names and costs from the
-        game's built program; nothing cuts a built row."""
+        game's built program."""
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
         lp = object.__new__(LinearProgram)
@@ -270,14 +269,18 @@ class _Tableau:
     The arithmetic is in integers, fraction-free as in Edmonds (1967) and
     Bareiss (1968). Row i is a list of ints, its right-hand side last, over
     a positive denominator ``dens[i]``: the true row is
-    ``rows[i] / dens[i]``, kept in lowest terms by dividing out the gcd of
-    the row and its denominator. A row starts as a copy of its
-    ``Constraint``'s kept integers, with its unit entry equal to its
-    denominator; when a lower bound is nonzero the right-hand side is
-    shifted in integers, over the lower bounds' common denominator, and
-    the row put in lowest terms again, so no row is scaled here. While a
-    run lasts, its reduced-cost row, the objective value last, is the
-    last such row. Since denominators are positive, sign and zero tests
+    ``rows[i] / dens[i]``. A row starts as a copy of its ``Constraint``'s
+    kept integers, with plus or minus its denominator as its unit entry;
+    when a lower bound is nonzero the right-hand side is shifted in
+    integers, over the lower bounds' common denominator, and the row put
+    in lowest terms again, so no row is scaled here. Every constraint row
+    is so in one normal form: in lowest terms, with plus or minus its
+    denominator in its basic column or, while its artificial is basic,
+    in the unit column the artificial is read off. Each pivot keeps it:
+    an updated row is put in lowest terms, and the pivot row divided by
+    its pivot needs no gcd, since its entries, one of them plus or minus
+    its old denominator, share no factor. While a run lasts, its
+    reduced-cost row, the objective value last, is the last row. Since denominators are positive, sign and zero tests
     read the numerators, and Bland's ratio test compares ``b_i / a_i`` by
     cross-multiplying; so the pivot sequence, basis and vertex are
     exactly those of rational arithmetic. The objective value is read off
@@ -353,14 +356,11 @@ class _Tableau:
         prow = rows[leave]
         p = prow[column]
         if p != dens[leave]:
-            # The pivot row divided by its pivot: p becomes its denominator.
+            # The pivot row divided by its pivot: p becomes its
+            # denominator, in lowest terms by the normal form.
             if p < 0:
                 prow = [-a for a in prow]
                 p = -p
-            g = gcd(*prow)
-            if g != 1:
-                prow = [a // g for a in prow]
-                p //= g
             rows[leave] = prow
             dens[leave] = p
         nz = [(j, a) for j, a in enumerate(prow) if a]

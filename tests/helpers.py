@@ -406,3 +406,30 @@ def random_general(rng, max_vertices=6, max_edges=9, max_weight=9, min_vertices=
 
 ALL_BIPARTITE = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B,
                  GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
+
+
+# Instance files with one malformed line each, by name, with the parser's
+# whole message.
+_TWO_AGENTS = "game b_matching\nside_u a\nside_v b\nb a 1\nb b 1\nedge a b weight 1\n"
+MALFORMED_FILES = {
+    "bad-name": (_TWO_AGENTS + "side_v c!\n", "line 7: bad name 'c!'"),
+    "capacity-below-one": (_TWO_AGENTS.replace("b a 1", "b a 0"),
+                           "line 4: expected an integer >= 1, got 0"),
+    "game-two-tokens": (_TWO_AGENTS.replace("b_matching", "b_matching general"),
+                        "line 1: game takes one token"),
+    "b_const-two-tokens": ("game uniform_b\nside_u a\nside_v b\nb_const 1 2\n",
+                           "line 4: b_const takes one integer"),
+    "b-one-token": (_TWO_AGENTS.replace("b b 1", "b b"),
+                    "line 5: b takes a vertex name and an integer"),
+    "imputation-without-equals": (_TWO_AGENTS + "imputation a=1 b\n",
+                                  "line 7: expected name=value, got 'b'"),
+    "imputation-unknown-agent": (_TWO_AGENTS + "imputation a=1 c=0\n",
+                                 "imputation names unknown agents: ['c']"),
+    "edge-without-weight": (_TWO_AGENTS.replace("weight 1", "cost 1"),
+                            "line 6: edge syntax: edge <name> <name> weight <rational> "
+                            "[lower <int>] [upper <int>]"),
+    "edge-stray-token": (_TWO_AGENTS.replace("weight 1", "weight 1 lower"),
+                         "line 6: unexpected edge tokens ['lower']"),
+    "zero-denominator": (_TWO_AGENTS.replace("weight 1", "weight 1/0"),
+                         "line 6: not a rational literal: '1/0'"),
+}

@@ -231,6 +231,60 @@ def test_verify_complementarity_decides_an_empty_core_once(monkeypatch):
             always_paid_fairly(g, e.key) for e in g.edges]
 
 
+def test_verify_complementarity_skips_an_edge_that_is_never_matched():
+    # A subpar team with no essential endpoint contradicts the theorem
+    # unless the team can never be matched: here its ceiling is 0.
+    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a1", "a2"], ["b1", "b2"],
+                      [("a1", "b1", 5), ("a2", "b2", 3, 0, 0)],
+                      capacities={"a1": 1, "a2": 1, "b1": 1, "b2": 1})
+    report = verify_complementarity(g)
+    assert report.ok
+    labels = {p.agent: p.label for p in report.players}
+    assert report.teams[1].label is ClassLabel.SUBPAR
+    assert ClassLabel.ESSENTIAL not in (labels["a2"], labels["b2"])
+
+
+def _relabel(monkeypatch, players=(), teams=(), degenerate=None):
+    """Make the analysis read the oracle's classes, with ``players`` and
+    ``teams`` ({agent or edge key: label}) put in place of the true ones,
+    and ``is_degenerate`` answer ``degenerate`` unless it is None."""
+    for name, labels in (("classify_player", dict(players)), ("classify_team", dict(teams))):
+        real = getattr(analysis_module, name)
+        monkeypatch.setattr(analysis_module, name,
+                            lambda g, key, real=real, labels=labels: labels.get(key)
+                            or real(g, key))
+    if degenerate is not None:
+        monkeypatch.setattr(analysis_module, "is_degenerate", lambda g: degenerate)
+
+
+V, S = ClassLabel.VIABLE, ClassLabel.SUBPAR
+
+
+@pytest.mark.parametrize("game, players, teams, degenerate, violations", [
+    ("single_edge", {"a": V}, {}, None, ("player a: viable but paid sometimes",)),
+    ("single_edge", {}, {("a", "b"): S}, None, ("team (a,b): subpar but always paid fairly",)),
+    ("single_edge", {"a": V, "b": V}, {("a", "b"): S}, None,
+     ("player a: viable but paid sometimes", "player b: viable but paid sometimes",
+      "team (a,b): subpar but always paid fairly",
+      "team (a,b): subpar with no essential endpoint")),
+    ("triangle_pendant", {"v1": V}, {}, None, ("player v1: paid sometimes but viable",)),
+    ("seven_ring", {}, {("v4", "v7"): V}, False, ("team (v4,v7): viable but sometimes overpaid",)),
+    ("triangle_pendant", {"v1": V}, {}, True,
+     ("player v1: paid sometimes but viable", "player v1: viable yet paid under degeneracy")),
+    ("seven_ring", {}, {("v4", "v7"): V}, None,
+     ("team (v4,v7): viable but sometimes overpaid",
+      "team ('v4', 'v7'): viable yet overpaid under degeneracy")),
+], ids=["bipartite-player", "bipartite-team", "subpar-endpoint", "general-player",
+        "general-team", "degenerate-player", "degenerate-team"])
+def test_verify_complementarity_names_each_contradiction(monkeypatch, game, players, teams,
+                                                         degenerate, violations):
+    # The checks hold on every game (the tests above), so the classes
+    # they read are made to contradict the theorems, and each check fires.
+    _relabel(monkeypatch, players, teams, degenerate)
+    report = verify_complementarity(getattr(helpers, game)())
+    assert report.violations == violations and not report.ok
+
+
 def test_verify_complementarity_single_edge_bipartite():
     report = verify_complementarity(helpers.single_edge())
     assert report.ok and not report.gaps
@@ -307,6 +361,29 @@ def test_meet_join_random_uniform_instances_stay_in_core():
         done += 1
 
 
+def test_meet_join_raises_when_a_combination_leaves_the_core(monkeypatch):
+    g = helpers.single_edge(GameKind.UNIFORM_B, weight=5, uniform_capacity=1)
+    verdicts = iter([True, True, False])
+    monkeypatch.setattr(analysis_module, "is_core_imputation",
+                        lambda instance, imp: analysis_module.CoreVerdict(next(verdicts)))
+    with pytest.raises(ArithmeticError) as err:
+        meet_join(g, make_imputation(g, {"a": 5}), make_imputation(g, {"b": 5}))
+    assert str(err.value) == ("combined imputation left the core; this contradicts "
+                              "the lattice lemma")
+
+
+@pytest.mark.parametrize("players, teams, message", [
+    ({"a": V, "b": V}, {}, "simultaneous imputation mispays player a"),
+    ({}, {("a", "b"): S}, "simultaneous imputation mistreats team ('a', 'b')"),
+], ids=["player", "team"])
+def test_simultaneous_imputation_raises_on_contradicted_classes(monkeypatch, players, teams,
+                                                                message):
+    _relabel(monkeypatch, players, teams)
+    with pytest.raises(ArithmeticError) as err:
+        simultaneous_imputation(helpers.single_edge())
+    assert str(err.value) == message
+
+
 def test_simultaneous_imputation_single_edge_and_random():
     g = helpers.single_edge()
     imp = simultaneous_imputation(g)
@@ -317,6 +394,42 @@ def test_simultaneous_imputation_single_edge_and_random():
                                         max_edges=6)
         got = simultaneous_imputation(inst)  # internal assertions must hold
         assert got.total == worth(inst, inst.agents)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: surplus_account(helpers.single_edge(), optimal_dual(helpers.single_edge())),
+     "surplus accounting applies to hoffman_kruskal instances"),
+    (lambda: check_concurrency(helpers.single_edge()),
+     "concurrency applies to general instances"),
+    (lambda: in_dual_image(helpers.unit_triangle(), make_imputation(helpers.unit_triangle(), {})),
+     "the dual-image test applies to bipartite kinds"),
+    (lambda: sample_core_vertices(helpers.hk_edge_lower(), 1, 0),
+     "payoff-space core polytope is for worth-based kinds"),
+    (lambda: extreme_imputations(helpers.two_team_b_matching()),
+     "extreme imputations apply to assignment and uniform-capacity kinds"),
+    (lambda: meet_join(helpers.seven_ring(), *[make_imputation(helpers.seven_ring(), {})] * 2),
+     "meet/join applies to assignment and uniform-capacity kinds"),
+    (lambda: simultaneous_imputation(helpers.hk_edge_lower()),
+     "the simultaneous imputation applies to assignment and uniform-capacity kinds"),
+], ids=["surplus_account", "check_concurrency", "in_dual_image", "sample_core_vertices",
+        "extreme_imputations", "meet_join", "simultaneous_imputation"])
+def test_each_kind_restricted_function_refuses_another_kind(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_feasible_dual_that_is_not_optimal_is_refused():
+    for g, d in ((helpers.hk_mixed_bounds(),
+                  make_dual(helpers.hk_mixed_bounds(), {"u": 4}, lower={("u", "v1"): 2})),
+                 (helpers.single_edge(), make_dual(helpers.single_edge(), {"a": 5, "b": 1}))):
+        assert build_dual(g).is_feasible(d.values) and not is_optimal_dual(g, d)
+        calls = [dual_to_imputation]
+        if g.kind is GameKind.HOFFMAN_KRUSKAL:
+            calls.append(surplus_account)
+        for call in calls:
+            with pytest.raises(ValueError, match="^dual solution is not optimal$"):
+                call(g, d)
 
 
 def test_surplus_accounts_on_fixtures():

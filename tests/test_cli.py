@@ -2,6 +2,7 @@
 
 import os
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import helpers
 from matchcore import analysis, cli, fixtures
 from matchcore.cli import _COMMANDS, main
 from matchcore.formulations import vertex_dual_var
+from matchcore.games import make_imputation
 from matchcore.instance_io import parse_instance, render_instance
 from matchcore.oracle import max_weight
 from matchcore.rationals import parse_rational
@@ -151,6 +153,17 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     assert helps[0] == helps[1] and helps[0].out.startswith("usage: matchcore")
 
 
+def test_module_entry_point_runs_in_process(capsys, monkeypatch):
+    # As ``python -m matchcore.cli --help``, in this process; the module
+    # is run afresh, as the interpreter would.
+    monkeypatch.delitem(sys.modules, "matchcore.cli")
+    monkeypatch.setattr(sys, "argv", ["matchcore", "--help"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("matchcore.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert "reproduce-paper" in capsys.readouterr().out
+
+
 def test_module_entry_point_exits_with_argparse_and_input_codes(tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -227,6 +240,18 @@ def test_extremes_with_samples(tmp_path, capsys):
     code, out, _ = run(capsys, "extremes", path, "--samples", "6", "--seed", "4")
     assert code == 0
     assert "sampled core vertices within ranges" in out
+
+
+def test_a_sample_outside_the_ranges_exits_one(tmp_path, capsys, monkeypatch):
+    # Every core vertex lies within the payoff ranges, so the sampler the
+    # command reads is made to return a point beyond them.
+    g = helpers.single_edge()
+    monkeypatch.setattr(analysis, "sample_core_vertices",
+                        lambda instance, count, seed: [make_imputation(instance, {"a": 6})])
+    path = write(tmp_path, "edge.game", render_instance(g))
+    code, out, err = run(capsys, "extremes", path, "--format", "records")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "sample check\tviolation\ta pays 6"
 
 
 def test_negative_sample_count_exits_two(tmp_path, capsys):
@@ -309,6 +334,13 @@ def test_numbers_outside_the_grammar_exit_two(tmp_path, capsys, old, new, messag
     path.write_text("game b_matching\nside_u a\nside_v b\nb a 1\nb b 1\n"
                     "edge a b weight 1\n".replace(old, new), encoding="utf-8")
     assert run(capsys, "core-check", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", sorted(helpers.MALFORMED_FILES))
+def test_each_malformed_line_exits_two_with_its_message(tmp_path, capsys, name):
+    text, message = helpers.MALFORMED_FILES[name]
+    path = write(tmp_path, "g.game", text)
+    assert run(capsys, "solve", path) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("extra, message", [

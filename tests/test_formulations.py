@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from matchcore import formulations
 from matchcore.caps import CapExceededError
 from matchcore.formulations import (
     build_dual,
@@ -345,6 +346,33 @@ def test_half_integrality_rejects_non_vertex():
     short = LpSolution(Status.OPTIMAL, F(0), (F(0), F(0)))
     with pytest.raises(ValueError, match="not a vertex"):
         check_half_integrality(short, g)
+
+
+def test_half_integrality_refuses_a_bipartite_game():
+    g = helpers.single_edge()
+    with pytest.raises(ValueError, match="half-integral structure applies to general instances"):
+        check_half_integrality(solve(build_primal(g)), g)
+
+
+@pytest.mark.parametrize("edges, values, violations", [
+    ("ab", (F(1, 3),), ("x[a,b] = 1/3 is not in {0, 1/2, 1}",)),
+    ("ab bc", (1, 1), ("integral edges are not a matching at (b,c)",)),
+    ("ab bc", (1, F(1, 2)), ("half edge (b,c) shares a vertex with a matched edge",
+                             "half edges at b do not close a cycle",
+                             "half edges at c do not close a cycle")),
+    ("ab bc", (F(1, 2), F(1, 2)), ("half edges at a do not close a cycle",
+                                   "half edges at c do not close a cycle")),
+    ("ab bc cd ad", (F(1, 2),) * 4, ("half cycle through a has even length",)),
+], ids=["not-half-integral", "integral-not-a-matching", "half-meets-integral",
+        "half-path", "even-half-cycle"])
+def test_half_integrality_names_each_violation(monkeypatch, edges, values, violations):
+    # Every vertex of the general matching polytope passes; so the vertex
+    # test is made to pass these points, which are not vertices, and each
+    # violation the check can name is named.
+    monkeypatch.setattr(formulations, "is_vertex", lambda lp, values: True)
+    g = make_instance(GameKind.GENERAL, "abcd", [], [(u, v, 1) for u, v in edges.split()])
+    sol = LpSolution(Status.OPTIMAL, F(0), tuple(map(F, values)))
+    assert check_half_integrality(sol, g).violations == violations
 
 
 def test_constraint_matrix_labels():

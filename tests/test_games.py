@@ -207,6 +207,28 @@ def test_validate_reports_data_of_the_wrong_type(kind, sides, edges, data):
     assert validate(g) != []
 
 
+_CAPS = {"capacities": {"a": 3, "b": 3}}
+
+
+@pytest.mark.parametrize("kind, sides, edges, data, message", [
+    ("assignment", (["a"], ["a"]), [], {}, "duplicate agent names"),
+    ("general", (["a"], ["b"]), [], {}, "general instances use a single vertex set"),
+    ("b_matching", (["a"], ["b"]), [("a", "b", 1)], {"capacities": {"a": 1}},
+     "missing capacity for b"),
+    ("b_matching", (["a"], ["b"]), [("a", "b", 1)], {"capacities": {"a": 0, "b": 1}},
+     "non-positive capacity for a"),
+    ("assignment", (["a"], ["b"]), [("a", "c", 1)], {}, "edge (a,c) touches unknown agents"),
+    ("general", (["a", "b"], []), [("a", "a", 1)], {}, "self-loop at a"),
+    ("hoffman_kruskal", (["a"], ["b"]), [("a", "b", 1, -1, None)], _CAPS,
+     "negative lower bound on (a,b)"),
+    ("hoffman_kruskal", (["a"], ["b"]), [("a", "b", 1, 2, 1)], _CAPS,
+     "upper bound below lower bound on (a,b)"),
+], ids=["duplicate-names", "general-side_v", "missing-capacity", "zero-capacity",
+        "unknown-endpoint", "self-loop", "negative-floor", "ceiling-below-floor"])
+def test_validate_names_each_defect(kind, sides, edges, data, message):
+    assert validate(make_instance(kind, *sides, edges, **data)) == [message]
+
+
 def test_validate_flags_infeasible_lower_bounds_by_lp():
     g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"],
                       [("a", "b", 1, 3, None)],

@@ -15,6 +15,7 @@ from matchcore.instance_io import (
     parse_instance_with_imputation,
     render_instance,
 )
+from matchcore.rationals import parse_rational
 
 F = Fraction
 
@@ -108,6 +109,25 @@ def test_numbers_are_a_sign_and_ascii_digits():
         head + "b a +2\nb b 1\nedge a b weight .5\nimputation a=1. b=-0/3\n")
     assert g.capacity("a") == 2 and g.edges[0].weight == F(1, 2)
     assert payoffs == {"a": 1, "b": 0}
+
+
+@pytest.mark.parametrize("name", sorted(helpers.MALFORMED_FILES))
+def test_each_malformed_line_is_refused_with_its_message(name):
+    text, message = helpers.MALFORMED_FILES[name]
+    with pytest.raises(InstanceError) as err:
+        parse_instance_with_imputation(text)
+    assert str(err.value) == message
+
+
+def test_a_zero_denominator_is_not_a_rational():
+    with pytest.raises(ValueError, match="not a rational literal: '1/0'"):
+        parse_rational("1/0")
+    assert parse_rational("0/1") == 0
+
+
+def test_an_unknown_fixture_name_is_a_key_error():
+    with pytest.raises(KeyError, match="no_such_fixture"):
+        fixture_by_name("no_such_fixture")
 
 
 def test_missing_game_directive():
