@@ -533,7 +533,9 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
     for the full system, and a vertex of the core because it is a vertex
     of a larger polyhedron. The LP keeps payoffs >= 0, under which the
     rows of ``_coalitions`` imply every other coalition's row: the same
-    polyhedron.
+    polyhedron. It serves the two cores that are not capacity times the
+    optimal dual face: hoffman_kruskal's, for ``core_nonempty``, and that
+    of b_matching with a capacity above one, for ``sample_core_vertices``.
     """
     agents = session.instance.agents
     while True:
@@ -555,8 +557,8 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
                                Relation.GE, demand))
 
 
-def _imputation_from(instance: GameInstance, sol: LpSolution) -> Imputation:
-    return make_imputation(instance, dict(zip(instance.agents, sol.values)))
+def _imputation_from(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
+    return make_imputation(instance, dict(zip(instance.agents, values)))
 
 
 def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
@@ -591,18 +593,31 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
                         Sense.MINIMIZE)
     if sol.status is not Status.OPTIMAL:
         return False, None
-    return True, _imputation_from(instance, sol)
+    return True, _imputation_from(instance, sol.values)
 
 
 def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[Imputation]:
     """Distinct core vertices that maximize random rational objectives.
 
-    For worth-based kinds only. Each of ``count`` objectives (integer
-    coefficients in -9..9 drawn from ``seed``) is maximized over the core
-    by row generation (``_core_optimum``) over one row list, so the rows
-    found for earlier objectives stay; with no objective no demand is
-    read. When an objective has several optimal vertices, which one is
-    returned is not specified. An empty core yields no vertices.
+    For worth-based kinds only. Each of ``count`` objectives c (integer
+    coefficients in -9..9 drawn from ``seed``) is maximized over the
+    core; when it has several optimal vertices, which one is returned is
+    not specified. A general game that is not concurrent has an empty
+    core and yields no vertices.
+
+    Wherever the core is capacity times the optimal dual face, each
+    objective is one query of the session's face, c_q b_q on agent q's
+    vertex column, read back as payoffs (``_dual_payoffs``): no coalition
+    row is read and no LP solved but the face's own. The core of an
+    assignment game, and of a concurrent general one, is the set of
+    optimal duals (Shapley and Shubik 1971; Deng, Ibaraki and Nagamochi
+    1999), and with a uniform capacity b the b-matching polytope is b
+    times the matching polytope, so the core is b times the assignment
+    game's optimal dual face, which is the uniform_b dual's. That covers
+    every kind but b_matching with a capacity above one, whose core can
+    be larger than its dual image: there row generation
+    (``_core_optimum``) maximizes c over one row list, so the rows found
+    for earlier objectives stay.
     """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
@@ -610,18 +625,30 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
         raise ValueError(f"sample count must be >= 0, not {count}")
     check_instance_size(len(instance.agents), len(instance.edges))
     session = _session(instance)
-    rows = _total_rows(session)
+    agents = instance.agents
+    if instance.kind is GameKind.B_MATCHING and any(instance.capacity(q) != 1 for q in agents):
+        rows = _total_rows(session)
+
+        def vertex(objective):
+            return _core_optimum(session, rows, objective, Sense.MAXIMIZE).values
+        payoffs = _imputation_from
+    elif _empty_general_core(instance):
+        return []
+    else:
+        caps = [instance.capacity(q) for q in agents]
+
+        def vertex(objective):
+            return session.face.optimize([c * b for c, b in zip(objective, caps)],
+                                         Sense.MAXIMIZE).values
+        payoffs = _dual_payoffs
     rng = random.Random(seed)
     seen = set()
     out = []
     for _ in range(count):
-        objective = [F(rng.randint(-9, 9)) for _ in instance.agents]
-        sol = _core_optimum(session, rows, objective, Sense.MAXIMIZE)
-        if sol.status is not Status.OPTIMAL:
-            return out      # the core is empty, whatever the objective
-        if sol.values not in seen:
-            seen.add(sol.values)
-            out.append(_imputation_from(instance, sol))
+        values = vertex([F(rng.randint(-9, 9)) for _ in agents])
+        if values not in seen:
+            seen.add(values)
+            out.append(payoffs(instance, values))
     return out
 
 

@@ -261,9 +261,8 @@ def validate(instance: GameInstance) -> list[str]:
             out.append(f"edge multiplicity bounds only apply to "
                        f"{GameKind.HOFFMAN_KRUSKAL.value} instances: ({e.u},{e.v})")
 
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL and not out:
-        if any(e.lower > 0 for e in instance.edges) and not _hk_feasible(instance):
-            out.append("lower bounds infeasible")
+    if instance.kind is GameKind.HOFFMAN_KRUSKAL and not out and not _hk_feasible(instance):
+        out.append("lower bounds infeasible")
     return out
 
 
@@ -273,8 +272,15 @@ def _is_int(value) -> bool:
 
 
 def _hk_feasible(instance: GameInstance) -> bool:
-    # Decided by LP feasibility of the matching program, not heuristics.
-    from .formulations import build_primal
-    from .lp import Status, solve
-
-    return solve(build_primal(instance)).status is Status.OPTIMAL
+    """Whether the edge floors can be met, i.e. whether the matching
+    program (``formulations.build_primal``) is feasible. Its rows are
+    packing rows, each agent's edges summed at most its capacity, so no
+    coefficient is negative, and each edge's floor is at most its
+    ceiling (``validate`` checked it first). So the floors themselves are
+    the least point within the bounds, and some point is feasible exactly
+    when they are: every agent's floors sum to at most its capacity."""
+    floors = dict.fromkeys(instance.agents, 0)
+    for e in instance.edges:
+        floors[e.u] += e.lower
+        floors[e.v] += e.lower
+    return all(total <= instance.capacity(q) for q, total in floors.items())

@@ -47,6 +47,11 @@ class Relation(Enum):
     EQ = "="
 
 
+# Bound once: an enum member read off its class costs a lookup that the
+# per-row loops of ``_Tableau`` and ``Constraint._holds_at`` would repeat.
+_LE, _GE, _EQ = Relation.LE, Relation.GE, Relation.EQ
+
+
 class Status(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -112,9 +117,9 @@ class Constraint:
         kept integer row."""
         ints, _ = self._scaled_row
         gap = sum(map(mul, ints, point)) - ints[-1] * scale
-        if self.relation is Relation.LE:
+        if self.relation is _LE:
             return gap <= 0
-        if self.relation is Relation.GE:
+        if self.relation is _GE:
             return gap >= 0
         return gap == 0
 
@@ -299,10 +304,10 @@ class _Tableau:
         # then a column per equality row.
         self.unit = []
         slack = n
-        equal = self.ncols = n + len(caps) + sum(con.relation is not Relation.EQ
+        equal = self.ncols = n + len(caps) + sum(con.relation is not _EQ
                                                  for con in lp.constraints)
         for con in lp.constraints:
-            if con.relation is Relation.EQ:
+            if con.relation is _EQ:
                 self.unit.append(equal)
                 equal += 1
             else:
@@ -330,7 +335,7 @@ class _Tableau:
                 row = [*ints]
                 row[-1:-1] = zeros
             if u < self.ncols:
-                row[u] = den if con.relation is Relation.LE else -den
+                row[u] = den if con.relation is _LE else -den
             if shifted:
                 row, den = _lowest(row, den)
             if row[-1] < 0:
@@ -492,20 +497,26 @@ class _Tableau:
         reduced-cost numerators of the program's columns are kept in
         ``self.reduced``; the row's last entry over its denominator is the
         value of the objective at the shifted vertex."""
-        lp = self.lp
-        n = len(lp.variables)
         bounded = self._run(allowed)
         zrow, zden = self.rows.pop(), self.dens.pop()
         self.reduced = zrow[:self.ncols]
         if not bounded:
             return LpSolution(Status.UNBOUNDED)
+        return self._vertex(objective, sense, zrow[-1], zden)
 
+    def _vertex(self, objective: tuple[Sequence[int], int], sense: Sense,
+                znum: int, zden: int) -> LpSolution:
+        """The current basic solution for ``objective`` (ints, scale), whose
+        value at the shifted vertex, the last entry of the objective's
+        reduced-cost row at this basis, is ``znum / zden``."""
+        lp = self.lp
+        n = len(lp.variables)
         values = [ZERO] * n
         for row, den, bj in zip(self.rows, self.dens, self.basis):
             if bj < n:
                 values[bj] = Fraction(row[-1], den)
         basis_vars = frozenset(b for b in self.basis if b < n)
-        value = Fraction(zrow[-1] if sense is Sense.MAXIMIZE else -zrow[-1], zden)
+        value = Fraction(znum if sense is Sense.MAXIMIZE else -znum, zden)
         if lp._shifted:
             ints, scale = objective
             values = [lo + x for lo, x in zip(lp.lower, values)]
@@ -518,7 +529,10 @@ class _Tableau:
         as (ints, scale) like ``scaled``'s result, entering only
         ``allowed`` columns; see ``_phase2``. Its reduced-cost row is
         built at this basis: minus the cost plus each basic row times its
-        column's cost."""
+        column's cost. When no allowed column has a negative reduced cost
+        Bland's rule would enter none, so the current vertex is the answer
+        and this tableau is left as it is; otherwise phase 2 runs on a
+        ``fork``."""
         ints, scale = objective
         cost = [*ints] if sense is Sense.MAXIMIZE else [-c for c in ints]
         terms = [(cost[bj], self.rows[i], self.dens[i])
@@ -529,9 +543,12 @@ class _Tableau:
             f = c * (den // d)
             zrow = [z + f * a for z, a in zip(zrow, row)]
         zrow, zden = _lowest(zrow, den * scale)
-        self.rows.append(zrow)
-        self.dens.append(zden)
-        return self._phase2(objective, sense, allowed)
+        if not any(zrow[j] < 0 for j in allowed):
+            return self._vertex(objective, sense, zrow[-1], zden)
+        twin = self.fork()
+        twin.rows.append(zrow)
+        twin.dens.append(zden)
+        return twin._phase2(objective, sense, allowed)
 
     def fork(self) -> "_Tableau":
         """A copy whose pivots leave this tableau as it is."""
@@ -570,11 +587,12 @@ class OptimalFace:
     ``base`` is exactly ``solve(lp)``. At that optimal basis every reduced
     cost is of one sign, so a feasible point is optimal exactly when each
     column of nonzero reduced cost is zero. ``optimize`` therefore starts
-    phase 2 from a copy of the optimal basis and lets only the columns of
-    zero reduced cost enter (Bland's rule, same column order): no phase 1
-    and no extra row. Its results are basic solutions, vertices of the
-    face as ``solve``'s are of the polyhedron, and ``"unbounded"`` means
-    the face has a ray along which the secondary objective improves. A
+    phase 2 from the optimal basis and lets only the columns of zero
+    reduced cost enter (Bland's rule, same column order): no phase 1, no
+    extra row, and a copy of the tableau only when a column enters. Its
+    results are basic solutions, vertices of the face as ``solve``'s are
+    of the polyhedron, and ``"unbounded"`` means the face has a ray along
+    which the secondary objective improves. A
     question that fixes variables, rather than optimizing over the face,
     is one solve of ``lp`` with those variables' bounds fixed: the face
     meets the fixed set exactly when that optimum is ``base.value``.
@@ -605,7 +623,7 @@ class OptimalFace:
         key = (tuple(ints), scale, sense)
         answer = self._answers.get(key)
         if answer is None:
-            answer = self._answers[key] = self._tableau.fork().optimize(
+            answer = self._answers[key] = self._tableau.optimize(
                 (ints, scale), sense, self._columns)
         return answer
 

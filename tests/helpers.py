@@ -432,4 +432,8 @@ MALFORMED_FILES = {
                          "line 6: unexpected edge tokens ['lower']"),
     "zero-denominator": (_TWO_AGENTS.replace("weight 1", "weight 1/0"),
                          "line 6: not a rational literal: '1/0'"),
+    "general-side_u": ("game general\nvertices a b\nside_u a\nedge a b weight 1\n",
+                       "general instances list 'vertices', not sides"),
+    "general-side_v-only": ("game general\nside_v a b\nedge a b weight 1\n",
+                            "general instances list 'vertices', not sides"),
 }

