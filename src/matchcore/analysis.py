@@ -90,14 +90,17 @@ def _agent_column(instance: GameInstance, q: str) -> int:
         raise ValueError(f"agent {q!r} has no column in the dual program") from None
 
 
-def _edge_row(instance: GameInstance, key: EdgeKey) -> Constraint:
-    """The edge's row of the dual program: row i is edge i's."""
-    return _session(instance).face.lp.constraints[instance.edges.index(instance.edge(key))]
+def _edge_row(instance: GameInstance, key: EdgeKey) -> int:
+    """The edge's row of the dual program, by key: row i is edge i's."""
+    rows = _session(instance).edge_rows
+    if key not in rows:
+        raise ValueError(f"no edge {key!r} in this instance")
+    return rows[key]
 
 
 def _bound_column(instance: GameInstance, key: EdgeKey, sign: Fraction) -> int | None:
     """The column of the edge's lower (sign -1) or upper (+1) bound dual, or None."""
-    coeffs = _edge_row(instance, key).coeffs
+    coeffs = _session(instance).face.lp.constraints[_edge_row(instance, key)].coeffs
     return next((j for j in range(len(instance.agents), len(coeffs)) if coeffs[j] == sign), None)
 
 
@@ -126,12 +129,12 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
 class _Session:
     """What the analysis has learnt about one instance, each part computed
     when first asked for and then kept: the dual program's ``OptimalFace``
-    (one solve, and each face query answered once), the grand range, and
-    the coalition rows scanned so far as (members, demand) pairs. A
-    coalition's demand is solved on its part of this dual program, which
-    ``sub_dual`` writes from the program's layout, names and costs, each
-    row through ``Constraint._signed``, so no sub-game gets a session for
-    it.
+    (one solve, each face query answered once), each edge's row by key,
+    the grand range, and the coalition rows scanned so far as (members,
+    demand) pairs. A coalition's demand is solved on its part of this dual
+    program, which ``sub_dual`` writes from the program's layout, names
+    and costs, each row through ``Constraint._signed``, so no sub-game
+    gets a session for it.
     """
 
     def __init__(self, instance: GameInstance):
@@ -147,6 +150,10 @@ class _Session:
             raise InfeasibleInstanceError(
                 "the matching program has no finite optimum (infeasible bounds)")
         return face
+
+    @cached_property
+    def edge_rows(self) -> dict[EdgeKey, int]:
+        return {e.key: i for i, e in enumerate(self.instance.edges)}
 
     @cached_property
     def grand_range(self) -> tuple[Fraction, Fraction | None]:
@@ -300,7 +307,7 @@ class DualFace:
 
     def max_overpayment(self, key: EdgeKey) -> Fraction | None:
         """Max slack of the edge's dual row over the face; None = unbounded."""
-        row = _edge_row(self.instance, key)
+        row = self.lp.constraints[_edge_row(self.instance, key)]
         top = self.extremum(row.coeffs, Sense.MAXIMIZE)
         return None if top is None else top - row.rhs
 
@@ -684,31 +691,26 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
 def paid_sometimes(instance: GameInstance, q: str) -> bool | None:
     """Is the agent paid under some dual-derived core imputation?
 
-    True iff the agent's dual coordinate has positive maximum over the
-    instance's ``DualFace``. On a non-concurrent general instance the core
-    is empty and the distinguished outcome None is returned.
+    True iff agent j's vertex dual, column j, is in the support of the
+    optimal dual face (ValueError on an unknown agent). On a non-concurrent
+    general instance the core is empty: the distinguished outcome is None.
     """
     if _empty_general_core(instance):
         return None
-    return _paid_sometimes(DualFace(instance), q)
-
-
-def _paid_sometimes(face: DualFace, q: str) -> bool:
-    """``paid_sometimes`` on a face whose core is known not to be empty."""
-    top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
-    return top is None or top > 0
+    return _agent_column(instance, q) in _session(instance).face.support()[0]
 
 
 def always_paid_fairly(instance: GameInstance, key: EdgeKey) -> bool | None:
-    """Is the team's dual row tight on the instance's whole ``DualFace``?
+    """Is the team's dual row, row i for edge i, out of the face's support?
 
-    The row slack is the overpayment: vertex duals (plus upper-bound dual,
-    minus lower-bound dual, where present) beyond the edge weight. None is
+    Its slack is the overpayment: vertex duals (plus upper-bound dual,
+    minus lower-bound dual, where present) beyond the edge weight.
+    ValueError on a key the instance lacks, reversed keys included; None is
     the distinguished empty-core outcome for non-concurrent general games.
     """
     if _empty_general_core(instance):
         return None
-    return DualFace(instance).max_overpayment(key) == 0
+    return _edge_row(instance, key) not in _session(instance).face.support()[1]
 
 
 def payoff_range(instance: GameInstance, q: str,
@@ -763,7 +765,8 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
 
     Bipartite kinds assert full equivalences plus the subpar-endpoint and
     degeneracy corollaries; general kinds assert the forward implications
-    only (when concurrent) and record strict gaps.
+    only (when concurrent) and record strict gaps. Every payment verdict
+    is read off one support scan of the optimal dual face.
     """
     kind = instance.kind
     general = kind is GameKind.GENERAL
@@ -773,14 +776,14 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
     empty = _empty_general_core(instance)
     concurrent = not empty if general else None
     degenerate = is_degenerate(instance)
-    face = None if empty else DualFace(instance)
+    paid_columns, overpaid_rows = (None, None) if empty else _session(instance).face.support()
     violations: list[str] = []
     gaps: list[str] = ["core is empty"] if empty else []
 
     players = []
-    for q in instance.agents:
+    for j, q in enumerate(instance.agents):
         label = classify_player(instance, q)
-        paid = None if empty else _paid_sometimes(face, q)
+        paid = None if empty else j in paid_columns
         players.append(PlayerFinding(q, label, paid))
         essential = label is ClassLabel.ESSENTIAL
         if not general and paid != essential:
@@ -794,9 +797,9 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
 
     labels = {finding.agent: finding.label for finding in players}
     teams = []
-    for e in instance.edges:
+    for i, e in enumerate(instance.edges):
         label = classify_team(instance, e.key)
-        fair = None if empty else face.max_overpayment(e.key) == 0
+        fair = None if empty else i not in overpaid_rows
         teams.append(TeamFinding(e.key, label, fair))
         matched_somewhere = label is not ClassLabel.SUBPAR
         if not general and fair != matched_somewhere:

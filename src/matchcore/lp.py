@@ -399,14 +399,17 @@ class _Tableau:
             rows[leave] = [-a for a in prow]
         self.basis[leave] = enter
 
-    def _run(self, allowed, artificial=()) -> bool:
-        """Bland's rule on the reduced-cost row, the last row, over the
-        rows of the basis: the first column of ``allowed`` with a negative
-        reduced cost enters, then the first artificial that has one, by
-        unit column, ``artificial`` (phase 1 only). Returns False when
-        the objective is unbounded."""
+    def _run(self, zrow, zden, allowed, artificial=()) -> tuple[int | None, list[int], int]:
+        """Bland's rule on the reduced-cost row ``zrow / zden``, the last row
+        while the run lasts, over the rows of the basis: the first column
+        of ``allowed`` with a negative reduced cost enters, then the first
+        artificial that has one, by unit column, ``artificial`` (phase 1
+        only). Returns the ray's entering column (None at an optimum) and
+        the final reduced-cost row and denominator, taken off the rows."""
         rows, dens, basis, ncols = self.rows, self.dens, self.basis, self.ncols
         m = len(basis)
+        rows.append(zrow)
+        dens.append(zden)
         while True:
             zrow = rows[-1]
             for j in allowed:
@@ -422,7 +425,7 @@ class _Tableau:
                         enter = ncols + k
                         break
                 else:
-                    return True
+                    return None, rows.pop(), dens.pop()
             negated = column < ncols <= enter
             leave = -1
             for i in range(m):
@@ -436,7 +439,7 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, best_b, best_a = i, row[-1], a
             if leave < 0:
-                return False
+                return column, rows.pop(), dens.pop()
             self._pivot(leave, enter)
 
     def _phase1(self) -> bool:
@@ -464,12 +467,8 @@ class _Tableau:
         for u in self.artificial:
             if u >= ncols:
                 zrow[u] = 0
-        zrow, den = _lowest(zrow, den)
-        rows.append(zrow)
-        dens.append(den)
-        self._run(range(ncols), self.artificial)
-        dens.pop()
-        if rows.pop()[-1] < 0:
+        _, zrow, _ = self._run(*_lowest(zrow, den), range(ncols), self.artificial)
+        if zrow[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
         # turn out to be redundant.
@@ -489,18 +488,17 @@ class _Tableau:
             self.unit = [self.unit[i] for i in keep]
         return True
 
-    def _phase2(self, objective: tuple[Sequence[int], int], sense: Sense,
-                allowed) -> LpSolution:
+    def _phase2(self, zrow: list[int], zden: int, objective: tuple[Sequence[int], int],
+                sense: Sense, allowed) -> LpSolution:
         """Phase 2 from the current feasible basis and the objective's
-        reduced-cost row, the last row, entering only ``allowed`` columns.
-        ``objective`` is (ints, scale) like ``scaled``'s result. The final
-        reduced-cost numerators of the program's columns are kept in
-        ``self.reduced``; the row's last entry over its denominator is the
-        value of the objective at the shifted vertex."""
-        bounded = self._run(allowed)
-        zrow, zden = self.rows.pop(), self.dens.pop()
+        reduced-cost row ``zrow / zden``, entering only ``allowed``
+        columns. ``objective`` is (ints, scale) like ``scaled``'s result.
+        The final reduced-cost numerators of the program's columns are
+        kept in ``self.reduced``; the row's last entry over its
+        denominator is the value of the objective at the shifted vertex."""
+        ray, zrow, zden = self._run(zrow, zden, allowed)
         self.reduced = zrow[:self.ncols]
-        if not bounded:
+        if ray is not None:
             return LpSolution(Status.UNBOUNDED)
         return self._vertex(objective, sense, zrow[-1], zden)
 
@@ -523,18 +521,9 @@ class _Tableau:
             value += dot(ints, lp.lower) / scale
         return LpSolution(Status.OPTIMAL, value, tuple(values), basis_vars)
 
-    def optimize(self, objective: tuple[Sequence[int], int], sense: Sense,
-                 allowed) -> LpSolution:
-        """Phase 2 from the current feasible basis for ``objective``, given
-        as (ints, scale) like ``scaled``'s result, entering only
-        ``allowed`` columns; see ``_phase2``. Its reduced-cost row is
-        built at this basis: minus the cost plus each basic row times its
-        column's cost. When no allowed column has a negative reduced cost
-        Bland's rule would enter none, so the current vertex is the answer
-        and this tableau is left as it is; otherwise phase 2 runs on a
-        ``fork``."""
-        ints, scale = objective
-        cost = [*ints] if sense is Sense.MAXIMIZE else [-c for c in ints]
+    def _cost_row(self, cost: Sequence[int], scale: int) -> tuple[list[int], int]:
+        """The reduced-cost row (row, den) of maximizing ``cost / scale``, zero
+        past its end, at this basis: minus it plus each basic row times its cost."""
         terms = [(cost[bj], self.rows[i], self.dens[i])
                  for i, bj in enumerate(self.basis) if bj < len(cost) and cost[bj]]
         den = lcm(*(d for _, _, d in terms))
@@ -542,13 +531,22 @@ class _Tableau:
         for c, row, d in terms:
             f = c * (den // d)
             zrow = [z + f * a for z, a in zip(zrow, row)]
-        zrow, zden = _lowest(zrow, den * scale)
+        return _lowest(zrow, den * scale)
+
+    def optimize(self, objective: tuple[Sequence[int], int], sense: Sense,
+                 allowed) -> LpSolution:
+        """Phase 2 from the current feasible basis for ``objective``, given
+        as (ints, scale) like ``scaled``'s result, entering only ``allowed``
+        columns; see ``_phase2``. When no allowed column has a negative
+        reduced cost (``_cost_row``) Bland's rule would enter none, so the
+        current vertex is the answer and this tableau is left as it is;
+        otherwise phase 2 runs on a ``fork``."""
+        ints, scale = objective
+        zrow, zden = self._cost_row(ints if sense is Sense.MAXIMIZE else [-c for c in ints],
+                                    scale)
         if not any(zrow[j] < 0 for j in allowed):
             return self._vertex(objective, sense, zrow[-1], zden)
-        twin = self.fork()
-        twin.rows.append(zrow)
-        twin.dens.append(zden)
-        return twin._phase2(objective, sense, allowed)
+        return self.fork()._phase2(zrow, zden, objective, sense, allowed)
 
     def fork(self) -> "_Tableau":
         """A copy whose pivots leave this tableau as it is."""
@@ -568,7 +566,8 @@ class _Tableau:
         self.dens.append(scale)
         if not self._phase1():
             return LpSolution(Status.INFEASIBLE)
-        return self._phase2(lp._scaled_objective, lp.sense, range(self.ncols))
+        return self._phase2(self.rows.pop(), self.dens.pop(), lp._scaled_objective,
+                            lp.sense, range(self.ncols))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -592,13 +591,16 @@ class OptimalFace:
     extra row, and a copy of the tableau only when a column enters. Its
     results are basic solutions, vertices of the face as ``solve``'s are
     of the polyhedron, and ``"unbounded"`` means the face has a ray along
-    which the secondary objective improves. A
-    question that fixes variables, rather than optimizing over the face,
-    is one solve of ``lp`` with those variables' bounds fixed: the face
-    meets the fixed set exactly when that optimum is ``base.value``.
-    Each answer of ``optimize`` is kept and handed out again when the
-    same objective and sense are asked for; an ``LpSolution`` is frozen,
-    so sharing it is safe.
+    which the secondary objective improves. A question that fixes
+    variables is one solve of ``lp`` with their bounds fixed: the face
+    meets the fixed set exactly when that optimum is ``base.value``. Each
+    answer of ``optimize`` is kept and handed out again for the same
+    objective and sense; an ``LpSolution`` is frozen, so sharing it is
+    safe. ``support``, kept too, is read off the base vertex and then one
+    ``fork``: each round, one phase-2 run, maximizes the sum of the
+    coordinates not yet seen positive and ends on a vertex that shows
+    one, at zero (the next round enters nothing), or on a ray, which
+    raises its entering column and each basic column negative in it.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -606,8 +608,33 @@ class OptimalFace:
         self._tableau = _Tableau(lp)
         self.base = self._tableau.solve()
         self._answers: dict[tuple, LpSolution] = {}
+        self._support = None
         if self.base.status is Status.OPTIMAL:
             self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
+
+    def support(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(columns, rows): the positions of the columns above their lower
+        bound and of the inequality rows with slack somewhere on the face,
+        all at one point of it (Goldman and Tucker 1956)."""
+        if self._support is None:
+            if self.base.status is not Status.OPTIMAL:
+                raise ValueError(f"base program is {self.base.status.value}, not optimal")
+            n, tableau, seen = len(self.lp.variables), self._tableau.fork(), set()
+            rows = [i for i, con in enumerate(self.lp.constraints) if con.relation is not _EQ]
+            while True:
+                seen.update(bj for row, bj in zip(tableau.rows, tableau.basis) if row[-1] > 0)
+                # The columns, then the slacks of the inequality rows.
+                zrow, zden = tableau._cost_row(
+                    [int(j not in seen) for j in range(n + len(rows))], 1)
+                if not any(zrow[j] < 0 for j in self._columns):
+                    break
+                ray = tableau._run(zrow, zden, self._columns)[0]
+                if ray is not None:
+                    seen.update((ray,), (bj for row, bj in zip(tableau.rows, tableau.basis)
+                                         if row[ray] < 0))
+            self._support = (frozenset(j for j in seen if j < n),
+                             frozenset(i for k, i in enumerate(rows) if n + k in seen))
+        return self._support
 
     def optimize(self, objective, sense) -> LpSolution:
         """Optimize a secondary objective over the optimal face."""

@@ -9,10 +9,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+from matchcore.analysis import DualFace, is_concurrent
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import build_dual
 from matchcore.games import GameKind, make_instance
-from matchcore.lp import Constraint, Relation, eliminate, solve
+from matchcore.lp import Constraint, Relation, Sense, eliminate, solve
 from matchcore.rationals import scaled
 
 F = Fraction
@@ -265,6 +266,30 @@ def pinned_row_face(g):
     base = solve(program)
     return program.with_extra_constraints(
         [Constraint(program.objective, Relation.EQ, base.value)])
+
+
+# ---------------------------------------------------------------------------
+# Reference payment verdicts: one face query per agent and one per edge.
+# ---------------------------------------------------------------------------
+
+def reference_paid_sometimes(g, q):
+    """``paid_sometimes`` by its own query: agent q's vertex dual has an
+    unbounded or positive maximum over the optimal dual face. None on a
+    non-concurrent general game."""
+    if g.kind is GameKind.GENERAL and not is_concurrent(g):
+        return None
+    face = DualFace(g)
+    top = face.extremum(face.vertex_coeffs(q), Sense.MAXIMIZE)
+    return top is None or top > 0
+
+
+def reference_always_paid_fairly(g, key):
+    """``always_paid_fairly`` by its own query: the edge's largest
+    overpayment over the optimal dual face is zero. None on a
+    non-concurrent general game."""
+    if g.kind is GameKind.GENERAL and not is_concurrent(g):
+        return None
+    return DualFace(g).max_overpayment(key) == 0
 
 
 def reference_rank_and_det(rows):

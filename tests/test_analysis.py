@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,7 @@ from matchcore.games import (
     make_instance,
     restrict,
 )
+from matchcore.instance_io import parse_instance
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status
 from matchcore.oracle import (
     ClassLabel,
@@ -229,6 +231,83 @@ def test_verify_complementarity_decides_an_empty_core_once(monkeypatch):
             paid_sometimes(g, q) for q in g.agents]
         assert [t.always_paid_fairly for t in report.teams] == [
             always_paid_fairly(g, e.key) for e in g.edges]
+
+
+def _logged_run(runs):
+    """``_Tableau._run``, logging whether each run is a phase-2 run, that
+    fails a scan that does not end: no call here needs 100 runs."""
+    original = lp_module._Tableau._run
+
+    def run(tableau, zrow, zden, allowed, artificial=()):
+        assert len(runs) < 100, "a scan that does not end"
+        runs.append(not artificial)
+        return original(tableau, zrow, zden, allowed, artificial)
+    return run
+
+
+def test_payment_verdicts_are_the_per_coordinate_queries(monkeypatch):
+    # The verdicts read off the face's support against one face query
+    # per agent and per edge (helpers' reference): the cap set, 150
+    # seeded games of each bipartite kind, hoffman_kruskal's rays
+    # included, and 150 general games, whose empty cores answer None.
+    runs = []
+    rng = random.Random(4242)
+    games = [g for _, _, g in helpers.cap_set()]
+    for kind in helpers.ALL_BIPARTITE:
+        games += [helpers.random_bipartite(rng, kind, max_side=5, max_edges=10, max_weight=3)
+                  for _ in range(150)]
+    games += [helpers.random_general(rng, max_vertices=7, max_edges=10, max_weight=3)
+              for _ in range(150)]
+    seen = Counter()
+    for g in games:
+        runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module._Tableau, "_run", _logged_run(runs))
+            report = verify_complementarity(g)
+        for finding in report.players:
+            want = helpers.reference_paid_sometimes(g, finding.agent)
+            assert finding.paid_sometimes is paid_sometimes(g, finding.agent) is want
+            seen[{True: "paid", False: "never paid", None: "empty core"}[want]] += 1
+        for finding in report.teams:
+            want = helpers.reference_always_paid_fairly(g, finding.edge)
+            assert finding.always_paid_fairly is always_paid_fairly(g, finding.edge) is want
+            seen[{True: "fair", False: "overpaid", None: "empty core"}[want]] += 1
+            seen["unbounded"] += want is False and DualFace(g).max_overpayment(finding.edge) is None
+        if report.concurrent is not False:
+            with pytest.raises(ValueError, match="no column"):
+                paid_sometimes(g, "nobody")
+            u, v = g.edges[0].key
+            with pytest.raises(ValueError, match="no edge"):
+                always_paid_fairly(g, (v, u))
+        else:
+            assert paid_sometimes(g, "nobody") is always_paid_fairly(g, ("x", "y")) is None
+    # Counts at this seed: 2,245 paid and 2,076 never paid agents, 1,817
+    # fair and 1,164 overpaid edges, 96 of them without bound.
+    assert seen["unbounded"] >= 80 and seen["empty core"] >= 20, seen
+    assert min(seen[k] for k in ("paid", "never paid", "fair", "overpaid")) >= 1000, seen
+
+
+# Phase-2 runs of one cold ``verify_complementarity`` per demo instance:
+# the base solve's and the support scan's rounds. One face query per agent
+# and per edge would run up to n + m more.
+COMPLEMENTARITY_RUNS = {
+    "capped_edges_pair": 2, "floored_edges_pair": 2, "hub_capacity_surplus": 3,
+    "tennis_pairs": 3, "three_agent_b_matching": 1, "triangle_with_pendant": 1,
+    "unit_triangle": 1, "weighted_seven_ring": 1,
+}
+
+
+def test_verify_complementarity_runs_pinned_phase_2_counts(monkeypatch):
+    runs = []
+    monkeypatch.setattr(lp_module._Tableau, "_run", _logged_run(runs))
+    counts = {}
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("demos/instances/*.game")):
+        g = parse_instance(path.read_text())
+        analysis_module._session.cache_clear()
+        runs.clear()
+        verify_complementarity(g)
+        counts[path.stem] = sum(runs)
+    assert counts == COMPLEMENTARITY_RUNS
 
 
 def test_verify_complementarity_skips_an_edge_that_is_never_matched():

@@ -616,6 +616,83 @@ def test_warm_face_queries_match_the_pinned_row_lp():
     assert seen["programs"] >= 150 and min(seen.values()) >= 20, seen
 
 
+def _positives(tableau):
+    """The columns the tableau's basic solution makes positive."""
+    return {bj for row, bj in zip(tableau.rows, tableau.basis) if row[-1] > 0}
+
+
+def test_the_support_is_every_coordinate_positive_somewhere_on_the_face(monkeypatch):
+    # The support scan against one query per coordinate: column j is in
+    # it iff its maximum over the face is unbounded or above its lower
+    # bound, and an inequality row iff its activity passes its right-hand
+    # side somewhere (the maximum of the row's excess, signed by its
+    # relation); an equality row never is. Two in five programs are as
+    # drawn, two get a zero objective (the face is the whole polyhedron)
+    # and one a zero objective and zero right-hand sides, so that rays
+    # and degenerate vertices are common. Each phase-2 run of the scan
+    # is recorded with the vertex it ends on, so the test sees which
+    # targets only a ray's negative basic entries show.
+    runs, targets = [], set()
+    original = lp_module._Tableau._run
+
+    def run(tableau, *args):
+        # Each round but the last shows a target not seen before.
+        assert len(runs) <= len(targets), "a round of the scan showed nothing new"
+        result = original(tableau, *args)
+        runs.append((result[0], _positives(tableau)))
+        return result
+
+    seen = dict(programs=0, ends_on_ray=0, negative_entry_only=0, equality=0,
+                lowered=0, bounded=0)
+    for seed in range(2000):
+        rng = random.Random(seed)
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=seed % 3 == 0,
+                            sense=Sense.MINIMIZE if seed % 7 < 3 else Sense.MAXIMIZE)
+        if seed % 5 >= 2:
+            rows = lp.constraints if seed % 5 < 4 else [
+                (con.coeffs, con.relation, 0) for con in lp.constraints]
+            lp = LinearProgram(lp.sense, lp.variables, [0] * len(lp.variables), rows,
+                               lp.lower, lp.upper)
+        face = OptimalFace(lp)
+        if face.base.status is not Status.OPTIMAL:
+            with pytest.raises(ValueError):
+                face.support()
+            continue
+        n = len(lp.variables)
+        tops = [face.extremum([int(k == j) for k in range(n)], Sense.MAXIMIZE)
+                for j in range(n)]
+        columns = frozenset(j for j, top in enumerate(tops) if top is None or top > lp.lower[j])
+        slack = {}
+        for i, con in enumerate(lp.constraints):
+            if con.relation is not Relation.EQ:
+                sign = 1 if con.relation is Relation.GE else -1
+                top = face.extremum([sign * a for a in con.coeffs], Sense.MAXIMIZE)
+                slack[i] = top is None or top > sign * con.rhs
+        base = _positives(face._tableau)
+        # The targets are the columns, then the slacks in row order.
+        targets = set(range(n + len(slack)))
+        runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module._Tableau, "_run", run)
+            support = face.support()
+        assert support == (columns, frozenset(i for i, positive in slack.items() if positive))
+        assert face.support() is support
+        shown = base.union(*(positives for _, positives in runs))
+        shown.update(ray for ray, _ in runs if ray is not None)
+        positive = set(columns) | {n + k for k, i in enumerate(slack) if slack[i]}
+        seen["programs"] += 1
+        seen["ends_on_ray"] += bool(runs) and runs[-1][0] is not None
+        seen["negative_entry_only"] += bool(positive - shown)
+        seen["equality"] += len(slack) < len(lp.constraints)
+        seen["lowered"] += any(lp.lower)
+        seen["bounded"] += any(hi is not None for hi in lp.upper)
+    # Counts at these seeds: 1,078 programs; 174 end on a ray and 31 reach
+    # a target only through a negative entry of a ray's column.
+    assert seen["programs"] >= 600 and seen["ends_on_ray"] >= 100, seen
+    assert seen["negative_entry_only"] >= 15, seen
+    assert min(seen["equality"], seen["lowered"], seen["bounded"]) >= 300, seen
+
+
 def test_fraction_free_kernel_matches_the_rational_tableau():
     # The engine against the tableau that pivots in Fraction
     # (fraction_simplex.py): identical status, value, vertex and basis, on
@@ -779,8 +856,8 @@ def test_every_pivot_finds_the_rows_in_normal_form(monkeypatch):
     # denominator in its basic column or, while its artificial is basic,
     # in the unit column the artificial is read off. That is why the
     # pivot row divided by its pivot needs no gcd. Checked on the random
-    # programs and face queries of the tests above, the equality-heavy
-    # programs and every cap-set game's dual program.
+    # programs, face queries and support scans of the tests above, the
+    # equality-heavy programs and every cap-set game's dual program.
     pivot = lp_module._Tableau._pivot
     seen = Counter()
     features = {}
@@ -810,6 +887,7 @@ def test_every_pivot_finds_the_rows_in_normal_form(monkeypatch):
             capped=any(hi is not None for hi in lp.upper))
         face = lp_module.OptimalFace(lp)
         if face.base.status is Status.OPTIMAL:
+            face.support()
             for objective, sense in queries:
                 face.optimize(objective, sense)
 
