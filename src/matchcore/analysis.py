@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
-from .formulations import build_dual, sub_dual
+from .formulations import bound_columns, build_dual, sub_dual
 from .games import (
     BIPARTITE_KINDS,
     EdgeKey,
@@ -74,11 +74,11 @@ class DualSolution:
         return self.values[_agent_column(self.instance, q)]
 
     def lower(self, key: EdgeKey) -> Fraction:
-        j = _bound_column(self.instance, key, -ONE)
+        j = _bound_column(self.instance, key, -1)
         return ZERO if j is None else self.values[j]
 
     def upper(self, key: EdgeKey) -> Fraction:
-        j = _bound_column(self.instance, key, ONE)
+        j = _bound_column(self.instance, key, 1)
         return ZERO if j is None else self.values[j]
 
 
@@ -98,10 +98,11 @@ def _edge_row(instance: GameInstance, key: EdgeKey) -> int:
     return rows[key]
 
 
-def _bound_column(instance: GameInstance, key: EdgeKey, sign: Fraction) -> int | None:
-    """The column of the edge's lower (sign -1) or upper (+1) bound dual, or None."""
-    coeffs = _session(instance).face.lp.constraints[_edge_row(instance, key)].coeffs
-    return next((j for j in range(len(instance.agents), len(coeffs)) if coeffs[j] == sign), None)
+def _bound_column(instance: GameInstance, key: EdgeKey, sign: int) -> int | None:
+    """The column of the edge's lower (sign -1) or upper (+1) bound dual, or
+    None; ValueError on a key the instance lacks (``_edge_row``)."""
+    _edge_row(instance, key)
+    return _session(instance).bound_columns.get((key, sign))
 
 
 def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
@@ -117,7 +118,7 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     values = [ZERO] * len(_session(instance).face.lp.variables)
     for q, value in vertex_duals.items():
         values[_agent_column(instance, q)] = value
-    for sign, entries, what in ((-ONE, lower, "lower"), (ONE, upper, "upper")):
+    for sign, entries, what in ((-1, lower, "lower"), (1, upper, "upper")):
         for key, value in (entries or {}).items():
             j = _bound_column(instance, key, sign)
             if j is None:
@@ -129,12 +130,13 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
 class _Session:
     """What the analysis has learnt about one instance, each part computed
     when first asked for and then kept: the dual program's ``OptimalFace``
-    (one solve, each face query answered once), each edge's row by key,
-    the grand range, and the coalition rows scanned so far as (members,
-    demand) pairs. A coalition's demand is solved on its part of this dual
-    program, which ``sub_dual`` writes from the program's layout, names
-    and costs, each row through ``Constraint._signed``, so no sub-game
-    gets a session for it.
+    (one solve, each face query answered once), each edge's row by key
+    and its bound-dual columns by key and sign, a lattice kind's two
+    side-optimal vertices, the grand range, and the coalition rows
+    scanned so far as (members, demand) pairs. A coalition's demand is
+    solved on its part of this dual program, which ``sub_dual`` writes
+    from the program's layout, names and costs, each row through
+    ``Constraint._signed``, so no sub-game gets a session for it.
     """
 
     def __init__(self, instance: GameInstance):
@@ -154,6 +156,53 @@ class _Session:
     @cached_property
     def edge_rows(self) -> dict[EdgeKey, int]:
         return {e.key: i for i, e in enumerate(self.instance.edges)}
+
+    @cached_property
+    def bound_columns(self) -> dict[tuple[EdgeKey, int], int]:
+        """(edge key, -1 lower or +1 upper) -> that bound dual's column, as
+        ``build_dual`` lays them out (``formulations.bound_columns``)."""
+        return {(e.key, sign): j
+                for e, columns in zip(self.instance.edges, bound_columns(self.instance))
+                for sign, j in zip((-1, 1), columns)}
+
+    @cached_property
+    def side_optimal(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """The face's side_u-optimal and side_v-optimal vertices, on a
+        lattice kind (``_LATTICE_KINDS``): each one query maximizing
+        its side's summed vertex duals.
+
+        There the dual program is y >= 0 and y_u + y_v >= w_uv on each
+        edge, minimizing the sum of b_q y_q, and the optimal face is a
+        lattice (Shapley and Shubik 1971; Sotomayor 1999 for per-agent
+        capacities). For optimal y and y', the join (max on side_u,
+        min on side_v) is feasible: on an edge whose side_u end it
+        takes from y, so y_u >= y'_u, its side_v end is y_v, or y'_v
+        and y_u + y'_v >= y'_u + y'_v; the meet (min on side_u, max on
+        side_v) likewise. Max plus min is the sum, so their
+        capacity-weighted objectives sum to twice the optimum, and
+        neither is below it: both are optimal. With every capacity
+        positive the face is bounded (b_q y_q is at most the optimum),
+        so it has a greatest element g, the join of a maximizer of each
+        side_u column and a minimizer of each side_v column: g pays each
+        side_u agent its top and each side_v agent its bottom. A point
+        of the face that maximizes the side_u sum has g's side_u part,
+        as no point exceeds g there, and the objective then fixes its
+        side_v part, since y_v >= g_v with b_v > 0 and b . y = b . g.
+        So the side_u query returns g, and the side_v query the least
+        element.
+
+        ValueError when a side query is unbounded, which a capacity of
+        zero (refused by ``validate``) causes.
+        """
+        instance = self.instance
+        k, rest = len(instance.side_u), len(instance.side_v)
+        ends = []
+        for coeffs in ([ONE] * k + [ZERO] * rest, [ZERO] * k + [ONE] * rest):
+            sol = self.face.optimize(coeffs, Sense.MAXIMIZE)
+            if sol.status is not Status.OPTIMAL:
+                raise ValueError("the optimal dual face is unbounded: some capacity is zero")
+            ends.append(sol.values)
+        return tuple(ends)
 
     @cached_property
     def grand_range(self) -> tuple[Fraction, Fraction | None]:
@@ -284,17 +333,21 @@ class DualFace:
     per column of ``build_dual(instance)``; the engine keeps each answer,
     so a question asked again of the instance, through this view or
     another, costs a lookup, and building a view costs a session lookup.
-    Three functions also take one as ``face`` and refuse another
-    instance's (``_face_of``). D(I) membership fixes columns instead, so
-    ``in_dual_image`` solves the program once with changed bounds and
-    compares optima.
+    ``vertex_range`` of an agent of a lattice kind is its column on the
+    face's two side-optimal vertices (``_Session.side_optimal``), two
+    queries shared by every agent and by ``extreme_imputations``;
+    elsewhere it is two queries of the agent's own. Three functions also
+    take one as ``face`` and refuse another instance's (``_face_of``).
+    D(I) membership fixes columns instead, so ``in_dual_image`` solves
+    the program once with changed bounds and compares optima.
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
-        self._engine = _session(instance).face
-        self.lp, self.base = self._engine.lp, self._engine.base
-        self.optimize, self.extremum = self._engine.optimize, self._engine.extremum
+        self._session = _session(instance)
+        engine = self._session.face
+        self.lp, self.base = engine.lp, engine.base
+        self.optimize, self.extremum = engine.optimize, engine.extremum
 
     def vertex_coeffs(self, q: str) -> list[Fraction]:
         """The functional reading agent q's vertex dual."""
@@ -303,13 +356,26 @@ class DualFace:
         return coeffs
 
     def vertex_range(self, q: str) -> tuple[Fraction | None, Fraction | None]:
-        return self._engine.range(self.vertex_coeffs(q))
+        """Agent q's lowest and highest vertex dual over the face, None on
+        an unbounded side. On a lattice kind a side_u agent's top is on the
+        side_u-optimal vertex and its bottom on the side_v-optimal one, and
+        a side_v agent's the other way round (``_Session.side_optimal``)."""
+        instance = self.instance
+        if instance.kind not in _LATTICE_KINDS:
+            return self._session.face.range(self.vertex_coeffs(q))
+        j = _agent_column(instance, q)
+        high_u, high_v = self._session.side_optimal
+        return (high_v[j], high_u[j]) if j < len(instance.side_u) else (high_u[j], high_v[j])
 
     def max_overpayment(self, key: EdgeKey) -> Fraction | None:
         """Max slack of the edge's dual row over the face; None = unbounded."""
         row = self.lp.constraints[_edge_row(self.instance, key)]
         top = self.extremum(row.coeffs, Sense.MAXIMIZE)
         return None if top is None else top - row.rhs
+
+
+# The bipartite kinds whose dual program has only vertex-dual columns.
+_LATTICE_KINDS = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING)
 
 
 def _face_of(instance: GameInstance, face: DualFace | None) -> DualFace:
@@ -715,13 +781,20 @@ def always_paid_fairly(instance: GameInstance, key: EdgeKey) -> bool | None:
 
 def payoff_range(instance: GameInstance, q: str,
                  face: DualFace | None = None) -> tuple[Fraction | None, Fraction | None]:
-    """Lowest and highest payoff of one agent across dual-derived imputations
-    (ValueError on a non-concurrent general game, which has none)."""
+    """Lowest and highest payoff of one agent across dual-derived imputations:
+    capacity times the ends of its ``DualFace.vertex_range``, which for
+    assignment, uniform_b and b_matching are read off the face's two
+    side-optimal vertices and for the other kinds come from two face
+    queries of the agent's own. ValueError on a non-concurrent general
+    game, which has none, and on a lattice kind with a zero capacity
+    (``_Session.side_optimal``)."""
     if _empty_general_core(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     face = _face_of(instance, face)
     lo, hi = face.vertex_range(q)
-    b = F(instance.capacity(q))
+    b = instance.capacity(q)
+    if b == 1:
+        return lo, hi
     return (None if lo is None else b * lo, None if hi is None else b * hi)
 
 
@@ -837,27 +910,16 @@ def verify_complementarity(instance: GameInstance) -> ComplementarityReport:
 _EXTREME_KINDS = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B)
 
 
-def _side_optimal(instance: GameInstance, face: DualFace) -> tuple[tuple[Fraction, ...], ...]:
-    """The face's side_u-optimal and side_v-optimal vertices, each one
-    query maximizing its side's summed vertex duals (these kinds have no
-    bound dual). The face is a lattice whose two ends give one side each
-    agent's highest vertex dual and the other side the lowest (Shapley and
-    Shubik 1971); uniform_b's dual is the assignment one, objective times b."""
-    sides = (set(instance.side_u), set(instance.side_v))
-    return tuple(face.optimize([ONE if q in side else ZERO for q in instance.agents],
-                               Sense.MAXIMIZE).values for side in sides)
-
-
 def extreme_imputations(instance: GameInstance,
                         face: DualFace | None = None) -> tuple[Imputation, Imputation]:
     """The two antipodal core imputations: (left-high, right-low) and
     (left-low, right-high), the payoffs of the face's two side-optimal
-    vertices (``_side_optimal``), so each agent is paid one end of its
-    ``payoff_range``."""
+    vertices (``_Session.side_optimal``), so each agent is paid one end
+    of its ``payoff_range``."""
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("extreme imputations apply to assignment and "
                          "uniform-capacity kinds")
-    favor_left, favor_right = _side_optimal(instance, _face_of(instance, face))
+    favor_left, favor_right = _face_of(instance, face)._session.side_optimal
     return _dual_payoffs(instance, favor_left), _dual_payoffs(instance, favor_right)
 
 
@@ -896,16 +958,17 @@ def simultaneous_imputation(instance: GameInstance) -> Imputation:
     """One core imputation paying exactly the essential players and
     overpaying exactly the subpar teams.
 
-    Averages, with equal weight, the two ``_side_optimal`` vertices (each
-    agent's highest payoff is on one) and one optimal dual per subpar team
-    (overpayment maximized); vertex duals and row slacks are >= 0 on the
-    face. Both properties are asserted against the oracle's classes.
+    Averages, with equal weight, the two side-optimal vertices
+    (``_Session.side_optimal``; each agent's highest payoff is on one) and
+    one optimal dual per subpar team (overpayment maximized); vertex duals
+    and row slacks are >= 0 on the face. Both properties are asserted
+    against the oracle's classes.
     """
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("the simultaneous imputation applies to assignment "
                          "and uniform-capacity kinds")
     face = DualFace(instance)
-    witnesses = list(_side_optimal(instance, face))
+    witnesses = list(face._session.side_optimal)
     essentials = {q for q in instance.agents
                   if classify_player(instance, q) is ClassLabel.ESSENTIAL}
     subpars = {e.key for e in instance.edges

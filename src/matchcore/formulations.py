@@ -101,6 +101,20 @@ def build_dual(instance: GameInstance) -> LinearProgram:
                                   (costs, 1), rows, (ZERO,) * n, (None,) * n)
 
 
+def bound_columns(instance: GameInstance) -> list[range]:
+    """Edge i's bound-dual columns in :func:`build_dual`'s layout, lower
+    then upper: past the agents, edge by edge, one for the floor and one
+    more for a ceiling, and none outside the capacity-with-edge-bounds
+    kind."""
+    bounded = instance.kind is GameKind.HOFFMAN_KRUSKAL
+    out, nxt = [], len(instance.agents)
+    for e in instance.edges:
+        width = 1 + (e.upper is not None) if bounded else 0
+        out.append(range(nxt, nxt + width))
+        nxt += width
+    return out
+
+
 def sub_dual(lp: LinearProgram, instance: GameInstance,
              members: Iterable[str]) -> LinearProgram:
     """``build_dual(restrict(instance, members))``, written from ``lp``,
@@ -116,13 +130,8 @@ def sub_dual(lp: LinearProgram, instance: GameInstance,
     agents = instance.agents
     columns = [j for j, q in enumerate(agents) if q in chosen]
     at = {agents[j]: k for k, j in enumerate(columns)}
-    bounded = instance.kind is GameKind.HOFFMAN_KRUSKAL
-    inner, nxt = [], len(agents)
-    for e, row in zip(instance.edges, lp.constraints):
-        bounds = ()
-        if bounded:
-            bounds = range(nxt, nxt + 1 + (e.upper is not None))
-            nxt = bounds.stop
+    inner = []
+    for e, row, bounds in zip(instance.edges, lp.constraints, bound_columns(instance)):
         if e.u in chosen and e.v in chosen:
             entry = {at[e.u]: 1, at[e.v]: 1}
             for j, s in zip(bounds, (-1, 1)):

@@ -269,7 +269,8 @@ def pinned_row_face(g):
 
 
 # ---------------------------------------------------------------------------
-# Reference payment verdicts: one face query per agent and one per edge.
+# Reference payment verdicts and payoff ranges: face queries of one agent
+# or one edge each.
 # ---------------------------------------------------------------------------
 
 def reference_paid_sometimes(g, q):
@@ -290,6 +291,17 @@ def reference_always_paid_fairly(g, key):
     if g.kind is GameKind.GENERAL and not is_concurrent(g):
         return None
     return DualFace(g).max_overpayment(key) == 0
+
+
+def reference_payoff_range(g, q):
+    """``payoff_range`` by its own queries: capacity times agent q's vertex
+    dual, minimized and maximized over the optimal dual face, None on an
+    unbounded side."""
+    face = DualFace(g)
+    coeffs, b = face.vertex_coeffs(q), g.capacity(q)
+    return tuple(None if end is None else b * end
+                 for end in (face.extremum(coeffs, Sense.MINIMIZE),
+                             face.extremum(coeffs, Sense.MAXIMIZE)))
 
 
 def reference_rank_and_det(rows):

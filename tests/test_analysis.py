@@ -44,6 +44,7 @@ from matchcore.games import (
     make_imputation,
     make_instance,
     restrict,
+    validate,
 )
 from matchcore.instance_io import parse_instance
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status
@@ -310,6 +311,40 @@ def test_verify_complementarity_runs_pinned_phase_2_counts(monkeypatch):
     assert counts == COMPLEMENTARITY_RUNS
 
 
+# Runs of ``_Tableau._run`` for every payoff range of each lattice-kind
+# demo instance, the face built: cold, and after ``extreme_imputations``
+# (None where it does not apply). The two side-optimal queries answer
+# every agent and are the extremes' own; two queries per agent would run
+# 6 cold on tennis_pairs.
+RANGE_RUNS = {"tennis_pairs": (1, 0), "three_agent_b_matching": (0, None)}
+
+
+def test_payoff_ranges_run_pinned_counts(monkeypatch):
+    runs = []
+    monkeypatch.setattr(lp_module._Tableau, "_run", _logged_run(runs))
+    counts = {}
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("demos/instances/*.game")):
+        g = parse_instance(path.read_text())
+        if g.kind not in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING):
+            continue
+        after = None
+        if g.kind is not GameKind.B_MATCHING:
+            analysis_module._session.cache_clear()
+            extremes = extreme_imputations(g)
+            runs.clear()
+            ranges = [payoff_range(g, q) for q in g.agents]
+            after = len(runs)
+            for q, (lo, hi) in zip(g.agents, ranges):
+                assert {extremes[0][q], extremes[1][q]} == {lo, hi}
+        analysis_module._session.cache_clear()
+        DualFace(g)
+        runs.clear()
+        for q in g.agents:
+            payoff_range(g, q)
+        counts[path.stem] = len(runs), after
+    assert counts == RANGE_RUNS
+
+
 def test_verify_complementarity_skips_an_edge_that_is_never_matched():
     # A subpar team with no essential endpoint contradicts the theorem
     # unless the team can never be matched: here its ceiling is 0.
@@ -566,6 +601,34 @@ def test_make_dual_rejects_entries_without_a_column():
         make_dual(plain, {}, lower={plain.edges[0].key: 1})
 
 
+def test_bound_dual_columns_are_where_the_edge_row_has_its_signed_entries():
+    # DualSolution.lower and upper find an edge's bound-dual columns in the
+    # session's map, built from build_dual's layout; the reference scans
+    # the edge's own dual row, past the agents, for its -1 (lower) and +1
+    # (upper) entry. Column j holds j + 1, so the value read names the
+    # column and a missing bound dual reads as zero.
+    rng = random.Random(4848)
+    games = [g for _, _, g in helpers.cap_set()]
+    games += [helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=5,
+                                       max_edges=10, max_weight=3)
+              for _ in range(200)]
+    seen = Counter()
+    for g in games:
+        program, n = build_dual(g), len(g.agents)
+        d = DualSolution(g, tuple(F(j + 1) for j in range(len(program.variables))))
+        for e, row in zip(g.edges, program.constraints):
+            for sign, read in ((-1, d.lower), (1, d.upper)):
+                j = next((j for j in range(n, len(row.coeffs)) if row.coeffs[j] == sign), None)
+                assert read(e.key) == (0 if j is None else j + 1), (g, e, sign)
+                seen[("lower", "upper")[sign > 0] + (" absent" if j is None else "")] += 1
+    # Counts at this seed: 801 lower and 605 upper bound duals, and 196
+    # HK edges without a ceiling; the other kinds' 192 cap-set edges have
+    # neither.
+    assert len(games) == 215 and seen["lower absent"] == 192, seen
+    assert seen["lower"] >= 700 and seen["upper"] >= 500, seen
+    assert seen["upper absent"] - seen["lower absent"] >= 150, seen
+
+
 def test_a_dual_vector_of_another_length_is_refused():
     # One value per column of build_dual: 3 for the plain game, 7 for the
     # bounds game (3 vertex duals, a floor and a ceiling dual per edge).
@@ -792,12 +855,12 @@ def test_imputations_compare_by_payoffs():
 
 
 def test_side_optimal_duals_pay_each_agent_the_end_of_its_range():
-    # The reference is the agents' own ranges over the optimal dual face.
-    # The face's two side-optimal vertices are the ends of its lattice
-    # (Shapley and Shubik 1971): each pays every agent of its side
-    # capacity times the top of its vertex-dual range and every agent of
-    # the other side capacity times the bottom, and the extremes are
-    # their payoffs. The simultaneous imputation, built from the same two
+    # The reference is each agent's own two face queries, as payoffs
+    # (helpers.reference_payoff_range). The face's two side-optimal
+    # vertices are the ends of its lattice (Shapley and Shubik 1971):
+    # each pays every agent of its side the top of its range and every
+    # agent of the other side the bottom, and the extremes are their
+    # payoffs. The simultaneous imputation, built from the same two
     # vertices, must pass its asserts against the oracle's classes.
     games = [g for _, _, g in helpers.cap_set(("assignment", "uniform_b"))]
     rng = random.Random(4545)
@@ -807,13 +870,12 @@ def test_side_optimal_duals_pay_each_agent_the_end_of_its_range():
               for i in range(600)]
     seen = Counter()
     for g in games:
-        face = DualFace(g)
-        ranges = {q: face.vertex_range(q) for q in g.agents}
-        duals = analysis_module._side_optimal(g, face)
+        ranges = {q: helpers.reference_payoff_range(g, q) for q in g.agents}
+        duals = analysis_module._session(g).side_optimal
         payoffs = []
         for d, side in zip(duals, (g.side_u, g.side_v)):
             pay = analysis_module._dual_payoffs(g, d)
-            assert pay.as_dict == {q: g.capacity(q) * (hi if q in side else lo)
+            assert pay.as_dict == {q: hi if q in side else lo
                                    for q, (lo, hi) in ranges.items()}
             payoffs.append(pay)
         assert extreme_imputations(g) == tuple(payoffs)
@@ -992,6 +1054,55 @@ def test_payoff_range_refuses_a_game_without_dual_imputations():
     assert payoff_range(pendant, "v1") == (1, 1)
 
 
+def test_payoff_ranges_are_the_per_agent_queries():
+    # payoff_range against two face queries per agent (helpers'
+    # reference) on the cap set, HK's rays included, and on 400 seeded
+    # games of each lattice kind, where the ranges are read off the two
+    # side-optimal vertices: a side_u agent's top on the side_u-optimal
+    # one and its bottom on the side_v-optimal one, a side_v agent's the
+    # other way round.
+    rng = random.Random(4747)
+    games = [g for _, _, g in helpers.cap_set(
+        ("assignment", "uniform_b", "b_matching", "hoffman_kruskal"))]
+    for kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING):
+        games += [helpers.random_bipartite(rng, kind, max_side=5, max_edges=10, max_weight=3)
+                  for _ in range(400)]
+    seen = Counter()
+    for g in games:
+        for q in g.agents:
+            lo, hi = payoff_range(g, q)
+            assert (lo, hi) == helpers.reference_payoff_range(g, q), (g, q)
+            seen["lo < hi" if lo != hi else "lo == hi"] += 1
+        seen["b_matching, b > 1"] += (g.kind is GameKind.B_MATCHING
+                                      and any(g.capacity(q) > 1 for q in g.agents))
+        seen["uniform_b, b > 1"] += g.kind is GameKind.UNIFORM_B and g.uniform_capacity > 1
+    # Counts at this seed: 2,782 ranges with lo < hi and 4,677 points;
+    # 399 b_matching and 263 uniform_b games with a capacity above one.
+    assert len(games) == 1212
+    assert seen["lo < hi"] >= 2500 and seen["lo == hi"] >= 4000, seen
+    assert seen["b_matching, b > 1"] >= 350 and seen["uniform_b, b > 1"] >= 200, seen
+
+
+def test_a_zero_capacity_is_refused_by_the_side_queries():
+    # With a capacity of zero, which validate refuses, the agent's vertex
+    # dual costs nothing and the face is unbounded along it, so a side
+    # query is unbounded: each reader of the side-optimal vertices raises
+    # ValueError (pytest.raises lets a TypeError through).
+    games = [helpers.single_edge(GameKind.UNIFORM_B, weight=3, uniform_capacity=0),
+             make_instance(GameKind.B_MATCHING, ["a"], ["b1", "b2"],
+                           [("a", "b1", 2), ("a", "b2", 1)],
+                           capacities={"a": 1, "b1": 0, "b2": 1})]
+    for g in games:
+        assert validate(g)
+        for q in g.agents:
+            with pytest.raises(ValueError, match="some capacity is zero"):
+                payoff_range(g, q)
+        if g.kind is GameKind.UNIFORM_B:
+            for query in (extreme_imputations, simultaneous_imputation):
+                with pytest.raises(ValueError, match="some capacity is zero"):
+                    query(g)
+
+
 def test_payoff_ranges_and_samples_consistent():
     rng = random.Random(83)
     for _ in range(15):
@@ -1064,6 +1175,15 @@ def test_top_of_payoff_range_is_marginal_worth_in_assignment_games():
         for q in g.agents:
             rest = [p for p in g.agents if p != q]
             assert payoff_range(g, q, face)[1] == total - worth(g, rest)
+    # So in a uniform_b game too: its worths and its core are b times
+    # those of the assignment game on the same edges.
+    rng = random.Random(1983)
+    for _ in range(40):
+        g = helpers.random_bipartite(rng, GameKind.UNIFORM_B, max_side=4,
+                                     max_edges=8, max_weight=5)
+        total = worth(g, g.agents)
+        for q in g.agents:
+            assert payoff_range(g, q)[1] == total - worth(g, [p for p in g.agents if p != q])
 
 
 def _relabeled(g, rng):
