@@ -1,7 +1,7 @@
 """Exact rational analysis of matching-based cooperative games.
 
 Five game kinds (assignment, uniform_b, b_matching, hoffman_kruskal,
-general) with an exact simplex engine, a brute-force matching oracle,
+general) with an exact simplex engine, an exact matching oracle,
 verbatim primal/dual program builders, and core/complementarity analysis.
 All numbers are fractions.Fraction; nothing is ever rounded.
 """

@@ -2,13 +2,15 @@
 
 Exhaustive machinery (matching enumeration, coalition sweeps, odd-set
 rows) refuses cleanly above these sizes instead of silently
-approximating: at most 12 vertices and 16 edges per instance.
+approximating: at most 12 vertices and 16 edges per instance, and at
+most ``MAX_OPTIMA`` maximum-weight matchings listed per instance.
 """
 
 from __future__ import annotations
 
 MAX_VERTICES = 12
 MAX_EDGES = 16
+MAX_OPTIMA = 10_000
 
 
 class CapExceededError(Exception):

@@ -103,10 +103,11 @@ class GameInstance:
 
     def capacity(self, q: str) -> int:
         """How many times agent q may be matched."""
-        if self.kind in (GameKind.ASSIGNMENT, GameKind.GENERAL):
-            return 1
-        if self.kind is GameKind.UNIFORM_B:
+        kind = self.kind
+        if kind is GameKind.UNIFORM_B:
             return self.uniform_capacity
+        if kind is GameKind.ASSIGNMENT or kind is GameKind.GENERAL:
+            return 1
         return self._capacity_map[q]
 
     @cached_property

@@ -1,14 +1,18 @@
-"""Brute-force matching ground truth, independent of the LP engine.
+"""Exact matching ground truth, independent of the LP engine.
 
-One depth-first branch-and-bound search over edge multiplicities,
-capped at desk scale, answers two questions: the optimum alone
-(``optimal_weight``, and ``worth`` per coalition), and every optimum in
-canonical order (``max_weight``, ``enumerate_optima`` and the classes
-read from them). A branch is cut only when a bound proves it cannot
-matter, so both answers are exact. The search adds and compares
-integers, the weights scaled by the lcm of their denominators; values
-come back as ``Fraction``. What the LP side claims (worths, optima,
-classes, degeneracy) is cross-checked against this.
+Two searches, capped at desk scale, answer two questions. The optimum
+alone (``optimal_weight``, and ``worth`` per coalition) of a bipartite
+game is a max-weight flow: successive augmenting paths of greatest gain,
+each pushing its bottleneck, so the work does not grow with capacities.
+A general game's optimum, and every optimum of any game in canonical
+order (``max_weight``, ``enumerate_optima`` and the classes read from
+them), come from a depth-first branch-and-bound walk over edge
+multiplicities. A branch is cut only when a bound proves it cannot
+matter, so both answers are exact; the walk lists at most
+``caps.MAX_OPTIMA`` optima and refuses beyond. Both searches add and
+compare integers, the weights scaled by the lcm of their denominators;
+values come back as ``Fraction``. What the LP side claims (worths,
+optima, classes, degeneracy) is cross-checked against this.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .caps import check_instance_size
+from .caps import MAX_OPTIMA, CapExceededError, check_instance_size
 from .games import BIPARTITE_KINDS, EdgeKey, GameInstance, restrict
 from .rationals import dot, scaled
 
@@ -61,7 +65,9 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     """(optimum, optima), the optima canonically ordered when ``every``
     and () otherwise.
 
-    Depth-first over edge multiplicities, heaviest edge first and largest
+    The optimum alone of a bipartite game is a flow (``_flow``). Every
+    other answer, and a general game's optimum, comes from a depth-first
+    walk over edge multiplicities, heaviest edge first and largest
     multiplicity first. A branch is cut when its weight plus a bound on
     what the open edges can add falls short of what is needed: one more
     than the best weight found so far for the optimum alone, and the
@@ -70,9 +76,18 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     remaining capacity can earn, each unit of an agent's capacity earning
     at most its heaviest open edge. Every edge has one end on side U of a
     bipartite game, so those agents are counted; in a general game every
-    agent is counted and every edge twice.
+    agent is counted and every edge twice. One unit less of an edge
+    loses its weight and frees no more for the open edges, which are no
+    heavier, so once a multiplicity is cut every smaller one is too, and
+    the edge's loop stops there. Listing stops with ``CapExceededError``
+    past ``MAX_OPTIMA`` optima.
     """
     check_instance_size(len(instance.agents), len(instance.edges))
+    # Both searches add and compare ints: weights scaled by the lcm of
+    # their denominators.
+    weights, scale = scaled([e.weight for e in instance.edges])
+    if not every and instance.kind in BIPARTITE_KINDS:
+        return Fraction(_flow(instance, weights), scale), ()
     agents = instance.agents
     at = {q: k for k, q in enumerate(agents)}
     caps = [instance.capacity(q) for q in agents]
@@ -80,9 +95,6 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
         counted, per_edge = [k < len(instance.side_u) for k in range(len(agents))], 1
     else:
         counted, per_edge = [True] * len(agents), 2
-    # The search adds and compares ints: weights scaled by the lcm of
-    # their denominators.
-    weights, scale = scaled([e.weight for e in instance.edges])
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     # One step per edge, heaviest first; suffix[i] bounds the edges from
     # step i on at full multiplicity. For the capacity bound, an agent's
@@ -111,27 +123,34 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     # The least weight a matching must reach to count.
     need = int(_search(instance, False)[0] * scale) if every else 0
 
-    def walk(i: int, weight: int, earn: int) -> None:
+    def walk(i: int, weight: int, earn: int) -> bool:
+        """Whether the bound cut this branch."""
         nonlocal need
         short = need - weight
         if suffix[i] < short or earn < short * per_edge:
-            return
+            return True
         if i == len(steps):
             if every:
                 found.append(tuple(mults))
+                if len(found) > MAX_OPTIMA:
+                    raise CapExceededError(f"more than {MAX_OPTIMA} maximum-weight "
+                                           f"matchings exceed the listing cap")
             else:
                 need = weight + 1
-            return
+            return False
         a, b, w, hi, lo, fall_a, fall_b, nexts = steps[i]
         rest = earn - remaining[a] * fall_a - remaining[b] * fall_b
         for mult in range(min(hi, remaining[a], remaining[b]), lo - 1, -1):
             remaining[a] -= mult
             remaining[b] -= mult
             mults[i] = mult
-            walk(i + 1, weight + w * mult, rest - mult * nexts)
+            cut = walk(i + 1, weight + w * mult, rest - mult * nexts)
             remaining[a] += mult
             remaining[b] += mult
+            if cut:     # a smaller multiplicity falls shorter still
+                break
         mults[i] = 0
+        return False
 
     walk(0, 0, sum(c * r * t for c, r, t in zip(counted, caps, top)))
     # walk holds itself in its closure; unbinding it leaves no cycle for
@@ -146,6 +165,82 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     if need == 0:           # any matching, even of weight 0, raises it to 1
         raise InfeasibleInstanceError("edge lower bounds admit no matching")
     return Fraction(need - 1, scale), ()
+
+
+def _flow(instance: GameInstance, weights: list[int]) -> int:
+    """The optimum of a bipartite game over its scaled ``weights``, by
+    successive max-gain augmenting paths (Ahuja, Magnanti and Orlin 1993).
+
+    Each edge's floor is taken first; what is left of a capacity, and of
+    an edge's room up to its ceiling, is then filled one path at a time.
+    A path starts at a side U agent with capacity left, crosses an edge
+    forward where it has room (gaining its weight) or backward where it
+    carries flow above its floor (losing it), and ends at a side V agent
+    with capacity left. Bellman-Ford finds the path of greatest gain, and
+    the path's bottleneck is pushed along it. Each push keeps the flow the
+    heaviest of its size, so the first path of no positive gain ends the
+    search at the optimum.
+    """
+    at = {q: k for k, q in enumerate(instance.agents)}
+    n_u, n = len(instance.side_u), len(at)
+    caps = [instance.capacity(q) for q in instance.agents]
+    left = list(caps)
+    arcs, total = [], 0
+    for e, w in zip(instance.edges, weights):
+        a, b = at[e.u], at[e.v]
+        if a > b:
+            a, b = b, a
+        if not a < n_u <= b:
+            raise ValueError(f"edge ({e.u},{e.v}) does not cross the bipartition")
+        if w <= 0:
+            raise ValueError(f"non-positive weight on ({e.u},{e.v})")
+        lo, hi = e.lower, e.upper
+        if lo:
+            total += w * lo
+            left[a] -= lo
+            left[b] -= lo
+        # [side U end, side V end, weight, room, flow above the floor];
+        # uncapped, an edge's room is its side U end's capacity.
+        arcs.append([a, b, w, caps[a] if hi is None else hi - lo, 0])
+    if min(left, default=0) < 0:
+        raise InfeasibleInstanceError("edge lower bounds admit no matching")
+    while any(left[:n_u]) and any(left[n_u:]):
+        gain = [0 if c else None for c in left[:n_u]] + [None] * (n - n_u)
+        # A side V agent is entered forward, a side U agent backward, so
+        # an agent's predecessor is an arc alone; a start has none.
+        pred = [None] * n
+        changed = True
+        while changed:
+            changed = False
+            for arc in arcs:
+                a, b, w, room, flow = arc
+                if room > 0 and gain[a] is not None and (gain[b] is None or gain[a] + w > gain[b]):
+                    gain[b], pred[b], changed = gain[a] + w, arc, True
+                if flow and gain[b] is not None and (gain[a] is None or gain[b] - w > gain[a]):
+                    gain[a], pred[a], changed = gain[b] - w, arc, True
+        end, best = None, 0
+        for k in range(n_u, n):
+            if left[k] and gain[k] is not None and gain[k] > best:
+                end, best = k, gain[k]
+        if end is None:
+            break
+        path, k, push = [], end, left[end]
+        while pred[k] is not None:
+            arc = pred[k]
+            path.append(arc)
+            if k >= n_u:        # entered forward: bounded by its room
+                push, k = min(push, arc[3]), arc[0]
+            else:               # entered backward: by its flow
+                push, k = min(push, arc[4]), arc[1]
+        push = min(push, left[k])
+        # Read from its end, the path alternates forward and backward arcs.
+        for step, arc in zip((push, -push) * n, path):
+            arc[3] -= step
+            arc[4] += step
+        left[k] -= push
+        left[end] -= push
+        total += push * best
+    return total
 
 
 def optimal_weight(instance: GameInstance) -> Fraction:

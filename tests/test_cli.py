@@ -12,9 +12,10 @@ import pytest
 
 import helpers
 from matchcore import analysis, cli, fixtures
+from matchcore.caps import MAX_OPTIMA
 from matchcore.cli import _COMMANDS, main
 from matchcore.formulations import vertex_dual_var
-from matchcore.games import make_imputation
+from matchcore.games import GameKind, make_imputation, make_instance
 from matchcore.instance_io import parse_instance, render_instance
 from matchcore.oracle import max_weight
 from matchcore.rationals import parse_rational
@@ -387,6 +388,29 @@ def test_cap_refusal_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "solve", path)
     assert code == 2 and out == ""
     assert err == "error: 13 vertices exceed the enumeration cap of 12\n"
+
+
+def _complete_uniform(b):
+    """The complete 3 x 3 uniform_b game with equal weights: every
+    b-regular multigraph on it is a maximum-weight matching."""
+    side_u, side_v = ["a0", "a1", "a2"], ["b0", "b1", "b2"]
+    return make_instance(GameKind.UNIFORM_B, side_u, side_v,
+                         [(u, v, 1) for u in side_u for v in side_v], uniform_capacity=b)
+
+
+@pytest.mark.parametrize("command", ["solve", "classify"])
+def test_listing_more_optima_than_the_cap_exits_two(tmp_path, capsys, command):
+    # 9,316 optima at b = 15 and 11,781 at b = 16, on either side of the cap.
+    assert 9316 <= MAX_OPTIMA < 11781
+    below = write(tmp_path, "b15.game", render_instance(_complete_uniform(15)))
+    code, out, err = run(capsys, command, below)
+    assert code == 0 and err == ""
+    assert command != "solve" or "optimal matchings  9316" in out
+    above = write(tmp_path, "b16.game", render_instance(_complete_uniform(16)))
+    code, out, err = run(capsys, command, above)
+    assert code == 2 and out == ""
+    assert err == (f"error: more than {MAX_OPTIMA} maximum-weight matchings "
+                   f"exceed the listing cap\n")
 
 
 def test_flags_are_accepted_only_where_read(tmp_path, capsys):

@@ -2,6 +2,8 @@
 exhaustive enumeration (cartesian product over edge multiplicities)."""
 
 import random
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -14,13 +16,16 @@ from matchcore import oracle as oracle_module
 from matchcore.analysis import (
     _session,
     core_nonempty,
+    dual_to_imputation,
     is_core_imputation,
+    optimal_dual,
+    primal_optimum,
     sample_core_vertices,
     verify_complementarity,
 )
 from matchcore.caps import CapExceededError
 from matchcore.formulations import build_odd_set_primal
-from matchcore.games import GameKind, make_imputation, make_instance
+from matchcore.games import GameKind, make_imputation, make_instance, validate
 from matchcore.oracle import (
     ClassLabel,
     InfeasibleInstanceError,
@@ -141,6 +146,132 @@ def test_infeasible_lower_bounds_raise():
                       [("a", "b", 1, 3, None)], capacities={"a": 2, "b": 2})
     with pytest.raises(InfeasibleInstanceError):
         max_weight(g)
+
+
+def test_the_walk_refuses_floors_no_matching_meets():
+    # Edge bounds belong to hoffman_kruskal and validate refuses them on
+    # a general game; built through the API anyway, two floors that share
+    # a vertex of capacity one admit no matching, and the walk says so.
+    g = make_instance(GameKind.GENERAL, ["a", "b", "c"], (),
+                      [("a", "b", 1, 1, None), ("b", "c", 1, 1, None)])
+    with pytest.raises(InfeasibleInstanceError, match="edge lower bounds admit no matching"):
+        optimal_weight(g)
+
+
+def test_the_walk_stops_an_edge_at_its_first_cut_multiplicity():
+    # One edge at capacity 10^6 has one optimum. The walk tries the full
+    # multiplicity, then one less, which the bound cuts, and stops there:
+    # three calls, not a million.
+    g = helpers.single_edge(GameKind.UNIFORM_B, uniform_capacity=10**6)
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    oracle_module._search.cache_clear()
+    sys.setprofile(count)
+    try:
+        optima = enumerate_optima(g)
+    finally:
+        sys.setprofile(None)
+    assert [m.entries for m in optima] == [((("a", "b"), 10**6),)]
+    assert calls["walk"] == 3, calls
+
+
+def test_the_flow_equals_the_reference_search():
+    # The optimum alone of a bipartite game is the flow's. The reference
+    # is helpers' walk over every multiplicity. The games: the 12
+    # bipartite cap-set games and 1,600 seeded ones, 400 per kind.
+    oracle_module._search.cache_clear()
+    rng = random.Random(4711)
+    games = [g for _, _, g in helpers.cap_set(
+        ("assignment", "uniform_b", "b_matching", "hoffman_kruskal"))]
+    for trial in range(1600):
+        kind = helpers.ALL_BIPARTITE[trial % 4]
+        games.append(helpers.random_bipartite(rng, kind, max_side=5, max_edges=10,
+                                              max_weight=rng.choice((3, 9))))
+    seen = Counter()
+    for g in games:
+        assert optimal_weight(g) == helpers.reference_optima(g)[0], g
+        seen[g.kind] += 1
+        seen["edge floor"] += any(e.lower > 0 for e in g.edges)
+        seen["edge ceiling"] += any(e.upper is not None for e in g.edges)
+        seen["capacity above one"] += any(g.capacity(q) > 1 for q in g.agents)
+    assert all(seen[kind] >= 300 for kind in helpers.ALL_BIPARTITE), seen
+    assert seen["edge floor"] >= 200 and seen["edge ceiling"] >= 300, seen
+    assert seen["capacity above one"] >= 600, seen
+
+
+def test_the_flow_reroutes_what_its_first_path_took():
+    # The first path takes the heaviest edge a1-b1. The optimum gives b1
+    # to a2 and moves a1 to b2: a path that crosses a1-b1 backward and
+    # gains 2 - 3 + 2. An edge may name its side V end first.
+    g = make_instance(GameKind.ASSIGNMENT, ["a1", "a2"], ["b1", "b2"],
+                      [("a1", "b1", 3), ("a1", "b2", 2), ("b1", "a2", 2)])
+    assert validate(g) == []
+    assert optimal_weight(g) == 4
+    # With every capacity 10^9 the ceiling of 1 on a1-b1 is the
+    # bottleneck of the first path, and the rest is rerouted likewise.
+    big = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a1", "a2"], ["b1", "b2"],
+                        [("a1", "b1", 3, 0, 1), ("a1", "b2", 2), ("a2", "b1", 2)],
+                        capacities=dict.fromkeys(["a1", "a2", "b1", "b2"], 10**9))
+    assert optimal_weight(big) == 4 * 10**9 == primal_optimum(big)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([("a", "b", 2), ("a", "c", 3)], r"edge \(a,c\) does not cross the bipartition"),
+    ([("a", "b", -1)], r"non-positive weight on \(a,b\)"),
+], ids=["same-side", "negative-weight"])
+def test_the_flow_refuses_an_edge_it_cannot_match(edges, message):
+    # The walk would answer 3 for the same-side edge, and a flow over the
+    # bipartition 2; neither number means anything, so both are refused.
+    g = make_instance(GameKind.ASSIGNMENT, ["a", "c"], ["b"], edges)
+    for call in (optimal_weight, max_weight, enumerate_optima):
+        with pytest.raises(ValueError, match=message):
+            call(g)
+
+
+def _scaled_capacities(g, factor):
+    return replace(g, capacities=tuple((q, b * factor) for q, b in g.capacities),
+                   uniform_capacity=(None if g.uniform_capacity is None
+                                     else g.uniform_capacity * factor))
+
+
+def _scaled_cap_set():
+    out = []
+    for kind, s, g in helpers.cap_set(("uniform_b", "b_matching", "hoffman_kruskal")):
+        for factor in (5, 10**9):
+            out.append(pytest.param(_scaled_capacities(g, factor), id=f"{kind}-{s}-x{factor}"))
+    # Every capacity 10^9, and a ceiling of 1 on an edge with no floor.
+    ((_, _, hk),) = [game for game in helpers.cap_set(("hoffman_kruskal",)) if game[1] == 0]
+    j = next(j for j, e in enumerate(hk.edges) if e.lower == 0)
+    hk = replace(hk, capacities=tuple((q, 10**9) for q, _ in hk.capacities),
+                 edges=hk.edges[:j] + (replace(hk.edges[j], upper=1),) + hk.edges[j + 1:])
+    out.append(pytest.param(hk, id="hoffman_kruskal-0-all-1e9-ceiling-1"))
+    return out
+
+
+SCALED_SECONDS = 10
+
+
+@pytest.mark.parametrize("g", _scaled_cap_set())
+def test_cap_set_games_with_scaled_capacities_answer_in_seconds(g):
+    # The caps bound agents and edges, not capacities. Times 5 the walk
+    # took up to 29 s for the optimum alone and minutes for membership;
+    # the flow's work does not grow with capacities. By total
+    # unimodularity the program's optimum is the integral one, so the LP
+    # checks the flow independently.
+    assert validate(g) == []
+    assert optimal_weight(g) == primal_optimum(g)
+    start = time.perf_counter()
+    nonempty, _ = core_nonempty(g)
+    assert nonempty and time.perf_counter() - start < SCALED_SECONDS
+    start = time.perf_counter()
+    verdict = is_core_imputation(g, dual_to_imputation(g, optimal_dual(g)))
+    assert time.perf_counter() - start < SCALED_SECONDS
+    # On the worth kinds an optimal dual pays a core imputation.
+    assert verdict.in_core or g.kind is GameKind.HOFFMAN_KRUSKAL
 
 
 def test_cap_exceeded_is_a_clean_refusal():
@@ -373,10 +504,11 @@ def test_uniform_b_worth_is_b_times_the_assignment_worth():
 
 
 def test_search_agrees_with_the_reference_search():
-    # The branch-and-bound search against the earlier search of helpers
-    # (edges in instance order, cut by the open edges at full multiplicity
-    # alone): the optimum read alone, and max_weight's value and witness
-    # and every optimum in order, read cold and after the optimum. The
+    # The oracle's searches (the flow for a bipartite optimum alone, the
+    # walk otherwise) against the earlier search of helpers (edges in
+    # instance order, cut by the open edges at full multiplicity alone):
+    # the optimum read alone, and max_weight's value and witness and
+    # every optimum in order, read cold and after the optimum. The
     # games: 500 seeded ones of all five kinds, every third with each
     # weight divided by a seeded integer from 1 to 6, and the 15 cap-set
     # grand games.
