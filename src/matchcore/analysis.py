@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
-from .formulations import bound_columns, build_dual, sub_dual
+from .formulations import bound_columns, build_dual
 from .games import (
     BIPARTITE_KINDS,
     EdgeKey,
@@ -134,9 +134,9 @@ class _Session:
     and its bound-dual columns by key and sign, a lattice kind's two
     side-optimal vertices, the grand range, and the coalition rows
     scanned so far as (members, demand) pairs. A coalition's demand is
-    solved on its part of this dual program, which ``sub_dual`` writes
-    from the program's layout, names and costs, each row through
-    ``Constraint._signed``, so no sub-game gets a session for it.
+    solved on its part of this dual program, which ``cut`` takes from the
+    program's kept integers through the ``layout``, so no sub-game,
+    program or row is built for it.
     """
 
     def __init__(self, instance: GameInstance):
@@ -164,6 +164,28 @@ class _Session:
         return {(e.key, sign): j
                 for e, columns in zip(self.instance.edges, bound_columns(self.instance))
                 for sign, j in zip((-1, 1), columns)}
+
+    @cached_property
+    def layout(self) -> tuple[dict[str, int], list[tuple], list[int]]:
+        """The dual program as ``cut`` reads it: each agent's bit (bit j is
+        agent j); each edge's endpoints' bits, bound-dual columns and row's
+        kept integers; the objective's integers."""
+        bit, lp = {q: 1 << j for j, q in enumerate(self.instance.agents)}, self.face.lp
+        edges = zip(self.instance.edges, bound_columns(self.instance), lp.constraints)
+        return bit, [(bit[e.u] | bit[e.v], columns, row._scaled_row)
+                     for e, columns, row in edges], lp._scaled_objective[0]
+
+    def cut(self, members) -> tuple[int, list[tuple[list[int], int]], list[int]]:
+        """``build_dual(restrict(instance, members))`` in integers as (n,
+        >= rows, costs): ``restrict`` keeps the game's order, so its n
+        columns are the members' and their inner edges' bound duals."""
+        bit, edges, costs = self.layout
+        mask = sum(map(bit.__getitem__, members))
+        inner = [edge for edge in edges if edge[0] & mask == edge[0]]
+        columns = [j for j, b in enumerate(bit.values()) if mask & b]
+        columns += [j for _, bounds, _ in inner for j in bounds]
+        rows = [([ints[j] for j in columns] + ints[-1:], den) for _, _, (ints, den) in inner]
+        return len(columns), rows, [costs[j] for j in columns]
 
     @cached_property
     def side_optimal(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -485,16 +507,13 @@ def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
     """What a coalition, a row of ``_coalitions``, demands: what its own
     sub-game yields, its worth or, for the bounds-capacity kind, its
     surplus under the sub-game's Bland-rule optimal dual, so repeated
-    runs agree. That dual is one bare solve of the sub-game's dual
-    program, which ``sub_dual`` writes from the game's layout, names and
-    costs, each row through ``Constraint._signed``; its first |S|
-    columns are the members' vertex duals. It has an optimum since the
-    game's program has one: the game's matching on the inner edges is
-    feasible for the sub-game, and the capacities bound it."""
+    runs agree: its dual program, cut from the game's (``_Session.cut``)
+    and pivoted as ``solve`` would pivot it (``LinearProgram._bland_part``),
+    costs that much on its first |S| columns, the members'. It has an
+    optimum since the game's program has one: the game's matching on the
+    inner edges is feasible for the sub-game, and the capacities bound it."""
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        lp = sub_dual(_session(instance).face.lp, instance, members)
-        k = len(members)
-        return dot(lp.objective[:k], solve(lp).values[:k])
+        return LinearProgram._bland_part(*_session(instance).cut(members), len(members))
     return worth(instance, members)
 
 
@@ -541,9 +560,9 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     best matching when every capacity is one, else its parts) and is
     paid at least the sum of their payoffs, so one of them blocks too,
     and comes earlier. For the bounds-capacity kind a blocking row's
-    ``witness_dual`` is the optimal dual of its own sub-game: ``_demand``
-    solved the same program, so it is the vertex whose surplus was the
-    demand.
+    ``witness_dual`` is the optimal dual of its own sub-game, built and
+    solved again: ``_demand`` took the same pivots on the same program,
+    cut from the game's, so it is the vertex whose surplus was the demand.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -568,7 +587,7 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     program's optimum equals the dual optimum exactly when some optimal
     dual has these vertex duals. ValueError unless ``imp`` pays exactly
     the instance's agents, each at least zero, so every fixed value lies
-    within its column's bounds (lower 0, no upper).
+    within its column's bounds (lower 0, no upper), and on a zero capacity.
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
@@ -577,6 +596,8 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     lp = face.lp
     lower, upper = list(lp.lower), list(lp.upper)
     for j, (q, payoff) in enumerate(zip(instance.agents, payoffs)):
+        if not instance.capacity(q):
+            raise ValueError(f"agent {q!r} has capacity zero, which fixes no vertex dual")
         lower[j] = upper[j] = payoff / F(instance.capacity(q))
     fixed = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
                                 lp.constraints, lower, upper))
@@ -587,10 +608,11 @@ def _total_rows(session: _Session) -> list[Constraint]:
     """The rows that row generation (``_core_optimum``) starts from, on
     the payoffs' total alone: one equation when the grand range
     (``_Session.grand_range``) is one value, else a row for each bounded
-    end."""
+    end, each written through ``Constraint._signed``."""
     lo, hi = session.grand_range
     ends = [(Relation.EQ, lo)] if lo == hi else [(Relation.GE, lo), (Relation.LE, hi)]
-    return [Constraint(tuple(ONE for _ in session.instance.agents), relation, end)
+    n = len(session.instance.agents)
+    return [Constraint._signed(n, dict.fromkeys(range(n), 1), relation, end)
             for relation, end in ends if end is not None]
 
 
@@ -609,10 +631,14 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
     polyhedron. It serves the two cores that are not capacity times the
     optimal dual face: hoffman_kruskal's, for ``core_nonempty``, and that
     of b_matching with a capacity above one, for ``sample_core_vertices``.
+    Rounds write rows and programs unchecked (``Constraint._signed``, ``_trusted``).
     """
     agents = session.instance.agents
+    n, at, objective = len(agents), {q: j for j, q in enumerate(agents)}, tuple(objective)
+    ints, lower, upper = scaled(objective), (ZERO,) * n, (None,) * n
     while True:
-        sol = solve(LinearProgram(sense, agents, objective, rows))
+        sol = solve(LinearProgram._trusted(sense, agents, objective, ints, tuple(rows),
+                                           lower, upper))
         if sol.status is not Status.OPTIMAL:
             return sol
         # A row's shortfall is short / (den * scale), and scale is common
@@ -626,8 +652,8 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
         if worst is None:
             return sol
         members, demand = worst
-        rows.append(Constraint(tuple(ONE if q in members else ZERO for q in agents),
-                               Relation.GE, demand))
+        rows.append(Constraint._signed(n, dict.fromkeys(map(at.__getitem__, members), 1),
+                                       Relation.GE, demand))
 
 
 def _imputation_from(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:

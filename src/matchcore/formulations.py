@@ -3,9 +3,10 @@
 Construction is a verbatim transcription of each game's primal/dual pair
 with a canonical variable and constraint ordering (agents in input order,
 edges in input order), so solver output is reproducible; rows carry no
-label. A coalition's sub-game dual (``sub_dual``) is written from the
-game's layout, which that ordering makes exact, with the game's names
-and costs and each row through ``Constraint._signed``. Also houses the
+label. That ordering makes a coalition's sub-game dual program the
+game's rows of its inner edges, over the columns of its members and of
+those edges' bound duals (``bound_columns``), which the analysis cuts
+from the game's program in integers. Also houses the
 total-unimodularity test of coefficient rows and the half-integral
 vertex structure check for general-graph matching programs. The test
 takes matrices with at most two nonzeros per column, as every
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
@@ -113,38 +114,6 @@ def bound_columns(instance: GameInstance) -> list[range]:
         out.append(range(nxt, nxt + width))
         nxt += width
     return out
-
-
-def sub_dual(lp: LinearProgram, instance: GameInstance,
-             members: Iterable[str]) -> LinearProgram:
-    """``build_dual(restrict(instance, members))``, written from ``lp``,
-    which is ``build_dual(instance)``, as :func:`build_dual` writes it.
-    ``restrict`` keeps the order of agents and edges, so the sub-game's
-    columns are the members' and then its inner edges' bound duals, in
-    ``lp``'s order: their names and costs are ``lp``'s at those positions
-    (an integral objective, scale 1). Each inner edge's row is written
-    through ``Constraint._signed`` with the relation and right-hand side
-    of ``lp``'s row, already coerced, so no sub-game is built and nothing
-    is checked or scaled again."""
-    chosen = frozenset(members)
-    agents = instance.agents
-    columns = [j for j, q in enumerate(agents) if q in chosen]
-    at = {agents[j]: k for k, j in enumerate(columns)}
-    inner = []
-    for e, row, bounds in zip(instance.edges, lp.constraints, bound_columns(instance)):
-        if e.u in chosen and e.v in chosen:
-            entry = {at[e.u]: 1, at[e.v]: 1}
-            for j, s in zip(bounds, (-1, 1)):
-                entry[len(columns)] = s
-                columns.append(j)
-            inner.append((entry, row))
-    n = len(columns)
-    ints, _ = lp._scaled_objective
-    return LinearProgram._trusted(
-        lp.sense, tuple([lp.variables[j] for j in columns]),
-        tuple([lp.objective[j] for j in columns]), ([ints[j] for j in columns], 1),
-        tuple([Constraint._signed(n, entry, row.relation, row.rhs) for entry, row in inner]),
-        (ZERO,) * n, (None,) * n)
 
 
 def build_odd_set_primal(instance: GameInstance) -> LinearProgram:

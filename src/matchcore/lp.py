@@ -8,7 +8,8 @@ each ``Constraint`` keeps its row over its smallest common denominator
 and each ``LinearProgram`` its objective, both computed when they are
 built, or written straight in by the formulations' trusted builders, and
 the tableau (see ``_Tableau``) only copies those integers, so a row or
-objective solved again is never scaled again. Phase 1 stores no
+objective solved again is never scaled again; a program given in
+integers alone is solved unbuilt (``LinearProgram._bland_part``). Phase 1 stores no
 artificial column: each row owns one unit column, its slack or, for an
 equality row, a column that no phase-2 run lets enter, and reads its
 artificial off it; the objective's reduced-cost row rides through phase
@@ -69,10 +70,10 @@ class Constraint:
     integers: ``_scaled_row`` is ``scaled([*coeffs, rhs])``, computed once
     here. The tableau copies it and ``is_feasible`` reads it; neither
     scales the row again. ``_signed`` writes a row of unit coefficients
-    straight into integers. ``build_primal`` and ``build_dual`` write
-    every row with it, and so does ``formulations.sub_dual`` for a
-    coalition's dual program, from the game's layout, with names and
-    costs taken from the game's program."""
+    straight into integers: every row of ``build_primal``, of
+    ``build_dual`` and of row generation (``analysis._core_optimum``).
+    A coalition's dual rows are cut from the game's rows' kept integers
+    and solved unbuilt by ``LinearProgram._bland_part``."""
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
@@ -193,10 +194,8 @@ class LinearProgram:
         ``scaled_objective`` equal to ``scaled(objective)``. Only the names
         are checked, since an instance that is not validated may name two
         columns alike; the callers, ``build_primal``, ``build_dual`` and
-        ``sub_dual``, build every other part soundly. ``sub_dual`` writes a
-        coalition's rows from the game's layout through
-        ``Constraint._signed`` and takes its names and costs from the
-        game's built program."""
+        row generation's rounds (``analysis._core_optimum``), build every
+        other part soundly, each row through ``Constraint._signed``."""
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
         lp = object.__new__(LinearProgram)
@@ -205,6 +204,24 @@ class LinearProgram:
         lp.constraints, lp.lower, lp.upper = constraints, lower, upper
         lp._shifted = any(lower)
         return lp
+
+    @staticmethod
+    def _bland_part(n: int, rows: Sequence[tuple[list[int], int]], costs: Sequence[int],
+                    k: int) -> Fraction:
+        """``costs[:k] . x``, one Fraction, at the vertex minimizing the
+        integers ``costs`` over x >= 0 and the >= ``rows``, each (ints, den)
+        as ``Constraint._scaled_row`` keeps one: ``solve``'s pivots on that
+        program, never built. ValueError when it has no optimum."""
+        tableau = object.__new__(_Tableau)
+        tableau._start(n, rows, (_GE,) * len(rows), (), costs, 1)
+        if not tableau._phase1() or tableau._run(tableau.rows.pop(), tableau.dens.pop(),
+                                                  range(tableau.ncols))[0] is not None:
+            raise ValueError("the program has no optimum")
+        num, den = 0, 1
+        for row, d, bj in zip(tableau.rows, tableau.dens, tableau.basis):
+            if bj < k:
+                num, den = num * d + costs[bj] * row[-1] * den, den * d
+        return Fraction(num, den)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         return dot(self.objective, values)
@@ -297,17 +314,31 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = len(lp.variables)
-        caps = [(j, hi - lo) for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper))
-                if hi is not None]
+        rows = [con._scaled_row for con in lp.constraints]
+        if lp._shifted:
+            # rhs - coeffs . lower, over den * lscale, in lowest terms.
+            lows, lscale = scaled(lp.lower)
+            rows = [_lowest([a * lscale for a in ints[:-1]]
+                            + [ints[-1] * lscale - sum(map(mul, ints, lows))], den * lscale)
+                    for ints, den in rows]
+        ints, scale = lp._scaled_objective
+        self._start(len(lp.variables), rows, [con.relation for con in lp.constraints],
+                    [(j, hi - lo) for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper))
+                     if hi is not None],
+                    ints if lp.sense is Sense.MINIMIZE else [-c for c in ints], scale)
+
+    def _start(self, n: int, rows: Sequence[tuple[list[int], int]],
+               relations: Sequence[Relation], caps, costs: Sequence[int], scale: int) -> None:
+        """The slack basis for minimizing ``costs / scale`` over n columns >= 0,
+        row i ``rows[i]`` (coefficients and right-hand side over den, lowest
+        terms) under ``relations[i]``, column j <= cap per (j, cap) of ``caps``."""
         # Unit columns: a slack per inequality row, then per upper bound,
         # then a column per equality row.
         self.unit = []
         slack = n
-        equal = self.ncols = n + len(caps) + sum(con.relation is not _EQ
-                                                 for con in lp.constraints)
-        for con in lp.constraints:
-            if con.relation is _EQ:
+        equal = self.ncols = n + len(caps) + sum(r is not _EQ for r in relations)
+        for relation in relations:
+            if relation is _EQ:
                 self.unit.append(equal)
                 equal += 1
             else:
@@ -316,40 +347,30 @@ class _Tableau:
         self.unit += range(slack, self.ncols)
         self.width = equal
 
-        # Each row copies its kept integers, right-hand sides made >= 0.
+        # Each row copies its integers, right-hand sides made >= 0.
         zeros = [0] * (equal - n)
-        shifted = lp._shifted
-        if shifted:
-            lows, lscale = scaled(lp.lower)
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        for con, u in zip(lp.constraints, self.unit):
-            ints, den = con._scaled_row
-            if shifted:
-                # rhs - coeffs . lower, over den * lscale.
-                row = [a * lscale for a in ints]
-                row[-1:-1] = zeros
-                row[-1] -= sum(map(mul, ints, lows))
-                den *= lscale
-            else:
-                row = [*ints]
-                row[-1:-1] = zeros
-            if u < self.ncols:
-                row[u] = den if con.relation is _LE else -den
-            if shifted:
-                row, den = _lowest(row, den)
+        for (ints, den), relation, u in zip(rows, relations, self.unit):
+            row = [*ints]
+            row[-1:-1] = zeros
+            if relation is not _EQ:
+                row[u] = den if relation is _LE else -den
             if row[-1] < 0:
                 row = [-a for a in row]
-            if u >= self.ncols:
+            if relation is _EQ:
                 row[u] = den
             self.rows.append(row)
             self.dens.append(den)
-        for (j, cap), u in zip(caps, self.unit[len(lp.constraints):]):
+        for (j, cap), u in zip(caps, self.unit[len(rows):]):
             row = [0] * (equal + 1)
             row[j] = row[u] = cap.denominator
             row[-1] = cap.numerator
             self.rows.append(row)
             self.dens.append(cap.denominator)
+        # At the starting basis, slacks and artificials, every cost is zero.
+        self.rows.append([*costs] + [0] * (equal - n + 1))
+        self.dens.append(scale)
 
     # -- simplex core ------------------------------------------------------
 
@@ -557,15 +578,9 @@ class _Tableau:
         return twin
 
     def solve(self) -> LpSolution:
-        lp = self.lp
-        ints, scale = lp._scaled_objective
-        # At the starting basis, slacks and artificials, every cost is zero.
-        zrow = [-c for c in ints] if lp.sense is Sense.MAXIMIZE else [*ints]
-        zrow += [0] * (self.width - len(ints) + 1)
-        self.rows.append(zrow)
-        self.dens.append(scale)
         if not self._phase1():
             return LpSolution(Status.INFEASIBLE)
+        lp = self.lp
         return self._phase2(self.rows.pop(), self.dens.pop(), lp._scaled_objective,
                             lp.sense, range(self.ncols))
 

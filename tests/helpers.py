@@ -11,10 +11,10 @@ from pathlib import Path
 
 from matchcore.analysis import DualFace, is_concurrent
 from matchcore.fixtures import fixture_by_name
-from matchcore.formulations import build_dual
+from matchcore.formulations import bound_columns, build_dual
 from matchcore.games import GameKind, make_instance
-from matchcore.lp import Constraint, Relation, Sense, eliminate, solve
-from matchcore.rationals import scaled
+from matchcore.lp import Constraint, LinearProgram, Relation, Sense, eliminate, solve
+from matchcore.rationals import ZERO, scaled
 
 F = Fraction
 
@@ -257,6 +257,37 @@ def parts(g, members):
 def connected(g, members):
     """Whether the members' inner edges join them all."""
     return len(parts(g, members)) == 1
+
+
+def sub_dual(lp, instance, members):
+    """Reference: ``build_dual(restrict(instance, members))`` written from
+    ``lp``, which is ``build_dual(instance)``, as a ``LinearProgram``.
+    ``restrict`` keeps the order of agents and edges, so the sub-game's
+    columns are the members' and then its inner edges' bound duals, in
+    ``lp``'s order: their names and costs are ``lp``'s at those positions
+    (an integral objective, scale 1). Each inner edge's row is written
+    through ``Constraint._signed`` with the relation and right-hand side
+    of ``lp``'s row, so nothing is checked or scaled again. The library
+    cuts the same program in integers (``analysis._Session.cut``)."""
+    chosen = frozenset(members)
+    agents = instance.agents
+    columns = [j for j, q in enumerate(agents) if q in chosen]
+    at = {agents[j]: k for k, j in enumerate(columns)}
+    inner = []
+    for e, row, bounds in zip(instance.edges, lp.constraints, bound_columns(instance)):
+        if e.u in chosen and e.v in chosen:
+            entry = {at[e.u]: 1, at[e.v]: 1}
+            for j, s in zip(bounds, (-1, 1)):
+                entry[len(columns)] = s
+                columns.append(j)
+            inner.append((entry, row))
+    n = len(columns)
+    ints, _ = lp._scaled_objective
+    return LinearProgram._trusted(
+        lp.sense, tuple([lp.variables[j] for j in columns]),
+        tuple([lp.objective[j] for j in columns]), ([ints[j] for j in columns], 1),
+        tuple([Constraint._signed(n, entry, row.relation, row.rhs) for entry, row in inner]),
+        (ZERO,) * n, (None,) * n)
 
 
 def pinned_row_face(g):

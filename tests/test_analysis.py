@@ -793,12 +793,15 @@ def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch
                        ("a2", "b2", F(58, 13), 1, 2), ("a2", "b3", F(29, 13), 0, 1),
                        ("a3", "b3", F(50, 13), 0, None)],
                       capacities={"a1": 2, "a2": 3, "a3": 1, "b1": 1, "b2": 2, "b3": 2})
-    faces, bare = [], []
+    faces, bare, cuts = [], [], []
     original, original_solve = analysis_module.OptimalFace, analysis_module.solve
+    original_cut = LinearProgram._bland_part
     monkeypatch.setattr(analysis_module, "OptimalFace",
                         lambda lp: faces.append(lp) or original(lp))
     monkeypatch.setattr(analysis_module, "solve",
                         lambda lp: bare.append(lp) or original_solve(lp))
+    monkeypatch.setattr(LinearProgram, "_bland_part",
+                        staticmethod(lambda *parts: cuts.append(parts) or original_cut(*parts)))
     nonempty, witness = core_nonempty(g)
     assert nonempty and is_core_imputation(g, witness).in_core
     covers = [helpers.closed_part(g, s)
@@ -806,15 +809,15 @@ def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch
     induced = [frozenset(e.key for e in g.edges if e.u in s and e.v in s) for s in covers]
     distinct = set(induced) - {frozenset()}
     joined = {edges for edges, s in zip(induced, covers) if edges and helpers.connected(g, s)}
-    # One face of the whole game, then one bare solve of a coalition's part
-    # of its dual program per distinct connected inner edge set: 14 here,
-    # against 19 distinct inner edge sets and 42 edge-spanning coalitions;
-    # a disconnected one sums its parts' surpluses. Row generation's
-    # programs are over the agents' payoffs.
-    sub_programs = [lp for lp in bare if lp.variables != g.agents]
+    # One face of the whole game, then one solve of a coalition's part of
+    # its dual program, cut in integers (LinearProgram._bland_part), per
+    # distinct connected inner edge set: 14 here, against 19 distinct
+    # inner edge sets and 42 edge-spanning coalitions; a disconnected one
+    # sums its parts' surpluses. The bare solves are row generation's,
+    # over the agents' payoffs.
     assert (len(joined), len(distinct), sum(map(bool, induced))) == (14, 19, 42)
-    assert len(faces) == 1
-    assert len(faces) + len(sub_programs) == 1 + len(joined)
+    assert len(faces) == 1 and bare and all(lp.variables == g.agents for lp in bare)
+    assert len(faces) + len(cuts) == 1 + len(joined)
 
 
 def test_an_hk_core_question_keeps_the_games_session_alone():
@@ -1101,6 +1104,23 @@ def test_a_zero_capacity_is_refused_by_the_side_queries():
             for query in (extreme_imputations, simultaneous_imputation):
                 with pytest.raises(ValueError, match="some capacity is zero"):
                     query(g)
+
+
+def test_a_zero_capacity_is_refused_by_the_dual_image_test():
+    # A payoff fixes its agent's vertex dual at payoff / capacity, which a
+    # capacity of zero (refused by validate, reachable through the
+    # library API) leaves undefined: in_dual_image raises ValueError
+    # naming the first such agent, for any payoffs, as the side queries
+    # raise for a zero capacity, and not ZeroDivisionError.
+    games = [(helpers.single_edge(GameKind.UNIFORM_B, weight=3, uniform_capacity=0), "a"),
+             (make_instance(GameKind.B_MATCHING, ["a"], ["b1", "b2"],
+                            [("a", "b1", 2), ("a", "b2", 1)],
+                            capacities={"a": 1, "b1": 0, "b2": 1}), "b1")]
+    for g, first in games:
+        assert validate(g)
+        for payoffs in ({}, {q: F(j + 1, 2) for j, q in enumerate(g.agents)}):
+            with pytest.raises(ValueError, match=f"agent '{first}' has capacity zero"):
+                in_dual_image(g, make_imputation(g, payoffs))
 
 
 def test_payoff_ranges_and_samples_consistent():

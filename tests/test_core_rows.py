@@ -25,7 +25,7 @@ import helpers
 from matchcore import analysis
 from matchcore import lp as lp_module
 from matchcore import oracle as oracle_module
-from matchcore.formulations import build_dual, sub_dual, vertex_dual_var
+from matchcore.formulations import build_dual, vertex_dual_var
 from matchcore.games import GameKind, make_imputation, make_instance, restrict
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
 from matchcore.oracle import max_weight, worth
@@ -403,7 +403,7 @@ def test_hk_coalition_program_is_the_sub_games_own_dual_program():
                   if helpers.closed_part(g, members) == members]
         for members in closed:
             sub = restrict(g, members)
-            program = sub_dual(analysis._session(g).face.lp, g, members)
+            program = helpers.sub_dual(analysis._session(g).face.lp, g, members)
             own = build_dual(sub)
             assert program.sense is own.sense
             assert program.variables == own.variables
@@ -422,6 +422,53 @@ def test_hk_coalition_program_is_the_sub_games_own_dual_program():
             seen["open"] += any(e.upper is None for e in sub.edges)
         analysis._session.cache_clear()
     assert seen["coalitions"] >= 5000 and min(seen.values()) >= 1000, seen
+
+
+def test_an_hk_demand_is_the_reference_surplus_on_the_cut_of_the_games_program(monkeypatch):
+    # A connected coalition's dual program is cut in integers from the
+    # game's (analysis._Session.cut) and never built. The tableau that
+    # its solve hands to phase 1 is the one the engine starts from on the
+    # program written out (helpers.sub_dual): rows, denominators, unit
+    # columns and the cost row, last. Its demand is the surplus under
+    # the Bland dual of the coalition's own sub-game, from that sub-game's
+    # own session. Checked on every connected row of the HK cap-set games
+    # and of 320 seeded HK games, half of them with every weight divided
+    # by a seeded 2 to 6.
+    starts, phase1 = [], lp_module._Tableau._phase1
+
+    def started(tableau):
+        starts.append(([row[:] for row in tableau.rows], tableau.dens[:], tableau.unit[:],
+                       tableau.ncols, tableau.width))
+        return phase1(tableau)
+
+    monkeypatch.setattr(lp_module._Tableau, "_phase1", started)
+    rng, divisors = random.Random(4646), random.Random(4647)
+    games = [g for _, _, g in helpers.cap_set(("hoffman_kruskal",))]
+    for trial in range(320):
+        g = helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
+        if trial % 2:
+            g = replace(g, edges=tuple(replace(e, weight=e.weight / divisors.randint(2, 6))
+                                       for e in g.edges))
+        games.append(g)
+    seen = Counter()
+    for g in games:
+        analysis._session.cache_clear()
+        session = analysis._session(g)
+        assert session.face.base.status is Status.OPTIMAL
+        for members, _ in analysis._coalitions(g):
+            starts.clear()
+            demand = analysis._demand(g, members)
+            own = lp_module._Tableau(helpers.sub_dual(session.face.lp, g, members))
+            assert starts == [(own.rows, own.dens, own.unit, own.ncols, own.width)], members
+            assert demand == analysis._surplus(analysis.optimal_dual(restrict(g, members)))
+            inner = [e for e in g.edges if e.u in members and e.v in members]
+            seen["rows"] += 1
+            seen["floor"] += any(e.lower > 0 for e in inner)
+            seen["ceiling"] += any(e.upper is not None for e in inner)
+            seen["fractional"] += any(e.weight.denominator > 1 for e in inner)
+    # Counts at these seeds: 5,369 rows (2,786 of the cap set), 3,179 with
+    # a floor, 5,052 with a ceiling and 1,156 with a weight not an integer.
+    assert seen["rows"] >= 5000 and min(seen.values()) >= 1000, seen
 
 
 def _probes(g, rng):

@@ -22,7 +22,7 @@ from fraction_simplex import FractionFace
 from matchcore import lp as lp_module
 from matchcore import rationals
 from matchcore import analysis
-from matchcore.formulations import build_dual, build_primal, sub_dual
+from matchcore.formulations import build_dual, build_primal
 from matchcore.lp import (
     Constraint,
     LinearProgram,
@@ -227,7 +227,7 @@ def calls_from(run, callees):
 
 def test_a_signed_row_keeps_its_integers_without_scaling():
     # Constraint._signed writes every row of build_primal, build_dual and
-    # sub_dual: a row of unit coefficients at the given columns, zero
+    # row generation: a row of unit coefficients at the given columns, zero
     # elsewhere. It equals the row the validating constructor builds from
     # the same parts, and its kept integers are scaled([*coeffs, rhs]),
     # with no number coerced or scaled on the way.
@@ -249,7 +249,7 @@ def test_a_signed_row_keeps_its_integers_without_scaling():
     assert fractional >= 100, fractional
 
 
-def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
+def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds(monkeypatch):
     # A program is put into integers when it is built, and build_dual
     # writes its integers straight in: building and solving a cap-set
     # game's dual program (minimizing, every lower bound zero) calls
@@ -261,20 +261,47 @@ def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds():
     for kind, s, g in helpers.cap_set():
         _, counts = calls_from(lambda: lp_module.solve(build_dual(g)), callees)
         assert not counts, (kind, s, counts)
-    # A coalition's dual program is written from the game's built one
-    # (sub_dual): on every connected row of the hoffman_kruskal cap-set
-    # games, no number is coerced or scaled and no row or program goes
-    # through the validating constructors.
-    callees = (rationals.scaled, rationals.ensure_rational,
-               Constraint.__init__, LinearProgram.__init__)
-    written = 0
+    # A coalition's dual program is cut in integers from the game's
+    # (analysis._Session.cut) and solved by LinearProgram._bland_part: on
+    # every connected row of the hoffman_kruskal cap-set games, the
+    # demand, its session's layout included, coerces and scales no number
+    # and builds no row or program, through the validating constructors
+    # or the trusted ones.
+    callees = (rationals.scaled, rationals.ensure_rational, Constraint.__init__,
+               Constraint._signed, LinearProgram.__init__, LinearProgram._trusted)
+    cut = 0
     for _, s, g in helpers.cap_set(("hoffman_kruskal",)):
-        program = build_dual(g)
+        analysis._session.cache_clear()
+        assert analysis._session(g).face.base.status is Status.OPTIMAL
         for members, _ in analysis._coalitions(g):
-            _, counts = calls_from(lambda: sub_dual(program, g, members), callees)
+            _, counts = calls_from(lambda: analysis._demand(g, members), callees)
             assert not counts, (s, members, counts)
-            written += 1
-    assert written == 2786, written
+            cut += 1
+    assert cut == 2786, cut
+    # Row generation (analysis._core_optimum) on the same games, as
+    # core_nonempty runs it: each round's program goes through
+    # LinearProgram._trusted and each new row through Constraint._signed,
+    # the objective is scaled once per call and the optimum's payoffs
+    # once per round (analysis._shortfalls), and nothing else is coerced,
+    # scaled or built.
+    runs, optimum = [], analysis._core_optimum
+
+    def counted(*args):
+        sol, counts = calls_from(lambda: optimum(*args), callees)
+        runs.append(counts)
+        return sol
+
+    monkeypatch.setattr(analysis, "_core_optimum", counted)
+    for _, s, g in helpers.cap_set(("hoffman_kruskal",)):
+        analysis._session.cache_clear()
+        assert analysis.core_nonempty(g)[0]
+        (counts,) = runs
+        rounds = counts["LinearProgram._trusted", "_core_optimum"]
+        assert rounds >= 2 and counts == {("LinearProgram._trusted", "_core_optimum"): rounds,
+                                          ("Constraint._signed", "_core_optimum"): rounds - 1,
+                                          ("scaled", "_core_optimum"): 1,
+                                          ("scaled", "_shortfalls"): rounds}, (s, counts)
+        runs.clear()
 
 
 def test_optimal_face_segment():
@@ -783,16 +810,26 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
     # row written twice (phase 1 drops one as redundant when the program
     # is feasible), on every cap-set game's build_dual and build_primal,
     # and on one in eight of the HK cap-set games' 2,786 coalition
-    # programs (sub_dual), in the library's order: all of them would cost
-    # the reference about 10 s.
+    # programs, in the library's order, each cut in integers from the
+    # game's (analysis._Session.cut) and solved by
+    # LinearProgram._bland_part, against the reference on the program
+    # written out (helpers.sub_dual): all of them would cost the
+    # reference about 10 s.
     log = _logged_pivots(monkeypatch)
     seen = dict(programs=0, queries=0, phase1=0, reentered=0, contested=0, dropped=0)
 
-    def follow(lp, queries=()):
+    def follow(lp, queries=(), cut=None):
         log.clear()
         reference = FractionFace(lp)
-        face = lp_module.OptimalFace(lp)
-        assert face.base == reference.base
+        if cut is None:
+            face = lp_module.OptimalFace(lp)
+            assert face.base == reference.base
+        else:
+            # The demand is the members' cost at the reference's vertex.
+            session, members = cut
+            k = len(members)
+            assert (LinearProgram._bland_part(*session.cut(members), k)
+                    == fraction_sum(lp.objective[:k], reference.base.values[:k]))
         assert log == reference.log
         seen["programs"] += 1
         seen["phase1"] += any(phase == 1 for phase, _, _ in log)
@@ -800,7 +837,7 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
         seen["reentered"] += any(phase == 1 and enter >= first for phase, _, enter in log)
         seen["contested"] += reference._tableau.contested > 0
         seen["dropped"] += reference._tableau.dropped > 0
-        if face.base.status is not Status.OPTIMAL:
+        if cut is not None or face.base.status is not Status.OPTIMAL:
             return
         asked = set()
         for objective, sense in queries:
@@ -837,9 +874,9 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
         follow(build_dual(g))
         follow(build_primal(g))
     for kind, s, g in helpers.cap_set(("hoffman_kruskal",)):
-        program = build_dual(g)
+        session = analysis._session(g)
         for members, _ in list(analysis._coalitions(g))[::8]:
-            follow(sub_dual(program, g, members))
+            follow(helpers.sub_dual(session.face.lp, g, members), cut=(session, members))
     # Counts at these seeds: programs 2,580, queries 4,559, phase1 2,091,
     # reentered 68 (an artificial entering again in phase 1; 16 of them
     # in the first 1,200 programs), contested 5 (one entering while
@@ -848,6 +885,39 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
     assert reentered >= 15 and seen["contested"] >= 4, (reentered, seen)
     assert seen["dropped"] >= 20 and repeated >= 20, seen
     assert seen["programs"] >= 1500 and seen["queries"] >= 4000, seen
+
+
+def test_a_program_given_in_integers_pivots_as_its_built_program(monkeypatch):
+    # LinearProgram._bland_part minimizes integral costs over integer >=
+    # rows without building the program: on 600 seeded programs it takes
+    # the pivots that solve takes on the LinearProgram of the same parts,
+    # phase 1 included, and returns the cost of the first k columns at
+    # solve's vertex, or raises ValueError where solve finds no optimum.
+    log = _logged_pivots(monkeypatch)
+    rng = random.Random(4600)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        rows = [Constraint([rng.randint(-3, 3) for _ in range(n)], Relation.GE,
+                           F(rng.randint(-6, 6), rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 5))]
+        costs = [rng.randint(-2, 5) for _ in range(n)]
+        parts = n, [row._scaled_row for row in rows], costs, rng.randint(0, n)
+        log.clear()
+        sol = solve(LinearProgram(Sense.MINIMIZE, [f"x{j}" for j in range(n)], costs, rows))
+        built = list(log)
+        log.clear()
+        if sol.status is Status.OPTIMAL:
+            k = parts[-1]
+            assert LinearProgram._bland_part(*parts) == fraction_sum(costs[:k], sol.values[:k])
+        else:
+            with pytest.raises(ValueError):
+                LinearProgram._bland_part(*parts)
+        assert log == built
+        seen[sol.status] += 1
+        seen["phase1"] += any(phase == 1 for phase, _, _ in built)
+    # Counts at this seed: 236 optimal, 211 infeasible, 153 unbounded.
+    assert min(seen.values()) >= 50, seen
 
 
 def test_every_pivot_finds_the_rows_in_normal_form(monkeypatch):
