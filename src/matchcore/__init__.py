@@ -73,7 +73,6 @@ from .lp import (
 )
 from .oracle import (
     ClassLabel,
-    InfeasibleInstanceError,
     Matching,
     classify_player,
     classify_team,

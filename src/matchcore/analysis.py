@@ -38,7 +38,6 @@ from .lp import (
 )
 from .oracle import (
     ClassLabel,
-    InfeasibleInstanceError,
     classify_player,
     classify_team,
     is_degenerate,
@@ -55,8 +54,7 @@ class DualSolution:
     """One point of the dual program of ``instance``.
 
     ``values`` holds one exact value per column of ``build_dual(instance)``
-    (ValueError on another length, InfeasibleInstanceError when that
-    program has no optimum): agent j's vertex dual is column j, and an
+    (ValueError on another length): agent j's vertex dual is column j, and an
     edge's bound duals are the columns past the agents where its own dual
     row has -1 (lower) and +1 (upper); a missing one reads as zero.
     """
@@ -113,7 +111,8 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     Raises ValueError for an entry with no column in the dual program: an
     unknown agent, an edge key the instance does not have (reversed keys
     included), or a lower or upper entry on an edge without that bound dual.
-    Raises InfeasibleInstanceError when the dual program has no optimum.
+    The dual program always has an optimum: the instance is valid, so its
+    matching program is feasible (the floors fit) and bounded.
     """
     values = [ZERO] * len(_session(instance).face.lp.variables)
     for q, value in vertex_duals.items():
@@ -136,7 +135,8 @@ class _Session:
     scanned so far as (members, demand) pairs. A coalition's demand is
     solved on its part of this dual program, which ``cut`` takes from the
     program's kept integers through the ``layout``, so no sub-game,
-    program or row is built for it.
+    program or row is built for it. The instance was validated when built,
+    so the session checks none of its data.
     """
 
     def __init__(self, instance: GameInstance):
@@ -146,12 +146,9 @@ class _Session:
 
     @cached_property
     def face(self) -> OptimalFace:
-        """The one solve of the instance's dual program, shared by every query."""
-        face = OptimalFace(build_dual(self.instance))
-        if face.base.status is not Status.OPTIMAL:
-            raise InfeasibleInstanceError(
-                "the matching program has no finite optimum (infeasible bounds)")
-        return face
+        """The one solve of the instance's dual program, shared by every
+        query; optimal, as the instance is valid (see ``make_dual``)."""
+        return OptimalFace(build_dual(self.instance))
 
     @cached_property
     def edge_rows(self) -> dict[EdgeKey, int]:
@@ -211,20 +208,11 @@ class _Session:
         as no point exceeds g there, and the objective then fixes its
         side_v part, since y_v >= g_v with b_v > 0 and b . y = b . g.
         So the side_u query returns g, and the side_v query the least
-        element.
-
-        ValueError when a side query is unbounded, which a capacity of
-        zero (refused by ``validate``) causes.
+        element. A valid instance has no zero capacity, so both are bounded.
         """
-        instance = self.instance
-        k, rest = len(instance.side_u), len(instance.side_v)
-        ends = []
-        for coeffs in ([ONE] * k + [ZERO] * rest, [ZERO] * k + [ONE] * rest):
-            sol = self.face.optimize(coeffs, Sense.MAXIMIZE)
-            if sol.status is not Status.OPTIMAL:
-                raise ValueError("the optimal dual face is unbounded: some capacity is zero")
-            ends.append(sol.values)
-        return tuple(ends)
+        k, rest = len(self.instance.side_u), len(self.instance.side_v)
+        return tuple(self.face.optimize(coeffs, Sense.MAXIMIZE).values
+                     for coeffs in ([ONE] * k + [ZERO] * rest, [ZERO] * k + [ONE] * rest))
 
     @cached_property
     def grand_range(self) -> tuple[Fraction, Fraction | None]:
@@ -587,7 +575,8 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     program's optimum equals the dual optimum exactly when some optimal
     dual has these vertex duals. ValueError unless ``imp`` pays exactly
     the instance's agents, each at least zero, so every fixed value lies
-    within its column's bounds (lower 0, no upper), and on a zero capacity.
+    within its column's bounds (lower 0, no upper); every capacity of a
+    valid instance is positive, so each division is defined.
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
@@ -596,8 +585,6 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     lp = face.lp
     lower, upper = list(lp.lower), list(lp.upper)
     for j, (q, payoff) in enumerate(zip(instance.agents, payoffs)):
-        if not instance.capacity(q):
-            raise ValueError(f"agent {q!r} has capacity zero, which fixes no vertex dual")
         lower[j] = upper[j] = payoff / F(instance.capacity(q))
     fixed = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
                                 lp.constraints, lower, upper))
@@ -812,8 +799,7 @@ def payoff_range(instance: GameInstance, q: str,
     assignment, uniform_b and b_matching are read off the face's two
     side-optimal vertices and for the other kinds come from two face
     queries of the agent's own. ValueError on a non-concurrent general
-    game, which has none, and on a lattice kind with a zero capacity
-    (``_Session.side_optimal``)."""
+    game, which has none."""
     if _empty_general_core(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     face = _face_of(instance, face)
@@ -940,8 +926,9 @@ def extreme_imputations(instance: GameInstance,
                         face: DualFace | None = None) -> tuple[Imputation, Imputation]:
     """The two antipodal core imputations: (left-high, right-low) and
     (left-low, right-high), the payoffs of the face's two side-optimal
-    vertices (``_Session.side_optimal``), so each agent is paid one end
-    of its ``payoff_range``."""
+    vertices (``_Session.side_optimal``, bounded as no capacity of a
+    valid game is zero), so each agent is paid one end of its
+    ``payoff_range``."""
     if instance.kind not in _EXTREME_KINDS:
         raise ValueError("extreme imputations apply to assignment and "
                          "uniform-capacity kinds")

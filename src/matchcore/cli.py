@@ -28,7 +28,7 @@ from .formulations import (
 )
 from .games import GameInstance, GameKind, make_imputation
 from .instance_io import InstanceError, parse_instance_with_imputation
-from .oracle import InfeasibleInstanceError, enumerate_optima, max_weight
+from .oracle import enumerate_optima, max_weight
 from .rationals import format_rational
 
 EXIT_OK = 0
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
                                     f"{' and '.join(k.value for k in kinds)} instances")
             _describe(instance, report)
         code = handler(args, report, instance, payoffs)
-    except (InstanceError, CapExceededError, InfeasibleInstanceError) as exc:
+    except (InstanceError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, ValueError) as exc:

@@ -4,7 +4,9 @@ A game lives on a weighted graph. Four kinds are bipartite (plain
 assignment, uniform-capacity multi-matching, per-vertex-capacity
 multi-matching, and capacity matching with per-edge lower/upper bounds);
 the fifth is matching on a general graph. Edge weights are strictly
-positive rationals. All value types are immutable and hashable.
+positive rationals. All value types are immutable and hashable, and
+an instance is judged by ``validate`` when it is built: a malformed one
+raises ``InstanceError`` and never exists.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ BIPARTITE_KINDS = frozenset({
     GameKind.ASSIGNMENT, GameKind.UNIFORM_B,
     GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL,
 })
+
+
+class InstanceError(ValueError):
+    """Syntax or validation failure; carries a line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line else message)
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,9 @@ class GameInstance:
     ``side_u``/``side_v`` are the two sides for bipartite kinds. The
     general kind stores its single vertex set in ``side_u`` and leaves
     ``side_v`` empty. ``capacities`` applies to the per-vertex-capacity
-    kinds; ``uniform_capacity`` to the uniform kind.
+    kinds; ``uniform_capacity`` to the uniform kind. Building one runs
+    ``validate`` and raises ``InstanceError`` listing every violation, so
+    each instance the analysis meets is well formed.
     """
     kind: GameKind
     side_u: tuple[str, ...]
@@ -77,6 +89,11 @@ class GameInstance:
     edges: tuple[Edge, ...] = ()
     capacities: tuple[tuple[str, int], ...] = ()
     uniform_capacity: int | None = None
+
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            raise InstanceError("; ".join(problems))
 
     @cached_property
     def agents(self) -> tuple[str, ...]:
@@ -122,7 +139,8 @@ class GameInstance:
 
 def make_instance(kind, side_u, side_v=(), edges=(), capacities=None,
                   uniform_capacity=None) -> GameInstance:
-    """Assemble an instance from the data as given; ``validate`` judges it."""
+    """Assemble an instance from the data as given; building it runs
+    ``validate``, which refuses malformed data with ``InstanceError``."""
     kind = kind if isinstance(kind, GameKind) else GameKind(kind)
     items = capacities.items() if isinstance(capacities, Mapping) else capacities or ()
     built = tuple(e if isinstance(e, Edge) else make_edge(*e) for e in edges)
@@ -186,46 +204,55 @@ def restrict(instance: GameInstance, members: Iterable[str]) -> GameInstance:
     side_v = tuple(q for q in instance.side_v if q in chosen)
     edges = tuple(e for e in instance.edges if e.u in chosen and e.v in chosen)
     caps = tuple((q, b) for q, b in instance.capacities if q in chosen)
-    return GameInstance(instance.kind, side_u, side_v, edges, caps,
-                        instance.uniform_capacity)
+    # A sub-game of a valid game is valid, so it is built past the gate
+    # (``validate`` would cost more than the rest of ``restrict``): its
+    # agents, inner edges with their bounds and capacities are the
+    # parent's, and dropping edges only lowers each agent's floor total.
+    sub = object.__new__(GameInstance)
+    vars(sub).update(kind=instance.kind, side_u=side_u, side_v=side_v, edges=edges,
+                     capacities=caps, uniform_capacity=instance.uniform_capacity)
+    return sub
 
 
 def validate(instance: GameInstance) -> list[str]:
-    """The one judge of instance data: all violations, [] when well formed."""
+    """The one judge of instance data: all violations, [] when well formed.
+    Building a ``GameInstance`` runs it and raises ``InstanceError`` on
+    any violation, so every instance that exists passes it."""
     out: list[str] = []
-    agents = instance.agents
+    kind, agents = instance.kind, instance.agents
     named = [q for q, _ in instance.capacities]
     # Capacity keys name agents too; one that is not a string may not hash.
     unnamed = [q for q in agents + tuple(named) if not isinstance(q, str)]
     if unnamed:
         return [f"agent name {q!r} is not a string" for q in unnamed]
-    if len(set(agents)) != len(agents):
-        out.append("duplicate agent names")
-        return out
-    for q in agents:
-        if any(c in q for c in ",[]"):
-            out.append(f"agent name {q!r} contains ',', '[' or ']'")
-    agent_set = set(agents)
-    left, right = set(instance.side_u), set(instance.side_v)
+    # Agents by position. On a bipartite kind side_u's come first, so an
+    # edge crosses when one end is below n_u and the other is not.
+    at = dict(zip(agents, range(len(agents))))
+    if len(at) != len(agents):
+        return ["duplicate agent names"]
+    out += [f"agent name {q!r} contains ',', '[' or ']'"
+            for q in agents if "," in q or "[" in q or "]" in q]
 
-    if instance.kind is GameKind.GENERAL and instance.side_v:
+    if kind is GameKind.GENERAL and instance.side_v:
         out.append("general instances use a single vertex set")
-    if instance.kind is GameKind.UNIFORM_B:
+    if kind is GameKind.UNIFORM_B:
         if not _is_int(instance.uniform_capacity) or instance.uniform_capacity < 1:
             out.append("uniform capacity must be a positive integer")
     elif instance.uniform_capacity is not None:
         out.append("a uniform capacity only applies to uniform_b instances")
-    per_vertex = instance.kind in (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
-    out += [f"capacity for unknown agent {q!r}" for q in named if q not in agent_set]
-    if not per_vertex and agent_set.intersection(named):
+    per_vertex = kind is GameKind.B_MATCHING or kind is GameKind.HOFFMAN_KRUSKAL
+    out += [f"capacity for unknown agent {q!r}" for q in named if q not in at]
+    if not per_vertex and not at.keys().isdisjoint(named):
         out.append("per-vertex capacities only apply to b_matching and "
                    "hoffman_kruskal instances")
+    caps = instance._capacity_map       # each name once, in first-listed order
     out += [f"capacity for {q!r} listed {named.count(q)} times"
-            for q in dict.fromkeys(named) if named.count(q) > 1]
+            for q in (caps if len(caps) < len(named) else ()) if named.count(q) > 1]
     if per_vertex:
-        caps = instance._capacity_map
         for q in agents:
             b = caps.get(q)
+            if type(b) is int and b >= 1:
+                continue
             if b is None:
                 out.append(f"missing capacity for {q}")
             elif not _is_int(b):
@@ -233,36 +260,40 @@ def validate(instance: GameInstance) -> list[str]:
             elif b < 1:
                 out.append(f"non-positive capacity for {q}")
 
+    hk = kind is GameKind.HOFFMAN_KRUSKAL
+    n_u = len(instance.side_u) if kind in BIPARTITE_KINDS else None
     seen_pairs = set()
     for e in instance.edges:
-        if e.u not in agent_set or e.v not in agent_set:
-            out.append(f"edge ({e.u},{e.v}) touches unknown agents")
+        u, v, lo, hi = e.u, e.v, e.lower, e.upper
+        a, b = at.get(u), at.get(v)
+        if a is None or b is None:
+            out.append(f"edge ({u},{v}) touches unknown agents")
             continue
-        if e.u == e.v:
-            out.append(f"self-loop at {e.u}")
-        pair = frozenset((e.u, e.v))
+        if a == b:
+            out.append(f"self-loop at {u}")
+        pair = (a, b) if a < b else (b, a)
         if pair in seen_pairs:
-            out.append(f"parallel edge ({e.u},{e.v})")
+            out.append(f"parallel edge ({u},{v})")
         seen_pairs.add(pair)
         if not isinstance(e.weight, Fraction):
-            out.append(f"weight on ({e.u},{e.v}) must be a Fraction")
-        elif e.weight <= 0:
-            out.append(f"non-positive weight on ({e.u},{e.v})")
-        if instance.kind in BIPARTITE_KINDS:
-            if not ((e.u in left and e.v in right) or (e.u in right and e.v in left)):
-                out.append(f"edge ({e.u},{e.v}) does not cross the bipartition")
-        if not _is_int(e.lower) or not (e.upper is None or _is_int(e.upper)):
-            out.append(f"multiplicity bounds on ({e.u},{e.v}) must be integers")
-        elif instance.kind is GameKind.HOFFMAN_KRUSKAL:
-            if e.lower < 0:
-                out.append(f"negative lower bound on ({e.u},{e.v})")
-            if e.upper is not None and e.upper < e.lower:
-                out.append(f"upper bound below lower bound on ({e.u},{e.v})")
-        elif e.lower != 0 or e.upper is not None:
+            out.append(f"weight on ({u},{v}) must be a Fraction")
+        elif e.weight.numerator <= 0:     # a Fraction's denominator is positive
+            out.append(f"non-positive weight on ({u},{v})")
+        if n_u is not None and (a < n_u) == (b < n_u):
+            out.append(f"edge ({u},{v}) does not cross the bipartition")
+        if not (type(lo) is int or _is_int(lo)) or not (
+                hi is None or type(hi) is int or _is_int(hi)):
+            out.append(f"multiplicity bounds on ({u},{v}) must be integers")
+        elif hk:
+            if lo < 0:
+                out.append(f"negative lower bound on ({u},{v})")
+            if hi is not None and hi < lo:
+                out.append(f"upper bound below lower bound on ({u},{v})")
+        elif lo != 0 or hi is not None:
             out.append(f"edge multiplicity bounds only apply to "
-                       f"{GameKind.HOFFMAN_KRUSKAL.value} instances: ({e.u},{e.v})")
+                       f"{GameKind.HOFFMAN_KRUSKAL.value} instances: ({u},{v})")
 
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL and not out and not _hk_feasible(instance):
+    if hk and not out and not _hk_feasible(instance):
         out.append("lower bounds infeasible")
     return out
 
@@ -282,6 +313,8 @@ def _hk_feasible(instance: GameInstance) -> bool:
     when they are: every agent's floors sum to at most its capacity."""
     floors = dict.fromkeys(instance.agents, 0)
     for e in instance.edges:
-        floors[e.u] += e.lower
-        floors[e.v] += e.lower
-    return all(total <= instance.capacity(q) for q, total in floors.items())
+        if e.lower:
+            floors[e.u] += e.lower
+            floors[e.v] += e.lower
+    caps = instance._capacity_map
+    return all(total <= caps[q] for q, total in floors.items())

@@ -23,19 +23,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .games import GameInstance, GameKind, make_instance, validate
+from .games import GameInstance, GameKind, InstanceError, make_instance
 from .rationals import format_rational, parse_rational
 
 _NAME = re.compile(r"^[A-Za-z0-9_.+-]+$")
 _INT = re.compile(r"[-+]?[0-9]+")
-
-
-class InstanceError(ValueError):
-    """Syntax or validation failure; carries a line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
 
 
 def _name(token: str, lineno: int) -> str:
@@ -130,9 +122,6 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
         agents_u, agents_v = side_u, side_v
 
     instance = make_instance(kind, agents_u, agents_v, edges, caps, b_const)
-    problems = validate(instance)
-    if problems:
-        raise InstanceError("; ".join(problems))
     if payoffs is not None:
         unknown = set(payoffs) - set(instance.agents)
         if unknown:

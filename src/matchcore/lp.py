@@ -191,13 +191,11 @@ class LinearProgram:
     def _trusted(sense, variables, objective, scaled_objective, constraints,
                  lower, upper) -> "LinearProgram":
         """The program of parts already as ``__init__`` leaves them, with
-        ``scaled_objective`` equal to ``scaled(objective)``. Only the names
-        are checked, since an instance that is not validated may name two
-        columns alike; the callers, ``build_primal``, ``build_dual`` and
-        row generation's rounds (``analysis._core_optimum``), build every
-        other part soundly, each row through ``Constraint._signed``."""
-        if len(set(variables)) != len(variables):
-            raise ValueError("variable names must be unique")
+        ``scaled_objective`` equal to ``scaled(objective)``, unchecked: the
+        callers, ``build_primal``, ``build_dual`` and row generation's
+        rounds (``analysis._core_optimum``), build every part soundly, each
+        row through ``Constraint._signed``, and a valid instance's names
+        (distinct, free of ',', '[' and ']') name distinct columns."""
         lp = object.__new__(LinearProgram)
         lp.sense, lp.variables, lp.objective = sense, variables, objective
         lp._scaled_objective = scaled_objective

@@ -12,7 +12,10 @@ matter, so both answers are exact; the walk lists at most
 ``caps.MAX_OPTIMA`` optima and refuses beyond. Both searches add and
 compare integers, the weights scaled by the lcm of their denominators;
 values come back as ``Fraction``. What the LP side claims (worths,
-optima, classes, degeneracy) is cross-checked against this.
+optima, classes, degeneracy) is cross-checked against this. Neither
+search judges the instance: building it ran ``games.validate``, so its
+edges cross a bipartite game's sides with positive weights and its
+floors fit the capacities.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ from typing import Iterable
 from .caps import MAX_OPTIMA, CapExceededError, check_instance_size
 from .games import BIPARTITE_KINDS, EdgeKey, GameInstance, restrict
 from .rationals import dot, scaled
-
-
-class InfeasibleInstanceError(Exception):
-    """No integral matching satisfies the edge lower bounds."""
 
 
 class ClassLabel(Enum):
@@ -162,8 +161,6 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
                                     for j, i in enumerate(rank) if found_mults[i]))
                      for found_mults in found)
         return Fraction(need, scale), tuple(sorted(matchings, key=lambda m: m.entries))
-    if need == 0:           # any matching, even of weight 0, raises it to 1
-        raise InfeasibleInstanceError("edge lower bounds admit no matching")
     return Fraction(need - 1, scale), ()
 
 
@@ -179,7 +176,8 @@ def _flow(instance: GameInstance, weights: list[int]) -> int:
     with capacity left. Bellman-Ford finds the path of greatest gain, and
     the path's bottleneck is pushed along it. Each push keeps the flow the
     heaviest of its size, so the first path of no positive gain ends the
-    search at the optimum.
+    search at the optimum. The game is valid, so each edge joins side U to
+    side V and the floors leave no capacity below zero.
     """
     at = {q: k for k, q in enumerate(instance.agents)}
     n_u, n = len(instance.side_u), len(at)
@@ -190,10 +188,6 @@ def _flow(instance: GameInstance, weights: list[int]) -> int:
         a, b = at[e.u], at[e.v]
         if a > b:
             a, b = b, a
-        if not a < n_u <= b:
-            raise ValueError(f"edge ({e.u},{e.v}) does not cross the bipartition")
-        if w <= 0:
-            raise ValueError(f"non-positive weight on ({e.u},{e.v})")
         lo, hi = e.lower, e.upper
         if lo:
             total += w * lo
@@ -202,8 +196,6 @@ def _flow(instance: GameInstance, weights: list[int]) -> int:
         # [side U end, side V end, weight, room, flow above the floor];
         # uncapped, an edge's room is its side U end's capacity.
         arcs.append([a, b, w, caps[a] if hi is None else hi - lo, 0])
-    if min(left, default=0) < 0:
-        raise InfeasibleInstanceError("edge lower bounds admit no matching")
     while any(left[:n_u]) and any(left[n_u:]):
         gain = [0 if c else None for c in left[:n_u]] + [None] * (n - n_u)
         # A side V agent is entered forward, a side U agent backward, so

@@ -12,7 +12,7 @@ from pathlib import Path
 from matchcore.analysis import DualFace, is_concurrent
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import bound_columns, build_dual
-from matchcore.games import GameKind, make_instance
+from matchcore.games import GameKind, InstanceError, make_instance
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, eliminate, solve
 from matchcore.rationals import ZERO, scaled
 
@@ -505,3 +505,52 @@ MALFORMED_FILES = {
     "general-side_v-only": ("game general\nside_v a b\nedge a b weight 1\n",
                             "general instances list 'vertices', not sides"),
 }
+
+
+def shrink(game, predicate):
+    """A smaller game on which ``predicate`` still holds: greedily and
+    deterministically, the first of ``_shrink_moves`` whose game the gate
+    accepts (``make_instance`` raises no ``InstanceError``) and the
+    predicate holds on is taken, and the moves start again from the
+    first, until none is taken. ``predicate`` must hold on ``game``."""
+    while True:
+        for args in _shrink_moves(game):
+            try:
+                smaller = make_instance(*args)
+            except InstanceError:
+                continue
+            if predicate(smaller):
+                game = smaller
+                break
+        else:
+            return game
+
+
+def _shrink_moves(g):
+    """make_instance arguments of the games one move from ``g``, in a
+    fixed order: drop an edge; drop an agent no edge uses; drop a floor,
+    then a ceiling; lower a weight, a ceiling, a capacity by one."""
+    edges = [(e.u, e.v, e.weight, e.lower, e.upper) for e in g.edges]
+    caps = dict(g.capacities)
+
+    def game(edges=edges, drop=None, caps=caps, uniform=g.uniform_capacity):
+        side_u, side_v = (tuple(q for q in side if q != drop) for side in (g.side_u, g.side_v))
+        kept = {q: b for q, b in caps.items() if q != drop}
+        return g.kind, side_u, side_v, edges, kept or None, uniform
+
+    def each_edge(change):
+        for i, e in enumerate(edges):
+            if (new := change(*e)) is not None:
+                yield game(edges=edges[:i] + [new] + edges[i + 1:])
+
+    for i in range(len(edges)):
+        yield game(edges=edges[:i] + edges[i + 1:])
+    used = {q for e in edges for q in e[:2]}
+    yield from (game(drop=q) for q in g.agents if q not in used)
+    yield from each_edge(lambda u, v, w, lo, hi: (u, v, w, 0, hi) if lo else None)
+    yield from each_edge(lambda u, v, w, lo, hi: None if hi is None else (u, v, w, lo, None))
+    yield from each_edge(lambda u, v, w, lo, hi: (u, v, w - 1, lo, hi))
+    yield from each_edge(lambda u, v, w, lo, hi: None if hi is None else (u, v, w, lo, hi - 1))
+    yield from (game(caps={**caps, q: b - 1}) for q, b in caps.items())
+    if g.uniform_capacity is not None:
+        yield game(uniform=g.uniform_capacity - 1)

@@ -41,16 +41,15 @@ from matchcore.games import (
     BIPARTITE_KINDS,
     GameKind,
     Imputation,
+    InstanceError,
     make_imputation,
     make_instance,
     restrict,
-    validate,
 )
 from matchcore.instance_io import parse_instance
 from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status
 from matchcore.oracle import (
     ClassLabel,
-    InfeasibleInstanceError,
     classify_player,
     classify_team,
     max_weight,
@@ -706,14 +705,13 @@ def test_dual_reads_by_position_match_the_column_labels():
 
 
 def test_make_dual_on_infeasible_lower_bounds_raises():
-    # u has capacity 1 but two edges that must each be used once.
-    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
+    # u has capacity 1 but two edges that must each be used once: the game
+    # is refused when built, so no dual of it (make_dual or DualSolution)
+    # can be asked for, and every game that exists has an optimal dual.
+    with pytest.raises(InstanceError, match="^lower bounds infeasible$"):
+        make_instance(GameKind.HOFFMAN_KRUSKAL, ["u"], ["v1", "v2"],
                       [("u", "v1", 1, 1, None), ("u", "v2", 1, 1, None)],
                       capacities={"u": 1, "v1": 1, "v2": 1})
-    with pytest.raises(InfeasibleInstanceError):
-        make_dual(g, {"u": 1})
-    with pytest.raises(InfeasibleInstanceError):
-        DualSolution(g, (F(1),) * 5)
 
 
 def test_duals_of_another_instance_are_rejected():
@@ -1087,40 +1085,28 @@ def test_payoff_ranges_are_the_per_agent_queries():
 
 
 def test_a_zero_capacity_is_refused_by_the_side_queries():
-    # With a capacity of zero, which validate refuses, the agent's vertex
-    # dual costs nothing and the face is unbounded along it, so a side
-    # query is unbounded: each reader of the side-optimal vertices raises
-    # ValueError (pytest.raises lets a TypeError through).
-    games = [helpers.single_edge(GameKind.UNIFORM_B, weight=3, uniform_capacity=0),
-             make_instance(GameKind.B_MATCHING, ["a"], ["b1", "b2"],
-                           [("a", "b1", 2), ("a", "b2", 1)],
-                           capacities={"a": 1, "b1": 0, "b2": 1})]
-    for g in games:
-        assert validate(g)
-        for q in g.agents:
-            with pytest.raises(ValueError, match="some capacity is zero"):
-                payoff_range(g, q)
-        if g.kind is GameKind.UNIFORM_B:
-            for query in (extreme_imputations, simultaneous_imputation):
-                with pytest.raises(ValueError, match="some capacity is zero"):
-                    query(g)
+    # With a capacity of zero the agent's vertex dual costs nothing and the
+    # face is unbounded along it, so a side query would be unbounded. Such
+    # a game is refused when it is built, so no reader of the side-optimal
+    # vertices (payoff_range, extreme_imputations, simultaneous_imputation)
+    # meets one.
+    with pytest.raises(InstanceError, match="^uniform capacity must be a positive integer$"):
+        helpers.single_edge(GameKind.UNIFORM_B, weight=3, uniform_capacity=0)
+    with pytest.raises(InstanceError, match="^non-positive capacity for b1$"):
+        make_instance(GameKind.B_MATCHING, ["a"], ["b1", "b2"],
+                      [("a", "b1", 2), ("a", "b2", 1)], capacities={"a": 1, "b1": 0, "b2": 1})
 
 
 def test_a_zero_capacity_is_refused_by_the_dual_image_test():
     # A payoff fixes its agent's vertex dual at payoff / capacity, which a
-    # capacity of zero (refused by validate, reachable through the
-    # library API) leaves undefined: in_dual_image raises ValueError
-    # naming the first such agent, for any payoffs, as the side queries
-    # raise for a zero capacity, and not ZeroDivisionError.
-    games = [(helpers.single_edge(GameKind.UNIFORM_B, weight=3, uniform_capacity=0), "a"),
-             (make_instance(GameKind.B_MATCHING, ["a"], ["b1", "b2"],
-                            [("a", "b1", 2), ("a", "b2", 1)],
-                            capacities={"a": 1, "b1": 0, "b2": 1}), "b1")]
-    for g, first in games:
-        assert validate(g)
-        for payoffs in ({}, {q: F(j + 1, 2) for j, q in enumerate(g.agents)}):
-            with pytest.raises(ValueError, match=f"agent '{first}' has capacity zero"):
-                in_dual_image(g, make_imputation(g, payoffs))
+    # capacity of zero leaves undefined. Such a game is refused when it is
+    # built, naming each such agent, so in_dual_image never divides by zero.
+    with pytest.raises(InstanceError, match="^uniform capacity must be a positive integer$"):
+        helpers.single_edge(GameKind.UNIFORM_B, weight=3, uniform_capacity=0)
+    with pytest.raises(InstanceError, match="^non-positive capacity for a; "
+                                            "non-positive capacity for b1$"):
+        make_instance(GameKind.B_MATCHING, ["a"], ["b1", "b2"],
+                      [("a", "b1", 2), ("a", "b2", 1)], capacities={"a": 0, "b1": 0, "b2": 1})
 
 
 def test_payoff_ranges_and_samples_consistent():

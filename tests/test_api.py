@@ -31,7 +31,7 @@ EXPORTS = {
     "sample_dual_vertices", "simultaneous_imputation", "surplus_account",
     "verify_complementarity",
     # oracle
-    "ClassLabel", "InfeasibleInstanceError", "Matching", "classify_player",
+    "ClassLabel", "Matching", "classify_player",
     "classify_team", "enumerate_optima", "is_degenerate", "max_weight",
     "optimal_weight", "worth",
     # caps, instance_io, rationals

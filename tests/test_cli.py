@@ -483,3 +483,21 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         outputs.add(done.stdout)
     assert len(outputs) == 1
     assert next(iter(outputs)).count("exit 0") == 17
+
+
+@pytest.mark.parametrize("text, message", [
+    ("game assignment\nside_u a c\nside_v b\nedge a b weight 2\nedge a c weight 3\n",
+     "edge (a,c) does not cross the bipartition"),
+    ("game b_matching\nside_u a\nside_v b\nb a 1\nedge a b weight 1\n",
+     "missing capacity for b"),
+    ("game hoffman_kruskal\nside_u u\nside_v v1 v2\nb u 1\nb v1 1\nb v2 1\n"
+     "edge u v1 weight 1 lower 1\nedge u v2 weight 1 lower 1\n",
+     "lower bounds infeasible"),
+], ids=["same-side-edge", "missing-capacity", "infeasible-floors"])
+def test_a_file_the_gate_refuses_exits_two_with_its_message(tmp_path, capsys, text, message):
+    # The parser builds the game, and building it runs validate, whose
+    # refusal the CLI reports as bad input, word for word as it did when
+    # the parser called validate itself.
+    path = write(tmp_path, "g.game", text)
+    for command in ("solve", "classify", "core-check", "tum-check"):
+        assert run(capsys, command, path) == (2, "", f"error: {message}\n"), command

@@ -7,19 +7,30 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from matchcore.formulations import build_dual, build_primal
+from matchcore import analysis, games, oracle
+from matchcore.formulations import build_primal
 from matchcore.games import (
     Edge,
+    GameInstance,
     GameKind,
+    make_edge,
     make_imputation,
     make_instance,
     restrict,
     validate,
 )
 from matchcore.instance_io import InstanceError, parse_instance, render_instance
-from matchcore.lp import Status, solve
+from matchcore.lp import LinearProgram, Status, solve
 
 F = Fraction
+
+
+def refusal(*args, **kwargs) -> list[str]:
+    """The violations listed by the InstanceError that building the
+    instance raises; no instance is made."""
+    with pytest.raises(InstanceError) as err:
+        make_instance(*args, **kwargs)
+    return str(err.value).split("; ")
 
 
 def test_restrict_to_all_agents_is_identity():
@@ -29,8 +40,10 @@ def test_restrict_to_all_agents_is_identity():
 
 def test_equal_edges_and_instances_hash_equal():
     # Edge hashes its weight as (numerator, denominator): an int weight and
-    # the equal Fraction give equal edges with equal hashes, and so do the
-    # instances built from them and their restrict copies.
+    # the equal Fraction give equal edges with equal hashes. An instance
+    # refuses an Edge whose weight is an int, and one built from the ints
+    # as data equals, and hashes as, the original, and so do their
+    # restrict copies.
     assert Edge("a", "b", 2) == Edge("a", "b", Fraction(2))
     assert hash(Edge("a", "b", 2)) == hash(Edge("a", "b", Fraction(2)))
     assert Edge("a", "b", F(1, 2)) != Edge("a", "b", F(1, 3))
@@ -39,11 +52,14 @@ def test_equal_edges_and_instances_hash_equal():
     for _ in range(80):
         kind = rng.choice(helpers.ALL_BIPARTITE)
         g = helpers.random_bipartite(rng, kind)
+        assert refusal(kind, g.side_u, g.side_v,
+                       [Edge(e.u, e.v, int(e.weight), e.lower, e.upper) for e in g.edges],
+                       g.capacities, g.uniform_capacity) == [
+            f"weight on ({e.u},{e.v}) must be a Fraction" for e in g.edges]
         as_ints = make_instance(kind, g.side_u, g.side_v,
-                                [Edge(e.u, e.v, int(e.weight), e.lower, e.upper)
+                                [(e.u, e.v, int(e.weight), e.lower, e.upper)
                                  for e in g.edges],
                                 g.capacities, g.uniform_capacity)
-        assert all(type(e.weight) is int for e in as_ints.edges)
         assert as_ints == g and hash(as_ints) == hash(g)
         members = rng.sample(g.agents, rng.randint(0, len(g.agents)))
         sub, again = restrict(g, members), restrict(as_ints, members)
@@ -112,26 +128,23 @@ def test_validate_well_formed_instances():
 
 
 def test_validate_flags_nonpositive_weight():
-    g = make_instance(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 0)])
-    assert any("non-positive weight" in v for v in validate(g))
+    problems = refusal(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 0)])
+    assert any("non-positive weight" in v for v in problems)
 
 
 def test_validate_flags_bipartite_violation_and_duplicates():
-    g = make_instance(GameKind.ASSIGNMENT, ["a", "c"], ["b"],
-                      [("a", "c", 1)])
-    assert any("bipartition" in v for v in validate(g))
-    g2 = make_instance(GameKind.GENERAL, ["a", "b"], [],
-                       [("a", "b", 1), ("b", "a", 2)])
-    assert any("parallel" in v for v in validate(g2))
+    problems = refusal(GameKind.ASSIGNMENT, ["a", "c"], ["b"], [("a", "c", 1)])
+    assert any("bipartition" in v for v in problems)
+    problems = refusal(GameKind.GENERAL, ["a", "b"], [], [("a", "b", 1), ("b", "a", 2)])
+    assert any("parallel" in v for v in problems)
 
 
 def test_validate_flags_capacities_for_unknown_agents():
-    g = make_instance(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1)],
-                      capacities=[("a", 1), ("b", 1), ("ghost", 5)])
-    assert validate(g) == ["capacity for unknown agent 'ghost'"]
-    g = make_instance(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 1)],
-                      capacities={"ghost": 5})
-    assert validate(g) == ["capacity for unknown agent 'ghost'"]
+    assert refusal(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1)],
+                   capacities=[("a", 1), ("b", 1), ("ghost", 5)]) == [
+        "capacity for unknown agent 'ghost'"]
+    assert refusal(GameKind.ASSIGNMENT, ["a"], ["b"], [("a", "b", 1)],
+                   capacities={"ghost": 5}) == ["capacity for unknown agent 'ghost'"]
 
 
 @pytest.mark.parametrize("kind", [GameKind.B_MATCHING, GameKind.ASSIGNMENT],
@@ -139,20 +152,20 @@ def test_validate_flags_capacities_for_unknown_agents():
 def test_validate_reports_a_capacity_keyed_by_an_unhashable_name(kind):
     # A capacity names its agent; a name that is not a string is reported
     # as such, as for the agents themselves, even when it cannot be hashed.
-    g = make_instance(kind, ["a"], ["b"], [("a", "b", 1)],
-                      capacities=[(["a"], 1), ("a", 1), ("b", 1)])
-    assert validate(g) == ["agent name ['a'] is not a string"]
+    assert refusal(kind, ["a"], ["b"], [("a", "b", 1)],
+                   capacities=[(["a"], 1), ("a", 1), ("b", 1)]) == [
+        "agent name ['a'] is not a string"]
 
 
 def test_validate_flags_a_capacity_listed_twice_as_the_parser_does():
     # The file format allows one b line per agent; an instance built
-    # through the API with two must be refused before it can be rendered
-    # into a file that the parser would refuse.
-    twice = make_instance(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1)],
-                          capacities=[("a", 1), ("b", 1), ("a", 3)])
-    assert validate(twice) == ["capacity for 'a' listed 2 times"]
+    # through the API with two is refused when it is built, so it can
+    # never be rendered into a file that the parser would refuse.
+    assert refusal(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1)],
+                   capacities=[("a", 1), ("b", 1), ("a", 3)]) == [
+        "capacity for 'a' listed 2 times"]
     with pytest.raises(InstanceError, match="second b line for 'a'"):
-        parse_instance(render_instance(twice))
+        parse_instance("game b_matching\nside_u a\nside_v b\nb a 1\nb b 1\nb a 3\n")
     once = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"], [("a", "b", 1, 1, 2)],
                          capacities=[("b", 1), ("a", 3)])
     assert validate(once) == []
@@ -178,14 +191,7 @@ def test_validate_flags_capacity_data_the_kind_does_not_use(kind):
         stray = {"capacities": {"a": 3, "b": 1}}
         message = ("per-vertex capacities only apply to b_matching and "
                    "hoffman_kruskal instances")
-    g = make_instance(kind, *sides, [("a", "b", 1)], **{**used, **stray})
-    assert validate(g) == [message]
-    try:
-        back = parse_instance(render_instance(g))
-    except InstanceError as exc:
-        assert "only apply to" in str(exc)
-    else:
-        assert back == clean != g
+    assert refusal(kind, *sides, [("a", "b", 1)], **{**used, **stray}) == [message]
 
 
 @pytest.mark.parametrize("kind, sides, edges, data", [
@@ -201,11 +207,10 @@ def test_validate_flags_capacity_data_the_kind_does_not_use(kind):
         "float-upper-bound", "float-lower-bound", "int-agent-names",
         "float-weight-in-an-edge-object"])
 def test_validate_reports_data_of_the_wrong_type(kind, sides, edges, data):
-    # make_instance stores the data as given; validate alone judges it,
-    # and reports each of these rather than letting it through or raising.
-    g = make_instance(kind, *sides, edges, **data)
-    assert dict(g.capacities) == data.get("capacities", {})
-    assert validate(g) != []
+    # make_instance passes the data on as given and the gate judges it: it
+    # reports each of these rather than letting it through or raising
+    # another error (refusal lets anything but InstanceError through).
+    assert refusal(kind, *sides, edges, **data) != [""]
 
 
 _CAPS = {"capacities": {"a": 3, "b": 3}}
@@ -227,21 +232,22 @@ _CAPS = {"capacities": {"a": 3, "b": 3}}
 ], ids=["duplicate-names", "general-side_v", "missing-capacity", "zero-capacity",
         "unknown-endpoint", "self-loop", "negative-floor", "ceiling-below-floor"])
 def test_validate_names_each_defect(kind, sides, edges, data, message):
-    assert validate(make_instance(kind, *sides, edges, **data)) == [message]
+    assert refusal(kind, *sides, edges, **data) == [message]
 
 
 def test_validate_flags_infeasible_lower_bounds_by_lp():
-    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"],
-                      [("a", "b", 1, 3, None)],
-                      capacities={"a": 2, "b": 2})
-    assert "lower bounds infeasible" in validate(g)
+    assert "lower bounds infeasible" in refusal(
+        GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"], [("a", "b", 1, 3, None)],
+        capacities={"a": 2, "b": 2})
 
 
 def test_floors_are_feasible_exactly_when_the_matching_program_is():
     # validate decides floor feasibility with no LP: the matching
     # program's rows are packing rows, so the floors are its least point
     # and feasible exactly when each agent's floors sum to at most its
-    # capacity. The reference is the program itself, solved.
+    # capacity. The reference is the program itself, solved: the matching
+    # program of the game without floors, its variables' lower bounds then
+    # set to the floors, as build_primal writes them.
     rng = random.Random(4141)
     seen = {"games": 0, "infeasible": 0, "at capacity": 0}
     while seen["games"] < 320:
@@ -257,25 +263,37 @@ def test_floors_are_feasible_exactly_when_the_matching_program_is():
         if not any(e[3] for e in edges):
             continue
         caps = {q: rng.randint(1, 4) for q in side_u + side_v}
-        g = make_instance(GameKind.HOFFMAN_KRUSKAL, side_u, side_v, edges, capacities=caps)
-        feasible = solve(build_primal(g)).status is Status.OPTIMAL
-        assert validate(g) == ([] if feasible else ["lower bounds infeasible"]), g
-        floors = {q: sum(e.lower for e in g.edges if e.touches(q)) for q in g.agents}
+        free = build_primal(make_instance(GameKind.HOFFMAN_KRUSKAL, side_u, side_v,
+                                          [(u, v, w, 0, hi) for u, v, w, _, hi in edges],
+                                          capacities=caps))
+        floored = LinearProgram(free.sense, free.variables, free.objective, free.constraints,
+                                [e[3] for e in edges], free.upper)
+        feasible = solve(floored).status is Status.OPTIMAL
+        if feasible:
+            assert validate(make_instance(GameKind.HOFFMAN_KRUSKAL, side_u, side_v, edges,
+                                          capacities=caps)) == []
+        else:
+            assert refusal(GameKind.HOFFMAN_KRUSKAL, side_u, side_v, edges,
+                           capacities=caps) == ["lower bounds infeasible"], edges
+        floors = {q: sum(e[3] for e in edges if q in e[:2]) for q in side_u + side_v}
         seen["games"] += 1
         seen["infeasible"] += not feasible
-        seen["at capacity"] += feasible and any(floors[q] == caps[q] for q in g.agents)
+        seen["at capacity"] += feasible and any(floors[q] == caps[q] for q in floors)
     # Counts at this seed: 164 of the 320 games infeasible, and 91 of the
     # feasible ones with an agent's floors summing to its capacity.
     assert seen["infeasible"] >= 50 and seen["at capacity"] >= 50, seen
 
 
 def test_validate_flags_bounds_on_wrong_kind():
-    g = make_instance(GameKind.B_MATCHING, ["a"], ["b"],
-                      [("a", "b", 1, 1, 2)], capacities={"a": 1, "b": 1})
-    assert any("bounds only apply" in v for v in validate(g))
+    problems = refusal(GameKind.B_MATCHING, ["a"], ["b"], [("a", "b", 1, 1, 2)],
+                       capacities={"a": 1, "b": 1})
+    assert any("bounds only apply" in v for v in problems)
 
 
 def test_restriction_preserves_validity_up_to_lower_bounds():
+    # restrict builds its sub-game past the gate, which is sound because a
+    # sub-game of a valid game is valid, floors included: dropping edges
+    # only lowers each agent's floor total.
     rng = random.Random(17)
     for _ in range(60):
         kind = rng.choice(helpers.ALL_BIPARTITE)
@@ -283,8 +301,7 @@ def test_restriction_preserves_validity_up_to_lower_bounds():
         assert validate(g) == []
         agents = list(g.agents)
         s = frozenset(rng.sample(agents, rng.randint(0, len(agents))))
-        new = set(validate(restrict(g, s)))
-        assert new <= {"lower bounds infeasible"}
+        assert validate(restrict(g, s)) == []
 
 
 def test_make_imputation_fills_zero_and_rejects_bad_input():
@@ -301,16 +318,113 @@ def test_make_imputation_fills_zero_and_rejects_bad_input():
 
 
 def test_validate_rejects_names_that_clash_with_program_variables():
-    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["u,1"], ["v[2]"],
-                      [("u,1", "v[2]", 1)], capacities={"u,1": 1, "v[2]": 1})
-    problems = validate(g)
+    problems = refusal(GameKind.HOFFMAN_KRUSKAL, ["u,1"], ["v[2]"],
+                       [("u,1", "v[2]", 1)], capacities={"u,1": 1, "v[2]": 1})
     assert any("'u,1'" in v for v in problems)
     assert any("'v[2]'" in v for v in problems)
-    # The stopgap keeps LP column names unique: with commas in names,
-    # two edges can name the same lower-bound dual.
-    clash = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a,b", "a"], ["c", "b,c"],
-                          [("a,b", "c", 1), ("a", "b,c", 1)],
-                          capacities={"a,b": 1, "a": 1, "c": 1, "b,c": 1})
-    assert validate(clash) != []
-    with pytest.raises(ValueError, match="variable names must be unique"):
-        build_dual(clash)
+    # The refusal keeps LP column names unique: with commas in names, these
+    # two edges would name the same lower-bound dual.
+    problems = refusal(GameKind.HOFFMAN_KRUSKAL, ["a,b", "a"], ["c", "b,c"],
+                       [("a,b", "c", 1), ("a", "b,c", 1)],
+                       capacities={"a,b": 1, "a": 1, "c": 1, "b,c": 1})
+    assert problems == [f"agent name {q!r} contains ',', '[' or ']'" for q in ("a,b", "b,c")]
+
+
+# Malformed games that the library API once let through, each with the
+# one violation the gate names. Without the gate they raised KeyError,
+# IndexError or ZeroDivisionError deep in the analysis, or were answered.
+PROBES = {
+    "unknown-agent": (("assignment", ["a"], ["b"], [("a", "b", 1), ("a", "c", 2)]), {},
+                      "edge (a,c) touches unknown agents"),
+    "no-capacity": (("b_matching", ["a"], ["b"], [("a", "b", 1)]), {"capacities": {"a": 2}},
+                    "missing capacity for b"),
+    "same-side": (("assignment", ["a", "c"], ["b"], [("a", "b", 2), ("a", "c", 3)]), {},
+                  "edge (a,c) does not cross the bipartition"),
+    "parallel": (("assignment", ["a"], ["b"], [("a", "b", 1), ("b", "a", 2)]), {},
+                 "parallel edge (b,a)"),
+    "uniform-zero": (("uniform_b", ["a"], ["b"], [("a", "b", 3)]), {"uniform_capacity": 0},
+                     "uniform capacity must be a positive integer"),
+    "negative-weight": (("assignment", ["a"], ["b"], [("a", "b", -1)]), {},
+                        "non-positive weight on (a,b)"),
+    "heavy-self-loop": (("general", ["a", "b"], [], [("a", "a", 5), ("a", "b", 1)]), {},
+                        "self-loop at a"),
+}
+
+ANALYSES = {
+    "optimal_weight": oracle.optimal_weight,
+    "max_weight": oracle.max_weight,
+    "optimal_dual": analysis.optimal_dual,
+    "core_nonempty": analysis.core_nonempty,
+    "verify_complementarity": analysis.verify_complementarity,
+    "extreme_imputations": analysis.extreme_imputations,
+    "in_dual_image": lambda g: analysis.in_dual_image(g, make_imputation(g, {})),
+    "is_core_imputation": lambda g: analysis.is_core_imputation(g, make_imputation(g, {})),
+}
+
+
+def _direct(kind, side_u, side_v, edges, capacities=None, uniform_capacity=None):
+    """The probe built by GameInstance itself, no make_instance."""
+    return GameInstance(GameKind(kind), tuple(side_u), tuple(side_v),
+                        tuple(make_edge(*e) for e in edges),
+                        tuple((capacities or {}).items()), uniform_capacity)
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+@pytest.mark.parametrize("build", [make_instance, _direct], ids=["make_instance", "direct"])
+def test_every_probe_is_refused_before_any_analysis_meets_it(build, probe):
+    # Each public analysis is handed the probe as it is built, so the gate
+    # must refuse it first: pytest.raises lets any other error through,
+    # and an answer fails the test.
+    args, data, message = PROBES[probe]
+    for name, call in ANALYSES.items():
+        with pytest.raises(InstanceError) as err:
+            call(build(*args, **data))
+        assert str(err.value) == message, name
+
+
+def test_scans_build_their_sub_games_past_the_gate(monkeypatch):
+    # restrict builds each sub-game without validate; the multi-capacity
+    # scans build thousands, so validate must not run once here.
+    cap_set = helpers.cap_set(("uniform_b", "b_matching", "hoffman_kruskal"))
+    cases = [(g, lambda g: analysis.is_core_imputation(
+        g, analysis.dual_to_imputation(g, analysis.optimal_dual(g)))) for _, _, g in cap_set]
+    cases += [(g, analysis.core_nonempty) for kind, _, g in cap_set if kind == "hoffman_kruskal"]
+    counts = {"validate": 0, "restrict": 0}
+
+    def counted(name, real):
+        return lambda *args: counts.__setitem__(name, counts[name] + 1) or real(*args)
+
+    monkeypatch.setattr(games, "validate", counted("validate", games.validate))
+    for module in (analysis, oracle):
+        monkeypatch.setattr(module, "restrict", counted("restrict", games.restrict))
+    for g, call in cases:
+        oracle._search.cache_clear()
+        analysis._session.cache_clear()
+        call(g)
+    # Counts at this commit: 5,399 restrict calls, none of them validated.
+    assert counts["validate"] == 0 and counts["restrict"] >= 5000, counts
+
+
+def _planted(g):
+    """An edge of weight at least 5 between two agents of capacity 2."""
+    return any(e.weight >= 5 and g.capacity(e.u) == 2 == g.capacity(e.v) for e in g.edges)
+
+
+@pytest.mark.parametrize("kind", [GameKind.UNIFORM_B, GameKind.B_MATCHING,
+                                  GameKind.HOFFMAN_KRUSKAL], ids=lambda kind: kind.value)
+def test_the_shrinker_reaches_the_planted_minimum(kind):
+    # The planted predicate's least game is two agents of capacity 2 and
+    # one edge of weight 5, with no floor or ceiling.
+    rng = random.Random(4747)
+    starts = []
+    while len(starts) < 3:
+        g = helpers.random_bipartite(rng, kind, max_side=5, max_edges=10, max_b=3)
+        if _planted(g) and len(g.edges) >= 5:
+            starts.append(g)
+    for g in starts:
+        small = helpers.shrink(g, _planted)
+        assert len(small.agents) == 2 and len(small.edges) == 1, small
+        (e,) = small.edges
+        assert (e.weight, e.lower, e.upper) == (5, 0, None), small
+        assert small.capacity(e.u) == small.capacity(e.v) == 2
+        assert helpers.shrink(g, _planted) == small

@@ -25,10 +25,9 @@ from matchcore.analysis import (
 )
 from matchcore.caps import CapExceededError
 from matchcore.formulations import build_odd_set_primal
-from matchcore.games import GameKind, make_imputation, make_instance, validate
+from matchcore.games import GameKind, InstanceError, make_imputation, make_instance, validate
 from matchcore.oracle import (
     ClassLabel,
-    InfeasibleInstanceError,
     classify_player,
     classify_team,
     enumerate_optima,
@@ -142,20 +141,23 @@ def test_saturation_semantics_for_multi_matching():
 
 
 def test_infeasible_lower_bounds_raise():
-    g = make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"],
+    # Floors no matching meets are refused when the game is built, so no
+    # search ever meets them.
+    with pytest.raises(InstanceError, match="^lower bounds infeasible$"):
+        make_instance(GameKind.HOFFMAN_KRUSKAL, ["a"], ["b"],
                       [("a", "b", 1, 3, None)], capacities={"a": 2, "b": 2})
-    with pytest.raises(InfeasibleInstanceError):
-        max_weight(g)
 
 
 def test_the_walk_refuses_floors_no_matching_meets():
-    # Edge bounds belong to hoffman_kruskal and validate refuses them on
-    # a general game; built through the API anyway, two floors that share
-    # a vertex of capacity one admit no matching, and the walk says so.
-    g = make_instance(GameKind.GENERAL, ["a", "b", "c"], (),
+    # Edge bounds belong to hoffman_kruskal: two floors on a general game
+    # that share a vertex of capacity one, which no matching meets, are
+    # refused when the game is built, so the walk never meets them.
+    with pytest.raises(InstanceError) as err:
+        make_instance(GameKind.GENERAL, ["a", "b", "c"], (),
                       [("a", "b", 1, 1, None), ("b", "c", 1, 1, None)])
-    with pytest.raises(InfeasibleInstanceError, match="edge lower bounds admit no matching"):
-        optimal_weight(g)
+    assert str(err.value) == "; ".join(
+        f"edge multiplicity bounds only apply to hoffman_kruskal instances: {pair}"
+        for pair in ("(a,b)", "(b,c)"))
 
 
 def test_the_walk_stops_an_edge_at_its_first_cut_multiplicity():
@@ -225,11 +227,10 @@ def test_the_flow_reroutes_what_its_first_path_took():
 ], ids=["same-side", "negative-weight"])
 def test_the_flow_refuses_an_edge_it_cannot_match(edges, message):
     # The walk would answer 3 for the same-side edge, and a flow over the
-    # bipartition 2; neither number means anything, so both are refused.
-    g = make_instance(GameKind.ASSIGNMENT, ["a", "c"], ["b"], edges)
-    for call in (optimal_weight, max_weight, enumerate_optima):
-        with pytest.raises(ValueError, match=message):
-            call(g)
+    # bipartition 2; neither number means anything, so both games are
+    # refused when built and no search meets them.
+    with pytest.raises(InstanceError, match=f"^{message}$"):
+        make_instance(GameKind.ASSIGNMENT, ["a", "c"], ["b"], edges)
 
 
 def _scaled_capacities(g, factor):
