@@ -321,11 +321,9 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
 def _dual_payoffs(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
     """A dual point's payoffs, unchecked: capacity times agent j's column j,
     the column itself at a capacity of one."""
-    payoffs = {}
-    for q, v in zip(instance.agents, values):
-        b = instance.capacity(q)
-        payoffs[q] = v if b == 1 else b * v
-    return make_imputation(instance, payoffs)
+    agents = instance.agents
+    return Imputation(tuple((q, v if b == 1 else b * v) for q, v, b
+                            in zip(agents, values, map(instance.capacity, agents))))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +504,10 @@ def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
 
 
 def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
-    """The imputation's payoffs in agent order; ValueError unless it pays
-    exactly the instance's agents, each at least zero."""
+    """The imputation's payoffs (each >= 0) in agent order; ValueError
+    unless it pays exactly the instance's agents."""
     if imp.as_dict.keys() != set(instance.agents):
         raise ValueError("imputation pays other agents than the instance's")
-    for q in instance.agents:
-        if imp[q] < 0:
-            raise ValueError(f"negative payoff for {q!r}")
     return [imp[q] for q in instance.agents]
 
 
@@ -534,8 +529,8 @@ def _shortfalls(session: _Session, payoffs: list[Fraction]) -> Iterator[
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     """Exact core membership over the coalition rows of ``_coalitions``.
 
-    The imputation must pay exactly the instance's agents, each at least
-    zero (else ValueError), and its total must lie in the grand range
+    The imputation must pay exactly the instance's agents (else
+    ValueError), and its total must lie in the grand range
     (``_Session.grand_range``): the worth, or for the bounds-capacity kind
     the surplus under some optimal dual; outside it the grand coalition
     is the witness, with the violated end as its demand and, for every
@@ -574,9 +569,9 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     dual fixed, through its bounds, to payoff divided by capacity: that
     program's optimum equals the dual optimum exactly when some optimal
     dual has these vertex duals. ValueError unless ``imp`` pays exactly
-    the instance's agents, each at least zero, so every fixed value lies
-    within its column's bounds (lower 0, no upper); every capacity of a
-    valid instance is positive, so each division is defined.
+    the instance's agents; its payoffs are >= 0, so every fixed value
+    lies within its column's bounds (lower 0, no upper), and every
+    capacity of a valid instance is positive, so each division is defined.
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
@@ -586,8 +581,9 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     lower, upper = list(lp.lower), list(lp.upper)
     for j, (q, payoff) in enumerate(zip(instance.agents, payoffs)):
         lower[j] = upper[j] = payoff / F(instance.capacity(q))
-    fixed = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
-                                lp.constraints, lower, upper))
+    fixed = solve(LinearProgram._trusted(lp.sense, lp.variables, lp.objective,
+                                         lp._scaled_objective, lp.constraints,
+                                         tuple(lower), tuple(upper)))
     return fixed.status is Status.OPTIMAL and fixed.value == face.base.value
 
 
@@ -644,7 +640,7 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
 
 
 def _imputation_from(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
-    return make_imputation(instance, dict(zip(instance.agents, values)))
+    return Imputation(tuple(zip(instance.agents, values)))
 
 
 def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:

@@ -24,7 +24,7 @@ from typing import Sequence
 from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
 from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
-from .rationals import ONE, ZERO, ensure_rational, scaled
+from .rationals import ZERO, ensure_rational, scaled
 
 F = Fraction
 
@@ -129,17 +129,16 @@ def build_odd_set_primal(instance: GameInstance) -> LinearProgram:
     if len(vertices) > MAX_VERTICES:
         raise CapExceededError(
             f"{len(vertices)} vertices exceed the odd-set cap of {MAX_VERTICES}")
-    base = build_primal(instance)
-    extra = []
+    base, edges = build_primal(instance), instance.edges
+    rows = list(base.constraints)
     for size in range(3, len(vertices) + 1, 2):
         for subset in combinations(vertices, size):
             inside = set(subset)
-            coeffs = tuple(ONE if (e.u in inside and e.v in inside) else ZERO
-                           for e in instance.edges)
-            if not any(coeffs):
-                continue
-            extra.append(Constraint(coeffs, Relation.LE, F(size - 1, 2)))
-    return base.with_extra_constraints(extra)
+            signs = {j: 1 for j, e in enumerate(edges) if e.u in inside and e.v in inside}
+            if signs:
+                rows.append(Constraint._signed(len(edges), signs, Relation.LE, F(size - 1, 2)))
+    return LinearProgram._trusted(base.sense, base.variables, base.objective,
+                                  base._scaled_objective, tuple(rows), base.lower, base.upper)
 
 
 def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:

@@ -4,9 +4,10 @@ A game lives on a weighted graph. Four kinds are bipartite (plain
 assignment, uniform-capacity multi-matching, per-vertex-capacity
 multi-matching, and capacity matching with per-edge lower/upper bounds);
 the fifth is matching on a general graph. Edge weights are strictly
-positive rationals. All value types are immutable and hashable, and
-an instance is judged by ``validate`` when it is built: a malformed one
-raises ``InstanceError`` and never exists.
+positive rationals. All value types are immutable and hashable. A game
+and an imputation convert and judge their own data when built
+(``make_instance`` is ``GameInstance``), so a malformed game raises
+``InstanceError`` and never exists.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ class GameInstance:
     ``side_u``/``side_v`` are the two sides for bipartite kinds. The
     general kind stores its single vertex set in ``side_u`` and leaves
     ``side_v`` empty. ``capacities`` applies to the per-vertex-capacity
-    kinds; ``uniform_capacity`` to the uniform kind. Building one runs
-    ``validate`` and raises ``InstanceError`` listing every violation, so
-    each instance the analysis meets is well formed.
+    kinds; ``uniform_capacity`` to the uniform kind. Building one (or
+    ``make_instance``, the same class) converts a kind's value, sides, edge
+    tuples (``make_edge``) and a capacity mapping or None to the field types,
+    then runs ``validate`` and raises ``InstanceError`` listing every violation.
     """
     kind: GameKind
     side_u: tuple[str, ...]
@@ -91,6 +93,13 @@ class GameInstance:
     uniform_capacity: int | None = None
 
     def __post_init__(self):
+        kind, caps, put = self.kind, self.capacities, object.__setattr__
+        items = caps.items() if isinstance(caps, Mapping) else caps or ()
+        put(self, "kind", kind if isinstance(kind, GameKind) else GameKind(kind))
+        put(self, "side_u", tuple(self.side_u))
+        put(self, "side_v", tuple(self.side_v))
+        put(self, "edges", tuple(e if isinstance(e, Edge) else make_edge(*e) for e in self.edges))
+        put(self, "capacities", tuple((q, b) for q, b in items))
         problems = validate(self)
         if problems:
             raise InstanceError("; ".join(problems))
@@ -137,15 +146,8 @@ class GameInstance:
         except KeyError:
             raise ValueError(f"no edge {key!r} in this instance") from None
 
-def make_instance(kind, side_u, side_v=(), edges=(), capacities=None,
-                  uniform_capacity=None) -> GameInstance:
-    """Assemble an instance from the data as given; building it runs
-    ``validate``, which refuses malformed data with ``InstanceError``."""
-    kind = kind if isinstance(kind, GameKind) else GameKind(kind)
-    items = capacities.items() if isinstance(capacities, Mapping) else capacities or ()
-    built = tuple(e if isinstance(e, Edge) else make_edge(*e) for e in edges)
-    return GameInstance(kind, tuple(side_u), tuple(side_v), built,
-                        tuple((q, b) for q, b in items), uniform_capacity)
+
+make_instance = GameInstance
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,16 @@ class SurplusAccount:
 @dataclass(frozen=True, eq=True)
 class Imputation:
     """A division of the game's total among agents: its payoffs, nothing
-    else, so two imputations with the same payoffs are equal."""
+    else, so two imputations with the same payoffs are equal. Building one
+    converts each payoff (``ensure_rational``) and refuses a negative one."""
     payoffs: tuple[tuple[str, Fraction], ...]
+
+    def __post_init__(self):
+        payoffs = tuple((q, ensure_rational(v)) for q, v in self.payoffs)
+        object.__setattr__(self, "payoffs", payoffs)
+        for q, v in payoffs:
+            if v < 0:
+                raise ValueError(f"negative payoff for {q!r}")
 
     @cached_property
     def as_dict(self) -> dict[str, Fraction]:
@@ -181,17 +191,11 @@ class Imputation:
 
 
 def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction]) -> Imputation:
-    """Build an imputation over all agents, filling absent ones with zero."""
+    """An imputation over all agents, filling absent ones with zero."""
     extra = set(payoffs) - set(instance.agents)
     if extra:
         raise ValueError(f"payoffs name unknown agents: {sorted(extra)}")
-    rows = []
-    for q in instance.agents:
-        value = ensure_rational(payoffs.get(q, 0))
-        if value < 0:
-            raise ValueError(f"negative payoff for {q!r}")
-        rows.append((q, value))
-    return Imputation(tuple(rows))
+    return Imputation(tuple((q, payoffs.get(q, 0)) for q in instance.agents))
 
 
 def restrict(instance: GameInstance, members: Iterable[str]) -> GameInstance:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .games import GameInstance, GameKind, InstanceError, make_instance
+from .games import GameInstance, GameKind, InstanceError
 from .rationals import format_rational, parse_rational
 
 _NAME = re.compile(r"^[A-Za-z0-9_.+-]+$")
@@ -121,7 +121,7 @@ def parse_instance_with_imputation(text: str) -> tuple[GameInstance, dict[str, F
             raise InstanceError("bipartite instances list side_u/side_v, not 'vertices'")
         agents_u, agents_v = side_u, side_v
 
-    instance = make_instance(kind, agents_u, agents_v, edges, caps, b_const)
+    instance = GameInstance(kind, agents_u, agents_v, edges, caps, b_const)
     if payoffs is not None:
         unknown = set(payoffs) - set(instance.agents)
         if unknown:

@@ -70,8 +70,8 @@ class Constraint:
     integers: ``_scaled_row`` is ``scaled([*coeffs, rhs])``, computed once
     here. The tableau copies it and ``is_feasible`` reads it; neither
     scales the row again. ``_signed`` writes a row of unit coefficients
-    straight into integers: every row of ``build_primal``, of
-    ``build_dual`` and of row generation (``analysis._core_optimum``).
+    straight into integers: every row of ``build_primal``, ``build_dual``,
+    ``build_odd_set_primal`` and row generation (``analysis._core_optimum``).
     A coalition's dual rows are cut from the game's rows' kept integers
     and solved unbuilt by ``LinearProgram._bland_part``."""
     coeffs: tuple[Fraction, ...]
@@ -192,10 +192,10 @@ class LinearProgram:
                  lower, upper) -> "LinearProgram":
         """The program of parts already as ``__init__`` leaves them, with
         ``scaled_objective`` equal to ``scaled(objective)``, unchecked: the
-        callers, ``build_primal``, ``build_dual`` and row generation's
-        rounds (``analysis._core_optimum``), build every part soundly, each
-        row through ``Constraint._signed``, and a valid instance's names
-        (distinct, free of ',', '[' and ']') name distinct columns."""
+        callers, the ``build_*`` programs, row generation's rounds and
+        ``analysis.in_dual_image`` (the face program's parts, new bounds),
+        build every part soundly from a valid instance, each new row through
+        ``Constraint._signed``, and its names name distinct columns."""
         lp = object.__new__(LinearProgram)
         lp.sense, lp.variables, lp.objective = sense, variables, objective
         lp._scaled_objective = scaled_objective

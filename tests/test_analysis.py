@@ -105,18 +105,16 @@ def test_an_imputation_of_other_agents_is_refused():
 
 
 def test_a_negative_payoff_is_refused_on_every_path():
-    # make_imputation refuses a negative payoff; an Imputation built
-    # directly must meet the same refusal, not a verdict. The core's rows
-    # assume payoffs >= 0: a negative payoff lets a coalition with no row
+    # make_imputation refuses a negative payoff, and so does an Imputation
+    # built directly: no verdict ever meets one. The core's rows assume
+    # payoffs >= 0: a negative payoff would let a coalition with no row
     # of its own, here the singleton {a}, block.
-    imp = Imputation((("a", F(-1)), ("b", F(6))))
     for g in (helpers.single_edge(GameKind.ASSIGNMENT),
               helpers.single_edge(GameKind.B_MATCHING)):
-        assert imp.total == max_weight(g)[0]
         with pytest.raises(ValueError, match="negative payoff for 'a'"):
-            is_core_imputation(g, imp)
-        with pytest.raises(ValueError, match="negative payoff for 'a'"):
-            in_dual_image(g, imp)
+            make_imputation(g, {"a": F(-1), "b": F(6)})
+    with pytest.raises(ValueError, match="negative payoff for 'a'"):
+        Imputation((("a", F(-1)), ("b", F(6))))
 
 
 def test_a_negative_sample_count_is_refused():

@@ -370,7 +370,8 @@ def _direct(kind, side_u, side_v, edges, capacities=None, uniform_capacity=None)
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
-@pytest.mark.parametrize("build", [make_instance, _direct], ids=["make_instance", "direct"])
+@pytest.mark.parametrize("build", [make_instance, _direct, GameInstance],
+                         ids=["make_instance", "direct", "raw"])
 def test_every_probe_is_refused_before_any_analysis_meets_it(build, probe):
     # Each public analysis is handed the probe as it is built, so the gate
     # must refuse it first: pytest.raises lets any other error through,
@@ -380,6 +381,51 @@ def test_every_probe_is_refused_before_any_analysis_meets_it(build, probe):
         with pytest.raises(InstanceError) as err:
             call(build(*args, **data))
         assert str(err.value) == message, name
+
+
+def _canonical(kind):
+    """A valid game's fields already in the types the class stores."""
+    caps = (("a1", 2), ("a2", 1), ("b1", 1), ("b2", 2)) if kind is GameKind.B_MATCHING else ()
+    return {"kind": kind, "side_u": ("a1", "a2"), "side_v": ("b1", "b2"),
+            "edges": (make_edge("a1", "b1", 3), make_edge("a1", "b2", 1),
+                      make_edge("a2", "b1", 2)),
+            "capacities": caps}
+
+
+# Data as a caller may hand it over, each off the canonical fields in one
+# way: the kind as its value, list sides, edge tuples, a capacity mapping,
+# and no capacities at all. Stored unconverted, the first four raise
+# KeyError, TypeError, AttributeError and ValueError in the analysis.
+RAW_DATA = {
+    "str-kind": (GameKind.B_MATCHING, lambda f: {**f, "kind": f["kind"].value}),
+    "list-sides": (GameKind.B_MATCHING,
+                   lambda f: {**f, "side_u": list(f["side_u"]), "side_v": list(f["side_v"])}),
+    "tuple-edges": (GameKind.B_MATCHING,
+                    lambda f: {**f, "edges": [(e.u, e.v, int(e.weight)) for e in f["edges"]]}),
+    "capacity-dict": (GameKind.B_MATCHING,
+                      lambda f: {**f, "capacities": dict(f["capacities"])}),
+    "capacities-none": (GameKind.ASSIGNMENT, lambda f: {**f, "capacities": None}),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(RAW_DATA))
+def test_the_class_converts_raw_data_as_make_instance_does(probe):
+    kind, raw = RAW_DATA[probe]
+    fields = _canonical(kind)
+    built, made = GameInstance(**raw(fields)), make_instance(**raw(fields))
+    assert built == made == GameInstance(**fields)
+    assert hash(built) == hash(made) == hash(GameInstance(**fields))
+    assert type(built.kind) is GameKind and type(built.capacities) is tuple
+    assert all(type(e) is Edge for e in built.edges)
+
+    def answers(g):
+        # Equal games share cache entries, so each is asked afresh.
+        oracle._search.cache_clear()
+        analysis._session.cache_clear()
+        return (oracle.optimal_weight(g), analysis.core_nonempty(g),
+                analysis.verify_complementarity(g).ok)
+
+    assert answers(built) == answers(made)
 
 
 def test_scans_build_their_sub_games_past_the_gate(monkeypatch):

@@ -22,7 +22,7 @@ from fraction_simplex import FractionFace
 from matchcore import lp as lp_module
 from matchcore import rationals
 from matchcore import analysis
-from matchcore.formulations import build_dual, build_primal
+from matchcore.formulations import build_dual, build_odd_set_primal, build_primal
 from matchcore.lp import (
     Constraint,
     LinearProgram,
@@ -302,6 +302,28 @@ def test_the_tableau_scales_and_negates_nothing_at_zero_lower_bounds(monkeypatch
                                           ("scaled", "_core_optimum"): 1,
                                           ("scaled", "_shortfalls"): rounds}, (s, counts)
         runs.clear()
+
+
+def test_odd_set_and_dual_image_programs_are_assembled_unchecked():
+    # build_odd_set_primal writes its odd-set rows through
+    # Constraint._signed, and in_dual_image fixes the vertex duals on the
+    # face program's own rows and scaled objective: neither builds a row
+    # or a program through the validating constructors. Each odd-set row
+    # equals the row the validating constructor builds from its parts,
+    # kept integers included.
+    callees = (Constraint.__init__, LinearProgram.__init__)
+    for g in (helpers.unit_triangle(), helpers.seven_ring(), helpers.general_path(7)):
+        program, counts = calls_from(lambda: build_odd_set_primal(g), callees)
+        assert not counts, counts
+        extra = program.constraints[len(g.agents):]
+        assert extra and program.constraints[:len(g.agents)] == build_primal(g).constraints
+        for row in extra:
+            own = Constraint(row.coeffs, row.relation, row.rhs)
+            assert row == own and row._scaled_row == own._scaled_row
+    for kind, s, g in helpers.cap_set(helpers.ALL_BIPARTITE):
+        imp = analysis.dual_to_imputation(g, analysis.optimal_dual(g))  # builds the face
+        inside, counts = calls_from(lambda: analysis.in_dual_image(g, imp), callees)
+        assert inside and not counts, (kind, s, counts)
 
 
 def test_optimal_face_segment():
