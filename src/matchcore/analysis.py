@@ -54,16 +54,16 @@ class DualSolution:
     """One point of the dual program of ``instance``.
 
     ``values`` holds one exact value per column of ``build_dual(instance)``
-    (ValueError on another length): agent j's vertex dual is column j, and an
-    edge's bound duals are the columns past the agents where its own dual
-    row has -1 (lower) and +1 (upper); a missing one reads as zero.
+    (ValueError on another length, counted off ``bound_columns``, so nothing
+    is solved): agent j's vertex dual is column j, and an edge's bound duals
+    are its ``bound_columns``, lower then upper; a missing one reads as zero.
     """
     instance: GameInstance
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
         values = tuple(map(ensure_rational, self.values))
-        columns = len(_session(self.instance).face.lp.variables)
+        columns = _dual_width(self.instance)
         if len(values) != columns:
             raise ValueError(f"{len(values)} values for a dual program of {columns} columns")
         object.__setattr__(self, "values", values)
@@ -72,7 +72,7 @@ class DualSolution:
         return self.values[_agent_column(self.instance, q)]
 
     def lower(self, key: EdgeKey) -> Fraction:
-        j = _bound_column(self.instance, key, -1)
+        j = _bound_column(self.instance, key, 0)
         return ZERO if j is None else self.values[j]
 
     def upper(self, key: EdgeKey) -> Fraction:
@@ -90,17 +90,19 @@ def _agent_column(instance: GameInstance, q: str) -> int:
 
 def _edge_row(instance: GameInstance, key: EdgeKey) -> int:
     """The edge's row of the dual program, by key: row i is edge i's."""
-    rows = _session(instance).edge_rows
-    if key not in rows:
-        raise ValueError(f"no edge {key!r} in this instance")
-    return rows[key]
+    return instance.edges.index(instance.edge(key))
 
 
-def _bound_column(instance: GameInstance, key: EdgeKey, sign: int) -> int | None:
-    """The column of the edge's lower (sign -1) or upper (+1) bound dual, or
-    None; ValueError on a key the instance lacks (``_edge_row``)."""
-    _edge_row(instance, key)
-    return _session(instance).bound_columns.get((key, sign))
+def _bound_column(instance: GameInstance, key: EdgeKey, k: int) -> int | None:
+    """The column of the edge's lower (k = 0) or upper (1) bound dual in
+    ``bound_columns``, or None; ValueError on a key the instance lacks."""
+    columns = bound_columns(instance)[_edge_row(instance, key)]
+    return columns[k] if k < len(columns) else None
+
+
+def _dual_width(instance: GameInstance) -> int:
+    """The dual program's column count: the agents' and the bound duals'."""
+    return len(instance.agents) + sum(map(len, bound_columns(instance)))
 
 
 def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
@@ -114,12 +116,12 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
     The dual program always has an optimum: the instance is valid, so its
     matching program is feasible (the floors fit) and bounded.
     """
-    values = [ZERO] * len(_session(instance).face.lp.variables)
+    values = [ZERO] * _dual_width(instance)
     for q, value in vertex_duals.items():
         values[_agent_column(instance, q)] = value
-    for sign, entries, what in ((-1, lower, "lower"), (1, upper, "upper")):
+    for k, entries, what in ((0, lower, "lower"), (1, upper, "upper")):
         for key, value in (entries or {}).items():
-            j = _bound_column(instance, key, sign)
+            j = _bound_column(instance, key, k)
             if j is None:
                 raise ValueError(f"the {what} bound of edge {key!r} has no dual column")
             values[j] = value
@@ -129,14 +131,13 @@ def make_dual(instance: GameInstance, vertex_duals: Mapping[str, Fraction],
 class _Session:
     """What the analysis has learnt about one instance, each part computed
     when first asked for and then kept: the dual program's ``OptimalFace``
-    (one solve, each face query answered once), each edge's row by key
-    and its bound-dual columns by key and sign, a lattice kind's two
-    side-optimal vertices, the grand range, and the coalition rows
-    scanned so far as (members, demand) pairs. A coalition's demand is
-    solved on its part of this dual program, which ``cut`` takes from the
-    program's kept integers through the ``layout``, so no sub-game,
-    program or row is built for it. The instance was validated when built,
-    so the session checks none of its data.
+    (one solve; each face query is a phase-2 run of its own), a lattice
+    kind's two side-optimal vertices, the grand range, and the coalition
+    rows scanned so far as (members, demand) pairs. A coalition's demand,
+    and a blocking one's witness dual, are solved on its part of this dual
+    program, which ``cut`` takes from the program's kept integers through
+    the ``layout``, so no program or row is built for it. The instance
+    was validated when built, so the session checks none of its data.
     """
 
     def __init__(self, instance: GameInstance):
@@ -149,18 +150,6 @@ class _Session:
         """The one solve of the instance's dual program, shared by every
         query; optimal, as the instance is valid (see ``make_dual``)."""
         return OptimalFace(build_dual(self.instance))
-
-    @cached_property
-    def edge_rows(self) -> dict[EdgeKey, int]:
-        return {e.key: i for i, e in enumerate(self.instance.edges)}
-
-    @cached_property
-    def bound_columns(self) -> dict[tuple[EdgeKey, int], int]:
-        """(edge key, -1 lower or +1 upper) -> that bound dual's column, as
-        ``build_dual`` lays them out (``formulations.bound_columns``)."""
-        return {(e.key, sign): j
-                for e, columns in zip(self.instance.edges, bound_columns(self.instance))
-                for sign, j in zip((-1, 1), columns)}
 
     @cached_property
     def layout(self) -> tuple[dict[str, int], list[tuple], list[int]]:
@@ -338,9 +327,8 @@ class DualFace:
     ``optimal_dual``, ``primal_optimum``, ``is_optimal_dual`` and every
     ``DualFace`` built for the instance. Its queries, ``optimize`` and
     ``extremum``, are the engine's own methods and take one coefficient
-    per column of ``build_dual(instance)``; the engine keeps each answer,
-    so a question asked again of the instance, through this view or
-    another, costs a lookup, and building a view costs a session lookup.
+    per column of ``build_dual(instance)``; each is one phase-2 run from
+    the session's optimal basis, and building a view costs a session lookup.
     ``vertex_range`` of an agent of a lattice kind is its column on the
     face's two side-optimal vertices (``_Session.side_optimal``), two
     queries shared by every agent and by ``extreme_imputations``;
@@ -495,12 +483,18 @@ def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
     surplus under the sub-game's Bland-rule optimal dual, so repeated
     runs agree: its dual program, cut from the game's (``_Session.cut``)
     and pivoted as ``solve`` would pivot it (``LinearProgram._bland_part``),
-    costs that much on its first |S| columns, the members'. It has an
-    optimum since the game's program has one: the game's matching on the
-    inner edges is feasible for the sub-game, and the capacities bound it."""
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        return LinearProgram._bland_part(*_session(instance).cut(members), len(members))
-    return worth(instance, members)
+    costs that much on its first |S| columns, the members', summed in
+    integers. It has an optimum since the game's program has one: the
+    game's matching on the inner edges is feasible for the sub-game, and
+    the capacities bound it."""
+    if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
+        return worth(instance, members)
+    n, rows, costs = _session(instance).cut(members)
+    num, den, k = 0, 1, len(members)
+    for j, a, d in LinearProgram._bland_part(n, rows, costs):
+        if j < k:
+            num, den = num * d + costs[j] * a * den, den * d
+    return F(num, den)
 
 
 def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
@@ -543,9 +537,9 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     best matching when every capacity is one, else its parts) and is
     paid at least the sum of their payoffs, so one of them blocks too,
     and comes earlier. For the bounds-capacity kind a blocking row's
-    ``witness_dual`` is the optimal dual of its own sub-game, built and
-    solved again: ``_demand`` took the same pivots on the same program,
-    cut from the game's, so it is the vertex whose surplus was the demand.
+    ``witness_dual`` is the optimal dual of its own sub-game: the vertex
+    whose surplus was the demand, read off one more solve of its cut, as
+    ``_demand`` read it. No program, face or session is made for it.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -556,8 +550,13 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
     for members, demand, paid, scale in _shortfalls(session, payoffs):
-        d = (optimal_dual(restrict(instance, members))
-             if instance.kind is GameKind.HOFFMAN_KRUSKAL else None)
+        d = None
+        if instance.kind is GameKind.HOFFMAN_KRUSKAL:
+            n, rows, costs = session.cut(members)
+            values = [ZERO] * n
+            for j, a, den in LinearProgram._bland_part(n, rows, costs):
+                values[j] = F(a, den)
+            d = DualSolution(restrict(instance, members), tuple(values))
         return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
     return CoreVerdict(True)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
 from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
-from .rationals import ZERO, ensure_rational, scaled
+from .rationals import ZERO, scaled
 
 F = Fraction
 
@@ -57,7 +57,7 @@ def build_primal(instance: GameInstance) -> LinearProgram:
     """
     edges = instance.edges
     names = tuple(primal_var(e.key) for e in edges)
-    objective = tuple(ensure_rational(e.weight) for e in edges)
+    objective = tuple(e.weight for e in edges)
     rows = tuple(Constraint._signed(len(edges), {j: 1 for j, e in enumerate(edges)
                                                  if e.touches(q)},
                                     Relation.LE, F(instance.capacity(q)))
@@ -74,39 +74,38 @@ def build_primal(instance: GameInstance) -> LinearProgram:
 def build_dual(instance: GameInstance) -> LinearProgram:
     """The dual of :func:`build_primal`, written out explicitly.
 
-    Column j is agent j's vertex dual, weighted by its capacity. The
-    capacity-with-edge-bounds kind then adds, edge by edge, a lower-bound
-    dual and, when the edge has a finite upper bound, an upper-bound dual.
-    Row i is edge i's: its vertex duals, minus its lower-bound dual, plus
-    its upper-bound dual, at least its weight. Rows and program are built
-    as :func:`build_primal`'s are, every objective entry an integer.
+    Column j is agent j's vertex dual, weighted by its capacity. Edge i's
+    bound duals, a lower-bound dual and an upper-bound dual if it has a
+    ceiling, are its :func:`bound_columns`. Row i is edge i's: its vertex
+    duals, minus its lower-bound dual, plus its upper-bound dual, at least
+    its weight. Rows and program are built as :func:`build_primal`'s are,
+    every objective entry an integer.
     """
     at = {q: j for j, q in enumerate(instance.agents)}
     names = [vertex_dual_var(q) for q in instance.agents]
     costs = [instance.capacity(q) for q in instance.agents]
-    # Row i's nonzero coefficients by column, each placed as its column is.
-    signs = [{at[e.u]: 1, at[e.v]: 1} for e in instance.edges]
-    if instance.kind is GameKind.HOFFMAN_KRUSKAL:
-        for e, entry in zip(instance.edges, signs):
-            entry[len(names)] = -1
-            names.append(lower_dual_var(e.key))
-            costs.append(-e.lower)
-            if e.upper is not None:
-                entry[len(names)] = 1
-                names.append(upper_dual_var(e.key))
-                costs.append(e.upper)
+    # Row i's nonzero coefficients by column; the bound columns run on in order.
+    signs = []
+    for e, columns in zip(instance.edges, bound_columns(instance)):
+        entry = {at[e.u]: 1, at[e.v]: 1}
+        for j, (sign, var, cost) in zip(columns, ((-1, lower_dual_var, -e.lower),
+                                                  (1, upper_dual_var, e.upper))):
+            entry[j] = sign
+            names.append(var(e.key))
+            costs.append(cost)
+        signs.append(entry)
     n = len(names)
-    rows = tuple(Constraint._signed(n, entry, Relation.GE, ensure_rational(e.weight))
+    rows = tuple(Constraint._signed(n, entry, Relation.GE, e.weight)
                  for e, entry in zip(instance.edges, signs))
     return LinearProgram._trusted(Sense.MINIMIZE, tuple(names), tuple(map(F, costs)),
                                   (costs, 1), rows, (ZERO,) * n, (None,) * n)
 
 
 def bound_columns(instance: GameInstance) -> list[range]:
-    """Edge i's bound-dual columns in :func:`build_dual`'s layout, lower
-    then upper: past the agents, edge by edge, one for the floor and one
-    more for a ceiling, and none outside the capacity-with-edge-bounds
-    kind."""
+    """Edge i's bound-dual columns, lower then upper: past the agents,
+    edge by edge, one for the floor and one more for a ceiling, and none
+    outside the capacity-with-edge-bounds kind. The one description of
+    :func:`build_dual`'s layout, which the analysis reads too."""
     bounded = instance.kind is GameKind.HOFFMAN_KRUSKAL
     out, nxt = [], len(instance.agents)
     for e in instance.edges:

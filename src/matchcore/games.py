@@ -5,9 +5,9 @@ assignment, uniform-capacity multi-matching, per-vertex-capacity
 multi-matching, and capacity matching with per-edge lower/upper bounds);
 the fifth is matching on a general graph. Edge weights are strictly
 positive rationals. All value types are immutable and hashable. A game
-and an imputation convert and judge their own data when built
-(``make_instance`` is ``GameInstance``), so a malformed game raises
-``InstanceError`` and never exists.
+and an imputation convert and judge their own data when built, an edge
+its weight (``make_instance`` is ``GameInstance``, ``make_edge`` is
+``Edge``), so a malformed game raises ``InstanceError`` and never exists.
 """
 
 from __future__ import annotations
@@ -57,20 +57,21 @@ class Edge:
     def key(self) -> EdgeKey:
         return (self.u, self.v)
 
+    def __post_init__(self):
+        object.__setattr__(self, "weight", ensure_rational(self.weight))
+
     def touches(self, q: str) -> bool:
         return q == self.u or q == self.v
 
     def __hash__(self) -> int:
-        # The weight enters as (numerator, denominator): equal numbers give
-        # equal pairs (2, Fraction(2) and 2.0 alike), so this agrees with
-        # the generated __eq__, and two ints hash far faster than a
-        # Fraction, whose hash takes a modular inverse.
+        # The weight, a Fraction, enters as (numerator, denominator): two
+        # ints hash far faster than a Fraction, whose hash takes a modular
+        # inverse.
         return hash((self.u, self.v, self.weight.as_integer_ratio(),
                      self.lower, self.upper))
 
 
-def make_edge(u: str, v: str, weight, lower: int = 0, upper: int | None = None) -> Edge:
-    return Edge(u, v, ensure_rational(weight), lower, upper)
+make_edge = Edge
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ class GameInstance:
     general kind stores its single vertex set in ``side_u`` and leaves
     ``side_v`` empty. ``capacities`` applies to the per-vertex-capacity
     kinds; ``uniform_capacity`` to the uniform kind. Building one (or
-    ``make_instance``, the same class) converts a kind's value, sides, edge
-    tuples (``make_edge``) and a capacity mapping or None to the field types,
-    then runs ``validate`` and raises ``InstanceError`` listing every violation.
+    ``make_instance``) converts a kind's value, sides (refusing a string),
+    edge tuples and a capacity mapping or None to the field types, then
+    runs ``validate``, raising ``InstanceError`` listing every violation.
     """
     kind: GameKind
     side_u: tuple[str, ...]
@@ -94,11 +95,13 @@ class GameInstance:
 
     def __post_init__(self):
         kind, caps, put = self.kind, self.capacities, object.__setattr__
+        for side, names in (("side_u", self.side_u), ("side_v", self.side_v)):
+            if isinstance(names, str):
+                raise InstanceError(f"{side} {names!r} is one string, not a list of names")
+            put(self, side, tuple(names))
         items = caps.items() if isinstance(caps, Mapping) else caps or ()
         put(self, "kind", kind if isinstance(kind, GameKind) else GameKind(kind))
-        put(self, "side_u", tuple(self.side_u))
-        put(self, "side_v", tuple(self.side_v))
-        put(self, "edges", tuple(e if isinstance(e, Edge) else make_edge(*e) for e in self.edges))
+        put(self, "edges", tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
         put(self, "capacities", tuple((q, b) for q, b in items))
         problems = validate(self)
         if problems:
@@ -165,16 +168,22 @@ class SurplusAccount:
 @dataclass(frozen=True, eq=True)
 class Imputation:
     """A division of the game's total among agents: its payoffs, nothing
-    else, so two imputations with the same payoffs are equal. Building one
-    converts each payoff (``ensure_rational``) and refuses a negative one."""
+    else, so equal payoffs make equal imputations. Building one reads a
+    mapping by its items and converts each (name, payoff) pair's payoff
+    (``ensure_rational``), refusing any other entry and a negative payoff."""
     payoffs: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        payoffs = tuple((q, ensure_rational(v)) for q, v in self.payoffs)
-        object.__setattr__(self, "payoffs", payoffs)
-        for q, v in payoffs:
+        given = self.payoffs
+        payoffs = []
+        for entry in given.items() if isinstance(given, Mapping) else given:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ValueError(f"payoff entry {entry!r} is not a (name, payoff) pair")
+            q, v = entry[0], ensure_rational(entry[1])
             if v < 0:
                 raise ValueError(f"negative payoff for {q!r}")
+            payoffs.append((q, v))
+        object.__setattr__(self, "payoffs", tuple(payoffs))
 
     @cached_property
     def as_dict(self) -> dict[str, Fraction]:
@@ -279,9 +288,7 @@ def validate(instance: GameInstance) -> list[str]:
         if pair in seen_pairs:
             out.append(f"parallel edge ({u},{v})")
         seen_pairs.add(pair)
-        if not isinstance(e.weight, Fraction):
-            out.append(f"weight on ({u},{v}) must be a Fraction")
-        elif e.weight.numerator <= 0:     # a Fraction's denominator is positive
+        if e.weight.numerator <= 0:       # a Fraction's denominator is positive
             out.append(f"non-positive weight on ({u},{v})")
         if n_u is not None and (a < n_u) == (b < n_u):
             out.append(f"edge ({u},{v}) does not cross the bipartition")

@@ -9,19 +9,20 @@ and each ``LinearProgram`` its objective, both computed when they are
 built, or written straight in by the formulations' trusted builders, and
 the tableau (see ``_Tableau``) only copies those integers, so a row or
 objective solved again is never scaled again; a program given in
-integers alone is solved unbuilt (``LinearProgram._bland_part``). Phase 1 stores no
-artificial column: each row owns one unit column, its slack or, for an
-equality row, a column that no phase-2 run lets enter, and reads its
-artificial off it; the objective's reduced-cost row rides through phase
-1, so phase 2 starts where phase 1 stops. Activities and objective values
+integers alone is solved unbuilt, its vertex read off in integers
+(``LinearProgram._bland_part``). Phase 1 stores no artificial column:
+each row owns one unit column, its slack or, for an equality row, a
+column that no phase-2 run lets enter, and reads its artificial off it;
+the objective's reduced-cost row rides through phase 1, so phase 2
+starts where phase 1 stops. Activities and objective values
 are ``rationals.dot``, one integer sum of products. Fractions are built
 only at the layer's edge: the inputs, the ``values`` and ``value`` of an
 ``LpSolution``, and each ``dot``'s one result. No rounding, no
 tolerances: identical inputs always produce the identical basic optimal
 solution. The optimal face has one representation, ``OptimalFace``: it
 solves once and answers each secondary objective by phase 2 alone from
-the optimal basis, over the columns whose reduced cost there is zero,
-and keeps each answer, keyed by the query's integers.
+the optimal basis, over the columns whose reduced cost there is zero;
+it keeps no answer, so a question asked again runs again.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Constraint:
     straight into integers: every row of ``build_primal``, ``build_dual``,
     ``build_odd_set_primal`` and row generation (``analysis._core_optimum``).
     A coalition's dual rows are cut from the game's rows' kept integers
-    and solved unbuilt by ``LinearProgram._bland_part``."""
+    and solved unbuilt by ``LinearProgram._bland_part``, which gives its
+    vertex in integers too."""
     coeffs: tuple[Fraction, ...]
     relation: Relation
     rhs: Fraction
@@ -204,22 +206,20 @@ class LinearProgram:
         return lp
 
     @staticmethod
-    def _bland_part(n: int, rows: Sequence[tuple[list[int], int]], costs: Sequence[int],
-                    k: int) -> Fraction:
-        """``costs[:k] . x``, one Fraction, at the vertex minimizing the
-        integers ``costs`` over x >= 0 and the >= ``rows``, each (ints, den)
-        as ``Constraint._scaled_row`` keeps one: ``solve``'s pivots on that
-        program, never built. ValueError when it has no optimum."""
+    def _bland_part(n: int, rows: Sequence[tuple[list[int], int]],
+                    costs: Sequence[int]) -> list[tuple[int, int, int]]:
+        """The vertex minimizing the integers ``costs`` over x >= 0 and the
+        >= ``rows``, each (ints, den) as ``Constraint._scaled_row`` keeps
+        one: ``solve``'s pivots on that program, never built. Given as
+        (column, numerator, denominator) per basic column; every other
+        column is zero. ValueError when the program has no optimum."""
         tableau = object.__new__(_Tableau)
         tableau._start(n, rows, (_GE,) * len(rows), (), costs, 1)
         if not tableau._phase1() or tableau._run(tableau.rows.pop(), tableau.dens.pop(),
                                                   range(tableau.ncols))[0] is not None:
             raise ValueError("the program has no optimum")
-        num, den = 0, 1
-        for row, d, bj in zip(tableau.rows, tableau.dens, tableau.basis):
-            if bj < k:
-                num, den = num * d + costs[bj] * row[-1] * den, den * d
-        return Fraction(num, den)
+        return [(bj, row[-1], d) for row, d, bj in zip(tableau.rows, tableau.dens, tableau.basis)
+                if bj < n]
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         return dot(self.objective, values)
@@ -606,21 +606,20 @@ class OptimalFace:
     of the polyhedron, and ``"unbounded"`` means the face has a ray along
     which the secondary objective improves. A question that fixes
     variables is one solve of ``lp`` with their bounds fixed: the face
-    meets the fixed set exactly when that optimum is ``base.value``. Each
-    answer of ``optimize`` is kept and handed out again for the same
-    objective and sense; an ``LpSolution`` is frozen, so sharing it is
-    safe. ``support``, kept too, is read off the base vertex and then one
-    ``fork``: each round, one phase-2 run, maximizes the sum of the
-    coordinates not yet seen positive and ends on a vertex that shows
-    one, at zero (the next round enters nothing), or on a ray, which
-    raises its entering column and each basic column negative in it.
+    meets the fixed set exactly when that optimum is ``base.value``.
+    ``optimize`` keeps no answer: each question is one phase-2 run, or
+    none when no allowed column enters. ``support``, kept once found, is
+    read off the base vertex and then one ``fork``: each round, one
+    phase-2 run, maximizes the sum of the coordinates not yet seen
+    positive and ends on a vertex that shows one, at zero (the next
+    round enters nothing), or on a ray, which raises its entering column
+    and each basic column negative in it.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._tableau = _Tableau(lp)
         self.base = self._tableau.solve()
-        self._answers: dict[tuple, LpSolution] = {}
         self._support = None
         if self.base.status is Status.OPTIMAL:
             self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
@@ -650,22 +649,16 @@ class OptimalFace:
         return self._support
 
     def optimize(self, objective, sense) -> LpSolution:
-        """Optimize a secondary objective over the optimal face."""
+        """Optimize a secondary objective over the optimal face: it is
+        scaled to integers once, then one phase-2 run, or none when no
+        allowed column enters."""
         if self.base.status is not Status.OPTIMAL:
             raise ValueError(f"base program is {self.base.status.value}, not optimal")
         ints, scale = scaled(tuple(map(ensure_rational, objective)))
         if len(ints) != len(self.lp.variables):
             raise ValueError("objective length does not match variable count")
         sense = sense if isinstance(sense, Sense) else Sense(sense)
-        # Scaled once and keyed by its integers: ``scaled`` gives the
-        # smallest common denominator, so equal objectives give equal keys,
-        # and ints hash far faster than a Fraction.
-        key = (tuple(ints), scale, sense)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = self._answers[key] = self._tableau.optimize(
-                (ints, scale), sense, self._columns)
-        return answer
+        return self._tableau.optimize((ints, scale), sense, self._columns)
 
     def extremum(self, objective, sense) -> Fraction | None:
         """The optimum over the face; None when the face has a ray along

@@ -599,8 +599,8 @@ def test_make_dual_rejects_entries_without_a_column():
 
 
 def test_bound_dual_columns_are_where_the_edge_row_has_its_signed_entries():
-    # DualSolution.lower and upper find an edge's bound-dual columns in the
-    # session's map, built from build_dual's layout; the reference scans
+    # DualSolution.lower and upper read an edge's bound-dual columns off
+    # formulations.bound_columns, build_dual's layout; the reference scans
     # the edge's own dual row, past the agents, for its -1 (lower) and +1
     # (upper) entry. Column j holds j + 1, so the value read names the
     # column and a missing bound dual reads as zero.
@@ -624,6 +624,36 @@ def test_bound_dual_columns_are_where_the_edge_row_has_its_signed_entries():
     assert len(games) == 215 and seen["lower absent"] == 192, seen
     assert seen["lower"] >= 700 and seen["upper"] >= 500, seen
     assert seen["upper absent"] - seen["lower absent"] >= 150, seen
+
+
+def test_building_a_dual_solves_nothing(monkeypatch):
+    # DualSolution and make_dual read the program's width and the
+    # bound-dual columns off formulations.bound_columns: on a cleared
+    # cache, building either on a cap-set game makes no OptimalFace, builds
+    # no dual program and opens no session, and each entry lands in its
+    # build_dual column.
+    faces, built = [], []
+    face_of, build_of = analysis_module.OptimalFace, analysis_module.build_dual
+    monkeypatch.setattr(analysis_module, "OptimalFace",
+                        lambda lp: faces.append(lp) or face_of(lp))
+    monkeypatch.setattr(analysis_module, "build_dual", lambda g: built.append(g) or build_of(g))
+    for kind, s, g in helpers.cap_set():
+        labels = build_dual(g).variables
+        analysis_module._session.cache_clear()
+        hk = g.kind is GameKind.HOFFMAN_KRUSKAL
+        d = make_dual(g, {q: j + 1 for j, q in enumerate(g.agents)},
+                      {e.key: 1 for e in g.edges} if hk else None,
+                      {e.key: 2 for e in g.edges if e.upper is not None} if hk else None)
+        assert len(d.values) == len(labels)
+        for j, label in enumerate(labels):
+            assert d.values[j] == (j + 1 if j < len(g.agents) else
+                                   1 if label.startswith("floor") else 2), (kind, s, label)
+        values = tuple(F(j) for j in range(len(labels)))
+        assert DualSolution(g, values).values == values
+        with pytest.raises(ValueError, match=f"dual program of {len(labels)} columns"):
+            DualSolution(g, values[1:])
+        assert not faces and not built, (kind, s)
+        assert analysis_module._session.cache_info().currsize == 0
 
 
 def test_a_dual_vector_of_another_length_is_refused():

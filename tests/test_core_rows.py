@@ -383,6 +383,46 @@ def test_hk_demand_table_matches_each_coalitions_own_sub_game():
     assert apart >= 250, apart
 
 
+def test_a_blocked_hk_verdict_reads_its_witness_dual_off_its_own_cut(monkeypatch):
+    # A blocking coalition's witness dual is its Bland vertex, read off one
+    # more solve of its part of the game's dual program: on the cap set and
+    # 150 seeded games, each blocked verdict's witness_dual equals the
+    # optimal_dual of the witness's sub-game, built and solved cold. Asked
+    # cold, the verdict builds one dual program and one optimal face, the
+    # game's own, and no session for the sub-game.
+    faces, built = [], []
+    face_of, build_of = analysis.OptimalFace, analysis.build_dual
+    monkeypatch.setattr(analysis, "OptimalFace", lambda lp: faces.append(lp) or face_of(lp))
+    monkeypatch.setattr(analysis, "build_dual", lambda g: built.append(g) or build_of(g))
+    rng, split = random.Random(4901), random.Random(4902)
+    games = [g for _, _, g in helpers.cap_set(("hoffman_kruskal",))]
+    games += [helpers.random_bipartite(rng, GameKind.HOFFMAN_KRUSKAL, max_side=4, max_edges=7)
+              for _ in range(150)]
+    blocked = 0
+    for g in games:
+        grand = analysis.surplus_account(g, analysis.optimal_dual(g)).surplus
+        for _ in range(2):
+            shares = [split.randint(0, 3) for _ in g.agents]
+            shares[0] += not any(shares)
+            imp = make_imputation(g, {q: grand * s / sum(shares)
+                                      for q, s in zip(g.agents, shares)})
+            analysis._session.cache_clear()
+            faces.clear()
+            built.clear()
+            verdict = analysis.is_core_imputation(g, imp)
+            assert built == [g] and len(faces) == 1
+            assert analysis._session.cache_info().currsize == 1
+            if verdict.witness_dual is None:
+                assert verdict.in_core or verdict.witness == frozenset(g.agents)
+                continue
+            blocked += 1
+            analysis._session.cache_clear()
+            oracle_module._search.cache_clear()
+            assert verdict.witness_dual == analysis.optimal_dual(restrict(g, verdict.witness))
+    # Count at these seeds: 267 blocked verdicts of 306.
+    assert blocked >= 100, blocked
+
+
 def test_hk_coalition_program_is_the_sub_games_own_dual_program():
     # A closed coalition's part of the game's dual program is its
     # sub-game's dual program, column for column and row for row, each

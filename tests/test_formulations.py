@@ -370,7 +370,7 @@ def test_half_integrality_names_each_violation(monkeypatch, edges, values, viola
     # test is made to pass these points, which are not vertices, and each
     # violation the check can name is named.
     monkeypatch.setattr(formulations, "is_vertex", lambda lp, values: True)
-    g = make_instance(GameKind.GENERAL, "abcd", [], [(u, v, 1) for u, v in edges.split()])
+    g = make_instance(GameKind.GENERAL, list("abcd"), [], [(u, v, 1) for u, v in edges.split()])
     sol = LpSolution(Status.OPTIMAL, F(0), tuple(map(F, values)))
     assert check_half_integrality(sol, g).violations == violations
 

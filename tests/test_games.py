@@ -13,6 +13,7 @@ from matchcore.games import (
     Edge,
     GameInstance,
     GameKind,
+    Imputation,
     make_edge,
     make_imputation,
     make_instance,
@@ -39,11 +40,11 @@ def test_restrict_to_all_agents_is_identity():
 
 
 def test_equal_edges_and_instances_hash_equal():
-    # Edge hashes its weight as (numerator, denominator): an int weight and
-    # the equal Fraction give equal edges with equal hashes. An instance
-    # refuses an Edge whose weight is an int, and one built from the ints
-    # as data equals, and hashes as, the original, and so do their
-    # restrict copies.
+    # Edge converts its weight and hashes it as (numerator, denominator):
+    # an int weight and the equal Fraction give equal edges with equal
+    # hashes. An instance built from Edges whose weights are ints, or from
+    # the ints as data, equals, and hashes as, the original, and so do
+    # their restrict copies.
     assert Edge("a", "b", 2) == Edge("a", "b", Fraction(2))
     assert hash(Edge("a", "b", 2)) == hash(Edge("a", "b", Fraction(2)))
     assert Edge("a", "b", F(1, 2)) != Edge("a", "b", F(1, 3))
@@ -52,10 +53,10 @@ def test_equal_edges_and_instances_hash_equal():
     for _ in range(80):
         kind = rng.choice(helpers.ALL_BIPARTITE)
         g = helpers.random_bipartite(rng, kind)
-        assert refusal(kind, g.side_u, g.side_v,
-                       [Edge(e.u, e.v, int(e.weight), e.lower, e.upper) for e in g.edges],
-                       g.capacities, g.uniform_capacity) == [
-            f"weight on ({e.u},{e.v}) must be a Fraction" for e in g.edges]
+        as_edges = make_instance(kind, g.side_u, g.side_v,
+                                 [Edge(e.u, e.v, int(e.weight), e.lower, e.upper)
+                                  for e in g.edges], g.capacities, g.uniform_capacity)
+        assert as_edges == g and hash(as_edges) == hash(g)
         as_ints = make_instance(kind, g.side_u, g.side_v,
                                 [(e.u, e.v, int(e.weight), e.lower, e.upper)
                                  for e in g.edges],
@@ -202,10 +203,8 @@ def test_validate_flags_capacity_data_the_kind_does_not_use(kind):
      {"capacities": {"a": 3, "b": 3}}),
     ("assignment", (["a"], ["b"]), [("a", "b", 1, 0.0, None)], {}),
     ("assignment", ([1], [2]), [(1, 2, 1)], {}),
-    ("assignment", (["a"], ["b"]), [Edge("a", "b", 0.5)], {}),
 ], ids=["float-capacity", "bool-capacity", "float-uniform-capacity",
-        "float-upper-bound", "float-lower-bound", "int-agent-names",
-        "float-weight-in-an-edge-object"])
+        "float-upper-bound", "float-lower-bound", "int-agent-names"])
 def test_validate_reports_data_of_the_wrong_type(kind, sides, edges, data):
     # make_instance passes the data on as given and the gate judges it: it
     # reports each of these rather than letting it through or raising
@@ -304,6 +303,20 @@ def test_restriction_preserves_validity_up_to_lower_bounds():
         assert validate(restrict(g, s)) == []
 
 
+@pytest.mark.parametrize("weight", [0.5, True, None])
+def test_an_edge_converts_its_weight_and_refuses_another_type(weight):
+    # An Edge, and so make_edge, the same class, converts its weight as
+    # the tuple ("a", "b", 2) in an instance's edges is converted; a float,
+    # a bool or no number is refused before any instance can hold it.
+    assert make_edge is Edge
+    for given, exact in ((2, F(2)), ("3/2", F(3, 2)), (F(5, 3), F(5, 3))):
+        edge = Edge("a", "b", given)
+        assert type(edge.weight) is Fraction and edge.weight == exact
+        assert edge == make_instance("assignment", ["a"], ["b"], [("a", "b", given)]).edges[0]
+    with pytest.raises(TypeError):
+        Edge("a", "b", weight)
+
+
 def test_make_imputation_fills_zero_and_rejects_bad_input():
     g = helpers.two_team_b_matching()
     imp = make_imputation(g, {"u": F(4)})
@@ -315,6 +328,18 @@ def test_make_imputation_fills_zero_and_rejects_bad_input():
         make_imputation(g, {"u": -1})
     with pytest.raises(TypeError):
         make_imputation(g, {"u": 0.5})
+
+
+def test_an_imputation_reads_a_mapping_by_its_items():
+    # A payoff mapping is read as (name, payoff) items, whatever the
+    # names' length; an entry that is not such a pair is refused, named.
+    assert Imputation({"a1": 5}).payoffs == (("a1", F(5)),)
+    assert Imputation({"abc": 5, "d": "1/2"}) == Imputation((("abc", F(5)), ("d", F(1, 2))))
+    assert Imputation([["a", 1]]) == Imputation((("a", F(1)),))
+    for entries in (["a1"], [("a", 1, 2)], [("a",)], [5], "ab"):
+        with pytest.raises(ValueError, match="is not a \\(name, payoff\\) pair") as err:
+            Imputation(entries)
+        assert repr(entries[0]) in str(err.value)
 
 
 def test_validate_rejects_names_that_clash_with_program_variables():
@@ -348,6 +373,8 @@ PROBES = {
                         "non-positive weight on (a,b)"),
     "heavy-self-loop": (("general", ["a", "b"], [], [("a", "a", 5), ("a", "b", 1)]), {},
                         "self-loop at a"),
+    "string-side": (("assignment", "ab", "c", [("a", "c", 1)]), {},
+                    "side_u 'ab' is one string, not a list of names"),
 }
 
 ANALYSES = {
@@ -363,8 +390,10 @@ ANALYSES = {
 
 
 def _direct(kind, side_u, side_v, edges, capacities=None, uniform_capacity=None):
-    """The probe built by GameInstance itself, no make_instance."""
-    return GameInstance(GameKind(kind), tuple(side_u), tuple(side_v),
+    """The probe built by GameInstance itself, no make_instance: list
+    sides as tuples, a side given as one string as it is."""
+    side_u, side_v = (side if isinstance(side, str) else tuple(side) for side in (side_u, side_v))
+    return GameInstance(GameKind(kind), side_u, side_v,
                         tuple(make_edge(*e) for e in edges),
                         tuple((capacities or {}).items()), uniform_capacity)
 
