@@ -133,7 +133,7 @@ class _Session:
     when first asked for and then kept: the dual program's ``OptimalFace``
     (one solve; each face query is a phase-2 run of its own), a lattice
     kind's two side-optimal vertices, the grand range, and the coalition
-    rows scanned so far as (members, demand) pairs. A coalition's demand,
+    rows scanned so far as (positions, demand) pairs. A coalition's demand,
     and a blocking one's witness dual, are solved on its part of this dual
     program, which ``cut`` takes from the program's kept integers through
     the ``layout``, so no program or row is built for it. The instance
@@ -152,24 +152,23 @@ class _Session:
         return OptimalFace(build_dual(self.instance))
 
     @cached_property
-    def layout(self) -> tuple[dict[str, int], list[tuple], list[int]]:
-        """The dual program as ``cut`` reads it: each agent's bit (bit j is
-        agent j); each edge's endpoints' bits, bound-dual columns and row's
-        kept integers; the objective's integers."""
+    def layout(self) -> tuple[list[tuple], list[int]]:
+        """The dual program as ``cut`` reads it: each edge's endpoints'
+        bits (bit j is agent j), bound-dual columns and row's kept
+        integers; the objective's integers."""
         bit, lp = {q: 1 << j for j, q in enumerate(self.instance.agents)}, self.face.lp
         edges = zip(self.instance.edges, bound_columns(self.instance), lp.constraints)
-        return bit, [(bit[e.u] | bit[e.v], columns, row._scaled_row)
-                     for e, columns, row in edges], lp._scaled_objective[0]
+        return [(bit[e.u] | bit[e.v], columns, row._scaled_row)
+                for e, columns, row in edges], lp._scaled_objective[0]
 
     def cut(self, members) -> tuple[int, list[tuple[list[int], int]], list[int]]:
         """``build_dual(restrict(instance, members))`` in integers as (n,
-        >= rows, costs): ``restrict`` keeps the game's order, so its n
-        columns are the members' and their inner edges' bound duals."""
-        bit, edges, costs = self.layout
-        mask = sum(map(bit.__getitem__, members))
+        >= rows, costs): ``restrict`` keeps the game's order, so its n columns
+        are the members (increasing positions) and their inner edges' bound duals."""
+        edges, costs = self.layout
+        mask = sum(1 << j for j in members)
         inner = [edge for edge in edges if edge[0] & mask == edge[0]]
-        columns = [j for j, b in enumerate(bit.values()) if mask & b]
-        columns += [j for _, bounds, _ in inner for j in bounds]
+        columns = [*members, *(j for _, bounds, _ in inner for j in bounds)]
         rows = [([ints[j] for j in columns] + ints[-1:], den) for _, _, (ints, den) in inner]
         return len(columns), rows, [costs[j] for j in columns]
 
@@ -219,7 +218,7 @@ class _Session:
             return w, w
         return self.face.range(_surplus_weights(self.instance))
 
-    def demands(self) -> Iterator[tuple[tuple[str, ...], Fraction]]:
+    def demands(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """The (members, demand) rows of ``_coalitions`` in their order. A
         row is kept when a scan first reaches it and its demand, one
         ``_demand`` call, when first read, so a scan that stops early, or
@@ -428,10 +427,10 @@ class CoreVerdict:
 
 
 def _coalitions(instance: GameInstance) -> Iterator[
-        tuple[tuple[str, ...], Fraction | None]]:
+        tuple[tuple[int, ...], Fraction | None]]:
     """The coalition rows of the core as (members, demand), lazily, in
-    size-then-lexicographic order (agents in instance order); the set-up
-    runs on the call, so the iteration cannot raise.
+    size-then-lexicographic order, members as increasing agent positions;
+    the set-up runs on the call, so the iteration cannot raise.
 
     With every capacity one the rows are the proper edge pairs, each
     demanding its weight: v(S) is the weight of a matching in S, so
@@ -454,7 +453,7 @@ def _coalitions(instance: GameInstance) -> Iterator[
     if (instance.kind is not GameKind.HOFFMAN_KRUSKAL
             and all(instance.capacity(q) == 1 for q in agents)):
         pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
-        return (((agents[i], agents[j]), w) for i, j, w in pairs if len(agents) > 2)
+        return (((i, j), w) for i, j, w in pairs if len(agents) > 2)
     near = [0] * len(agents)
     for e in instance.edges:
         near[at[e.u]] |= 1 << at[e.v]
@@ -471,24 +470,24 @@ def _coalitions(instance: GameInstance) -> Iterator[
                     out ^= bit
                     grown[mask | bit] = reach | near[bit.bit_length() - 1]
             level = grown
-            for picked in sorted(tuple(j for j in range(len(agents)) if mask >> j & 1)
-                                 for mask in level):
-                yield tuple(agents[j] for j in picked), None
+            yield from sorted((tuple(j for j in range(len(agents)) if mask >> j & 1), None)
+                              for mask in level)
     return connected()
 
 
-def _demand(instance: GameInstance, members: tuple[str, ...]) -> Fraction:
+def _demand(instance: GameInstance, members: tuple[int, ...]) -> Fraction:
     """What a coalition, a row of ``_coalitions``, demands: what its own
-    sub-game yields, its worth or, for the bounds-capacity kind, its
-    surplus under the sub-game's Bland-rule optimal dual, so repeated
-    runs agree: its dual program, cut from the game's (``_Session.cut``)
-    and pivoted as ``solve`` would pivot it (``LinearProgram._bland_part``),
-    costs that much on its first |S| columns, the members', summed in
-    integers. It has an optimum since the game's program has one: the
-    game's matching on the inner edges is feasible for the sub-game, and
-    the capacities bound it."""
+    sub-game yields, its worth (``worth`` takes the members' names) or,
+    for the bounds-capacity kind, its surplus under the sub-game's
+    Bland-rule optimal dual, so repeated runs agree: its dual program,
+    cut from the game's (``_Session.cut``) and pivoted as ``solve``
+    would pivot it (``LinearProgram._bland_part``), costs that much on
+    its first |S| columns, the members', summed in integers. It has an
+    optimum since the game's program has one: the game's matching on
+    the inner edges is feasible for the sub-game, and the capacities
+    bound it."""
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
-        return worth(instance, members)
+        return worth(instance, tuple(instance.agents[j] for j in members))
     n, rows, costs = _session(instance).cut(members)
     num, den, k = 0, 1, len(members)
     for j, a, d in LinearProgram._bland_part(n, rows, costs):
@@ -506,16 +505,15 @@ def _payoffs(instance: GameInstance, imp: Imputation) -> list[Fraction]:
 
 
 def _shortfalls(session: _Session, payoffs: list[Fraction]) -> Iterator[
-        tuple[tuple[str, ...], Fraction, int, int]]:
+        tuple[tuple[int, ...], Fraction, int, int]]:
     """The core's rows that ``payoffs`` (in agent order) leave short, as
-    (members, demand, paid, scale), lazily in the order of
-    ``_Session.demands``: the one scan that compares rows with payoffs,
-    in integers. The payoffs are scaled once, over their common
-    denominator ``scale``; a row is paid paid / scale < demand."""
+    (members, demand, paid, scale), lazily in ``_Session.demands``'s
+    order: the one scan comparing rows with payoffs, in integers. The
+    payoffs are scaled once, over their common denominator ``scale``, and
+    read at the members' positions; a row is paid paid / scale < demand."""
     ints, scale = scaled(payoffs)
-    pay = dict(zip(session.instance.agents, ints))
     for members, demand in session.demands():
-        paid = sum(map(pay.__getitem__, members))
+        paid = sum(map(ints.__getitem__, members))
         if demand.numerator * scale > paid * demand.denominator:
             yield members, demand, paid, scale
 
@@ -536,10 +534,11 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     the sum of what smaller rows inside it demand (the edge pairs of a
     best matching when every capacity is one, else its parts) and is
     paid at least the sum of their payoffs, so one of them blocks too,
-    and comes earlier. For the bounds-capacity kind a blocking row's
-    ``witness_dual`` is the optimal dual of its own sub-game: the vertex
-    whose surplus was the demand, read off one more solve of its cut, as
-    ``_demand`` read it. No program, face or session is made for it.
+    and comes earlier. The witness is its members' names, and for the
+    bounds-capacity kind its ``witness_dual`` is the optimal dual of its
+    own sub-game: the vertex whose surplus was the demand, read off one
+    more solve of its cut, as ``_demand`` read it, with no program, face
+    or session made for it.
     """
     agents = instance.agents
     check_instance_size(len(agents), len(instance.edges))
@@ -550,14 +549,14 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     if total < lo or (hi is not None and total > hi):
         return CoreVerdict(False, frozenset(agents), lo if total < lo else hi, total, None)
     for members, demand, paid, scale in _shortfalls(session, payoffs):
-        d = None
+        names, d = [agents[j] for j in members], None
         if instance.kind is GameKind.HOFFMAN_KRUSKAL:
             n, rows, costs = session.cut(members)
             values = [ZERO] * n
             for j, a, den in LinearProgram._bland_part(n, rows, costs):
                 values[j] = F(a, den)
-            d = DualSolution(restrict(instance, members), tuple(values))
-        return CoreVerdict(False, frozenset(members), demand, F(paid, scale), d)
+            d = DualSolution(restrict(instance, names), tuple(values))
+        return CoreVerdict(False, frozenset(names), demand, F(paid, scale), d)
     return CoreVerdict(True)
 
 
@@ -605,18 +604,19 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
     the caller's list: it starts as ``_total_rows`` and keeps the rows
     found for later objectives. After each solve the row that the
     optimum leaves shortest (the first of ``_shortfalls`` on ties) is
-    appended, until the LP is infeasible or no row is short (Dantzig,
-    Fulkerson and Johnson 1954; Kelley 1960). Such an optimum is optimal
-    for the full system, and a vertex of the core because it is a vertex
-    of a larger polyhedron. The LP keeps payoffs >= 0, under which the
-    rows of ``_coalitions`` imply every other coalition's row: the same
-    polyhedron. It serves the two cores that are not capacity times the
-    optimal dual face: hoffman_kruskal's, for ``core_nonempty``, and that
-    of b_matching with a capacity above one, for ``sample_core_vertices``.
-    Rounds write rows and programs unchecked (``Constraint._signed``, ``_trusted``).
+    appended, a one at each of its members' positions, until the LP is
+    infeasible or no row is short (Dantzig, Fulkerson and Johnson 1954;
+    Kelley 1960). Such an optimum is optimal for the full system, and a
+    vertex of the core because it is a vertex of a larger polyhedron.
+    The LP keeps payoffs >= 0, under which the rows of ``_coalitions``
+    imply every other coalition's row: the same polyhedron. It serves
+    the two cores that are not capacity times the optimal dual face:
+    hoffman_kruskal's, for ``core_nonempty``, and that of b_matching with
+    a capacity above one, for ``sample_core_vertices``. Rounds write rows
+    and programs unchecked (``Constraint._signed``, ``_trusted``).
     """
     agents = session.instance.agents
-    n, at, objective = len(agents), {q: j for j, q in enumerate(agents)}, tuple(objective)
+    n, objective = len(agents), tuple(objective)
     ints, lower, upper = scaled(objective), (ZERO,) * n, (None,) * n
     while True:
         sol = solve(LinearProgram._trusted(sense, agents, objective, ints, tuple(rows),
@@ -634,8 +634,7 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
         if worst is None:
             return sol
         members, demand = worst
-        rows.append(Constraint._signed(n, dict.fromkeys(map(at.__getitem__, members), 1),
-                                       Relation.GE, demand))
+        rows.append(Constraint._signed(n, dict.fromkeys(members, 1), Relation.GE, demand))
 
 
 def _imputation_from(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:

@@ -85,6 +85,9 @@ class GameInstance:
     ``make_instance``) converts a kind's value, sides (refusing a string),
     edge tuples and a capacity mapping or None to the field types, then
     runs ``validate``, raising ``InstanceError`` listing every violation.
+    An unknown kind, an edge that is no ``Edge`` or tuple or list of 3 to
+    5 entries, and a capacity entry that is no (name, capacity) tuple or
+    list are refused first, by an ``InstanceError`` naming the entry.
     """
     kind: GameKind
     side_u: tuple[str, ...]
@@ -99,10 +102,17 @@ class GameInstance:
             if isinstance(names, str):
                 raise InstanceError(f"{side} {names!r} is one string, not a list of names")
             put(self, side, tuple(names))
+        if not isinstance(kind, GameKind):
+            try:
+                put(self, "kind", GameKind(kind))
+            except ValueError:
+                raise InstanceError(f"unknown game kind {kind!r}") from None
+        put(self, "edges", tuple(e if isinstance(e, Edge) else Edge(*_entry(
+            e, (3, 4, 5), "edge", "an Edge or a (u, v, weight[, lower[, upper]]) tuple"))
+            for e in self.edges))
         items = caps.items() if isinstance(caps, Mapping) else caps or ()
-        put(self, "kind", kind if isinstance(kind, GameKind) else GameKind(kind))
-        put(self, "edges", tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
-        put(self, "capacities", tuple((q, b) for q, b in items))
+        put(self, "capacities", tuple(_entry(entry, (2,), "capacity", "a (name, capacity) pair")
+                                      for entry in items))
         problems = validate(self)
         if problems:
             raise InstanceError("; ".join(problems))
@@ -151,6 +161,14 @@ class GameInstance:
 
 
 make_instance = GameInstance
+
+
+def _entry(entry, sizes: tuple[int, ...], what: str, shape: str) -> tuple:
+    """A game's ``what`` entry as a tuple, when it is a tuple or list of
+    one of ``sizes`` entries; else an ``InstanceError`` naming it."""
+    if isinstance(entry, (tuple, list)) and len(entry) in sizes:
+        return tuple(entry)
+    raise InstanceError(f"{what} entry {entry!r} is not {shape}")
 
 
 @dataclass(frozen=True)

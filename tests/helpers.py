@@ -225,6 +225,11 @@ def subset_worths(g):
     return v
 
 
+def names(g, members):
+    """A coalition row's members, positions among the agents, by name."""
+    return tuple(g.agents[j] for j in members)
+
+
 def closed_part(g, members):
     """The members of a coalition with a neighbour inside it, in agent
     order: its members on an inner edge."""

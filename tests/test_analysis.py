@@ -1252,7 +1252,8 @@ def _face_values(g, probes):
               for size in range(len(g.agents) + 1) for members in combinations(g.agents, size)}
     # The core's rows (hoffman_kruskal demands follow the pivot rule).
     rows = None if g.kind is GameKind.HOFFMAN_KRUSKAL else {
-        frozenset(members): demand for members, demand in analysis_module._session(g).demands()}
+        frozenset(helpers.names(g, members)): demand
+        for members, demand in analysis_module._session(g).demands()}
     verdicts = []
     for payoffs in probes:
         imp = make_imputation(g, payoffs)
@@ -1422,7 +1423,8 @@ def test_a_scan_cut_short_by_an_error_leaves_the_session_whole(monkeypatch):
     assert not is_core_imputation(g, make_imputation(g, {"a1": witness.total})).in_core
     rows = list(analysis_module._session(g).demands())
     assert len(rows) > 3 and asked[3] == asked[2]
-    assert Counter(asked) == Counter([members for members, _ in rows] + [asked[2]])
+    assert Counter(asked) == Counter([helpers.names(g, members) for members, _ in rows]
+                                     + [asked[2]])
     assert rows == list(analysis_module._Session(g).demands())
 
 
@@ -1450,7 +1452,8 @@ def test_interleaved_scans_read_each_demand_once(monkeypatch, kind):
     assert head + list(first) == full
     closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
               for members in combinations(g.agents, size)} - {()}
-    assert read == [members for members, _ in full] and set(read) == closed
+    assert read == [members for members, _ in full]
+    assert {helpers.names(g, members) for members in read} == closed
     nonempty, witness = core_nonempty(g)
     assert nonempty and is_core_imputation(g, witness).in_core
     blocked = is_core_imputation(g, make_imputation(g, {"a1": witness.total}))

@@ -307,7 +307,8 @@ def test_restriction_preserves_validity_up_to_lower_bounds():
 def test_an_edge_converts_its_weight_and_refuses_another_type(weight):
     # An Edge, and so make_edge, the same class, converts its weight as
     # the tuple ("a", "b", 2) in an instance's edges is converted; a float,
-    # a bool or no number is refused before any instance can hold it.
+    # a bool or no number is refused before any instance can hold it, as
+    # a TypeError: an edge tuple of the right shape is no shape error.
     assert make_edge is Edge
     for given, exact in ((2, F(2)), ("3/2", F(3, 2)), (F(5, 3), F(5, 3))):
         edge = Edge("a", "b", given)
@@ -315,6 +316,8 @@ def test_an_edge_converts_its_weight_and_refuses_another_type(weight):
         assert edge == make_instance("assignment", ["a"], ["b"], [("a", "b", given)]).edges[0]
     with pytest.raises(TypeError):
         Edge("a", "b", weight)
+    with pytest.raises(TypeError):
+        make_instance("assignment", ["a"], ["b"], [("a", "b", weight)])
 
 
 def test_make_imputation_fills_zero_and_rejects_bad_input():
@@ -375,6 +378,24 @@ PROBES = {
                         "self-loop at a"),
     "string-side": (("assignment", "ab", "c", [("a", "c", 1)]), {},
                     "side_u 'ab' is one string, not a list of names"),
+    "capacity-triple": (("b_matching", ["a"], ["b"], [("a", "b", 1)]),
+                        {"capacities": [("a", 2, 3), ("b", 1)]},
+                        "capacity entry ('a', 2, 3) is not a (name, capacity) pair"),
+    "capacity-string": (("b_matching", ["a"], ["b"], [("a", "b", 1)]), {"capacities": "ab"},
+                        "capacity entry 'a' is not a (name, capacity) pair"),
+    "capacity-names": (("b_matching", ["a"], ["b"], [("a", "b", 1)]),
+                       {"capacities": ["a2", "b1"]},
+                       "capacity entry 'a2' is not a (name, capacity) pair"),
+    "edge-pair": (("assignment", ["a"], ["b"], [("a", "b")]), {},
+                  "edge entry ('a', 'b') is not an Edge or a (u, v, weight[, lower[, upper]])"
+                  " tuple"),
+    "edge-string": (("assignment", ["a"], ["b"], ["ab"]), {},
+                    "edge entry 'ab' is not an Edge or a (u, v, weight[, lower[, upper]]) tuple"),
+    "edge-six": (("hoffman_kruskal", ["a"], ["b"], [("a", "b", 1, 0, 1, 2)]),
+                 {"capacities": {"a": 1, "b": 1}},
+                 "edge entry ('a', 'b', 1, 0, 1, 2) is not an Edge or a"
+                 " (u, v, weight[, lower[, upper]]) tuple"),
+    "unknown-kind": (("foo", ["a"], ["b"], [("a", "b", 1)]), {}, "unknown game kind 'foo'"),
 }
 
 ANALYSES = {
@@ -390,12 +411,20 @@ ANALYSES = {
 
 
 def _direct(kind, side_u, side_v, edges, capacities=None, uniform_capacity=None):
-    """The probe built by GameInstance itself, no make_instance: list
-    sides as tuples, a side given as one string as it is."""
+    """The probe built by GameInstance itself, no make_instance, from the
+    field types where the data has their shape: list sides as tuples,
+    edge tuples as Edges, a capacity mapping as pairs. Data of another
+    shape (a side or capacities given as one string, an edge tuple of
+    another length, capacity entries that are no pairs, an unknown kind)
+    is passed as it is."""
     side_u, side_v = (side if isinstance(side, str) else tuple(side) for side in (side_u, side_v))
-    return GameInstance(GameKind(kind), side_u, side_v,
-                        tuple(make_edge(*e) for e in edges),
-                        tuple((capacities or {}).items()), uniform_capacity)
+    kinds = {k.value: k for k in GameKind}
+    capacities = capacities or {}
+    return GameInstance(kinds.get(kind, kind), side_u, side_v,
+                        tuple(make_edge(*e) if isinstance(e, tuple) and 3 <= len(e) <= 5 else e
+                              for e in edges),
+                        tuple(capacities.items()) if isinstance(capacities, dict)
+                        else capacities, uniform_capacity)
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))

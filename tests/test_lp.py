@@ -886,7 +886,8 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
     for kind, s, g in helpers.cap_set(("hoffman_kruskal",)):
         session = analysis._session(g)
         for members, _ in list(analysis._coalitions(g))[::8]:
-            follow(helpers.sub_dual(session.face.lp, g, members), cut=(session, members))
+            follow(helpers.sub_dual(session.face.lp, g, helpers.names(g, members)),
+                   cut=(session, members))
     # Counts at these seeds: programs 2,580, queries 4,669, phase1 2,091,
     # reentered 68 (an artificial entering again in phase 1; 16 of them
     # in the first 1,200 programs), contested 5 (one entering while

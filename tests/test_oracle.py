@@ -384,7 +384,8 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
             for mask in range(1 << len(g.agents)):
                 assert table[mask] == worth(g, _members(g, mask)), (g, mask)
         else:
-            rows = dict(_session(g).demands())
+            rows = {helpers.names(g, members): demand
+                    for members, demand in _session(g).demands()}
             for members, demand in rows.items():
                 assert demand == worth(g, members), (g, members)
             proper = [members for size in range(1, len(g.agents))
