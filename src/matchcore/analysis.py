@@ -333,8 +333,9 @@ class DualFace:
     queries shared by every agent and by ``extreme_imputations``;
     elsewhere it is two queries of the agent's own. Three functions also
     take one as ``face`` and refuse another instance's (``_face_of``).
-    D(I) membership fixes columns instead, so ``in_dual_image`` solves
-    the program once with changed bounds and compares optima.
+    D(I) membership fixes columns instead: ``in_dual_image`` solves the
+    program once with them constant, each tight row over them alone on
+    its slack, and compares optima.
     """
 
     def __init__(self, instance: GameInstance):
@@ -564,24 +565,25 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     """Membership in D(I): does some optimal dual map to these payoffs?
 
     Decided exactly by one solve of the dual program with every vertex
-    dual fixed, through its bounds, to payoff divided by capacity: that
-    program's optimum equals the dual optimum exactly when some optimal
-    dual has these vertex duals. ValueError unless ``imp`` pays exactly
-    the instance's agents; its payoffs are >= 0, so every fixed value
-    lies within its column's bounds (lower 0, no upper), and every
-    capacity of a valid instance is positive, so each division is defined.
+    dual fixed, through equal bounds, to payoff over capacity (divided
+    only for a capacity above one): its optimum equals the dual optimum
+    exactly when some optimal dual has these vertex duals. The engine
+    holds a fixed dual as a constant, with no bound row, and starts an
+    edge row over fixed duals alone that is tight on its slack: no pivot
+    decides a lattice kind. ValueError unless ``imp`` pays exactly the
+    instance's agents; payoffs are >= 0 and capacities positive, so every
+    fixed value lies within its column's bounds (lower 0, no upper).
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
     payoffs = _payoffs(instance, imp)
     face = _session(instance).face
-    lp = face.lp
-    lower, upper = list(lp.lower), list(lp.upper)
-    for j, (q, payoff) in enumerate(zip(instance.agents, payoffs)):
-        lower[j] = upper[j] = payoff / F(instance.capacity(q))
+    lp, n = face.lp, len(payoffs)
+    duals = tuple(payoff / b if b > 1 else payoff
+                  for b, payoff in zip(map(instance.capacity, instance.agents), payoffs))
     fixed = solve(LinearProgram._trusted(lp.sense, lp.variables, lp.objective,
                                          lp._scaled_objective, lp.constraints,
-                                         tuple(lower), tuple(upper)))
+                                         duals + lp.lower[n:], duals + lp.upper[n:]))
     return fixed.status is Status.OPTIMAL and fixed.value == face.base.value
 
 

@@ -85,9 +85,9 @@ class GameInstance:
     ``make_instance``) converts a kind's value, sides (refusing a string),
     edge tuples and a capacity mapping or None to the field types, then
     runs ``validate``, raising ``InstanceError`` listing every violation.
-    An unknown kind, an edge that is no ``Edge`` or tuple or list of 3 to
-    5 entries, and a capacity entry that is no (name, capacity) tuple or
-    list are refused first, by an ``InstanceError`` naming the entry.
+    Refused first, by an ``InstanceError`` naming it: a field that cannot
+    be iterated, an unknown kind, an edge not an ``Edge`` or a tuple or
+    list of 3 to 5 entries, a capacity entry not a (name, capacity) pair.
     """
     kind: GameKind
     side_u: tuple[str, ...]
@@ -98,6 +98,10 @@ class GameInstance:
 
     def __post_init__(self):
         kind, caps, put = self.kind, self.capacities, object.__setattr__
+        for field in ("side_u", "side_v", "edges", "capacities"):
+            value = getattr(self, field)
+            if not hasattr(value, "__iter__") and (value is not None or field != "capacities"):
+                raise InstanceError(f"{field} {value!r} is not a collection")
         for side, names in (("side_u", self.side_u), ("side_v", self.side_v)):
             if isinstance(names, str):
                 raise InstanceError(f"{side} {names!r} is one string, not a list of names")

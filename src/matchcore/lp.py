@@ -1,28 +1,29 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex with Bland's pivot rule, and one
-fraction-free elimination, ``eliminate`` (rank and determinant), for all
-other exact linear algebra. Programs and results are ``fractions.Fraction``,
-but the arithmetic is in integers. A program is put into integers once:
-each ``Constraint`` keeps its row over its smallest common denominator
-and each ``LinearProgram`` its objective, both computed when they are
-built, or written straight in by the formulations' trusted builders, and
-the tableau (see ``_Tableau``) only copies those integers, so a row or
-objective solved again is never scaled again; a program given in
-integers alone is solved unbuilt, its vertex read off in integers
-(``LinearProgram._bland_part``). Phase 1 stores no artificial column:
-each row owns one unit column, its slack or, for an equality row, a
-column that no phase-2 run lets enter, and reads its artificial off it;
-the objective's reduced-cost row rides through phase 1, so phase 2
-starts where phase 1 stops. Activities and objective values
-are ``rationals.dot``, one integer sum of products. Fractions are built
-only at the layer's edge: the inputs, the ``values`` and ``value`` of an
-``LpSolution``, and each ``dot``'s one result. No rounding, no
-tolerances: identical inputs always produce the identical basic optimal
-solution. The optimal face has one representation, ``OptimalFace``: it
-solves once and answers each secondary objective by phase 2 alone from
-the optimal basis, over the columns whose reduced cost there is zero;
-it keeps no answer, so a question asked again runs again.
+A two-phase primal simplex with Bland's pivot rule, and one fraction-free
+elimination, ``eliminate`` (rank and determinant), for all other exact
+linear algebra. Programs and results are ``fractions.Fraction``, but the
+arithmetic is in integers. A program is put into integers once: each
+``Constraint`` keeps its row over its smallest common denominator and each
+``LinearProgram`` its objective, both computed when they are built, or
+written straight in by the formulations' trusted builders, and the tableau
+(see ``_Tableau``) only copies those integers; a program given in integers
+alone is solved unbuilt, its vertex read off in integers
+(``LinearProgram._bland_part``). Phase 1 stores no artificial column: each
+row owns one unit column, its slack or, for an equality row, a column that
+no phase-2 run lets enter, and reads its artificial off it; the
+objective's reduced-cost row rides through phase 1, so phase 2 starts
+where phase 1 stops. Only a column with room gets a bound row: a column
+whose bounds are equal is a constant that never enters, and a >= row over
+constants alone, right-hand side zero, starts on its slack. Activities and
+objective values are ``rationals.dot``, one integer sum of products.
+Fractions are built only at the layer's edge: the inputs, the ``values``
+and ``value`` of an ``LpSolution``, and each ``dot``'s one result. No
+rounding, no tolerances: identical inputs always give the identical basic
+optimal solution. The optimal face has one representation,
+``OptimalFace``: it solves once and answers each secondary objective by
+phase 2 alone from the optimal basis, over the movable columns whose
+reduced cost there is zero; it keeps no answer.
 """
 
 from __future__ import annotations
@@ -263,28 +264,31 @@ class _Tableau:
     """Dense simplex tableau in standard form (equalities, xi >= 0).
 
     Column j < n is variable j shifted to its lower bound, ``xi_j = x_j -
-    lower_j``; a finite upper bound adds the row ``xi_j <= upper_j -
-    lower_j``. The slack columns of the inequality rows follow, in row
+    lower_j``; an upper bound above the lower adds the row ``xi_j <=
+    upper_j - lower_j``, and one equal to it makes column j a constant:
+    no row, and no run lets it enter (``movable`` lists the columns that
+    may). The slack columns of the inequality rows follow, in row
     order, then those of the bound rows: these ``ncols`` columns are the
     program's. After them each equality row has one unit column, in row
     order, that no phase-2 run lets enter. So a basic solution is
     ``lower_j + xi_j``, its basis is the columns below n, and each row
     owns one unit column, ``unit[i]``: its slack or its equality column.
 
-    Phase 1 stores no artificial column. The k-th row whose unit column
-    cannot start the basis (an equality row, or a slack entry of -1: a
-    >= row, or a <= row whose right-hand side was negated) reads its
-    artificial off that column. An equality column is the artificial; a
-    slack is minus it, and its phase-1 reduced cost is one minus the
-    slack's. The artificial keeps the index ``ncols + k`` in the basis and
-    in Bland's order, as if it were appended. When it enters, the pivot
-    is on the slack, the pivot row is negated, and the pivot row over
+    Phase 1 stores no artificial column. A >= row with right-hand side zero
+    and no entry on a movable column below n is negated, as is one with a
+    negative right-hand side, so its slack starts. The k-th row whose unit
+    column cannot start the basis (an equality row, or a slack entry of -1)
+    reads its artificial off that column. An equality column is the
+    artificial; a slack is minus it, and its phase-1 reduced cost is one
+    minus the slack's. The artificial keeps the index ``ncols + k`` in the
+    basis and in Bland's order, as if it were appended. When it enters, the
+    pivot is on the slack, the pivot row is negated, and the pivot row over
     its pivot is added to the phase-1 reduced-cost row, since the two
     columns' phase-1 costs differ by one; the other rows need nothing.
-    Phase 1's reduced-cost row starts as minus the sum of those rows.
-    The objective's reduced-cost row rides along as one more row that no
-    ratio test reads; at the starting basis it is minus the cost, and
-    phase 2 starts from it where phase 1 stops.
+    Phase 1's reduced-cost row starts as minus the sum of those rows. The
+    objective's reduced-cost row rides along as one more row that no ratio
+    test reads; at the starting basis it is minus the cost, and phase 2
+    starts from it where phase 1 stops.
 
     The arithmetic is in integers, fraction-free as in Edmonds (1967) and
     Bareiss (1968). Row i is a list of ints, its right-hand side last, over
@@ -300,14 +304,14 @@ class _Tableau:
     an updated row is put in lowest terms, and the pivot row divided by
     its pivot needs no gcd, since its entries, one of them plus or minus
     its old denominator, share no factor. While a run lasts, its
-    reduced-cost row, the objective value last, is the last row. Since denominators are positive, sign and zero tests
-    read the numerators, and Bland's ratio test compares ``b_i / a_i`` by
-    cross-multiplying; so the pivot sequence, basis and vertex are
-    exactly those of rational arithmetic. The objective value is read off
-    the final reduced-cost row, plus ``objective . lower`` (one ``dot``)
-    when a lower bound is nonzero; so only the ``values`` and ``value`` of
-    an ``LpSolution`` are built as ``Fraction``, besides the ``dot``
-    results that shift by the bounds.
+    reduced-cost row, the objective value last, is the last row. Since
+    denominators are positive, sign and zero tests read the numerators,
+    and Bland's ratio test compares ``b_i / a_i`` by cross-multiplying;
+    so the pivot sequence, basis and vertex are exactly those of
+    rational arithmetic. The objective value is read off the final
+    reduced-cost row, plus ``objective . lower`` (one ``dot``) when a
+    lower bound is nonzero; so only an ``LpSolution``'s ``values`` and
+    ``value`` are built as ``Fraction``.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -321,20 +325,22 @@ class _Tableau:
                     for ints, den in rows]
         ints, scale = lp._scaled_objective
         self._start(len(lp.variables), rows, [con.relation for con in lp.constraints],
-                    [(j, hi - lo) for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper))
-                     if hi is not None],
+                    [(j, 0 if hi is lo else hi - lo)
+                     for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)) if hi is not None],
                     ints if lp.sense is Sense.MINIMIZE else [-c for c in ints], scale)
 
     def _start(self, n: int, rows: Sequence[tuple[list[int], int]],
                relations: Sequence[Relation], caps, costs: Sequence[int], scale: int) -> None:
         """The slack basis for minimizing ``costs / scale`` over n columns >= 0,
-        row i ``rows[i]`` (coefficients and right-hand side over den, lowest
-        terms) under ``relations[i]``, column j <= cap per (j, cap) of ``caps``."""
-        # Unit columns: a slack per inequality row, then per upper bound,
+        rows ``rows`` (ints over den, lowest terms) under ``relations``, column
+        j <= cap per (j, cap) of ``caps``; at cap 0 it is fixed, not ``movable``."""
+        # Unit columns: a slack per inequality row, then per bound row,
         # then a column per equality row.
+        fixed = {j for j, cap in caps if not cap}
+        caps = [c for c in caps if c[1]]
         self.unit = []
         slack = n
-        equal = self.ncols = n + len(caps) + sum(r is not _EQ for r in relations)
+        equal = ncols = self.ncols = n + len(caps) + sum(r is not _EQ for r in relations)
         for relation in relations:
             if relation is _EQ:
                 self.unit.append(equal)
@@ -342,8 +348,10 @@ class _Tableau:
             else:
                 self.unit.append(slack)
                 slack += 1
-        self.unit += range(slack, self.ncols)
+        self.unit += range(slack, ncols)
         self.width = equal
+        self.movable = [j for j in range(ncols) if j not in fixed] if fixed else range(ncols)
+        free = self.movable[:n - len(fixed)]
 
         # Each row copies its integers, right-hand sides made >= 0.
         zeros = [0] * (equal - n)
@@ -354,7 +362,7 @@ class _Tableau:
             row[-1:-1] = zeros
             if relation is not _EQ:
                 row[u] = den if relation is _LE else -den
-            if row[-1] < 0:
+            if row[-1] <= 0 and (row[-1] or relation is _GE and not any(row[j] for j in free)):
                 row = [-a for a in row]
             if relation is _EQ:
                 row[u] = den
@@ -486,7 +494,7 @@ class _Tableau:
         for u in self.artificial:
             if u >= ncols:
                 zrow[u] = 0
-        _, zrow, _ = self._run(*_lowest(zrow, den), range(ncols), self.artificial)
+        _, zrow, _ = self._run(*_lowest(zrow, den), self.movable, self.artificial)
         if zrow[-1] < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
@@ -496,7 +504,7 @@ class _Tableau:
             if bj < ncols:
                 keep.append(i)
                 continue
-            enter = next((j for j in range(ncols) if rows[i][j]), -1)
+            enter = next((j for j in self.movable if rows[i][j]), -1)
             if enter >= 0:
                 self._pivot(i, enter)
                 keep.append(i)
@@ -528,15 +536,15 @@ class _Tableau:
         reduced-cost row at this basis, is ``znum / zden``."""
         lp = self.lp
         n = len(lp.variables)
-        values = [ZERO] * n
+        values = list(lp.lower)
         for row, den, bj in zip(self.rows, self.dens, self.basis):
-            if bj < n:
-                values[bj] = Fraction(row[-1], den)
+            if bj < n and row[-1]:
+                x, lo = Fraction(row[-1], den), values[bj]
+                values[bj] = lo + x if lo else x
         basis_vars = frozenset(b for b in self.basis if b < n)
         value = Fraction(znum if sense is Sense.MAXIMIZE else -znum, zden)
         if lp._shifted:
             ints, scale = objective
-            values = [lo + x for lo, x in zip(lp.lower, values)]
             value += dot(ints, lp.lower) / scale
         return LpSolution(Status.OPTIMAL, value, tuple(values), basis_vars)
 
@@ -580,7 +588,7 @@ class _Tableau:
             return LpSolution(Status.INFEASIBLE)
         lp = self.lp
         return self._phase2(self.rows.pop(), self.dens.pop(), lp._scaled_objective,
-                            lp.sense, range(self.ncols))
+                            lp.sense, self.movable)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -599,14 +607,15 @@ class OptimalFace:
     ``base`` is exactly ``solve(lp)``. At that optimal basis every reduced
     cost is of one sign, so a feasible point is optimal exactly when each
     column of nonzero reduced cost is zero. ``optimize`` therefore starts
-    phase 2 from the optimal basis and lets only the columns of zero
-    reduced cost enter (Bland's rule, same column order): no phase 1, no
-    extra row, and a copy of the tableau only when a column enters. Its
-    results are basic solutions, vertices of the face as ``solve``'s are
-    of the polyhedron, and ``"unbounded"`` means the face has a ray along
-    which the secondary objective improves. A question that fixes
-    variables is one solve of ``lp`` with their bounds fixed: the face
-    meets the fixed set exactly when that optimum is ``base.value``.
+    phase 2 from the optimal basis and lets only the movable columns of
+    zero reduced cost enter (Bland's rule, same column order), never a
+    fixed one: no phase 1, no extra row, and a copy of the tableau only
+    when a column enters. Its results are basic solutions, vertices of
+    the face as ``solve``'s are of the polyhedron, and ``"unbounded"``
+    means the face has a ray along which the secondary objective
+    improves. A question that fixes variables is one solve of ``lp``
+    with their bounds made equal, each then a constant (``_Tableau``):
+    the face meets the fixed set exactly when that optimum is ``base.value``.
     ``optimize`` keeps no answer: each question is one phase-2 run, or
     none when no allowed column enters. ``support``, kept once found, is
     read off the base vertex and then one ``fork``: each round, one
@@ -622,7 +631,7 @@ class OptimalFace:
         self.base = self._tableau.solve()
         self._support = None
         if self.base.status is Status.OPTIMAL:
-            self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
+            self._columns = [j for j in self._tableau.movable if not self._tableau.reduced[j]]
 
     def support(self) -> tuple[frozenset[int], frozenset[int]]:
         """(columns, rows): the positions of the columns above their lower

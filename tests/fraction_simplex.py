@@ -3,7 +3,13 @@
 The tableau the engine used before its kernel became fraction-free,
 kept as an oracle. Every cell is a ``Fraction``; Bland's rule, the column
 order and the phase-1 set-up are the engine's, so on every program the
-engine must reach the identical status, value, vertex and basis. Only the
+engine must reach the identical status, value, vertex and basis. The
+set-up takes the engine's two start rules. A column whose lower bound
+equals its upper bound is a constant: it gets no bound row and never
+enters, in phase 1, its drive-out, phase 2 or a face query. A >= row
+with right-hand side zero and no entry on a structural column that is
+not fixed is negated, as a row with a negative right-hand side is, so
+it starts on its slack instead of an artificial at zero. Only the
 public types of ``matchcore.lp`` are used, never the engine's internals.
 Each tableau keeps a pivot log, ``log``: one (phase, leaving row,
 entering column) per pivot, the drive-out of phase 1 included, with the
@@ -49,6 +55,7 @@ class FractionTableau:
         self.col_var: list[int] = []          # original variable index, -1 for slack/artificial
         self.col_sign: list[int] = []
         self.var_mode: list[tuple] = []       # per original variable
+        self.fixed: set[int] = set()          # columns whose bounds are equal
         rows: list[list[Fraction]] = []
         rhs: list[Fraction] = []
         bound_rows: list[tuple[int, Fraction]] = []   # (column, cap) meaning xi_col <= cap
@@ -64,7 +71,9 @@ class FractionTableau:
             if lo is not None:
                 col = new_col(_STRUCTURAL, j, 1)
                 self.var_mode.append(("shift", col, lo))
-                if hi is not None:
+                if hi == lo:
+                    self.fixed.add(col)
+                elif hi is not None:
                     bound_rows.append((col, hi - lo))
             elif hi is not None:
                 col = new_col(_STRUCTURAL, j, -1)
@@ -118,11 +127,18 @@ class FractionTableau:
             rows[i][col] = ONE if rel is Relation.LE else -ONE
             self.slack_of_row[i] = col
         for i in range(m):
-            if rhs[i] < 0:
+            over_constants = not any(rows[i][j] for j in range(self.n_structural)
+                                     if j not in self.fixed)
+            if rhs[i] < 0 or (self.row_rel[i] is Relation.GE and rhs[i] == 0
+                              and over_constants):
                 rows[i] = [-a for a in rows[i]]
                 rhs[i] = -rhs[i]
         self.rows = rows
         self.rhs = rhs
+
+    def _movable(self) -> list[int]:
+        """The columns that may enter: every column but the fixed ones."""
+        return [j for j in range(len(self.col_kind)) if j not in self.fixed]
 
     # -- simplex core ------------------------------------------------------
 
@@ -237,7 +253,7 @@ class FractionTableau:
         phase1 = [ZERO] * ncols
         for col in artificials:
             phase1[col] = -ONE
-        _, zval, _ = self._run(phase1, range(ncols))
+        _, zval, _ = self._run(phase1, self._movable())
         if zval < 0:
             return False
         # Drive leftover artificials out of the basis; drop rows that
@@ -248,7 +264,7 @@ class FractionTableau:
             if self.basis[i] not in art_set:
                 keep.append(i)
                 continue
-            enter = next((j for j in range(ncols)
+            enter = next((j for j in self._movable()
                           if self.col_kind[j] != _ARTIFICIAL and rows[i][j]), -1)
             if enter >= 0:
                 zrow_dummy = [ZERO] * ncols
@@ -316,8 +332,7 @@ class FractionTableau:
         self.phase = 2
         if not feasible:
             return LpSolution(Status.INFEASIBLE)
-        return self.optimize(self.lp.objective, self.lp.sense,
-                             range(len(self.col_kind)))
+        return self.optimize(self.lp.objective, self.lp.sense, self._movable())
 
 
 class FractionFace:
@@ -332,7 +347,7 @@ class FractionFace:
         self.ties = self._tableau.ties
         self.log = self._tableau.log
         if self.base.status is Status.OPTIMAL:
-            self._columns = [j for j, d in enumerate(self._tableau.reduced) if not d]
+            self._columns = [j for j in self._tableau._movable() if not self._tableau.reduced[j]]
 
     def optimize(self, objective, sense: Sense) -> LpSolution:
         twin = self._tableau.fork()

@@ -9,7 +9,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
-from matchcore.analysis import DualFace, is_concurrent
+from matchcore.analysis import (
+    DualFace, dual_to_imputation, is_concurrent, optimal_dual, sample_dual_vertices,
+)
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import bound_columns, build_dual
 from matchcore.games import GameKind, InstanceError, make_instance
@@ -302,6 +304,61 @@ def pinned_row_face(g):
     base = solve(program)
     return program.with_extra_constraints(
         [Constraint(program.objective, Relation.EQ, base.value)])
+
+
+def reference_in_dual_image(g, payoffs, optimum):
+    """Reference for ``in_dual_image``, in closed form, without an LP.
+    Fix each vertex dual at y = payoff / capacity and take r = w - y_u -
+    y_v on each edge. The edge's row then asks its upper-bound dual minus
+    its lower-bound dual to be at least r, and the cheapest such pair
+    costs l * r when r <= 0 and u * r when r > 0 and the edge has a
+    ceiling u; when r > 0 and it has none, no pair exists. The point is
+    a member exactly when the sum of capacity times y plus those costs
+    is the dual optimum, ``optimum``: by strong duality the primal
+    optimum, integral here, so ``reference_optima(g)[0]``."""
+    total = F(0)
+    for q in g.agents:
+        total += g.capacity(q) * (F(payoffs[q]) / g.capacity(q))
+    for e in g.edges:
+        r = e.weight - F(payoffs[e.u]) / g.capacity(e.u) - F(payoffs[e.v]) / g.capacity(e.v)
+        if r <= 0:
+            total += e.lower * r
+        elif e.upper is not None:
+            total += e.upper * r
+        else:
+            return False
+    return total == optimum
+
+
+def nearby_payoffs(rng, payoffs):
+    """One payoff vector with a larger total and, when someone is paid,
+    one with the same total moved between two agents."""
+    agents = sorted(payoffs)
+    delta = F(rng.randint(1, 3), rng.randint(1, 2))
+    raised = dict(payoffs)
+    raised[rng.choice(agents)] += delta
+    out = [raised]
+    paid = [q for q in agents if payoffs[q] > 0]
+    if paid and len(agents) > 1:
+        giver = rng.choice(paid)
+        taker = rng.choice([q for q in agents if q != giver])
+        moved = dict(payoffs)
+        step = min(delta, moved[giver])
+        moved[giver] -= step
+        moved[taker] += step
+        out.append(moved)
+    return out
+
+
+def dual_image_candidates(g, rng, samples=3):
+    """Payoff mappings to test for D(I) membership on a bipartite game:
+    those of the deterministic optimal dual and of up to ``samples``
+    sampled optimal dual vertices, all members, the midpoint of the
+    first and the last, and ``nearby_payoffs`` of each, mostly not."""
+    duals = [optimal_dual(g)] + sample_dual_vertices(g, samples, seed=rng.randint(0, 10**6))
+    derived = [dual_to_imputation(g, d).as_dict for d in duals]
+    derived.append({q: (derived[0][q] + derived[-1][q]) / 2 for q in g.agents})
+    return derived + [p for pay in derived for p in nearby_payoffs(rng, pay)]
 
 
 # ---------------------------------------------------------------------------

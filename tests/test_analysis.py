@@ -871,6 +871,32 @@ def test_hk_payments_and_dual_image():
     assert in_dual_image(mixed, pay1) and in_dual_image(mixed, pay2)
 
 
+def test_dual_image_matches_the_closed_form_reference():
+    # in_dual_image solves the dual program with every vertex dual fixed;
+    # helpers.reference_in_dual_image decides the same question edge by
+    # edge in closed form, against helpers.reference_optima's optimum,
+    # sharing no code with the library. On the cap set's bipartite games
+    # and 100 seeded games of each bipartite kind, the candidates are
+    # optimal duals' payoffs, their midpoint and payoffs near each.
+    rng = random.Random(5151)
+    games = [g for _, _, g in helpers.cap_set(helpers.ALL_BIPARTITE)]
+    for kind in helpers.ALL_BIPARTITE:
+        games += [helpers.random_bipartite(rng, kind, max_side=4, max_edges=8)
+                  for _ in range(100)]
+    seen = Counter()
+    for g in games:
+        optimum = helpers.reference_optima(g)[0]
+        for payoffs in helpers.dual_image_candidates(g, rng, samples=2):
+            want = helpers.reference_in_dual_image(g, payoffs, optimum)
+            assert in_dual_image(g, make_imputation(g, payoffs)) is want, (g, payoffs)
+            seen[want] += 1
+        seen["bounded hk"] += any(e.lower or e.upper is not None for e in g.edges)
+    # Counts at this seed: 1,689 members, 2,542 non-members, 100 HK games
+    # with a floor or a ceiling.
+    assert len(games) == 412 and seen["bounded hk"] >= 50, seen
+    assert seen[True] >= 300 and seen[False] >= 300, seen
+
+
 def test_imputations_compare_by_payoffs():
     # An imputation is its payoffs: one derived from a dual equals one
     # built from the same numbers, and hashes alike.
@@ -948,26 +974,6 @@ def _pinned_row_admits(face, equations):
     return lp_module.solve(program).status is Status.OPTIMAL
 
 
-def _nearby(rng, payoffs):
-    """One payoff vector with a larger total and, when someone is paid,
-    one with the same total moved between two agents."""
-    agents = sorted(payoffs)
-    delta = F(rng.randint(1, 3), rng.randint(1, 2))
-    raised = dict(payoffs)
-    raised[rng.choice(agents)] += delta
-    out = [raised]
-    paid = [q for q in agents if payoffs[q] > 0]
-    if paid and len(agents) > 1:
-        giver = rng.choice(paid)
-        taker = rng.choice([q for q in agents if q != giver])
-        moved = dict(payoffs)
-        step = min(delta, moved[giver])
-        moved[giver] -= step
-        moved[taker] += step
-        out.append(moved)
-    return out
-
-
 def test_dual_image_and_hk_total_match_the_pinned_row_lp():
     # in_dual_image fixes the vertex duals through their bounds, and the
     # hoffman_kruskal grand total reads the min and max of one functional
@@ -979,10 +985,7 @@ def test_dual_image_and_hk_total_match_the_pinned_row_lp():
         for _ in range(15):
             g = helpers.random_bipartite(rng, kind, max_side=3, max_edges=6)
             face = helpers.pinned_row_face(g)
-            duals = [optimal_dual(g)] + sample_dual_vertices(g, 3, seed=rng.randint(0, 10**6))
-            derived = [dual_to_imputation(g, d).as_dict for d in duals]
-            derived.append({q: (derived[0][q] + derived[-1][q]) / 2 for q in g.agents})
-            candidates = derived + [p for pay in derived for p in _nearby(rng, pay)]
+            candidates = helpers.dual_image_candidates(g, rng)
             weights = {vertex_dual_var(q): F(g.capacity(q)) for q in g.agents}
             for payoffs in candidates:
                 imp = make_imputation(g, payoffs)

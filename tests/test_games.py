@@ -396,6 +396,11 @@ PROBES = {
                  "edge entry ('a', 'b', 1, 0, 1, 2) is not an Edge or a"
                  " (u, v, weight[, lower[, upper]]) tuple"),
     "unknown-kind": (("foo", ["a"], ["b"], [("a", "b", 1)]), {}, "unknown game kind 'foo'"),
+    "side-none": (("assignment", ["a"], None, [("a", "b", 1)]), {},
+                  "side_v None is not a collection"),
+    "edges-none": (("assignment", ["a"], ["b"], None), {}, "edges None is not a collection"),
+    "capacities-int": (("b_matching", ["a"], ["b"], [("a", "b", 1)]), {"capacities": 5},
+                       "capacities 5 is not a collection"),
 }
 
 ANALYSES = {
@@ -415,14 +420,17 @@ def _direct(kind, side_u, side_v, edges, capacities=None, uniform_capacity=None)
     field types where the data has their shape: list sides as tuples,
     edge tuples as Edges, a capacity mapping as pairs. Data of another
     shape (a side or capacities given as one string, an edge tuple of
-    another length, capacity entries that are no pairs, an unknown kind)
-    is passed as it is."""
-    side_u, side_v = (side if isinstance(side, str) else tuple(side) for side in (side_u, side_v))
+    another length, capacity entries that are no pairs, an unknown kind,
+    a side, edge list or capacities that cannot be iterated) is passed
+    as it is."""
+    side_u, side_v = (tuple(side) if isinstance(side, list) else side
+                      for side in (side_u, side_v))
     kinds = {k.value: k for k in GameKind}
-    capacities = capacities or {}
-    return GameInstance(kinds.get(kind, kind), side_u, side_v,
-                        tuple(make_edge(*e) if isinstance(e, tuple) and 3 <= len(e) <= 5 else e
-                              for e in edges),
+    capacities = {} if capacities is None else capacities
+    if isinstance(edges, list):
+        edges = tuple(make_edge(*e) if isinstance(e, tuple) and 3 <= len(e) <= 5 else e
+                      for e in edges)
+    return GameInstance(kinds.get(kind, kind), side_u, side_v, edges,
                         tuple(capacities.items()) if isinstance(capacities, dict)
                         else capacities, uniform_capacity)
 

@@ -23,6 +23,7 @@ from matchcore import lp as lp_module
 from matchcore import rationals
 from matchcore import analysis
 from matchcore.formulations import build_dual, build_odd_set_primal, build_primal
+from matchcore.games import GameKind, make_imputation
 from matchcore.lp import (
     Constraint,
     LinearProgram,
@@ -732,12 +733,32 @@ def test_the_support_is_every_coordinate_positive_somewhere_on_the_face(monkeypa
     assert min(seen["equality"], seen["lowered"], seen["bounded"]) >= 300, seen
 
 
+def dual_image_programs():
+    """(program, verdict) for each solve of ``analysis.in_dual_image``:
+    the dual program with every vertex dual fixed through its bounds,
+    for the candidates of ``helpers.dual_image_candidates`` (one sampled
+    dual) on the cap set's bipartite games and on 10 seeded games of
+    each bipartite kind, members and non-members alike."""
+    rng = random.Random(5252)
+    games = [g for _, _, g in helpers.cap_set(helpers.ALL_BIPARTITE)]
+    games += [helpers.random_bipartite(rng, kind)
+              for kind in helpers.ALL_BIPARTITE for _ in range(10)]
+    tests = [(g, make_imputation(g, payoffs)) for g in games
+             for payoffs in helpers.dual_image_candidates(g, rng, samples=1)]
+    programs, original = [], analysis.solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "solve", lambda lp: programs.append(lp) or original(lp))
+        verdicts = [analysis.in_dual_image(g, imp) for g, imp in tests]
+    assert len(programs) == len(verdicts)
+    return list(zip(programs, verdicts))
+
+
 def test_fraction_free_kernel_matches_the_rational_tableau():
     # The engine against the tableau that pivots in Fraction
     # (fraction_simplex.py): identical status, value, vertex and basis, on
     # the solve and on the face queries of the test above, in both senses
     # (a minimizing objective is negated in integers), and on face queries
-    # with rational objectives too.
+    # with rational objectives too; then on the programs of in_dual_image.
     seen = dict(fractional=0, lowered=0, bounded=0, equality=0, optimal=0,
                 infeasible=0, unbounded=0, ties=0, minimize=0, rational_queries=0)
     for seed in range(1200):
@@ -773,6 +794,24 @@ def test_fraction_free_kernel_matches_the_rational_tableau():
     # equality 768, optimal 449, infeasible 645, unbounded 106, ties 127,
     # minimize 230, rational_queries 654.
     assert min(seen.values()) >= 90, seen
+    # The programs of in_dual_image, every vertex dual fixed: their solve
+    # and two face queries over the bound duals left free.
+    rng = random.Random(5353)
+    image = Counter()
+    for lp, member in dual_image_programs():
+        reference = FractionFace(lp)
+        base = solve(lp)
+        assert base == reference.base
+        image[member] += 1
+        image[base.status] += 1
+        if base.status is Status.OPTIMAL:
+            face = OptimalFace(lp)
+            for query in Sense:
+                objective = [rng.randint(-3, 3) for _ in lp.variables]
+                assert face.optimize(objective, query) == reference.optimize(objective, query)
+    # Counts at these seeds: 174 members and 290 non-members; 340 optimal,
+    # 124 infeasible.
+    assert min(image[True], image[False], image[Status.INFEASIBLE]) >= 50, image
 
 
 def _logged_pivots(monkeypatch):
@@ -826,7 +865,8 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
     # game's (analysis._Session.cut) and solved by
     # LinearProgram._bland_part, against the reference on the program
     # written out (helpers.sub_dual): all of them would cost the
-    # reference about 10 s.
+    # reference about 10 s. Last, on the programs of in_dual_image, where
+    # fixed columns and >= rows over them alone take the two start rules.
     log = _logged_pivots(monkeypatch)
     seen = dict(programs=0, queries=0, phase1=0, reentered=0, contested=0, dropped=0)
 
@@ -888,6 +928,13 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
         for members, _ in list(analysis._coalitions(g))[::8]:
             follow(helpers.sub_dual(session.face.lp, g, helpers.names(g, members)),
                    cut=(session, members))
+    # The programs of in_dual_image, each with two face queries.
+    image, rng = Counter(), random.Random(5454)
+    for lp, member in dual_image_programs():
+        before = seen["phase1"]
+        follow(lp, [([rng.randint(-3, 3) for _ in lp.variables], query) for query in Sense])
+        image[member] += 1
+        image["phase1"] += seen["phase1"] > before
     # Counts at these seeds: programs 2,580, queries 4,669, phase1 2,091,
     # reentered 68 (an artificial entering again in phase 1; 16 of them
     # in the first 1,200 programs), contested 5 (one entering while
@@ -896,6 +943,108 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
     assert reentered >= 15 and seen["contested"] >= 4, (reentered, seen)
     assert seen["dropped"] >= 20 and repeated >= 20, seen
     assert seen["programs"] >= 1500 and seen["queries"] >= 4000, seen
+    # Counts at these seeds, for the programs of in_dual_image: 174
+    # members, 290 non-members, 102 through phase 1.
+    assert min(image[True], image[False], image["phase1"]) >= 50, image
+
+
+def test_a_lattice_dual_image_member_is_decided_without_a_pivot(monkeypatch):
+    # On an assignment or uniform_b game every column of in_dual_image's
+    # program is a fixed vertex dual: the tableau gets one row per edge
+    # and no bound row. At a member every edge row holds, and a tight one
+    # is a >= row over constants alone with right-hand side zero, so each
+    # row starts on its slack and the starting basis decides: no pivot.
+    # With no column free to enter, a non-member makes none either. On
+    # the cap set's lattice games and 50 seeded games of each kind.
+    pivots, rows = [], []
+    pivot, start = lp_module._Tableau._pivot, lp_module._Tableau._start
+
+    def counted_start(tableau, *args):
+        start(tableau, *args)
+        rows.append(len(tableau.rows) - 1)
+
+    rng = random.Random(5555)
+    kinds = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B)
+    games = [g for _, _, g in helpers.cap_set(kinds)]
+    games += [helpers.random_bipartite(rng, kind, max_side=5, max_edges=10)
+              for kind in kinds for _ in range(50)]
+    tests = [(g, make_imputation(g, payoffs)) for g in games
+             for payoffs in helpers.dual_image_candidates(g, rng)]
+    monkeypatch.setattr(lp_module._Tableau, "_pivot",
+                        lambda tableau, leave, enter: pivots.append(enter)
+                        or pivot(tableau, leave, enter))
+    monkeypatch.setattr(lp_module._Tableau, "_start", counted_start)
+    seen = Counter()
+    for g, imp in tests:
+        analysis.optimal_dual(g)  # the session's own solve, before counting
+        pivots.clear()
+        rows.clear()
+        member = analysis.in_dual_image(g, imp)
+        assert rows == [len(g.edges)] and not pivots, (g, imp)
+        seen[member] += 1
+    # Counts at these seeds: 507 members, 804 non-members.
+    assert seen[True] >= 300 and seen[False] >= 300, seen
+
+
+def test_a_fixed_column_never_moves_on_the_face(monkeypatch):
+    # A column whose lower bound equals its upper bound is a constant of
+    # the tableau: it gets no bound row, and no pivot enters it, in the
+    # solve (phase 1, its drive-out and phase 2), in a face query or in
+    # the support scan. So every vertex holds it at its bound and the
+    # support never holds it; the base is the reference tableau's. On
+    # random programs with some columns fixed, on the equality-heavy
+    # programs that fix one and on the programs of in_dual_image.
+    entered = []
+    pivot = lp_module._Tableau._pivot
+    monkeypatch.setattr(lp_module._Tableau, "_pivot",
+                        lambda tableau, leave, enter: entered.append(enter)
+                        or pivot(tableau, leave, enter))
+    seen = Counter()
+
+    def follow(lp, queries):
+        fixed = {j for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)) if hi == lo}
+        if not fixed:
+            return
+        capped = sum(hi is not None for hi in lp.upper) - len(fixed)
+        assert len(lp_module._Tableau(lp).rows) == len(lp.constraints) + capped + 1
+        entered.clear()
+        face = OptimalFace(lp)
+        assert face.base == FractionFace(lp).base
+        results = [face.base]
+        seen["programs"] += 1
+        if face.base.status is Status.OPTIMAL:
+            results += [face.optimize(objective, sense) for objective, sense in queries]
+            assert not face.support()[0] & fixed
+            seen["optimal"] += 1
+            # Bland's rule would have entered one of these columns.
+            seen["held"] += any(face._tableau.reduced[j] < 0 for j in fixed)
+        assert not fixed & set(entered), (entered, fixed)
+        seen["pivots"] += len(entered)
+        for sol in results:
+            if sol.status is Status.OPTIMAL:
+                assert all(sol.values[j] == lp.lower[j] for j in fixed)
+                seen["vertices"] += 1
+
+    for seed in range(600):
+        rng = random.Random(seed)
+        lp = random_program(rng, lowered=seed % 2 == 0, fractional=seed % 3 == 0)
+        n = len(lp.variables)
+        lower, upper = list(lp.lower), list(lp.upper)
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            lower[j] = upper[j] = rng.choice((lower[j], F(1, 2), 1, 2))
+        lp = LinearProgram(lp.sense, lp.variables, lp.objective, lp.constraints, lower, upper)
+        follow(lp, [(tuple(int(j == k) for k in range(n)), sense)
+                    for j in range(n) for sense in Sense]
+               + [([rng.randint(-4, 4) for _ in range(n)], Sense.MAXIMIZE)])
+    for seed in range(1000):
+        follow(_equality_heavy(random.Random(7000 + seed)), ())
+    for lp, _ in dual_image_programs():
+        follow(lp, [([int(j == k) for k in range(len(lp.variables))], sense)
+                    for j in range(len(lp.variables)) for sense in Sense][:8])
+    # Counts at these seeds: 1,298 programs, 523 optimal, 139 of them with
+    # a fixed column that Bland's rule would enter, 1,681 pivots.
+    assert seen["programs"] >= 1000 and seen["optimal"] >= 500, seen
+    assert seen["held"] >= 100 and seen["pivots"] >= 1000, seen
 
 
 def bland_vertex(n, rows, costs):

@@ -16,8 +16,11 @@ the standard library is used besides pytest, and nothing is written: no
 stdout holds the list alone. Extra arguments go to pytest, e.g. a test
 file or ``-k``. Run from anywhere:
 
-    python3 tools/linecov.py                 # the whole suite, about 2.5 min
+    python3 tools/linecov.py                 # the whole suite
     python3 tools/linecov.py tests/test_lp.py
+
+The tracer makes the suite several times slower; how long it takes
+varies with the machine.
 
 The exit code is pytest's.
 """
