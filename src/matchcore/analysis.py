@@ -133,11 +133,13 @@ class _Session:
     when first asked for and then kept: the dual program's ``OptimalFace``
     (one solve; each face query is a phase-2 run of its own), a lattice
     kind's two side-optimal vertices, the grand range, and the coalition
-    rows scanned so far as (positions, demand) pairs. A coalition's demand,
-    and a blocking one's witness dual, are solved on its part of this dual
-    program, which ``cut`` takes from the program's kept integers through
-    the ``layout``, so no program or row is built for it. The instance
-    was validated when built, so the session checks none of its data.
+    rows scanned so far (``_coalitions``) as (positions, demand) pairs,
+    each demand the lister leaves None read once (``_demand``). A
+    hoffman_kruskal demand, and a blocking row's witness dual, are solved
+    on the row's part of this dual program, which ``cut`` takes from the
+    program's kept integers through the ``layout``, so no program or row
+    is built for it. The instance was validated when built, so the
+    session checks none of its data.
     """
 
     def __init__(self, instance: GameInstance):
@@ -427,23 +429,32 @@ class CoreVerdict:
     witness_dual: DualSolution | None = None
 
 
+def _core_is_face(instance: GameInstance) -> bool:
+    """Whether the core, if any, is capacity times the optimal dual face."""
+    return instance.kind is not GameKind.HOFFMAN_KRUSKAL and (
+        instance.kind is not GameKind.B_MATCHING
+        or all(instance.capacity(q) == 1 for q in instance.agents))
+
+
 def _coalitions(instance: GameInstance) -> Iterator[
         tuple[tuple[int, ...], Fraction | None]]:
     """The coalition rows of the core as (members, demand), lazily, in
     size-then-lexicographic order, members as increasing agent positions;
     the set-up runs on the call, so the iteration cannot raise.
 
-    With every capacity one the rows are the proper edge pairs, each
-    demanding its weight: v(S) is the weight of a matching in S, so
-    payoffs >= 0 paying every edge pay every coalition (Shapley and
-    Shubik 1971; Deng, Ibaraki and Nagamochi 1999). Else they are the
+    Where the core is capacity times the optimal dual face
+    (``_core_is_face``) the rows are the proper edge pairs: at a uniform
+    capacity b, v(S) is b times the weight of a matching in S, so payoffs
+    >= 0 paying each pair its worth pay every coalition (Shapley and
+    Shubik 1971; Deng, Ibaraki and Nagamochi 1999). A pair demands its
+    weight at capacity one, else None until the session reads it
+    (``_Session.demands``), as a connected row does. Else the rows are the
     connected proper coalitions, whose inner edges join their two or more
     members, each size grown from the one below by a neighbour, as masks
-    (bit j = agent j); the demand is None until the session reads it
-    (``_Session.demands``). Any other coalition demands the sum of what
-    its parts, the sets its inner edges join, demand: a matching splits
-    over them, and a bounds-capacity dual program is block-diagonal over
-    them, a lone member's block a column with no row entry and cost >= 0.
+    (bit j = agent j). Any other coalition demands the sum of what its
+    parts, the sets its inner edges join, demand: a matching splits over
+    them, and a bounds-capacity dual program is block-diagonal over them,
+    a lone member's block a column with no row entry and cost >= 0.
     Bland's rule enters the lowest eligible column and the ratio test
     reads that column's block alone, slack and artificial order kept, so
     each block pivots as it would alone (Bland 1977). Paid the sum of its
@@ -451,10 +462,10 @@ def _coalitions(instance: GameInstance) -> Iterator[
     """
     agents = instance.agents
     at = {q: j for j, q in enumerate(agents)}
-    if (instance.kind is not GameKind.HOFFMAN_KRUSKAL
-            and all(instance.capacity(q) == 1 for q in agents)):
+    if _core_is_face(instance):
+        one = all(instance.capacity(q) == 1 for q in agents)
         pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
-        return (((i, j), w) for i, j, w in pairs if len(agents) > 2)
+        return (((i, j), w if one else None) for i, j, w in pairs if len(agents) > 2)
     near = [0] * len(agents)
     for e in instance.edges:
         near[at[e.u]] |= 1 << at[e.v]
@@ -533,9 +544,9 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
     blocking row in size-then-lexicographic order, the first that
     ``_shortfalls`` yields: a coalition that is no row demands at most
     the sum of what smaller rows inside it demand (the edge pairs of a
-    best matching when every capacity is one, else its parts) and is
-    paid at least the sum of their payoffs, so one of them blocks too,
-    and comes earlier. The witness is its members' names, and for the
+    best matching where ``_core_is_face``, else its parts) and is paid
+    at least the sum of their payoffs, so one of them blocks too, and
+    comes earlier. The witness is its members' names, and for the
     bounds-capacity kind its ``witness_dual`` is the optimal dual of its
     own sub-game: the vertex whose surplus was the demand, read off one
     more solve of its cut, as ``_demand`` read it, with no program, face
@@ -687,19 +698,18 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
     not specified. A general game that is not concurrent has an empty
     core and yields no vertices.
 
-    Wherever the core is capacity times the optimal dual face, each
-    objective is one query of the session's face, c_q b_q on agent q's
-    vertex column, read back as payoffs (``_dual_payoffs``): no coalition
-    row is read and no LP solved but the face's own. The core of an
-    assignment game, and of a concurrent general one, is the set of
-    optimal duals (Shapley and Shubik 1971; Deng, Ibaraki and Nagamochi
-    1999), and with a uniform capacity b the b-matching polytope is b
-    times the matching polytope, so the core is b times the assignment
-    game's optimal dual face, which is the uniform_b dual's. That covers
-    every kind but b_matching with a capacity above one, whose core can
-    be larger than its dual image: there row generation
-    (``_core_optimum``) maximizes c over one row list, so the rows found
-    for earlier objectives stay.
+    Wherever the core is capacity times the optimal dual face
+    (``_core_is_face``), each objective is one query of the session's
+    face, c_q b_q on agent q's vertex column, read back as payoffs
+    (``_dual_payoffs``): no coalition row is read and no LP solved but the
+    face's own. The core of an assignment game, and of a concurrent
+    general one, is the set of optimal duals (Shapley and Shubik 1971;
+    Deng, Ibaraki and Nagamochi 1999), and with a uniform capacity b the
+    b-matching polytope is b times the matching polytope, so the core is b
+    times the assignment game's optimal dual face, which is the uniform_b
+    dual's. A b_matching core with a capacity above one can be larger than
+    its dual image: there row generation (``_core_optimum``) maximizes c
+    over one row list, so the rows found for earlier objectives stay.
     """
     if instance.kind is GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("payoff-space core polytope is for worth-based kinds")
@@ -708,7 +718,7 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
     check_instance_size(len(instance.agents), len(instance.edges))
     session = _session(instance)
     agents = instance.agents
-    if instance.kind is GameKind.B_MATCHING and any(instance.capacity(q) != 1 for q in agents):
+    if not _core_is_face(instance):
         rows = _total_rows(session)
 
         def vertex(objective):

@@ -4,8 +4,10 @@ The worked examples are read from the packaged ``.game`` files, so each
 text has one copy."""
 
 import importlib.util
+import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -183,11 +185,12 @@ def reference_optima(instance):
     return F(best[0], scale), sorted(found)
 
 
-def cap_set(kinds=("assignment", "uniform_b", "b_matching", "hoffman_kruskal", "general")):
-    """The cap set: per kind, the seeded games s = 0, 1, 2 at the
-    documented caps (6 + 6 agents or 12 vertices, 16 edges, weights 1 to
-    3), drawn by ``benchmark/seeded.py`` as (kind, s, game). That file is
-    only read: it is loaded without writing bytecode."""
+def cap_set(kinds=("assignment", "uniform_b", "b_matching", "hoffman_kruskal", "general"),
+            seeds=range(3)):
+    """The cap set: per kind, the seeded games s = 0, 1, 2 (or each s of
+    ``seeds``) at the documented caps (6 + 6 agents or 12 vertices, 16
+    edges, weights 1 to 3), drawn by ``benchmark/seeded.py`` as (kind, s,
+    game). That file is only read: it is loaded without writing bytecode."""
     path = Path(__file__).resolve().parent.parent / "benchmark" / "seeded.py"
     spec = importlib.util.spec_from_file_location("cap_set_seeded", path)
     seeded = importlib.util.module_from_spec(spec)
@@ -198,7 +201,7 @@ def cap_set(kinds=("assignment", "uniform_b", "b_matching", "hoffman_kruskal", "
         sys.dont_write_bytecode = saved
     out = []
     for kind in kinds:
-        for s in range(3):
+        for s in seeds:
             shape, num = seeded.rng_for("shape", kind, s), seeded.rng_for("num", kind, s)
             out.append((kind, s, seeded.general(shape, num, 12, 16, 3) if kind == "general"
                         else seeded.bipartite(shape, num, kind, 6, 6, 16, 3)))
@@ -264,6 +267,80 @@ def parts(g, members):
 def connected(g, members):
     """Whether the members' inner edges join them all."""
     return len(parts(g, members)) == 1
+
+
+def sub_game(g, members):
+    """A worth kind's sub-game on ``members``, built by ``make_instance``
+    from the members and their inner edges, not by ``restrict``."""
+    inside = set(members)
+    caps = {q: g.capacity(q) for q in members} if g.kind is GameKind.B_MATCHING else None
+    return make_instance(g.kind, [q for q in g.side_u if q in inside],
+                         [q for q in g.side_v if q in inside],
+                         [(e.u, e.v, e.weight) for e in g.edges if {e.u, e.v} <= inside],
+                         capacities=caps, uniform_capacity=g.uniform_capacity)
+
+
+@lru_cache(maxsize=65536)
+def reference_worth(g, members):
+    """A worth kind's coalition worth by exhaustive search over the
+    multiplicities of its inner edges, grouped by their first end,
+    heaviest first in each group. A branch is cut only when it cannot
+    beat the best found even if each group's end used all it has left on
+    its heaviest edge left. It reads the game's edges and capacities
+    alone, so no row lister, sub-game or flow of the library runs; tier-1
+    checks it against ``naive_optima`` of ``sub_game`` on small games."""
+    inside, first = set(members), {q: j for j, q in enumerate(g.agents)}
+    edges = sorted((e for e in g.edges if {e.u, e.v} <= inside),
+                   key=lambda e: (first[e.u], -e.weight))
+    scale = math.lcm(*(e.weight.denominator for e in edges))
+    weights = [int(e.weight * scale) for e in edges]
+    left = {q: g.capacity(q) for q in members}
+    later = [0] * (len(edges) + 1)      # the most the groups after edge i's can earn
+    for i in range(len(edges) - 2, -1, -1):
+        later[i] = later[i + 1] + (0 if edges[i + 1].u == edges[i].u
+                                   else g.capacity(edges[i + 1].u) * weights[i + 1])
+    best = 0
+
+    def walk(i, weight):
+        nonlocal best
+        if i == len(edges):
+            best = max(best, weight)
+            return
+        e = edges[i]
+        if weight + left[e.u] * weights[i] + later[i] <= best:
+            return
+        for mult in range(min(left[e.u], left[e.v]), -1, -1):
+            left[e.u] -= mult
+            left[e.v] -= mult
+            walk(i + 1, weight + weights[i] * mult)
+            left[e.u] += mult
+            left[e.v] += mult
+
+    walk(0, 0)
+    return F(best, scale)
+
+
+def reference_first_blocking(g, payoffs):
+    """Reference for the verdict of ``is_core_imputation`` on a worth
+    kind: None when ``payoffs`` (a mapping over the agents) total
+    the worth and pay every connected proper coalition at least its
+    worth, else the first coalition they leave otherwise, as (members,
+    demand, allocation): the grand coalition when the total is not the
+    worth, else the first connected proper coalition, in
+    size-then-lexicographic order over the agents, paid less than its
+    worth. Each worth is ``reference_worth``."""
+    grand = reference_worth(g, g.agents)
+    total = sum(map(F, payoffs.values()), F(0))
+    if total != grand:
+        return frozenset(g.agents), grand, total
+    for size in range(2, len(g.agents)):
+        for members in combinations(g.agents, size):
+            if connected(g, members):
+                demand = reference_worth(g, members)
+                paid = sum((F(payoffs[q]) for q in members), F(0))
+                if demand > paid:
+                    return frozenset(members), demand, paid
+    return None
 
 
 def sub_dual(lp, instance, members):

@@ -1357,14 +1357,14 @@ def test_warm_answers_equal_cold_answers():
 
 
 def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch):
-    # A uniform_b game with b = 2, so the core's rows are its connected
-    # coalitions, each demanding its sub-game's worth. On a fresh session
-    # extreme_imputations starts two phase-2 runs, one per side-optimal
-    # vertex, and asked again it starts none; the payoff ranges are the
-    # extremes' ends. Four in-core memberships read each row's worth once
-    # in all, restricting each connected coalition once and no other: 24
-    # of the 27 closed coalitions (every member with a neighbour inside),
-    # since a disconnected one is no row.
+    # A uniform_b game with b = 2, so the core is twice the optimal dual
+    # face and its rows are its 6 edge pairs, each demanding its sub-game's
+    # worth. On a fresh session extreme_imputations starts two phase-2
+    # runs, one per side-optimal vertex, and asked again it starts none;
+    # the payoff ranges are the extremes' ends. Four in-core memberships
+    # read each row's worth once in all, restricting each edge pair once
+    # and no other coalition: none of the other 18 connected coalitions
+    # among the 27 closed ones (every member with a neighbour inside).
     g = make_instance(GameKind.UNIFORM_B, ["a1", "a2", "a3"], ["b1", "b2", "b3"],
                       [("a1", "b1", F(23, 5)), ("a1", "b2", F(17, 5)), ("a2", "b1", F(19, 5)),
                        ("a2", "b3", F(11, 5)), ("a3", "b2", F(13, 5)), ("a3", "b3", F(29, 5))],
@@ -1395,8 +1395,9 @@ def test_one_session_answers_each_face_query_and_reads_each_row_once(monkeypatch
     closed = {helpers.closed_part(g, members) for size in range(1, len(g.agents))
               for members in combinations(g.agents, size)} - {()}
     connected = {members for members in closed if helpers.connected(g, members)}
-    assert set(restricted) == connected and set(restricted.values()) == {1}
-    assert (len(connected), len(closed)) == (24, 27)
+    pairs = {members for members in connected if len(members) == 2}
+    assert set(restricted) == pairs and set(restricted.values()) == {1}
+    assert (len(pairs), len(connected), len(closed)) == (6, 24, 27)
 
 
 def test_a_scan_cut_short_by_an_error_leaves_the_session_whole(monkeypatch):

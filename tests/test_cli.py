@@ -72,6 +72,49 @@ def test_core_check_reports_the_grand_range_end_a_wrong_total_passes(tmp_path, c
     ]
 
 
+_UNIFORM_PAIRS = """game uniform_b
+side_u a1 a2
+side_v b1 b2
+b_const 2
+edge a1 b1 weight 3
+edge a1 b2 weight 2
+edge a2 b1 weight 1
+edge a2 b2 weight 4
+"""
+_UNIFORM_EDGE = "game uniform_b\nside_u a\nside_v b\nb_const 2\nedge a b weight 5\n"
+
+
+@pytest.mark.parametrize("text, imputation, core", [
+    # The third edge pair blocks: a2 and b1 are paid 0 and can earn 2.
+    (_UNIFORM_PAIRS, "a1=6 a2=0 b1=0 b2=8",
+     [["verdict", "NOT IN CORE"], ["blocking coalition", "a2 b1"],
+      ["coalition demand", "2"], ["coalition allocation", "0"]]),
+    (_UNIFORM_PAIRS, "a1=5 a2=15/2 b1=1 b2=1/2", [["verdict", "IN CORE"]]),
+    # Two agents have no coalition row: the grand range decides.
+    (_UNIFORM_EDGE, "a=4 b=6", [["verdict", "IN CORE"]]),
+    (_UNIFORM_EDGE, "a=4 b=5",
+     [["verdict", "NOT IN CORE"], ["blocking coalition", "a b"],
+      ["coalition demand", "10"], ["coalition allocation", "9"]]),
+])
+def test_core_check_records_of_a_uniform_b_game_are_pinned(tmp_path, capsys, text,
+                                                             imputation, core):
+    # A uniform_b core (b = 2 here) is read through its edge pairs alone;
+    # the records are those the connected-coalition scan printed before.
+    path = write(tmp_path, "ub.game", text + f"imputation {imputation}\n")
+    code, out, err = run(capsys, "core-check", path, "--format", "records")
+    assert (code, err) == (0, "")
+    records = [line.split("\t") for line in out.splitlines()]
+    payoffs = [pair.split("=") for pair in imputation.split()]
+    in_core = core == [["verdict", "IN CORE"]]
+    assert records == (
+        [["instance", "kind", "uniform_b"],
+         ["instance", "agents", " ".join(q for q, _ in payoffs)],
+         ["instance", "edges", str(text.count("edge "))]]
+        + [["imputation", q, x] for q, x in payoffs]
+        + [["core", *row] for row in core]
+        + [["dual image", "verdict", "IN D(I)" if in_core else "NOT IN D(I)"]])
+
+
 def test_core_check_requires_imputation(tmp_path, capsys):
     path = write(tmp_path, "g.game",
                  fixtures.fixture_by_name("three_agent_b_matching").text)

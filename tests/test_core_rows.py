@@ -329,7 +329,7 @@ def test_blocking_witness_matches_a_fraction_scan_over_mixed_denominators():
                 verdict.witness_allocation, verdict.witness_dual) == (False, *expected)
     # Counts at this seed: 509 blocked probes, 107 with a dual, 85 with
     # mixed denominators; a disconnected closed coalition blocks too in 52
-    # blocked probes, 29 of them on games whose rows are not edge pairs.
+    # blocked probes, 29 of them on games with a capacity above one.
     assert blocked >= 120 and with_dual >= 20 and mixed >= 20
     assert apart[False] >= 25 and apart[True] >= 15, apart
 
@@ -766,15 +766,25 @@ def test_the_rows_are_the_connected_coalitions_in_size_then_lexicographic_order(
     # _coalitions grows each size from the one below by adding a
     # neighbour, as masks. Filtering every proper coalition by a graph
     # search must give the same rows in the same order, on the
-    # multi-capacity games of the cap set and on 400 seeded ones, among
-    # them graphs in several pieces and agents on no edge.
+    # b_matching and hoffman_kruskal games of the cap set and on 680
+    # seeded ones with a capacity above one, among them graphs in several
+    # pieces and agents on no edge. A uniform_b core is capacity times the
+    # optimal dual face, so its rows are the sorted edge pairs, each
+    # demand left for the session to read; a two-agent game's one pair is
+    # its grand coalition, so it has none.
     rng = random.Random(3211)
-    games = [g for _, _, g in helpers.cap_set(("uniform_b", "b_matching", "hoffman_kruskal"))]
-    kinds = (GameKind.HOFFMAN_KRUSKAL, GameKind.B_MATCHING, GameKind.UNIFORM_B)
-    while len(games) < 415:
-        g = helpers.random_bipartite(rng, kinds[len(games) % 3], max_side=4, max_edges=8)
+    games = [g for _, _, g in helpers.cap_set(("b_matching", "hoffman_kruskal"))]
+    kinds = (GameKind.HOFFMAN_KRUSKAL, GameKind.B_MATCHING)
+    while len(games) < 686:
+        g = helpers.random_bipartite(rng, kinds[len(games) % 2], max_side=4, max_edges=8)
         if not helpers.capacity_one(g):
             games.append(g)
+    uniform = [g for _, _, g in helpers.cap_set(("uniform_b",))]
+    uniform.append(helpers.single_edge(GameKind.UNIFORM_B, uniform_capacity=2))
+    while len(uniform) < 142:
+        g = helpers.random_bipartite(rng, GameKind.UNIFORM_B, max_side=4, max_edges=8)
+        if not helpers.capacity_one(g):
+            uniform.append(g)
     seen = Counter()
     for g in games:
         assert not helpers.capacity_one(g)
@@ -787,10 +797,75 @@ def test_the_rows_are_the_connected_coalitions_in_size_then_lexicographic_order(
         seen["rows"] += len(reference)
         seen["pieces"] += len(helpers.parts(g, g.agents)) > 1
         seen["lone agent"] += any(len(part) == 1 for part in helpers.parts(g, g.agents))
-    # Counts at this seed: 138 or 139 games of each kind, 12,289 rows, 227
-    # graphs in several pieces and 219 with an agent on no edge.
-    assert min(seen[kind] for kind in kinds) >= 130, seen
+    for g in uniform:
+        assert g.uniform_capacity > 1
+        pairs = sorted(tuple(sorted((g.agents.index(e.u), g.agents.index(e.v))))
+                       for e in g.edges) if len(g.agents) > 2 else []
+        assert list(analysis._coalitions(g)) == [(pair, None) for pair in pairs], g
+        seen[g.kind] += 1
+    # Counts at this seed: 343 games of each connected kind, with 12,200
+    # rows, 386 graphs in several pieces and 362 with an agent on no
+    # edge; 142 uniform_b games.
+    assert min(seen[kind] for kind in (*kinds, GameKind.UNIFORM_B)) >= 130, seen
     assert seen["rows"] >= 12000 and seen["pieces"] >= 200 and seen["lone agent"] >= 200, seen
+
+
+def test_uniform_b_edge_pairs_give_the_verdicts_and_witnesses_of_the_connected_scan():
+    # A uniform_b core is b times the optimal dual face, so the library
+    # reads its edge pairs alone. On the uniform_b games of the cap set and
+    # 400 seeded ones with b >= 2, membership must give the verdict and the
+    # witness (members, demand, allocation) of
+    # helpers.reference_first_blocking, a scan over every connected proper
+    # coalition by searched worths. Probes: the payoffs of optimal dual
+    # vertices and their midpoint (all in the core), seeded splits of the
+    # worth and helpers.nearby_payoffs. On each seeded game every worth the
+    # scan can read is also naive_optima's, an enumeration of every
+    # multiplicity vector of the coalition's own sub-game.
+    rng = random.Random(5252)
+    games = [g for _, _, g in helpers.cap_set(("uniform_b",))]
+    while len(games) < 403:
+        g = helpers.random_bipartite(rng, GameKind.UNIFORM_B, max_side=3, max_edges=6)
+        if g.uniform_capacity >= 2:
+            games.append(g)
+    seen = Counter()
+    for k, g in enumerate(games):
+        if k >= 3:
+            for size in range(2, len(g.agents) + 1):
+                for members in combinations(g.agents, size):
+                    if helpers.connected(g, members):
+                        naive = helpers.naive_optima(helpers.sub_game(g, members))[0]
+                        assert helpers.reference_worth(g, members) == naive, (g, members)
+        grand = helpers.reference_worth(g, g.agents)
+        duals = [analysis.optimal_dual(g)] + analysis.sample_dual_vertices(
+            g, 2, seed=rng.randint(0, 999))
+        derived = list({tuple(analysis.dual_to_imputation(g, d).as_dict.items()): None
+                        for d in duals})
+        probes = [dict(pay) for pay in derived]
+        probes.append({q: (probes[0][q] + probes[-1][q]) / 2 for q in g.agents})
+        for _ in range(2):
+            shares = [rng.randint(0, 3) for _ in g.agents]
+            shares[0] += not any(shares)
+            probes.append({q: grand * s / sum(shares) for q, s in zip(g.agents, shares)})
+        probes += helpers.nearby_payoffs(rng, probes[0])
+        for payoffs in probes:
+            verdict = analysis.is_core_imputation(g, make_imputation(g, payoffs))
+            expected = helpers.reference_first_blocking(g, payoffs)
+            seen["probes"] += 1
+            if expected is None:
+                assert verdict == analysis.CoreVerdict(True), (g, payoffs)
+                seen["in core"] += 1
+                continue
+            assert (verdict.in_core, verdict.witness, verdict.witness_demand,
+                    verdict.witness_allocation) == (False, *expected), (g, payoffs)
+            seen["blocked"] += 1
+            seen["by a pair"] += len(expected[0]) < len(g.agents)
+        seen["b", g.uniform_capacity] += 1
+        analysis._session.cache_clear()
+    # Counts at this seed: 2,770 probes, 1,381 blocked (978 of them by a
+    # pair, the rest by their total) and 1,389 in the core; 171 games with
+    # b = 2 and 232 with b = 3.
+    assert seen["probes"] >= 2000 and seen["blocked"] >= 1200 and seen["in core"] >= 600, seen
+    assert seen["by a pair"] >= 600 and min(seen["b", 2], seen["b", 3]) >= 150, seen
 
 
 def test_row_generation_cuts_the_row_left_shortest_first_in_order_on_ties():
@@ -801,17 +876,17 @@ def test_row_generation_cuts_the_row_left_shortest_first_in_order_on_ties():
     # at another vertex and after other solves. The rows are the test's
     # own list, so each cut is replayed: the relaxation over the rows
     # before it is solved again and its shortest row found in Fractions
-    # over the session's (members, demand) rows. Games: the
-    # multi-capacity and hoffman_kruskal games of the cap set and 240
-    # seeded ones; hoffman_kruskal with the zero objective of
-    # core_nonempty, the others with 3 sampled objectives, maximized over
-    # one row list as sample_core_vertices does for b_matching with a
-    # capacity above one (it samples uniform_b on the optimal dual face).
+    # over the session's (members, demand) rows. Games: the b_matching
+    # and hoffman_kruskal games of the cap set and 360 seeded ones with a
+    # capacity above one; hoffman_kruskal with the zero objective of
+    # core_nonempty, b_matching with 3 sampled objectives, maximized over
+    # one row list as sample_core_vertices does (it samples uniform_b on
+    # the optimal dual face, so no uniform_b game runs row generation).
     rng = random.Random(3303)
-    kinds = (GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
+    kinds = (GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
     games = [g for _, _, g in helpers.cap_set(tuple(kind.value for kind in kinds))]
-    while len(games) < 9 + 240:
-        g = helpers.random_bipartite(rng, kinds[len(games) % 3], max_side=4, max_edges=7,
+    while len(games) < 6 + 360:
+        g = helpers.random_bipartite(rng, kinds[len(games) % 2], max_side=4, max_edges=7,
                                      min_side=2)
         if not helpers.capacity_one(g):
             games.append(g)
@@ -853,6 +928,6 @@ def test_row_generation_cuts_the_row_left_shortest_first_in_order_on_ties():
                 seen["cuts"] += 1
                 seen["tied cuts"] += len(tied) > 1
         analysis._session.cache_clear()
-    # Counts at this seed: 857 cuts, 471 of them with a tie for shortest.
-    assert seen["games"] == 249, seen
+    # Counts at this seed: 1,116 cuts, 508 of them with a tie for shortest.
+    assert seen["games"] == 366, seen
     assert seen["cuts"] >= 800 and seen["tied cuts"] >= 400, seen

@@ -357,8 +357,10 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
     # above one), which row generation and membership scans read. Its rows
     # are exactly the connected proper coalitions of two or more members
     # (their inner edges join them all), in size-then-lexicographic order,
-    # and every other coalition is worth the sum of what its parts are, the
-    # sets its inner edges join (a lone member being worth 0).
+    # or for uniform_b those of two, the edge pairs; every other coalition
+    # is worth the sum of what its parts are, the sets its inner edges join
+    # (a lone member being worth 0, a uniform_b part that is no row worth
+    # what ``worth`` gives).
     # Every weight is divided by a seeded integer from 1 to 6, so both
     # meet mixed denominators.
     rng = random.Random(909)
@@ -390,10 +392,12 @@ def test_coalition_worth_table_matches_worth_on_every_coalition():
                 assert demand == worth(g, members), (g, members)
             proper = [members for size in range(1, len(g.agents))
                       for members in combinations(g.agents, size)]
+            most = 2 if g.kind is GameKind.UNIFORM_B else len(g.agents)
             assert list(rows) == [m for m in proper
-                                  if len(m) > 1 and helpers.connected(g, m)], g
+                                  if 1 < len(m) <= most and helpers.connected(g, m)], g
             for members in proper:
-                demands = [rows[part] for part in helpers.parts(g, members) if len(part) > 1]
+                demands = [rows[part] if len(part) <= most else worth(g, part)
+                           for part in helpers.parts(g, members) if len(part) > 1]
                 assert worth(g, members) == sum(demands), (g, members)
         paths[key] = paths.get(key, 0) + 1
         if any(e.weight.denominator > 1 for e in g.edges):
