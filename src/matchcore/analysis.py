@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterator, Mapping
 
 from .caps import check_instance_size
@@ -57,6 +58,7 @@ class DualSolution:
     (ValueError on another length, counted off ``bound_columns``, so nothing
     is solved): agent j's vertex dual is column j, and an edge's bound duals
     are its ``bound_columns``, lower then upper; a missing one reads as zero.
+    ``_trusted`` builds the engine's own vertices past these checks.
     """
     instance: GameInstance
     values: tuple[Fraction, ...]
@@ -67,6 +69,13 @@ class DualSolution:
         if len(values) != columns:
             raise ValueError(f"{len(values)} values for a dual program of {columns} columns")
         object.__setattr__(self, "values", values)
+
+    @staticmethod
+    def _trusted(instance: GameInstance, values: tuple[Fraction, ...]) -> "DualSolution":
+        """The point of one ``Fraction`` per column, past these checks."""
+        d = object.__new__(DualSolution)
+        vars(d).update(instance=instance, values=values)
+        return d
 
     def vertex(self, q: str) -> Fraction:
         return self.values[_agent_column(self.instance, q)]
@@ -257,15 +266,19 @@ def primal_optimum(instance: GameInstance) -> Fraction:
 
 def optimal_dual(instance: GameInstance) -> DualSolution:
     """The deterministic optimal dual: the solver's Bland-rule vertex."""
-    return DualSolution(instance, _session(instance).face.base.values)
+    return DualSolution._trusted(instance, _session(instance).face.base.values)
 
 
 def is_optimal_dual(instance: GameInstance, d: DualSolution) -> bool:
-    """Feasible for the dual program and exactly optimal in value."""
+    """Feasible for the dual program (``LinearProgram._holds_at``) and exactly
+    optimal in value, in integers: the point is scaled once, its value cross-multiplied."""
     if d.instance != instance:
         raise ValueError("dual solution belongs to another instance")
     face = _session(instance).face
-    return face.lp.is_feasible(d.values) and face.lp.evaluate(d.values) == face.base.value
+    optimum, (costs, cost_scale) = face.base.value, face.lp._scaled_objective
+    point, scale = scaled(d.values)
+    return face.lp._holds_at(point, scale) and (sum(map(mul, costs, point)) * optimum.denominator
+                                                == optimum.numerator * cost_scale * scale)
 
 
 def _surplus_weights(instance: GameInstance) -> tuple[Fraction, ...]:
@@ -309,11 +322,12 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
 
 
 def _dual_payoffs(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
-    """A dual point's payoffs, unchecked: capacity times agent j's column j,
-    the column itself at a capacity of one."""
+    """A dual point's payoffs, capacity times agent j's column j (itself at a
+    capacity of one), by ``Imputation._trusted``: each a ``Fraction`` >= 0 of a
+    face vertex (lower bounds 0), an average of some, or an accepted dual."""
     agents = instance.agents
-    return Imputation(tuple((q, v if b == 1 else b * v) for q, v, b
-                            in zip(agents, values, map(instance.capacity, agents))))
+    pays = zip(agents, values, map(instance.capacity, agents))
+    return Imputation._trusted(tuple((q, v if b == 1 else b * v) for q, v, b in pays))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +581,7 @@ def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
             values = [ZERO] * n
             for j, a, den in LinearProgram._bland_part(n, rows, costs):
                 values[j] = F(a, den)
-            d = DualSolution(restrict(instance, names), tuple(values))
+            d = DualSolution._trusted(restrict(instance, names), tuple(values))
         return CoreVerdict(False, frozenset(names), demand, F(paid, scale), d)
     return CoreVerdict(True)
 
@@ -651,7 +665,8 @@ def _core_optimum(session: _Session, rows: list[Constraint], objective,
 
 
 def _imputation_from(instance: GameInstance, values: tuple[Fraction, ...]) -> Imputation:
-    return Imputation(tuple(zip(instance.agents, values)))
+    """A row-generation vertex (lower bounds 0, so each value >= 0) as payoffs, unchecked."""
+    return Imputation._trusted(tuple(zip(instance.agents, values)))
 
 
 def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
@@ -722,7 +737,7 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
         rows = _total_rows(session)
 
         def vertex(objective):
-            return _core_optimum(session, rows, objective, Sense.MAXIMIZE).values
+            return _core_optimum(session, rows, map(F, objective), Sense.MAXIMIZE).values
         payoffs = _imputation_from
     elif _empty_general_core(instance):
         return []
@@ -737,7 +752,7 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
     seen = set()
     out = []
     for _ in range(count):
-        values = vertex([F(rng.randint(-9, 9)) for _ in agents])
+        values = vertex([rng.randint(-9, 9) for _ in agents])
         if values not in seen:
             seen.add(values)
             out.append(payoffs(instance, values))
@@ -758,14 +773,13 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
     seen = set()
     out = []
     for _ in range(count):
-        objective = [F(rng.randint(-9, 9)) for _ in face.lp.variables]
-        sol = face.optimize(objective, Sense.MAXIMIZE)
+        sol = face.optimize([rng.randint(-9, 9) for _ in face.lp.variables], Sense.MAXIMIZE)
         if sol.status is not Status.OPTIMAL or sol.values in seen:
             continue
         seen.add(sol.values)
-        out.append(DualSolution(instance, sol.values))
+        out.append(DualSolution._trusted(instance, sol.values))
     if count and not out:
-        out.append(DualSolution(instance, face.base.values))
+        out.append(DualSolution._trusted(instance, face.base.values))
     return out
 
 

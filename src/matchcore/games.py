@@ -207,6 +207,13 @@ class Imputation:
             payoffs.append((q, v))
         object.__setattr__(self, "payoffs", tuple(payoffs))
 
+    @staticmethod
+    def _trusted(payoffs: tuple[tuple[str, Fraction], ...]) -> "Imputation":
+        """The imputation of (name, ``Fraction`` >= 0) pairs, past these checks."""
+        imp = object.__new__(Imputation)
+        vars(imp)["payoffs"] = payoffs
+        return imp
+
     @cached_property
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.payoffs)

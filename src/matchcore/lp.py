@@ -226,16 +226,20 @@ class LinearProgram:
         return dot(self.objective, values)
 
     def is_feasible(self, values: Sequence[Fraction]) -> bool:
-        """Within every bound and row; the point is scaled to integers once
-        (TypeError on a float, rows or none) and each row's kept integers
-        are read."""
+        """Within every bound and row: the point is scaled to integers once
+        (TypeError on a float, rows or none) and read by ``_holds_at``."""
         if len(values) != len(self.variables):
             return False
-        ints, scale = scaled(values)
-        for x, lo, hi in zip(values, self.lower, self.upper):
-            if x < lo or (hi is not None and x > hi):
+        return self._holds_at(*scaled(values))
+
+    def _holds_at(self, point: Sequence[int], scale: int) -> bool:
+        """Whether ``point / scale`` is within every bound and row, in integers:
+        x against bound p / q as x * q against p * scale, rows by ``Constraint._holds_at``."""
+        for x, lo, hi in zip(point, self.lower, self.upper):
+            if x * lo.denominator < lo.numerator * scale or (
+                    hi is not None and x * hi.denominator > hi.numerator * scale):
                 return False
-        return all(c._holds_at(ints, scale) for c in self.constraints)
+        return all(c._holds_at(point, scale) for c in self.constraints)
 
     def with_extra_constraints(self, extra: Iterable) -> "LinearProgram":
         return LinearProgram(self.sense, self.variables, self.objective,
@@ -658,12 +662,14 @@ class OptimalFace:
         return self._support
 
     def optimize(self, objective, sense) -> LpSolution:
-        """Optimize a secondary objective over the optimal face: it is
-        scaled to integers once, then one phase-2 run, or none when no
-        allowed column enters."""
+        """Optimize a secondary objective over the optimal face: it is scaled to
+        integers once, ints and Fractions as they are and any other entry through
+        ``ensure_rational`` (TypeError on a float or a bool), then one phase-2
+        run, or none when no allowed column enters."""
         if self.base.status is not Status.OPTIMAL:
             raise ValueError(f"base program is {self.base.status.value}, not optimal")
-        ints, scale = scaled(tuple(map(ensure_rational, objective)))
+        ints, scale = scaled([c if type(c) in (int, Fraction) else ensure_rational(c)
+                              for c in objective])
         if len(ints) != len(self.lp.variables):
             raise ValueError("objective length does not match variable count")
         sense = sense if isinstance(sense, Sense) else Sense(sense)

@@ -70,16 +70,16 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     multiplicity first. A branch is cut when its weight plus a bound on
     what the open edges can add falls short of what is needed: one more
     than the best weight found so far for the optimum alone, and the
-    optimum itself (searched first) for every optimum. The bound is the
-    smaller of two: the open edges at full multiplicity, and what the
-    remaining capacity can earn, each unit of an agent's capacity earning
-    at most its heaviest open edge. Every edge has one end on side U of a
-    bipartite game, so those agents are counted; in a general game every
-    agent is counted and every edge twice. One unit less of an edge
-    loses its weight and frees no more for the open edges, which are no
-    heavier, so once a multiplicity is cut every smaller one is too, and
-    the edge's loop stops there. Listing stops with ``CapExceededError``
-    past ``MAX_OPTIMA`` optima.
+    optimum itself (searched first) for every optimum. A branch is cut
+    when the open edges at full multiplicity fall short, or when a tally
+    of remaining capacity does, each unit of an agent's capacity earning
+    at most its heaviest open edge. Every edge of a bipartite game has one
+    end on each side, so each side keeps a tally and either one cuts; a
+    general game keeps one tally over every agent, which counts every
+    edge twice. One unit less of an edge loses its weight and frees no
+    more for the open edges, which are no heavier, so once a multiplicity
+    is cut every smaller one is too, and the edge's loop stops there.
+    Listing stops with ``CapExceededError`` past ``MAX_OPTIMA`` optima.
     """
     check_instance_size(len(instance.agents), len(instance.edges))
     # Both searches add and compare ints: weights scaled by the lcm of
@@ -90,29 +90,30 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     agents = instance.agents
     at = {q: k for k, q in enumerate(agents)}
     caps = [instance.capacity(q) for q in agents]
-    if instance.kind in BIPARTITE_KINDS:      # side U's agents come first
-        counted, per_edge = [k < len(instance.side_u) for k in range(len(agents))], 1
+    if instance.kind in BIPARTITE_KINDS:
+        in_v, per_u, per_v = [k >= len(instance.side_u) for k in range(len(agents))], 1, 1
     else:
-        counted, per_edge = [True] * len(agents), 2
+        in_v, per_u, per_v = [False] * len(agents), 2, 0
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     # One step per edge, heaviest first; suffix[i] bounds the edges from
-    # step i on at full multiplicity. For the capacity bound, an agent's
-    # heaviest open edge at step i is its first edge from i on (``top``,
-    # swept backwards). Past an edge of its own it falls to its next one
-    # (0 after its last), so a step holds the falls of its counted ends
-    # and the sum of their next edges' weights.
+    # step i on at full multiplicity. For the tallies, an agent's heaviest
+    # open edge at step i is its first edge from i on (``top``, swept
+    # backwards). Past an edge of its own it falls to its next one (0
+    # after its last), so a step holds, per tally, its ends' falls and the
+    # sum of their next edges' weights. Its lower end a is in the first
+    # tally, as side U's agents come first; b is in side V's or a's.
     steps = []
     suffix = [0] * (len(order) + 1)
     top = [0] * len(agents)
     for i in range(len(order) - 1, -1, -1):
         e = instance.edges[order[i]]
-        a, b = at[e.u], at[e.v]
+        a, b = sorted((at[e.u], at[e.v]))
         w = weights[order[i]]
         hi = min(caps[a], caps[b]) if e.upper is None else min(caps[a], caps[b], e.upper)
         suffix[i] = suffix[i + 1] + w * hi
-        steps.append((a, b, w, hi, e.lower,
-                      counted[a] * (w - top[a]), counted[b] * (w - top[b]),
-                      counted[a] * top[a] + counted[b] * top[b]))
+        v, u = in_v[b], not in_v[b]
+        steps.append((a, b, w, hi, e.lower, w - top[a], u * (w - top[b]), top[a] + u * top[b],
+                      v * (w - top[b]), v * top[b]))
         top[a] = top[b] = w
     steps.reverse()
 
@@ -122,11 +123,11 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
     # The least weight a matching must reach to count.
     need = int(_search(instance, False)[0] * scale) if every else 0
 
-    def walk(i: int, weight: int, earn: int) -> bool:
+    def walk(i: int, weight: int, earn_u: int, earn_v: int) -> bool:
         """Whether the bound cut this branch."""
         nonlocal need
         short = need - weight
-        if suffix[i] < short or earn < short * per_edge:
+        if suffix[i] < short or earn_u < short * per_u or earn_v < short * per_v:
             return True
         if i == len(steps):
             if every:
@@ -137,13 +138,14 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
             else:
                 need = weight + 1
             return False
-        a, b, w, hi, lo, fall_a, fall_b, nexts = steps[i]
-        rest = earn - remaining[a] * fall_a - remaining[b] * fall_b
+        a, b, w, hi, lo, fall_a, fall_b, next_u, fall_v, next_v = steps[i]
+        rest_u = earn_u - remaining[a] * fall_a - remaining[b] * fall_b
+        rest_v = earn_v - remaining[b] * fall_v
         for mult in range(min(hi, remaining[a], remaining[b]), lo - 1, -1):
             remaining[a] -= mult
             remaining[b] -= mult
             mults[i] = mult
-            cut = walk(i + 1, weight + w * mult, rest - mult * nexts)
+            cut = walk(i + 1, weight + w * mult, rest_u - mult * next_u, rest_v - mult * next_v)
             remaining[a] += mult
             remaining[b] += mult
             if cut:     # a smaller multiplicity falls shorter still
@@ -151,7 +153,8 @@ def _search(instance: GameInstance, every: bool) -> tuple[Fraction, tuple[Matchi
         mults[i] = 0
         return False
 
-    walk(0, 0, sum(c * r * t for c, r, t in zip(counted, caps, top)))
+    walk(0, 0, sum(c * t for v, c, t in zip(in_v, caps, top) if not v),
+         sum(c * t for v, c, t in zip(in_v, caps, top) if v))
     # walk holds itself in its closure; unbinding it leaves no cycle for
     # the cycle collector, whose timing would move peak memory.
     del walk

@@ -12,7 +12,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 from matchcore.analysis import (
-    DualFace, dual_to_imputation, is_concurrent, optimal_dual, sample_dual_vertices,
+    DualFace, dual_to_imputation, is_concurrent, optimal_dual, primal_optimum,
+    sample_dual_vertices,
 )
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import bound_columns, build_dual
@@ -436,6 +437,57 @@ def dual_image_candidates(g, rng, samples=3):
     derived = [dual_to_imputation(g, d).as_dict for d in duals]
     derived.append({q: (derived[0][q] + derived[-1][q]) / 2 for q in g.agents})
     return derived + [p for pay in derived for p in nearby_payoffs(rng, pay)]
+
+
+def reference_dual_verdict(g, values):
+    """What the point ``values`` is for ``build_dual(g)``, in Fractions
+    alone: "bound" when an entry leaves its column's bounds, else "row"
+    when a row fails (each by ``Constraint.activity``), else "optimal" when
+    its value (``evaluate``) is ``primal_optimum(g)``, else "feasible"."""
+    lp = build_dual(g)
+    if any(x < lo or (hi is not None and x > hi)
+           for x, lo, hi in zip(values, lp.lower, lp.upper)):
+        return "bound"
+    for con in lp.constraints:
+        gap = con.activity(values) - con.rhs
+        if not {Relation.LE: gap <= 0, Relation.GE: gap >= 0, Relation.EQ: gap == 0}[con.relation]:
+            return "row"
+    return "optimal" if lp.evaluate(values) == primal_optimum(g) else "feasible"
+
+
+def dual_candidates(g, rng):
+    """Points of ``build_dual(g)`` to judge: the deterministic optimal dual
+    and two sampled vertices, and from each one entry made negative, one
+    edge's row emptied (its endpoints' vertex duals and its ceiling dual
+    zero, so the row fails), one vertex dual raised, and a transfer along
+    an edge (one endpoint's vertex dual moved to the other's)."""
+    duals = [optimal_dual(g)] + sample_dual_vertices(g, 2, seed=rng.randint(0, 10**6))
+    columns, n = bound_columns(g), len(g.agents)
+    out = []
+    for d in duals:
+        values = list(d.values)
+        out.append(values)
+        negative = values[:]
+        negative[rng.randrange(len(values))] = -F(1, rng.randint(1, 5))
+        out.append(negative)
+        i = rng.randrange(len(g.edges))
+        emptied = values[:]
+        for j in (g.agents.index(g.edges[i].u), g.agents.index(g.edges[i].v),
+                  *columns[i][1:]):
+            emptied[j] = ZERO
+        out.append(emptied)
+        raised = values[:]
+        raised[rng.randrange(n)] += F(1, rng.randint(1, 4))
+        out.append(raised)
+        e = g.edges[rng.randrange(len(g.edges))]
+        give, take = g.agents.index(e.u), g.agents.index(e.v)
+        if rng.random() < 0.5:
+            give, take = take, give
+        moved = values[:]
+        moved[take] += moved[give]
+        moved[give] = ZERO
+        out.append(moved)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -751,6 +751,82 @@ def test_duals_of_another_instance_are_rejected():
             call(lower, foreign)
 
 
+def test_is_optimal_dual_agrees_with_the_fraction_reference():
+    # is_optimal_dual decides in one integer pass; the reference checks
+    # each bound and row by Constraint.activity and the value by evaluate
+    # against primal_optimum, in Fractions. The points: the deterministic
+    # dual and two sampled vertices of each game, and from each one entry
+    # made negative, one row emptied, one vertex dual raised and one
+    # transfer along an edge (helpers.dual_candidates), on the cap set and
+    # 400 seeded games of each bipartite kind.
+    rng = random.Random(5353)
+    games = [g for _, _, g in helpers.cap_set()]
+    for kind in helpers.ALL_BIPARTITE:
+        games += [helpers.random_bipartite(rng, kind, max_side=4, max_edges=7)
+                  for _ in range(400)]
+    seen = Counter()
+    for g in games:
+        for values in helpers.dual_candidates(g, rng):
+            verdict = helpers.reference_dual_verdict(g, values)
+            assert is_optimal_dual(g, DualSolution(g, values)) is (verdict == "optimal"), (
+                g, values, verdict)
+            seen[verdict] += 1
+    # Counts at this seed: 6,289 optimal points, 3,933 outside a bound,
+    # 5,247 failing a row and 4,196 feasible but not optimal.
+    assert len(games) == 1615
+    assert min(seen[v] for v in ("optimal", "bound", "row", "feasible")) >= 3000, seen
+
+
+def _assert_checked(built):
+    """``built``, a DualSolution or an Imputation the library returned,
+    equals what its checked constructor makes of its fields (tuples of
+    Fractions), and each of its numbers is a Fraction, as there."""
+    if isinstance(built, DualSolution):
+        checked, numbers = DualSolution(built.instance, built.values), built.values
+    else:
+        checked, numbers = Imputation(built.payoffs), [v for _, v in built.payoffs]
+    assert checked == built and all(type(v) is Fraction for v in numbers), built
+
+
+def test_every_dual_and_imputation_the_library_builds_equals_its_checked_one():
+    # optimal_dual, sample_dual_vertices and a blocked HK verdict's
+    # witness_dual build DualSolution, and the dual-derived and
+    # row-generation payoffs build Imputation, past the constructors'
+    # checks: each must equal what its checked constructor makes of it.
+    rng = random.Random(5454)
+    games = [g for _, _, g in helpers.cap_set()]
+    for kind in helpers.ALL_BIPARTITE:
+        games += [helpers.random_bipartite(rng, kind, max_side=4, max_edges=7)
+                  for _ in range(40)]
+    games += [helpers.random_general(rng) for _ in range(40)]
+    seen = Counter()
+    for g in games:
+        duals = [optimal_dual(g)] + sample_dual_vertices(g, 3, seed=rng.randint(0, 10**6))
+        built = list(duals)
+        nonempty, witness = core_nonempty(g)
+        built += [witness] if nonempty else []
+        if nonempty and g.kind is not GameKind.HOFFMAN_KRUSKAL:
+            built += [dual_to_imputation(g, d) for d in duals]
+            built += sample_core_vertices(g, 3, seed=rng.randint(0, 10**6))
+        if g.kind in (GameKind.ASSIGNMENT, GameKind.UNIFORM_B):
+            built += [*extreme_imputations(g), simultaneous_imputation(g)]
+        if g.kind is GameKind.HOFFMAN_KRUSKAL:
+            grand = surplus_account(g, duals[0]).surplus
+            shares = [rng.randint(0, 3) for _ in g.agents]
+            shares[0] += not any(shares)
+            verdict = is_core_imputation(g, make_imputation(
+                g, {q: grand * k / sum(shares) for q, k in zip(g.agents, shares)}))
+            built += [verdict.witness_dual] if verdict.witness_dual is not None else []
+        for item in built:
+            _assert_checked(item)
+            seen[type(item).__name__] += 1
+            seen["witness dual"] += isinstance(item, DualSolution) and item.instance != g
+    # Counts at this seed: 639 duals, 38 of them witness duals, and 1,256
+    # imputations.
+    assert seen["DualSolution"] >= 500 and seen["Imputation"] >= 1000, seen
+    assert seen["witness dual"] >= 20, seen
+
+
 def test_dual_image_values_are_the_objective_at_the_fixed_vertex(monkeypatch):
     # in_dual_image fixes the vertex duals through their bounds and
     # minimizes, so its programs have nonzero lower bounds; each optimal

@@ -362,6 +362,10 @@ def test_optimal_face_answers_each_question_once():
     for objective in ([0.5, 0], [F(1, 2), 1.0]):
         with pytest.raises(TypeError, match="expected an exact rational"):
             face.optimize(objective, Sense.MAXIMIZE)
+    # Ints and Fractions are scaled as they are; a bool is no int here.
+    for objective in ([True, 0], [F(1, 2), False]):
+        with pytest.raises(TypeError, match="booleans are not numbers"):
+            face.optimize(objective, Sense.MAXIMIZE)
 
 
 def test_optimal_face_requires_optimal_base():

@@ -275,6 +275,42 @@ def test_cap_set_games_with_scaled_capacities_answer_in_seconds(g):
     assert verdict.in_core or g.kind is GameKind.HOFFMAN_KRUSKAL
 
 
+# The optima counts of the cap-set games s = 0, 1, 2 with every capacity
+# times 5. While the walk tallied side U alone, listing b_matching s = 0
+# and s = 1 took 18 s and 28 s; a tally per side cuts where either falls short.
+_OPTIMA_AT_FIVE = {"uniform_b": (16, 16, 16), "b_matching": (126, 91, 6),
+                   "hoffman_kruskal": (1, 18, 6)}
+
+
+@pytest.mark.parametrize("kind, s, count", [(kind, s, count)
+                                            for kind, counts in _OPTIMA_AT_FIVE.items()
+                                            for s, count in enumerate(counts)])
+def test_cap_set_games_with_capacities_times_five_list_their_optima_in_seconds(kind, s, count):
+    ((_, _, g),) = [game for game in helpers.cap_set((kind,)) if game[1] == s]
+    g = _scaled_capacities(g, 5)
+    oracle_module._search.cache_clear()
+    start = time.perf_counter()
+    optima = enumerate_optima(g)
+    assert verify_complementarity(g).ok
+    assert time.perf_counter() - start < SCALED_SECONDS
+    assert len(optima) == count
+    assert all(m.weight(g) == optimal_weight(g) for m in optima)
+
+
+def test_a_listing_past_the_cap_at_huge_capacities_is_refused_in_seconds():
+    # The complete 3 x 3 uniform_b game with equal weights at b = 10^9 has
+    # far more than MAX_OPTIMA optima. While the walk tallied side U alone
+    # it ran for minutes without reaching the cap; with a tally per side
+    # it reaches the cap and refuses.
+    side_u, side_v = ["a1", "a2", "a3"], ["b1", "b2", "b3"]
+    g = make_instance(GameKind.UNIFORM_B, side_u, side_v,
+                      [(u, v, 1) for u in side_u for v in side_v], uniform_capacity=10**9)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="maximum-weight matchings exceed the listing cap"):
+        enumerate_optima(g)
+    assert time.perf_counter() - start < SCALED_SECONDS
+
+
 def test_cap_exceeded_is_a_clean_refusal():
     with pytest.raises(CapExceededError, match="13 vertices exceed the enumeration cap of 12"):
         max_weight(helpers.general_path(13))
@@ -517,7 +553,9 @@ def test_search_agrees_with_the_reference_search():
     # every optimum in order, read cold and after the optimum. The
     # games: 500 seeded ones of all five kinds, every third with each
     # weight divided by a seeded integer from 1 to 6, and the 15 cap-set
-    # grand games.
+    # grand games; then 150 seeded games of the kinds with capacities, each
+    # capacity raised by 3 to run from 4 to 6, since the walk's cuts, a
+    # tally per side, move with the capacities.
     rng = random.Random(1919)
     divisors = random.Random(9191)
     kinds = helpers.ALL_BIPARTITE + (GameKind.GENERAL,)
@@ -532,6 +570,14 @@ def test_search_agrees_with_the_reference_search():
             g = replace(g, edges=tuple(replace(e, weight=e.weight / divisors.randint(1, 6))
                                        for e in g.edges))
         games.append(g)
+    assert len(games) == 515
+    wide = (GameKind.UNIFORM_B, GameKind.B_MATCHING, GameKind.HOFFMAN_KRUSKAL)
+    for trial in range(150):
+        g = helpers.random_bipartite(rng, wide[trial % 3], max_side=4, max_edges=9,
+                                     max_weight=rng.choice((1, 2, 9)), min_side=2)
+        games.append(replace(g, capacities=tuple((q, b + 3) for q, b in g.capacities),
+                             uniform_capacity=None if g.uniform_capacity is None
+                             else g.uniform_capacity + 3))
     seen = Counter()
     for n, g in enumerate(games):
         value, optima = helpers.reference_optima(g)
@@ -550,11 +596,12 @@ def test_search_agrees_with_the_reference_search():
         seen["edge floor"] += any(e.lower > 0 for e in g.edges)
         seen["edge ceiling"] += any(e.upper is not None for e in g.edges)
         seen["fractional"] += any(e.weight.denominator > 1 for e in g.edges)
-    assert len(games) == 515
+        seen["capacities 4 to 6"] += all(4 <= g.capacity(q) <= 6 for q in g.agents)
     assert all(seen[kind] >= 100 for kind in kinds), seen
     assert seen["tied"] >= 100 and seen["capacity above one"] >= 100, seen
     assert seen["edge floor"] >= 20 and seen["edge ceiling"] >= 40, seen
     assert seen["fractional"] >= 100, seen
+    assert seen["capacities 4 to 6"] >= 100, seen
 
 
 @pytest.mark.parametrize("kind, s", [(kind, s) for kind in ("uniform_b", "b_matching")
