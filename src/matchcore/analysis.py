@@ -141,20 +141,19 @@ class _Session:
     """What the analysis has learnt about one instance, each part computed
     when first asked for and then kept: the dual program's ``OptimalFace``
     (one solve; each face query is a phase-2 run of its own), a lattice
-    kind's two side-optimal vertices, the grand range, and the coalition
-    rows scanned so far (``_coalitions``) as (positions, demand) pairs,
-    each demand the lister leaves None read once (``_demand``). A
-    hoffman_kruskal demand, and a blocking row's witness dual, are solved
-    on the row's part of this dual program, which ``cut`` takes from the
-    program's kept integers through the ``layout``, so no program or row
-    is built for it. The instance was validated when built, so the
-    session checks none of its data.
+    kind's two side-optimal vertices, the grand range, and the core's
+    coalition rows (``rows``), one list of (positions, demand) pairs,
+    each demand the lister leaves None read once (``_demand``), when a
+    scan first reaches it. A hoffman_kruskal demand, and a blocking
+    row's witness dual, are solved on the row's part of this dual
+    program, which ``cut`` takes from the program's kept integers
+    through the ``layout``, so no program or row is built for it. The
+    instance was validated when built, so the session checks none of
+    its data.
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
-        self._rows = []
-        self._unscanned = None
 
     @cached_property
     def face(self) -> OptimalFace:
@@ -229,27 +228,24 @@ class _Session:
             return w, w
         return self.face.range(_surplus_weights(self.instance))
 
+    @cached_property
+    def rows(self) -> list[tuple[tuple[int, ...], Fraction | None]]:
+        """The core's coalition rows (``_coalitions``), listed whole when
+        a scan first asks; ``demands`` fills in their demands."""
+        return _coalitions(self.instance)
+
     def demands(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """The (members, demand) rows of ``_coalitions`` in their order. A
-        row is kept when a scan first reaches it and its demand, one
-        ``_demand`` call, when first read, so a scan that stops early, or
-        is stopped by an error, leaves the rest unread and each demand is
-        computed once."""
-        if self._unscanned is None:
-            self._unscanned = _coalitions(self.instance)
-        rows = self._rows
-        i = 0
-        while True:
-            if i == len(rows):
-                row = next(self._unscanned, None)
-                if row is None:
-                    return
-                rows.append(row)
-            row = rows[i]
-            if row[1] is None:
-                row = rows[i] = row[0], _demand(self.instance, row[0])
-            yield row
-            i += 1
+        """The (members, demand) rows of ``rows`` in their order. A
+        demand the lister left None is read (one ``_demand`` call) when a
+        scan first reaches its row and stored there, so a scan that stops
+        early, or is stopped by an error, leaves the rest unread and each
+        demand is computed once."""
+        rows = self.rows
+        for i, (members, demand) in enumerate(rows):
+            if demand is None:
+                demand = _demand(self.instance, members)
+                rows[i] = members, demand
+            yield members, demand
 
 
 @lru_cache(maxsize=50_000)
@@ -450,11 +446,10 @@ def _core_is_face(instance: GameInstance) -> bool:
         or all(instance.capacity(q) == 1 for q in instance.agents))
 
 
-def _coalitions(instance: GameInstance) -> Iterator[
+def _coalitions(instance: GameInstance) -> list[
         tuple[tuple[int, ...], Fraction | None]]:
-    """The coalition rows of the core as (members, demand), lazily, in
-    size-then-lexicographic order, members as increasing agent positions;
-    the set-up runs on the call, so the iteration cannot raise.
+    """The coalition rows of the core as (members, demand), in
+    size-then-lexicographic order, members as increasing agent positions.
 
     Where the core is capacity times the optimal dual face
     (``_core_is_face``) the rows are the proper edge pairs: at a uniform
@@ -479,26 +474,24 @@ def _coalitions(instance: GameInstance) -> Iterator[
     if _core_is_face(instance):
         one = all(instance.capacity(q) == 1 for q in agents)
         pairs = sorted((*sorted((at[e.u], at[e.v])), e.weight) for e in instance.edges)
-        return (((i, j), w if one else None) for i, j, w in pairs if len(agents) > 2)
+        return [((i, j), w if one else None) for i, j, w in pairs if len(agents) > 2]
     near = [0] * len(agents)
     for e in instance.edges:
         near[at[e.u]] |= 1 << at[e.v]
         near[at[e.v]] |= 1 << at[e.u]
-
-    def connected():
-        level = {1 << j: near[j] for j in range(len(agents))}   # mask -> its members' neighbours
-        for _ in range(2, len(agents)):
-            grown = {}
-            for mask, reach in level.items():
-                out = reach & ~mask
-                while out:
-                    bit = out & -out
-                    out ^= bit
-                    grown[mask | bit] = reach | near[bit.bit_length() - 1]
-            level = grown
-            yield from sorted((tuple(j for j in range(len(agents)) if mask >> j & 1), None)
-                              for mask in level)
-    return connected()
+    rows, level = [], {1 << j: near[j] for j in range(len(agents))}   # mask -> members' neighbours
+    for _ in range(2, len(agents)):
+        grown = {}
+        for mask, reach in level.items():
+            out = reach & ~mask
+            while out:
+                bit = out & -out
+                out ^= bit
+                grown[mask | bit] = reach | near[bit.bit_length() - 1]
+        level = grown
+        rows += sorted((tuple(j for j in range(len(agents)) if mask >> j & 1), None)
+                       for mask in level)
+    return rows
 
 
 def _demand(instance: GameInstance, members: tuple[int, ...]) -> Fraction:
@@ -545,7 +538,7 @@ def _shortfalls(session: _Session, payoffs: list[Fraction]) -> Iterator[
 
 
 def is_core_imputation(instance: GameInstance, imp: Imputation) -> CoreVerdict:
-    """Exact core membership over the coalition rows of ``_coalitions``.
+    """Exact core membership over the coalition rows of ``_Session.rows``.
 
     The imputation must pay exactly the instance's agents (else
     ValueError), and its total must lie in the grand range

@@ -192,20 +192,23 @@ class Imputation:
     """A division of the game's total among agents: its payoffs, nothing
     else, so equal payoffs make equal imputations. Building one reads a
     mapping by its items and converts each (name, payoff) pair's payoff
-    (``ensure_rational``), refusing any other entry and a negative payoff."""
+    (``ensure_rational``), refusing any other entry, a negative payoff
+    and a second payoff for one name."""
     payoffs: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
         given = self.payoffs
-        payoffs = []
+        payoffs = {}
         for entry in given.items() if isinstance(given, Mapping) else given:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise ValueError(f"payoff entry {entry!r} is not a (name, payoff) pair")
             q, v = entry[0], ensure_rational(entry[1])
             if v < 0:
                 raise ValueError(f"negative payoff for {q!r}")
-            payoffs.append((q, v))
-        object.__setattr__(self, "payoffs", tuple(payoffs))
+            if q in payoffs:
+                raise ValueError(f"second payoff for {q!r}")
+            payoffs[q] = v
+        object.__setattr__(self, "payoffs", tuple(payoffs.items()))
 
     @staticmethod
     def _trusted(payoffs: tuple[tuple[str, Fraction], ...]) -> "Imputation":

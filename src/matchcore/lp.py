@@ -32,6 +32,7 @@ import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -633,7 +634,6 @@ class OptimalFace:
         self.lp = lp
         self._tableau = _Tableau(lp)
         self.base = self._tableau.solve()
-        self._support = None
         if self.base.status is Status.OPTIMAL:
             self._columns = [j for j in self._tableau.movable if not self._tableau.reduced[j]]
 
@@ -641,25 +641,26 @@ class OptimalFace:
         """(columns, rows): the positions of the columns above their lower
         bound and of the inequality rows with slack somewhere on the face,
         all at one point of it (Goldman and Tucker 1956)."""
-        if self._support is None:
-            if self.base.status is not Status.OPTIMAL:
-                raise ValueError(f"base program is {self.base.status.value}, not optimal")
-            n, tableau, seen = len(self.lp.variables), self._tableau.fork(), set()
-            rows = [i for i, con in enumerate(self.lp.constraints) if con.relation is not _EQ]
-            while True:
-                seen.update(bj for row, bj in zip(tableau.rows, tableau.basis) if row[-1] > 0)
-                # The columns, then the slacks of the inequality rows.
-                zrow, zden = tableau._cost_row(
-                    [int(j not in seen) for j in range(n + len(rows))], 1)
-                if not any(zrow[j] < 0 for j in self._columns):
-                    break
-                ray = tableau._run(zrow, zden, self._columns)[0]
-                if ray is not None:
-                    seen.update((ray,), (bj for row, bj in zip(tableau.rows, tableau.basis)
-                                         if row[ray] < 0))
-            self._support = (frozenset(j for j in seen if j < n),
-                             frozenset(i for k, i in enumerate(rows) if n + k in seen))
         return self._support
+
+    @cached_property
+    def _support(self) -> tuple[frozenset[int], frozenset[int]]:
+        if self.base.status is not Status.OPTIMAL:
+            raise ValueError(f"base program is {self.base.status.value}, not optimal")
+        n, tableau, seen = len(self.lp.variables), self._tableau.fork(), set()
+        rows = [i for i, con in enumerate(self.lp.constraints) if con.relation is not _EQ]
+        while True:
+            seen.update(bj for row, bj in zip(tableau.rows, tableau.basis) if row[-1] > 0)
+            # The columns, then the slacks of the inequality rows.
+            zrow, zden = tableau._cost_row([int(j not in seen) for j in range(n + len(rows))], 1)
+            if not any(zrow[j] < 0 for j in self._columns):
+                break
+            ray = tableau._run(zrow, zden, self._columns)[0]
+            if ray is not None:
+                seen.update((ray,), (bj for row, bj in zip(tableau.rows, tableau.basis)
+                                     if row[ray] < 0))
+        return (frozenset(j for j in seen if j < n),
+                frozenset(i for k, i in enumerate(rows) if n + k in seen))
 
     def optimize(self, objective, sense) -> LpSolution:
         """Optimize a secondary objective over the optimal face: it is scaled to

@@ -263,16 +263,44 @@ def test_sampling_no_vertex_reads_no_coalition_row(monkeypatch):
     for _, s, g in helpers.cap_set(("uniform_b",)):
         analysis._session.cache_clear()
         assert len(analysis.sample_core_vertices(g, 5, s)) >= 1
-        assert read == [] and analysis._session(g)._rows == []
+        assert read == [] and "rows" not in vars(analysis._session(g))
     for _, s, g in helpers.cap_set(("b_matching",)):
         assert not helpers.capacity_one(g)
         analysis._session.cache_clear()
         assert analysis.sample_core_vertices(g, 0, s) == [] and read == []
-        assert analysis._session(g)._rows == []
+        assert "rows" not in vars(analysis._session(g))
         assert len(analysis.sample_core_vertices(g, 1, s)) == 1
         sampled = list(read)
         assert sampled and sampled == [members for members, _ in analysis._session(g).demands()]
         read.clear()
+
+
+def test_a_blocked_scan_at_cap_size_reads_no_demand_past_its_witness(monkeypatch):
+    # Every row of these games lists no demand, so a scan reads one per row
+    # it reaches: a blocked one the rows up to its witness, in order, and a
+    # later full scan the rest, once. A core point with one agent's payoff
+    # moved to another keeps its total in the grand range; the first such
+    # move that blocks is taken. At these seeds the witnesses are rows 3,
+    # 3, 1, 16, 5 and 0 of 707 to 1,052.
+    read = []
+    demand = analysis._demand
+    monkeypatch.setattr(analysis, "_demand",
+                        lambda instance, members: read.append(members) or demand(instance, members))
+    for kind, s, g in helpers.cap_set(("b_matching", "hoffman_kruskal")):
+        _, core = analysis.core_nonempty(g)
+        rng, verdict = random.Random(s), analysis.CoreVerdict(True)
+        while verdict.in_core:
+            q, r = rng.sample(g.agents, 2)
+            payoffs = {**core.as_dict, q: ZERO, r: core[q] + core[r]}
+            analysis._session.cache_clear()
+            read.clear()
+            verdict = analysis.is_core_imputation(g, make_imputation(g, payoffs))
+        rows = [members for members, _ in analysis._session(g).rows]
+        k = rows.index(tuple(sorted(map(g.agents.index, verdict.witness))))
+        assert read == rows[:k + 1] and k + 1 < len(rows), (kind, s)
+        read.clear()
+        assert len(list(analysis._session(g).demands())) == len(rows)
+        assert read == rows[k + 1:], (kind, s)
 
 
 def _first_blocking(g, imp):
@@ -706,7 +734,7 @@ def test_a_worth_kinds_core_question_solves_no_program_and_searches_no_sub_game(
         concurrency.clear()
         nonempty, witness = analysis.core_nonempty(g)
         assert nonempty == (witness is not None) and concurrency == [g]
-        assert len(tableaux) == 1 and analysis._session(g)._rows == []
+        assert len(tableaux) == 1 and "rows" not in vars(analysis._session(g))
         searched = oracle_module._search.cache_info().currsize
         assert searched == (kind == "general"), kind
 

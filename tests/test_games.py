@@ -345,6 +345,15 @@ def test_an_imputation_reads_a_mapping_by_its_items():
         assert repr(entries[0]) in str(err.value)
 
 
+def test_an_imputation_refuses_a_second_payoff_for_one_agent():
+    # Kept, the pairs would total 3 while the name reads 2, so the core
+    # test (by total) and the dual-image test (by name) would disagree.
+    for entries in ([("u", 1), ("u", 2), ("v", 0)], [("u", 0), ("v", 1), ("v", 1)]):
+        with pytest.raises(ValueError, match="second payoff for") as err:
+            Imputation(entries)
+        assert repr(entries[1][0]) in str(err.value)
+
+
 def test_validate_rejects_names_that_clash_with_program_variables():
     problems = refusal(GameKind.HOFFMAN_KRUSKAL, ["u,1"], ["v[2]"],
                        [("u,1", "v[2]", 1)], capacities={"u,1": 1, "v[2]": 1})

@@ -3,7 +3,7 @@ the package imports a name that it never uses, and none reads another
 module's private name. ``__init__.py`` is left out, because its imports
 are the package's re-exports. Every private name is read somewhere, and
 every name that a docstring or comment quotes, or that README.md quotes
-as a dotted name, is defined somewhere."""
+as a dotted name, is defined somewhere. README.md quotes no private name."""
 
 import ast
 import builtins
@@ -250,3 +250,31 @@ def test_every_dotted_name_quoted_in_the_readme_is_defined():
     readme = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
     assert DOTTED.findall(readme)
     assert stale_readme_names(readme, texts) == []
+
+
+QUOTED = re.compile(r"(?<!`)`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`(?!`)")
+
+
+def private_readme_names(readme: str) -> list[str]:
+    """The names and dotted names that ``readme`` quotes in single
+    backticks with a part that starts with an underscore, each as
+    ``<line>: <name>``; a file name ending in ``.py`` and a lone ``_`` are
+    skipped. README describes behaviour, and the docstrings name the code
+    behind it."""
+    return [f"{number}: {name}" for number, line in enumerate(readme.splitlines(), 1)
+            for name in QUOTED.findall(line) if not name.endswith(".py")
+            and any(part.startswith("_") and part != "_" for part in name.split("."))]
+
+
+def test_the_check_sees_a_private_name_in_the_readme():
+    readme = ("The engine (`matchcore.lp`) answers `OptimalFace.range`; see\n"
+              "`__init__.py`, ``_kept``, `_` and `x_y`. Cached in `analysis._session`\n"
+              "by `_Session`, cut by `_Session.cut`.\n")
+    assert private_readme_names(readme) == ["2: analysis._session", "3: _Session",
+                                            "3: _Session.cut"]
+
+
+def test_the_readme_quotes_no_private_name():
+    readme = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert QUOTED.findall(readme)
+    assert private_readme_names(readme) == []
