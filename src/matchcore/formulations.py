@@ -7,9 +7,9 @@ label. That ordering makes a coalition's sub-game dual program the
 game's rows of its inner edges, over the columns of its members and of
 those edges' bound duals (``bound_columns``), which the analysis cuts
 from the game's program in integers. Also houses the
-total-unimodularity test of coefficient rows and the half-integral
-vertex structure check for general-graph matching programs. The test
-takes matrices with at most two nonzeros per column, as every
+total-unimodularity test of coefficient rows and the vertex test of the
+general-graph matching program by its half-integral structure. The TUM
+test takes matrices with at most two nonzeros per column, as every
 `build_primal` matrix is, and decides them at any size by Heller &
 Tompkins's two-colouring of its rows.
 """
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .caps import MAX_VERTICES, CapExceededError
 from .games import EdgeKey, GameInstance, GameKind
-from .lp import Constraint, LinearProgram, Relation, Sense, is_vertex
+from .lp import Constraint, LinearProgram, Relation, Sense
 from .rationals import ZERO, scaled
 
 F = Fraction
@@ -194,44 +194,48 @@ def is_totally_unimodular(rows: Sequence[Sequence[Fraction | int]]) -> bool:
 
 @dataclass(frozen=True)
 class HalfIntegralStructure:
-    """Vertex-structure report for the general matching polytope.
+    """A vertex of the general matching polytope, by its structure.
 
-    A valid vertex has every edge value in {0, 1/2, 1}; the 1-edges form
-    a matching and the 1/2-edges split into vertex-disjoint odd cycles.
+    Balinski (1965, *Integer programming: methods, uses, computation*): a
+    point of the capacity-one matching program is a vertex iff every edge
+    value is in {0, 1/2, 1}, the 1-edges form a matching and the 1/2-edges
+    split into vertex-disjoint odd cycles that avoid the 1-edges. The
+    1-edges are kept in edge order, each cycle from its least vertex name.
     """
     matched_edges: tuple[EdgeKey, ...]
     half_cycles: tuple[tuple[str, ...], ...]
-    violations: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+_NOT_A_VERTEX = "assignment is not a vertex of the matching polytope: "
 
 
 def check_half_integrality(solution, instance: GameInstance) -> HalfIntegralStructure:
-    """Classify a vertex of the general matching program.
+    """The half-integral structure of a vertex of the general matching
+    program, which is its vertex test.
 
     ``solution`` solves ``build_primal(instance)``: its values are read in
-    that program's column order, the edge order. Raises if they are not a
-    vertex of the polytope, a vector of the wrong length included
-    (structure is only guaranteed at vertices).
+    that program's column order, the edge order, and scaled to integers
+    once (TypeError on a float or a string). The structure implies
+    feasibility, so no program is built. A point without it is no vertex
+    and raises ValueError listing every violation; so does a vector of the
+    wrong length.
     """
     if instance.kind is not GameKind.GENERAL:
         raise ValueError("half-integral structure applies to general instances")
-    values = solution.values or ()
-    if not is_vertex(build_primal(instance), values):
-        raise ValueError("assignment is not a vertex of the matching polytope")
+    values, edges = solution.values or (), instance.edges
+    if len(values) != len(edges):
+        raise ValueError(f"{_NOT_A_VERTEX}{len(values)} values for {len(edges)} edges")
+    ints, scale = scaled(values)
 
     violations = []
     ones: list[EdgeKey] = []
     halves: list[EdgeKey] = []
-    half = F(1, 2)
-    for e, x in zip(instance.edges, values):
-        if x == 1:
+    for e, x, a in zip(edges, values, ints):
+        if a == scale:
             ones.append(e.key)
-        elif x == half:
+        elif 2 * a == scale:
             halves.append(e.key)
-        elif x != 0:
+        elif a:
             violations.append(f"x[{e.u},{e.v}] = {x} is not in {{0, 1/2, 1}}")
     used = set()
     for u, v in ones:
@@ -269,4 +273,6 @@ def check_half_integrality(solution, instance: GameInstance) -> HalfIntegralStru
             if len(cycle) % 2 == 0:
                 violations.append(f"half cycle through {start} has even length")
             cycles.append(tuple(cycle))
-    return HalfIntegralStructure(tuple(ones), tuple(cycles), tuple(violations))
+    if violations:
+        raise ValueError(_NOT_A_VERTEX + "; ".join(violations))
+    return HalfIntegralStructure(tuple(ones), tuple(cycles))

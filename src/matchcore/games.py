@@ -241,6 +241,8 @@ def make_imputation(instance: GameInstance, payoffs: Mapping[str, Fraction]) -> 
 
 def restrict(instance: GameInstance, members: Iterable[str]) -> GameInstance:
     """The induced sub-game on a coalition: same kind, inherited data."""
+    if isinstance(members, str):
+        raise ValueError(f"coalition {members!r} is one string, not a list of names")
     chosen = frozenset(members)
     unknown = chosen - set(instance.agents)
     if unknown:

@@ -1,29 +1,27 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex with Bland's pivot rule, and one fraction-free
-elimination, ``eliminate`` (rank and determinant), for all other exact
-linear algebra. Programs and results are ``fractions.Fraction``, but the
-arithmetic is in integers. A program is put into integers once: each
-``Constraint`` keeps its row over its smallest common denominator and each
-``LinearProgram`` its objective, both computed when they are built, or
-written straight in by the formulations' trusted builders, and the tableau
-(see ``_Tableau``) only copies those integers; a program given in integers
-alone is solved unbuilt, its vertex read off in integers
-(``LinearProgram._bland_part``). Phase 1 stores no artificial column: each
-row owns one unit column, its slack or, for an equality row, a column that
-no phase-2 run lets enter, and reads its artificial off it; the
-objective's reduced-cost row rides through phase 1, so phase 2 starts
-where phase 1 stops. Only a column with room gets a bound row: a column
-whose bounds are equal is a constant that never enters, and a >= row over
-constants alone, right-hand side zero, starts on its slack. Activities and
-objective values are ``rationals.dot``, one integer sum of products.
-Fractions are built only at the layer's edge: the inputs, the ``values``
-and ``value`` of an ``LpSolution``, and each ``dot``'s one result. No
-rounding, no tolerances: identical inputs always give the identical basic
-optimal solution. The optimal face has one representation,
-``OptimalFace``: it solves once and answers each secondary objective by
-phase 2 alone from the optimal basis, over the movable columns whose
-reduced cost there is zero; it keeps no answer.
+A two-phase primal simplex with Bland's pivot rule. Programs and results
+are ``fractions.Fraction``, but the arithmetic is in integers. A program
+is put into integers once: each ``Constraint`` keeps its row over its
+smallest common denominator and each ``LinearProgram`` its objective, both
+computed when they are built, or written straight in by the formulations'
+trusted builders, and the tableau (see ``_Tableau``) only copies those
+integers; a program given in integers alone is solved unbuilt, its vertex
+read off in integers (``LinearProgram._bland_part``). Phase 1 stores no
+artificial column: each row owns one unit column, its slack or, for an
+equality row, a column that no phase-2 run lets enter, and reads its
+artificial off it; the objective's reduced-cost row rides through phase 1,
+so phase 2 starts where phase 1 stops. Only a column with room gets a
+bound row: a column whose bounds are equal is a constant that never
+enters, and a >= row over constants alone, right-hand side zero, starts on
+its slack. Activities and objective values are ``rationals.dot``, one
+integer sum of products. Fractions are built only at the layer's edge: the
+inputs, the ``values`` and ``value`` of an ``LpSolution``, and each
+``dot``'s one result. No rounding, no tolerances: identical inputs always
+give the identical basic optimal solution. The optimal face has one
+representation, ``OptimalFace``: it solves once and answers each secondary
+objective by phase 2 alone from the optimal basis, over the movable
+columns whose reduced cost there is zero; it keeps no answer.
 """
 
 from __future__ import annotations
@@ -127,9 +125,6 @@ class Constraint:
         if self.relation is _GE:
             return gap >= 0
         return gap == 0
-
-    def tight_at(self, values: Sequence[Fraction]) -> bool:
-        return self.activity(values) == self.rhs
 
 
 def _normalize_bounds(bounds, variables, default):
@@ -687,56 +682,3 @@ class OptimalFace:
         return (self.extremum(objective, Sense.MINIMIZE),
                 self.extremum(objective, Sense.MAXIMIZE))
 
-
-def eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int | None]:
-    """(rank, determinant) of integer rows; the determinant is None unless
-    the matrix is square. Fraction-free elimination (Bareiss 1968): after
-    k pivots each entry below them is a minor of order k + 1, so dividing
-    by the previous pivot is exact, and the last pivot of a nonsingular
-    square matrix is its determinant, negated once per row swap."""
-    mat = [list(r) for r in rows]
-    m, n = len(mat), len(mat[0]) if mat else 0
-    rank, sign, prev = 0, 1, 1
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if mat[i][col]), -1)
-        if piv < 0:
-            continue
-        if piv != rank:
-            mat[rank], mat[piv], sign = mat[piv], mat[rank], -sign
-        prow = mat[rank]
-        p = prow[col]
-        for i in range(rank + 1, m):
-            f = mat[i][col]
-            mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], prow)]
-        prev, rank = p, rank + 1
-    if m != n:
-        return rank, None
-    return rank, sign * prev if rank == n else 0
-
-
-def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank: ``eliminate`` on each row over its common denominator."""
-    return eliminate([scaled(row)[0] for row in rows])[0]
-
-
-def tight_rows_at(lp: LinearProgram, values: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """Coefficient rows of all constraints and bounds tight at ``values``."""
-    n = len(lp.variables)
-    rows: list[tuple[Fraction, ...]] = []
-    for con in lp.constraints:
-        if con.tight_at(values):
-            rows.append(con.coeffs)
-    for j in range(n):
-        unit = tuple(ONE if k == j else ZERO for k in range(n))
-        if values[j] == lp.lower[j] or values[j] == lp.upper[j]:     # no value equals None
-            rows.append(unit)
-    return rows
-
-
-def is_vertex(lp: LinearProgram, values: Sequence[Fraction]) -> bool:
-    """True when ``values`` is feasible and a vertex of the polyhedron."""
-    if not lp.is_feasible(values):
-        return False
-    rows = tight_rows_at(lp, values)
-    n = len(lp.variables)
-    return len(rows) >= n and rank_of_rows(rows) == n

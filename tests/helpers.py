@@ -18,8 +18,8 @@ from matchcore.analysis import (
 from matchcore.fixtures import fixture_by_name
 from matchcore.formulations import bound_columns, build_dual
 from matchcore.games import GameKind, InstanceError, make_instance
-from matchcore.lp import Constraint, LinearProgram, Relation, Sense, eliminate, solve
-from matchcore.rationals import ZERO, scaled
+from matchcore.lp import Constraint, LinearProgram, Relation, Sense, solve
+from matchcore.rationals import ONE, ZERO, scaled
 
 F = Fraction
 
@@ -526,8 +526,69 @@ def reference_payoff_range(g, q):
                              face.extremum(coeffs, Sense.MAXIMIZE)))
 
 
+# ---------------------------------------------------------------------------
+# Exact rank, and the vertex test of any program by it.
+# ---------------------------------------------------------------------------
+
+def eliminate(rows):
+    """(rank, determinant) of integer rows; the determinant is None unless
+    the matrix is square. Fraction-free elimination (Bareiss 1968): after
+    k pivots each entry below them is a minor of order k + 1, so dividing
+    by the previous pivot is exact, and the last pivot of a nonsingular
+    square matrix is its determinant, negated once per row swap."""
+    mat = [list(r) for r in rows]
+    m, n = len(mat), len(mat[0]) if mat else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if mat[i][col]), -1)
+        if piv < 0:
+            continue
+        if piv != rank:
+            mat[rank], mat[piv], sign = mat[piv], mat[rank], -sign
+        prow = mat[rank]
+        p = prow[col]
+        for i in range(rank + 1, m):
+            f = mat[i][col]
+            mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], prow)]
+        prev, rank = p, rank + 1
+    if m != n:
+        return rank, None
+    return rank, sign * prev if rank == n else 0
+
+
+def rank_of_rows(rows):
+    """Exact rank: :func:`eliminate` on each row over its common denominator."""
+    return eliminate([scaled(row)[0] for row in rows])[0]
+
+
+def tight_at(con, values):
+    """Whether the constraint ``con`` holds with equality at ``values``."""
+    return con.activity(values) == con.rhs
+
+
+def tight_rows_at(lp, values):
+    """Coefficient rows of all constraints and bounds tight at ``values``."""
+    n = len(lp.variables)
+    rows = [con.coeffs for con in lp.constraints if tight_at(con, values)]
+    for j in range(n):
+        unit = tuple(ONE if k == j else ZERO for k in range(n))
+        if values[j] == lp.lower[j] or values[j] == lp.upper[j]:     # no value equals None
+            rows.append(unit)
+    return rows
+
+
+def is_vertex(lp, values):
+    """True when ``values`` is feasible and a vertex of the polyhedron: its
+    tight rows have full rank."""
+    if not lp.is_feasible(values):
+        return False
+    rows = tight_rows_at(lp, values)
+    n = len(lp.variables)
+    return len(rows) >= n and rank_of_rows(rows) == n
+
+
 def reference_rank_and_det(rows):
-    """Reference for ``lp.eliminate``: (rank, determinant) of a matrix by
+    """Reference for :func:`eliminate`: (rank, determinant) of a matrix by
     Gauss-Jordan elimination in Fraction, sharing no code with the
     fraction-free kernel. The determinant is the product of the pivots,
     negated once per row swap, and None unless the matrix is square."""
@@ -587,7 +648,7 @@ def sweep_tum(rows):
     """Reference for ``is_totally_unimodular`` on a {0, +-1} matrix given
     as int rows, with any number of nonzeros per column: every square
     submatrix of order 2 and up, in increasing order, by its determinant
-    from ``lp.eliminate``, stopping at the first one outside {-1, 0, 1}.
+    from :func:`eliminate`, stopping at the first one outside {-1, 0, 1}.
     Exponential in the smaller dimension, so keep the matrices small."""
     m, n = len(rows), len(rows[0])
     for k in range(2, min(m, n) + 1):

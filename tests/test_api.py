@@ -9,7 +9,10 @@ import pytest
 
 import helpers
 import matchcore
-from matchcore import DualFace, LinearProgram, Sense, optimal_dual, solve
+from matchcore import (
+    Constraint, DualFace, LinearProgram, Relation, Sense, build_primal,
+    check_half_integrality, optimal_dual, solve,
+)
 
 EXPORTS = {
     # games
@@ -54,13 +57,18 @@ def _program():
 @pytest.mark.parametrize("build, attributes", [
     (_program, {"sense", "variables", "objective", "constraints", "lower", "upper",
                 "evaluate", "is_feasible", "with_extra_constraints"}),
+    (lambda: Constraint([1], Relation.LE, 1), {"coeffs", "relation", "rhs", "activity"}),
     (lambda: solve(_program()), {"status", "value", "values", "basis"}),
     (lambda: optimal_dual(helpers.single_edge()),
      {"instance", "values", "vertex", "lower", "upper"}),
     (lambda: DualFace(helpers.single_edge()),
      {"instance", "lp", "base", "optimize", "extremum", "vertex_coeffs", "vertex_range",
       "max_overpayment"}),
-], ids=["LinearProgram", "LpSolution", "DualSolution", "DualFace"])
+    (lambda: check_half_integrality(solve(build_primal(helpers.unit_triangle())),
+                                    helpers.unit_triangle()),
+     {"matched_edges", "half_cycles"}),
+], ids=["LinearProgram", "Constraint", "LpSolution", "DualSolution", "DualFace",
+        "HalfIntegralStructure"])
 def test_public_attributes(build, attributes):
     obj = build()
     assert {name for name in dir(obj) if not name.startswith("_")} == attributes

@@ -27,7 +27,7 @@ from matchcore import lp as lp_module
 from matchcore import oracle as oracle_module
 from matchcore.formulations import build_dual, vertex_dual_var
 from matchcore.games import GameKind, make_imputation, make_instance, restrict
-from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, is_vertex, solve
+from matchcore.lp import Constraint, LinearProgram, Relation, Sense, Status, solve
 from matchcore.oracle import max_weight, worth
 from matchcore.rationals import scaled
 
@@ -184,7 +184,7 @@ def test_sampled_core_points_are_vertices_of_the_full_core():
         assert samples
         for imp in samples:
             values = tuple(imp[q] for q in g.agents)
-            assert is_vertex(polytope, values)
+            assert helpers.is_vertex(polytope, values)
             assert analysis.is_core_imputation(g, imp).in_core
 
 
@@ -229,7 +229,7 @@ def test_face_samples_are_optimal_vertices_of_the_dense_core():
             draw = random.Random(seed)
             objective = [F(draw.randint(-9, 9)) for _ in g.agents]
             values = tuple(imp[q] for q in g.agents)
-            assert is_vertex(polytope, values), g
+            assert helpers.is_vertex(polytope, values), g
             assert analysis.is_core_imputation(g, imp).in_core, g
             cut = analysis._core_optimum(session, analysis._total_rows(session),
                                          objective, Sense.MAXIMIZE)

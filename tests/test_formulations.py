@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from matchcore import formulations
 from matchcore.caps import CapExceededError
 from matchcore.formulations import (
     build_dual,
@@ -19,7 +18,7 @@ from matchcore.formulations import (
     vertex_dual_var,
 )
 from matchcore.games import GameKind, make_instance
-from matchcore.lp import LinearProgram, LpSolution, Status, solve
+from matchcore.lp import LinearProgram, LpSolution, Sense, Status, solve
 from matchcore.oracle import max_weight
 from matchcore.rationals import scaled
 
@@ -300,7 +299,6 @@ def test_unit_triangle_half_integral_vertex():
     g = helpers.unit_triangle()
     sol = solve(build_primal(g))
     report = check_half_integrality(sol, g)
-    assert report.ok
     assert report.matched_edges == ()
     assert len(report.half_cycles) == 1
     assert len(report.half_cycles[0]) == 3
@@ -312,7 +310,6 @@ def test_bipartite_shape_vertices_are_integral():
         g = bipartite_shaped_general(rng)
         sol = solve(build_primal(g))
         report = check_half_integrality(sol, g)
-        assert report.ok
         assert not report.half_cycles
 
 
@@ -328,7 +325,6 @@ def test_seven_ring_constructed_half_cycle_vertex():
     assert lp.evaluate(ordered) == 4
     sol = LpSolution(Status.OPTIMAL, F(4), ordered)
     report = check_half_integrality(sol, g)
-    assert report.ok
     assert report.matched_edges == ()
     assert [len(c) for c in report.half_cycles] == [7]
 
@@ -348,6 +344,19 @@ def test_half_integrality_rejects_non_vertex():
         check_half_integrality(short, g)
 
 
+def test_half_integrality_refuses_what_is_not_a_vector_of_rationals():
+    # A float or a string among the values is refused as every exact
+    # entry point refuses it; no values, or too few, are no vertex.
+    g = helpers.unit_triangle()
+    for values in ((F(1, 2), 0.5, F(1, 2)), (F(1, 2), "1/2", F(1, 2))):
+        with pytest.raises(TypeError, match="expected an exact rational, got "):
+            check_half_integrality(LpSolution(Status.OPTIMAL, F(3, 2), values), g)
+    for values, count in ((None, 0), ((F(1, 2), F(1, 2)), 2)):
+        with pytest.raises(ValueError, match="^assignment is not a vertex of the matching "
+                           f"polytope: {count} values for 3 edges$"):
+            check_half_integrality(LpSolution(Status.OPTIMAL, None, values), g)
+
+
 def test_half_integrality_refuses_a_bipartite_game():
     g = helpers.single_edge()
     with pytest.raises(ValueError, match="half-integral structure applies to general instances"):
@@ -365,14 +374,110 @@ def test_half_integrality_refuses_a_bipartite_game():
     ("ab bc cd ad", (F(1, 2),) * 4, ("half cycle through a has even length",)),
 ], ids=["not-half-integral", "integral-not-a-matching", "half-meets-integral",
         "half-path", "even-half-cycle"])
-def test_half_integrality_names_each_violation(monkeypatch, edges, values, violations):
-    # Every vertex of the general matching polytope passes; so the vertex
-    # test is made to pass these points, which are not vertices, and each
-    # violation the check can name is named.
-    monkeypatch.setattr(formulations, "is_vertex", lambda lp, values: True)
+def test_half_integrality_names_each_violation(edges, values, violations):
+    # None of these points is a vertex, and the refusal names each
+    # violation the check can name.
     g = make_instance(GameKind.GENERAL, list("abcd"), [], [(u, v, 1) for u, v in edges.split()])
     sol = LpSolution(Status.OPTIMAL, F(0), tuple(map(F, values)))
-    assert check_half_integrality(sol, g).violations == violations
+    with pytest.raises(ValueError) as refused:
+        check_half_integrality(sol, g)
+    assert str(refused.value) == ("assignment is not a vertex of the matching polytope: "
+                                  + "; ".join(violations))
+
+
+def _cycles(g):
+    """Every simple cycle of a general game's graph, once each, as the
+    positions of its edges."""
+    at = {frozenset(e.key): i for i, e in enumerate(g.edges)}
+    adjacent = {q: [] for q in g.agents}
+    for e in g.edges:
+        adjacent[e.u].append(e.v)
+        adjacent[e.v].append(e.u)
+    rank = {q: k for k, q in enumerate(g.agents)}
+    out = []
+
+    def walk(path):
+        # A cycle starts at its least vertex and runs to its lesser neighbour first.
+        for nxt in adjacent[path[-1]]:
+            if nxt == path[0]:
+                if len(path) >= 3 and rank[path[1]] < rank[path[-1]]:
+                    out.append([at[frozenset(p)] for p in zip(path, path[1:] + path[:1])])
+            elif rank[nxt] > rank[path[0]] and nxt not in path:
+                walk(path + [nxt])
+
+    for q in g.agents:
+        walk([q])
+    return out
+
+
+def _structure_points(g, lp, rng):
+    """Points of the general game's program and beside it: vertices from
+    random objectives, midpoints of two distinct ones, a cycle at 1/2
+    with a random matching elsewhere at 1 (a vertex when the cycle is
+    odd), and random {0, 1/2, 1} vectors."""
+    m, half = len(g.edges), F(1, 2)
+    vertices = sorted({solve(LinearProgram(Sense.MAXIMIZE, lp.variables,
+                                           [rng.randint(-3, 9) for _ in range(m)],
+                                           lp.constraints, lp.lower, lp.upper)).values
+                       for _ in range(12)})
+    points = list(vertices)
+    for _ in range(10):
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        if a != b:
+            points.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    cycles = _cycles(g)
+    for _ in range(10 if cycles else 0):
+        cycle = rng.choice(cycles)
+        x = [F(0)] * m
+        used = set()
+        for i in cycle:
+            x[i] = half
+            used.update(g.edges[i].key)
+        for i in rng.sample(range(m), m):
+            u, v = g.edges[i].key
+            if u not in used and v not in used and rng.random() < 0.7:
+                x[i] = F(1)
+                used.update((u, v))
+        points.append(tuple(x))
+    points += [tuple(rng.choice((F(0), F(0), F(0), half, F(1))) for _ in range(m))
+               for _ in range(10)]
+    return points
+
+
+def test_half_integral_structure_is_the_rank_vertex_test():
+    # Balinski's structure, the library's vertex test, against the rank
+    # test (the point is feasible and its tight rows have full rank) on
+    # seeded general games. Random objectives rarely reach a vertex with
+    # a half cycle, so cycles at 1/2 are built too.
+    rng = random.Random(5601)
+    half = F(1, 2)
+    seen = dict(points=0, vertices=0, feasible_non_vertices=0, with_half=0,
+                half_cycle_vertices=0)
+    for _ in range(380):
+        g = helpers.random_general(rng, max_vertices=8, max_edges=12, min_vertices=3)
+        lp = build_primal(g)
+        for values in _structure_points(g, lp, rng):
+            vertex = helpers.is_vertex(lp, values)
+            try:
+                report = check_half_integrality(LpSolution(Status.OPTIMAL, None, values), g)
+            except ValueError:
+                assert not vertex, (g, values)
+            else:
+                assert vertex, (g, values)
+                assert report.matched_edges == tuple(e.key for e, x in zip(g.edges, values)
+                                                     if x == 1)
+                assert sum(map(len, report.half_cycles)) == values.count(half)
+                assert all(len(c) % 2 for c in report.half_cycles)
+            seen["points"] += 1
+            seen["vertices"] += vertex
+            seen["feasible_non_vertices"] += not vertex and lp.is_feasible(values)
+            seen["with_half"] += half in values
+            seen["half_cycle_vertices"] += vertex and half in values
+    # Counts at this seed: 10,753 points, 4,770 vertices (1,667 of them
+    # with a half cycle), 4,486 feasible non-vertices, 7,239 with a half.
+    assert (seen["points"] >= 10_000 and seen["vertices"] >= 2000
+            and seen["feasible_non_vertices"] >= 2000 and seen["with_half"] >= 500
+            and seen["half_cycle_vertices"] >= 500), seen
 
 
 def test_constraint_matrix_labels():

@@ -121,6 +121,20 @@ def test_restrict_rejects_unknown_agents():
         restrict(helpers.unit_triangle(), {"nope"})
 
 
+def test_a_coalition_given_as_one_string_is_refused():
+    # A string is a collection of its characters; read as one, "ij" would
+    # be the coalition {i, j} of the unit triangle, worth 1, and "v1" the
+    # unknown agents 'v' and '1' of the seven-ring. Both are refused, as
+    # make_instance refuses a side given as one string.
+    triangle, ring = helpers.unit_triangle(), helpers.seven_ring()
+    for g, members in ((triangle, "ij"), (ring, "v1"), (triangle, "")):
+        for call in (restrict, oracle.worth):
+            with pytest.raises(ValueError, match=f"^coalition {members!r} is one string, "
+                                                 "not a list of names$"):
+                call(g, members)
+    assert oracle.worth(triangle, ["i", "j"]) == 1 and oracle.worth(ring, ["v1"]) == 0
+
+
 def test_validate_well_formed_instances():
     for g in (helpers.seven_ring(), helpers.two_team_b_matching(),
               helpers.hk_mixed_bounds(), helpers.hk_edge_upper(),

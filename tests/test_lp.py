@@ -30,10 +30,6 @@ from matchcore.lp import (
     Relation,
     Sense,
     Status,
-    eliminate,
-    is_vertex,
-    rank_of_rows,
-    tight_rows_at,
 )
 from matchcore.rationals import dot, scaled
 
@@ -490,13 +486,14 @@ def test_a_float_raises_the_package_type_error():
     # Every dot scales its sides with ``scaled``, which refuses a float as
     # ensure_rational does, not with an AttributeError; ``is_feasible``
     # scales its point before any test, so a program with no rows refuses
-    # a float too, and so does ``is_vertex``, which asks it first.
+    # a float too, and so does the rank reference ``helpers.is_vertex``,
+    # which asks it first.
     lp = LinearProgram(Sense.MAXIMIZE, ["x"], [1], [([1], Relation.LE, 1)])
     rowless = LinearProgram(Sense.MAXIMIZE, ["x"], [1], upper=[1])
     for call, point in ((lp.is_feasible, [0.5]), (lp.evaluate, [0.5]),
                         (lambda point: dot(point, [1]), [0.5]),
                         (rowless.is_feasible, [0.5]),
-                        (lambda point: is_vertex(rowless, point), [1.0])):
+                        (lambda point: helpers.is_vertex(rowless, point), [1.0])):
         with pytest.raises(TypeError, match="expected an exact rational, got float"):
             call(point)
 
@@ -520,7 +517,7 @@ def test_activity_and_evaluate_match_the_fraction_sum():
         assert lp.evaluate(point) == fraction_sum(lp.objective, point)
         for con in lp.constraints:
             assert con.activity(point) == fraction_sum(con.coeffs, point)
-            assert con.tight_at(point) is (fraction_sum(con.coeffs, point) == con.rhs)
+            assert helpers.tight_at(con, point) is (fraction_sum(con.coeffs, point) == con.rhs)
 
 
 def test_is_feasible_is_exact_on_a_row_and_at_a_bound():
@@ -560,6 +557,8 @@ def test_is_feasible_is_exact_on_a_row_and_at_a_bound():
                 assert free.is_feasible(at)
                 at[j] = bound + outward
                 assert not free.is_feasible(at)
+        # A point of another length is not a point of the program.
+        assert not free.is_feasible(point[:-1]) and not free.is_feasible(point + point)
     # Counts at these seeds: <= 308, >= 287, = 288.
     assert min(seen.values()) >= 100, seen
 
@@ -608,7 +607,7 @@ def test_random_programs_solution_invariants():
         assert lp.evaluate(sol.values) == sol.value
         assert all(isinstance(v, Fraction) for v in sol.values)
         # Vertex property: enough tight rows of full rank.
-        assert is_vertex(lp, sol.values)
+        assert helpers.is_vertex(lp, sol.values)
         # Determinism: an independent fresh solve agrees exactly.
         again = solve(LinearProgram(lp.sense, lp.variables, lp.objective,
                                     lp.constraints, lp.lower, lp.upper))
@@ -635,7 +634,7 @@ def test_warm_face_queries_match_the_pinned_row_lp():
         seen["lowered"] += any(lo < 0 for lo in lp.lower)
         seen["bounded"] += any(hi is not None for hi in lp.upper)
         seen["equality"] += any(c.relation is Relation.EQ for c in lp.constraints)
-        seen["degenerate"] += len(tight_rows_at(lp, base.values)) > len(lp.variables)
+        seen["degenerate"] += len(helpers.tight_rows_at(lp, base.values)) > len(lp.variables)
         pinned = lp.with_extra_constraints(
             [Constraint(lp.objective, Relation.EQ, base.value)])
         n = len(lp.variables)
@@ -654,7 +653,7 @@ def test_warm_face_queries_match_the_pinned_row_lp():
                 continue
             assert warm.value == cold.value
             assert pinned.is_feasible(warm.values)
-            assert is_vertex(pinned, warm.values)
+            assert helpers.is_vertex(pinned, warm.values)
         seen["ties"] += values[:2 * n:2] != values[1:2 * n:2]
         seen["rays"] += None in values
     assert seen["programs"] >= 150 and min(seen.values()) >= 20, seen
@@ -1211,7 +1210,7 @@ def vertex_enumeration_best(lp):
     best = None
     for combo in combinations(range(len(planes)), n):
         rows = [planes[i][0] for i in combo]
-        if rank_of_rows(rows) < n:
+        if helpers.rank_of_rows(rows) < n:
             continue
         point = solve_square(rows, [planes[i][1] for i in combo])
         if point is None or not lp.is_feasible(point):
@@ -1280,12 +1279,12 @@ def test_elimination_matches_the_rational_reference():
                 for row in rows:
                     row[j] = 0
         rank, det = helpers.reference_rank_and_det(rows)
-        assert eliminate(rows) == (rank, det), rows
+        assert helpers.eliminate(rows) == (rank, det), rows
         # Rational rows: the same rank after dividing each row by its own
         # positive denominator.
         rational = [[F(x, d) for x in row] for row, d in
                     zip(rows, (rng.randint(1, 6) for _ in rows))]
-        assert rank_of_rows(rational) == rank, rows
+        assert helpers.rank_of_rows(rational) == rank, rows
         deficient += rank < min(m, n)
         non_square += m != n
         big_det += det is not None and abs(det) >= 2
@@ -1305,7 +1304,7 @@ def test_exactness_denominator_divides_basis_determinant():
         sol = solve(lp)
         if sol.status is not Status.OPTIMAL:
             continue
-        rows = tight_rows_at(lp, sol.values)
+        rows = helpers.tight_rows_at(lp, sol.values)
         n = len(lp.variables)
         square = _independent_square(rows, n)
         det = helpers.reference_rank_and_det(square)[1]
@@ -1319,7 +1318,7 @@ def test_exactness_denominator_divides_basis_determinant():
 def _independent_square(rows, n):
     chosen = []
     for row in rows:
-        if rank_of_rows(chosen + [row]) > len(chosen):
+        if helpers.rank_of_rows(chosen + [row]) > len(chosen):
             chosen.append(row)
         if len(chosen) == n:
             break
