@@ -62,6 +62,8 @@ class DualSolution:
     """
     instance: GameInstance
     values: tuple[Fraction, ...]
+    # Not a field: set by ``_trusted`` alone (see ``_refuse_unless_optimal``).
+    _face_vertex = False
 
     def __post_init__(self):
         values = tuple(map(ensure_rational, self.values))
@@ -72,9 +74,12 @@ class DualSolution:
 
     @staticmethod
     def _trusted(instance: GameInstance, values: tuple[Fraction, ...]) -> "DualSolution":
-        """The point of one ``Fraction`` per column, past these checks."""
+        """The point of one ``Fraction`` per column, past these checks: a
+        vertex of the optimal face of ``instance``'s dual program that the
+        library found (``optimal_dual``, ``sample_dual_vertices``, an HK
+        ``witness_dual``), recorded as such in ``_face_vertex``."""
         d = object.__new__(DualSolution)
-        vars(d).update(instance=instance, values=values)
+        vars(d).update(instance=instance, values=values, _face_vertex=True)
         return d
 
     def vertex(self, q: str) -> Fraction:
@@ -289,16 +294,25 @@ def _surplus(d: DualSolution) -> Fraction:
     return dot(_surplus_weights(d.instance), d.values)
 
 
+def _refuse_unless_optimal(instance: GameInstance, d: DualSolution) -> None:
+    """ValueError unless ``d`` is an optimal dual of ``instance``. A vertex
+    the library found for this very instance object (``DualSolution._trusted``)
+    is one by construction; any other point, an equal instance's included,
+    is judged by ``is_optimal_dual``."""
+    if not (d._face_vertex and d.instance is instance) and not is_optimal_dual(instance, d):
+        raise ValueError("dual solution is not optimal")
+
+
 def surplus_account(instance: GameInstance, d: DualSolution) -> SurplusAccount:
     """Distributable total under one optimal dual of a bounds-capacity game.
 
     The surplus is the vertex part of the dual objective; by duality the
     adjustment, surplus - worth, is sum(lower * lower_dual - upper * upper_dual).
+    ValueError unless the dual is optimal (``_refuse_unless_optimal``).
     """
     if instance.kind is not GameKind.HOFFMAN_KRUSKAL:
         raise ValueError("surplus accounting applies to hoffman_kruskal instances")
-    if not is_optimal_dual(instance, d):
-        raise ValueError("dual solution is not optimal")
+    _refuse_unless_optimal(instance, d)
     w, surplus = primal_optimum(instance), _surplus(d)
     return SurplusAccount(w, surplus - w, surplus)
 
@@ -308,10 +322,9 @@ def dual_to_imputation(instance: GameInstance, d: DualSolution) -> Imputation:
 
     For the general kind this is only an imputation when the game is
     concurrent (fractional and integral optima agree). Both are enforced
-    (ValueError), since the dual is the caller's.
+    (ValueError), optimality by ``_refuse_unless_optimal``.
     """
-    if not is_optimal_dual(instance, d):
-        raise ValueError("dual solution is not optimal")
+    _refuse_unless_optimal(instance, d)
     if _empty_general_core(instance):
         raise ValueError("not concurrent: optimal covers are not imputations")
     return _dual_payoffs(instance, d.values)
@@ -346,8 +359,8 @@ class DualFace:
     elsewhere it is two queries of the agent's own. Three functions also
     take one as ``face`` and refuse another instance's (``_face_of``).
     D(I) membership fixes columns instead: ``in_dual_image`` solves the
-    program once with them constant, each tight row over them alone on
-    its slack, and compares optima.
+    program once with them constant and compares optima; on a lattice
+    kind every column is then a constant, and ``solve`` builds no tableau.
     """
 
     def __init__(self, instance: GameInstance):
@@ -585,12 +598,14 @@ def in_dual_image(instance: GameInstance, imp: Imputation) -> bool:
     Decided exactly by one solve of the dual program with every vertex
     dual fixed, through equal bounds, to payoff over capacity (divided
     only for a capacity above one): its optimum equals the dual optimum
-    exactly when some optimal dual has these vertex duals. The engine
-    holds a fixed dual as a constant, with no bound row, and starts an
-    edge row over fixed duals alone that is tight on its slack: no pivot
-    decides a lattice kind. ValueError unless ``imp`` pays exactly the
-    instance's agents; payoffs are >= 0 and capacities positive, so every
-    fixed value lies within its column's bounds (lower 0, no upper).
+    exactly when some optimal dual has these vertex duals. On a lattice
+    kind the vertex duals are every column, so ``solve`` decides the
+    program at those constants in one integer pass over the edge rows and
+    no tableau is built; on hoffman_kruskal the engine holds a fixed dual
+    as a constant, with no bound row, and pivots on the bound duals alone.
+    ValueError unless ``imp`` pays exactly the instance's agents; payoffs
+    are >= 0 and capacities positive, so every fixed value lies within
+    its column's bounds (lower 0, no upper).
     """
     if instance.kind not in BIPARTITE_KINDS:
         raise ValueError("the dual-image test applies to bipartite kinds")
@@ -697,6 +712,13 @@ def core_nonempty(instance: GameInstance) -> tuple[bool, Imputation | None]:
     return True, _imputation_from(instance, sol.values)
 
 
+def _vertex_key(values: tuple[Fraction, ...]) -> tuple[tuple[int, int], ...]:
+    """A sampled vertex as its (numerator, denominator) pairs, equal exactly
+    when the vertices are: ints hash far faster than a ``Fraction``, whose
+    hash takes a modular inverse (as in ``Edge.__hash__``)."""
+    return tuple(map(F.as_integer_ratio, values))
+
+
 def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[Imputation]:
     """Distinct core vertices that maximize random rational objectives.
 
@@ -746,8 +768,9 @@ def sample_core_vertices(instance: GameInstance, count: int, seed: int) -> list[
     out = []
     for _ in range(count):
         values = vertex([rng.randint(-9, 9) for _ in agents])
-        if values not in seen:
-            seen.add(values)
+        key = _vertex_key(values)
+        if key not in seen:
+            seen.add(key)
             out.append(payoffs(instance, values))
     return out
 
@@ -767,9 +790,12 @@ def sample_dual_vertices(instance: GameInstance, count: int, seed: int,
     out = []
     for _ in range(count):
         sol = face.optimize([rng.randint(-9, 9) for _ in face.lp.variables], Sense.MAXIMIZE)
-        if sol.status is not Status.OPTIMAL or sol.values in seen:
+        if sol.status is not Status.OPTIMAL:
             continue
-        seen.add(sol.values)
+        key = _vertex_key(sol.values)
+        if key in seen:
+            continue
+        seen.add(key)
         out.append(DualSolution._trusted(instance, sol.values))
     if count and not out:
         out.append(DualSolution._trusted(instance, face.base.values))
@@ -784,12 +810,14 @@ def paid_sometimes(instance: GameInstance, q: str) -> bool | None:
     """Is the agent paid under some dual-derived core imputation?
 
     True iff agent j's vertex dual, column j, is in the support of the
-    optimal dual face (ValueError on an unknown agent). On a non-concurrent
-    general instance the core is empty: the distinguished outcome is None.
+    optimal dual face. ValueError on an unknown agent, on every game; on a
+    non-concurrent general instance the core is empty, and the
+    distinguished outcome for an agent it has is None.
     """
+    j = _agent_column(instance, q)
     if _empty_general_core(instance):
         return None
-    return _agent_column(instance, q) in _session(instance).face.support()[0]
+    return j in _session(instance).face.support()[0]
 
 
 def always_paid_fairly(instance: GameInstance, key: EdgeKey) -> bool | None:
@@ -797,12 +825,14 @@ def always_paid_fairly(instance: GameInstance, key: EdgeKey) -> bool | None:
 
     Its slack is the overpayment: vertex duals (plus upper-bound dual,
     minus lower-bound dual, where present) beyond the edge weight.
-    ValueError on a key the instance lacks, reversed keys included; None is
-    the distinguished empty-core outcome for non-concurrent general games.
+    ValueError on a key the instance lacks, reversed keys included, on
+    every game; None is the distinguished empty-core outcome for a key of
+    a non-concurrent general game.
     """
+    i = _edge_row(instance, key)
     if _empty_general_core(instance):
         return None
-    return _edge_row(instance, key) not in _session(instance).face.support()[1]
+    return i not in _session(instance).face.support()[1]
 
 
 def payoff_range(instance: GameInstance, q: str,

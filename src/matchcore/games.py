@@ -158,9 +158,11 @@ class GameInstance:
         return {e.key: e for e in self.edges}
 
     def edge(self, key: EdgeKey) -> Edge:
+        """The edge keyed ``(u, v)`` as written; ValueError on any other
+        key: a reversed pair, a list, a string or an unhashable entry."""
         try:
             return self.edge_map[key]
-        except KeyError:
+        except (KeyError, TypeError):   # TypeError: an unhashable key
             raise ValueError(f"no edge {key!r} in this instance") from None
 
 

@@ -14,11 +14,13 @@ artificial off it; the objective's reduced-cost row rides through phase 1,
 so phase 2 starts where phase 1 stops. Only a column with room gets a
 bound row: a column whose bounds are equal is a constant that never
 enters, and a >= row over constants alone, right-hand side zero, starts on
-its slack. Activities and objective values are ``rationals.dot``, one
-integer sum of products. Fractions are built only at the layer's edge: the
-inputs, the ``values`` and ``value`` of an ``LpSolution``, and each
-``dot``'s one result. No rounding, no tolerances: identical inputs always
-give the identical basic optimal solution. The optimal face has one
+its slack; a program of constants alone builds no tableau, as ``solve``
+decides it in one integer pass over its rows at its bounds. Activities
+and objective values are ``rationals.dot``, one integer sum of products.
+Fractions are built only at the layer's edge: the inputs, the ``values``
+and ``value`` of an ``LpSolution``, and each ``dot``'s one result. No
+rounding, no tolerances: identical inputs always give the identical
+basic optimal solution. The optimal face has one
 representation, ``OptimalFace``: it solves once and answers each secondary
 objective by phase 2 alone from the optimal basis, over the movable
 columns whose reduced cost there is zero; it keeps no answer.
@@ -597,7 +599,21 @@ def solve(lp: LinearProgram) -> LpSolution:
     An optimal assignment is a basic solution, and so a vertex of the
     feasible polyhedron: every variable is bounded below, so the
     polyhedron has no line and its basic solutions are its vertices.
+
+    A program whose every column is fixed (lower bound equal to upper)
+    has one point, its bounds, and builds no tableau: the point is within
+    its bounds, so it is feasible exactly when ``LinearProgram._holds_at``
+    accepts it, that is when every row holds there, and then optimal
+    there, with no basic column, as the tableau, which lets no fixed
+    column enter, would answer.
     """
+    if lp.lower == lp.upper:
+        point, scale = scaled(lp.lower)
+        if not all(c._holds_at(point, scale) for c in lp.constraints):
+            return LpSolution(Status.INFEASIBLE)
+        ints, cost_scale = lp._scaled_objective
+        return LpSolution(Status.OPTIMAL, Fraction(sum(map(mul, ints, point)), cost_scale * scale),
+                          lp.lower)
     return _Tableau(lp).solve()
 
 

@@ -195,6 +195,22 @@ def test_empty_core_distinguished_outcome():
     assert all(t.always_paid_fairly is None for t in report.teams)
 
 
+def test_an_argument_the_game_lacks_is_refused_on_an_empty_core():
+    # A non-concurrent general game answers None for its own agents and
+    # keys, but an agent or a key it lacks is refused first, as on every
+    # other game.
+    k3 = helpers.unit_triangle()
+    assert not is_concurrent(k3)
+    with pytest.raises(ValueError) as err:
+        paid_sometimes(k3, "zz")
+    assert str(err.value) == "agent 'zz' has no column in the dual program"
+    for key in ("ij", ("j", "i"), ("i", "zz"), ["i", "j"]):
+        with pytest.raises(ValueError) as err:
+            always_paid_fairly(k3, key)
+        assert str(err.value) == f"no edge {key!r} in this instance"
+    assert paid_sometimes(k3, "i") is always_paid_fairly(k3, ("i", "j")) is None
+
+
 def test_verify_complementarity_on_seven_ring():
     report = verify_complementarity(helpers.seven_ring())
     assert report.ok
@@ -271,14 +287,12 @@ def test_payment_verdicts_are_the_per_coordinate_queries(monkeypatch):
             assert finding.always_paid_fairly is always_paid_fairly(g, finding.edge) is want
             seen[{True: "fair", False: "overpaid", None: "empty core"}[want]] += 1
             seen["unbounded"] += want is False and DualFace(g).max_overpayment(finding.edge) is None
-        if report.concurrent is not False:
-            with pytest.raises(ValueError, match="no column"):
-                paid_sometimes(g, "nobody")
-            u, v = g.edges[0].key
-            with pytest.raises(ValueError, match="no edge"):
-                always_paid_fairly(g, (v, u))
-        else:
-            assert paid_sometimes(g, "nobody") is always_paid_fairly(g, ("x", "y")) is None
+        # An agent or a key the game lacks is refused on an empty core too.
+        with pytest.raises(ValueError, match="no column"):
+            paid_sometimes(g, "nobody")
+        u, v = g.edges[0].key
+        with pytest.raises(ValueError, match="no edge"):
+            always_paid_fairly(g, (v, u))
     # Counts at this seed: 2,245 paid and 2,076 never paid agents, 1,817
     # fair and 1,164 overpaid edges, 96 of them without bound.
     assert seen["unbounded"] >= 80 and seen["empty core"] >= 20, seen
@@ -541,6 +555,81 @@ def test_a_feasible_dual_that_is_not_optimal_is_refused():
         for call in calls:
             with pytest.raises(ValueError, match="^dual solution is not optimal$"):
                 call(g, d)
+
+
+def _twin(g):
+    """An instance equal to ``g`` that is another object."""
+    twin = make_instance(g.kind, g.side_u, g.side_v, g.edges, g.capacities, g.uniform_capacity)
+    assert twin == g and twin is not g
+    return twin
+
+
+def test_a_dual_the_library_found_is_not_checked_again(monkeypatch):
+    # optimal_dual, sample_dual_vertices and an HK witness_dual are
+    # vertices of their instance's optimal face by construction: passed
+    # back with that same instance object, dual_to_imputation and
+    # surplus_account run no is_optimal_dual. The same values built by
+    # the caller, the found point passed with an equal instance that is
+    # another object, and a caller dual that is not optimal are each
+    # checked once per call. On the cap set and 20 seeded games of each
+    # kind.
+    checks = []
+    original = analysis_module.is_optimal_dual
+    monkeypatch.setattr(analysis_module, "is_optimal_dual",
+                        lambda instance, d: checks.append(d) or original(instance, d))
+    rng = random.Random(5858)
+    games = [g for _, _, g in helpers.cap_set()]
+    games += [helpers.random_bipartite(rng, kind) for kind in helpers.ALL_BIPARTITE
+              for _ in range(20)]
+    games += [helpers.random_general(rng) for _ in range(20)]
+    seen = Counter()
+    for g in games:
+        hk = g.kind is GameKind.HOFFMAN_KRUSKAL
+        for d in [optimal_dual(g)] + sample_dual_vertices(g, 2, seed=rng.randint(0, 10**6)):
+            checks.clear()
+            if g.kind is GameKind.GENERAL and not is_concurrent(g):
+                with pytest.raises(ValueError, match="^not concurrent"):
+                    dual_to_imputation(g, d)
+                assert not checks
+                seen["not concurrent"] += 1
+                continue
+            imp = dual_to_imputation(g, d)
+            account = surplus_account(g, d) if hk else None
+            assert not checks, g
+            mine = DualSolution(g, d.values)
+            assert mine == d and dual_to_imputation(g, mine) == imp and checks == [mine]
+            twin = _twin(g)
+            assert dual_to_imputation(twin, d) == imp and checks == [mine, d]
+            if hk:
+                assert surplus_account(g, mine) == surplus_account(twin, d) == account
+                assert checks == [mine, d, mine, d]
+            seen["found", g.kind] += 1
+        if hk:
+            grand = surplus_account(g, optimal_dual(g)).surplus
+            shares = [rng.randint(0, 3) for _ in g.agents]
+            shares[0] += not any(shares)
+            verdict = is_core_imputation(g, make_imputation(
+                g, {q: grand * k / sum(shares) for q, k in zip(g.agents, shares)}))
+            w = verdict.witness_dual
+            if w is not None:
+                checks.clear()
+                account = surplus_account(w.instance, w)
+                assert not checks
+                mine = DualSolution(w.instance, w.values)
+                assert surplus_account(w.instance, mine) == account and checks == [mine]
+                seen["witness"] += 1
+    for g, d in ((helpers.hk_mixed_bounds(),
+                  make_dual(helpers.hk_mixed_bounds(), {"u": 4}, lower={("u", "v1"): 2})),
+                 (helpers.single_edge(), make_dual(helpers.single_edge(), {"a": 5, "b": 1}))):
+        checks.clear()
+        with pytest.raises(ValueError, match="^dual solution is not optimal$"):
+            dual_to_imputation(g, d)
+        assert checks == [d]
+    # Counts at this seed: 60 found duals on assignment, 61 on uniform_b,
+    # 52 on b_matching, 51 on hoffman_kruskal and 47 on concurrent general
+    # games; 13 on general games that are not, and 19 witness duals.
+    assert min(seen["found", kind] for kind in GameKind) >= 25, seen
+    assert seen["not concurrent"] >= 5 and seen["witness"] >= 8, seen
 
 
 def test_surplus_accounts_on_fixtures():
@@ -864,27 +953,29 @@ def test_dual_program_is_solved_once_per_instance(monkeypatch):
                        ("a2", "b1", F(47, 7)), ("a2", "b3", F(54, 7)),
                        ("a3", "b2", F(33, 7)), ("a3", "b3", F(54, 7))])
     program = build_dual(g)
-    solved = []
-    original = lp_module._Tableau.solve
+    solved, fixed = [], []
+    original, original_solve = lp_module._Tableau.solve, analysis_module.solve
 
     def counting(tableau):
         solved.append(tableau.lp)
         return original(tableau)
 
     monkeypatch.setattr(lp_module._Tableau, "solve", counting)
+    monkeypatch.setattr(analysis_module, "solve", lambda lp: fixed.append(lp) or original_solve(lp))
     optimal_dual(g)
     verify_complementarity(g)
     extremes = extreme_imputations(g)
     payoff_range(g, "a1")
     assert all(in_dual_image(g, imp) for imp in extremes)
     simultaneous_imputation(g)
-    # The programs of in_dual_image fix the vertex duals through their bounds.
-    unpinned = [lp for lp in solved
-                if (lp.variables, lp.objective, lp.constraints, lp.lower, lp.upper)
-                == (program.variables, program.objective, program.constraints,
-                    program.lower, program.upper)]
-    assert len(unpinned) == 1
-    assert len(solved) > 1
+    # The one tableau solved is the dual program's; each in_dual_image
+    # call solves its program, every vertex dual fixed through its
+    # bounds, once, through ``lp.solve``, which builds no tableau for it.
+    assert [(lp.variables, lp.objective, lp.constraints, lp.lower, lp.upper)
+            for lp in solved] == [(program.variables, program.objective, program.constraints,
+                                   program.lower, program.upper)]
+    assert len(fixed) == len(extremes) == 2
+    assert all(lp.constraints == program.constraints and lp.lower == lp.upper for lp in fixed)
 
 
 def test_hk_coalition_sub_games_are_solved_once_per_induced_edge_set(monkeypatch):

@@ -135,6 +135,23 @@ def test_a_coalition_given_as_one_string_is_refused():
     assert oracle.worth(triangle, ["i", "j"]) == 1 and oracle.worth(ring, ["v1"]) == 0
 
 
+def test_an_edge_key_that_is_not_the_edges_tuple_is_refused():
+    # An edge is keyed by the tuple (u, v) as written. A list, which
+    # cannot be hashed, a tuple holding one, a string and the reversed
+    # pair are each refused with the documented ValueError, by the
+    # instance and by the functions that read an edge key.
+    ring = helpers.seven_ring()
+    assert ring.edge(("v2", "v7")).weight == 2
+    calls = (ring.edge, lambda key: oracle.classify_team(ring, key),
+             lambda key: analysis.always_paid_fairly(ring, key),
+             lambda key: analysis.DualFace(ring).max_overpayment(key))
+    for key in (["v2", "v7"], (["v2"], "v7"), "v2v7", ("v7", "v2")):
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(key)
+            assert str(err.value) == f"no edge {key!r} in this instance"
+
+
 def test_validate_well_formed_instances():
     for g in (helpers.seven_ring(), helpers.two_team_b_matching(),
               helpers.hk_mixed_bounds(), helpers.hk_edge_upper(),

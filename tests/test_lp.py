@@ -736,16 +736,16 @@ def test_the_support_is_every_coordinate_positive_somewhere_on_the_face(monkeypa
     assert min(seen["equality"], seen["lowered"], seen["bounded"]) >= 300, seen
 
 
-def dual_image_programs():
+def dual_image_programs(kinds=helpers.ALL_BIPARTITE, seeded=10, seed=5252):
     """(program, verdict) for each solve of ``analysis.in_dual_image``:
     the dual program with every vertex dual fixed through its bounds,
     for the candidates of ``helpers.dual_image_candidates`` (one sampled
-    dual) on the cap set's bipartite games and on 10 seeded games of
-    each bipartite kind, members and non-members alike."""
-    rng = random.Random(5252)
-    games = [g for _, _, g in helpers.cap_set(helpers.ALL_BIPARTITE)]
-    games += [helpers.random_bipartite(rng, kind)
-              for kind in helpers.ALL_BIPARTITE for _ in range(10)]
+    dual) on the cap set's games of ``kinds`` and on ``seeded`` seeded
+    games of each, members and non-members alike."""
+    rng = random.Random(seed)
+    games = [g for _, _, g in helpers.cap_set(kinds)]
+    games += [helpers.random_bipartite(rng, GameKind(kind)) for kind in kinds
+              for _ in range(seeded)]
     tests = [(g, make_imputation(g, payoffs)) for g in games
              for payoffs in helpers.dual_image_candidates(g, rng, samples=1)]
     programs, original = [], analysis.solve
@@ -952,23 +952,16 @@ def test_the_engine_pivots_as_the_reference_does(monkeypatch):
 
 
 def test_a_lattice_dual_image_member_is_decided_without_a_pivot(monkeypatch):
-    # On an assignment or uniform_b game every column of in_dual_image's
-    # program is a fixed vertex dual: the tableau gets one row per edge
-    # and no bound row. At a member every edge row holds, and a tight one
-    # is a >= row over constants alone with right-hand side zero, so each
-    # row starts on its slack and the starting basis decides: no pivot.
-    # With no column free to enter, a non-member makes none either. On
-    # the cap set's lattice games and 50 seeded games of each kind.
-    pivots, rows = [], []
+    # On an assignment, uniform_b or b_matching game every column of
+    # in_dual_image's program is a fixed vertex dual, so ``solve`` decides
+    # it at those constants: no tableau is started, and so no pivot is
+    # made, for a member or a non-member. On the cap set's lattice games
+    # and 50 seeded games of each kind.
+    pivots, starts = [], []
     pivot, start = lp_module._Tableau._pivot, lp_module._Tableau._start
-
-    def counted_start(tableau, *args):
-        start(tableau, *args)
-        rows.append(len(tableau.rows) - 1)
-
     rng = random.Random(5555)
-    kinds = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B)
-    games = [g for _, _, g in helpers.cap_set(kinds)]
+    kinds = (GameKind.ASSIGNMENT, GameKind.UNIFORM_B, GameKind.B_MATCHING)
+    games = [g for _, _, g in helpers.cap_set([kind.value for kind in kinds])]
     games += [helpers.random_bipartite(rng, kind, max_side=5, max_edges=10)
               for kind in kinds for _ in range(50)]
     tests = [(g, make_imputation(g, payoffs)) for g in games
@@ -976,17 +969,92 @@ def test_a_lattice_dual_image_member_is_decided_without_a_pivot(monkeypatch):
     monkeypatch.setattr(lp_module._Tableau, "_pivot",
                         lambda tableau, leave, enter: pivots.append(enter)
                         or pivot(tableau, leave, enter))
-    monkeypatch.setattr(lp_module._Tableau, "_start", counted_start)
+    monkeypatch.setattr(lp_module._Tableau, "_start",
+                        lambda tableau, *args: starts.append(1) or start(tableau, *args))
     seen = Counter()
     for g, imp in tests:
         analysis.optimal_dual(g)  # the session's own solve, before counting
         pivots.clear()
-        rows.clear()
+        starts.clear()
         member = analysis.in_dual_image(g, imp)
-        assert rows == [len(g.edges)] and not pivots, (g, imp)
+        assert not starts and not pivots, (g, imp)
         seen[member] += 1
-    # Counts at these seeds: 507 members, 804 non-members.
+        seen[g.kind, member] += 1
+    # Counts at these seeds: 712 members and 1,178 non-members; per kind
+    # 249 and 405 on assignment, 262 and 404 on uniform_b, 201 and 369 on
+    # b_matching.
     assert seen[True] >= 300 and seen[False] >= 300, seen
+    assert min(seen[kind, member] for kind in kinds for member in (True, False)) >= 100, seen
+
+
+def _constant_program(rng):
+    """A random program whose every column is fixed (lower bound equal to
+    upper) at a rational point, its rows of every relation: about half
+    hold at the point with equality, the others miss it by a little, so
+    both verdicts are common. Up to 5 columns, none at all now and then."""
+    n = rng.choice((0, 1, 2, 3, 4, 5))
+    point = [F(rng.randint(-4, 6), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
+        activity = fraction_sum(coeffs, point)
+        rhs = activity if rng.random() < 0.5 else activity + F(rng.randint(-2, 2), 2)
+        rows.append((coeffs, rng.choice(list(Relation)), rhs))
+    return LinearProgram(rng.choice(list(Sense)), [f"x{j}" for j in range(n)],
+                         [rng.randint(-4, 4) for _ in range(n)], rows, point, point)
+
+
+def test_a_program_of_constants_is_the_tableaus_answer_without_one(monkeypatch):
+    # ``solve`` decides a program whose every column is fixed at those
+    # constants, by ``LinearProgram._holds_at``, and starts no tableau;
+    # its answer (status, value, values, basis) must be the engine's
+    # tableau's and the Fraction reference's. On every in_dual_image
+    # program of the cap set's lattice games and of 150 seeded games of
+    # each lattice kind, members and non-members, and on 1,500 seeded
+    # programs of constants with rows of every relation.
+    starts = []
+    start = lp_module._Tableau._start
+    monkeypatch.setattr(lp_module._Tableau, "_start",
+                        lambda tableau, *args: starts.append(1) or start(tableau, *args))
+    seen = Counter()
+
+    def follow(lp):
+        starts.clear()
+        sol = lp_module.solve(lp)
+        assert not starts, lp
+        assert sol == lp_module._Tableau(lp).solve() == FractionFace(lp).base, lp
+        seen[sol.status] += 1
+        seen["shifted"] += any(lp.lower)
+        seen["empty"] += not lp.variables
+        if sol.status is Status.OPTIMAL:
+            seen["nonzero value"] += sol.value != 0
+        return sol
+
+    for lp, member in dual_image_programs(("assignment", "uniform_b", "b_matching"),
+                                          seeded=150, seed=5757):
+        sol = follow(lp)
+        assert lp.lower == lp.upper
+        seen[member] += 1
+        seen["member optimal"] += member and sol.status is Status.OPTIMAL
+    for seed in range(1500):
+        rng = random.Random(8800 + seed)
+        lp = _constant_program(rng)
+        sol = follow(lp)
+        equality = any(c.relation is Relation.EQ for c in lp.constraints)
+        seen["equality", sol.status] += equality
+        seen["fractional"] += any(x.denominator > 1 for x in lp.lower)
+    # Counts at these seeds: 1,622 members and 2,509 non-members of D(I);
+    # 3,584 optimal and 2,047 infeasible programs, 5,331 with a nonzero
+    # bound and 3,459 of nonzero value; among the seeded ones, 279
+    # optimal and 738 infeasible with an equality row, 713 fixed at a
+    # fractional point and 275 with no column.
+    assert seen[True] >= 800 and seen[False] >= 1200, seen
+    assert seen["member optimal"] == seen[True], seen
+    assert seen[Status.OPTIMAL] >= 1500 and seen[Status.INFEASIBLE] >= 1000, seen
+    assert seen["equality", Status.OPTIMAL] >= 140, seen
+    assert seen["equality", Status.INFEASIBLE] >= 350, seen
+    assert seen["shifted"] >= 2500 and seen["nonzero value"] >= 1500, seen
+    assert seen["fractional"] >= 350 and seen["empty"] >= 130, seen
 
 
 def test_a_fixed_column_never_moves_on_the_face(monkeypatch):
